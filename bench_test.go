@@ -56,7 +56,7 @@ func runCoreBench(b *testing.B, ta, tb *rtree.Tree, k int, opts core.Options, bu
 	var accesses int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats, err := bench.RunCore(ta, tb, k, opts, buffer)
+		stats, err := benchLab.RunCore(ta, tb, k, opts, buffer)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func runIncrementalBench(b *testing.B, ta, tb *rtree.Tree, k int, opts increment
 	var accesses int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats, err := bench.RunIncremental(ta, tb, k, opts, buffer)
+		stats, err := benchLab.RunIncremental(ta, tb, k, opts, buffer)
 		if err != nil {
 			b.Fatal(err)
 		}

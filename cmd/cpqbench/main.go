@@ -1,6 +1,8 @@
 // Command cpqbench regenerates the tables and figures of the paper's
 // experimental study (Sections 4 and 5). Each figure of the paper maps to
-// one experiment; see DESIGN.md for the full index.
+// one experiment; see DESIGN.md for the full index. Timings, allocation
+// and per-layer costs are measured by the benchmark instead
+// (`go run -C benchmark .`, benchmark/README.md).
 //
 // Usage:
 //
@@ -9,18 +11,8 @@
 //	cpqbench -quick                # 1/10 cardinalities (smoke run)
 //	cpqbench -scale 0.25           # custom scale
 //	cpqbench -parallel 4           # 4 HEAP workers (0 = GOMAXPROCS)
-//	cpqbench -leafscan brute       # force a leaf scan strategy on every run
-//	cpqbench -leafscan auto        # let the cost-model advisor pick per run
-//	cpqbench -batch-expand         # batched heap dequeues in sequential HEAP
-//	cpqbench -nodecache 4096       # attach a decoded-node cache to every tree
-//	cpqbench -shards 8             # run every query sharded over 8 STR tiles
-//	cpqbench -shard-transport inproc  # transport for sharded runs (or CPQ_SHARDS env)
-//	cpqbench -pr4 BENCH_PR4.json   # run the leafscan ablation, write its report
-//	cpqbench -pr6 BENCH_PR6.json   # run the kernel ablation, write its report
-//	cpqbench -pr9 BENCH_PR9.json   # run the sharding gate, write its report
-//	cpqbench -pr10 BENCH_PR10.json # run the explain-overhead gate, write its report
 //	cpqbench -explain              # capture EXPLAIN per query, print the last query's tree
-//	cpqbench -timeout 2m           # wall-clock budget (or CPQ_TIMEOUT); exits 3 with partial totals
+//	cpqbench -timeout 2m           # wall-clock budget; exits 3 with partial totals
 //	cpqbench -trace trace.jsonl    # write every query's trace events as JSON lines
 //	cpqbench -metrics-addr :9090   # serve /metrics (Prometheus text) and /debug/vars
 //	cpqbench -pprof                # with -metrics-addr, also mount /debug/pprof/
@@ -45,37 +37,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/shard"
 )
-
-// envTimeout reads the CPQ_TIMEOUT environment knob, the -timeout flag's
-// default. A malformed value aborts the run rather than silently running
-// without the budget the caller asked for.
-func envTimeout() time.Duration {
-	v := os.Getenv("CPQ_TIMEOUT")
-	if v == "" {
-		return 0
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		fatal(fmt.Errorf("CPQ_TIMEOUT: %w", err))
-	}
-	return d
-}
-
-// envShards reads the CPQ_SHARDS environment knob, the -shards flag's
-// default. A malformed value aborts the run.
-func envShards() int {
-	v := os.Getenv("CPQ_SHARDS")
-	if v == "" {
-		return 0
-	}
-	var n int
-	if _, err := fmt.Sscanf(v, "%d", &n); err != nil {
-		fatal(fmt.Errorf("CPQ_SHARDS: %w", err))
-	}
-	return n
-}
 
 // summary is the -json record emitted per experiment: wall time plus the
 // aggregated statistics of every query the experiment ran.
@@ -87,113 +49,43 @@ type summary struct {
 	Totals     bench.Totals `json:"totals"`
 }
 
-func main() {
-	var (
-		experiment = flag.String("experiment", "", "experiment to run (default: all); see -list")
-		quick      = flag.Bool("quick", false, "scale cardinalities down to 1/10 for a fast smoke run")
-		scale      = flag.Float64("scale", 1.0, "cardinality scale factor (1.0 = the paper's sizes)")
-		parallel   = flag.Int("parallel", 1, "HEAP worker count for experiments that don't pick their own; 1 = the paper's sequential algorithm, 0 = GOMAXPROCS")
-		leafScan   = flag.String("leafscan", "", "force a leaf scan strategy on every run: sweep, brute, grid or auto (default: per-experiment choice)")
-		batchExp   = flag.Bool("batch-expand", false, "batched heap dequeues in the sequential HEAP algorithm on every run")
-		nodeCache  = flag.Int("nodecache", 0, "decoded-node cache capacity (nodes per tree) attached to experiment trees; 0 = no cache (the paper's exact disk accounting)")
-		shards     = flag.Int("shards", envShards(), "run every query sharded over this many STR tiles (scatter-gather executor); <= 1 = the monolithic join (default from CPQ_SHARDS)")
-		shardTr    = flag.String("shard-transport", "inproc", "transport carrying shard-pair joins of sharded runs (inproc)")
-		pr4        = flag.String("pr4", "", "run the leafscan ablation and write its JSON report to this file")
-		pr6        = flag.String("pr6", "", "run the pr6 kernel ablation and write its JSON report to this file")
-		pr9        = flag.String("pr9", "", "run the pr9 sharding gate and write its JSON report to this file")
-		pr10       = flag.String("pr10", "", "run the pr10 explain-overhead gate and write its JSON report to this file")
-		explainOn  = flag.Bool("explain", false, "attach an EXPLAIN capture to every query and print the last query's plan+execution tree at the end")
-		traceFile  = flag.String("trace", "", "write every query's trace events to this file as JSON lines")
-		metricsAt  = flag.String("metrics-addr", "", "serve engine metrics on this address (/metrics Prometheus text, /debug/vars expvar)")
-		pprofOn    = flag.Bool("pprof", false, "with -metrics-addr, also mount net/http/pprof under /debug/pprof/")
-		jsonOut    = flag.Bool("json", false, "emit one JSON summary per experiment on stdout (tables go only to -out)")
-		list       = flag.Bool("list", false, "list available experiments and exit")
-		out        = flag.String("out", "", "also write the report to this file")
-		timeout    = flag.Duration("timeout", envTimeout(), "wall-clock budget for the whole run; queries observe it via context and the run exits non-zero with partial totals (0 = none; default from CPQ_TIMEOUT)")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *timeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		defer cancel()
-		bench.SetDefaultContext(ctx)
+// run is main behind an exit code: 0 on success, 1 on a failed run, 2 on a
+// bad command line, 3 when the -timeout budget ran out.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cpqbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		experiment = fs.String("experiment", "", "experiment to run (default: all); see -list")
+		quick      = fs.Bool("quick", false, "scale cardinalities down to 1/10 for a fast smoke run")
+		scale      = fs.Float64("scale", 1.0, "cardinality scale factor (1.0 = the paper's sizes)")
+		parallel   = fs.Int("parallel", 1, "HEAP worker count for experiments that don't pick their own; 1 = the paper's sequential algorithm, 0 = GOMAXPROCS")
+		explainOn  = fs.Bool("explain", false, "attach an EXPLAIN capture to every query and print the last query's plan+execution tree at the end")
+		traceFile  = fs.String("trace", "", "write every query's trace events to this file as JSON lines")
+		metricsAt  = fs.String("metrics-addr", "", "serve engine metrics on this address (/metrics Prometheus text, /debug/vars expvar)")
+		pprofOn    = fs.Bool("pprof", false, "with -metrics-addr, also mount net/http/pprof under /debug/pprof/")
+		jsonOut    = fs.Bool("json", false, "emit one JSON summary per experiment on stdout (tables go only to -out)")
+		list       = fs.Bool("list", false, "list available experiments and exit")
+		out        = fs.String("out", "", "also write the report to this file")
+		timeout    = fs.Duration("timeout", 0, "wall-clock budget for the whole run; queries observe it via context and the run exits 3 with partial totals (0 = none)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "cpqbench:", err)
+		return 1
 	}
 
 	if *list {
 		for _, e := range bench.Experiments() {
-			fmt.Printf("%-8s %s\n", e.Name, e.Title)
+			fmt.Fprintf(stdout, "%-8s %s\n", e.Name, e.Title)
 		}
-		return
-	}
-
-	workers := *parallel
-	if workers <= 0 {
-		bench.SetDefaultParallelism(core.AutoParallelism)
-		workers = runtime.GOMAXPROCS(0)
-	} else {
-		bench.SetDefaultParallelism(workers)
-	}
-
-	switch *leafScan {
-	case "":
-	case "sweep":
-		bench.SetDefaultLeafScan(core.LeafScanSweep)
-	case "brute":
-		bench.SetDefaultLeafScan(core.LeafScanBrute)
-	case "grid":
-		bench.SetDefaultLeafScan(core.LeafScanGrid)
-	case "auto":
-		bench.SetDefaultLeafScanAuto()
-	default:
-		fatal(fmt.Errorf("unknown -leafscan %q; want sweep, brute, grid or auto", *leafScan))
-	}
-	if *batchExp {
-		bench.SetDefaultBatchExpand(true)
-	}
-	if *nodeCache > 0 {
-		bench.SetDefaultNodeCache(*nodeCache)
-	}
-	switch *shardTr {
-	case "inproc":
-		bench.SetDefaultShardTransport(shard.InProc{})
-	default:
-		fatal(fmt.Errorf("unknown -shard-transport %q; want inproc", *shardTr))
-	}
-	if *shards > 1 {
-		bench.SetDefaultShards(*shards)
-	}
-	if *explainOn {
-		bench.SetDefaultExplain(true)
-	}
-
-	var tracer *obs.JSONLWriter
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		tracer = obs.NewJSONLWriter(f)
-		defer func() {
-			if err := tracer.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, "cpqbench: trace:", err)
-			}
-		}()
-		bench.SetDefaultTracer(tracer)
-	}
-	if *metricsAt != "" {
-		reg := obs.Default()
-		bench.SetDefaultMetrics(obs.NewEngineMetrics(reg))
-		reg.PublishExpvar("cpq")
-		mux := obs.NewServeMux(reg, *pprofOn)
-		go func() {
-			if err := http.ListenAndServe(*metricsAt, mux); err != nil {
-				fmt.Fprintln(os.Stderr, "cpqbench: metrics server:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "cpqbench: serving metrics on %s/metrics\n", *metricsAt)
-	} else if *pprofOn {
-		fatal(fmt.Errorf("-pprof requires -metrics-addr"))
+		return 0
 	}
 
 	s := *scale
@@ -201,23 +93,66 @@ func main() {
 		s = 0.1
 	}
 	lab := bench.NewLab(s)
+	lab.Explain = *explainOn
+
+	if *timeout > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+		defer cancel()
+		lab.Ctx = ctx
+	}
+
+	workers := *parallel
+	lab.Parallelism = workers
+	if workers <= 0 {
+		lab.Parallelism = core.AutoParallelism
+		workers = runtime.GOMAXPROCS(0)
+	}
+
+	if *traceFile != "" {
+		f, err := os.Create(*traceFile)
+		if err != nil {
+			return fail(err)
+		}
+		defer f.Close()
+		tracer := obs.NewJSONLWriter(f)
+		defer func() {
+			if err := tracer.Err(); err != nil {
+				fmt.Fprintln(stderr, "cpqbench: trace:", err)
+			}
+		}()
+		lab.Tracer = tracer
+	}
+	if *metricsAt != "" {
+		reg := obs.Default()
+		lab.Metrics = obs.NewEngineMetrics(reg)
+		reg.PublishExpvar("cpq")
+		mux := obs.NewServeMux(reg, *pprofOn)
+		go func() {
+			if err := http.ListenAndServe(*metricsAt, mux); err != nil {
+				fmt.Fprintln(stderr, "cpqbench: metrics server:", err)
+			}
+		}()
+		fmt.Fprintf(stderr, "cpqbench: serving metrics on %s/metrics\n", *metricsAt)
+	} else if *pprofOn {
+		return fail(fmt.Errorf("-pprof requires -metrics-addr"))
+	}
 
 	// In -json mode stdout carries only the JSON records; the human tables
 	// go to the -out file if one was given, and are dropped otherwise.
-	var w io.Writer = os.Stdout
+	w := stdout
 	if *jsonOut {
 		w = io.Discard
 	}
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		if *jsonOut {
 			w = f
 		} else {
-			w = io.MultiWriter(os.Stdout, f)
+			w = io.MultiWriter(stdout, f)
 		}
 	}
 
@@ -227,29 +162,9 @@ func main() {
 		for _, name := range strings.Split(*experiment, ",") {
 			e, ok := bench.ByName(strings.TrimSpace(name))
 			if !ok {
-				fatal(fmt.Errorf("unknown experiment %q; available: %s",
+				return fail(fmt.Errorf("unknown experiment %q; available: %s",
 					name, strings.Join(bench.Names(), ", ")))
 			}
-			toRun = append(toRun, e)
-		}
-	}
-	// -pr4/-pr6/-pr9 need their ablations; append them if not selected.
-	for _, need := range []struct {
-		flagVal string
-		exp     string
-	}{{*pr4, "leafscan"}, {*pr6, "pr6"}, {*pr9, "pr9"}, {*pr10, "pr10"}} {
-		if need.flagVal == "" {
-			continue
-		}
-		found := false
-		for _, e := range toRun {
-			if e.Name == need.exp {
-				found = true
-				break
-			}
-		}
-		if !found {
-			e, _ := bench.ByName(need.exp)
 			toRun = append(toRun, e)
 		}
 	}
@@ -257,22 +172,22 @@ func main() {
 	fmt.Fprintf(w, "cpqbench — Closest Pair Queries in Spatial Databases (SIGMOD 2000) reproduction\n")
 	fmt.Fprintf(w, "scale %.3g; page size 1KB, M=21, m=7; disk accesses = buffer misses (B/2 pages per tree)\n\n", s)
 
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	start := time.Now()
 	for _, e := range toRun {
 		fmt.Fprintf(w, "=== %s: %s ===\n\n", e.Name, e.Title)
-		bench.ResetTotals()
+		lab.ResetTotals()
 		expStart := time.Now()
 		if err := e.Run(lab, w); err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
-				t := bench.CurrentTotals()
-				fmt.Fprintf(os.Stderr,
+				t := lab.Totals()
+				fmt.Fprintf(stderr,
 					"cpqbench: %s: wall-clock budget of %s exhausted after %s; partial totals: %d queries, %d disk accesses, %d node pairs\n",
 					e.Name, *timeout, time.Since(start).Round(time.Millisecond),
 					t.Queries, t.Accesses, t.NodePairs)
-				os.Exit(3)
+				return 3
 			}
-			fatal(fmt.Errorf("%s: %w", e.Name, err))
+			return fail(fmt.Errorf("%s: %w", e.Name, err))
 		}
 		if *jsonOut {
 			if err := enc.Encode(summary{
@@ -280,78 +195,16 @@ func main() {
 				Title:      e.Title,
 				Parallel:   workers,
 				WallMS:     float64(time.Since(expStart).Microseconds()) / 1000,
-				Totals:     bench.CurrentTotals(),
+				Totals:     lab.Totals(),
 			}); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		}
 	}
 	fmt.Fprintf(w, "total wall time: %s\n", time.Since(start).Round(time.Millisecond))
 
-	if *pr4 != "" {
-		rep := bench.LeafScanReport()
-		if rep == nil {
-			fatal(fmt.Errorf("leafscan ablation produced no report"))
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*pr4, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(w, "wrote leafscan report to %s\n", *pr4)
+	if snap := lab.LastExplain(); snap != nil {
+		fmt.Fprintf(w, "\nEXPLAIN of the last query:\n%s", snap.Render())
 	}
-	if *pr6 != "" {
-		rep := bench.PR6LastReport()
-		if rep == nil {
-			fatal(fmt.Errorf("pr6 ablation produced no report"))
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*pr6, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(w, "wrote pr6 report to %s\n", *pr6)
-	}
-	if *pr9 != "" {
-		rep := bench.PR9LastReport()
-		if rep == nil {
-			fatal(fmt.Errorf("pr9 sharding gate produced no report"))
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*pr9, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(w, "wrote pr9 report to %s\n", *pr9)
-	}
-	if *pr10 != "" {
-		rep := bench.PR10LastReport()
-		if rep == nil {
-			fatal(fmt.Errorf("pr10 explain gate produced no report"))
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*pr10, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(w, "wrote pr10 report to %s\n", *pr10)
-	}
-	if *explainOn {
-		if snap := bench.LastExplain(); snap != nil {
-			fmt.Fprintf(w, "\nEXPLAIN of the last query:\n%s", snap.Render())
-		}
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cpqbench:", err)
-	os.Exit(1)
+	return 0
 }

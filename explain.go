@@ -148,7 +148,6 @@ func buildExplainPlan(p, q *Index, k int, cfg queryConfig) explain.Plan {
 		K:         k,
 		Workers:   explainWorkers(cfg.core),
 		LeafScan:  cfg.core.LeafScan.String(),
-		Expand:    cfg.core.Expand.String(),
 	}
 	if _, dec, err := core.AdviseLeafScanDecision(p.tree, q.tree, k); err == nil {
 		plan.Decisions = append(plan.Decisions, dec)

@@ -39,9 +39,8 @@ func TestExplainUnsharded(t *testing.T) {
 			t.Fatalf("pair %d: distance differs under explain: %v vs %v", i, want[i].Dist, got[i].Dist)
 		}
 	}
-	if gotStats.NodePairsProcessed != wantStats.NodePairsProcessed {
-		t.Fatalf("explain changed traversal: %d vs %d node pairs",
-			gotStats.NodePairsProcessed, wantStats.NodePairsProcessed)
+	if gotStats != wantStats {
+		t.Fatalf("explain changed the query's counters:\n got %+v\nwant %+v", gotStats, wantStats)
 	}
 
 	if rep.Plan.Algorithm != "HEAP" || rep.Plan.K != 10 {

@@ -39,7 +39,7 @@ func runCostModel(l *Lab, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		stats, err := RunCore(ta, tb, cfg.k, core.DefaultOptions(core.Heap), 0)
+		stats, err := l.RunCore(ta, tb, cfg.k, core.DefaultOptions(core.Heap), 0)
 		if err != nil {
 			return err
 		}

@@ -27,7 +27,7 @@ func runSorts(l *Lab, w io.Writer) error {
 		opts := core.DefaultOptions(core.SortedDistances)
 		opts.Sort = m
 		start := time.Now()
-		stats, err := RunCore(ta, tb, 1, opts, 0)
+		stats, err := l.RunCore(ta, tb, 1, opts, 0)
 		if err != nil {
 			return err
 		}
@@ -54,7 +54,7 @@ func runKPrune(l *Lab, w io.Writer) error {
 			for _, rule := range []core.KPruning{core.KPruneMaxMax, core.KPruneHeapTop} {
 				opts := core.DefaultOptions(alg)
 				opts.KPrune = rule
-				stats, err := RunCore(ta, tb, k, opts, 0)
+				stats, err := l.RunCore(ta, tb, k, opts, 0)
 				if err != nil {
 					return err
 				}
@@ -122,11 +122,11 @@ func runBuild(l *Lab, w io.Writer) error {
 			return err
 		}
 		label := row.label
-		one, err := RunCore(ta, tb, 1, core.DefaultOptions(core.Heap), 0)
+		one, err := l.RunCore(ta, tb, 1, core.DefaultOptions(core.Heap), 0)
 		if err != nil {
 			return err
 		}
-		kk, err := RunCore(ta, tb, 1000, core.DefaultOptions(core.Heap), 0)
+		kk, err := l.RunCore(ta, tb, 1000, core.DefaultOptions(core.Heap), 0)
 		if err != nil {
 			return err
 		}

@@ -28,7 +28,7 @@ func runFig7(l *Lab, w io.Writer) error {
 		for _, k := range kSchedule {
 			cells := []string{fmt.Sprintf("%d", k)}
 			for _, alg := range fourAlgorithms {
-				stats, err := RunCore(ta, tb, k, core.DefaultOptions(alg), 0)
+				stats, err := l.RunCore(ta, tb, k, core.DefaultOptions(alg), 0)
 				if err != nil {
 					return err
 				}
@@ -63,7 +63,7 @@ func runFig8(l *Lab, w io.Writer) error {
 		}
 		for _, k := range kSchedule {
 			for alg := range costs {
-				stats, err := RunCore(ta, tb, k, core.DefaultOptions(alg), 0)
+				stats, err := l.RunCore(ta, tb, k, core.DefaultOptions(alg), 0)
 				if err != nil {
 					return err
 				}
@@ -121,7 +121,7 @@ func runFig9(l *Lab, w io.Writer) error {
 		for _, b := range bufferSchedule {
 			cells := []string{fmt.Sprintf("%d", b)}
 			for _, k := range kSchedule {
-				stats, err := RunCore(ta, tb, k, core.DefaultOptions(alg), b)
+				stats, err := l.RunCore(ta, tb, k, core.DefaultOptions(alg), b)
 				if err != nil {
 					return err
 				}
@@ -162,14 +162,14 @@ func runFig10(l *Lab, w io.Writer) error {
 		for _, k := range kSchedule {
 			cells := []string{fmt.Sprintf("%d", k)}
 			for _, alg := range []core.Algorithm{core.SortedDistances, core.Heap} {
-				stats, err := RunCore(ta, tb, k, core.DefaultOptions(alg), cfg.buffer)
+				stats, err := l.RunCore(ta, tb, k, core.DefaultOptions(alg), cfg.buffer)
 				if err != nil {
 					return err
 				}
 				cells = append(cells, fmt.Sprintf("%d", stats.Accesses()))
 			}
 			for _, trav := range []incremental.Traversal{incremental.Even, incremental.Simultaneous} {
-				stats, err := RunIncremental(ta, tb, k,
+				stats, err := l.RunIncremental(ta, tb, k,
 					incremental.Options{Traversal: trav}, cfg.buffer)
 				if err != nil {
 					return err

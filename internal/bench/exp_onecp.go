@@ -32,7 +32,7 @@ func runFig2(l *Lab, w io.Writer) error {
 			for _, tie := range core.TieStrategies() {
 				opts := core.DefaultOptions(alg)
 				opts.Tie = tie
-				stats, err := RunCore(ta, tb, 1, opts, 0)
+				stats, err := l.RunCore(ta, tb, 1, opts, 0)
 				if err != nil {
 					return err
 				}
@@ -75,7 +75,7 @@ func runFig3(l *Lab, w io.Writer) error {
 				for _, hs := range []core.HeightStrategy{core.FixAtLeaves, core.FixAtRoot} {
 					opts := core.DefaultOptions(alg)
 					opts.Height = hs
-					stats, err := RunCore(ta, tb, 1, opts, 0)
+					stats, err := l.RunCore(ta, tb, 1, opts, 0)
 					if err != nil {
 						return err
 					}
@@ -116,7 +116,7 @@ func runFig4(l *Lab, w io.Writer) error {
 			}
 			cells := []string{fmt.Sprintf("R/%dK", n/1000)}
 			for _, alg := range fourAlgorithms {
-				stats, err := RunCore(ta, tb, 1, core.DefaultOptions(alg), 0)
+				stats, err := l.RunCore(ta, tb, 1, core.DefaultOptions(alg), 0)
 				if err != nil {
 					return err
 				}
@@ -147,12 +147,12 @@ func runFig5(l *Lab, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			exh, err := RunCore(ta, tb, 1, core.DefaultOptions(core.Exhaustive), 0)
+			exh, err := l.RunCore(ta, tb, 1, core.DefaultOptions(core.Exhaustive), 0)
 			if err != nil {
 				return err
 			}
 			for _, alg := range []core.Algorithm{core.Simple, core.SortedDistances, core.Heap} {
-				stats, err := RunCore(ta, tb, 1, core.DefaultOptions(alg), 0)
+				stats, err := l.RunCore(ta, tb, 1, core.DefaultOptions(alg), 0)
 				if err != nil {
 					return err
 				}
@@ -186,7 +186,7 @@ func runFig6(l *Lab, w io.Writer) error {
 					return err
 				}
 				for _, alg := range fourAlgorithms {
-					stats, err := RunCore(ta, tb, 1, core.DefaultOptions(alg), b)
+					stats, err := l.RunCore(ta, tb, 1, core.DefaultOptions(alg), b)
 					if err != nil {
 						return err
 					}

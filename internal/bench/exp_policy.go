@@ -55,7 +55,7 @@ func runPolicies(l *Lab, w io.Writer) error {
 		for _, alg := range []core.Algorithm{core.SortedDistances, core.Heap} {
 			for _, policy := range storage.Policies() {
 				pr := pairs[policy]
-				stats, err := RunCore(pr.ta, pr.tb, 100, core.DefaultOptions(alg), b)
+				stats, err := l.RunCore(pr.ta, pr.tb, 100, core.DefaultOptions(alg), b)
 				if err != nil {
 					return err
 				}

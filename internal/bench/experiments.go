@@ -6,7 +6,8 @@ import (
 	"sort"
 )
 
-// Experiment is one regenerable figure (or ablation) of the study.
+// Experiment is one regenerable figure (or ablation) of the study: one
+// "=== name:" section of results_full.txt.
 type Experiment struct {
 	// Name is the CLI identifier, e.g. "fig4".
 	Name string
@@ -33,12 +34,6 @@ var registry = []Experiment{
 	{"costmodel", "Analytical cost model vs measured cost (future work (b))", runCostModel},
 	{"policies", "Ablation: LRU vs FIFO vs CLOCK buffer replacement", runPolicies},
 	{"semi", "Semi-CPQ: per-point NN vs batched leaf traversal", runSemi},
-	{"parallel", "Parallel HEAP engine: wall-clock speedup and accesses vs workers", runParallel},
-	{"leafscan", "Ablation: plane-sweep vs brute leaf scan, decoded-node cache on/off", runLeafScan},
-	{"pr6", "Ablation: grid leaf scan, batched MINMINDIST kernel, heap-batch expansion", runPR6},
-	{"pr9", "Gate: sharded scatter-gather (STR tiles, broadcast bound) vs monolithic join", runPR9},
-	{"ctxflow", "Gate: cancellation-poll overhead of the context-threaded hot path", runCtxFlow},
-	{"pr10", "Gate: EXPLAIN capture overhead and result parity, explain-off vs bare executor", runPR10},
 }
 
 // Experiments lists every registered experiment in presentation order.
@@ -65,19 +60,6 @@ func Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// RunAll executes every experiment in order.
-func RunAll(l *Lab, w io.Writer) error {
-	for _, e := range registry {
-		if _, err := fmt.Fprintf(w, "=== %s: %s ===\n\n", e.Name, e.Title); err != nil {
-			return err
-		}
-		if err := e.Run(l, w); err != nil {
-			return fmt.Errorf("%s: %w", e.Name, err)
-		}
-	}
-	return nil
 }
 
 // Shared workload vocabulary ------------------------------------------------

@@ -8,11 +8,7 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"os"
-	"strconv"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -21,7 +17,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/explain"
 	"repro/internal/rtree"
-	"repro/internal/shard"
 	"repro/internal/storage"
 )
 
@@ -58,7 +53,8 @@ type DataSpec struct {
 	Shift float64
 }
 
-// Lab builds and caches experiment trees.
+// Lab builds and caches experiment trees and carries the run-time wiring
+// of every query run on them. A Lab is not safe for concurrent use.
 type Lab struct {
 	// Config is the physical tree setup; zero value = the paper's
 	// (1 KB pages, M=21, m=7).
@@ -71,7 +67,29 @@ type Lab struct {
 	// 0 means 512.
 	BuildBuffer int
 
-	trees map[DataSpec]*rtree.Tree
+	// Ctx, when set, is threaded into every RunCore query: cpqbench
+	// -timeout puts a deadline here so a wall-clock budget covers the whole
+	// experiment sweep. nil means context.Background().
+	Ctx context.Context
+	// Parallelism is the HEAP worker count of RunCore queries whose options
+	// leave it zero (0 = the paper's sequential algorithm;
+	// core.AutoParallelism = GOMAXPROCS): cpqbench -parallel re-runs every
+	// experiment in parallel mode for disk-access-parity comparisons.
+	Parallelism int
+	// Tracer, when set, receives every RunCore query's events and the
+	// cache/evict events of every tree built afterwards (cpqbench -trace).
+	Tracer obs.Tracer
+	// Metrics, when set, receives every RunCore query's cost report
+	// (cpqbench -metrics-addr).
+	Metrics *obs.EngineMetrics
+	// Explain attaches a fresh EXPLAIN capture to every RunCore query; each
+	// snapshot replaces the previous one, so after a sweep LastExplain
+	// returns the final query's plan + execution breakdown.
+	Explain bool
+
+	trees       map[DataSpec]*rtree.Tree
+	totals      Totals
+	lastExplain *explain.Explain
 }
 
 // NewLab returns a Lab with the paper's defaults at the given scale.
@@ -123,7 +141,10 @@ func (l *Lab) Tree(spec DataSpec) (*rtree.Tree, error) {
 			return nil, fmt.Errorf("bench: building %+v: %w", spec, err)
 		}
 	}
-	attachDefaultNodeCache(t)
+	if l.Tracer != nil {
+		t.SetTracer(l.Tracer)
+		t.Pool().SetTracer(l.Tracer)
+	}
 	l.trees[spec] = t
 	return t, nil
 }
@@ -180,205 +201,9 @@ func prepare(ta, tb *rtree.Tree, bufferPages int) {
 	}
 }
 
-// defaultParallelism, when non-zero, overrides a zero Options.Parallelism
-// in RunCore: cpqbench -parallel plumbs through here so every experiment
-// can be re-run in parallel mode for disk-access-parity comparisons
-// without touching each experiment's option wiring.
-var defaultParallelism atomic.Int64
-
-// SetDefaultParallelism sets the worker count applied to experiments that
-// do not choose one themselves (0 restores the sequential default;
-// core.AutoParallelism selects GOMAXPROCS).
-func SetDefaultParallelism(n int) { defaultParallelism.Store(int64(n)) }
-
-// defaultLeafScan, when set (stored value = LeafScan + 1, or
-// leafScanAuto), overrides Options.LeafScan in RunCore: cpqbench -leafscan
-// and the CPQ_LEAFSCAN env knob plumb through here so every experiment and
-// benchmark can be A/B'd between the sweep, brute and grid leaf scans
-// without per-experiment wiring.
-var defaultLeafScan atomic.Int64
-
-// leafScanAuto is the defaultLeafScan sentinel for the advisor-driven
-// choice: RunCore asks core.AdviseLeafScan per query, so the pick tracks
-// each workload's cardinalities, overlap and K.
-const leafScanAuto = -1
-
-// SetDefaultLeafScan forces a leaf scan strategy onto every RunCore call.
-// Pass a negative value to restore the per-experiment default.
-func SetDefaultLeafScan(l core.LeafScan) { defaultLeafScan.Store(int64(l) + 1) }
-
-// SetDefaultLeafScanAuto lets the cost-model advisor pick the leaf scan of
-// every RunCore call (core.AdviseLeafScan).
-func SetDefaultLeafScanAuto() { defaultLeafScan.Store(leafScanAuto) }
-
-// ClearDefaultLeafScan restores the per-experiment leaf scan choice.
-func ClearDefaultLeafScan() { defaultLeafScan.Store(0) }
-
-// defaultShards, when above 1, reroutes every RunCore call through the
-// scatter-gather executor of internal/shard with that many spatial
-// tiles: cpqbench -shards and the CPQ_SHARDS env knob plumb through
-// here. A rerouted query re-partitions both sets (STR tiles, one tree
-// pair and buffer pool per tile) and measures I/O on the shard pools,
-// so its access counts are not comparable to the paper's monolithic
-// figures; the knob exists to A/B the sharded executor across every
-// experiment, as -parallel does for the parallel engine. The result
-// distances and tie order stay bit-identical to the monolithic join.
-var defaultShards atomic.Int64
-
-// SetDefaultShards reroutes experiments run afterwards through the
-// sharded executor with t tiles (values <= 1 restore the monolithic
-// join).
-func SetDefaultShards(t int) { defaultShards.Store(int64(t)) }
-
-// defaultShardTransport carries the transport of sharded RunCore calls;
-// nil means in-process. Boxed because atomic.Pointer needs a concrete
-// type.
-type transportBox struct{ t shard.Transport }
-
-var defaultShardTransport atomic.Pointer[transportBox]
-
-// SetDefaultShardTransport selects the transport used by sharded
-// RunCore calls (nil restores the in-process default).
-func SetDefaultShardTransport(t shard.Transport) {
-	if t == nil {
-		defaultShardTransport.Store(nil)
-		return
-	}
-	defaultShardTransport.Store(&transportBox{t: t})
-}
-
-// defaultBatchExpand, when true, turns on Options.BatchExpand (batched
-// heap dequeues in the sequential HEAP algorithm) for every RunCore call:
-// cpqbench -batch-expand plumbs through here.
-var defaultBatchExpand atomic.Bool
-
-// SetDefaultBatchExpand toggles batched heap dequeues for experiments run
-// afterwards.
-func SetDefaultBatchExpand(on bool) { defaultBatchExpand.Store(on) }
-
-// defaultNodeCache is the decoded-node cache capacity (nodes per tree)
-// Lab.Tree and buildParallelTree attach to freshly built trees; 0 (the
-// default) builds trees without a cache, preserving the paper's exact
-// disk-access accounting. cpqbench -nodecache and the CPQ_NODECACHE env
-// knob plumb through here.
-var defaultNodeCache atomic.Int64
-
-// SetDefaultNodeCache sets the node-cache capacity attached to trees built
-// afterwards (0 disables).
-func SetDefaultNodeCache(nodes int) { defaultNodeCache.Store(int64(nodes)) }
-
-// attachDefaultNodeCache attaches the default node cache and tracer (when
-// set) to a freshly built tree.
-func attachDefaultNodeCache(t *rtree.Tree) {
-	if n := defaultNodeCache.Load(); n > 0 {
-		t.SetNodeCache(rtree.NewNodeCache(int(n), 16))
-	}
-	if b := defaultTracer.Load(); b != nil {
-		t.SetTracer(b.tr)
-		t.Pool().SetTracer(b.tr)
-	}
-}
-
-// defaultContext, when set, is threaded into every RunCore query:
-// cpqbench -timeout (and the CPQ_TIMEOUT env knob) plumb a deadline
-// context through here, so a wall-clock budget covers the whole
-// experiment sweep and a stuck configuration cannot hang an unattended
-// run. Boxed because atomic.Pointer needs a concrete type.
-type ctxBox struct{ ctx context.Context }
-
-var defaultContext atomic.Pointer[ctxBox]
-
-// SetDefaultContext applies ctx to experiments run afterwards (nil
-// restores the non-cancellable context.Background()).
-func SetDefaultContext(ctx context.Context) {
-	if ctx == nil {
-		defaultContext.Store(nil)
-		return
-	}
-	defaultContext.Store(&ctxBox{ctx: ctx})
-}
-
-// defaultCtx resolves the context for one measured query.
-func defaultCtx() context.Context {
-	if b := defaultContext.Load(); b != nil {
-		return b.ctx
-	}
-	return context.Background()
-}
-
-// defaultTracer, when set, is attached to every RunCore query and to every
-// tree built afterwards (cache/evict events): cpqbench -trace plumbs
-// through here so all experiments of a run land in one JSONL stream.
-// Boxed because atomic.Value needs a consistent concrete type.
-type tracerBox struct{ tr obs.Tracer }
-
-var defaultTracer atomic.Pointer[tracerBox]
-
-// SetDefaultTracer attaches tr to experiments run afterwards (nil
-// restores the free no-tracer default). Trees already built keep their
-// previous tracer.
-func SetDefaultTracer(tr obs.Tracer) {
-	if tr == nil {
-		defaultTracer.Store(nil)
-		return
-	}
-	defaultTracer.Store(&tracerBox{tr: tr})
-}
-
-// defaultExplain, when true, attaches a fresh EXPLAIN capture to every
-// RunCore query: cpqbench -explain plumbs through here. Each query's
-// snapshot replaces the previous one in lastExplain, so after a sweep
-// LastExplain returns the final query's full plan + execution breakdown.
-var defaultExplain atomic.Bool
-
-// lastExplain holds the most recent RunCore query's explain snapshot.
-var lastExplain atomic.Pointer[explain.Explain]
-
-// SetDefaultExplain toggles per-query EXPLAIN capture for experiments run
-// afterwards.
-func SetDefaultExplain(on bool) { defaultExplain.Store(on) }
-
-// LastExplain returns the explain snapshot of the most recent RunCore
-// query captured under SetDefaultExplain(true); nil if none ran.
-func LastExplain() *explain.Explain { return lastExplain.Load() }
-
-// defaultMetrics, when set, receives every RunCore query's cost report:
-// cpqbench -metrics-addr plumbs through here.
-var defaultMetrics atomic.Pointer[obs.EngineMetrics]
-
-// SetDefaultMetrics routes the cost of experiments run afterwards into em
-// (nil disables).
-func SetDefaultMetrics(em *obs.EngineMetrics) { defaultMetrics.Store(em) }
-
-// init wires the env knobs used by `ci.sh bench` to re-run the Go
-// benchmarks under the pre-optimisation configuration
-// (CPQ_LEAFSCAN=brute) or with the decoded-node cache attached
-// (CPQ_NODECACHE=<nodes per tree>).
-func init() {
-	switch os.Getenv("CPQ_LEAFSCAN") {
-	case "brute":
-		SetDefaultLeafScan(core.LeafScanBrute)
-	case "sweep":
-		SetDefaultLeafScan(core.LeafScanSweep)
-	case "grid":
-		SetDefaultLeafScan(core.LeafScanGrid)
-	case "auto":
-		SetDefaultLeafScanAuto()
-	}
-	if v := os.Getenv("CPQ_NODECACHE"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			SetDefaultNodeCache(n)
-		}
-	}
-	if v := os.Getenv("CPQ_SHARDS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 1 {
-			SetDefaultShards(n)
-		}
-	}
-}
-
-// Totals aggregates the cost of every RunCore / RunIncremental call since
-// the last ResetTotals. cpqbench's -json mode snapshots it per experiment.
+// Totals aggregates the cost of every RunCore / RunIncremental call a Lab
+// has made since its last ResetTotals. cpqbench's -json mode snapshots it
+// per experiment.
 type Totals struct {
 	Queries         int64   `json:"queries"`
 	Accesses        int64   `json:"accesses"`
@@ -393,154 +218,72 @@ type Totals struct {
 	NodeCacheRatio  float64 `json:"node_cache_hit_ratio"`
 }
 
-var totQueries, totAccesses, totNodePairs, totPointPairs atomic.Int64
-var totGridProbes, totGridRebuckets, totHeapBatches, totHeapBatchPairs atomic.Int64
-var totCacheHits, totCacheMisses atomic.Int64
+// ResetTotals zeroes the Lab's aggregate counters.
+func (l *Lab) ResetTotals() { l.totals = Totals{} }
 
-// ResetTotals zeroes the aggregate counters.
-func ResetTotals() {
-	totQueries.Store(0)
-	totAccesses.Store(0)
-	totNodePairs.Store(0)
-	totPointPairs.Store(0)
-	totGridProbes.Store(0)
-	totGridRebuckets.Store(0)
-	totHeapBatches.Store(0)
-	totHeapBatchPairs.Store(0)
-	totCacheHits.Store(0)
-	totCacheMisses.Store(0)
-}
-
-// CurrentTotals snapshots the aggregate counters.
-func CurrentTotals() Totals {
-	t := Totals{
-		Queries:         totQueries.Load(),
-		Accesses:        totAccesses.Load(),
-		NodePairs:       totNodePairs.Load(),
-		PointPairs:      totPointPairs.Load(),
-		GridCellsProbed: totGridProbes.Load(),
-		GridRebuckets:   totGridRebuckets.Load(),
-		HeapBatches:     totHeapBatches.Load(),
-		HeapBatchPairs:  totHeapBatchPairs.Load(),
-		NodeCacheHits:   totCacheHits.Load(),
-		NodeCacheMisses: totCacheMisses.Load(),
-	}
+// Totals snapshots the Lab's aggregate counters.
+func (l *Lab) Totals() Totals {
+	t := l.totals
 	if lookups := t.NodeCacheHits + t.NodeCacheMisses; lookups > 0 {
 		t.NodeCacheRatio = float64(t.NodeCacheHits) / float64(lookups)
 	}
 	return t
 }
 
+// LastExplain returns the explain snapshot of the Lab's most recent
+// RunCore query captured under Explain; nil if none ran.
+func (l *Lab) LastExplain() *explain.Explain { return l.lastExplain }
+
 // RunCore executes one K-CPQ with one of the paper's algorithms under the
-// given buffer size and returns its statistics.
-func RunCore(ta, tb *rtree.Tree, k int, opts core.Options, bufferPages int) (core.Stats, error) {
+// given buffer size and returns its statistics. The Lab's Parallelism,
+// Tracer and Metrics fill the corresponding options the caller left zero.
+func (l *Lab) RunCore(ta, tb *rtree.Tree, k int, opts core.Options, bufferPages int) (core.Stats, error) {
 	prepare(ta, tb, bufferPages)
+	ctx := l.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if opts.Parallelism == 0 {
-		opts.Parallelism = int(defaultParallelism.Load())
-	}
-	switch l := defaultLeafScan.Load(); {
-	case l > 0:
-		opts.LeafScan = core.LeafScan(l - 1)
-	case l == leafScanAuto:
-		if ls, _, err := core.AdviseLeafScan(ta, tb, k); err == nil {
-			opts.LeafScan = ls
-		}
-	}
-	if defaultBatchExpand.Load() {
-		opts.BatchExpand = true
+		opts.Parallelism = l.Parallelism
 	}
 	if opts.Tracer == nil {
-		if b := defaultTracer.Load(); b != nil {
-			opts.Tracer = b.tr
-		}
+		opts.Tracer = l.Tracer
 	}
 	if opts.Metrics == nil {
-		opts.Metrics = defaultMetrics.Load()
+		opts.Metrics = l.Metrics
 	}
 	var ec *explain.Capture
-	if defaultExplain.Load() {
+	if l.Explain {
 		ec = explain.New(opts.Tracer)
 		opts.Tracer = ec
 	}
-	var stats core.Stats
-	var err error
-	if t := int(defaultShards.Load()); t > 1 {
-		stats, err = runShardedQuery(ta, tb, k, opts, t, ec)
-	} else {
-		_, stats, err = core.KClosestPairsContext(defaultCtx(), ta, tb, k, opts)
-	}
+	_, stats, err := core.KClosestPairsContext(ctx, ta, tb, k, opts)
 	if ec != nil {
-		lastExplain.Store(ec.Snapshot())
+		l.lastExplain = ec.Snapshot()
 	}
 	if err == nil {
-		totQueries.Add(1)
-		totAccesses.Add(stats.Accesses())
-		totNodePairs.Add(stats.NodePairsProcessed)
-		totPointPairs.Add(stats.PointPairsCompared)
-		totGridProbes.Add(stats.GridCellsProbed)
-		totGridRebuckets.Add(stats.GridRebuckets)
-		totHeapBatches.Add(stats.HeapBatches)
-		totHeapBatchPairs.Add(stats.HeapBatchPairs)
-		totCacheHits.Add(stats.NodeCacheHits)
-		totCacheMisses.Add(stats.NodeCacheMisses)
+		l.totals.Queries++
+		l.totals.Accesses += stats.Accesses()
+		l.totals.NodePairs += stats.NodePairsProcessed
+		l.totals.PointPairs += stats.PointPairsCompared
+		l.totals.GridCellsProbed += stats.GridCellsProbed
+		l.totals.GridRebuckets += stats.GridRebuckets
+		l.totals.HeapBatches += stats.HeapBatches
+		l.totals.HeapBatchPairs += stats.HeapBatchPairs
+		l.totals.NodeCacheHits += stats.NodeCacheHits
+		l.totals.NodeCacheMisses += stats.NodeCacheMisses
 	}
 	return stats, err
 }
 
-// runShardedQuery executes one RunCore query through the scatter-gather
-// executor: drain both trees, partition into tiles (the shard trees
-// inherit the left tree's geometry), join the tile pairs under the
-// broadcast bound. The I/O counters come from the shard pools.
-func runShardedQuery(ta, tb *rtree.Tree, k int, opts core.Options, tiles int, ec *explain.Capture) (core.Stats, error) {
-	ctx := defaultCtx()
-	itemsA, err := drainItems(ta)
-	if err != nil {
-		return core.Stats{}, err
-	}
-	itemsB, err := drainItems(tb)
-	if err != nil {
-		return core.Stats{}, err
-	}
-	set, err := shard.PartitionContext(ctx, itemsA, itemsB, shard.Config{Tiles: tiles, Tree: ta.Config(), Capture: ec})
-	if err != nil {
-		return core.Stats{}, err
-	}
-	ex := shard.Executor{Set: set, Capture: ec}
-	if b := defaultShardTransport.Load(); b != nil {
-		ex.Transport = b.t
-	}
-	if ec != nil {
-		tr := ex.Transport
-		if tr == nil {
-			tr = shard.InProc{}
-		}
-		ec.SetPlanShards(tiles, tr.String(), set.TileBounds())
-	}
-	res, err := ex.RunContext(ctx, k, opts)
-	if err != nil {
-		return core.Stats{}, errors.Join(err, set.Close())
-	}
-	return res.Stats, set.Close()
-}
-
-// drainItems reads every item of a tree for re-partitioning.
-func drainItems(t *rtree.Tree) ([]rtree.Item, error) {
-	out := make([]rtree.Item, 0, t.Len())
-	err := t.All(func(it rtree.Item) bool {
-		out = append(out, it)
-		return true
-	})
-	return out, err
-}
-
 // RunIncremental executes one K-bounded incremental distance join under
 // the given buffer size and returns its statistics.
-func RunIncremental(ta, tb *rtree.Tree, k int, opts incremental.Options, bufferPages int) (incremental.Stats, error) {
+func (l *Lab) RunIncremental(ta, tb *rtree.Tree, k int, opts incremental.Options, bufferPages int) (incremental.Stats, error) {
 	prepare(ta, tb, bufferPages)
 	_, stats, err := incremental.GetK(ta, tb, k, opts)
 	if err == nil {
-		totQueries.Add(1)
-		totAccesses.Add(stats.Accesses())
+		l.totals.Queries++
+		l.totals.Accesses += stats.Accesses()
 	}
 	return stats, err
 }

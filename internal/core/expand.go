@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -172,34 +171,10 @@ func (j *join) modeFor(na, nb *rtree.Node) expandMode {
 // the sequential auxiliary bound for the algorithms that do so (SIM, STD,
 // HEAP), and appends the sub-pairs surviving the post-tighten pruning
 // bound T to dst. MINMINDIST values are computed for every pruning
-// algorithm; tie keys only when a tie strategy is active. The batched
-// kernel (kernel.go) and the legacy per-pair path produce identical
-// sub-pairs, bounds and counters; Options.Expand selects between them.
-// Sequential drivers only — it mutates j.bound; parallel workers pair
-// beginExpand with the atomic bound instead.
+// algorithm; tie keys only for survivors, when a tie strategy is active
+// (kernel.go). Sequential drivers only — it mutates j.bound; parallel
+// workers pair beginExpand with the atomic bound instead.
 func (j *join) expandInto(p nodePair, na, nb *rtree.Node, dst []nodePair) []nodePair {
-	if j.opts.Expand == ExpandLegacy {
-		subs, mode := j.computeSubs(p, na, nb)
-		if j.tightens() {
-			if b := j.boundCandidate(subs, mode, na, nb); b < j.bound {
-				j.bound = b
-				j.traceBound(j.boundSource())
-				j.publishShared()
-			}
-		}
-		if !j.prunes() {
-			return append(dst, subs...)
-		}
-		T := j.T()
-		for _, sp := range subs {
-			if sp.minminSq > T {
-				j.stats.subPairsPruned.Add(1)
-				continue
-			}
-			dst = append(dst, sp)
-		}
-		return dst
-	}
 	e := j.beginExpand(p, na, nb)
 	if j.tightens() && e.bound < j.bound {
 		j.bound = e.bound
@@ -211,97 +186,6 @@ func (j *join) expandInto(p nodePair, na, nb *rtree.Node, dst []nodePair) []node
 		T = j.T()
 	}
 	return e.finish(dst, T)
-}
-
-// computeSubs generates the candidate sub-pairs of a node pair with their
-// MINMINDIST (and tie keys when active). It only touches atomic state, so
-// the sequential driver and the parallel workers share it.
-func (j *join) computeSubs(p nodePair, na, nb *rtree.Node) ([]nodePair, expandMode) {
-	mode := j.modeFor(na, nb)
-	subs := j.expandRaw(p, na, nb)
-	j.stats.subPairsGenerated.Add(int64(len(subs)))
-
-	if j.prunes() {
-		for i := range subs {
-			subs[i].minminSq = j.metric.MinMinKey(subs[i].ra, subs[i].rb)
-		}
-	}
-	if j.useTie {
-		for i := range subs {
-			subs[i].tieKey = tieKeyFor(j.opts.Tie, j.metric, subs[i].ra, subs[i].rb,
-				j.rootAreaA, j.rootAreaB)
-		}
-	}
-	return subs, mode
-}
-
-// boundCandidate computes the tightest auxiliary pruning bound the sub-pair
-// MBR metrics support, without mutating any join state (+Inf when nothing
-// applies): via Inequality 2 (MINMAXDIST holds for at least one point pair)
-// when K = 1, or via the MAXMAXDIST prefix rule when K > 1 and the
-// technical-report pruning variant is selected.
-func (j *join) boundCandidate(subs []nodePair, mode expandMode, na, nb *rtree.Node) float64 {
-	bound := math.Inf(1)
-	if len(subs) == 0 {
-		return bound
-	}
-	if j.k == 1 {
-		for i := range subs {
-			var mm float64
-			if j.useTie && j.opts.Tie == Tie2 {
-				mm = subs[i].tieKey // Tie2's key is exactly the MINMAXDIST key
-			} else {
-				mm = j.metric.MinMaxKey(subs[i].ra, subs[i].rb)
-			}
-			if mm < bound {
-				bound = mm
-			}
-		}
-		return bound
-	}
-	if j.opts.KPrune != KPruneMaxMax {
-		return bound
-	}
-	// K > 1: every point pair under a sub-pair has distance at most its
-	// MAXMAXDIST (Inequality 1, right side). Sub-pairs cover disjoint
-	// point-pair sets, so the prefix of sub-pairs, sorted by ascending
-	// MAXMAXDIST, whose guaranteed pair count reaches K bounds the K-th
-	// closest distance by the prefix's largest MAXMAXDIST.
-	type mc struct {
-		maxmaxSq float64
-		count    float64
-	}
-	mcs := make([]mc, len(subs))
-	for i := range subs {
-		var cntA, cntB float64
-		switch mode {
-		case expandBoth:
-			cntA = j.guaranteedPoints(j.mA, subs[i].la)
-			cntB = j.guaranteedPoints(j.mB, subs[i].lb)
-		case expandAOnly:
-			cntA = j.guaranteedPoints(j.mA, subs[i].la)
-			cntB = nodeGuaranteedPoints(j.mB, nb)
-		case expandBOnly:
-			cntA = nodeGuaranteedPoints(j.mA, na)
-			cntB = j.guaranteedPoints(j.mB, subs[i].lb)
-		}
-		mcs[i] = mc{
-			maxmaxSq: j.metric.MaxMaxKey(subs[i].ra, subs[i].rb),
-			count:    cntA * cntB,
-		}
-	}
-	sort.Slice(mcs, func(x, y int) bool { return mcs[x].maxmaxSq < mcs[y].maxmaxSq })
-	var cum float64
-	for i := range mcs {
-		cum += mcs[i].count
-		if cum >= float64(j.k) {
-			if mcs[i].maxmaxSq < bound {
-				bound = mcs[i].maxmaxSq
-			}
-			return bound
-		}
-	}
-	return bound
 }
 
 // guaranteedPoints returns the minimum number of data points in a non-root

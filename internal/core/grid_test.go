@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -64,47 +65,223 @@ func TestGridBruteEquivalence(t *testing.T) {
 	}
 }
 
-// TestGridCounterParity pins the acceptance criterion that the grid scan
-// and the batched kernel leave the paper's cost counters — disk accesses
-// and node pairs processed — exactly where the sweep/legacy path put them
-// at Parallelism 1: they change how leaf points are compared, never which
-// nodes are read.
+// TestGridCounterParity pins that the grid scan and the expansion kernel
+// leave the paper's cost counters exactly where the sweep scan and the
+// textbook per-pair expansion put them at Parallelism 1: they change how
+// leaf points and MBR pairs are compared, never which nodes are read.
+//
+// Leaf scan half: the same query under sweep and under grid reports equal
+// accesses, node pairs and sub-pair counters. Kernel half: a kernel join
+// and a reference join (refExpandInto below) walk their own copy of the
+// trees in lockstep; every expansion must yield the same sub-pairs and the
+// same auxiliary bound, and the walks must end on the same four counters.
 func TestGridCounterParity(t *testing.T) {
 	ps := dataset.Uniform(41, 1200)
 	qs := dataset.Uniform(42, 1100)
-	ta := buildTree(t, ps, 256)
-	tb := buildTree(t, qs, 256)
+	ta, tb := buildTree(t, ps, 256), buildTree(t, qs, 256)
+	ra, rb := buildTree(t, ps, 256), buildTree(t, qs, 256)
 	for _, alg := range Algorithms() {
 		for _, k := range []int{1, 100} {
 			opts := DefaultOptions(alg)
 			opts.LeafScan = LeafScanSweep
-			opts.Expand = ExpandLegacy
 			_, want, err := KClosestPairs(ta, tb, k, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opts.LeafScan = LeafScanGrid
-			opts.Expand = ExpandBatched
 			_, got, err := KClosestPairs(ta, tb, k, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Accesses() != want.Accesses() || got.NodePairsProcessed != want.NodePairsProcessed {
-				t.Fatalf("%v k=%d: grid+kernel counters (accesses %d, node pairs %d) deviate from legacy sweep (%d, %d)",
-					alg, k, got.Accesses(), got.NodePairsProcessed,
-					want.Accesses(), want.NodePairsProcessed)
-			}
-			if got.SubPairsGenerated != want.SubPairsGenerated ||
-				got.SubPairsPruned != want.SubPairsPruned {
-				t.Fatalf("%v k=%d: sub-pair counters (%d gen, %d pruned) deviate from legacy (%d, %d)",
-					alg, k, got.SubPairsGenerated, got.SubPairsPruned,
-					want.SubPairsGenerated, want.SubPairsPruned)
+			if got.Accesses() != want.Accesses() || got.NodePairsProcessed != want.NodePairsProcessed ||
+				got.SubPairsGenerated != want.SubPairsGenerated || got.SubPairsPruned != want.SubPairsPruned {
+				t.Fatalf("%v k=%d: grid counters %+v deviate from sweep %+v", alg, k, got, want)
 			}
 			if alg == Heap && k == 100 && got.GridCellsProbed == 0 {
 				t.Fatalf("%v k=%d: grid scan probed no cells", alg, k)
 			}
+
+			jk, err := newJoin(ta, tb, k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jr, err := newJoin(ra, rb, k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reads := func(j *join) int64 { return j.ta.Pool().Stats().Reads + j.tb.Pool().Stats().Reads }
+			root, err := jk.rootPair()
+			if err != nil {
+				t.Fatal(err)
+			}
+			readsK, readsR := reads(jk), reads(jr)
+			var walk func(p nodePair)
+			walk = func(p nodePair) {
+				if jk.prunes() && p.minminSq > jk.T() {
+					return
+				}
+				na, nb, err := jk.readPair(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rna, rnb, err := jr.readPair(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if na.IsLeaf() && nb.IsLeaf() {
+					jk.scanLeaves(na, nb)
+					jr.scanLeaves(rna, rnb)
+					return
+				}
+				subs := jk.expandInto(p, na, nb, nil)
+				ref := refExpandInto(jr, p, rna, rnb)
+				if jk.bound != jr.bound || jk.T() != jr.T() {
+					t.Fatalf("%v k=%d pair (%d,%d): kernel bound %g (T %g), reference %g (T %g)",
+						alg, k, p.a, p.b, jk.bound, jk.T(), jr.bound, jr.T())
+				}
+				if len(subs) != len(ref) {
+					t.Fatalf("%v k=%d pair (%d,%d): kernel kept %d sub-pairs, reference %d",
+						alg, k, p.a, p.b, len(subs), len(ref))
+				}
+				for i := range subs {
+					if subs[i] != ref[i] {
+						t.Fatalf("%v k=%d pair (%d,%d) sub-pair %d: kernel %+v, reference %+v",
+							alg, k, p.a, p.b, i, subs[i], ref[i])
+					}
+				}
+				for _, sp := range subs {
+					walk(sp)
+				}
+			}
+			walk(root)
+			sk, sr := jk.stats.snapshot(), jr.stats.snapshot()
+			if sk.NodePairsProcessed != sr.NodePairsProcessed ||
+				sk.SubPairsGenerated != sr.SubPairsGenerated || sk.SubPairsPruned != sr.SubPairsPruned ||
+				reads(jk)-readsK != reads(jr)-readsR {
+				t.Fatalf("%v k=%d: kernel walk (%d reads, %+v) deviates from reference walk (%d reads, %+v)",
+					alg, k, reads(jk)-readsK, sk, reads(jr)-readsR, sr)
+			}
+			if sk.SubPairsGenerated == 0 || reads(jk) == readsK {
+				t.Fatalf("%v k=%d: walk expanded nothing (%+v)", alg, k, sk)
+			}
 		}
 	}
+}
+
+// refExpandInto is the expansion the kernel replaced, kept as its
+// reference: materialise every candidate sub-pair, compute its metrics
+// through the generic per-pair rect calls, tighten the auxiliary bound,
+// then filter against the post-tighten T.
+func refExpandInto(j *join, p nodePair, na, nb *rtree.Node) []nodePair {
+	subs, mode := refComputeSubs(j, p, na, nb)
+	if j.tightens() {
+		if b := refBoundCandidate(j, subs, mode, na, nb); b < j.bound {
+			j.bound = b
+		}
+	}
+	if !j.prunes() {
+		return subs
+	}
+	T := j.T()
+	kept := subs[:0]
+	for _, sp := range subs {
+		if sp.minminSq > T {
+			j.stats.subPairsPruned.Add(1)
+			continue
+		}
+		kept = append(kept, sp)
+	}
+	return kept
+}
+
+// refComputeSubs generates the candidate sub-pairs of a node pair with
+// their MINMINDIST (and tie keys when active).
+func refComputeSubs(j *join, p nodePair, na, nb *rtree.Node) ([]nodePair, expandMode) {
+	mode := j.modeFor(na, nb)
+	subs := j.expandRaw(p, na, nb)
+	j.stats.subPairsGenerated.Add(int64(len(subs)))
+
+	if j.prunes() {
+		for i := range subs {
+			subs[i].minminSq = j.metric.MinMinKey(subs[i].ra, subs[i].rb)
+		}
+	}
+	if j.useTie {
+		for i := range subs {
+			subs[i].tieKey = tieKeyFor(j.opts.Tie, j.metric, subs[i].ra, subs[i].rb,
+				j.rootAreaA, j.rootAreaB)
+		}
+	}
+	return subs, mode
+}
+
+// refBoundCandidate computes the tightest auxiliary pruning bound the
+// sub-pair MBR metrics support, without mutating any join state (+Inf when
+// nothing applies): via Inequality 2 (MINMAXDIST holds for at least one
+// point pair) when K = 1, or via the MAXMAXDIST prefix rule when K > 1 and
+// the technical-report pruning variant is selected.
+func refBoundCandidate(j *join, subs []nodePair, mode expandMode, na, nb *rtree.Node) float64 {
+	bound := math.Inf(1)
+	if len(subs) == 0 {
+		return bound
+	}
+	if j.k == 1 {
+		for i := range subs {
+			var mm float64
+			if j.useTie && j.opts.Tie == Tie2 {
+				mm = subs[i].tieKey // Tie2's key is exactly the MINMAXDIST key
+			} else {
+				mm = j.metric.MinMaxKey(subs[i].ra, subs[i].rb)
+			}
+			if mm < bound {
+				bound = mm
+			}
+		}
+		return bound
+	}
+	if j.opts.KPrune != KPruneMaxMax {
+		return bound
+	}
+	// K > 1: every point pair under a sub-pair has distance at most its
+	// MAXMAXDIST (Inequality 1, right side). Sub-pairs cover disjoint
+	// point-pair sets, so the prefix of sub-pairs, sorted by ascending
+	// MAXMAXDIST, whose guaranteed pair count reaches K bounds the K-th
+	// closest distance by the prefix's largest MAXMAXDIST.
+	type mc struct {
+		maxmaxSq float64
+		count    float64
+	}
+	mcs := make([]mc, len(subs))
+	for i := range subs {
+		var cntA, cntB float64
+		switch mode {
+		case expandBoth:
+			cntA = j.guaranteedPoints(j.mA, subs[i].la)
+			cntB = j.guaranteedPoints(j.mB, subs[i].lb)
+		case expandAOnly:
+			cntA = j.guaranteedPoints(j.mA, subs[i].la)
+			cntB = nodeGuaranteedPoints(j.mB, nb)
+		case expandBOnly:
+			cntA = nodeGuaranteedPoints(j.mA, na)
+			cntB = j.guaranteedPoints(j.mB, subs[i].lb)
+		}
+		mcs[i] = mc{
+			maxmaxSq: j.metric.MaxMaxKey(subs[i].ra, subs[i].rb),
+			count:    cntA * cntB,
+		}
+	}
+	sort.Slice(mcs, func(x, y int) bool { return mcs[x].maxmaxSq < mcs[y].maxmaxSq })
+	var cum float64
+	for i := range mcs {
+		cum += mcs[i].count
+		if cum >= float64(j.k) {
+			if mcs[i].maxmaxSq < bound {
+				bound = mcs[i].maxmaxSq
+			}
+			return bound
+		}
+	}
+	return bound
 }
 
 // TestGridMetrics exercises the grid's cell side and rebucketing under

@@ -9,12 +9,12 @@ import (
 	"repro/internal/rtree"
 )
 
-// This file implements the batched expansion kernel (Options.Expand ==
-// ExpandBatched). Expanding a node pair is the hot path of every pruning
-// algorithm once the leaf scan is cheap: for an expandBoth pair it computes
-// n*m MINMINDIST values, and the legacy path (expand.go) does so through
-// per-pair rect method calls after materialising every candidate nodePair
-// (~11 words each) whether it survives pruning or not.
+// This file implements the expansion kernel. Expanding a node pair is the
+// hot path of every pruning algorithm once the leaf scan is cheap: for an
+// expandBoth pair it computes n*m MINMINDIST values, and the textbook way
+// (the reference in grid_test.go) does so through per-pair rect method
+// calls after materialising every candidate nodePair (~11 words each)
+// whether it survives pruning or not.
 //
 // The kernel reverses that order. beginExpand copies the child MBRs into
 // flat structure-of-arrays scratch (xlo/xhi/ylo/yhi per side, pooled) and
@@ -25,17 +25,16 @@ import (
 // algorithms assign j.bound between the phases, the parallel engine CASes
 // the shared atomic. Everything observable — the sub-pair set, the bound
 // value, SubPairsGenerated/SubPairsPruned, trace events — is identical to
-// the legacy path:
+// the reference (TestGridCounterParity):
 //
 //   - The per-axis gaps are computed by the same subtraction expressions as
 //     geom.Metric.MinMinKey (only one of the two directed gaps can be
 //     positive), so the keys are bit-identical.
 //   - The bound candidate is computed over ALL generated sub-pairs before
-//     any filtering, exactly like the legacy boundCandidate; the kernel
+//     any filtering, exactly like the reference boundCandidate; the kernel
 //     only skips MINMAXDIST evaluations that provably cannot lower the
 //     K = 1 bound (MINMAXDIST >= MINMINDIST >= current candidate).
-//   - Filtering uses the post-tighten T, the same value the legacy drivers
-//     use after expand() returned.
+//   - Filtering uses the post-tighten T.
 //
 // The scratch is pooled and every slice is grown in place, so a warm
 // expansion allocates nothing beyond the caller's destination slice.
@@ -107,8 +106,7 @@ type expansion struct {
 	n       int // nA * nB candidate sub-pairs
 	hasKeys bool
 	// bound is the tightest auxiliary pruning bound the sub-pair MBR
-	// metrics support (+Inf when nothing applies), mirroring the legacy
-	// boundCandidate. The caller applies it: the sequential driver assigns
+	// metrics support (+Inf when nothing applies). The caller applies it: the sequential driver assigns
 	// j.bound, the parallel engine CASes the shared atomic.
 	bound float64
 }
@@ -154,7 +152,7 @@ func (j *join) beginExpand(p nodePair, na, nb *rtree.Node) expansion {
 // computeKeys evaluates all pairwise MINMINDIST keys into sc.keys, i-major.
 // The per-axis gap expressions match geom.Metric.MinMinKey exactly (at most
 // one of the two directed gaps is positive; overlapping axes clamp to 0),
-// so the keys are bit-identical to the legacy per-pair calls.
+// so the keys are bit-identical to per-pair MinMinKey calls.
 func (e *expansion) computeKeys() {
 	sc := e.sc
 	sc.keys = growF64(sc.keys, e.n)
@@ -232,10 +230,11 @@ func (e *expansion) rectB(t int) geom.Rect {
 	return e.nb.Entries[t].Rect
 }
 
-// boundCandidate mirrors the legacy join.boundCandidate over the batched
-// layout: the minimum MINMAXDIST over all sub-pairs for K = 1
-// (Inequality 2), or the MAXMAXDIST prefix bound for K > 1 under
-// KPruneMaxMax. It never mutates join state.
+// boundCandidate computes the tightest auxiliary pruning bound the
+// sub-pair MBR metrics support (+Inf when nothing applies): the minimum
+// MINMAXDIST over all sub-pairs for K = 1 (Inequality 2: MINMAXDIST holds
+// for at least one point pair), or the MAXMAXDIST prefix bound for K > 1
+// under KPruneMaxMax. It never mutates join state.
 func (e *expansion) boundCandidate() float64 {
 	j := e.j
 	bound := math.Inf(1)
@@ -263,12 +262,14 @@ func (e *expansion) boundCandidate() float64 {
 	if j.opts.KPrune != KPruneMaxMax {
 		return bound
 	}
-	// K > 1: the guaranteed point-pair count is uniform across one
-	// expansion's sub-pairs (all expanded children sit at the same level,
-	// and a fixed side contributes one shared node), so the legacy
-	// sort-and-accumulate over (maxmax, count) records reduces to the
-	// prefix of the sorted MAXMAXDIST keys alone, with the same running
-	// sum of the same uniform count.
+	// K > 1: every point pair under a sub-pair has distance at most its
+	// MAXMAXDIST (Inequality 1, right side). Sub-pairs cover disjoint
+	// point-pair sets, so the prefix of sub-pairs, sorted by ascending
+	// MAXMAXDIST, whose guaranteed pair count reaches K bounds the K-th
+	// closest distance by the prefix's largest MAXMAXDIST. The guaranteed
+	// count is uniform across one expansion's sub-pairs (all expanded
+	// children sit at the same level, and a fixed side contributes one
+	// shared node), so sorting the MAXMAXDIST keys alone suffices.
 	var cntA, cntB float64
 	switch e.mode {
 	case expandBoth:
@@ -304,8 +305,8 @@ func (e *expansion) boundCandidate() float64 {
 
 // finish materialises the sub-pairs whose MINMINDIST key does not exceed T
 // into dst (appending), counts the pruned remainder, and releases the
-// scratch. Tie keys are computed only for survivors — pruned pairs' keys
-// were never observable on the legacy path either. Callers that recurse
+// scratch. Tie keys are computed only for survivors — a pruned pair's key
+// is never observable. Callers that recurse
 // into the result must pass a fresh dst (nil): the returned slice outlives
 // the expansion, unlike the pooled scratch.
 func (e *expansion) finish(dst []nodePair, T float64) []nodePair {

@@ -181,42 +181,6 @@ func (l LeafScan) String() string {
 	}
 }
 
-// ExpandStrategy selects how a node pair's candidate sub-pairs and their
-// MBR metrics are computed during expansion.
-type ExpandStrategy int
-
-const (
-	// ExpandBatched copies the child MBRs into flat scratch arrays
-	// (structure-of-arrays layout) and computes all pairwise MINMINDIST
-	// values in one tight loop, materialising only the sub-pairs that
-	// survive the pruning bound (kernel.go). It produces exactly the same
-	// sub-pairs, bounds and counters as ExpandLegacy and is the default
-	// (zero value).
-	ExpandBatched ExpandStrategy = iota
-	// ExpandLegacy computes per-entry metrics through the generic rect
-	// calls, materialising every candidate sub-pair before filtering. Kept
-	// selectable for A/B comparisons (EXPERIMENTS.md, "expansion kernel
-	// A/B").
-	ExpandLegacy
-)
-
-// ExpandStrategies lists the expansion strategies.
-func ExpandStrategies() []ExpandStrategy {
-	return []ExpandStrategy{ExpandBatched, ExpandLegacy}
-}
-
-// String implements fmt.Stringer.
-func (e ExpandStrategy) String() string {
-	switch e {
-	case ExpandBatched:
-		return "batched"
-	case ExpandLegacy:
-		return "legacy"
-	default:
-		return fmt.Sprintf("ExpandStrategy(%d)", int(e))
-	}
-}
-
 // KPruning selects how the pruning bound T is tightened for K > 1, where
 // Inequality 2 (MINMAXDIST) no longer applies (Section 3.8).
 type KPruning int
@@ -266,10 +230,6 @@ type Options struct {
 	// differ only in how many point pairs are evaluated
 	// (Stats.PointPairsCompared).
 	LeafScan LeafScan
-	// Expand selects the expansion kernel (default ExpandBatched). Both
-	// strategies produce identical sub-pairs, bounds and counters; the
-	// batched kernel just computes them faster.
-	Expand ExpandStrategy
 	// BatchExpand, when true, lets the sequential HEAP algorithm dequeue
 	// node-pair batches (all pairs within a small factor of the current
 	// minimum MINMINDIST key, capped) per heap operation, amortising
@@ -372,11 +332,6 @@ func (o Options) validate() error {
 	case LeafScanSweep, LeafScanBrute, LeafScanGrid:
 	default:
 		return fmt.Errorf("core: unknown leaf scan strategy %d", int(o.LeafScan))
-	}
-	switch o.Expand {
-	case ExpandBatched, ExpandLegacy:
-	default:
-		return fmt.Errorf("core: unknown expand strategy %d", int(o.Expand))
 	}
 	if o.Parallelism < AutoParallelism {
 		return fmt.Errorf("core: invalid parallelism %d", o.Parallelism)

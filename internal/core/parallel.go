@@ -235,43 +235,16 @@ func (s *parHeap) process(p nodePair, local *kHeap, localMin *float64, subs *[]n
 		}
 		return nil
 	}
-	var kept []nodePair
-	if j.opts.Expand == ExpandLegacy {
-		raw, mode := j.computeSubs(p, na, nb)
-		if j.tightens() {
-			if b := j.boundCandidate(raw, mode, na, nb); !math.IsInf(b, 1) {
-				if old, ok := s.bound.tighten(b); ok {
-					j.traceBoundValue(old, b, j.boundSource())
-					s.pushShared(b)
-				}
-			}
+	e := j.beginExpand(p, na, nb)
+	if j.tightens() && !math.IsInf(e.bound, 1) {
+		if old, ok := s.bound.tighten(e.bound); ok {
+			j.traceBoundValue(old, e.bound, j.boundSource())
+			s.pushShared(e.bound)
 		}
-		T := s.bound.load()
-		kept = raw[:0]
-		var pruned int64
-		for _, sp := range raw {
-			if sp.minminSq > T {
-				pruned++
-				continue
-			}
-			kept = append(kept, sp)
-		}
-		if pruned > 0 {
-			j.stats.subPairsPruned.Add(pruned)
-		}
-	} else {
-		e := j.beginExpand(p, na, nb)
-		if j.tightens() && !math.IsInf(e.bound, 1) {
-			if old, ok := s.bound.tighten(e.bound); ok {
-				j.traceBoundValue(old, e.bound, j.boundSource())
-				s.pushShared(e.bound)
-			}
-		}
-		*subs = e.finish((*subs)[:0], s.bound.load())
-		kept = *subs
 	}
-	if len(kept) > 0 {
-		s.push(kept)
+	*subs = e.finish((*subs)[:0], s.bound.load())
+	if len(*subs) > 0 {
+		s.push(*subs)
 	}
 	return nil
 }

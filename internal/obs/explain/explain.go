@@ -53,10 +53,8 @@ type Plan struct {
 	K int `json:"k"`
 	// Workers is the resolved parallel worker count (1 = sequential).
 	Workers int `json:"workers"`
-	// LeafScan and Expand are the chosen leaf-scan and expansion kernel
-	// names (core option Stringers).
+	// LeafScan is the chosen leaf-scan name (core option Stringer).
 	LeafScan string `json:"leaf_scan"`
-	Expand   string `json:"expand"`
 	// Decisions are the advisor recommendations that shaped the plan, with
 	// the costmodel inputs that produced them. Empty when the caller set
 	// every knob explicitly.

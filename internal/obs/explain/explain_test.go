@@ -23,7 +23,6 @@ func sampleExplain() *Explain {
 			K:         8,
 			Workers:   4,
 			LeafScan:  "grid",
-			Expand:    "batched",
 			Decisions: []costmodel.Decision{{
 				Subject: "leaf_scan", Choice: "grid",
 				Reason: "expected pruning distance well below the leaf side",
@@ -286,7 +285,7 @@ func FuzzExplainRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add([]byte(`{"plan":{"label":"STD k=1","algorithm":"STD","k":1,"workers":1,"leaf_scan":"sweep","expand":"batched"},"exec":{"duration_ns":1,"stats":{"accesses":2,"reads_p":1,"reads_q":1,"buffer_hits":0,"node_pairs":1,"sub_pairs_generated":0,"sub_pairs_pruned":0,"point_pairs":4,"max_queue_size":0,"node_cache_hits":0,"node_cache_misses":0},"results":1,"kth_distance":0.25}}`))
+	f.Add([]byte(`{"plan":{"label":"STD k=1","algorithm":"STD","k":1,"workers":1,"leaf_scan":"sweep"},"exec":{"duration_ns":1,"stats":{"accesses":2,"reads_p":1,"reads_q":1,"buffer_hits":0,"node_pairs":1,"sub_pairs_generated":0,"sub_pairs_pruned":0,"point_pairs":4,"max_queue_size":0,"node_cache_hits":0,"node_cache_misses":0},"results":1,"kth_distance":0.25}}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var e Explain

@@ -20,7 +20,7 @@ func (e *Explain) Render() string {
 	b.WriteString("├─ plan\n")
 	planLines := []string{
 		fmt.Sprintf("algorithm: %s  k=%d  workers=%d", e.Plan.Algorithm, e.Plan.K, e.Plan.Workers),
-		fmt.Sprintf("leaf_scan: %s   expand: %s", e.Plan.LeafScan, e.Plan.Expand),
+		fmt.Sprintf("leaf_scan: %s", e.Plan.LeafScan),
 	}
 	for _, d := range e.Plan.Decisions {
 		planLines = append(planLines, fmt.Sprintf("advisor %s → %s — %s (n_a=%d n_b=%d overlap=%.2f k=%d fanout=%.1f)",

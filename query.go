@@ -89,17 +89,6 @@ const (
 	LeafScanGrid  = core.LeafScanGrid
 )
 
-// ExpandStrategy selects how node-pair expansion computes sub-pair
-// metrics.
-type ExpandStrategy = core.ExpandStrategy
-
-// Expansion strategies; the batched flat-array kernel is the default and
-// the legacy per-pair path is kept for A/B comparisons.
-const (
-	ExpandBatched = core.ExpandBatched
-	ExpandLegacy  = core.ExpandLegacy
-)
-
 // KPruning selects the K>1 pruning bound (paper Section 3.8).
 type KPruning = core.KPruning
 
@@ -177,15 +166,6 @@ func WithKPruning(k KPruning) QueryOption {
 // Stats.PointPairsCompared/GridCellsProbed.
 func WithLeafScan(l LeafScan) QueryOption {
 	return func(o *queryConfig) { o.core.LeafScan = l }
-}
-
-// WithExpandStrategy selects the node-expansion kernel (default
-// ExpandBatched). Both strategies produce identical sub-pairs, bounds and
-// counters; the batched kernel computes all pairwise MINMINDIST values
-// over flat scratch arrays in one pass and materialises only survivors,
-// while ExpandLegacy keeps the original per-pair path for A/B comparison.
-func WithExpandStrategy(e ExpandStrategy) QueryOption {
-	return func(o *queryConfig) { o.core.Expand = e }
 }
 
 // WithBatchExpand lets the sequential HEAP algorithm dequeue batches of
