@@ -4,8 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
+	"repro/internal/geom"
 	"repro/internal/storage"
 )
 
@@ -27,13 +28,37 @@ func (t *Tree) BulkLoad(items []Item, fill float64) error {
 // it is given — never a tree, a buffer pool or a node cache — so it is
 // safe to call from any goroutine.
 func SortSTR(items []Item) {
-	sort.SliceStable(items, func(i, j int) bool {
-		ci, cj := items[i].Rect.Center(), items[j].Rect.Center()
-		if ci.X != cj.X {
-			return ci.X < cj.X
-		}
-		return ci.Y < cj.Y
-	})
+	slices.SortStableFunc(items, func(a, b Item) int { return cmpCenterXY(a.Rect, b.Rect) })
+}
+
+// cmpCenterXY orders rectangles by ascending center X, ties by center Y;
+// cmpCenterYX is the same with the axes swapped. Both are the three-way
+// form of the "differs, then less" comparison STR has always sorted with,
+// so a stable sort by them is the same permutation.
+func cmpCenterXY(a, b geom.Rect) int {
+	ca, cb := a.Center(), b.Center()
+	if ca.X != cb.X {
+		return cmpFloat(ca.X, cb.X)
+	}
+	return cmpFloat(ca.Y, cb.Y)
+}
+
+func cmpCenterYX(a, b geom.Rect) int {
+	ca, cb := a.Center(), b.Center()
+	if ca.Y != cb.Y {
+		return cmpFloat(ca.Y, cb.Y)
+	}
+	return cmpFloat(ca.X, cb.X)
+}
+
+func cmpFloat(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case y < x:
+		return 1
+	}
+	return 0
 }
 
 // BulkLoadSorted is BulkLoad for items already in SortSTR order: the
@@ -111,13 +136,7 @@ func (t *Tree) packLevel(entries []Entry, level, capacity int, presorted bool) (
 	sorted := entries
 	if !presorted {
 		sorted = append([]Entry(nil), entries...)
-		sort.SliceStable(sorted, func(i, j int) bool {
-			ci, cj := sorted[i].Rect.Center(), sorted[j].Rect.Center()
-			if ci.X != cj.X {
-				return ci.X < cj.X
-			}
-			return ci.Y < cj.Y
-		})
+		slices.SortStableFunc(sorted, func(a, b Entry) int { return cmpCenterXY(a.Rect, b.Rect) })
 	}
 
 	out := make([]*Node, 0, numNodes)
@@ -133,13 +152,7 @@ func (t *Tree) packLevel(entries []Entry, level, capacity int, presorted bool) (
 		}
 		slab := sorted[next : next+slabSize]
 		next += slabSize
-		sort.SliceStable(slab, func(i, j int) bool {
-			ci, cj := slab[i].Rect.Center(), slab[j].Rect.Center()
-			if ci.Y != cj.Y {
-				return ci.Y < cj.Y
-			}
-			return ci.X < cj.X
-		})
+		slices.SortStableFunc(slab, func(a, b Entry) int { return cmpCenterYX(a.Rect, b.Rect) })
 		off := 0
 		for _, s := range sizes[slabStart:slabEnd] {
 			node, err := t.allocNode(level)

@@ -1,6 +1,10 @@
 package rtree
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -195,5 +199,51 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Open(storage.NewBufferPool(file, 4)); err == nil {
 		t.Fatal("Open on a garbage page 0 must fail")
+	}
+}
+
+// pageFileHash hashes every page of the tree's file in page order.
+func pageFileHash(t *testing.T, tr *Tree) string {
+	t.Helper()
+	f := tr.Pool().File()
+	h := sha256.New()
+	buf := make([]byte, f.PageSize())
+	for id := int64(0); id < f.NumPages(); id++ {
+		if err := f.ReadPage(storage.PageID(id), buf); err != nil {
+			t.Fatal(err)
+		}
+		h.Write(buf)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestBulkLoadPageImagePinned pins the page file a seeded 10k-point bulk
+// load writes, byte for byte: the hash was recorded before the STR sorts
+// moved from sort.SliceStable to slices.SortStableFunc. Coordinates are
+// quantized to 1/64 so that many centers tie on X and on Y — the ties are
+// where a sort that is not the same stable order would place entries in
+// different nodes.
+func TestBulkLoadPageImagePinned(t *testing.T) {
+	const want = "b1ad885099510d2e66afa4f85783a86144bd209dd3cc58137c7daa800cd1ad08"
+	rng := rand.New(rand.NewSource(1809))
+	items := make([]Item, 10000)
+	for i := range items {
+		p := geom.Point{X: math.Floor(rng.Float64()*64) / 64, Y: math.Floor(rng.Float64()*64) / 64}
+		items[i] = Item{Rect: p.Rect(), Ref: int64(i)}
+	}
+	direct := newTestTree(t, Config{})
+	if err := direct.BulkLoad(append([]Item(nil), items...), 0.9); err != nil {
+		t.Fatal(err)
+	}
+	if got := pageFileHash(t, direct); got != want {
+		t.Errorf("BulkLoad page image hash = %s, want %s", got, want)
+	}
+	presorted := newTestTree(t, Config{})
+	SortSTR(items)
+	if err := presorted.BulkLoadSorted(items, 0.9); err != nil {
+		t.Fatal(err)
+	}
+	if got := pageFileHash(t, presorted); got != want {
+		t.Errorf("SortSTR + BulkLoadSorted page image hash = %s, want %s", got, want)
 	}
 }
