@@ -16,7 +16,8 @@
 #                      repository's benchmark (benchmark/README.md); the
 #                      numbers come from `go run -C benchmark .`
 #   ./ci.sh obs        the observability gates: the zero-alloc tests on
-#                      the disabled hook paths, the obs registry and
+#                      the disabled hook paths and the warm-query
+#                      allocation budget, the obs registry and
 #                      explain capture under the race detector, a
 #                      Prometheus-exposition parse smoke test (the fuzz
 #                      target over its seed corpus), and the EXPLAIN
@@ -77,6 +78,10 @@ obs() {
 	go test -run 'TestCacheTraceDisabledZeroAlloc' ./internal/rtree
 	go test -run 'TestNilCaptureZeroAlloc' ./internal/obs/explain
 	go test -run 'TestShardDisabledHooksZeroAlloc' ./internal/shard
+	# The warm-query allocation budget (DESIGN.md §10): what a K-CPQ
+	# allocates depends on K alone. The core test skips itself under -race,
+	# so this line, without it, is the one place it is sure to run.
+	go test -count=1 -run 'TestKCPQSteadyStateAllocs|TestReadNodeIntoWarmZeroAlloc' ./internal/core ./internal/rtree
 	go test -run 'FuzzMetricsExposition' ./internal/obs
 	go test -run 'TestExplainGoldenRoundTrip|FuzzExplainRoundTrip' ./internal/obs/explain
 }

@@ -31,18 +31,7 @@ func BruteForceKCPMetric(ps, qs []geom.Point, k int, m geom.Metric) []Pair {
 			})
 		}
 	}
-	ks := h.sorted()
-	out := make([]Pair, len(ks))
-	for i, kp := range ks {
-		out[i] = Pair{
-			P:    geom.Point{X: kp.p[0], Y: kp.p[1]},
-			Q:    geom.Point{X: kp.q[0], Y: kp.q[1]},
-			RefP: kp.refP,
-			RefQ: kp.refQ,
-			Dist: m.KeyToDist(kp.distSq),
-		}
-	}
-	return out
+	return h.results(m)
 }
 
 // BruteForceSelfKCP computes the K closest pairs within one point set,
@@ -63,18 +52,7 @@ func BruteForceSelfKCP(ps []geom.Point, k int) []Pair {
 			})
 		}
 	}
-	ks := h.sorted()
-	out := make([]Pair, len(ks))
-	for i, kp := range ks {
-		out[i] = Pair{
-			P:    geom.Point{X: kp.p[0], Y: kp.p[1]},
-			Q:    geom.Point{X: kp.q[0], Y: kp.q[1]},
-			RefP: kp.refP,
-			RefQ: kp.refQ,
-			Dist: geom.Point{X: kp.p[0], Y: kp.p[1]}.Dist(geom.Point{X: kp.q[0], Y: kp.q[1]}),
-		}
-	}
-	return out
+	return h.results(geom.L2())
 }
 
 // BruteForceSemiCP computes the semi-CPQ oracle: for every point of ps,

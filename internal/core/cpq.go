@@ -41,6 +41,10 @@ func KClosestPairsContext(ctx context.Context, ta, tb *rtree.Tree, k int, opts O
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	// Every path below — empty input, a failed page read, a cancelled
+	// context, success — gives the scratch back; the pairs returned are
+	// copied out of it first (kHeap.results).
+	defer j.release()
 	if ta.Len() == 0 || tb.Len() == 0 {
 		return nil, Stats{}, ErrEmptyInput
 	}
@@ -77,7 +81,7 @@ func KClosestPairsContext(ctx context.Context, ta, tb *rtree.Tree, k int, opts O
 		case opts.Algorithm == Heap:
 			err = j.runHeap(ctx, root)
 		default:
-			err = j.runRecursive(ctx, root)
+			err = j.runRecursive(ctx, root, 0)
 		}
 	}
 	if err != nil {
@@ -103,8 +107,10 @@ func KClosestPairsContext(ctx context.Context, ta, tb *rtree.Tree, k int, opts O
 		cb := tb.NodeCacheStats().Sub(startCB)
 		stats.Merge(Stats{NodeCacheHits: cb.Hits, NodeCacheMisses: cb.Misses})
 	}
-	pairs := j.results()
-	j.traceQueryEnd(len(pairs), nil)
+	// The span closes on the final bound, which reads the heap's top:
+	// before results() sorts the heap out of heap order.
+	j.traceQueryEnd(len(j.kheap.pairs), nil)
+	pairs := j.kheap.results(j.metric)
 	if measure {
 		r := obs.QueryReport{
 			Label:       label,

@@ -6,6 +6,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/rtree"
+	"repro/internal/storage"
 )
 
 // join carries the state of one closest-pair query across the traversal.
@@ -13,7 +14,12 @@ type join struct {
 	ta, tb *rtree.Tree
 	opts   Options
 	k      int
-	kheap  *kHeap
+	// sc is the query's scratch, held from newJoin to release; kheap is
+	// the result heap inside it. The sequential drivers work in sc alone;
+	// the parallel engine uses its queue and result heap, and each worker
+	// brings a scratch of its own for the rest.
+	sc    *queryScratch
+	kheap *kHeap
 	// bound is the auxiliary pruning bound B (squared): the MINMAXDIST
 	// bound of Inequality 2 for K = 1, or the MAXMAXDIST prefix bound for
 	// K > 1 under KPruneMaxMax. The effective pruning distance T is
@@ -45,16 +51,22 @@ type join struct {
 	cancel cancelGate
 }
 
+// newJoin validates the options and sets up a query over the two trees in
+// a scratch taken from the free list. On success the caller owns the
+// scratch and must release() the join on every path out of the query.
 func newJoin(ta, tb *rtree.Tree, k int, opts Options) (*join, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	sc := acquireScratch()
+	sc.kheap.init(k)
 	j := &join{
 		ta:     ta,
 		tb:     tb,
 		opts:   opts,
 		k:      k,
-		kheap:  newKHeap(k),
+		sc:     sc,
+		kheap:  &sc.kheap,
 		bound:  math.Inf(1),
 		lastT:  math.Inf(1),
 		mA:     float64(ta.Config().MinEntries),
@@ -64,16 +76,42 @@ func newJoin(ta, tb *rtree.Tree, k int, opts Options) (*join, error) {
 	}
 	j.useTie = opts.Tie != TieNone &&
 		(opts.Algorithm == SortedDistances || opts.Algorithm == Heap)
-	ba, err := ta.Bounds()
+	ba, bb, err := j.rootBounds()
 	if err != nil {
-		return nil, err
-	}
-	bb, err := tb.Bounds()
-	if err != nil {
+		j.release()
 		return nil, err
 	}
 	j.rootAreaA, j.rootAreaB = ba.Area(), bb.Area()
 	return j, nil
+}
+
+// release hands the join's scratch back to the free list. Everything the
+// query returns (pairs, stats) must have been copied out before.
+func (j *join) release() {
+	releaseScratch(j.sc)
+	j.sc, j.kheap = nil, nil
+}
+
+// rootBounds reads both roots into the scratch and returns their MBRs.
+func (j *join) rootBounds() (ba, bb geom.Rect, err error) {
+	f := j.sc.frame(0)
+	if ba, err = rootMBR(j.ta, &f.na); err != nil {
+		return ba, bb, err
+	}
+	bb, err = rootMBR(j.tb, &f.nb)
+	return ba, bb, err
+}
+
+// rootMBR is Tree.Bounds through a caller-owned node: one page access, the
+// root's MBR, or the empty rectangle of an empty tree.
+func rootMBR(t *rtree.Tree, n *rtree.Node) (geom.Rect, error) {
+	if t.RootID() == storage.InvalidPageID {
+		return geom.EmptyRect(), nil
+	}
+	if err := t.ReadNodeInto(t.RootID(), n); err != nil {
+		return geom.Rect{}, err
+	}
+	return n.MBR(), nil
 }
 
 // T returns the current pruning distance (squared): candidate node pairs
@@ -116,18 +154,13 @@ func (j *join) tightens() bool {
 
 // rootPair forms the initial node pair from the two roots.
 func (j *join) rootPair() (nodePair, error) {
-	ra, err := j.ta.Bounds()
-	if err != nil {
-		return nodePair{}, err
-	}
-	rb, err := j.tb.Bounds()
+	ra, rb, err := j.rootBounds()
 	if err != nil {
 		return nodePair{}, err
 	}
 	return nodePair{
 		a: j.ta.RootID(), b: j.tb.RootID(),
-		ra: ra, rb: rb,
-		la: j.ta.Height() - 1, lb: j.tb.Height() - 1,
+		la: int32(j.ta.Height() - 1), lb: int32(j.tb.Height() - 1),
 		minminSq: j.metric.MinMinKey(ra, rb),
 	}, nil
 }
@@ -172,10 +205,11 @@ func (j *join) modeFor(na, nb *rtree.Node) expandMode {
 // HEAP), and appends the sub-pairs surviving the post-tighten pruning
 // bound T to dst. MINMINDIST values are computed for every pruning
 // algorithm; tie keys only for survivors, when a tie strategy is active
-// (kernel.go). Sequential drivers only — it mutates j.bound; parallel
-// workers pair beginExpand with the atomic bound instead.
+// (kernel.go). Sequential drivers only — it mutates j.bound and works in
+// the join's own scratch; parallel workers pair beginExpand with the atomic
+// bound and their own scratch instead.
 func (j *join) expandInto(p nodePair, na, nb *rtree.Node, dst []nodePair) []nodePair {
-	e := j.beginExpand(p, na, nb)
+	e := j.beginExpand(&j.sc.kern, p, na, nb)
 	if j.tightens() && e.bound < j.bound {
 		j.bound = e.bound
 		j.traceBound(j.boundSource())
@@ -209,7 +243,7 @@ func nodeGuaranteedPoints(m float64, n *rtree.Node) float64 {
 // K-heap's own threshold applies in any case). Accepted pairs may have
 // tightened the K-heap threshold, so the new value is published back.
 func (j *join) scanLeaves(na, nb *rtree.Node) {
-	j.scanLeavesInto(na, nb, j.kheap, math.Min(j.bound, j.shared.Load()))
+	j.scanLeavesInto(&j.sc.grid, na, nb, j.kheap, math.Min(j.bound, j.shared.Load()))
 	j.publishShared()
 }
 
@@ -221,13 +255,15 @@ func (j *join) scanLeaves(na, nb *rtree.Node) {
 // threshold) cannot enter the final result, which the sweep scan exploits.
 // It returns the smallest distance (squared) the heap accepted, +Inf if
 // none — the signal parallel workers use to decide whether merging their
-// local heap can tighten the published bound.
-func (j *join) scanLeavesInto(na, nb *rtree.Node, kh *kHeap, extBound float64) float64 {
+// local heap can tighten the published bound. The two leaves must be the
+// caller's own decoded copies (a frame's): the sweep orders their entries
+// in place. g is the caller's grid scratch.
+func (j *join) scanLeavesInto(g *gridScratch, na, nb *rtree.Node, kh *kHeap, extBound float64) float64 {
 	switch j.opts.LeafScan {
 	case LeafScanBrute:
 		return j.scanLeavesBrute(na, nb, kh)
 	case LeafScanGrid:
-		return j.scanLeavesGrid(na, nb, kh, extBound)
+		return j.scanLeavesGrid(g, na, nb, kh, extBound)
 	default:
 		return j.scanLeavesSweep(na, nb, kh, extBound)
 	}
@@ -260,34 +296,17 @@ func (j *join) scanLeavesBrute(na, nb *rtree.Node, kh *kHeap) float64 {
 	return minAccepted
 }
 
-// readPair fetches both nodes of a pair, counting the accesses the paper
-// measures.
-func (j *join) readPair(p nodePair) (na, nb *rtree.Node, err error) {
-	na, err = j.ta.ReadNode(p.a)
-	if err != nil {
-		return nil, nil, err
+// readPair fetches both nodes of a pair into the frame, counting the
+// accesses the paper measures. The nodes are valid until the frame's next
+// readPair.
+func (j *join) readPair(p nodePair, f *frame) error {
+	if err := j.ta.ReadNodeInto(p.a, &f.na); err != nil {
+		return err
 	}
-	nb, err = j.tb.ReadNode(p.b)
-	if err != nil {
-		return nil, nil, err
+	if err := j.tb.ReadNodeInto(p.b, &f.nb); err != nil {
+		return err
 	}
 	j.stats.nodePairsProcessed.Add(1)
 	j.traceNodeExpanded(p)
-	return na, nb, nil
-}
-
-// results converts the K-heap contents into the public result slice.
-func (j *join) results() []Pair {
-	ks := j.kheap.sorted()
-	out := make([]Pair, len(ks))
-	for i, kp := range ks {
-		out[i] = Pair{
-			P:    geom.Point{X: kp.p[0], Y: kp.p[1]},
-			Q:    geom.Point{X: kp.q[0], Y: kp.q[1]},
-			RefP: kp.refP,
-			RefQ: kp.refQ,
-			Dist: j.metric.KeyToDist(kp.distSq),
-		}
-	}
-	return out
+	return nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/rtree"
 )
@@ -48,10 +47,10 @@ const (
 	gridMaxCoordCells = float64(1 << 30)
 )
 
-// gridScratch is one leaf scan's pooled grid state: an open-addressed cell
-// table (slotKey/slotHead, power-of-two sized, linear probing) over
-// per-entry chain links (next). All slices grow in place, so a warm scan
-// allocates nothing.
+// gridScratch is one leaf scan's grid state, a field of the caller's
+// queryScratch: an open-addressed cell table (slotKey/slotHead,
+// power-of-two sized, linear probing) over per-entry chain links (next).
+// All slices grow in place, so a warm scan allocates nothing.
 type gridScratch struct {
 	slotKey  []uint64
 	slotHead []int32
@@ -59,8 +58,6 @@ type gridScratch struct {
 	mask     uint64
 	inv      float64 // 1 / side of the current bucketing
 }
-
-var gridPool = sync.Pool{New: func() any { return new(gridScratch) }}
 
 // growI32 resizes a scratch slice to n elements, reusing capacity.
 func growI32(s []int32, n int) []int32 {
@@ -193,7 +190,7 @@ func gridSideUsable(side, maxAbs float64) bool {
 // none), like the other scans. Without a usable finite bound, or with
 // non-point entries or out-of-range coordinates, it delegates to the
 // plane sweep.
-func (j *join) scanLeavesGrid(na, nb *rtree.Node, kh *kHeap, extBound float64) float64 {
+func (j *join) scanLeavesGrid(g *gridScratch, na, nb *rtree.Node, kh *kHeap, extBound float64) float64 {
 	T := extBound
 	if th := kh.threshold(); th < T {
 		T = th
@@ -208,7 +205,6 @@ func (j *join) scanLeavesGrid(na, nb *rtree.Node, kh *kHeap, extBound float64) f
 		return j.scanLeavesSweep(na, nb, kh, extBound)
 	}
 
-	g := gridPool.Get().(*gridScratch)
 	g.build(nb.Entries, side)
 	// rebucketKey is the hysteresis trigger in key space, so the per-point
 	// check costs one comparison and no KeyToDist round trip.
@@ -266,6 +262,5 @@ func (j *join) scanLeavesGrid(na, nb *rtree.Node, kh *kHeap, extBound float64) f
 		j.stats.gridRebuckets.Add(rebuckets)
 	}
 	j.traceGridPruned(int64(len(na.Entries)*len(nb.Entries)) - compared)
-	gridPool.Put(g)
 	return minAccepted
 }

@@ -114,27 +114,38 @@ func TestGridCounterParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			boundsA, err := ra.Bounds()
+			if err != nil {
+				t.Fatal(err)
+			}
+			boundsB, err := rb.Bounds()
+			if err != nil {
+				t.Fatal(err)
+			}
 			readsK, readsR := reads(jk), reads(jr)
-			var walk func(p nodePair)
-			walk = func(p nodePair) {
+			// The kernel walk recurses with the engine's compact pairs; the
+			// reference walk carries each pair's two rectangles down from
+			// the parent's entries, as the engine did before the pair lost
+			// them, so the lockstep also checks the node-MBR substitution.
+			var walk func(p refPair, depth int)
+			walk = func(p refPair, depth int) {
 				if jk.prunes() && p.minminSq > jk.T() {
 					return
 				}
-				na, nb, err := jk.readPair(p)
-				if err != nil {
+				fk, fr := jk.sc.frame(depth), jr.sc.frame(depth)
+				if err := jk.readPair(p.nodePair, fk); err != nil {
 					t.Fatal(err)
 				}
-				rna, rnb, err := jr.readPair(p)
-				if err != nil {
+				if err := jr.readPair(p.nodePair, fr); err != nil {
 					t.Fatal(err)
 				}
-				if na.IsLeaf() && nb.IsLeaf() {
-					jk.scanLeaves(na, nb)
-					jr.scanLeaves(rna, rnb)
+				if fk.na.IsLeaf() && fk.nb.IsLeaf() {
+					jk.scanLeaves(&fk.na, &fk.nb)
+					jr.scanLeaves(&fr.na, &fr.nb)
 					return
 				}
-				subs := jk.expandInto(p, na, nb, nil)
-				ref := refExpandInto(jr, p, rna, rnb)
+				subs := jk.expandInto(p.nodePair, &fk.na, &fk.nb, nil)
+				ref := refExpandInto(jr, p, &fr.na, &fr.nb)
 				if jk.bound != jr.bound || jk.T() != jr.T() {
 					t.Fatalf("%v k=%d pair (%d,%d): kernel bound %g (T %g), reference %g (T %g)",
 						alg, k, p.a, p.b, jk.bound, jk.T(), jr.bound, jr.T())
@@ -144,16 +155,18 @@ func TestGridCounterParity(t *testing.T) {
 						alg, k, p.a, p.b, len(subs), len(ref))
 				}
 				for i := range subs {
-					if subs[i] != ref[i] {
+					if subs[i] != ref[i].nodePair {
 						t.Fatalf("%v k=%d pair (%d,%d) sub-pair %d: kernel %+v, reference %+v",
-							alg, k, p.a, p.b, i, subs[i], ref[i])
+							alg, k, p.a, p.b, i, subs[i], ref[i].nodePair)
 					}
 				}
-				for _, sp := range subs {
-					walk(sp)
+				for _, sp := range ref {
+					walk(sp, depth+1)
 				}
 			}
-			walk(root)
+			walk(refPair{nodePair: root, ra: boundsA, rb: boundsB}, 0)
+			jk.release()
+			jr.release()
 			sk, sr := jk.stats.snapshot(), jr.stats.snapshot()
 			if sk.NodePairsProcessed != sr.NodePairsProcessed ||
 				sk.SubPairsGenerated != sr.SubPairsGenerated || sk.SubPairsPruned != sr.SubPairsPruned ||
@@ -168,11 +181,20 @@ func TestGridCounterParity(t *testing.T) {
 	}
 }
 
+// refPair is the queue element the engine used before ISSUE 18: the
+// compact pair plus the two MBRs copied from the parent's entries. The
+// reference expansion keeps carrying them, so it takes a fixed side's
+// rectangle from the parent entry where the kernel takes Node.MBR().
+type refPair struct {
+	nodePair
+	ra, rb geom.Rect
+}
+
 // refExpandInto is the expansion the kernel replaced, kept as its
 // reference: materialise every candidate sub-pair, compute its metrics
 // through the generic per-pair rect calls, tighten the auxiliary bound,
 // then filter against the post-tighten T.
-func refExpandInto(j *join, p nodePair, na, nb *rtree.Node) []nodePair {
+func refExpandInto(j *join, p refPair, na, nb *rtree.Node) []refPair {
 	subs, mode := refComputeSubs(j, p, na, nb)
 	if j.tightens() {
 		if b := refBoundCandidate(j, subs, mode, na, nb); b < j.bound {
@@ -194,11 +216,44 @@ func refExpandInto(j *join, p nodePair, na, nb *rtree.Node) []nodePair {
 	return kept
 }
 
+// refExpandRaw generates the candidate sub-pairs of a node pair without
+// computing metrics.
+func refExpandRaw(j *join, p refPair, na, nb *rtree.Node) []refPair {
+	var subs []refPair
+	la, lb := int32(na.Level-1), int32(nb.Level-1)
+	switch j.modeFor(na, nb) {
+	case expandBoth:
+		for i := range na.Entries {
+			for t := range nb.Entries {
+				subs = append(subs, refPair{
+					nodePair: nodePair{a: na.Entries[i].Child(), b: nb.Entries[t].Child(), la: la, lb: lb},
+					ra:       na.Entries[i].Rect, rb: nb.Entries[t].Rect,
+				})
+			}
+		}
+	case expandAOnly:
+		for i := range na.Entries {
+			subs = append(subs, refPair{
+				nodePair: nodePair{a: na.Entries[i].Child(), b: p.b, la: la, lb: p.lb},
+				ra:       na.Entries[i].Rect, rb: p.rb,
+			})
+		}
+	case expandBOnly:
+		for t := range nb.Entries {
+			subs = append(subs, refPair{
+				nodePair: nodePair{a: p.a, b: nb.Entries[t].Child(), la: p.la, lb: lb},
+				ra:       p.ra, rb: nb.Entries[t].Rect,
+			})
+		}
+	}
+	return subs
+}
+
 // refComputeSubs generates the candidate sub-pairs of a node pair with
 // their MINMINDIST (and tie keys when active).
-func refComputeSubs(j *join, p nodePair, na, nb *rtree.Node) ([]nodePair, expandMode) {
+func refComputeSubs(j *join, p refPair, na, nb *rtree.Node) ([]refPair, expandMode) {
 	mode := j.modeFor(na, nb)
-	subs := j.expandRaw(p, na, nb)
+	subs := refExpandRaw(j, p, na, nb)
 	j.stats.subPairsGenerated.Add(int64(len(subs)))
 
 	if j.prunes() {
@@ -220,7 +275,7 @@ func refComputeSubs(j *join, p nodePair, na, nb *rtree.Node) ([]nodePair, expand
 // nothing applies): via Inequality 2 (MINMAXDIST holds for at least one
 // point pair) when K = 1, or via the MAXMAXDIST prefix rule when K > 1 and
 // the technical-report pruning variant is selected.
-func refBoundCandidate(j *join, subs []nodePair, mode expandMode, na, nb *rtree.Node) float64 {
+func refBoundCandidate(j *join, subs []refPair, mode expandMode, na, nb *rtree.Node) float64 {
 	bound := math.Inf(1)
 	if len(subs) == 0 {
 		return bound
@@ -256,14 +311,14 @@ func refBoundCandidate(j *join, subs []nodePair, mode expandMode, na, nb *rtree.
 		var cntA, cntB float64
 		switch mode {
 		case expandBoth:
-			cntA = j.guaranteedPoints(j.mA, subs[i].la)
-			cntB = j.guaranteedPoints(j.mB, subs[i].lb)
+			cntA = j.guaranteedPoints(j.mA, int(subs[i].la))
+			cntB = j.guaranteedPoints(j.mB, int(subs[i].lb))
 		case expandAOnly:
-			cntA = j.guaranteedPoints(j.mA, subs[i].la)
+			cntA = j.guaranteedPoints(j.mA, int(subs[i].la))
 			cntB = nodeGuaranteedPoints(j.mB, nb)
 		case expandBOnly:
 			cntA = nodeGuaranteedPoints(j.mA, na)
-			cntB = j.guaranteedPoints(j.mB, subs[i].lb)
+			cntB = j.guaranteedPoints(j.mB, int(subs[i].lb))
 		}
 		mcs[i] = mc{
 			maxmaxSq: j.metric.MaxMaxKey(subs[i].ra, subs[i].rb),

@@ -17,6 +17,11 @@ type pairHeap struct {
 
 func (h *pairHeap) Len() int { return len(h.pairs) }
 
+// reset empties the heap, keeping the backing array: the queue lives in
+// the query scratch, and its array — grown to one query's high-water mark
+// — is what the next query starts with.
+func (h *pairHeap) reset() { h.pairs = h.pairs[:0] }
+
 func (h *pairHeap) push(p nodePair) {
 	h.pairs = append(h.pairs, p)
 	h.siftUp(len(h.pairs) - 1)
@@ -93,11 +98,12 @@ const (
 // cancelled context unwinds within cancelStride pairs regardless of
 // batching.
 func (j *join) runHeap(ctx context.Context, root nodePair) error {
-	h := &pairHeap{}
+	h := &j.sc.queue
+	h.reset()
 	if root.minminSq <= j.T() {
 		h.push(root)
 	}
-	var batch, subs []nodePair // reused across iterations; push copies
+	f := j.sc.frame(0)
 	for h.Len() > 0 {
 		if j.stats.observeQueueLen(h.Len()) {
 			j.traceHighWater(h.Len())
@@ -111,14 +117,14 @@ func (j *join) runHeap(ctx context.Context, root nodePair) error {
 			if t := j.T(); limit > t {
 				limit = t
 			}
-			batch = h.popBatch(batch[:0], heapBatchCap, limit)
+			j.sc.batch = h.popBatch(j.sc.batch[:0], heapBatchCap, limit)
 			j.stats.heapBatches.Add(1)
-			j.stats.heapBatchPairs.Add(int64(len(batch)))
-			j.traceHeapBatch(len(batch))
+			j.stats.heapBatchPairs.Add(int64(len(j.sc.batch)))
+			j.traceHeapBatch(len(j.sc.batch))
 		} else {
-			batch = append(batch[:0], h.pop())
+			j.sc.batch = append(j.sc.batch[:0], h.pop())
 		}
-		for _, p := range batch {
+		for _, p := range j.sc.batch {
 			// The poll sits in the per-pair loop (not only the outer heap
 			// loop) so cancellation latency is bounded in pairs processed,
 			// not in batches; the stride gate keeps it off the hot path.
@@ -130,17 +136,16 @@ func (j *join) runHeap(ctx context.Context, root nodePair) error {
 				// members may still qualify, so skip rather than break.
 				continue
 			}
-			na, nb, err := j.readPair(p)
-			if err != nil {
+			if err := j.readPair(p, f); err != nil {
 				return err
 			}
-			if na.IsLeaf() && nb.IsLeaf() {
-				j.scanLeaves(na, nb)
+			if f.na.IsLeaf() && f.nb.IsLeaf() {
+				j.scanLeaves(&f.na, &f.nb)
 				j.traceBound(obs.SourceKHeap)
 				continue
 			}
-			subs = j.expandInto(p, na, nb, subs[:0]) // also tightens T
-			for _, sp := range subs {
+			f.subs = j.expandInto(p, &f.na, &f.nb, f.subs[:0]) // also tightens T
+			for _, sp := range f.subs {
 				h.push(sp)
 			}
 		}

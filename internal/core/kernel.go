@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
@@ -17,7 +16,7 @@ import (
 // whether it survives pruning or not.
 //
 // The kernel reverses that order. beginExpand copies the child MBRs into
-// flat structure-of-arrays scratch (xlo/xhi/ylo/yhi per side, pooled) and
+// flat structure-of-arrays scratch (xlo/xhi/ylo/yhi per side) and
 // computes all pairwise MINMINDIST keys in one tight branch-light loop the
 // compiler keeps in registers; finish then materialises only the sub-pairs
 // whose key survives the pruning bound. The two-phase shape exists because
@@ -36,8 +35,8 @@ import (
 //     K = 1 bound (MINMAXDIST >= MINMINDIST >= current candidate).
 //   - Filtering uses the post-tighten T.
 //
-// The scratch is pooled and every slice is grown in place, so a warm
-// expansion allocates nothing beyond the caller's destination slice.
+// The scratch is the caller's (a field of its queryScratch) and every slice
+// is grown in place, so a warm expansion allocates nothing.
 
 // kernelScratch carries one expansion's flat MBR copies and derived keys.
 type kernelScratch struct {
@@ -46,8 +45,6 @@ type kernelScratch struct {
 	keys                   []float64 // MINMINDIST keys, i-major (a outer, b inner)
 	maxmax                 []float64 // MAXMAXDIST keys scratch for the K > 1 bound
 }
-
-var kernelPool = sync.Pool{New: func() any { return new(kernelScratch) }}
 
 // growF64 resizes a scratch slice to n elements, reusing capacity.
 func growF64(s []float64, n int) []float64 {
@@ -94,14 +91,18 @@ func (sc *kernelScratch) fillBRect(r geom.Rect) {
 }
 
 // expansion is one in-flight batched expansion between beginExpand and
-// finish. It holds the pooled scratch, the pair being expanded and the
+// finish. It holds the caller's scratch, the pair being expanded and the
 // auxiliary bound candidate the generated MBR pairs support.
 type expansion struct {
-	j       *join
-	sc      *kernelScratch
-	p       nodePair
-	na, nb  *rtree.Node
-	mode    expandMode
+	j      *join
+	sc     *kernelScratch
+	p      nodePair
+	na, nb *rtree.Node
+	mode   expandMode
+	// fixed is the MBR of the side that is not opened (expandAOnly: nb's,
+	// expandBOnly: na's) — the node's own MBR, which equals the rectangle
+	// its parent holds for it.
+	fixed   geom.Rect
 	nA, nB  int
 	n       int // nA * nB candidate sub-pairs
 	hasKeys bool
@@ -112,13 +113,13 @@ type expansion struct {
 }
 
 // beginExpand starts a batched expansion of a node pair: it fills the SoA
-// scratch, computes all pairwise MINMINDIST keys (for the pruning
+// scratch sc, computes all pairwise MINMINDIST keys (for the pruning
 // algorithms) and the auxiliary bound candidate (for the tightening ones),
-// and counts the generated sub-pairs. The caller must call finish exactly
-// once to materialise survivors and release the scratch.
-func (j *join) beginExpand(p nodePair, na, nb *rtree.Node) expansion {
+// and counts the generated sub-pairs. The caller then calls finish to
+// materialise the survivors; sc, na and nb must stay untouched in between.
+func (j *join) beginExpand(sc *kernelScratch, p nodePair, na, nb *rtree.Node) expansion {
 	e := expansion{
-		j: j, sc: kernelPool.Get().(*kernelScratch),
+		j: j, sc: sc,
 		p: p, na: na, nb: nb,
 		mode:  j.modeFor(na, nb),
 		bound: math.Inf(1),
@@ -130,11 +131,13 @@ func (j *join) beginExpand(p nodePair, na, nb *rtree.Node) expansion {
 		e.sc.fillB(nb.Entries)
 	case expandAOnly:
 		e.nA, e.nB = len(na.Entries), 1
+		e.fixed = nb.MBR()
 		e.sc.fillA(na.Entries)
-		e.sc.fillBRect(p.rb)
+		e.sc.fillBRect(e.fixed)
 	case expandBOnly:
 		e.nA, e.nB = 1, len(nb.Entries)
-		e.sc.fillARect(p.ra)
+		e.fixed = na.MBR()
+		e.sc.fillARect(e.fixed)
 		e.sc.fillB(nb.Entries)
 	}
 	e.n = e.nA * e.nB
@@ -213,11 +216,11 @@ func (e *expansion) computeKeys() {
 	}
 }
 
-// rectA returns the a-side MBR of sub-pair column i (the parent's own MBR
-// when the a side is fixed).
+// rectA returns the a-side MBR of sub-pair column i (the fixed node's own
+// MBR when the a side is not opened).
 func (e *expansion) rectA(i int) geom.Rect {
 	if e.mode == expandBOnly {
-		return e.p.ra
+		return e.fixed
 	}
 	return e.na.Entries[i].Rect
 }
@@ -225,7 +228,7 @@ func (e *expansion) rectA(i int) geom.Rect {
 // rectB returns the b-side MBR of sub-pair row t.
 func (e *expansion) rectB(t int) geom.Rect {
 	if e.mode == expandAOnly {
-		return e.p.rb
+		return e.fixed
 	}
 	return e.nb.Entries[t].Rect
 }
@@ -304,11 +307,11 @@ func (e *expansion) boundCandidate() float64 {
 }
 
 // finish materialises the sub-pairs whose MINMINDIST key does not exceed T
-// into dst (appending), counts the pruned remainder, and releases the
-// scratch. Tie keys are computed only for survivors — a pruned pair's key
-// is never observable. Callers that recurse
-// into the result must pass a fresh dst (nil): the returned slice outlives
-// the expansion, unlike the pooled scratch.
+// into dst (appending) and counts the pruned remainder. Tie keys are
+// computed only for survivors — a pruned pair's key is never observable.
+// The survivors are self-contained: once finish returns, neither the
+// kernel scratch nor the two nodes are needed to process them. Callers
+// that recurse into the result give each depth its own dst (its frame's).
 func (e *expansion) finish(dst []nodePair, T float64) []nodePair {
 	j := e.j
 	keys := e.sc.keys
@@ -329,19 +332,16 @@ func (e *expansion) finish(dst []nodePair, T float64) []nodePair {
 			switch e.mode {
 			case expandBoth:
 				sp.a, sp.b = e.na.Entries[i].Child(), e.nb.Entries[t].Child()
-				sp.ra, sp.rb = e.na.Entries[i].Rect, e.nb.Entries[t].Rect
-				sp.la, sp.lb = e.na.Level-1, e.nb.Level-1
+				sp.la, sp.lb = int32(e.na.Level-1), int32(e.nb.Level-1)
 			case expandAOnly:
 				sp.a, sp.b = e.na.Entries[i].Child(), e.p.b
-				sp.ra, sp.rb = e.na.Entries[i].Rect, e.p.rb
-				sp.la, sp.lb = e.na.Level-1, e.p.lb
+				sp.la, sp.lb = int32(e.na.Level-1), e.p.lb
 			case expandBOnly:
 				sp.a, sp.b = e.p.a, e.nb.Entries[t].Child()
-				sp.ra, sp.rb = e.p.ra, e.nb.Entries[t].Rect
-				sp.la, sp.lb = e.p.la, e.nb.Level-1
+				sp.la, sp.lb = e.p.la, int32(e.nb.Level-1)
 			}
 			if j.useTie {
-				sp.tieKey = tieKeyFor(j.opts.Tie, j.metric, sp.ra, sp.rb,
+				sp.tieKey = tieKeyFor(j.opts.Tie, j.metric, e.rectA(i), e.rectB(t),
 					j.rootAreaA, j.rootAreaB)
 			}
 			dst = append(dst, sp)
@@ -351,7 +351,5 @@ func (e *expansion) finish(dst []nodePair, T float64) []nodePair {
 	if pruned > 0 {
 		j.stats.subPairsPruned.Add(pruned)
 	}
-	kernelPool.Put(e.sc)
-	e.sc = nil
 	return dst
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
+
+	"repro/internal/geom"
 )
 
 // kHeap is the result structure of Section 3.8: a bounded max-heap of the
@@ -24,6 +26,13 @@ type kPair struct {
 
 func newKHeap(k int) *kHeap {
 	return &kHeap{k: k, pairs: make([]kPair, 0, min(k, 1024))}
+}
+
+// init readies a heap for a query of the given K, keeping the backing
+// array — the form the scratch-owned heaps are started in.
+func (h *kHeap) init(k int) {
+	h.k = k
+	h.pairs = h.pairs[:0]
 }
 
 // threshold returns the current pruning distance T contributed by the
@@ -85,11 +94,40 @@ func (h *kHeap) offer(p kPair) bool {
 	return true
 }
 
-// sorted returns the collected pairs in ascending distance order (the
-// paper reports K-CP results ordered by distance).
-func (h *kHeap) sorted() []kPair {
-	out := append([]kPair(nil), h.pairs...)
-	sort.Slice(out, func(i, j int) bool { return lessPair(&out[i], &out[j]) })
+// sort orders the collected pairs ascending in place and returns them. It
+// ends the heap's life as a heap: an ascending array is not a max-heap, so
+// no offer may follow without an init or reset.
+func (h *kHeap) sort() []kPair {
+	slices.SortFunc(h.pairs, func(a, b kPair) int {
+		switch {
+		case lessPair(&a, &b):
+			return -1
+		case lessPair(&b, &a):
+			return 1
+		}
+		return 0
+	})
+	return h.pairs
+}
+
+// results is how pairs leave the heap: sorted in place (see sort), then
+// converted once into a fresh public slice in ascending distance order —
+// the paper reports K-CP results ordered by distance. The returned slice
+// shares nothing with the heap's backing array, which may belong to a
+// scratch the next query reuses.
+func (h *kHeap) results(m geom.Metric) []Pair {
+	ks := h.sort()
+	out := make([]Pair, len(ks))
+	for i := range ks {
+		kp := &ks[i]
+		out[i] = Pair{
+			P:    geom.Point{X: kp.p[0], Y: kp.p[1]},
+			Q:    geom.Point{X: kp.q[0], Y: kp.q[1]},
+			RefP: kp.refP,
+			RefQ: kp.refQ,
+			Dist: m.KeyToDist(kp.distSq),
+		}
+	}
 	return out
 }
 

@@ -36,16 +36,5 @@ func MergeTopK(metric geom.Metric, k int, parts ...[]Pair) []Pair {
 			})
 		}
 	}
-	ks := h.sorted()
-	out := make([]Pair, len(ks))
-	for i, kp := range ks {
-		out[i] = Pair{
-			P:    geom.Point{X: kp.p[0], Y: kp.p[1]},
-			Q:    geom.Point{X: kp.q[0], Y: kp.q[1]},
-			RefP: kp.refP,
-			RefQ: kp.refQ,
-			Dist: metric.KeyToDist(kp.distSq),
-		}
-	}
-	return out
+	return h.results(metric)
 }

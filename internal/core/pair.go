@@ -25,21 +25,26 @@ func (p Pair) String() string {
 // the root) from each tree, with the metrics driving pruning and ordering.
 // Node pairs may sit at different levels while the two trees have
 // different heights.
+//
+// It is the element of the HEAP queue, which holds hundreds of thousands
+// of them, so it carries only what cannot be read back: 40 bytes. The two
+// MBRs are not among them. Whoever processes the pair reads both nodes
+// anyway, and a node's MBR is exactly the rectangle its parent stores for
+// it (rtree.CheckInvariants), so the one use of a queued rectangle — the
+// fixed side of a different-height expansion — takes Node.MBR() instead.
 type nodePair struct {
 	a, b     storage.PageID
-	ra, rb   geom.Rect
-	la, lb   int // levels (0 = leaf)
 	minminSq float64
 	tieKey   float64 // lower is "process first"; 0 when ties are disabled
+	la, lb   int32   // levels (0 = leaf)
 }
 
 // less orders node pairs for the STD sort and the HEAP priority queue:
 // ascending MINMINDIST, with exact ties broken by the tie strategy's key.
-// The pointer receiver matters on the hot path: a nodePair is ~11 words,
-// and the sift loops compare far more often than they swap, so the fast
-// path is two float64 loads and one comparison with no struct copying (the
-// tie key is consulted only on exact MINMINDIST equality, which is rare
-// with float64 distance keys).
+// The pointer receiver matters on the hot path: the sift loops compare far
+// more often than they swap, so the fast path is two float64 loads and one
+// comparison with no struct copying (the tie key is consulted only on
+// exact MINMINDIST equality, which is rare with float64 distance keys).
 func (p *nodePair) less(q *nodePair) bool {
 	if p.minminSq < q.minminSq {
 		return true

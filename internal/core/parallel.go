@@ -56,10 +56,11 @@ type parHeap struct {
 	gmu sync.Mutex
 
 	// mu guards the frontier heap, the busy-worker count and the first
-	// error; cond signals pushed work, errors and idleness.
+	// error; cond signals pushed work, errors and idleness. The frontier is
+	// the queue of the join's scratch, like the sequential driver's.
 	mu       sync.Mutex
 	cond     sync.Cond
-	frontier pairHeap
+	frontier *pairHeap
 	busy     int
 	err      error
 
@@ -103,13 +104,20 @@ func (a *atomicMinFloat64) tighten(v float64) (old float64, ok bool) {
 // shared atomic counters of j.stats; j.bound and the sequential T() are
 // not used.
 //
+// Scratch: the join's own scratch holds the frontier and the global
+// K-heap, each behind its mutex. Every worker takes a scratch of its own
+// from the free list when it starts and returns it when it exits — frames,
+// kernel arrays, grid, batch and local heap are goroutine-local, so none
+// of them needs a lock. A run of W workers therefore holds W + 1 scratches.
+//
 // Cancellation: workers poll ctx.Err() in take (once per claimed batch and
 // per condition-variable wake), and a watcher goroutine turns the context
 // firing into a fail+broadcast so workers blocked in cond.Wait unwind
 // immediately. Everything spawned here is joined before returning — a
 // cancelled query leaks no goroutines.
 func (j *join) runHeapParallel(ctx context.Context, root nodePair, workers int) error {
-	s := &parHeap{j: j, timed: j.opts.Metrics != nil}
+	s := &parHeap{j: j, frontier: &j.sc.queue, timed: j.opts.Metrics != nil}
+	s.frontier.reset()
 	s.cond.L = &s.mu
 	s.bound.store(math.Inf(1))
 	s.pullShared() // seed from bounds other cooperating joins already found
@@ -126,7 +134,9 @@ func (j *join) runHeapParallel(ctx context.Context, root nodePair, workers int) 
 		wg.Add(1)
 		go func(id int32) {
 			defer wg.Done()
-			s.work(ctx, id)
+			sc := acquireScratch()
+			defer releaseScratch(sc)
+			s.work(ctx, id, sc)
 		}(int32(i))
 	}
 	// The watcher bridges the context's channel to the cond-based frontier:
@@ -172,18 +182,20 @@ func (j *join) runHeapParallel(ctx context.Context, root nodePair, workers int) 
 // them, merge local results when they can improve the global answer.
 // Cancellation is observed in take, once per claimed batch, and by a
 // worker-local stride-gated poll per processed pair, so a worker deep in
-// a large batch still stops promptly without touching shared state.
-func (s *parHeap) work(ctx context.Context, id int32) {
-	local := newKHeap(s.j.k)
+// a large batch still stops promptly without touching shared state. sc is
+// the worker's scratch: its frame, kernel arrays, grid, batch and local
+// heap are used by this goroutine alone.
+func (s *parHeap) work(ctx context.Context, id int32, sc *queryScratch) {
+	local := &sc.local
+	local.init(s.j.k)
 	localMin := math.Inf(1) // best accepted distance since the last merge
-	batch := make([]nodePair, 0, parBatch)
-	var subs []nodePair // reused expansion output; push copies into the frontier
-	var gate cancelGate // worker-local: no contention on the poll counter
+	var gate cancelGate     // worker-local: no contention on the poll counter
 	for {
-		batch = s.take(ctx, batch[:0])
+		batch := s.take(ctx, sc.batch[:0])
 		if len(batch) == 0 {
 			break
 		}
+		sc.batch = batch
 		s.j.traceWorkerSteal(id, len(batch))
 		var t0 time.Time
 		if s.timed {
@@ -198,7 +210,7 @@ func (s *parHeap) work(ctx context.Context, id int32) {
 			if p.minminSq > s.bound.load() {
 				continue
 			}
-			if err := s.process(p, local, &localMin, &subs); err != nil {
+			if err := s.process(p, sc, &localMin); err != nil {
 				s.fail(err)
 				break
 			}
@@ -219,32 +231,32 @@ func (s *parHeap) work(ctx context.Context, id int32) {
 	s.merge(local)
 }
 
-// process handles one claimed node pair: read, scan leaves or expand,
-// tighten the published bound, push surviving sub-pairs. subs is the
-// worker's reusable expansion buffer (push copies into the frontier, so
-// reuse across pairs is safe).
-func (s *parHeap) process(p nodePair, local *kHeap, localMin *float64, subs *[]nodePair) error {
+// process handles one claimed node pair in the worker's scratch: read,
+// scan leaves into the local heap or expand, tighten the published bound,
+// push surviving sub-pairs (push copies into the frontier, so the frame's
+// sub-pair list is reused across pairs).
+func (s *parHeap) process(p nodePair, sc *queryScratch, localMin *float64) error {
 	j := s.j
-	na, nb, err := j.readPair(p)
-	if err != nil {
+	f := sc.frame(0)
+	if err := j.readPair(p, f); err != nil {
 		return err
 	}
-	if na.IsLeaf() && nb.IsLeaf() {
-		if m := j.scanLeavesInto(na, nb, local, s.bound.load()); m < *localMin {
+	if f.na.IsLeaf() && f.nb.IsLeaf() {
+		if m := j.scanLeavesInto(&sc.grid, &f.na, &f.nb, &sc.local, s.bound.load()); m < *localMin {
 			*localMin = m
 		}
 		return nil
 	}
-	e := j.beginExpand(p, na, nb)
+	e := j.beginExpand(&sc.kern, p, &f.na, &f.nb)
 	if j.tightens() && !math.IsInf(e.bound, 1) {
 		if old, ok := s.bound.tighten(e.bound); ok {
 			j.traceBoundValue(old, e.bound, j.boundSource())
 			s.pushShared(e.bound)
 		}
 	}
-	*subs = e.finish((*subs)[:0], s.bound.load())
-	if len(*subs) > 0 {
-		s.push(*subs)
+	f.subs = e.finish(f.subs[:0], s.bound.load())
+	if len(f.subs) > 0 {
+		s.push(f.subs)
 	}
 	return nil
 }
@@ -279,7 +291,7 @@ func (s *parHeap) take(ctx context.Context, dst []nodePair) []nodePair {
 			s.pullShared()
 			b := s.bound.load()
 			if s.frontier.pairs[0].minminSq > b {
-				s.frontier.pairs = s.frontier.pairs[:0]
+				s.frontier.reset()
 				continue
 			}
 			dst = s.frontier.popBatch(dst, parBatch, b)

@@ -72,7 +72,8 @@ func TestKHeapProperty(t *testing.T) {
 			}
 			h.offer(kPair{distSq: d, refP: int64(i)})
 		}
-		out := h.sorted()
+		th := h.threshold() // before sort: sorting ends the heap order
+		out := h.sort()
 		// Model: sort all, keep first k.
 		want := append([]float64(nil), nil...)
 		for i, d := range dists {
@@ -93,10 +94,10 @@ func TestKHeapProperty(t *testing.T) {
 		}
 		// Threshold is the k-th smallest once full, +Inf otherwise.
 		if len(want) >= k {
-			if h.threshold() != want[k-1] {
+			if th != want[k-1] {
 				return false
 			}
-		} else if !math.IsInf(h.threshold(), 1) {
+		} else if !math.IsInf(th, 1) {
 			return false
 		}
 		return true
@@ -170,7 +171,7 @@ func TestBoundIsAlwaysSound(t *testing.T) {
 		if err := j.runHeap(context.Background(), root); err != nil {
 			t.Fatal(err)
 		}
-		res := j.results()
+		res := j.kheap.results(j.metric)
 		if len(res) == int(k) {
 			kth := res[len(res)-1].Dist
 			if kth*kth > j.bound+1e-9 {
@@ -178,5 +179,6 @@ func TestBoundIsAlwaysSound(t *testing.T) {
 					trial, kth*kth, j.bound)
 			}
 		}
+		j.release()
 	}
 }

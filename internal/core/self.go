@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
@@ -40,25 +41,29 @@ func SelfKClosestPairsContext(ctx context.Context, t *rtree.Tree, k int, opts Op
 		return nil, Stats{}, errors.New("core: self closest pair query needs at least two points")
 	}
 	start := t.Pool().Stats()
+	sc := acquireScratch()
+	defer releaseScratch(sc)
+	sc.kheap.init(k)
 	s := &selfJoin{
 		t:      t,
 		k:      k,
-		kheap:  newKHeap(k),
+		sc:     sc,
+		kheap:  &sc.kheap,
 		bound:  math.Inf(1),
 		opts:   opts,
 		m:      float64(t.Config().MinEntries),
 		metric: opts.Metric,
 	}
-	rootRect, err := t.Bounds()
+	rootRect, err := rootMBR(t, &sc.frame(0).na)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	s.rootArea = rootRect.Area()
-	if err := s.run(ctx, rootRect); err != nil {
+	if err := s.run(ctx); err != nil {
 		return nil, Stats{}, err
 	}
 	s.stats.IOP = t.Pool().Stats().Sub(start)
-	return s.results(), s.stats, nil
+	return s.kheap.results(s.metric), s.stats, nil
 }
 
 // SelfClosestPair returns the single closest pair of distinct points
@@ -82,6 +87,7 @@ func SelfClosestPairContext(ctx context.Context, t *rtree.Tree, opts Options) (P
 type selfJoin struct {
 	t        *rtree.Tree
 	k        int
+	sc       *queryScratch // held for the whole query; kheap lives in it
 	kheap    *kHeap
 	bound    float64
 	opts     Options
@@ -94,13 +100,11 @@ type selfJoin struct {
 
 func (s *selfJoin) T() float64 { return math.Min(s.kheap.threshold(), s.bound) }
 
-func (s *selfJoin) run(ctx context.Context, rootRect geom.Rect) error {
-	h := &pairHeap{}
-	h.push(nodePair{
-		a: s.t.RootID(), b: s.t.RootID(),
-		ra: rootRect, rb: rootRect,
-		la: s.t.Height() - 1, lb: s.t.Height() - 1,
-	})
+func (s *selfJoin) run(ctx context.Context) error {
+	h := &s.sc.queue
+	h.reset()
+	top := int32(s.t.Height() - 1)
+	h.push(nodePair{a: s.t.RootID(), b: s.t.RootID(), la: top, lb: top})
 	for h.Len() > 0 {
 		if err := s.cancel.poll(ctx); err != nil {
 			return err
@@ -119,17 +123,26 @@ func (s *selfJoin) run(ctx context.Context, rootRect geom.Rect) error {
 	return nil
 }
 
+// selfCount is one sub-pair's term of the K > 1 prefix rule: its
+// MAXMAXDIST key and the number of point pairs it is guaranteed to hold.
+type selfCount struct {
+	maxmaxSq float64
+	count    float64
+}
+
+// process reads the pair's node(s) into the scratch frame, scans leaves,
+// or generates the unordered sub-pairs — (c_i, c_t) with i <= t under one
+// node, all combinations under two — tightens the bound from their MBR
+// metrics and queues the ones within it.
 func (s *selfJoin) process(p nodePair, h *pairHeap) error {
-	na, err := s.t.ReadNode(p.a)
-	if err != nil {
+	f := s.sc.frame(0)
+	na, nb := &f.na, &f.na
+	if err := s.t.ReadNodeInto(p.a, na); err != nil {
 		return err
 	}
-	var nb *rtree.Node
-	if p.b == p.a {
-		nb = na
-	} else {
-		nb, err = s.t.ReadNode(p.b)
-		if err != nil {
+	if p.b != p.a {
+		nb = &f.nb
+		if err := s.t.ReadNodeInto(p.b, nb); err != nil {
 			return err
 		}
 	}
@@ -140,23 +153,54 @@ func (s *selfJoin) process(p nodePair, h *pairHeap) error {
 		return nil
 	}
 
-	// Generate unordered sub-pairs.
-	var subs []nodePair
-	if p.a == p.b {
-		for i := range na.Entries {
-			for t := i; t < len(na.Entries); t++ {
-				subs = append(subs, s.subPair(na.Entries[i], na.Entries[t], na.Level-1))
-			}
+	// The bound rules need each sub-pair's two rectangles, which the
+	// queued pairs do not carry, so they are evaluated here, while the
+	// entries are in hand. K = 1: only pairs of distinct nodes may apply
+	// Inequality 2 (for an identical pair the guaranteed point pair could
+	// be a single point against itself). K > 1: the MAXMAXDIST prefix rule
+	// counts unordered pairs, n*(n-1)/2 within an identical pair.
+	level := int32(na.Level - 1)
+	pts := math.Pow(s.m, float64(level+1))
+	prefixRule := s.k > 1 && s.opts.KPrune == KPruneMaxMax
+	subs, prefix := f.subs[:0], s.sc.prefix[:0]
+	for i := range na.Entries {
+		ea := &na.Entries[i]
+		first := 0
+		if p.a == p.b {
+			first = i
 		}
-	} else {
-		for i := range na.Entries {
-			for t := range nb.Entries {
-				subs = append(subs, s.subPair(na.Entries[i], nb.Entries[t], na.Level-1))
+		for t := first; t < len(nb.Entries); t++ {
+			eb := &nb.Entries[t]
+			sp := nodePair{
+				a: ea.Child(), b: eb.Child(),
+				la: level, lb: level,
+				minminSq: s.metric.MinMinKey(ea.Rect, eb.Rect),
+			}
+			if s.opts.Tie != TieNone {
+				sp.tieKey = tieKeyFor(s.opts.Tie, s.metric, ea.Rect, eb.Rect, s.rootArea, s.rootArea)
+			}
+			subs = append(subs, sp)
+			switch {
+			case s.k == 1:
+				if sp.a != sp.b {
+					if mm := s.metric.MinMaxKey(ea.Rect, eb.Rect); mm < s.bound {
+						s.bound = mm
+					}
+				}
+			case prefixRule:
+				count := pts * pts
+				if sp.a == sp.b {
+					count = pts * (pts - 1) / 2
+				}
+				prefix = append(prefix, selfCount{s.metric.MaxMaxKey(ea.Rect, eb.Rect), count})
 			}
 		}
 	}
+	f.subs, s.sc.prefix = subs, prefix
 	s.stats.SubPairsGenerated += int64(len(subs))
-	s.tighten(subs)
+	if prefixRule {
+		s.tightenPrefix(prefix)
+	}
 	T := s.T()
 	for _, sp := range subs {
 		if sp.minminSq > T {
@@ -168,60 +212,18 @@ func (s *selfJoin) process(p nodePair, h *pairHeap) error {
 	return nil
 }
 
-func (s *selfJoin) subPair(ea, eb rtree.Entry, level int) nodePair {
-	sp := nodePair{
-		a: ea.Child(), b: eb.Child(),
-		ra: ea.Rect, rb: eb.Rect,
-		la: level, lb: level,
-		minminSq: s.metric.MinMinKey(ea.Rect, eb.Rect),
-	}
-	if s.opts.Tie != TieNone {
-		sp.tieKey = tieKeyFor(s.opts.Tie, s.metric, sp.ra, sp.rb, s.rootArea, s.rootArea)
-	}
-	return sp
-}
-
-// tighten lowers the pruning bound. For K = 1 only pairs of distinct nodes
-// may apply Inequality 2 (for an identical pair the guaranteed point pair
-// could be a single point against itself). For K > 1 the MAXMAXDIST prefix
-// rule counts unordered pairs: n*(n-1)/2 within an identical pair.
-func (s *selfJoin) tighten(subs []nodePair) {
-	if s.k == 1 {
-		for i := range subs {
-			if subs[i].a == subs[i].b {
-				continue
-			}
-			if mm := s.metric.MinMaxKey(subs[i].ra, subs[i].rb); mm < s.bound {
-				s.bound = mm
-			}
-		}
-		return
-	}
-	if s.opts.KPrune != KPruneMaxMax {
-		return
-	}
-	type mc struct {
-		maxmaxSq float64
-		count    float64
-	}
-	mcs := make([]mc, 0, len(subs))
-	for i := range subs {
-		pts := math.Pow(s.m, float64(subs[i].la+1))
-		var count float64
-		if subs[i].a == subs[i].b {
-			count = pts * (pts - 1) / 2
-		} else {
-			count = pts * pts
-		}
-		mcs = append(mcs, mc{maxmaxSq: s.metric.MaxMaxKey(subs[i].ra, subs[i].rb), count: count})
-	}
-	sort.Slice(mcs, func(x, y int) bool { return mcs[x].maxmaxSq < mcs[y].maxmaxSq })
+// tightenPrefix applies the K > 1 rule: the prefix of sub-pairs, by
+// ascending MAXMAXDIST, whose guaranteed pair counts reach K bounds the
+// K-th distance by its largest MAXMAXDIST. Ties in the sort order cannot
+// change that value.
+func (s *selfJoin) tightenPrefix(prefix []selfCount) {
+	slices.SortFunc(prefix, func(a, b selfCount) int { return cmp.Compare(a.maxmaxSq, b.maxmaxSq) })
 	var cum float64
-	for i := range mcs {
-		cum += mcs[i].count
+	for i := range prefix {
+		cum += prefix[i].count
 		if cum >= float64(s.k) {
-			if mcs[i].maxmaxSq < s.bound {
-				s.bound = mcs[i].maxmaxSq
+			if prefix[i].maxmaxSq < s.bound {
+				s.bound = prefix[i].maxmaxSq
 			}
 			return
 		}
@@ -259,19 +261,4 @@ func (s *selfJoin) offer(ea, eb *rtree.Entry) {
 		refP:   ea.Ref,
 		refQ:   eb.Ref,
 	})
-}
-
-func (s *selfJoin) results() []Pair {
-	ks := s.kheap.sorted()
-	out := make([]Pair, len(ks))
-	for i, kp := range ks {
-		out[i] = Pair{
-			P:    geom.Point{X: kp.p[0], Y: kp.p[1]},
-			Q:    geom.Point{X: kp.q[0], Y: kp.q[1]},
-			RefP: kp.refP,
-			RefQ: kp.refQ,
-			Dist: s.metric.KeyToDist(kp.distSq),
-		}
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/rtree"
 )
@@ -11,7 +10,8 @@ import (
 // This file implements the plane-sweep leaf scan (Options.LeafScanSweep),
 // replacing the brute all-pairs CP3 with the band technique of the planar
 // closest-pair literature. Both leaves' entries are sorted by ascending low
-// x coordinate into reusable scratch buffers and merge-walked: the entry
+// x coordinate — in place: the leaves are the query's own decoded copies,
+// dead after the scan — and merge-walked: the entry
 // with the smaller low x becomes the anchor and scans forward through the
 // other leaf's entries, stopping at the first entry whose x gap alone puts
 // the pair beyond the pruning bound T. The gap to later entries is at least
@@ -22,24 +22,10 @@ import (
 // the sweep evaluates a subset of the brute scan's pairs yet the K-heap
 // ends up with the same result set.
 
-// sweepScratch carries one leaf scan's sorted entry copies. A sync.Pool
-// keeps one scratch per P in steady state, so the parallel HEAP workers do
-// not contend on shared buffers and the per-scan allocation cost vanishes
-// after warm-up.
-type sweepScratch struct {
-	a, b entriesByMinX
-}
-
-var sweepPool = sync.Pool{New: func() any { return new(sweepScratch) }}
-
 // entriesByMinX sorts leaf entries by ascending low x coordinate. The sort
-// methods live on the pointer type so sort.Sort receives a pointer to a
-// pool-owned slice header and no per-call allocation occurs.
+// methods live on the pointer type so sort.Sort receives a pointer to the
+// node's own slice header and no per-call allocation occurs.
 type entriesByMinX []rtree.Entry
-
-func (s *entriesByMinX) fill(entries []rtree.Entry) {
-	*s = append((*s)[:0], entries...)
-}
 
 func (s *entriesByMinX) Len() int { return len(*s) }
 
@@ -52,12 +38,9 @@ func (s *entriesByMinX) Swap(i, t int) { (*s)[i], (*s)[t] = (*s)[t], (*s)[i] }
 // pairs evaluated in Stats.PointPairsCompared, and returns the smallest
 // distance (squared) the heap accepted (+Inf if none), like the brute scan.
 func (j *join) scanLeavesSweep(na, nb *rtree.Node, kh *kHeap, extBound float64) float64 {
-	sc := sweepPool.Get().(*sweepScratch)
-	sc.a.fill(na.Entries)
-	sc.b.fill(nb.Entries)
-	sort.Sort(&sc.a)
-	sort.Sort(&sc.b)
-	as, bs := sc.a, sc.b
+	sort.Sort((*entriesByMinX)(&na.Entries))
+	sort.Sort((*entriesByMinX)(&nb.Entries))
+	as, bs := na.Entries, nb.Entries
 
 	// T is re-derived from the heap whenever a pair is accepted: the sweep
 	// itself tightens the threshold it prunes with.
@@ -115,6 +98,5 @@ func (j *join) scanLeavesSweep(na, nb *rtree.Node, kh *kHeap, extBound float64) 
 	}
 	j.stats.pointPairsCompared.Add(compared)
 	j.traceSweepPruned(int64(len(na.Entries)*len(nb.Entries)) - compared)
-	sweepPool.Put(sc)
 	return minAccepted
 }

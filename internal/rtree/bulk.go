@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -38,27 +39,17 @@ func SortSTR(items []Item) {
 func cmpCenterXY(a, b geom.Rect) int {
 	ca, cb := a.Center(), b.Center()
 	if ca.X != cb.X {
-		return cmpFloat(ca.X, cb.X)
+		return cmp.Compare(ca.X, cb.X)
 	}
-	return cmpFloat(ca.Y, cb.Y)
+	return cmp.Compare(ca.Y, cb.Y)
 }
 
 func cmpCenterYX(a, b geom.Rect) int {
 	ca, cb := a.Center(), b.Center()
 	if ca.Y != cb.Y {
-		return cmpFloat(ca.Y, cb.Y)
+		return cmp.Compare(ca.Y, cb.Y)
 	}
-	return cmpFloat(ca.X, cb.X)
-}
-
-func cmpFloat(x, y float64) int {
-	switch {
-	case x < y:
-		return -1
-	case y < x:
-		return 1
-	}
-	return 0
+	return cmp.Compare(ca.X, cb.X)
 }
 
 // BulkLoadSorted is BulkLoad for items already in SortSTR order: the

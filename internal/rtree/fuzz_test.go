@@ -16,7 +16,9 @@ const fuzzPageSize = 1024
 // and from there encode and decode are exact mutual inverses
 // (serialize -> deserialize -> serialize is byte-identical, including NaN
 // payload bits in coordinates, which the codec moves through
-// math.Float64bits untouched).
+// math.Float64bits untouched). The same page is also decoded into a dirty,
+// larger caller-owned node (decodeNodeInto): the result must be the node
+// decodeNode returns and nothing of the old contents may show past count.
 func FuzzNodeRoundTrip(f *testing.F) {
 	seed := func(level int, entries []Entry) []byte {
 		buf := make([]byte, fuzzPageSize)
@@ -41,9 +43,29 @@ func FuzzNodeRoundTrip(f *testing.F) {
 		}
 		page := make([]byte, fuzzPageSize)
 		copy(page, data)
+		dirty := dirtyNode()
 		n, err := decodeNode(storage.PageID(3), page)
+		intoErr := decodeNodeInto(storage.PageID(3), page, dirty)
+		if (err == nil) != (intoErr == nil) {
+			t.Fatalf("decodeNode err = %v, decodeNodeInto err = %v", err, intoErr)
+		}
 		if err != nil {
-			return // malformed page rejected; nothing to round-trip
+			// Malformed page rejected; nothing to round-trip, and the
+			// caller's node is as it was.
+			if want := dirtyNode(); dirty.ID != want.ID || dirty.Level != want.Level ||
+				len(dirty.Entries) != len(want.Entries) {
+				t.Fatalf("rejected page changed the caller's node: %+v", dirty)
+			}
+			return
+		}
+		if dirty.ID != n.ID || dirty.Level != n.Level || len(dirty.Entries) != len(n.Entries) {
+			t.Fatalf("decodeNodeInto shape (id %d level %d entries %d) != decodeNode (id %d level %d entries %d)",
+				dirty.ID, dirty.Level, len(dirty.Entries), n.ID, n.Level, len(n.Entries))
+		}
+		for i := range n.Entries {
+			if !entriesBitEqual(n.Entries[i], dirty.Entries[i]) {
+				t.Fatalf("decodeNodeInto entry %d = %+v, decodeNode %+v", i, dirty.Entries[i], n.Entries[i])
+			}
 		}
 		first := make([]byte, fuzzPageSize)
 		if err := encodeNode(n, first); err != nil {
@@ -70,6 +92,16 @@ func FuzzNodeRoundTrip(f *testing.F) {
 			t.Fatalf("serialize -> deserialize -> serialize is not byte-identical")
 		}
 	})
+}
+
+// dirtyNode is a caller-owned node left over from a previous read: more
+// entries than any page of fuzzPageSize holds, all of them recognisable.
+func dirtyNode() *Node {
+	n := &Node{ID: 99, Level: 9, Entries: make([]Entry, maxEntriesForPage(fuzzPageSize)+3)}
+	for i := range n.Entries {
+		n.Entries[i] = Entry{Rect: geom.Point{X: -777, Y: -777}.Rect(), Ref: -777}
+	}
+	return n
 }
 
 // entriesBitEqual compares entries at the bit level, so NaN coordinates

@@ -104,25 +104,60 @@ func encodeNode(n *Node, buf []byte) error {
 	return nil
 }
 
-// decodeNode parses a page into a Node. The returned node owns its entry
-// slice; it does not alias buf.
+// decodeNode parses a page into a fresh Node. The returned node owns its
+// entry slice, sized to the entry count; it does not alias buf.
 func decodeNode(id storage.PageID, buf []byte) (*Node, error) {
-	if len(buf) < nodeHeaderSize {
-		return nil, fmt.Errorf("rtree: page %d too small (%d bytes)", id, len(buf))
-	}
-	if buf[0] != nodeMagic0 || buf[1] != nodeMagic1 {
-		return nil, fmt.Errorf("rtree: page %d is not an R-tree node (magic %q)",
-			id, string(buf[:2]))
-	}
-	level := int(binary.LittleEndian.Uint16(buf[2:]))
-	count := int(binary.LittleEndian.Uint16(buf[4:]))
-	if nodeHeaderSize+count*entrySize > len(buf) {
-		return nil, fmt.Errorf("rtree: page %d count %d overflows page", id, count)
+	level, count, err := decodeHeader(id, buf)
+	if err != nil {
+		return nil, err
 	}
 	n := &Node{ID: id, Level: level, Entries: make([]Entry, count)}
+	decodeEntries(buf, n.Entries)
+	return n, nil
+}
+
+// decodeNodeInto parses a page into a caller-owned node, overwriting all of
+// it: ID, Level, and Entries resliced to exactly the page's entry count, so
+// nothing of the node's previous contents stays visible. The entry slice
+// is reused when it is large enough; when it has to grow it grows once to
+// the most entries a page of this size can hold, so a node that is decoded
+// into repeatedly stops allocating after its first use. Validation is
+// decodeNode's; on error dst is left untouched. dst never aliases buf.
+func decodeNodeInto(id storage.PageID, buf []byte, dst *Node) error {
+	level, count, err := decodeHeader(id, buf)
+	if err != nil {
+		return err
+	}
+	if cap(dst.Entries) < count {
+		dst.Entries = make([]Entry, count, maxEntriesForPage(len(buf)))
+	}
+	dst.ID, dst.Level, dst.Entries = id, level, dst.Entries[:count]
+	decodeEntries(buf, dst.Entries)
+	return nil
+}
+
+// decodeHeader validates a node page and returns its level and entry count.
+func decodeHeader(id storage.PageID, buf []byte) (level, count int, err error) {
+	if len(buf) < nodeHeaderSize {
+		return 0, 0, fmt.Errorf("rtree: page %d too small (%d bytes)", id, len(buf))
+	}
+	if buf[0] != nodeMagic0 || buf[1] != nodeMagic1 {
+		return 0, 0, fmt.Errorf("rtree: page %d is not an R-tree node (magic %q)",
+			id, string(buf[:2]))
+	}
+	level = int(binary.LittleEndian.Uint16(buf[2:]))
+	count = int(binary.LittleEndian.Uint16(buf[4:]))
+	if nodeHeaderSize+count*entrySize > len(buf) {
+		return 0, 0, fmt.Errorf("rtree: page %d count %d overflows page", id, count)
+	}
+	return level, count, nil
+}
+
+// decodeEntries fills entries from the page's first len(entries) slots.
+func decodeEntries(buf []byte, entries []Entry) {
 	off := nodeHeaderSize
-	for i := 0; i < count; i++ {
-		n.Entries[i] = Entry{
+	for i := range entries {
+		entries[i] = Entry{
 			Rect: geom.Rect{
 				Min: geom.Point{
 					X: math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])),
@@ -137,5 +172,4 @@ func decodeNode(id storage.PageID, buf []byte) (*Node, error) {
 		}
 		off += entrySize
 	}
-	return n, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/storage"
 )
 
 func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
@@ -96,5 +97,59 @@ func TestNodeMBR(t *testing.T) {
 	empty := &Node{}
 	if !empty.MBR().IsEmpty() {
 		t.Error("empty node MBR must be empty")
+	}
+}
+
+// TestReadNodeIntoWarmZeroAlloc: reading into a node the caller keeps is
+// free once the node's entry slice has grown — the property the K-CPQ
+// scratch is built on. The page access is ReadNode's: same hits, same node.
+func TestReadNodeIntoWarmZeroAlloc(t *testing.T) {
+	tr := newTestTree(t, Config{})
+	if err := tr.BulkLoad(itemsFromPoints(randPoints(50, 2000)), 1.0); err != nil {
+		t.Fatal(err)
+	}
+	var ids []storage.PageID
+	if err := tr.Walk(func(n *Node) error { ids = append(ids, n.ID); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	var dst Node
+	if err := tr.ReadNodeInto(ids[0], &dst); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := tr.ReadNodeInto(ids[i%len(ids)], &dst); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("warm ReadNodeInto allocates %v per read, want 0", allocs)
+	}
+
+	before := tr.Pool().Stats()
+	for _, id := range ids {
+		want, err := tr.ReadNode(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.ReadNodeInto(id, &dst); err != nil {
+			t.Fatal(err)
+		}
+		if dst.ID != want.ID || dst.Level != want.Level || len(dst.Entries) != len(want.Entries) {
+			t.Fatalf("page %d: ReadNodeInto %+v, ReadNode %+v", id, dst, *want)
+		}
+		for e := range want.Entries {
+			if dst.Entries[e] != want.Entries[e] {
+				t.Fatalf("page %d entry %d differs", id, e)
+			}
+		}
+	}
+	if d := tr.Pool().Stats().Sub(before); d.Hits+d.Reads != int64(2*len(ids)) {
+		t.Fatalf("%d reads through both paths cost %d pool accesses", 2*len(ids), d.Hits+d.Reads)
+	}
+
+	if err := tr.ReadNodeInto(storage.PageID(0), &dst); err == nil {
+		t.Fatal("the meta page must not decode as a node")
 	}
 }

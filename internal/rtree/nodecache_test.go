@@ -191,6 +191,48 @@ func TestNodeCacheReadPathEquivalence(t *testing.T) {
 	}
 }
 
+// TestReadNodeIntoThroughCache: with a cache attached ReadNodeInto counts
+// hits and misses exactly like ReadNode, fills the cache on a miss, and
+// hands the caller a private copy — reordering its entries must not show
+// in the cached, shared node.
+func TestReadNodeIntoThroughCache(t *testing.T) {
+	tr := newTestTree(t, Config{PageSize: 256})
+	insertAll(t, tr, randPoints(8, 300))
+	tr.SetNodeCache(NewNodeCache(512, 2))
+	root := tr.RootID()
+
+	var dst Node
+	if err := tr.ReadNodeInto(root, &dst); err != nil {
+		t.Fatal(err)
+	}
+	if st := tr.NodeCacheStats(); st.Hits != 0 || st.Misses != 1 || tr.NodeCache().Len() != 1 {
+		t.Fatalf("first read: %+v, %d cached", st, tr.NodeCache().Len())
+	}
+	accesses := tr.Pool().Stats()
+	if err := tr.ReadNodeInto(root, &dst); err != nil {
+		t.Fatal(err)
+	}
+	if st := tr.NodeCacheStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("second read: %+v", st)
+	}
+	if d := tr.Pool().Stats().Sub(accesses); d.Hits+d.Reads != 0 {
+		t.Fatalf("a cache hit touched the pool: %+v", d)
+	}
+
+	shared, err := tr.ReadNode(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&dst, shared) {
+		t.Fatal("ReadNodeInto copy differs from the cached node")
+	}
+	first := shared.Entries[0]
+	dst.Entries[0], dst.Entries[1] = dst.Entries[1], dst.Entries[0]
+	if shared.Entries[0] != first {
+		t.Fatal("the caller's node aliases the cached node's entries")
+	}
+}
+
 // TestNodeCacheConcurrentReaders hammers ReadNode from many goroutines
 // with a cache attached (run under -race in CI).
 func TestNodeCacheConcurrentReaders(t *testing.T) {

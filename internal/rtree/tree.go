@@ -303,6 +303,30 @@ func (t *Tree) ReadNode(id storage.PageID) (*Node, error) {
 	return n, nil
 }
 
+// ReadNodeInto is ReadNode into a node the caller owns: dst is overwritten
+// with the node stored at page id, reusing dst's entry slice, so a caller
+// that keeps one Node per traversal slot reads without allocating. The
+// page access is the same as ReadNode's — decoded under BufferPool.View,
+// counted the same, validated the same — and dst is private to the caller:
+// it aliases neither the page buffer nor a cached node, so the caller may
+// reorder its entries. With a node cache attached the lookup, the miss
+// fill and the hit/miss counters are ReadNode's, and dst receives a copy
+// of the shared node.
+func (t *Tree) ReadNodeInto(id storage.PageID, dst *Node) error {
+	if t.cache != nil {
+		n, err := t.ReadNode(id)
+		if err != nil {
+			return err
+		}
+		dst.ID, dst.Level = n.ID, n.Level
+		dst.Entries = append(dst.Entries[:0], n.Entries...)
+		return nil
+	}
+	return t.pool.View(id, func(buf []byte) error {
+		return decodeNodeInto(id, buf, dst)
+	})
+}
+
 // readNodeMut fetches and decodes a private copy of the node stored at
 // page id, bypassing the node cache in both directions. The mutating paths
 // (insert, delete, reinsertion) use it so in-place edits never touch a

@@ -49,9 +49,25 @@ func Methods() []Method {
 // requested method. All methods produce a fully sorted slice; only their
 // cost profiles differ. MergeSort (the default) is additionally stable.
 func Sort[T any](s []T, less func(a, b T) bool, method Method) {
+	SortBuf(s, nil, less, method)
+}
+
+// SortBuf is Sort with a caller-owned merge buffer. MergeSort needs len(s)
+// elements of working space, which Sort allocates on every call; SortBuf
+// takes them from buf, grown when too small, and returns buf for the next
+// call, so a caller that sorts many short lists allocates once. The other
+// methods sort in place and return buf as given. The order produced is
+// Sort's.
+func SortBuf[T any](s, buf []T, less func(a, b T) bool, method Method) []T {
 	switch method {
 	case Merge:
-		mergeSort(s, less)
+		if len(s) < 2 {
+			return buf
+		}
+		if cap(buf) < len(s) {
+			buf = make([]T, len(s))
+		}
+		mergeSortRec(s, buf[:len(s)], less)
 	case Quick:
 		quickSort(s, less, 0, len(s)-1)
 	case Heap:
@@ -65,14 +81,7 @@ func Sort[T any](s []T, less func(a, b T) bool, method Method) {
 	default:
 		panic(fmt.Sprintf("sortx: unknown method %d", int(method)))
 	}
-}
-
-func mergeSort[T any](s []T, less func(a, b T) bool) {
-	if len(s) < 2 {
-		return
-	}
-	buf := make([]T, len(s))
-	mergeSortRec(s, buf, less)
+	return buf
 }
 
 func mergeSortRec[T any](s, buf []T, less func(a, b T) bool) {
