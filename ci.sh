@@ -25,20 +25,13 @@
 set -eu
 
 lint() {
-	# The full pass carries the latency gate: -budget fails the build if
-	# any single check runs past 30s, so an interprocedural pass that
-	# regresses (the ctxflow summaries, the shareguard fixpoints) shows
-	# up here instead of silently stretching every CI run.
+	# One pass, one load of the module: the default check set contains the
+	# ctxflow (DESIGN.md §11) and shareguard (§12) groups, which a test in
+	# cmd/cpqlint pins, so neither needs a run of its own. -budget fails
+	# the build if any single check runs past 30s, so an interprocedural
+	# pass that regresses (the ctxflow summaries, the shareguard fixpoints)
+	# shows up here instead of silently stretching every CI run.
 	go run ./cmd/cpqlint -timing -budget 30s ./...
-	# The cancellation-correctness pass stays a hard gate on its own even
-	# if the default check set above is ever trimmed: context must reach
-	# every engine entry point, every unbounded loop must poll it, and
-	# every spawned goroutine must observe Done or be joined (DESIGN.md §11).
-	go run ./cmd/cpqlint -checks ctxflow ./...
-	# Likewise the data-race pass (DESIGN.md §12): shared fields of the
-	# parallel engine must be mutex-consistent, //lint:guardedby
-	# annotations enforced, and post-publication writes synchronized.
-	go run ./cmd/cpqlint -checks shareguard ./...
 }
 
 # lint_self guards the analyzer's own hygiene: cpqlint must hold its own
@@ -47,7 +40,7 @@ lint() {
 # (an empty corpus dir makes `go test` pass while fuzzing nothing).
 lint_self() {
 	go run ./cmd/cpqlint internal/lint internal/lint/ssa ./cmd/...
-	for corpus in internal/rtree/testdata/fuzz internal/geom/testdata/fuzz internal/obs/testdata/fuzz internal/obs/explain/testdata/fuzz; do
+	for corpus in internal/rtree/testdata/fuzz internal/geom/testdata/fuzz internal/obs/testdata/fuzz internal/obs/explain/testdata/fuzz internal/core/testdata/fuzz; do
 		if [ -z "$(ls "$corpus" 2>/dev/null)" ]; then
 			echo "fuzz seed corpus missing or empty: $corpus" >&2
 			exit 1

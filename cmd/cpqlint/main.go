@@ -57,13 +57,11 @@ func main() {
 	)
 	flag.Parse()
 
-	checks := lint.Checks()
-	groups := lint.CheckGroups()
 	if *list {
-		for _, c := range checks {
+		for _, c := range lint.Checks() {
 			fmt.Println(c.Name())
 		}
-		for g, names := range groups {
+		for g, names := range lint.CheckGroups() {
 			fmt.Printf("%s (group: %s)\n", g, strings.Join(names, ","))
 		}
 		return
@@ -72,34 +70,9 @@ func main() {
 	if selection == "" {
 		selection = *checkAlias
 	}
-	if selection != "" {
-		byName := make(map[string]lint.Check, len(checks))
-		for _, c := range checks {
-			byName[c.Name()] = c
-		}
-		var selected []lint.Check
-		seen := make(map[string]bool)
-		add := func(name string) {
-			c, ok := byName[name]
-			if !ok {
-				fatal(fmt.Errorf("unknown check %q (try -list)", name))
-			}
-			if !seen[name] {
-				seen[name] = true
-				selected = append(selected, c)
-			}
-		}
-		for _, name := range strings.Split(selection, ",") {
-			name = strings.TrimSpace(name)
-			if expansion, ok := groups[name]; ok {
-				for _, n := range expansion {
-					add(n)
-				}
-				continue
-			}
-			add(name)
-		}
-		checks = selected
+	checks, err := selectChecks(selection)
+	if err != nil {
+		fatal(err)
 	}
 
 	patterns := flag.Args()
@@ -278,4 +251,40 @@ func buildSARIF(checks []lint.Check, diags []lint.Diagnostic, suppressed int) sa
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "cpqlint:", err)
 	os.Exit(2)
+}
+
+// selectChecks resolves a -checks selection — check names and group
+// aliases, comma separated — against the suite. The empty selection is the
+// default run: every check, so that one pass over the module (ci.sh lint)
+// gates the ctxflow and shareguard groups too.
+func selectChecks(selection string) ([]lint.Check, error) {
+	checks := lint.Checks()
+	if selection == "" {
+		return checks, nil
+	}
+	groups := lint.CheckGroups()
+	byName := make(map[string]lint.Check, len(checks))
+	for _, c := range checks {
+		byName[c.Name()] = c
+	}
+	var selected []lint.Check
+	seen := make(map[string]bool)
+	for _, name := range strings.Split(selection, ",") {
+		name = strings.TrimSpace(name)
+		names, ok := groups[name]
+		if !ok {
+			names = []string{name}
+		}
+		for _, n := range names {
+			c, ok := byName[n]
+			if !ok {
+				return nil, fmt.Errorf("unknown check %q (try -list)", n)
+			}
+			if !seen[n] {
+				seen[n] = true
+				selected = append(selected, c)
+			}
+		}
+	}
+	return selected, nil
 }

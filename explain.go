@@ -2,7 +2,6 @@ package cpq
 
 import (
 	"context"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -11,11 +10,10 @@ import (
 )
 
 // ExplainReport is one query's EXPLAIN/ANALYZE snapshot: the plan
-// (algorithm, advisor decisions with their costmodel inputs, shard layout,
-// transport) and the execution (phase wall breakdown, per-shard-pair
-// dispatch decisions, bound-tightening trajectory, span tree, full work
-// counters). Render draws it as a text tree; JSON emits the canonical
-// byte-stable form.
+// (algorithm, K, workers, shard layout) and the execution (phase wall
+// breakdown, per-shard-pair dispatch decisions, bound-tightening
+// trajectory, span tree, full work counters). Render draws it as a text
+// tree; JSON emits the canonical byte-stable form.
 type ExplainReport = explain.Explain
 
 // ExplainCapture collects one query's explain data. Pass it to queries
@@ -24,14 +22,12 @@ type ExplainReport = explain.Explain
 // in the engine costs one pointer comparison and allocates nothing.
 type ExplainCapture = explain.Capture
 
-// ExplainSpan is one span of the query's trace in the explain snapshot;
-// wire shard transports return forests of these for the gather side to
-// merge (see ShardTransport).
+// ExplainSpan is one span of the query's trace in the explain snapshot.
 type ExplainSpan = explain.SpanNode
 
-// TraceContext identifies a span's position in a distributed trace (trace
-// id + span id) — the value that crosses the ShardTransport boundary so
-// remote shard joins correlate with the gather-side query span.
+// TraceContext identifies a span's position in a trace (trace id + span
+// id) — the value the shard executor hands its joins so their spans
+// correlate with the gather-side query span.
 type TraceContext = obs.TraceContext
 
 // NewExplainCapture returns an empty explain capture. tee, when non-nil,
@@ -57,10 +53,9 @@ func Explain(p, q *Index, k int, opts ...QueryOption) ([]Pair, Stats, *ExplainRe
 
 // ExplainContext is Explain under a context; see ClosestPairContext for
 // the cancellation contract. The returned report covers the whole query:
-// for sharded runs the plan carries the tile boundaries and transport,
-// the execution carries one row per planned shard pair, and the span tree
-// correlates every shard join — local or remote — under the query's
-// trace id.
+// for sharded runs the plan carries the tile boundaries, the execution
+// carries one row per planned shard pair, and the span tree correlates
+// every shard join under the query's trace id.
 func ExplainContext(ctx context.Context, p, q *Index, k int, opts ...QueryOption) ([]Pair, Stats, *ExplainReport, error) {
 	c := NewExplainCapture(nil)
 	pairs, stats, err := KClosestPairsContext(ctx, p, q, k, append(append([]QueryOption{}, opts...), WithExplain(c))...)
@@ -71,9 +66,9 @@ func ExplainContext(ctx context.Context, p, q *Index, k int, opts ...QueryOption
 }
 
 // explainKCPQ is the explain-enabled K-CPQ runner: it wires the capture
-// in as the query's tracer (teeing any user tracer), records the plan
-// with the advisor's decisions, routes the query (sharded or not), and
-// feeds the finished snapshot to the slow-query log.
+// in as the query's tracer (teeing any user tracer), records the plan,
+// routes the query (sharded or not), and feeds the finished snapshot to
+// the slow-query log.
 func explainKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pair, Stats, error) {
 	started := time.Now()
 	cap := cfg.capture
@@ -85,7 +80,14 @@ func explainKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pa
 	slowLog := cfg.core.SlowLog
 	cfg.core.SlowLog = nil
 
-	cap.SetPlan(buildExplainPlan(p, q, k, cfg))
+	// The shard plan (count, tile boundaries) is filled by the sharded
+	// runner once the partitioner has built the tiles.
+	cap.SetPlan(explain.Plan{
+		Label:     core.QueryLabel(cfg.core, k),
+		Algorithm: cfg.core.Algorithm.String(),
+		K:         k,
+		Workers:   cfg.core.Workers(),
+	})
 
 	var pairs []Pair
 	var stats Stats
@@ -104,7 +106,7 @@ func explainKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pa
 	if err != nil {
 		if slowLog != nil {
 			slowLog.Record(QueryReport{Label: core.QueryLabel(cfg.core, k),
-				Seconds: seconds.Seconds(), Workers: explainWorkers(cfg.core), Err: err.Error()})
+				Seconds: seconds.Seconds(), Workers: cfg.core.Workers(), Err: err.Error()})
 		}
 		return nil, stats, err
 	}
@@ -126,7 +128,7 @@ func explainKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pa
 			CacheMisses: stats.NodeCacheMisses,
 			Results:     len(pairs),
 			KthDistance: kth,
-			Workers:     explainWorkers(cfg.core),
+			Workers:     cfg.core.Workers(),
 		}
 		// Embed the snapshot so an over-threshold line carries the full
 		// plan and execution breakdown of the outlier.
@@ -136,35 +138,4 @@ func explainKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pa
 		slowLog.Record(r)
 	}
 	return pairs, stats, nil
-}
-
-// buildExplainPlan renders the query plan: the resolved options plus the
-// advisor's leaf-scan and shard recommendations with the costmodel inputs
-// that produced them (computed here, off the hot path — explain is on).
-func buildExplainPlan(p, q *Index, k int, cfg queryConfig) explain.Plan {
-	plan := explain.Plan{
-		Label:     core.QueryLabel(cfg.core, k),
-		Algorithm: cfg.core.Algorithm.String(),
-		K:         k,
-		Workers:   explainWorkers(cfg.core),
-		LeafScan:  cfg.core.LeafScan.String(),
-	}
-	if _, dec, err := core.AdviseLeafScanDecision(p.tree, q.tree, k); err == nil {
-		plan.Decisions = append(plan.Decisions, dec)
-	}
-	// The shard plan (count, transport, tile boundaries) is filled by the
-	// sharded runner once the partitioner has built the tiles.
-	return plan
-}
-
-// explainWorkers resolves the Parallelism knob the way the engine does.
-func explainWorkers(o core.Options) int {
-	switch {
-	case o.Parallelism == core.AutoParallelism:
-		return runtime.GOMAXPROCS(0)
-	case o.Parallelism <= 1:
-		return 1
-	default:
-		return o.Parallelism
-	}
 }

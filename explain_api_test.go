@@ -9,8 +9,8 @@ import (
 )
 
 // TestExplainUnsharded checks the monolithic EXPLAIN path: results are
-// bit-identical to the plain query, the plan carries the resolved knobs
-// and the advisor's decision, and the execution totals mirror the stats.
+// bit-identical to the plain query, the plan carries the resolved knobs,
+// and the execution totals mirror the stats.
 func TestExplainUnsharded(t *testing.T) {
 	p, err := BuildIndex(randomPoints(61, 500, 0))
 	if err != nil {
@@ -43,11 +43,8 @@ func TestExplainUnsharded(t *testing.T) {
 		t.Fatalf("explain changed the query's counters:\n got %+v\nwant %+v", gotStats, wantStats)
 	}
 
-	if rep.Plan.Algorithm != "HEAP" || rep.Plan.K != 10 {
+	if rep.Plan.Algorithm != "HEAP" || rep.Plan.K != 10 || rep.Plan.Workers != 1 {
 		t.Fatalf("plan: %+v", rep.Plan)
-	}
-	if len(rep.Plan.Decisions) == 0 {
-		t.Fatal("plan carries no advisor decisions")
 	}
 	if rep.Exec.Results != len(got) || rep.Exec.Stats.NodePairsProcessed != gotStats.NodePairsProcessed {
 		t.Fatalf("execution totals: %d results / %d node pairs, stats say %d / %d",
@@ -77,7 +74,7 @@ func TestExplainUnsharded(t *testing.T) {
 }
 
 // TestExplainSharded checks the sharded EXPLAIN path end to end: the
-// plan records shard count, transport and tile boundaries; the shard-pair
+// plan records shard count and tile boundaries; the shard-pair
 // rows sum to planned = joined + pruned; and every join span hangs under
 // the executor span with the query's trace id.
 func TestExplainSharded(t *testing.T) {
@@ -106,7 +103,7 @@ func TestExplainSharded(t *testing.T) {
 		}
 	}
 
-	if rep.Plan.Shards != 4 || rep.Plan.Transport != "inproc" || len(rep.Plan.Tiles) != 4 {
+	if rep.Plan.Shards != 4 || len(rep.Plan.Tiles) != 4 {
 		t.Fatalf("shard plan: %+v", rep.Plan)
 	}
 	var joined, pruned int
@@ -144,7 +141,7 @@ func TestExplainSharded(t *testing.T) {
 		}
 	}
 	out := rep.Render()
-	for _, frag := range []string{"shards: 4 tiles via inproc", "shard pairs", "partition", "tile 0"} {
+	for _, frag := range []string{"shards: 4 tiles", "shard pairs", "partition", "tile 0"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("render missing %q:\n%s", frag, out)
 		}
@@ -212,5 +209,61 @@ func TestExplainSlowLogEmbedsSnapshot(t *testing.T) {
 	}
 	if rep.Exec.Results != 5 {
 		t.Fatalf("embedded snapshot reports %d results, want 5", rep.Exec.Results)
+	}
+}
+
+// TestWorkersOnlyForParallelHeap pins where a query may claim workers: the
+// span label, the explain plan and the query report say "par" and a worker
+// count above one only for the HEAP algorithm at Parallelism N > 1. The
+// recursive algorithms run on one goroutine whatever the knob says.
+func TestWorkersOnlyForParallelHeap(t *testing.T) {
+	p, err := BuildIndex(randomPoints(71, 300, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	q, err := BuildIndex(randomPoints(72, 300, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+
+	for _, c := range []struct {
+		opts    []QueryOption
+		label   string
+		workers int
+	}{
+		{[]QueryOption{WithAlgorithm(SortedDistancesAlgorithm), WithParallelism(4)}, "STD k=2", 1},
+		{[]QueryOption{WithAlgorithm(SimpleAlgorithm), WithParallelism(0)}, "SIM k=2", 1},
+		{[]QueryOption{WithParallelism(1)}, "HEAP k=2", 1},
+		{[]QueryOption{WithParallelism(4)}, "HEAP k=2 par=4", 4},
+	} {
+		// Under explain the facade writes the report, without it the engine.
+		for _, explained := range []bool{true, false} {
+			var buf bytes.Buffer
+			opts := append([]QueryOption{WithSlowQueryLog(NewSlowQueryLog(0, &buf))}, c.opts...)
+			if explained {
+				_, _, rep, err := Explain(p, q, 2, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Plan.Label != c.label || rep.Plan.Workers != c.workers {
+					t.Errorf("plan says %q with %d workers, want %q with %d", rep.Plan.Label, rep.Plan.Workers, c.label, c.workers)
+				}
+				if len(rep.Exec.Spans) != 1 || rep.Exec.Spans[0].Label != c.label {
+					t.Errorf("span labels %+v, want one %q", rep.Exec.Spans, c.label)
+				}
+			} else if _, _, err := KClosestPairs(p, q, 2, opts...); err != nil {
+				t.Fatal(err)
+			}
+			var report QueryReport
+			if err := json.Unmarshal(buf.Bytes(), &report); err != nil {
+				t.Fatalf("%s: slow-log line %q: %v", c.label, buf.String(), err)
+			}
+			if report.Label != c.label || report.Workers != c.workers {
+				t.Errorf("report (explain=%v) says %q with %d workers, want %q with %d",
+					explained, report.Label, report.Workers, c.label, c.workers)
+			}
+		}
 	}
 }

@@ -41,16 +41,6 @@ func Advise(p, q *Index, bufferPages int) (Advice, error) {
 	return core.Advise(p.tree, q.tree, bufferPages)
 }
 
-// AdviseLeafScan recommends the leaf-pair scanning strategy (see
-// WithLeafScan) for a K-closest-pair query over the two indexes, using the
-// analytical cost model in internal/costmodel: the ratio of the expected
-// pruning distance to the expected leaf extent decides between the grid,
-// the plane sweep and the brute scan. The returned string explains the
-// choice.
-func AdviseLeafScan(p, q *Index, k int) (LeafScan, string, error) {
-	return core.AdviseLeafScan(p.tree, q.tree, k)
-}
-
 // TuplePattern shapes the combined distance of a multi-way query.
 type TuplePattern = multiway.Pattern
 

@@ -209,8 +209,6 @@ type Totals struct {
 	Accesses        int64   `json:"accesses"`
 	NodePairs       int64   `json:"node_pairs"`
 	PointPairs      int64   `json:"point_pairs"`
-	GridCellsProbed int64   `json:"grid_cells_probed"`
-	GridRebuckets   int64   `json:"grid_rebuckets"`
 	HeapBatches     int64   `json:"heap_batches"`
 	HeapBatchPairs  int64   `json:"heap_batch_pairs"`
 	NodeCacheHits   int64   `json:"node_cache_hits"`
@@ -266,8 +264,6 @@ func (l *Lab) RunCore(ta, tb *rtree.Tree, k int, opts core.Options, bufferPages 
 		l.totals.Accesses += stats.Accesses()
 		l.totals.NodePairs += stats.NodePairsProcessed
 		l.totals.PointPairs += stats.PointPairsCompared
-		l.totals.GridCellsProbed += stats.GridCellsProbed
-		l.totals.GridRebuckets += stats.GridRebuckets
 		l.totals.HeapBatches += stats.HeapBatches
 		l.totals.HeapBatchPairs += stats.HeapBatchPairs
 		l.totals.NodeCacheHits += stats.NodeCacheHits

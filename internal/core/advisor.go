@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/costmodel"
 	"repro/internal/geom"
 	"repro/internal/rtree"
 )
@@ -12,10 +11,6 @@ import (
 type Advice struct {
 	// Algorithm is the recommended CPQ algorithm.
 	Algorithm Algorithm
-	// LeafScan is the recommended leaf-pair scanning strategy, chosen by
-	// the analytical cost model from the leaf fan-out and the expected
-	// pruning distance (see AdviseLeafScan).
-	LeafScan LeafScan
 	// Options is a complete option set embodying the recommendation.
 	Options Options
 	// Overlap is the measured portion of workspace overlap that drove the
@@ -63,87 +58,12 @@ func Advise(ta, tb *rtree.Tree, bufferPages int) (Advice, error) {
 		reason = fmt.Sprintf(
 			"workspaces overlap by %.1f%% and the buffer is %d pages (> 4): STD outperforms the buffer-insensitive HEAP", overlap*100, bufferPages)
 	}
-	adv := Advice{
+	return Advice{
 		Algorithm: alg,
 		Options:   DefaultOptions(alg),
 		Overlap:   overlap,
 		Reason:    reason,
-	}
-	if ls, why, err := AdviseLeafScan(ta, tb, 1); err == nil {
-		adv.LeafScan = ls
-		adv.Options.LeafScan = ls
-		adv.Reason += "; leaf scan: " + why
-	}
-	return adv, nil
-}
-
-// AdviseLeafScan recommends the leaf scanning strategy (step CP3) for a
-// K-closest-pair query over the two trees, using the analytical cost
-// model: the measured workspace overlap and the trees' cardinalities fix
-// the expected pruning distance d_K, whose ratio to the expected leaf side
-// decides between the grid, the plane sweep and the brute scan (see
-// costmodel.RecommendLeafScan for the full rationale). The returned string
-// explains the choice.
-func AdviseLeafScan(ta, tb *rtree.Tree, k int) (LeafScan, string, error) {
-	ba, err := ta.Bounds()
-	if err != nil {
-		return LeafScanSweep, "", err
-	}
-	bb, err := tb.Bounds()
-	if err != nil {
-		return LeafScanSweep, "", err
-	}
-	fanout := 0.7 * float64(ta.Config().MaxEntries+tb.Config().MaxEntries) / 2
-	choice, why, err := costmodel.RecommendLeafScan(costmodel.Params{
-		NA:      int(ta.Len()),
-		NB:      int(tb.Len()),
-		Overlap: workspaceOverlap(ba, bb),
-		K:       k,
-		Fanout:  fanout,
-	})
-	if err != nil {
-		return LeafScanSweep, "", err
-	}
-	switch choice {
-	case costmodel.ChooseBrute:
-		return LeafScanBrute, why, nil
-	case costmodel.ChooseGrid:
-		return LeafScanGrid, why, nil
-	default:
-		return LeafScanSweep, why, nil
-	}
-}
-
-// AdviseLeafScanDecision is AdviseLeafScan with the costmodel's full
-// decision record (choice, reason and model inputs) for EXPLAIN output.
-func AdviseLeafScanDecision(ta, tb *rtree.Tree, k int) (LeafScan, costmodel.Decision, error) {
-	ba, err := ta.Bounds()
-	if err != nil {
-		return LeafScanSweep, costmodel.Decision{}, err
-	}
-	bb, err := tb.Bounds()
-	if err != nil {
-		return LeafScanSweep, costmodel.Decision{}, err
-	}
-	fanout := 0.7 * float64(ta.Config().MaxEntries+tb.Config().MaxEntries) / 2
-	choice, dec, err := costmodel.RecommendLeafScanDecision(costmodel.Params{
-		NA:      int(ta.Len()),
-		NB:      int(tb.Len()),
-		Overlap: workspaceOverlap(ba, bb),
-		K:       k,
-		Fanout:  fanout,
-	})
-	if err != nil {
-		return LeafScanSweep, costmodel.Decision{}, err
-	}
-	switch choice {
-	case costmodel.ChooseBrute:
-		return LeafScanBrute, dec, nil
-	case costmodel.ChooseGrid:
-		return LeafScanGrid, dec, nil
-	default:
-		return LeafScanSweep, dec, nil
-	}
+	}, nil
 }
 
 // workspaceOverlap returns the portion of overlap between two workspaces:

@@ -76,8 +76,8 @@ func KClosestPairsContext(ctx context.Context, ta, tb *rtree.Tree, k int, opts O
 	}
 	if err == nil {
 		switch {
-		case opts.Algorithm == Heap && opts.workers() > 1:
-			err = j.runHeapParallel(ctx, root, opts.workers())
+		case opts.Workers() > 1:
+			err = j.runHeapParallel(ctx, root, opts.Workers())
 		case opts.Algorithm == Heap:
 			err = j.runHeap(ctx, root)
 		default:
@@ -88,7 +88,7 @@ func KClosestPairsContext(ctx context.Context, ta, tb *rtree.Tree, k int, opts O
 		j.traceQueryEnd(0, err)
 		if measure {
 			r := obs.QueryReport{Label: label, Seconds: time.Since(started).Seconds(),
-				Workers: opts.workers(), Err: err.Error()}
+				Workers: opts.Workers(), Err: err.Error()}
 			opts.Metrics.Record(r)
 			opts.SlowLog.Record(r)
 		}
@@ -121,7 +121,7 @@ func KClosestPairsContext(ctx context.Context, ta, tb *rtree.Tree, k int, opts O
 			CacheHits:   stats.NodeCacheHits,
 			CacheMisses: stats.NodeCacheMisses,
 			Results:     len(pairs),
-			Workers:     opts.workers(),
+			Workers:     opts.Workers(),
 		}
 		if len(pairs) > 0 {
 			r.KthDistance = pairs[len(pairs)-1].Dist
@@ -136,7 +136,7 @@ func KClosestPairsContext(ctx context.Context, ta, tb *rtree.Tree, k int, opts O
 // metrics/slow-log aggregation key. Exported so the facade's explain path
 // labels its plan exactly like the engine labels its span.
 func QueryLabel(opts Options, k int) string {
-	if w := opts.workers(); w > 1 {
+	if w := opts.Workers(); w > 1 {
 		return fmt.Sprintf("%s k=%d par=%d", opts.Algorithm, k, w)
 	}
 	return fmt.Sprintf("%s k=%d", opts.Algorithm, k)

@@ -243,57 +243,8 @@ func nodeGuaranteedPoints(m float64, n *rtree.Node) float64 {
 // K-heap's own threshold applies in any case). Accepted pairs may have
 // tightened the K-heap threshold, so the new value is published back.
 func (j *join) scanLeaves(na, nb *rtree.Node) {
-	j.scanLeavesInto(&j.sc.grid, na, nb, j.kheap, math.Min(j.bound, j.shared.Load()))
+	j.scanLeavesSweep(na, nb, j.kheap, math.Min(j.bound, j.shared.Load()))
 	j.publishShared()
-}
-
-// scanLeavesInto evaluates the point pairs between two leaves against the
-// given K-heap (the join's own for the sequential algorithms, a worker's
-// local heap in parallel mode). extBound is a pruning distance (squared)
-// from outside the heap — the sequential auxiliary bound or the parallel
-// engine's published bound; pairs farther than min(extBound, K-heap
-// threshold) cannot enter the final result, which the sweep scan exploits.
-// It returns the smallest distance (squared) the heap accepted, +Inf if
-// none — the signal parallel workers use to decide whether merging their
-// local heap can tighten the published bound. The two leaves must be the
-// caller's own decoded copies (a frame's): the sweep orders their entries
-// in place. g is the caller's grid scratch.
-func (j *join) scanLeavesInto(g *gridScratch, na, nb *rtree.Node, kh *kHeap, extBound float64) float64 {
-	switch j.opts.LeafScan {
-	case LeafScanBrute:
-		return j.scanLeavesBrute(na, nb, kh)
-	case LeafScanGrid:
-		return j.scanLeavesGrid(g, na, nb, kh, extBound)
-	default:
-		return j.scanLeavesSweep(na, nb, kh, extBound)
-	}
-}
-
-// scanLeavesBrute is the paper's CP3: evaluate all n*m entry pairs.
-func (j *join) scanLeavesBrute(na, nb *rtree.Node, kh *kHeap) float64 {
-	minAccepted := math.Inf(1)
-	for i := range na.Entries {
-		ea := &na.Entries[i]
-		for t := range nb.Entries {
-			eb := &nb.Entries[t]
-			d := j.metric.MinMinKey(ea.Rect, eb.Rect)
-			if !kh.wouldAccept(d) {
-				continue
-			}
-			kh.offer(kPair{
-				distSq: d,
-				p:      [2]float64{ea.Rect.Min.X, ea.Rect.Min.Y},
-				q:      [2]float64{eb.Rect.Min.X, eb.Rect.Min.Y},
-				refP:   ea.Ref,
-				refQ:   eb.Ref,
-			})
-			if d < minAccepted {
-				minAccepted = d
-			}
-		}
-	}
-	j.stats.pointPairsCompared.Add(int64(len(na.Entries) * len(nb.Entries)))
-	return minAccepted
 }
 
 // readPair fetches both nodes of a pair into the frame, counting the

@@ -75,28 +75,13 @@ func (h *pairHeap) popBatch(dst []nodePair, max int, limit float64) []nodePair {
 	return dst
 }
 
-// heapBatchSlack and heapBatchCap shape the batched dequeue
-// (Options.BatchExpand): one heap operation claims every pair whose key is
-// within a 1/16 relative band of the current minimum, at most heapBatchCap
-// of them. The band keeps the processing order near best-first; the cap
-// bounds how far a stale batch can run ahead of a tightening T.
-const (
-	heapBatchSlack = 1 + 1.0/16
-	heapBatchCap   = 16
-)
-
 // runHeap drives the iterative Heap algorithm from the given root pair:
 // pop the pair with the smallest MINMINDIST, stop as soon as it exceeds T
 // (everything still queued is at least as far), otherwise process it and
-// enqueue its surviving sub-pairs. With Options.BatchExpand the pop
-// dequeues a batch of near-minimal pairs per heap operation; every batch
-// member is still re-checked against T before processing, so the result
-// set is unchanged (only the processing order, and with it the disk access
-// count, may deviate slightly from strict best-first).
+// enqueue its surviving sub-pairs.
 //
 // Cancellation: the stride-gated poll runs once per dequeued pair, so a
-// cancelled context unwinds within cancelStride pairs regardless of
-// batching.
+// cancelled context unwinds within cancelStride pairs.
 func (j *join) runHeap(ctx context.Context, root nodePair) error {
 	h := &j.sc.queue
 	h.reset()
@@ -112,42 +97,21 @@ func (j *join) runHeap(ctx context.Context, root nodePair) error {
 			// CP5: the heap is ordered, so no queued pair can qualify.
 			break
 		}
-		if j.opts.BatchExpand {
-			limit := h.pairs[0].minminSq * heapBatchSlack
-			if t := j.T(); limit > t {
-				limit = t
-			}
-			j.sc.batch = h.popBatch(j.sc.batch[:0], heapBatchCap, limit)
-			j.stats.heapBatches.Add(1)
-			j.stats.heapBatchPairs.Add(int64(len(j.sc.batch)))
-			j.traceHeapBatch(len(j.sc.batch))
-		} else {
-			j.sc.batch = append(j.sc.batch[:0], h.pop())
+		if err := j.cancel.poll(ctx); err != nil {
+			return err
 		}
-		for _, p := range j.sc.batch {
-			// The poll sits in the per-pair loop (not only the outer heap
-			// loop) so cancellation latency is bounded in pairs processed,
-			// not in batches; the stride gate keeps it off the hot path.
-			if err := j.cancel.poll(ctx); err != nil {
-				return err
-			}
-			if p.minminSq > j.T() {
-				// T tightened while the batch was in flight; later batch
-				// members may still qualify, so skip rather than break.
-				continue
-			}
-			if err := j.readPair(p, f); err != nil {
-				return err
-			}
-			if f.na.IsLeaf() && f.nb.IsLeaf() {
-				j.scanLeaves(&f.na, &f.nb)
-				j.traceBound(obs.SourceKHeap)
-				continue
-			}
-			f.subs = j.expandInto(p, &f.na, &f.nb, f.subs[:0]) // also tightens T
-			for _, sp := range f.subs {
-				h.push(sp)
-			}
+		p := h.pop()
+		if err := j.readPair(p, f); err != nil {
+			return err
+		}
+		if f.na.IsLeaf() && f.nb.IsLeaf() {
+			j.scanLeaves(&f.na, &f.nb)
+			j.traceBound(obs.SourceKHeap)
+			continue
+		}
+		f.subs = j.expandInto(p, &f.na, &f.nb, f.subs[:0]) // also tightens T
+		for _, sp := range f.subs {
+			h.push(sp)
 		}
 	}
 	return nil

@@ -11,7 +11,7 @@ import (
 // This file implements the expansion kernel. Expanding a node pair is the
 // hot path of every pruning algorithm once the leaf scan is cheap: for an
 // expandBoth pair it computes n*m MINMINDIST values, and the textbook way
-// (the reference in grid_test.go) does so through per-pair rect method
+// (the reference in kernel_test.go) does so through per-pair rect method
 // calls after materialising every candidate nodePair (~11 words each)
 // whether it survives pruning or not.
 //
@@ -24,7 +24,7 @@ import (
 // algorithms assign j.bound between the phases, the parallel engine CASes
 // the shared atomic. Everything observable — the sub-pair set, the bound
 // value, SubPairsGenerated/SubPairsPruned, trace events — is identical to
-// the reference (TestGridCounterParity):
+// the reference (TestKernelCounterParity):
 //
 //   - The per-axis gaps are computed by the same subtraction expressions as
 //     geom.Metric.MinMinKey (only one of the two directed gaps can be

@@ -37,9 +37,6 @@ func TestDisabledHooksZeroAlloc(t *testing.T) {
 		j.traceBoundValue(9, 4, obs.SourceMerge)
 		j.traceHighWater(17)
 		j.traceSweepPruned(12)
-		j.traceGridPruned(7)
-		j.traceGridRebucket(21)
-		j.traceHeapBatch(4)
 		j.traceWorkerSteal(1, 8)
 		j.traceQueryEnd(0, nil)
 	})

@@ -137,50 +137,6 @@ func (h HeightStrategy) String() string {
 	}
 }
 
-// LeafScan selects how a pair of leaves is scanned for candidate point
-// pairs (step CP3). The plane-sweep scan is the default; the brute scan is
-// kept selectable for A/B comparisons (EXPERIMENTS.md, "leaf-scan A/B").
-type LeafScan int
-
-const (
-	// LeafScanSweep sorts both leaves' entries by ascending low x
-	// coordinate and merge-walks them, evaluating only pairs whose x-gap
-	// distance is within the current pruning bound T. It evaluates a
-	// subset of the brute scan's pairs and produces the same result set.
-	// This is the default (zero value).
-	LeafScanSweep LeafScan = iota
-	// LeafScanBrute evaluates all n*m entry pairs of the two leaves — the
-	// paper's original formulation of CP3.
-	LeafScanBrute
-	// LeafScanGrid hashes one leaf's points into a uniform grid whose cell
-	// side tracks the current pruning bound δ (re-bucketing when δ shrinks
-	// past a hysteresis factor) and probes at most the 3×3 neighborhood of
-	// each point of the other leaf, so only pairs that can possibly be
-	// within δ are evaluated. It produces the same result set as the other
-	// scans and falls back to the plane sweep when no finite bound is
-	// available yet or the leaves hold non-point entries (see grid.go).
-	LeafScanGrid
-)
-
-// LeafScans lists the leaf scanning strategies.
-func LeafScans() []LeafScan {
-	return []LeafScan{LeafScanSweep, LeafScanBrute, LeafScanGrid}
-}
-
-// String implements fmt.Stringer.
-func (l LeafScan) String() string {
-	switch l {
-	case LeafScanSweep:
-		return "sweep"
-	case LeafScanBrute:
-		return "brute"
-	case LeafScanGrid:
-		return "grid"
-	default:
-		return fmt.Sprintf("LeafScan(%d)", int(l))
-	}
-}
-
 // KPruning selects how the pruning bound T is tightened for K > 1, where
 // Inequality 2 (MINMAXDIST) no longer applies (Section 3.8).
 type KPruning int
@@ -225,20 +181,6 @@ type Options struct {
 	Sort sortx.Method
 	// KPrune selects the K > 1 pruning rule (default KPruneMaxMax).
 	KPrune KPruning
-	// LeafScan selects the leaf-pair scanning strategy (default
-	// LeafScanSweep). All strategies produce the same result set; they
-	// differ only in how many point pairs are evaluated
-	// (Stats.PointPairsCompared).
-	LeafScan LeafScan
-	// BatchExpand, when true, lets the sequential HEAP algorithm dequeue
-	// node-pair batches (all pairs within a small factor of the current
-	// minimum MINMINDIST key, capped) per heap operation, amortising
-	// sift-down traffic. Results are identical — every dequeued pair is
-	// still checked against T — but the processing order deviates slightly
-	// from strict best-first, so disk access counts may differ from the
-	// paper's sequential algorithm; it therefore defaults to off. The
-	// parallel engine always consumes batches.
-	BatchExpand bool
 	// Metric is the Minkowski distance metric (default Euclidean). The
 	// paper's methods adapt to any Minkowski metric (Section 2.1); all
 	// MBR bounds (MINMINDIST, MINMAXDIST, MAXMAXDIST) are computed under
@@ -268,9 +210,8 @@ type Options struct {
 	// Trace is the parent trace context for this query's span. The zero
 	// value — the default — opens a fresh root trace, so standalone queries
 	// behave exactly as before; the shard executor sets it to its own query
-	// span's context (propagated through Transport.Join) so per-shard join
-	// spans correlate with the gather-side span even across a process
-	// boundary. Ignored when Tracer is nil.
+	// span's context so per-shard join spans correlate with the
+	// gather-side span. Ignored when Tracer is nil.
 	Trace obs.TraceContext
 	// Parallelism is the number of worker goroutines for the HEAP
 	// algorithm. 0 and 1 run the paper's sequential algorithm (the zero
@@ -289,9 +230,13 @@ type Options struct {
 // algorithm.
 const AutoParallelism = -1
 
-// workers resolves the Parallelism knob to a concrete worker count.
-func (o Options) workers() int {
+// Workers resolves the Parallelism knob to the number of goroutines the
+// query runs on: only the HEAP algorithm has a parallel engine, so every
+// other algorithm resolves to 1 whatever the knob says.
+func (o Options) Workers() int {
 	switch {
+	case o.Algorithm != Heap:
+		return 1
 	case o.Parallelism == AutoParallelism:
 		return runtime.GOMAXPROCS(0)
 	case o.Parallelism <= 1:
@@ -327,11 +272,6 @@ func (o Options) validate() error {
 	case KPruneMaxMax, KPruneHeapTop:
 	default:
 		return fmt.Errorf("core: unknown K pruning rule %d", int(o.KPrune))
-	}
-	switch o.LeafScan {
-	case LeafScanSweep, LeafScanBrute, LeafScanGrid:
-	default:
-		return fmt.Errorf("core: unknown leaf scan strategy %d", int(o.LeafScan))
 	}
 	if o.Parallelism < AutoParallelism {
 		return fmt.Errorf("core: invalid parallelism %d", o.Parallelism)

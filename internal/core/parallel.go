@@ -107,7 +107,7 @@ func (a *atomicMinFloat64) tighten(v float64) (old float64, ok bool) {
 // Scratch: the join's own scratch holds the frontier and the global
 // K-heap, each behind its mutex. Every worker takes a scratch of its own
 // from the free list when it starts and returns it when it exits — frames,
-// kernel arrays, grid, batch and local heap are goroutine-local, so none
+// kernel arrays, batch and local heap are goroutine-local, so none
 // of them needs a lock. A run of W workers therefore holds W + 1 scratches.
 //
 // Cancellation: workers poll ctx.Err() in take (once per claimed batch and
@@ -183,7 +183,7 @@ func (j *join) runHeapParallel(ctx context.Context, root nodePair, workers int) 
 // Cancellation is observed in take, once per claimed batch, and by a
 // worker-local stride-gated poll per processed pair, so a worker deep in
 // a large batch still stops promptly without touching shared state. sc is
-// the worker's scratch: its frame, kernel arrays, grid, batch and local
+// the worker's scratch: its frame, kernel arrays, batch and local
 // heap are used by this goroutine alone.
 func (s *parHeap) work(ctx context.Context, id int32, sc *queryScratch) {
 	local := &sc.local
@@ -242,7 +242,7 @@ func (s *parHeap) process(p nodePair, sc *queryScratch, localMin *float64) error
 		return err
 	}
 	if f.na.IsLeaf() && f.nb.IsLeaf() {
-		if m := j.scanLeavesInto(&sc.grid, &f.na, &f.nb, &sc.local, s.bound.load()); m < *localMin {
+		if m := j.scanLeavesSweep(&f.na, &f.nb, &sc.local, s.bound.load()); m < *localMin {
 			*localMin = m
 		}
 		return nil

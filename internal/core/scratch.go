@@ -10,12 +10,11 @@ import (
 
 // queryScratch owns every buffer a closest-pair traversal reuses from step
 // to step: the decoded nodes and sub-pair lists of each recursion depth,
-// the expansion kernel's flat arrays, the grid scan's cell table, the
-// HEAP batch, and the backing arrays of the node-pair queue and of the
-// K-heaps. One query holds one scratch from start to end, and each worker
-// of the parallel engine one more for its goroutine-local buffers; there
-// only the join's queue and result heap are shared, behind the engine's
-// two mutexes.
+// the expansion kernel's flat arrays, a parallel worker's claimed batch,
+// and the backing arrays of the node-pair queue and of the K-heaps. One
+// query holds one scratch from start to end, and each worker of the
+// parallel engine one more for its goroutine-local buffers; there only the
+// join's queue and result heap are shared, behind the engine's two mutexes.
 //
 // Ownership rule: a decoded node is valid until the same depth's next
 // readPair, and nothing in the scratch outlives the query — results leave
@@ -25,8 +24,7 @@ import (
 type queryScratch struct {
 	frames  []*frame
 	kern    kernelScratch
-	grid    gridScratch
-	batch   []nodePair  // one HEAP dequeue
+	batch   []nodePair  // one claim of a parallel worker
 	sortBuf []nodePair  // STD's merge-sort working space
 	queue   pairHeap    // the HEAP queue, or the parallel frontier
 	kheap   kHeap       // the query's result heap

@@ -29,17 +29,10 @@ type Stats struct {
 	// MaxQueueSize is the high-water mark of the HEAP algorithm's pair
 	// heap (0 for the recursive algorithms).
 	MaxQueueSize int
-	// GridCellsProbed counts grid-cell lookups performed by the grid-hash
-	// leaf scan (LeafScanGrid); 0 under the other scans.
-	GridCellsProbed int64
-	// GridRebuckets counts δ-hysteresis grid rebuilds: the pruning bound
-	// shrank enough mid-scan that the cells were re-hashed with a smaller
-	// side.
-	GridRebuckets int64
-	// HeapBatches and HeapBatchPairs count the batched dequeues of the
-	// HEAP pair heap and the node pairs they carried (Options.BatchExpand
-	// and the parallel engine's worker steals; both zero for the strict
-	// sequential order).
+	// HeapBatches and HeapBatchPairs are the parallel engine's steal
+	// counters: the batches its workers claimed from the shared frontier
+	// and the node pairs those carried. Both are zero for a sequential
+	// query, which pops one pair at a time.
 	HeapBatches, HeapBatchPairs int64
 	// NodeCacheHits and NodeCacheMisses are the decoded-node cache lookup
 	// deltas of both trees over the query (both zero when no cache is
@@ -62,9 +55,6 @@ func (s Stats) String() string {
 		"accesses=%d (P=%d Q=%d) nodePairs=%d subPairs=%d pruned=%d pointPairs=%d maxQueue=%d",
 		s.Accesses(), s.IOP.Reads, s.IOQ.Reads, s.NodePairsProcessed,
 		s.SubPairsGenerated, s.SubPairsPruned, s.PointPairsCompared, s.MaxQueueSize)
-	if s.GridCellsProbed > 0 || s.GridRebuckets > 0 {
-		out += fmt.Sprintf(" gridProbes=%d rebuckets=%d", s.GridCellsProbed, s.GridRebuckets)
-	}
 	if s.HeapBatches > 0 {
 		out += fmt.Sprintf(" heapBatches=%d (%d pairs)", s.HeapBatches, s.HeapBatchPairs)
 	}
@@ -93,8 +83,6 @@ func (s *Stats) Merge(other Stats) {
 	if other.MaxQueueSize > s.MaxQueueSize {
 		s.MaxQueueSize = other.MaxQueueSize
 	}
-	s.GridCellsProbed += other.GridCellsProbed
-	s.GridRebuckets += other.GridRebuckets
 	s.HeapBatches += other.HeapBatches
 	s.HeapBatchPairs += other.HeapBatchPairs
 	s.NodeCacheHits += other.NodeCacheHits
@@ -121,8 +109,6 @@ type statsAcc struct {
 	subPairsPruned     atomic.Int64
 	pointPairsCompared atomic.Int64
 	maxQueueSize       atomic.Int64
-	gridCellsProbed    atomic.Int64
-	gridRebuckets      atomic.Int64
 	heapBatches        atomic.Int64
 	heapBatchPairs     atomic.Int64
 }
@@ -150,8 +136,6 @@ func (a *statsAcc) snapshot() Stats {
 		SubPairsPruned:     a.subPairsPruned.Load(),
 		PointPairsCompared: a.pointPairsCompared.Load(),
 		MaxQueueSize:       int(a.maxQueueSize.Load()),
-		GridCellsProbed:    a.gridCellsProbed.Load(),
-		GridRebuckets:      a.gridRebuckets.Load(),
 		HeapBatches:        a.heapBatches.Load(),
 		HeapBatchPairs:     a.heapBatchPairs.Load(),
 	}

@@ -7,14 +7,14 @@ import (
 	"repro/internal/rtree"
 )
 
-// This file implements the plane-sweep leaf scan (Options.LeafScanSweep),
-// replacing the brute all-pairs CP3 with the band technique of the planar
-// closest-pair literature. Both leaves' entries are sorted by ascending low
-// x coordinate — in place: the leaves are the query's own decoded copies,
-// dead after the scan — and merge-walked: the entry
-// with the smaller low x becomes the anchor and scans forward through the
-// other leaf's entries, stopping at the first entry whose x gap alone puts
-// the pair beyond the pruning bound T. The gap to later entries is at least
+// This file implements the leaf scan, step CP3: the brute all-pairs loop of
+// the paper replaced by the band technique of the planar closest-pair
+// literature. Both leaves' entries are sorted by ascending low x
+// coordinate — in place: the leaves are the query's own decoded copies,
+// dead after the scan — and merge-walked: the entry with the smaller low x
+// becomes the anchor and scans forward through the other leaf's entries,
+// stopping at the first entry whose x gap alone puts the pair beyond the
+// pruning bound T. The gap to later entries is at least
 // as large (the lists are sorted by low x and the anchor's low x is the
 // smallest still unconsumed), so the break is safe, and every pair within T
 // is evaluated exactly once — when the first-consumed of its two entries is
@@ -33,10 +33,18 @@ func (s *entriesByMinX) Less(i, t int) bool { return (*s)[i].Rect.Min.X < (*s)[t
 
 func (s *entriesByMinX) Swap(i, t int) { (*s)[i], (*s)[t] = (*s)[t], (*s)[i] }
 
-// scanLeavesSweep is the plane-sweep CP3. It evaluates only pairs whose x
-// distance is within T at the time the pair is reached, counts exactly the
-// pairs evaluated in Stats.PointPairsCompared, and returns the smallest
-// distance (squared) the heap accepted (+Inf if none), like the brute scan.
+// scanLeavesSweep evaluates the point pairs between two leaves against the
+// given K-heap (the join's own for the sequential algorithms, a worker's
+// local heap in parallel mode). extBound is a pruning distance (squared)
+// from outside the heap — the sequential auxiliary bound or the parallel
+// engine's published bound; pairs farther than min(extBound, K-heap
+// threshold) cannot enter the final result, so only pairs whose x distance
+// is within that at the time the pair is reached are evaluated, and exactly
+// those are counted in Stats.PointPairsCompared. It returns the smallest
+// distance (squared) the heap accepted, +Inf if none — the signal parallel
+// workers use to decide whether merging their local heap can tighten the
+// published bound. The two leaves must be the caller's own decoded copies
+// (a frame's): the sweep orders their entries in place.
 func (j *join) scanLeavesSweep(na, nb *rtree.Node, kh *kHeap, extBound float64) float64 {
 	sort.Sort((*entriesByMinX)(&na.Entries))
 	sort.Sort((*entriesByMinX)(&nb.Entries))

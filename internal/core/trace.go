@@ -80,34 +80,6 @@ func (j *join) traceSweepPruned(skipped int64) {
 	j.span.Emit(obs.Event{Kind: obs.EvLeafSweepPruned, N: skipped})
 }
 
-// traceGridPruned emits EvLeafGridPruned for one grid-hash leaf scan;
-// skipped is the number of point pairs the grid never evaluated relative
-// to the brute all-pairs scan.
-func (j *join) traceGridPruned(skipped int64) {
-	if j.span == nil {
-		return
-	}
-	j.span.Emit(obs.Event{Kind: obs.EvLeafGridPruned, N: skipped})
-}
-
-// traceGridRebucket emits EvGridRebucket after a δ-hysteresis rebuild of
-// the grid leaf scan's cells; n is the number of re-hashed entries.
-func (j *join) traceGridRebucket(n int) {
-	if j.span == nil {
-		return
-	}
-	j.span.Emit(obs.Event{Kind: obs.EvGridRebucket, N: int64(n)})
-}
-
-// traceHeapBatch emits EvHeapBatch after a batched dequeue of the pair
-// heap popped n node pairs in one heap operation.
-func (j *join) traceHeapBatch(n int) {
-	if j.span == nil {
-		return
-	}
-	j.span.Emit(obs.Event{Kind: obs.EvHeapBatch, N: int64(n)})
-}
-
 // traceWorkerSteal emits EvWorkerSteal after a parallel worker claimed a
 // batch of n node pairs from the shared frontier.
 func (j *join) traceWorkerSteal(worker int32, n int) {

@@ -134,117 +134,6 @@ func axisProb(d, c float64) float64 {
 	return math.Min(1, sum/steps)
 }
 
-// LeafScanChoice identifies a leaf-pair scanning strategy for step CP3
-// (mirrored by core.LeafScan; the model stays import-free of the engine).
-type LeafScanChoice int
-
-const (
-	// ChooseSweep is the plane-sweep scan: sort both leaves by low x and
-	// band-walk within the pruning distance.
-	ChooseSweep LeafScanChoice = iota
-	// ChooseBrute is the all-pairs scan of the paper's CP3.
-	ChooseBrute
-	// ChooseGrid is the uniform-grid hash scan with cell side equal to the
-	// pruning distance.
-	ChooseGrid
-)
-
-// String implements fmt.Stringer with the engine's option names.
-func (c LeafScanChoice) String() string {
-	switch c {
-	case ChooseBrute:
-		return "brute"
-	case ChooseGrid:
-		return "grid"
-	default:
-		return "sweep"
-	}
-}
-
-// RecommendLeafScan picks the leaf scanning strategy the model expects to
-// win for the workload, with the reasoning:
-//
-//   - Tiny leaves (effective fan-out <= 8): the brute n*m scan — both the
-//     sweep's sort and the grid's hashing cost O(n log n) / O(n) setup per
-//     scan, which a handful of distance evaluations never amortizes.
-//   - Pruning distance well below the leaf extent (d_K <= half the larger
-//     leaf side): the grid — cells of side d_K isolate a small candidate
-//     neighborhood out of each leaf, so most pairs are never touched and
-//     the 3x3 probe beats even the sweep's x-band, which still walks every
-//     entry within d_K along one axis.
-//   - Otherwise: the plane sweep — when d_K is comparable to a leaf's
-//     extent, one grid cell covers much of the leaf and the grid degrades
-//     to brute plus hashing overhead, while the sweep still halves the
-//     evaluated band on average.
-func RecommendLeafScan(p Params) (LeafScanChoice, string, error) {
-	if err := p.validate(); err != nil {
-		return ChooseSweep, "", err
-	}
-	f := p.fanout()
-	if f <= 8 {
-		return ChooseBrute, fmt.Sprintf(
-			"effective leaf fan-out %.1f (<= 8): per-scan sort/hash setup cannot amortize over so few entry pairs", f), nil
-	}
-	sA := TreeShape(p.NA, f)[0].Side
-	sB := TreeShape(p.NB, f)[0].Side
-	side := math.Max(sA, sB)
-	d := ExpectedCPDistance(p.NA, p.NB, p.Overlap, p.K)
-	if side > 0 && d/side <= 0.5 {
-		return ChooseGrid, fmt.Sprintf(
-			"expected pruning distance d_K=%.2g is %.0f%% of the leaf side %.2g (<= 50%%): grid cells isolate few candidates per probe", d, 100*d/side, side), nil
-	}
-	return ChooseSweep, fmt.Sprintf(
-		"expected pruning distance d_K=%.2g is comparable to the leaf side %.2g: grid cells would cover whole leaves, the sweep band still prunes", d, side), nil
-}
-
-// RecommendShards picks a tile count T for the scatter-gather executor
-// (internal/shard), with the reasoning. workers is the number of
-// shard-pair joins that can run concurrently (values below 1 mean 1).
-//
-// The model weighs two forces:
-//
-//   - Scatter width: with aligned quantile tiles and a pruning distance
-//     d_K far below a tile side, only the near-diagonal shard pairs
-//     survive tile-level MINMINDIST pruning, so useful concurrency
-//     grows with T roughly linearly while planning cost grows as T².
-//     A modest multiple of the worker count keeps every worker busy
-//     through the uneven tail without a quadratic plan.
-//   - Shard depth: a shard holding fewer than ~f² points of a set
-//     builds a 1–2 level R-tree, and a traversal that shallow has no
-//     internal levels left to prune — the per-shard join degrades
-//     toward a leaf-product scan. T is capped so both sides keep at
-//     least f² expected points per shard (3+ levels).
-func RecommendShards(p Params, workers int) (int, string, error) {
-	if err := p.validate(); err != nil {
-		return 1, "", err
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	f := p.fanout()
-	nMin := p.NA
-	if p.NB < nMin {
-		nMin = p.NB
-	}
-	depthCap := int(float64(nMin) / (f * f))
-	if depthCap < 2 {
-		return 1, fmt.Sprintf(
-			"smaller set holds %d points, under 2*f^2=%.0f: tiles would flatten the shard trees below 3 levels, leaving nothing to prune", nMin, 2*f*f), nil
-	}
-	t := 2 * workers
-	reason := fmt.Sprintf("2x the %d concurrent joins keeps workers busy through the uneven tail", workers)
-	if t > depthCap {
-		t = depthCap
-		reason = fmt.Sprintf("capped by shard depth: %d points per side / f^2=%.0f keeps every shard tree at 3+ levels", nMin, f*f)
-	}
-	const maxTiles = 64
-	if t > maxTiles {
-		t = maxTiles
-		reason = fmt.Sprintf("capped at %d tiles: planning cost grows with T^2 and wider scatter adds no concurrency", maxTiles)
-	}
-	return t, reason, nil
-}
-
 // Prediction reports the model's outputs.
 type Prediction struct {
 	// Accesses is the predicted number of page reads (B = 0).

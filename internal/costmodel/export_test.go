@@ -3,10 +3,8 @@ package costmodel
 import "repro/internal/geom"
 
 // Test-only exports. The model's validation tests live in the external
-// costmodel_test package — they run the live engine, and internal/core now
-// imports costmodel for the leaf-scan advice, so in-package tests would
-// form an import cycle. The unexported internals they probe are
-// re-exported here for tests only.
+// costmodel_test package and run the live engine; the unexported internals
+// they probe are re-exported here for tests only.
 var AxisProb = axisProb
 
 // MassIn exposes massIn for the histogram tests.

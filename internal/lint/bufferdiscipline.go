@@ -38,7 +38,7 @@ type DisciplineRule struct {
 // points — they assign the non-atomic auxiliary bound, offer into the
 // shared K-heap and reuse the caller-owned destination buffer. The
 // parallel engine's workers must instead pair beginExpand/finish with the
-// shared atomic bound and call scanLeavesInto against a worker-local
+// shared atomic bound and call scanLeavesSweep against a worker-local
 // K-heap; a goroutine-reachable call to the sequential pair is a data
 // race waiting for a scheduler.
 //
@@ -70,7 +70,7 @@ func NewBufferDiscipline() *BufferDiscipline {
 				Pkg:     "internal/core",
 				Type:    "join",
 				Methods: []string{"expandInto", "scanLeaves"},
-				Advice:  "these drive the sequential contract (the shared K-heap, the non-atomic bound, the caller-owned dst buffer); parallel workers use beginExpand/finish and scanLeavesInto with per-worker state",
+				Advice:  "these drive the sequential contract (the shared K-heap, the non-atomic bound, the caller-owned dst buffer); parallel workers use beginExpand/finish and scanLeavesSweep with per-worker state",
 			},
 		},
 	}

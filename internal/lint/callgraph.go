@@ -31,6 +31,7 @@ type cgCall struct {
 // cgRoot is a function started by a go statement.
 type cgRoot struct {
 	node any // *types.Func or *ast.FuncLit
+	from any // the node holding the go statement
 	pos  token.Pos
 }
 
@@ -44,6 +45,8 @@ type callgraph struct {
 	calls map[any][]cgCall
 	// roots are the functions spawned by go statements.
 	roots []cgRoot
+	// pkgs maps a node to the import path of the package declaring it.
+	pkgs map[any]string
 }
 
 // buildCallgraph constructs the callgraph over the bodies of all functions
@@ -53,6 +56,7 @@ func buildCallgraph(prog *Program) *callgraph {
 		prog:  prog,
 		edges: make(map[any][]any),
 		calls: make(map[any][]cgCall),
+		pkgs:  make(map[any]string),
 	}
 	for _, pkg := range prog.Packages {
 		info := pkg.Info
@@ -61,7 +65,7 @@ func buildCallgraph(prog *Program) *callgraph {
 				fd, ok := decl.(*ast.FuncDecl)
 				if ok && fd.Body != nil {
 					if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
-						g.walkBody(info, fn, fd.Body)
+						g.walkBody(info, fn, pkg.ImportPath, fd.Body)
 					}
 				}
 			}
@@ -72,7 +76,8 @@ func buildCallgraph(prog *Program) *callgraph {
 
 // walkBody records the calls, nested literals, method values and go
 // statements of one function body under the node `from`.
-func (g *callgraph) walkBody(info *types.Info, from any, body *ast.BlockStmt) {
+func (g *callgraph) walkBody(info *types.Info, from any, pkg string, body *ast.BlockStmt) {
+	g.pkgs[from] = pkg
 	// calleeExprs marks selector expressions that are the function part
 	// of a call, to tell a method call from a method value below (a
 	// parent CallExpr is visited before its Fun child).
@@ -81,10 +86,10 @@ func (g *callgraph) walkBody(info *types.Info, from any, body *ast.BlockStmt) {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			g.edges[from] = append(g.edges[from], n)
-			g.walkBody(info, n, n.Body)
+			g.walkBody(info, n, pkg, n.Body)
 			return false // the nested walk owns the literal's body
 		case *ast.GoStmt:
-			g.addRoot(info, body, n)
+			g.addRoot(info, from, body, n)
 			// Fall through into the call so argument expressions (and the
 			// spawned callee itself, when resolvable) are still recorded as
 			// ordinary work of the encloser.
@@ -115,14 +120,14 @@ func (g *callgraph) walkBody(info *types.Info, from any, body *ast.BlockStmt) {
 // through a local function variable (`go w()`) is resolved through the
 // reaching definitions of the spawn site: every definition of w that is
 // a method value or a declared function contributes a root.
-func (g *callgraph) addRoot(info *types.Info, body *ast.BlockStmt, stmt *ast.GoStmt) {
+func (g *callgraph) addRoot(info *types.Info, from any, body *ast.BlockStmt, stmt *ast.GoStmt) {
 	fun := ast.Unparen(stmt.Call.Fun)
 	if lit, ok := fun.(*ast.FuncLit); ok {
-		g.roots = append(g.roots, cgRoot{node: lit, pos: stmt.Go})
+		g.roots = append(g.roots, cgRoot{node: lit, from: from, pos: stmt.Go})
 		return
 	}
 	if fn := staticCallee(info, stmt.Call); fn != nil {
-		g.roots = append(g.roots, cgRoot{node: fn, pos: stmt.Go})
+		g.roots = append(g.roots, cgRoot{node: fn, from: from, pos: stmt.Go})
 		return
 	}
 	id, ok := fun.(*ast.Ident)
@@ -143,15 +148,15 @@ func (g *callgraph) addRoot(info *types.Info, body *ast.BlockStmt, stmt *ast.GoS
 		case *ast.SelectorExpr:
 			if sel, ok := info.Selections[rhs]; ok && sel.Kind() == types.MethodVal {
 				if fn, ok := sel.Obj().(*types.Func); ok {
-					g.roots = append(g.roots, cgRoot{node: fn, pos: stmt.Go})
+					g.roots = append(g.roots, cgRoot{node: fn, from: from, pos: stmt.Go})
 				}
 			}
 		case *ast.Ident:
 			if fn, ok := info.Uses[rhs].(*types.Func); ok {
-				g.roots = append(g.roots, cgRoot{node: fn, pos: stmt.Go})
+				g.roots = append(g.roots, cgRoot{node: fn, from: from, pos: stmt.Go})
 			}
 		case *ast.FuncLit:
-			g.roots = append(g.roots, cgRoot{node: rhs, pos: stmt.Go})
+			g.roots = append(g.roots, cgRoot{node: rhs, from: from, pos: stmt.Go})
 		}
 	}
 }
@@ -180,12 +185,32 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
+// queryEngine is the package whose exported API the goroutine walk treats as
+// opaque when entered from another package. A goroutine of the shard
+// executor (or of any other caller) that invokes a query entry point runs
+// a complete query on state the entry point builds for that call alone
+// (core.newJoin): sequential by contract, whatever spawned the caller. What
+// the engine itself shares across goroutines it shares below its own go
+// statements, which are roots of this walk in their own right.
+const queryEngine = "internal/core"
+
+// entersEngine reports whether the edge from → fn is a call from outside
+// the query engine into its exported API.
+func (g *callgraph) entersEngine(from any, fn *types.Func) bool {
+	return fn.Exported() && fn.Pkg() != nil && fn.Pkg().Path() != g.pkgs[from] &&
+		pathInScope(fn.Pkg().Path(), []string{queryEngine})
+}
+
 // reachableFromGo runs a BFS from every go-statement root and returns, for
-// each reachable node, the root spawn site that first reached it.
+// each reachable node, the root spawn site that first reached it. The walk
+// stops at the query engine's API (see queryEngine).
 func (g *callgraph) reachableFromGo() map[any]token.Pos {
 	reach := make(map[any]token.Pos)
 	var queue []any
 	for _, r := range g.roots {
+		if fn, ok := r.node.(*types.Func); ok && g.entersEngine(r.from, fn) {
+			continue
+		}
 		if _, ok := reach[r.node]; !ok {
 			reach[r.node] = r.pos
 			queue = append(queue, r.node)
@@ -195,6 +220,9 @@ func (g *callgraph) reachableFromGo() map[any]token.Pos {
 		n := queue[0]
 		queue = queue[1:]
 		for _, succ := range g.edges[n] {
+			if fn, ok := succ.(*types.Func); ok && g.entersEngine(n, fn) {
+				continue
+			}
 			if _, ok := reach[succ]; !ok {
 				reach[succ] = reach[n]
 				queue = append(queue, succ)

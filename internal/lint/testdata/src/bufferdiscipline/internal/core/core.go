@@ -2,7 +2,7 @@
 // falls inside the bufferdiscipline scope for the join rule: the
 // sequential drivers' expandInto/scanLeaves on any path reachable from a
 // go statement must be flagged, the per-worker beginExpand/finish and
-// scanLeavesInto pair must not, and sequential use stays legal.
+// scanLeavesSweep pair must not, and sequential use stays legal.
 package core
 
 // join mimics the engine's join state: a non-atomic bound and a shared
@@ -32,8 +32,8 @@ func (j *join) beginExpand(p nodePair) expansion { return expansion{j: j} }
 
 func (e expansion) finish(dst []nodePair) []nodePair { return dst }
 
-// scanLeavesInto scans against a worker-local heap; parallel-safe.
-func (j *join) scanLeavesInto(local *[]float64, d float64) {
+// scanLeavesSweep scans against a worker-local heap; parallel-safe.
+func (j *join) scanLeavesSweep(local *[]float64, d float64) {
 	*local = append(*local, d)
 }
 
@@ -61,7 +61,7 @@ func goodWorker(j *join) {
 	var local []float64
 	e := j.beginExpand(nodePair{minminSq: 3})
 	_ = e.finish(nil)
-	j.scanLeavesInto(&local, 3)
+	j.scanLeavesSweep(&local, 3)
 }
 
 // sequentialDriver is never spawned, so its calls are the legal
@@ -69,4 +69,10 @@ func goodWorker(j *join) {
 func sequentialDriver(j *join) {
 	_ = j.expandInto(nodePair{minminSq: 4}, nil)
 	j.scanLeaves(4)
+}
+
+// Query is the engine's exported entry point: a sequential query on a join
+// of its own, legal from any other package's goroutine (see ../shard).
+func Query() {
+	sequentialDriver(new(join))
 }

@@ -152,7 +152,7 @@ func (em *EngineMetrics) RecordShards(rows []ShardRecord) {
 		em.reg.Counter("cpq_shard_pairs_pruned_total",
 			"Planned shard-pair joins the broadcast bound eliminated before dispatch.", l).Add(r.Pruned)
 		em.reg.Counter("cpq_shard_pairs_joined_total",
-			"Shard-pair joins dispatched through the transport for this shard.", l).Add(r.Joined)
+			"Shard-pair joins dispatched for this shard.", l).Add(r.Joined)
 		em.reg.Counter("cpq_shard_accesses_total",
 			"Disk accesses (buffer-pool misses) charged to this shard's pools.", l).Add(r.Accesses)
 		em.reg.Counter("cpq_shard_node_cache_hits_total",

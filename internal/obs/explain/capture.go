@@ -28,7 +28,6 @@ type Capture struct {
 	counts [int(obsKindCount)]int64
 	spans  map[uint64]*spanState
 	order  []uint64 // span ids in first-seen order
-	merged []SpanNode
 	dur    int64
 	nres   int
 	kth    float64
@@ -125,13 +124,12 @@ func (c *Capture) SetPlan(p Plan) {
 // SetPlanShards records the sharded layout on the plan — called once the
 // partitioner has fixed the tile boundaries, separately from SetPlan
 // because the facade knows the plan before the tiles exist.
-func (c *Capture) SetPlanShards(shards int, transport string, tiles []Tile) {
+func (c *Capture) SetPlanShards(shards int, tiles []Tile) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	c.plan.Shards = shards
-	c.plan.Transport = transport
 	c.plan.Tiles = tiles
 	c.mu.Unlock()
 }
@@ -181,29 +179,6 @@ func (c *Capture) SetResult(durNS int64, stats Stats, results int, kth float64) 
 	c.mu.Unlock()
 }
 
-// MergeSpans grafts span trees captured on another node (a wire
-// transport's JoinResult.Spans) into this capture's forest. The nodes are
-// marked Remote and keep their own ids; Snapshot links them under local
-// spans by parent id when the remote side propagated the TraceContext.
-func (c *Capture) MergeSpans(nodes []SpanNode) {
-	if c == nil || len(nodes) == 0 {
-		return
-	}
-	c.mu.Lock()
-	for _, n := range nodes {
-		markRemote(&n)
-		c.merged = append(c.merged, n)
-	}
-	c.mu.Unlock()
-}
-
-func markRemote(n *SpanNode) {
-	n.Remote = true
-	for i := range n.Children {
-		markRemote(&n.Children[i])
-	}
-}
-
 // Snapshot assembles the explain report collected so far. The span forest
 // is rebuilt from the trace stream: children attach under their parent
 // span when it was captured locally; roots (and orphans whose parent ran
@@ -249,13 +224,13 @@ func sortedPairs(pairs []ShardPair) []ShardPair {
 	return out
 }
 
-// buildForest links captured spans into trees by parent id and grafts
-// merged remote forests under their local parents. Caller holds c.mu.
+// buildForest links captured spans into trees by parent id. Caller holds
+// c.mu.
 func (c *Capture) buildForest() []SpanNode {
-	if len(c.order) == 0 && len(c.merged) == 0 {
+	if len(c.order) == 0 {
 		return nil
 	}
-	// Group child ids under local parents, preserving first-seen order.
+	// Group child ids under their parents, preserving first-seen order.
 	children := make(map[uint64][]uint64)
 	var roots []uint64
 	for _, id := range c.order {
@@ -274,26 +249,11 @@ func (c *Capture) buildForest() []SpanNode {
 		for _, cid := range children[id] {
 			n.Children = append(n.Children, build(cid))
 		}
-		for _, m := range c.merged {
-			if m.Parent == id {
-				n.Children = append(n.Children, m)
-			}
-		}
 		return n
 	}
 	out := make([]SpanNode, 0, len(roots))
 	for _, id := range roots {
 		out = append(out, build(id))
-	}
-	// Remote trees whose parent was not captured locally surface as roots.
-	attached := make(map[uint64]bool)
-	for id := range c.spans {
-		attached[id] = true
-	}
-	for _, m := range c.merged {
-		if !attached[m.Parent] {
-			out = append(out, m)
-		}
 	}
 	return out
 }

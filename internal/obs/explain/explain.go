@@ -1,16 +1,14 @@
 // Package explain is the engine's per-query EXPLAIN/ANALYZE subsystem: a
-// Capture that records one query's plan (algorithm, advisor decisions with
-// their costmodel inputs, shard layout, transport) and execution (phase
-// wall breakdown, per-shard-pair dispatch decisions, bound-tightening
-// trajectory, span tree, full work counters), and renders the snapshot as
-// a text tree or canonical JSON.
+// Capture that records one query's plan (algorithm, K, workers, shard
+// layout) and execution (phase wall breakdown, per-shard-pair dispatch
+// decisions, bound-tightening trajectory, span tree, full work counters),
+// and renders the snapshot as a text tree or canonical JSON.
 //
-// The package sits beside the rest of internal/obs: it imports only obs,
-// costmodel and the standard library, so core, shard and the facade can
-// all feed it without cycles. A Capture doubles as an obs.Tracer, so one
-// value both collects structured rows from the gather side and rebuilds
-// the span tree from the trace stream — including spans opened on remote
-// nodes, which wire transports return as SpanNode forests for MergeSpans.
+// The package sits beside the rest of internal/obs: it imports only obs
+// and the standard library, so core, shard and the facade can all feed it
+// without cycles. A Capture doubles as an obs.Tracer, so one value both
+// collects structured rows from the gather side and rebuilds the span tree
+// from the trace stream.
 //
 // Everything is nil-safe in the PR 5 disabled-hook discipline: every
 // method on a nil *Capture returns immediately, so explain-off query paths
@@ -18,11 +16,7 @@
 // (enforced by the zero-alloc tests and the cpqlint obshooks check).
 package explain
 
-import (
-	"encoding/json"
-
-	"repro/internal/costmodel"
-)
+import "encoding/json"
 
 // Explain is one query's complete EXPLAIN/ANALYZE snapshot.
 //
@@ -53,18 +47,10 @@ type Plan struct {
 	K int `json:"k"`
 	// Workers is the resolved parallel worker count (1 = sequential).
 	Workers int `json:"workers"`
-	// LeafScan is the chosen leaf-scan name (core option Stringer).
-	LeafScan string `json:"leaf_scan"`
-	// Decisions are the advisor recommendations that shaped the plan, with
-	// the costmodel inputs that produced them. Empty when the caller set
-	// every knob explicitly.
-	Decisions []costmodel.Decision `json:"decisions,omitempty"`
 	// Shards is the tile count T of a sharded execution (0 or 1 =
-	// unsharded); Transport names the shard-join transport ("inproc", a
-	// wire transport's name); Tiles are the shard tile boundaries.
-	Shards    int    `json:"shards,omitempty"`
-	Transport string `json:"transport,omitempty"`
-	Tiles     []Tile `json:"tiles,omitempty"`
+	// unsharded); Tiles are the shard tile boundaries.
+	Shards int    `json:"shards,omitempty"`
+	Tiles  []Tile `json:"tiles,omitempty"`
 }
 
 // Tile is one shard's tile boundary: the union MBR of the shard's data
@@ -106,7 +92,7 @@ type Exec struct {
 	Results     int     `json:"results"`
 	KthDistance float64 `json:"kth_distance"`
 	// Spans is the query's span forest: the gather-side query span with
-	// its shard-join children, including spans merged from remote nodes.
+	// its shard-join children.
 	Spans []SpanNode `json:"spans,omitempty"`
 }
 
@@ -195,9 +181,7 @@ type Stats struct {
 	NodeCacheMisses    int64 `json:"node_cache_misses"`
 }
 
-// SpanNode is one span of the query's trace, with its children. Wire
-// transports return the remote side's forest in JoinResult.Spans; the
-// gather side grafts it under the query span via MergeSpans.
+// SpanNode is one span of the query's trace, with its children.
 type SpanNode struct {
 	// Span is the span's id, Trace the distributed trace id it belongs
 	// to, Parent the id of the span it was started from (0 for roots).
@@ -213,12 +197,10 @@ type SpanNode struct {
 	// FinalBound is the final pruning bound at EvQueryEnd (Unbounded when
 	// never tightened below +Inf); Results the span's result count; Err
 	// the error text, empty on success.
-	FinalBound float64 `json:"final_bound"`
-	Results    int64   `json:"results"`
-	Err        string  `json:"err,omitempty"`
-	// Remote marks spans merged from another node's capture.
-	Remote   bool       `json:"remote,omitempty"`
-	Children []SpanNode `json:"children,omitempty"`
+	FinalBound float64    `json:"final_bound"`
+	Results    int64      `json:"results"`
+	Err        string     `json:"err,omitempty"`
+	Children   []SpanNode `json:"children,omitempty"`
 }
 
 // JSON renders the snapshot in its canonical byte-stable form: fixed field

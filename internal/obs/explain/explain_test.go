@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/costmodel"
 	"repro/internal/obs"
 )
 
@@ -22,18 +21,7 @@ func sampleExplain() *Explain {
 			Algorithm: "HEAP",
 			K:         8,
 			Workers:   4,
-			LeafScan:  "grid",
-			Decisions: []costmodel.Decision{{
-				Subject: "leaf_scan", Choice: "grid",
-				Reason: "expected pruning distance well below the leaf side",
-				NA:     10000, NB: 10000, Overlap: 0.8, K: 8, Fanout: 14.7,
-			}, {
-				Subject: "shards", Choice: "4",
-				Reason: "2x the 2 concurrent joins keeps workers busy",
-				NA:     10000, NB: 10000, Overlap: 0.8, K: 8, Fanout: 14.7,
-			}},
 			Shards:    4,
-			Transport: "inproc",
 			Tiles: []Tile{
 				{Index: 0, MinX: 0, MinY: 0, MaxX: 0.25, MaxY: 1},
 				{Index: 1, MinX: 0.25, MinY: 0, MaxX: 0.5, MaxY: 1},
@@ -86,7 +74,7 @@ func sampleExplain() *Explain {
 					{Span: 18, Trace: 17, Parent: 17, Label: "HEAP k=8", DurationNS: 2_000_000,
 						Events: 60, FinalBound: 0.02, Results: 8},
 					{Span: 19, Trace: 17, Parent: 17, Label: "HEAP k=8", DurationNS: 1_500_000,
-						Events: 44, FinalBound: 0.002, Results: 3, Remote: true},
+						Events: 44, FinalBound: 0.002, Results: 3},
 				},
 			}},
 		},
@@ -165,35 +153,6 @@ func TestCaptureSpanForest(t *testing.T) {
 	}
 }
 
-// TestCaptureMergeSpans grafts a remote forest under the local query span
-// (the wire-transport path) and checks orphan handling.
-func TestCaptureMergeSpans(t *testing.T) {
-	c := New(nil)
-	root := obs.StartSpan(c, "query")
-	rc := root.Context()
-	c.MergeSpans([]SpanNode{{
-		Span: 9001, Trace: rc.TraceID, Parent: rc.SpanID, Label: "remote join",
-		Children: []SpanNode{{Span: 9002, Trace: rc.TraceID, Parent: 9001, Label: "inner"}},
-	}})
-	c.MergeSpans([]SpanNode{{Span: 7777, Trace: 42, Parent: 4242, Label: "orphan"}})
-	root.End(1, 1, "")
-
-	snap := c.Snapshot()
-	if len(snap.Exec.Spans) != 2 {
-		t.Fatalf("got %d roots, want query + orphan: %+v", len(snap.Exec.Spans), snap.Exec.Spans)
-	}
-	q := snap.Exec.Spans[0]
-	if len(q.Children) != 1 || !q.Children[0].Remote || q.Children[0].Span != 9001 {
-		t.Fatalf("remote child not grafted: %+v", q.Children)
-	}
-	if !q.Children[0].Children[0].Remote {
-		t.Fatal("remote marking must recurse")
-	}
-	if snap.Exec.Spans[1].Span != 7777 || !snap.Exec.Spans[1].Remote {
-		t.Fatalf("orphan = %+v", snap.Exec.Spans[1])
-	}
-}
-
 // TestCaptureTee checks a user tracer still sees every event under
 // -explain.
 func TestCaptureTee(t *testing.T) {
@@ -228,7 +187,6 @@ func TestNilCaptureZeroAlloc(t *testing.T) {
 		c.AddShardPair(ShardPair{A: 1, B: 2})
 		c.SetShards(nil)
 		c.SetResult(1, Stats{}, 1, 0.5)
-		c.MergeSpans(nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil capture allocated %.1f/op, want 0", allocs)
@@ -242,8 +200,7 @@ func TestRender(t *testing.T) {
 		"QUERY HEAP k=8 shards=4",
 		"plan",
 		"algorithm: HEAP  k=8  workers=4",
-		"advisor leaf_scan → grid",
-		"shards: 4 tiles via inproc",
+		"shards: 4 tiles",
 		"tile 3: (empty)",
 		"execution",
 		"phases: partition 1.2ms",
@@ -253,7 +210,6 @@ func TestRender(t *testing.T) {
 		"stats: 280 accesses",
 		"results: 8 pairs",
 		"trace 17 · span 17",
-		"remote",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render output missing %q:\n%s", want, out)
@@ -285,7 +241,7 @@ func FuzzExplainRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add([]byte(`{"plan":{"label":"STD k=1","algorithm":"STD","k":1,"workers":1,"leaf_scan":"sweep"},"exec":{"duration_ns":1,"stats":{"accesses":2,"reads_p":1,"reads_q":1,"buffer_hits":0,"node_pairs":1,"sub_pairs_generated":0,"sub_pairs_pruned":0,"point_pairs":4,"max_queue_size":0,"node_cache_hits":0,"node_cache_misses":0},"results":1,"kth_distance":0.25}}`))
+	f.Add([]byte(`{"plan":{"label":"STD k=1","algorithm":"STD","k":1,"workers":1},"exec":{"duration_ns":1,"stats":{"accesses":2,"reads_p":1,"reads_q":1,"buffer_hits":0,"node_pairs":1,"sub_pairs_generated":0,"sub_pairs_pruned":0,"point_pairs":4,"max_queue_size":0,"node_cache_hits":0,"node_cache_misses":0},"results":1,"kth_distance":0.25}}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var e Explain

@@ -20,14 +20,9 @@ func (e *Explain) Render() string {
 	b.WriteString("├─ plan\n")
 	planLines := []string{
 		fmt.Sprintf("algorithm: %s  k=%d  workers=%d", e.Plan.Algorithm, e.Plan.K, e.Plan.Workers),
-		fmt.Sprintf("leaf_scan: %s", e.Plan.LeafScan),
-	}
-	for _, d := range e.Plan.Decisions {
-		planLines = append(planLines, fmt.Sprintf("advisor %s → %s — %s (n_a=%d n_b=%d overlap=%.2f k=%d fanout=%.1f)",
-			d.Subject, d.Choice, d.Reason, d.NA, d.NB, d.Overlap, d.K, d.Fanout))
 	}
 	if e.Plan.Shards > 1 {
-		planLines = append(planLines, fmt.Sprintf("shards: %d tiles via %s", e.Plan.Shards, e.Plan.Transport))
+		planLines = append(planLines, fmt.Sprintf("shards: %d tiles", e.Plan.Shards))
 		for _, t := range e.Plan.Tiles {
 			if t.Empty {
 				planLines = append(planLines, fmt.Sprintf("tile %d: (empty)", t.Index))
@@ -107,16 +102,12 @@ func spanLines(s SpanNode, depth int) []string {
 	if depth == 0 {
 		head = fmt.Sprintf("trace %d · span", s.Trace)
 	}
-	where := ""
-	if s.Remote {
-		where = " remote"
-	}
 	status := ""
 	if s.Err != "" {
 		status = " err=" + s.Err
 	}
-	lines := []string{fmt.Sprintf("%s%s %d%s %q %s, %d events, %d results, final bound %s%s",
-		indent, head, s.Span, where, s.Label, fmtDur(s.DurationNS), s.Events, s.Results,
+	lines := []string{fmt.Sprintf("%s%s %d %q %s, %d events, %d results, final bound %s%s",
+		indent, head, s.Span, s.Label, fmtDur(s.DurationNS), s.Events, s.Results,
 		fmtKey(s.FinalBound), status)}
 	for _, c := range s.Children {
 		lines = append(lines, spanLines(c, depth+1)...)

@@ -56,18 +56,6 @@ const (
 	EvWorkerSteal
 	// EvPoolEvict records a buffer-pool page eviction; N is the page id.
 	EvPoolEvict
-	// EvLeafGridPruned records one grid-hash leaf scan; N is the number of
-	// point pairs the grid skipped relative to the brute all-pairs scan
-	// (negative only if cell aliasing made it evaluate extra pairs, which
-	// the slack factor makes vanishingly rare).
-	EvLeafGridPruned
-	// EvGridRebucket records one δ-hysteresis re-bucketing of a grid leaf
-	// scan: the pruning bound shrank enough that the cells were rebuilt
-	// with a smaller side. N is the number of re-hashed entries.
-	EvGridRebucket
-	// EvHeapBatch records one batched dequeue of the HEAP algorithm's pair
-	// heap (Options.BatchExpand); N is the batch size.
-	EvHeapBatch
 	// EvShardPlan records the shard executor planning its work list; N is
 	// the number of shard pairs planned (non-empty tile products).
 	EvShardPlan
@@ -111,12 +99,6 @@ func (k EventKind) String() string {
 		return "worker_steal"
 	case EvPoolEvict:
 		return "pool_evict"
-	case EvLeafGridPruned:
-		return "leaf_grid_pruned"
-	case EvGridRebucket:
-		return "grid_rebucket"
-	case EvHeapBatch:
-		return "heap_batch"
 	case EvShardPlan:
 		return "shard_plan"
 	case EvShardPruned:
@@ -212,11 +194,11 @@ type Tracer interface {
 // spanIDs issues process-unique span ids.
 var spanIDs atomic.Uint64
 
-// TraceContext identifies one span's position in a distributed trace: the
-// trace id shared by every span of the query and the span's own id. It is
-// the value that crosses process boundaries — the shard executor hands its
-// query span's context through Transport.Join so remote joins start child
-// spans under the same trace id (three uint64s on a wire, no pointers).
+// TraceContext identifies one span's position in a trace: the trace id
+// shared by every span of the query and the span's own id. The shard
+// executor hands its query span's context to every shard join
+// (core.Options.Trace) so the joins start child spans under the same trace
+// id; being two plain integers, it could cross a process boundary as well.
 // The zero value means "no parent": StartSpanFrom then opens a fresh root
 // trace, so code that never propagates context behaves exactly as before.
 type TraceContext struct {

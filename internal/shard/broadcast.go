@@ -20,10 +20,9 @@ import "repro/internal/core"
 //     still-queued shard pair's tile-level MINMINDIST against it at
 //     dispatch time.
 //
-// In process, both verbs are one atomic CAS-min (core.SharedBound); a
-// wire transport replicates them as idempotent, commutative
-// min-messages — late or re-ordered delivery only delays pruning, never
-// breaks correctness.
+// Both verbs are one atomic CAS-min (core.SharedBound): idempotent and
+// commutative, so a late or re-ordered publication only delays pruning,
+// never breaks correctness.
 type BoundBroadcaster struct {
 	bound *core.SharedBound
 }

@@ -18,22 +18,19 @@ import (
 
 // Executor runs one K-CPQ as scatter-gather over a shard set: it plans
 // the shard-pair joins from the MINMINDIST between tile MBRs, dispatches
-// them closest-first to a worker pool through the Transport, couples all
-// in-flight joins with a BoundBroadcaster, and K-merges the partial
-// results into the exact global answer.
+// them closest-first to a worker pool, couples all in-flight joins with a
+// BoundBroadcaster, and K-merges the partial results into the exact
+// global answer.
 type Executor struct {
 	// Set is the partitioned data (required).
 	Set *Set
-	// Transport runs the shard-pair joins; nil means InProc.
-	Transport Transport
 	// Workers bounds concurrent shard-pair joins; 0 means GOMAXPROCS.
 	// The count is additionally capped by the planned pair count.
 	Workers int
 	// Capture, when non-nil, receives the execution's EXPLAIN/ANALYZE
 	// rows: phase timings, one row per planned shard pair (joined or
-	// pruned, with MINMINDIST vs. the bound at decision time), per-shard
-	// work attribution, and remote span forests returned by wire
-	// transports. nil — the default — skips all capture work; every
+	// pruned, with MINMINDIST vs. the bound at decision time) and per-shard
+	// work attribution. nil — the default — skips all capture work; every
 	// capture point costs one pointer comparison.
 	Capture *explain.Capture
 }
@@ -76,8 +73,6 @@ type Result struct {
 	PrunedPairs  int
 	// FinalBound is the broadcast bound at the end, as a distance.
 	FinalBound float64
-	// Transport names the transport that ran the joins.
-	Transport string
 	// Shards holds one report row per shard, in tile order.
 	Shards []ShardReport
 }
@@ -130,9 +125,9 @@ func (e *Executor) Run(k int, opts core.Options) (Result, error) {
 // contribute to the global top K and is skipped whole — the tile-level
 // analogue of the engine's node-pair pruning.
 //
-// The executor's span opens as a child of opts.Trace, and its own
-// context travels to every shard join through Transport.Join, so the
-// joins' spans — local or remote — correlate under one trace id.
+// The executor's span opens as a child of opts.Trace, and every shard
+// join opens its span as a child of the executor's, so the joins' spans
+// correlate under one trace id.
 func (e *Executor) RunContext(ctx context.Context, k int, opts core.Options) (Result, error) {
 	if e.Set == nil || len(e.Set.shards) == 0 {
 		return Result{}, fmt.Errorf("shard: executor has no shard set")
@@ -182,19 +177,14 @@ func (e *Executor) RunContext(ctx context.Context, k int, opts core.Options) (Re
 		}
 	}
 
-	tr := e.Transport
-	if tr == nil {
-		tr = InProc{}
-	}
-	span := startExecSpan(opts.Tracer, opts.Trace, tiles, k, tr)
+	span := startExecSpan(opts.Tracer, opts.Trace, tiles, k)
 	traceShardPlan(span, len(plan))
-	// tc is the context every shard join starts its span under — through
-	// the transport, possibly across a process boundary.
-	tc := span.Context()
 
 	br := NewBoundBroadcaster()
 	jopts := opts
 	jopts.SharedBound = br.Bound()
+	// Every shard join starts its span under the executor's.
+	jopts.Trace = span.Context()
 
 	// I/O and cache accounting happens here, not per join: concurrent
 	// joins share each shard's pools, so per-join deltas double-count.
@@ -224,7 +214,7 @@ func (e *Executor) RunContext(ctx context.Context, k int, opts core.Options) (Re
 		wg.Add(1)
 		go func(worker int32) {
 			defer wg.Done()
-			e.work(ctx, worker, st, plan, tr, br, jopts, k, span, tc)
+			e.work(ctx, worker, st, plan, br, jopts, k, span)
 		}(int32(w))
 	}
 	wg.Wait()
@@ -243,7 +233,6 @@ func (e *Executor) RunContext(ctx context.Context, k int, opts core.Options) (Re
 		PlannedPairs: len(plan),
 		PrunedPairs:  st.pruned,
 		FinalBound:   metric.KeyToDist(br.Load()),
-		Transport:    tr.String(),
 		Shards:       st.rows,
 	}
 	for i := range st.statsParts {
@@ -319,8 +308,8 @@ func recordShards(ec *explain.Capture, em *obs.EngineMetrics, rows []ShardReport
 }
 
 // work is one executor worker: claim the next planned pair, re-check it
-// against the broadcast bound, and run it through the transport.
-func (e *Executor) work(ctx context.Context, worker int32, st *runState, plan []planPair, tr Transport, br *BoundBroadcaster, jopts core.Options, k int, span *obs.Span, tc obs.TraceContext) {
+// against the broadcast bound, and join it.
+func (e *Executor) work(ctx context.Context, worker int32, st *runState, plan []planPair, br *BoundBroadcaster, jopts core.Options, k int, span *obs.Span) {
 	shards := e.Set.shards
 	tiles := len(shards)
 	capOn := e.Capture.Enabled()
@@ -361,7 +350,7 @@ func (e *Executor) work(ctx context.Context, worker int32, st *runState, plan []
 		if capOn {
 			tJoin = time.Now()
 		}
-		jr, err := tr.Join(ctx, tc, shards[p.a].A, shards[p.b].B, k, jopts)
+		pairs, stats, err := core.KClosestPairsContext(ctx, shards[p.a].A, shards[p.b].B, k, jopts)
 		if err != nil {
 			st.fail(err)
 			return
@@ -372,18 +361,17 @@ func (e *Executor) work(ctx context.Context, worker int32, st *runState, plan []
 				MinMinDist: explain.Key(p.minmin), Bound: explain.Key(bound),
 				Worker:     int(worker),
 				DurationNS: time.Since(tJoin).Nanoseconds(),
-				Results:    len(jr.Pairs),
-				Accesses:   jr.Stats.Accesses(),
-				NodePairs:  jr.Stats.NodePairsProcessed,
-				PointPairs: jr.Stats.PointPairsCompared,
+				Results:    len(pairs),
+				Accesses:   stats.Accesses(),
+				NodePairs:  stats.NodePairsProcessed,
+				PointPairs: stats.PointPairsCompared,
 			})
-			e.Capture.MergeSpans(jr.Spans)
 		}
 		sample := jopts.Metric.KeyToDist(br.Load())
 
 		st.mu.Lock()
-		st.results[idx] = jr.Pairs
-		st.statsParts[idx] = jr.Stats
+		st.results[idx] = pairs
+		st.statsParts[idx] = stats
 		st.rows[p.a].BoundTrajectory = append(st.rows[p.a].BoundTrajectory, sample)
 		if p.b != p.a {
 			st.rows[p.b].BoundTrajectory = append(st.rows[p.b].BoundTrajectory, sample)

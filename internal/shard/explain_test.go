@@ -1,14 +1,12 @@
 package shard
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/obs"
 	"repro/internal/obs/explain"
-	"repro/internal/rtree"
 )
 
 // TestExecutorExplainCapture runs a sharded query with an explain capture
@@ -126,77 +124,6 @@ func TestExecutorExplainCapture(t *testing.T) {
 	}
 }
 
-// loopback is a test Transport that simulates a wire hop: it strips every
-// process-local pointer from the options (tracer, metrics, slow log —
-// exactly what cannot be marshaled), runs the join with a fresh remote
-// explain capture, and returns the remote span forest, as the Transport
-// wire contract specifies. The shared bound pointer is kept: a real wire
-// transport proxies it with min-messages, which the in-process pointer
-// models faithfully for correctness purposes.
-type loopback struct{}
-
-func (loopback) Join(ctx context.Context, tc obs.TraceContext, a, b *rtree.Tree, k int, opts core.Options) (JoinResult, error) {
-	remote := explain.New(nil)
-	opts.Tracer = remote
-	opts.Metrics = nil
-	opts.SlowLog = nil
-	opts.Trace = tc
-	pairs, stats, err := core.KClosestPairsContext(ctx, a, b, k, opts)
-	if err != nil {
-		return JoinResult{}, err
-	}
-	return JoinResult{Pairs: pairs, Stats: stats, Spans: remote.Snapshot().Exec.Spans}, nil
-}
-
-func (loopback) String() string { return "loopback" }
-
-// TestTransportTraceCorrelation is the cross-process acceptance check:
-// joins run behind a wire-style transport whose spans are captured on
-// the "remote" side and merged back, and the merged tree still carries
-// the gather-side query span's trace id end to end.
-func TestTransportTraceCorrelation(t *testing.T) {
-	ptsA := dataset.Uniform(923, 800)
-	ptsB := dataset.Uniform(924, 800)
-	c := explain.New(nil)
-	set, err := Partition(items(ptsA), items(ptsB), Config{Tiles: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := set.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	ex := Executor{Set: set, Workers: 2, Transport: loopback{}, Capture: c}
-	res, err := ex.Run(5, core.Options{Algorithm: core.Heap, Tracer: c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runUnsharded(t, ptsA, ptsB, 5, core.Options{Algorithm: core.Heap})
-	comparePairs(t, want, res.Pairs)
-
-	snap := c.Snapshot()
-	if len(snap.Exec.Spans) != 1 {
-		t.Fatalf("got %d root spans, want 1", len(snap.Exec.Spans))
-	}
-	root := snap.Exec.Spans[0]
-	joined := res.PlannedPairs - res.PrunedPairs
-	if len(root.Children) != joined {
-		t.Fatalf("merged children: want %d, got %d", joined, len(root.Children))
-	}
-	for _, child := range root.Children {
-		if !child.Remote {
-			t.Errorf("span %d not marked remote", child.Span)
-		}
-		if child.Trace != root.Trace {
-			t.Errorf("remote span %d carries trace %d, want the query trace %d", child.Span, child.Trace, root.Trace)
-		}
-		if child.Parent != root.Span {
-			t.Errorf("remote span %d has parent %d, want the query span %d", child.Span, child.Parent, root.Span)
-		}
-	}
-}
-
 // TestShardDisabledHooksZeroAlloc pins the disabled-hook discipline for
 // this package's capture points: with a nil span and a nil capture, the
 // executor's emit helpers and capture calls allocate nothing.
@@ -211,7 +138,6 @@ func TestShardDisabledHooksZeroAlloc(t *testing.T) {
 		c.Phase("join", 123)
 		c.AddShardPair(explain.ShardPair{A: 1, B: 2, Status: explain.StatusPruned})
 		c.SetShards(nil)
-		c.MergeSpans(nil)
 		_ = c.Enabled()
 		_ = sp.Context()
 	})

@@ -6,15 +6,6 @@
 // MINMINDIST between tile MBRs and coupled through a broadcast
 // tighten-only bound (core.SharedBound) — the distributed analogue of
 // the parallel engine's per-query atomic bound (DESIGN.md §13).
-//
-// The executor reaches shard joins only through the Transport
-// interface. That boundary is the package's RPC seam — the in-process
-// transport runs core.KClosestPairsContext directly, a wire transport
-// would marshal the same call to another node — and it is also the
-// static isolation boundary: each dispatched join owns its per-join
-// state exclusively (the sequential-engine contract), and the dynamic
-// dispatch keeps the analyzer's goroutine-reachability out of the
-// engine's sequential hot path.
 package shard
 
 import (

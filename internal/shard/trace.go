@@ -14,11 +14,11 @@ import (
 // startExecSpan opens the executor's query span as a child of the
 // caller's trace context (nil tracer → nil span, on which every emit
 // no-ops). With a zero parent the span opens a fresh root trace.
-func startExecSpan(tr obs.Tracer, parent obs.TraceContext, tiles, k int, t Transport) *obs.Span {
+func startExecSpan(tr obs.Tracer, parent obs.TraceContext, tiles, k int) *obs.Span {
 	if tr == nil {
 		return nil
 	}
-	return obs.StartSpanFrom(tr, parent, fmt.Sprintf("shard-exec tiles=%d k=%d transport=%s", tiles, k, t.String()))
+	return obs.StartSpanFrom(tr, parent, fmt.Sprintf("shard-exec tiles=%d k=%d", tiles, k))
 }
 
 func traceShardPlan(sp *obs.Span, planned int) {

@@ -35,9 +35,6 @@ const (
 	EvCacheMiss       = obs.EvCacheMiss
 	EvWorkerSteal     = obs.EvWorkerSteal
 	EvPoolEvict       = obs.EvPoolEvict
-	EvLeafGridPruned  = obs.EvLeafGridPruned
-	EvGridRebucket    = obs.EvGridRebucket
-	EvHeapBatch       = obs.EvHeapBatch
 	EvShardPlan       = obs.EvShardPlan
 	EvShardPruned     = obs.EvShardPruned
 	EvShardJoin       = obs.EvShardJoin

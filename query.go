@@ -77,18 +77,6 @@ const (
 	BubbleSort    = sortx.Bubble
 )
 
-// LeafScan selects how leaf pairs are scanned for candidate point pairs.
-type LeafScan = core.LeafScan
-
-// Leaf scanning strategies; the plane-sweep scan is the default, the
-// brute scan reproduces the paper's original all-pairs CP3, and the grid
-// scan hashes leaf points into pruning-distance-sized cells.
-const (
-	LeafScanSweep = core.LeafScanSweep
-	LeafScanBrute = core.LeafScanBrute
-	LeafScanGrid  = core.LeafScanGrid
-)
-
 // KPruning selects the K>1 pruning bound (paper Section 3.8).
 type KPruning = core.KPruning
 
@@ -117,13 +105,12 @@ func Chebyshev() Metric { return geom.LInf() }
 func Minkowski(p float64) (Metric, error) { return geom.Lp(p) }
 
 // queryConfig is the facade-level query configuration: the engine options
-// plus the scatter-gather knobs (tile count, transport) that live above
-// the engine.
+// plus what lives above the engine (the scatter-gather tile count, the
+// explain capture).
 type queryConfig struct {
-	core      core.Options
-	shards    int
-	transport shard.Transport
-	capture   *explain.Capture
+	core    core.Options
+	shards  int
+	capture *explain.Capture
 }
 
 // QueryOption tunes a closest-pair query.
@@ -155,30 +142,6 @@ func WithKPruning(k KPruning) QueryOption {
 	return func(o *queryConfig) { o.core.KPrune = k }
 }
 
-// WithLeafScan selects the leaf-pair scanning strategy (default
-// LeafScanSweep). All strategies produce the same result set; LeafScanBrute
-// evaluates all entry pairs of two leaves (the paper's CP3), LeafScanSweep
-// plane-sweeps them and skips pairs whose x distance already exceeds the
-// pruning bound, and LeafScanGrid hashes one leaf into a uniform grid with
-// cell side equal to the pruning distance and probes only the 3x3
-// neighborhood per point (falling back to the sweep when no finite bound
-// is available yet). The difference shows up in
-// Stats.PointPairsCompared/GridCellsProbed.
-func WithLeafScan(l LeafScan) QueryOption {
-	return func(o *queryConfig) { o.core.LeafScan = l }
-}
-
-// WithBatchExpand lets the sequential HEAP algorithm dequeue batches of
-// near-minimal node pairs per heap operation, amortising sift traffic.
-// The result set is unchanged (every batch member is re-checked against
-// the pruning bound), but the processing order deviates slightly from
-// strict best-first, so disk access counts may differ from the paper's
-// sequential HEAP; it is therefore off by default. The parallel engine
-// always consumes batches regardless of this option.
-func WithBatchExpand(enabled bool) QueryOption {
-	return func(o *queryConfig) { o.core.BatchExpand = enabled }
-}
-
 // WithMetric selects the distance metric (default Euclidean).
 func WithMetric(m Metric) QueryOption {
 	return func(o *queryConfig) { o.core.Metric = m }
@@ -204,16 +167,6 @@ func WithParallelism(n int) QueryOption {
 	}
 }
 
-// ShardTransport runs the shard-pair joins of a sharded query (see
-// WithShards). The in-process transport is the default; a custom
-// implementation can carry the same call over a wire protocol to remote
-// shard holders. Implementations must be safe for concurrent use.
-type ShardTransport = shard.Transport
-
-// InProcTransport returns the in-process shard transport (the default):
-// shard-pair joins run as ordinary engine calls in this process.
-func InProcTransport() ShardTransport { return shard.InProc{} }
-
 // WithShards runs the bichromatic queries (ClosestPair, KClosestPairs)
 // as scatter-gather over t spatial tiles: both point sets are split by
 // shared STR-order quantile boundaries, each tile gets its own R-tree
@@ -230,12 +183,6 @@ func InProcTransport() ShardTransport { return shard.InProc{} }
 // queries over a prebuilt index.
 func WithShards(t int) QueryOption {
 	return func(o *queryConfig) { o.shards = t }
-}
-
-// WithShardTransport selects the transport that carries shard-pair joins
-// (default in-process). Only meaningful together with WithShards.
-func WithShardTransport(t ShardTransport) QueryOption {
-	return func(o *queryConfig) { o.transport = t }
 }
 
 func buildConfig(opts []QueryOption) queryConfig {
@@ -274,17 +221,13 @@ func shardedKClosestPairs(ctx context.Context, p, q *Index, k int, cfg queryConf
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	tr := cfg.transport
-	if tr == nil {
-		tr = shard.InProc{}
-	}
 	// The tile-bound collection runs only under an explain capture; the
 	// nil-capture path must not pay for it (SetPlanShards is nil-safe, but
 	// its arguments would still be built).
 	if cfg.capture != nil {
-		cfg.capture.SetPlanShards(cfg.shards, tr.String(), set.TileBounds())
+		cfg.capture.SetPlanShards(cfg.shards, set.TileBounds())
 	}
-	ex := shard.Executor{Set: set, Transport: tr, Capture: cfg.capture}
+	ex := shard.Executor{Set: set, Capture: cfg.capture}
 	res, err := ex.RunContext(ctx, k, cfg.core)
 	if err != nil {
 		return nil, Stats{}, errors.Join(err, set.Close())

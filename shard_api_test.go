@@ -27,7 +27,7 @@ func TestWithShardsMatchesUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{2, 8} {
-		got, _, err := KClosestPairs(p, q, 10, WithShards(shards), WithShardTransport(InProcTransport()))
+		got, _, err := KClosestPairs(p, q, 10, WithShards(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
