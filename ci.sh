@@ -16,8 +16,8 @@
 #                      repository's benchmark (benchmark/README.md); the
 #                      numbers come from `go run -C benchmark .`
 #   ./ci.sh obs        the observability gates: the zero-alloc tests on
-#                      the disabled hook paths and the warm-query
-#                      allocation budget, the obs registry and
+#                      the disabled hook paths, the warm-query allocation
+#                      budget and the leaf-order tests, the obs registry and
 #                      explain capture under the race detector, a
 #                      Prometheus-exposition parse smoke test (the fuzz
 #                      target over its seed corpus), and the EXPLAIN
@@ -54,7 +54,7 @@ lint_self() {
 # compare full `go run -C benchmark .` reports with its -compare instead.
 bench() {
 	go test -run '^$' -bench 'BenchmarkFig4Algorithms1CP|BenchmarkFig7KCP' -benchtime 1x -benchmem .
-	go test -run '^$' -bench 'BenchmarkPairHeap' -benchtime 100x -benchmem ./internal/core
+	go test -run '^$' -bench 'BenchmarkPairHeap|BenchmarkSweepLeafScan|BenchmarkBoundCandidate' -benchtime 100x -benchmem ./internal/core
 	go run -C benchmark . -seed 1 -seconds 2
 }
 
@@ -75,6 +75,9 @@ obs() {
 	# allocates depends on K alone. The core test skips itself under -race,
 	# so this line, without it, is the one place it is sure to run.
 	go test -count=1 -run 'TestKCPQSteadyStateAllocs|TestReadNodeIntoWarmZeroAlloc' ./internal/core ./internal/rtree
+	# The leaf order (DESIGN.md §8): every write path stores leaves
+	# x-ordered, and the leaf scan answers exactly from pages that are not.
+	go test -count=1 -run 'TestLeafOrderOnEveryWritePath|TestUnorderedLeafTwins' ./internal/rtree ./internal/core
 	go test -run 'FuzzMetricsExposition' ./internal/obs
 	go test -run 'TestExplainGoldenRoundTrip|FuzzExplainRoundTrip' ./internal/obs/explain
 }
@@ -83,6 +86,13 @@ all() {
 	unformatted=$(gofmt -l .)
 	if [ -n "$unformatted" ]; then
 		echo "gofmt needed on:" "$unformatted" >&2
+		exit 1
+	fi
+	# Keeps the interface-based sort package out of the leaf scan and the
+	# expansion kernel (DESIGN.md §8, §10). It guards that import only: what
+	# keeps sorting off the hot path is measured by ./ci.sh bench.
+	if grep -n '"sort"' internal/core/sweep.go internal/core/kernel.go; then
+		echo "the leaf scan and the expansion kernel must not import sort" >&2
 		exit 1
 	fi
 	go vet ./...

@@ -209,7 +209,7 @@ func (j *join) modeFor(na, nb *rtree.Node) expandMode {
 // the join's own scratch; parallel workers pair beginExpand with the atomic
 // bound and their own scratch instead.
 func (j *join) expandInto(p nodePair, na, nb *rtree.Node, dst []nodePair) []nodePair {
-	e := j.beginExpand(&j.sc.kern, p, na, nb)
+	e := j.beginExpand(&j.sc.kern, p, na, nb, j.bound)
 	if j.tightens() && e.bound < j.bound {
 		j.bound = e.bound
 		j.traceBound(j.boundSource())

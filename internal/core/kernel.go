@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
@@ -29,10 +29,13 @@ import (
 //   - The per-axis gaps are computed by the same subtraction expressions as
 //     geom.Metric.MinMinKey (only one of the two directed gaps can be
 //     positive), so the keys are bit-identical.
-//   - The bound candidate is computed over ALL generated sub-pairs before
-//     any filtering, exactly like the reference boundCandidate; the kernel
-//     only skips MINMAXDIST evaluations that provably cannot lower the
-//     K = 1 bound (MINMAXDIST >= MINMINDIST >= current candidate).
+//   - The bound candidate is taken before any filtering and equals the
+//     reference's (all sub-pairs, full sort) whenever that is below the
+//     caller's current bound, which is the only time either is applied; the
+//     kernel skips the MINMAXDIST / MAXMAXDIST evaluations that provably
+//     cannot matter (either is >= MINMINDIST) and sorts only the values
+//     below the current bound, none at all when the order statistic is the
+//     minimum (boundCandidate).
 //   - Filtering uses the post-tighten T.
 //
 // The scratch is the caller's (a field of its queryScratch) and every slice
@@ -106,9 +109,10 @@ type expansion struct {
 	nA, nB  int
 	n       int // nA * nB candidate sub-pairs
 	hasKeys bool
-	// bound is the tightest auxiliary pruning bound the sub-pair MBR
-	// metrics support (+Inf when nothing applies). The caller applies it: the sequential driver assigns
-	// j.bound, the parallel engine CASes the shared atomic.
+	// bound is the auxiliary pruning bound the sub-pair MBR metrics
+	// support if that is below the caller's current bound, +Inf otherwise
+	// (boundCandidate). The caller applies it: the sequential driver
+	// assigns j.bound, the parallel engine CASes the shared atomic.
 	bound float64
 }
 
@@ -117,7 +121,10 @@ type expansion struct {
 // algorithms) and the auxiliary bound candidate (for the tightening ones),
 // and counts the generated sub-pairs. The caller then calls finish to
 // materialise the survivors; sc, na and nb must stay untouched in between.
-func (j *join) beginExpand(sc *kernelScratch, p nodePair, na, nb *rtree.Node) expansion {
+// cur is the bound the caller will compare the candidate with — j.bound on
+// the sequential drivers, the published atomic on the parallel workers — and
+// lets the kernel skip every candidate that could not be applied anyway.
+func (j *join) beginExpand(sc *kernelScratch, p nodePair, na, nb *rtree.Node, cur float64) expansion {
 	e := expansion{
 		j: j, sc: sc,
 		p: p, na: na, nb: nb,
@@ -147,7 +154,7 @@ func (j *join) beginExpand(sc *kernelScratch, p nodePair, na, nb *rtree.Node) ex
 		e.hasKeys = true
 	}
 	if j.tightens() {
-		e.bound = e.boundCandidate()
+		e.bound = e.boundCandidate(cur)
 	}
 	return e
 }
@@ -233,46 +240,42 @@ func (e *expansion) rectB(t int) geom.Rect {
 	return e.nb.Entries[t].Rect
 }
 
-// boundCandidate computes the tightest auxiliary pruning bound the
-// sub-pair MBR metrics support (+Inf when nothing applies): the minimum
-// MINMAXDIST over all sub-pairs for K = 1 (Inequality 2: MINMAXDIST holds
-// for at least one point pair), or the MAXMAXDIST prefix bound for K > 1
-// under KPruneMaxMax. It never mutates join state.
-func (e *expansion) boundCandidate() float64 {
+// boundCandidate computes the auxiliary pruning bound the sub-pair MBR
+// metrics support, provided it is below cur, the bound the caller is about
+// to compare it with; +Inf otherwise (nothing applies, or what applies
+// cannot lower cur). K = 1: the minimum MINMAXDIST over all sub-pairs
+// (Inequality 2: MINMAXDIST holds for at least one point pair). K > 1
+// under KPruneMaxMax: the MAXMAXDIST prefix bound. It never mutates join
+// state.
+//
+// Both rules read off an order statistic of a metric that is at least the
+// sub-pair's MINMINDIST, and only a value below cur is ever applied. So the
+// metric is evaluated only where the MINMINDIST key already computed is
+// below cur, and only values below cur are kept: the r-th smallest of all
+// values is below cur exactly when r of them are, and is then the r-th
+// smallest of those. What the caller applies is what the textbook
+// all-pairs, full-sort rule (kernel_test.go) would have applied.
+func (e *expansion) boundCandidate(cur float64) float64 {
 	j := e.j
-	bound := math.Inf(1)
 	if e.n == 0 {
-		return bound
+		return math.Inf(1)
 	}
 	if j.k == 1 {
-		// MINMAXDIST >= MINMINDIST, so a pair whose MINMINDIST key already
-		// reaches the best candidate cannot lower it — skipping it leaves
-		// the minimum unchanged while avoiding the 16-edge MinMaxKey scan.
-		keys := e.sc.keys[:e.n]
-		idx := 0
-		for i := 0; i < e.nA; i++ {
-			for t := 0; t < e.nB; t++ {
-				if keys[idx] < bound {
-					if mm := j.metric.MinMaxKey(e.rectA(i), e.rectB(t)); mm < bound {
-						bound = mm
-					}
-				}
-				idx++
-			}
-		}
-		return bound
+		return e.minBelow(cur, false)
 	}
 	if j.opts.KPrune != KPruneMaxMax {
-		return bound
+		return math.Inf(1)
 	}
 	// K > 1: every point pair under a sub-pair has distance at most its
 	// MAXMAXDIST (Inequality 1, right side). Sub-pairs cover disjoint
-	// point-pair sets, so the prefix of sub-pairs, sorted by ascending
-	// MAXMAXDIST, whose guaranteed pair count reaches K bounds the K-th
-	// closest distance by the prefix's largest MAXMAXDIST. The guaranteed
-	// count is uniform across one expansion's sub-pairs (all expanded
-	// children sit at the same level, and a fixed side contributes one
-	// shared node), so sorting the MAXMAXDIST keys alone suffices.
+	// point-pair sets, so the prefix of sub-pairs, by ascending MAXMAXDIST,
+	// whose guaranteed pair count reaches K bounds the K-th closest
+	// distance by the prefix's largest MAXMAXDIST. The guaranteed count c
+	// is uniform across one expansion's sub-pairs (all expanded children
+	// sit at the same level, and a fixed side contributes one shared node),
+	// so the prefix is the first r = ceil(K/c) sub-pairs and the bound is
+	// the r-th smallest MAXMAXDIST: the minimum when r = 1, otherwise read
+	// off a sort of the few values below cur.
 	var cntA, cntB float64
 	switch e.mode {
 	case expandBoth:
@@ -286,24 +289,76 @@ func (e *expansion) boundCandidate() float64 {
 		cntB = j.guaranteedPoints(j.mB, e.nb.Level-1)
 	}
 	c := cntA * cntB
+	// r by repeated addition, not division: the accumulated count is the
+	// one the prefix rule is defined on, rounding included.
+	r := 0
+	var cum float64
+	for i := 1; i <= e.n; i++ {
+		cum += c
+		if cum >= float64(j.k) {
+			r = i
+			break
+		}
+	}
+	switch r {
+	case 0: // all sub-pairs together guarantee fewer than K pairs
+		return math.Inf(1)
+	case 1:
+		return e.minBelow(cur, true)
+	}
 	e.sc.maxmax = growF64(e.sc.maxmax, e.n)
 	mx := e.sc.maxmax
-	idx := 0
+	keys := e.sc.keys[:e.n]
+	kept, idx := 0, 0
 	for i := 0; i < e.nA; i++ {
 		for t := 0; t < e.nB; t++ {
-			mx[idx] = j.metric.MaxMaxKey(e.rectA(i), e.rectB(t))
+			if keys[idx] < cur {
+				if v := j.metric.MaxMaxKey(e.rectA(i), e.rectB(t)); v < cur {
+					mx[kept] = v
+					kept++
+				}
+			}
 			idx++
 		}
 	}
-	sort.Float64s(mx)
-	var cum float64
-	for i := range mx {
-		cum += c
-		if cum >= float64(j.k) {
-			return mx[i]
+	if kept < r {
+		return math.Inf(1)
+	}
+	slices.Sort(mx[:kept])
+	return mx[r-1]
+}
+
+// minBelow returns the smallest MINMAXDIST (MAXMAXDIST with maxmax set) key
+// over the sub-pairs if it is below cur, +Inf otherwise. Either metric is
+// at least the sub-pair's MINMINDIST, so a sub-pair whose MINMINDIST key
+// already reaches the running minimum cannot lower it and is skipped — that
+// leaves the result unchanged and avoids most of the evaluations (16 edge
+// pairs each for MINMAXDIST).
+func (e *expansion) minBelow(cur float64, maxmax bool) float64 {
+	m := e.j.metric
+	keys := e.sc.keys[:e.n]
+	best := cur
+	idx := 0
+	for i := 0; i < e.nA; i++ {
+		for t := 0; t < e.nB; t++ {
+			if keys[idx] < best {
+				var v float64
+				if maxmax {
+					v = m.MaxMaxKey(e.rectA(i), e.rectB(t))
+				} else {
+					v = m.MinMaxKey(e.rectA(i), e.rectB(t))
+				}
+				if v < best {
+					best = v
+				}
+			}
+			idx++
 		}
 	}
-	return bound
+	if best < cur {
+		return best
+	}
+	return math.Inf(1)
 }
 
 // finish materialises the sub-pairs whose MINMINDIST key does not exceed T

@@ -1,14 +1,70 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/rtree"
 )
+
+// boundStep is one tightening of a pruning bound as the trace reports it
+// (EvBoundTightened): the displaced value, the new one, and the rule.
+type boundStep struct {
+	old, to float64
+	src     obs.BoundSource
+}
+
+func boundSteps(events []obs.Event) []boundStep {
+	var steps []boundStep
+	for _, e := range events {
+		if e.Kind == obs.EvBoundTightened {
+			steps = append(steps, boundStep{e.Old, e.New, e.Source})
+		}
+	}
+	return steps
+}
+
+// parityInput is one tree pair of the kernel parity tests, built twice so
+// the kernel join and the reference join count their own page reads.
+type parityInput struct {
+	name           string
+	ka, kb, ra, rb *rtree.Tree
+	height         HeightStrategy
+}
+
+// parityInputs are two uniform pairs plus the golden configurations of
+// TestGoldenStats (equal heights; a tall insertion-built, delete-thinned
+// tree on either side, under both height treatments). On 256-byte pages
+// M = 6 and m = 2: a sub-pair of leaves guarantees c = 4 point pairs, so the
+// K > 1 rule selects rank r = 25 of at most 36 at K = 100, and at K = 10⁴
+// no expansion guarantees K pairs at all (the rule never applies). On 1 KB
+// pages (M = 21, m = 7, c = 49 under leaf parents) K = 10⁴ selects r = 205
+// of up to 441, and r = 5 one level up.
+func parityInputs(t *testing.T) []parityInput {
+	t.Helper()
+	ps, qs := dataset.Uniform(41, 1200), dataset.Uniform(42, 1100)
+	pl, ql := dataset.Uniform(43, 3000), dataset.Uniform(44, 2600)
+	ksame, kdiff := goldenTrees(t)
+	rsame, rdiff := goldenTrees(t)
+	return []parityInput{
+		{"uniform", buildTree(t, ps, 256), buildTree(t, qs, 256), buildTree(t, ps, 256), buildTree(t, qs, 256), FixAtRoot},
+		{"uniform-1k", buildTree(t, pl, 1024), buildTree(t, ql, 1024), buildTree(t, pl, 1024), buildTree(t, ql, 1024), FixAtRoot},
+		{"same", ksame[0], ksame[1], rsame[0], rsame[1], FixAtRoot},
+		{"tallP/fix-at-root", kdiff[0], kdiff[1], rdiff[0], rdiff[1], FixAtRoot},
+		{"tallP/fix-at-leaves", kdiff[0], kdiff[1], rdiff[0], rdiff[1], FixAtLeaves},
+		{"tallQ/fix-at-root", kdiff[1], kdiff[0], rdiff[1], rdiff[0], FixAtRoot},
+		{"tallQ/fix-at-leaves", kdiff[1], kdiff[0], rdiff[1], rdiff[0], FixAtLeaves},
+	}
+}
+
+var parityKs = []int{1, 100, 10000}
 
 // TestKernelCounterParity pins that the expansion kernel leaves the paper's
 // cost counters exactly where the textbook per-pair expansion puts them: it
@@ -16,93 +72,238 @@ import (
 // join and a reference join (refExpandInto below) walk their own copy of
 // the trees in lockstep; every expansion must yield the same sub-pairs and
 // the same auxiliary bound, and the walks must end on the same four
-// counters.
+// counters, the same sequence of values assigned to the auxiliary bound and
+// the same EvBoundTightened events. The reference computes the bound
+// candidate the textbook way — every sub-pair's metric, a full sort — where
+// the kernel evaluates only what lies below the current bound and selects.
 func TestKernelCounterParity(t *testing.T) {
-	ps := dataset.Uniform(41, 1200)
-	qs := dataset.Uniform(42, 1100)
-	ta, tb := buildTree(t, ps, 256), buildTree(t, qs, 256)
-	ra, rb := buildTree(t, ps, 256), buildTree(t, qs, 256)
-	for _, alg := range Algorithms() {
-		for _, k := range []int{1, 100} {
-			opts := DefaultOptions(alg)
-			jk, err := newJoin(ta, tb, k, opts)
+	for _, in := range parityInputs(t) {
+		for _, alg := range Algorithms() {
+			for _, k := range parityKs {
+				name := fmt.Sprintf("%s/%v/k=%d", in.name, alg, k)
+				opts := DefaultOptions(alg)
+				opts.Height = in.height
+				jk, err := newJoin(in.ka, in.kb, k, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				jr, err := newJoin(in.ra, in.rb, k, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var traceK, traceR captureTracer
+				jk.span, jr.span = obs.StartSpan(&traceK, name), obs.StartSpan(&traceR, name)
+				reads := func(j *join) int64 { return j.ta.Pool().Stats().Reads + j.tb.Pool().Stats().Reads }
+				root, err := jk.rootPair()
+				if err != nil {
+					t.Fatal(err)
+				}
+				boundsA, err := in.ra.Bounds()
+				if err != nil {
+					t.Fatal(err)
+				}
+				boundsB, err := in.rb.Bounds()
+				if err != nil {
+					t.Fatal(err)
+				}
+				readsK, readsR := reads(jk), reads(jr)
+				var appliedK, appliedR []float64 // every value assigned to j.bound
+				// The kernel walk recurses with the engine's compact pairs; the
+				// reference walk carries each pair's two rectangles down from
+				// the parent's entries, as the engine did before the pair lost
+				// them, so the lockstep also checks the node-MBR substitution.
+				var walk func(p refPair, depth int)
+				walk = func(p refPair, depth int) {
+					if jk.prunes() && p.minminSq > jk.T() {
+						return
+					}
+					fk, fr := jk.sc.frame(depth), jr.sc.frame(depth)
+					if err := jk.readPair(p.nodePair, fk); err != nil {
+						t.Fatal(err)
+					}
+					if err := jr.readPair(p.nodePair, fr); err != nil {
+						t.Fatal(err)
+					}
+					if fk.na.IsLeaf() && fk.nb.IsLeaf() {
+						jk.scanLeaves(&fk.na, &fk.nb)
+						jk.traceBound(obs.SourceKHeap)
+						jr.scanLeaves(&fr.na, &fr.nb)
+						jr.traceBound(obs.SourceKHeap)
+						return
+					}
+					beforeK, beforeR := jk.bound, jr.bound
+					subs := jk.expandInto(p.nodePair, &fk.na, &fk.nb, nil)
+					ref := refExpandInto(jr, p, &fr.na, &fr.nb)
+					if jk.bound != beforeK {
+						appliedK = append(appliedK, jk.bound)
+					}
+					if jr.bound != beforeR {
+						appliedR = append(appliedR, jr.bound)
+					}
+					if jk.bound != jr.bound || jk.T() != jr.T() {
+						t.Fatalf("%s pair (%d,%d): kernel bound %g (T %g), reference %g (T %g)",
+							name, p.a, p.b, jk.bound, jk.T(), jr.bound, jr.T())
+					}
+					if len(subs) != len(ref) {
+						t.Fatalf("%s pair (%d,%d): kernel kept %d sub-pairs, reference %d",
+							name, p.a, p.b, len(subs), len(ref))
+					}
+					for i := range subs {
+						if subs[i] != ref[i].nodePair {
+							t.Fatalf("%s pair (%d,%d) sub-pair %d: kernel %+v, reference %+v",
+								name, p.a, p.b, i, subs[i], ref[i].nodePair)
+						}
+					}
+					for _, sp := range ref {
+						walk(sp, depth+1)
+					}
+				}
+				walk(refPair{nodePair: root, ra: boundsA, rb: boundsB}, 0)
+				jk.release()
+				jr.release()
+				sk, sr := jk.stats.snapshot(), jr.stats.snapshot()
+				if sk.NodePairsProcessed != sr.NodePairsProcessed ||
+					sk.SubPairsGenerated != sr.SubPairsGenerated || sk.SubPairsPruned != sr.SubPairsPruned ||
+					reads(jk)-readsK != reads(jr)-readsR {
+					t.Fatalf("%s: kernel walk (%d reads, %+v) deviates from reference walk (%d reads, %+v)",
+						name, reads(jk)-readsK, sk, reads(jr)-readsR, sr)
+				}
+				if sk.SubPairsGenerated == 0 || reads(jk) == readsK {
+					t.Fatalf("%s: walk expanded nothing (%+v)", name, sk)
+				}
+				if !slices.Equal(appliedK, appliedR) {
+					t.Fatalf("%s: auxiliary bound took the values\n kernel    %v\n reference %v", name, appliedK, appliedR)
+				}
+				if jk.tightens() && (k <= 100 || in.name == "uniform-1k") && len(appliedK) == 0 {
+					t.Fatalf("%s: the auxiliary bound was never applied", name)
+				}
+				if stepsK, stepsR := boundSteps(traceK.events), boundSteps(traceR.events); !slices.Equal(stepsK, stepsR) {
+					t.Fatalf("%s: EvBoundTightened sequences differ\n kernel    %v\n reference %v", name, stepsK, stepsR)
+				} else if jk.prunes() && len(stepsK) == 0 {
+					t.Fatalf("%s: no EvBoundTightened event", name)
+				}
+			}
+		}
+	}
+}
+
+// TestKernelBoundParityParallel is the parallel engine's half of the same
+// claim. Its workers hand the kernel the published atomic bound — which
+// folds in the K-heap threshold, so far fewer candidates lie below it than
+// below the sequential auxiliary bound — and apply the candidate by CAS.
+// With one worker the schedule is deterministic, so every successful CAS
+// (the EvBoundTightened events: value displaced, value stored, rule) can
+// be held to a replay of the same schedule over the textbook expansion,
+// along with the counters and the result.
+func TestKernelBoundParityParallel(t *testing.T) {
+	for _, in := range parityInputs(t) {
+		for _, k := range parityKs {
+			name := fmt.Sprintf("%s/k=%d", in.name, k)
+			opts := DefaultOptions(Heap)
+			opts.Height = in.height
+			jk, err := newJoin(in.ka, in.kb, k, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			jr, err := newJoin(ra, rb, k, opts)
+			jr, err := newJoin(in.ra, in.rb, k, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			reads := func(j *join) int64 { return j.ta.Pool().Stats().Reads + j.tb.Pool().Stats().Reads }
+			var trace captureTracer
+			jk.span = obs.StartSpan(&trace, name)
 			root, err := jk.rootPair()
 			if err != nil {
 				t.Fatal(err)
 			}
-			boundsA, err := ra.Bounds()
-			if err != nil {
+			if err := jk.runHeapParallel(context.Background(), root, 1); err != nil {
 				t.Fatal(err)
 			}
-			boundsB, err := rb.Bounds()
-			if err != nil {
-				t.Fatal(err)
+			want := refParallelOneWorker(t, jr, root)
+			if got := boundSteps(trace.events); !slices.Equal(got, want) {
+				t.Fatalf("%s: published bound tightened through\n kernel    %v\n reference %v", name, got, want)
+			} else if len(got) == 0 {
+				t.Fatalf("%s: the published bound never tightened", name)
 			}
-			readsK, readsR := reads(jk), reads(jr)
-			// The kernel walk recurses with the engine's compact pairs; the
-			// reference walk carries each pair's two rectangles down from
-			// the parent's entries, as the engine did before the pair lost
-			// them, so the lockstep also checks the node-MBR substitution.
-			var walk func(p refPair, depth int)
-			walk = func(p refPair, depth int) {
-				if jk.prunes() && p.minminSq > jk.T() {
-					return
-				}
-				fk, fr := jk.sc.frame(depth), jr.sc.frame(depth)
-				if err := jk.readPair(p.nodePair, fk); err != nil {
-					t.Fatal(err)
-				}
-				if err := jr.readPair(p.nodePair, fr); err != nil {
-					t.Fatal(err)
-				}
-				if fk.na.IsLeaf() && fk.nb.IsLeaf() {
-					jk.scanLeaves(&fk.na, &fk.nb)
-					jr.scanLeaves(&fr.na, &fr.nb)
-					return
-				}
-				subs := jk.expandInto(p.nodePair, &fk.na, &fk.nb, nil)
-				ref := refExpandInto(jr, p, &fr.na, &fr.nb)
-				if jk.bound != jr.bound || jk.T() != jr.T() {
-					t.Fatalf("%v k=%d pair (%d,%d): kernel bound %g (T %g), reference %g (T %g)",
-						alg, k, p.a, p.b, jk.bound, jk.T(), jr.bound, jr.T())
-				}
-				if len(subs) != len(ref) {
-					t.Fatalf("%v k=%d pair (%d,%d): kernel kept %d sub-pairs, reference %d",
-						alg, k, p.a, p.b, len(subs), len(ref))
-				}
-				for i := range subs {
-					if subs[i] != ref[i].nodePair {
-						t.Fatalf("%v k=%d pair (%d,%d) sub-pair %d: kernel %+v, reference %+v",
-							alg, k, p.a, p.b, i, subs[i], ref[i].nodePair)
-					}
-				}
-				for _, sp := range ref {
-					walk(sp, depth+1)
-				}
+			sk, sr := jk.stats.snapshot(), jr.stats.snapshot()
+			sk.MaxQueueSize, sk.HeapBatches, sk.HeapBatchPairs = 0, 0, 0 // the replay keeps no such counts
+			if sk != sr {
+				t.Fatalf("%s: counters differ\n kernel    %+v\n reference %+v", name, sk, sr)
 			}
-			walk(refPair{nodePair: root, ra: boundsA, rb: boundsB}, 0)
+			if !slices.Equal(jk.kheap.results(jk.metric), jr.kheap.results(jr.metric)) {
+				t.Fatalf("%s: results differ", name)
+			}
 			jk.release()
 			jr.release()
-			sk, sr := jk.stats.snapshot(), jr.stats.snapshot()
-			if sk.NodePairsProcessed != sr.NodePairsProcessed ||
-				sk.SubPairsGenerated != sr.SubPairsGenerated || sk.SubPairsPruned != sr.SubPairsPruned ||
-				reads(jk)-readsK != reads(jr)-readsR {
-				t.Fatalf("%v k=%d: kernel walk (%d reads, %+v) deviates from reference walk (%d reads, %+v)",
-					alg, k, reads(jk)-readsK, sk, reads(jr)-readsR, sr)
-			}
-			if sk.SubPairsGenerated == 0 || reads(jk) == readsK {
-				t.Fatalf("%v k=%d: walk expanded nothing (%+v)", alg, k, sk)
-			}
 		}
 	}
+}
+
+// refParallelOneWorker replays parallel.go's schedule for a single worker
+// — claim up to parBatch of the best pairs, process them against the
+// published bound, merge the local heap when it can lower it — with the
+// reference expansion in place of the kernel, and returns every tightening
+// of the published bound.
+func refParallelOneWorker(t *testing.T, j *join, root nodePair) []boundStep {
+	t.Helper()
+	var steps []boundStep
+	bound := math.Inf(1)
+	tighten := func(v float64, src obs.BoundSource) {
+		if v < bound {
+			steps = append(steps, boundStep{bound, v, src})
+			bound = v
+		}
+	}
+	local := newKHeap(j.k)
+	merge := func() {
+		if len(local.pairs) == 0 {
+			return
+		}
+		for i := range local.pairs {
+			j.kheap.offer(local.pairs[i])
+		}
+		if j.kheap.full() {
+			tighten(j.kheap.threshold(), obs.SourceMerge)
+		}
+		local.reset()
+	}
+	var frontier pairHeap
+	if root.minminSq <= bound {
+		frontier.push(root)
+	}
+	localMin := math.Inf(1)
+	f := j.sc.frame(0)
+	for frontier.Len() > 0 && frontier.pairs[0].minminSq <= bound {
+		for _, p := range frontier.popBatch(nil, parBatch, bound) {
+			if p.minminSq > bound {
+				continue
+			}
+			if err := j.readPair(p, f); err != nil {
+				t.Fatal(err)
+			}
+			if f.na.IsLeaf() && f.nb.IsLeaf() {
+				if m := j.scanLeavesSweep(&f.na, &f.nb, local, bound); m < localMin {
+					localMin = m
+				}
+				continue
+			}
+			// A fixed side's rectangle is the node's own MBR, as in the kernel.
+			subs, mode := refComputeSubs(j, refPair{nodePair: p, ra: f.na.MBR(), rb: f.nb.MBR()}, &f.na, &f.nb)
+			tighten(refBoundCandidate(j, subs, mode, &f.na, &f.nb), j.boundSource())
+			for _, sp := range subs {
+				if sp.minminSq > bound {
+					j.stats.subPairsPruned.Add(1)
+					continue
+				}
+				frontier.push(sp.nodePair)
+			}
+		}
+		if localMin < bound {
+			merge()
+			localMin = math.Inf(1)
+		}
+	}
+	merge()
+	return steps
 }
 
 // refPair is the queue element the engine used before ISSUE 18: the
@@ -123,6 +324,7 @@ func refExpandInto(j *join, p refPair, na, nb *rtree.Node) []refPair {
 	if j.tightens() {
 		if b := refBoundCandidate(j, subs, mode, na, nb); b < j.bound {
 			j.bound = b
+			j.traceBound(j.boundSource())
 		}
 	}
 	if !j.prunes() {
@@ -286,5 +488,41 @@ func TestKernelScratchZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm kernel scratch fill allocates %v per op, want 0", allocs)
+	}
+}
+
+// BenchmarkBoundCandidate is the K > 1 bound of one 14 x 14 expansion with
+// nothing known yet (current bound +Inf, so every sub-pair is a candidate:
+// the most the selection ever has to look at). With m = 7 a sub-pair of
+// leaves guarantees 49 point pairs: K = 40 reads off the minimum (r = 1,
+// the benchmark workloads' case), K = 64·49 selects the 64th of 196.
+func BenchmarkBoundCandidate(b *testing.B) {
+	node := func(seed int64) *rtree.Node {
+		n := &rtree.Node{Level: 1}
+		for i, p := range dataset.Uniform(seed, 14) {
+			n.Entries = append(n.Entries, rtree.Entry{Rect: geom.Rect{Min: p, Max: p.Add(0.05, 0.05)}, Ref: int64(i)})
+		}
+		return n
+	}
+	na, nb := node(81), node(82)
+	for _, r := range []int{1, 64} {
+		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
+			j := &join{k: r*49 - 9, opts: DefaultOptions(Heap), metric: geom.L2(), mA: 7, mB: 7}
+			var sc kernelScratch
+			e := j.beginExpand(&sc, nodePair{}, na, nb, math.Inf(1)) // fills the scratch, computes the keys
+			if math.IsInf(e.bound, 1) {
+				b.Fatal("no bound candidate")
+			}
+			var sink float64
+			candidate := func() { sink = e.boundCandidate(math.Inf(1)) }
+			if allocs := testing.AllocsPerRun(100, candidate); allocs != 0 || sink != e.bound {
+				b.Fatalf("a warm bound candidate allocates %v (want 0) and is %g (want %g)", allocs, sink, e.bound)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				candidate()
+			}
+		})
 	}
 }

@@ -247,7 +247,7 @@ func (s *parHeap) process(p nodePair, sc *queryScratch, localMin *float64) error
 		}
 		return nil
 	}
-	e := j.beginExpand(&sc.kern, p, &f.na, &f.nb)
+	e := j.beginExpand(&sc.kern, p, &f.na, &f.nb, s.bound.load())
 	if j.tightens() && !math.IsInf(e.bound, 1) {
 		if old, ok := s.bound.tighten(e.bound); ok {
 			j.traceBoundValue(old, e.bound, j.boundSource())

@@ -180,6 +180,12 @@ func (s *selfJoin) process(p nodePair, h *pairHeap) error {
 				sp.tieKey = tieKeyFor(s.opts.Tie, s.metric, ea.Rect, eb.Rect, s.rootArea, s.rootArea)
 			}
 			subs = append(subs, sp)
+			// Either rule can only lower the bound through a sub-pair
+			// whose metric is below it, and both metrics are at least
+			// MINMINDIST: the rest are not worth evaluating.
+			if sp.minminSq >= s.bound {
+				continue
+			}
 			switch {
 			case s.k == 1:
 				if sp.a != sp.b {
@@ -188,11 +194,13 @@ func (s *selfJoin) process(p nodePair, h *pairHeap) error {
 					}
 				}
 			case prefixRule:
-				count := pts * pts
-				if sp.a == sp.b {
-					count = pts * (pts - 1) / 2
+				if mx := s.metric.MaxMaxKey(ea.Rect, eb.Rect); mx < s.bound {
+					count := pts * pts
+					if sp.a == sp.b {
+						count = pts * (pts - 1) / 2
+					}
+					prefix = append(prefix, selfCount{mx, count})
 				}
-				prefix = append(prefix, selfCount{s.metric.MaxMaxKey(ea.Rect, eb.Rect), count})
 			}
 		}
 	}
@@ -215,7 +223,9 @@ func (s *selfJoin) process(p nodePair, h *pairHeap) error {
 // tightenPrefix applies the K > 1 rule: the prefix of sub-pairs, by
 // ascending MAXMAXDIST, whose guaranteed pair counts reach K bounds the
 // K-th distance by its largest MAXMAXDIST. Ties in the sort order cannot
-// change that value.
+// change that value. prefix holds only the sub-pairs below the current
+// bound: those are a prefix of the full order, and a count that reaches K
+// beyond them yields a value that would not lower the bound.
 func (s *selfJoin) tightenPrefix(prefix []selfCount) {
 	slices.SortFunc(prefix, func(a, b selfCount) int { return cmp.Compare(a.maxmaxSq, b.maxmaxSq) })
 	var cum float64

@@ -2,36 +2,25 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/rtree"
 )
 
 // This file implements the leaf scan, step CP3: the brute all-pairs loop of
 // the paper replaced by the band technique of the planar closest-pair
-// literature. Both leaves' entries are sorted by ascending low x
-// coordinate — in place: the leaves are the query's own decoded copies,
-// dead after the scan — and merge-walked: the entry with the smaller low x
-// becomes the anchor and scans forward through the other leaf's entries,
-// stopping at the first entry whose x gap alone puts the pair beyond the
-// pruning bound T. The gap to later entries is at least
+// literature. Both leaves' entries are in ascending low x order — the order
+// the R-tree writer stores a leaf page in (rtree.LeafOrdered), verified
+// here in one pass and re-established on the query's own decoded copy when
+// a page does not have it — and merge-walked: the entry with the smaller
+// low x becomes the anchor and scans forward through the other leaf's
+// entries, stopping at the first entry whose x gap alone puts the pair
+// beyond the pruning bound T. The gap to later entries is at least
 // as large (the lists are sorted by low x and the anchor's low x is the
 // smallest still unconsumed), so the break is safe, and every pair within T
 // is evaluated exactly once — when the first-consumed of its two entries is
 // the anchor. T = min(extBound, K-heap threshold) only ever tightens, so
 // the sweep evaluates a subset of the brute scan's pairs yet the K-heap
 // ends up with the same result set.
-
-// entriesByMinX sorts leaf entries by ascending low x coordinate. The sort
-// methods live on the pointer type so sort.Sort receives a pointer to the
-// node's own slice header and no per-call allocation occurs.
-type entriesByMinX []rtree.Entry
-
-func (s *entriesByMinX) Len() int { return len(*s) }
-
-func (s *entriesByMinX) Less(i, t int) bool { return (*s)[i].Rect.Min.X < (*s)[t].Rect.Min.X }
-
-func (s *entriesByMinX) Swap(i, t int) { (*s)[i], (*s)[t] = (*s)[t], (*s)[i] }
 
 // scanLeavesSweep evaluates the point pairs between two leaves against the
 // given K-heap (the join's own for the sequential algorithms, a worker's
@@ -44,10 +33,12 @@ func (s *entriesByMinX) Swap(i, t int) { (*s)[i], (*s)[t] = (*s)[t], (*s)[i] }
 // distance (squared) the heap accepted, +Inf if none — the signal parallel
 // workers use to decide whether merging their local heap can tighten the
 // published bound. The two leaves must be the caller's own decoded copies
-// (a frame's): the sweep orders their entries in place.
+// (a frame's): a leaf that did not come off its page x-ordered is ordered
+// in place, by the writer's own rule, so the scan evaluates the same pairs
+// whichever side did the ordering.
 func (j *join) scanLeavesSweep(na, nb *rtree.Node, kh *kHeap, extBound float64) float64 {
-	sort.Sort((*entriesByMinX)(&na.Entries))
-	sort.Sort((*entriesByMinX)(&nb.Entries))
+	rtree.OrderLeaf(na.Entries)
+	rtree.OrderLeaf(nb.Entries)
 	as, bs := na.Entries, nb.Entries
 
 	// T is re-derived from the heap whenever a pair is accepted: the sweep

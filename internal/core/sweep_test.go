@@ -45,7 +45,7 @@ func checkSweepLeaf(t *testing.T, m geom.Metric, as, bs []rtree.Entry, k int, ex
 	want := newKHeap(k)
 	scanLeavesBrute(m, as, bs, want)
 
-	// The sweep sorts its leaves in place: it gets copies.
+	// The sweep orders its leaves in place: it gets copies.
 	j := &join{metric: m}
 	got := newKHeap(k)
 	na, nb := rtree.Node{Entries: slices.Clone(as)}, rtree.Node{Entries: slices.Clone(bs)}
@@ -53,6 +53,21 @@ func checkSweepLeaf(t *testing.T, m geom.Metric, as, bs []rtree.Entry, k int, ex
 
 	if c := j.stats.pointPairsCompared.Load(); c > int64(len(as)*len(bs)) {
 		t.Fatalf("sweep compared %d pairs of %d x %d leaves", c, len(as), len(bs))
+	}
+
+	// as and bs arrive in whatever order the caller built them — a page the
+	// scan has to order itself. The same leaves as the writer would have
+	// stored them must give the same heap for the same number of pairs.
+	jw := &join{metric: m}
+	stored := newKHeap(k)
+	wa, wb := rtree.Node{Entries: slices.Clone(as)}, rtree.Node{Entries: slices.Clone(bs)}
+	rtree.OrderLeaf(wa.Entries)
+	rtree.OrderLeaf(wb.Entries)
+	if min := jw.scanLeavesSweep(&wa, &wb, stored, extBound); min != minAccepted ||
+		jw.stats.pointPairsCompared.Load() != j.stats.pointPairsCompared.Load() ||
+		!slices.Equal(stored.sort(), got.sort()) {
+		t.Fatalf("k=%d ext=%g: scan of writer-ordered leaves (%d pairs compared, min %g) differs from scan of the same leaves unordered (%d, %g)",
+			k, extBound, jw.stats.pointPairsCompared.Load(), min, j.stats.pointPairsCompared.Load(), minAccepted)
 	}
 	within := func(h *kHeap) []kPair {
 		ps := h.sort()
@@ -229,4 +244,45 @@ func FuzzSweepLeafScan(f *testing.F) {
 		}
 		checkSweepLeaf(t, m, leaves[0], leaves[1], k, ext)
 	})
+}
+
+// BenchmarkSweepLeafScan is one leaf-pair visit, decode excluded: copy two
+// 14-entry leaves into the frame (as a page read leaves them) and scan them
+// at K = 100 under a bound that keeps a tenth of the band. "ordered" is a
+// page the writer stored, where ordering costs the verifying pass;
+// "unordered" is a page from before the leaf order, sorted on every visit.
+func BenchmarkSweepLeafScan(b *testing.B) {
+	as, bs := pointEntries(dataset.Uniform(71, 14)), pointEntries(dataset.Uniform(72, 14))
+	for _, c := range []struct {
+		name    string
+		ordered bool
+	}{{"ordered", true}, {"unordered", false}} {
+		b.Run(c.name, func(b *testing.B) {
+			as, bs := slices.Clone(as), slices.Clone(bs)
+			if c.ordered {
+				rtree.OrderLeaf(as)
+				rtree.OrderLeaf(bs)
+			} else if rtree.LeafOrdered(as) || rtree.LeafOrdered(bs) {
+				b.Fatal("the unordered case is ordered")
+			}
+			j := &join{metric: geom.L2()}
+			kh := newKHeap(100)
+			var na, nb rtree.Node
+			visit := func() {
+				na.Entries = append(na.Entries[:0], as...)
+				nb.Entries = append(nb.Entries[:0], bs...)
+				kh.reset()
+				j.scanLeavesSweep(&na, &nb, kh, 0.01)
+			}
+			visit()
+			if allocs := testing.AllocsPerRun(100, visit); allocs != 0 {
+				b.Fatalf("a warm leaf scan allocates %v per visit, want 0", allocs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				visit()
+			}
+		})
+	}
 }

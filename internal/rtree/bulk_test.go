@@ -1,10 +1,12 @@
 package rtree
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -202,8 +204,11 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 }
 
-// pageFileHash hashes every page of the tree's file in page order.
-func pageFileHash(t *testing.T, tr *Tree) string {
+// pageFileHash hashes every page of the tree's file in page order. With
+// refCanonical set, each leaf page is hashed as if its entries were stored
+// in ascending Ref order: that image depends on which entries sit in which
+// leaf under which internal pages, not on the order inside a leaf.
+func pageFileHash(t *testing.T, tr *Tree, refCanonical bool) string {
 	t.Helper()
 	f := tr.Pool().File()
 	h := sha256.New()
@@ -212,19 +217,32 @@ func pageFileHash(t *testing.T, tr *Tree) string {
 		if err := f.ReadPage(storage.PageID(id), buf); err != nil {
 			t.Fatal(err)
 		}
+		if n, err := decodeNode(storage.PageID(id), buf); refCanonical && err == nil && n.IsLeaf() {
+			slices.SortFunc(n.Entries, func(a, b Entry) int { return cmp.Compare(a.Ref, b.Ref) })
+			if err := encodeNode(n, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
 		h.Write(buf)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestBulkLoadPageImagePinned pins the page file a seeded 10k-point bulk
-// load writes, byte for byte: the hash was recorded before the STR sorts
-// moved from sort.SliceStable to slices.SortStableFunc. Coordinates are
-// quantized to 1/64 so that many centers tie on X and on Y — the ties are
-// where a sort that is not the same stable order would place entries in
-// different nodes.
+// load writes, byte for byte. Coordinates are quantized to 1/64 so that
+// many centers tie on X and on Y — the ties are where a sort that is not
+// the same stable order would place entries in different nodes. Two
+// hashes: want is the image as written, re-derived when leaves became
+// x-ordered (which changed the order inside each leaf by design);
+// wantByRef is the image with every leaf's entries put in Ref order,
+// recorded on the commit before that change and equal on both sides of
+// it — the same entries sit in the same leaves under the same internal
+// pages.
 func TestBulkLoadPageImagePinned(t *testing.T) {
-	const want = "b1ad885099510d2e66afa4f85783a86144bd209dd3cc58137c7daa800cd1ad08"
+	const (
+		want      = "f12450a5734a9617dafb5f780134cf87cc06cf9e992ea04969764be2cf320d3a"
+		wantByRef = "6aa55451bcf9a254d30a86bfb9dc79f6b00a55f011fef5e036a0df66f35266dd"
+	)
 	rng := rand.New(rand.NewSource(1809))
 	items := make([]Item, 10000)
 	for i := range items {
@@ -235,15 +253,20 @@ func TestBulkLoadPageImagePinned(t *testing.T) {
 	if err := direct.BulkLoad(append([]Item(nil), items...), 0.9); err != nil {
 		t.Fatal(err)
 	}
-	if got := pageFileHash(t, direct); got != want {
-		t.Errorf("BulkLoad page image hash = %s, want %s", got, want)
-	}
 	presorted := newTestTree(t, Config{})
 	SortSTR(items)
 	if err := presorted.BulkLoadSorted(items, 0.9); err != nil {
 		t.Fatal(err)
 	}
-	if got := pageFileHash(t, presorted); got != want {
-		t.Errorf("SortSTR + BulkLoadSorted page image hash = %s, want %s", got, want)
+	for _, c := range []struct {
+		name string
+		tr   *Tree
+	}{{"BulkLoad", direct}, {"SortSTR + BulkLoadSorted", presorted}} {
+		if got := pageFileHash(t, c.tr, false); got != want {
+			t.Errorf("%s page image hash = %s, want %s", c.name, got, want)
+		}
+		if got := pageFileHash(t, c.tr, true); got != wantByRef {
+			t.Errorf("%s Ref-canonical page image hash = %s, want %s", c.name, got, wantByRef)
+		}
 	}
 }

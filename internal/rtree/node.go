@@ -11,9 +11,11 @@
 package rtree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/storage"
@@ -53,6 +55,31 @@ func (n *Node) MBR() geom.Rect {
 		r = r.Union(n.Entries[i].Rect)
 	}
 	return r
+}
+
+// LeafOrdered reports whether entries are in leaf page order: ascending
+// low x coordinate. The writer stores every leaf in this order so the
+// closest-pair leaf scan, which sweeps along x, reads it without sorting.
+// A page that is not (a file written before the order existed) is still a
+// valid leaf; readers that depend on the order call OrderLeaf on their
+// decoded copy instead of trusting the page.
+func LeafOrdered(entries []Entry) bool {
+	for i := 1; i < len(entries); i++ {
+		if entries[i].Rect.Min.X < entries[i-1].Rect.Min.X {
+			return false
+		}
+	}
+	return true
+}
+
+// OrderLeaf puts entries in leaf page order, in place and without
+// allocating: one pass when they already are, otherwise a stable sort, so
+// the writer and a reader that finds an unordered page arrive at the same
+// sequence from the same page.
+func OrderLeaf(entries []Entry) {
+	if !LeafOrdered(entries) {
+		slices.SortStableFunc(entries, func(a, b Entry) int { return cmp.Compare(a.Rect.Min.X, b.Rect.Min.X) })
+	}
 }
 
 // Page layout (little endian):

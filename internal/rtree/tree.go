@@ -345,8 +345,13 @@ func (t *Tree) readNodeMut(id storage.PageID) (*Node, error) {
 }
 
 // writeNode encodes and stores a node at its page, invalidating any cached
-// decode of the page.
+// decode of the page. Every page write goes through here, which makes it
+// the one place the leaf order (LeafOrdered) is maintained: a leaf's
+// entries are put in it, in place, before they are encoded.
 func (t *Tree) writeNode(n *Node) error {
+	if n.IsLeaf() {
+		OrderLeaf(n.Entries)
+	}
 	if err := encodeNode(n, t.scratch); err != nil {
 		return err
 	}
