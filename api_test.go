@@ -74,12 +74,8 @@ func TestAllQueryOptionsWork(t *testing.T) {
 		{WithAlgorithm(NaiveAlgorithm)},
 		{WithAlgorithm(ExhaustiveAlgorithm)},
 		{WithAlgorithm(SimpleAlgorithm)},
-		{WithAlgorithm(SortedDistancesAlgorithm), WithSortMethod(QuickSort)},
-		{WithAlgorithm(SortedDistancesAlgorithm), WithSortMethod(BubbleSort)},
-		{WithAlgorithm(HeapAlgorithm), WithTieStrategy(Tie3)},
-		{WithAlgorithm(HeapAlgorithm), WithTieStrategy(TieNone)},
-		{WithHeightStrategy(FixAtLeaves)},
-		{WithKPruning(KPruneHeapTop)},
+		{WithAlgorithm(SortedDistancesAlgorithm)},
+		{WithAlgorithm(HeapAlgorithm)},
 	} {
 		got, _, err := KClosestPairs(p, q, 5, opt...)
 		if err != nil {
@@ -433,33 +429,41 @@ func TestFacadeMiscAccessors(t *testing.T) {
 	}
 }
 
+// TestSemiBatchedFacade pins which semi-CPQ the facade runs: the batched
+// traversal's access count, with the per-point search's distances.
 func TestSemiBatchedFacade(t *testing.T) {
-	ps := randomPoints(52, 300, 0)
-	qs := randomPoints(53, 300, 0.3)
-	p, err := BuildIndex(ps)
+	p, err := BuildIndex(randomPoints(52, 300, 0), WithBufferPages(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	q, err := BuildIndex(qs)
+	q, err := BuildIndex(randomPoints(53, 300, 0.3), WithBufferPages(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	a, _, err := SemiClosestPairs(p, q)
+	got, stats, err := SemiClosestPairs(p, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := SemiClosestPairsBatched(p, q)
+	_, batched, err := core.SemiClosestPairsBatched(p.tree, q.tree, core.DefaultOptions(core.Heap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != len(b) {
-		t.Fatalf("sizes differ: %d vs %d", len(a), len(b))
+	perPoint, pp, err := core.SemiClosestPairs(p.tree, q.tree, core.DefaultOptions(core.Heap))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range a {
-		if math.Abs(a[i].Dist-b[i].Dist) > 1e-9 {
-			t.Fatalf("pair %d: %g vs %g", i, a[i].Dist, b[i].Dist)
+	if stats.Accesses() != batched.Accesses() || stats.Accesses() >= pp.Accesses() {
+		t.Fatalf("facade accesses = %d, want the batched %d (per-point: %d)",
+			stats.Accesses(), batched.Accesses(), pp.Accesses())
+	}
+	if len(got) != len(perPoint) {
+		t.Fatalf("sizes differ: %d vs %d", len(got), len(perPoint))
+	}
+	for i := range got {
+		if math.Abs(got[i].Dist-perPoint[i].Dist) > 1e-9 {
+			t.Fatalf("pair %d: %g vs %g", i, got[i].Dist, perPoint[i].Dist)
 		}
 	}
 }

@@ -1,9 +1,11 @@
 #!/bin/sh
 # ci.sh — the repository's check suite: formatting, vet, build, the
-# repo-specific static analyzer (cpqlint, DESIGN.md §7), the analyzer
-# turned on itself, the full test suite, and the race detector over the
+# reachability gate (no internal package that only its own tests import),
+# the repo-specific static analyzer (cpqlint, DESIGN.md §7), the analyzer
+# turned on itself, the full test suite, the race detector over the
 # whole module (the parallel K-CPQ engine and the sharded buffer pool
-# make every package fair game for concurrency bugs).
+# make every package fair game for concurrency bugs), and one run of
+# every binary that has no tests.
 #
 # Usage:
 #   ./ci.sh            run every gate
@@ -82,6 +84,68 @@ obs() {
 	go test -run 'TestExplainGoldenRoundTrip|FuzzExplainRoundTrip' ./internal/obs/explain
 }
 
+# reach fails on an island: an internal package that neither the facade,
+# a command, an example nor the benchmark module depends on is exercised
+# by nothing but its own tests.
+reach() {
+	# A reached internal package is listed twice below, an island once.
+	islands=$({
+		{
+			go list -deps . ./cmd/... ./examples/...
+			go list -C benchmark -deps .
+		} | sort -u
+		go list ./internal/...
+	} | sort | uniq -u | grep '^repro/internal/' || true)
+	if [ -n "$islands" ]; then
+		echo "islands, imported by nothing outside their own tests:" "$islands" >&2
+		exit 1
+	fi
+}
+
+# smoke runs the binaries that have no tests of their own; each must exit 0.
+smoke() {
+	tmp=$(mktemp -d)
+	trap 'rm -rf "$tmp"' EXIT
+	for ex in examples/*/; do
+		go run "./$ex" >/dev/null
+	done
+	go run ./cmd/cpqgen -n 1000 -seed 1 -out "$tmp/p.csv"
+	go run ./cmd/cpqgen -n 1000 -seed 2 -out "$tmp/q.csv"
+	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5
+	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self
+	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -semi -quiet
+	# cpqtree reads an index file and no command writes one, so build it
+	# through the facade; a file named on the command line compiles inside
+	# this module wherever it lies.
+	cat >"$tmp/mkidx.go" <<-'EOF'
+		package main
+
+		import (
+			"log"
+			"math/rand"
+			"os"
+
+			cpq "repro"
+		)
+
+		func main() {
+			pts := make([]cpq.Point, 1000)
+			for i := range pts {
+				pts[i] = cpq.Point{X: rand.Float64(), Y: rand.Float64()}
+			}
+			idx, err := cpq.BuildIndex(pts, cpq.WithPath(os.Args[1]))
+			if err != nil {
+				log.Fatal(err)
+			}
+			if err := idx.Close(); err != nil {
+				log.Fatal(err)
+			}
+		}
+	EOF
+	go run "$tmp/mkidx.go" "$tmp/p.idx"
+	go run ./cmd/cpqtree -index "$tmp/p.idx"
+}
+
 all() {
 	unformatted=$(gofmt -l .)
 	if [ -n "$unformatted" ]; then
@@ -97,6 +161,7 @@ all() {
 	fi
 	go vet ./...
 	go build ./...
+	reach
 	lint
 	lint_self
 	obs
@@ -107,6 +172,7 @@ all() {
 	# unnoticed.
 	go vet -C benchmark .
 	go test -C benchmark .
+	smoke
 }
 
 set -x

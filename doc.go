@@ -15,10 +15,11 @@
 //   - incremental joins — pairs streamed in ascending distance order.
 //
 // Five algorithms are provided (Naive, Exhaustive, Simple, Sorted
-// Distances, Heap) plus the tie-break strategies T1-T5, the fix-at-root /
-// fix-at-leaves height treatments, and two K-pruning rules; every option
-// of the paper's experimental study is reachable through QueryOption
-// values.
+// Distances, Heap), selected with WithAlgorithm. Each runs under the
+// winners of the paper's experimental study — tie-break strategy T1,
+// fix-at-root for trees of different heights, the MAXMAXDIST K-pruning
+// rule; the alternatives the study compares are reproduced by
+// cmd/cpqbench, not offered as query options.
 //
 // # Quick start
 //

@@ -30,7 +30,7 @@ func ExampleClosestPair() {
 }
 
 // ExampleKClosestPairs finds the K closest pairs with a specific
-// algorithm and tie strategy from the paper.
+// algorithm from the paper.
 func ExampleKClosestPairs() {
 	p, err := cpq.BuildIndex([]cpq.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 2, Y: 0}})
 	if err != nil {
@@ -44,8 +44,7 @@ func ExampleKClosestPairs() {
 	defer q.Close()
 
 	pairs, _, err := cpq.KClosestPairs(p, q, 2,
-		cpq.WithAlgorithm(cpq.SortedDistancesAlgorithm),
-		cpq.WithTieStrategy(cpq.Tie1))
+		cpq.WithAlgorithm(cpq.SortedDistancesAlgorithm))
 	if err != nil {
 		log.Fatal(err)
 	}

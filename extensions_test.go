@@ -4,9 +4,6 @@ import (
 	"math"
 	"sort"
 	"testing"
-
-	"repro/internal/geom"
-	"repro/internal/multiway"
 )
 
 func TestWithinDistanceFacade(t *testing.T) {
@@ -48,74 +45,5 @@ func TestWithinDistanceFacade(t *testing.T) {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
 			t.Fatalf("pair %d: %g vs %g", i, got[i], want[i])
 		}
-	}
-}
-
-func TestAdviseFacade(t *testing.T) {
-	p, err := BuildIndex(randomPoints(42, 100, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	q, err := BuildIndex(randomPoints(43, 100, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	a, err := Advise(p, q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Algorithm != SortedDistancesAlgorithm {
-		t.Errorf("disjoint advice = %v", a.Algorithm)
-	}
-	// The advice plugs straight into a query.
-	if _, _, err := ClosestPair(p, q, WithAlgorithm(a.Algorithm)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestKClosestTuplesFacade(t *testing.T) {
-	sets := [][]Point{
-		randomPoints(44, 40, 0),
-		randomPoints(45, 40, 0.3),
-		randomPoints(46, 40, 0.6),
-	}
-	var indexes []*Index
-	for _, s := range sets {
-		idx, err := BuildIndex(s, WithBufferPages(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer idx.Close()
-		idx.ResetIOStats()
-		indexes = append(indexes, idx)
-	}
-	got, stats, err := KClosestTuples(indexes, 5,
-		WithTuplePattern(ChainPattern), WithTupleMetric(Euclidean()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gsets := make([][]geom.Point, len(sets))
-	for i := range sets {
-		gsets[i] = sets[i]
-	}
-	want, err := multiway.BruteForce(gsets, 5, multiway.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d tuples, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
-			t.Fatalf("tuple %d: dist %g, want %g", i, got[i].Dist, want[i].Dist)
-		}
-	}
-	if stats.Accesses() <= 0 {
-		t.Error("no accesses recorded")
-	}
-	if _, _, err := KClosestTuples(indexes[:1], 5); err == nil {
-		t.Error("one index must fail")
 	}
 }

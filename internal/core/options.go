@@ -205,22 +205,20 @@ type Options struct {
 	// min(T, SharedBound.Load()) and publishes its own sound global upper
 	// bounds back through Tighten, so a tight pair found by any
 	// cooperating join prunes all the others. nil — the default — keeps
-	// the query self-contained and byte-identical to earlier PRs.
+	// the query self-contained.
 	SharedBound *SharedBound
 	// Trace is the parent trace context for this query's span. The zero
-	// value — the default — opens a fresh root trace, so standalone queries
-	// behave exactly as before; the shard executor sets it to its own query
-	// span's context so per-shard join spans correlate with the
-	// gather-side span. Ignored when Tracer is nil.
+	// value — the default — opens a fresh root trace; the shard executor
+	// sets it to its own query span's context so per-shard join spans
+	// correlate with the gather-side span. Ignored when Tracer is nil.
 	Trace obs.TraceContext
 	// Parallelism is the number of worker goroutines for the HEAP
-	// algorithm. 0 and 1 run the paper's sequential algorithm (the zero
-	// value keeps every existing call byte-identical, including disk
-	// access counts); N > 1 runs N workers over a shared frontier with an
-	// atomically tightened pruning bound; AutoParallelism (-1) uses
-	// runtime.GOMAXPROCS(0). The recursive algorithms (Naive, EXH, SIM,
-	// STD) ignore the knob: their pruning depends on depth-first T
-	// evolution and stays sequential. Parallel runs return the same K
+	// algorithm. 0 and 1 run the paper's sequential algorithm, whose disk
+	// access counts repeat exactly; N > 1 runs N workers over a shared
+	// frontier with an atomically tightened pruning bound; AutoParallelism
+	// (-1) uses runtime.GOMAXPROCS(0). The recursive algorithms (Naive,
+	// EXH, SIM, STD) ignore the knob: their pruning depends on depth-first
+	// T evolution and stays sequential. Parallel runs return the same K
 	// distances as sequential ones, but disk access counts may vary
 	// slightly run to run (see DESIGN.md, "Parallel execution").
 	Parallelism int
@@ -247,7 +245,10 @@ func (o Options) Workers() int {
 }
 
 // DefaultOptions returns the paper's preferred configuration for the given
-// algorithm.
+// algorithm. It is the paper-exact preset — results_full.txt is generated
+// from it, each figure that studies Tie, Height, Sort or KPrune overriding
+// that one field — and it is what the facade runs: there is no second
+// preset.
 func DefaultOptions(a Algorithm) Options {
 	return Options{Algorithm: a, Tie: Tie1, Height: FixAtRoot, Sort: sortx.Merge}
 }

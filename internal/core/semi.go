@@ -78,10 +78,9 @@ func SemiClosestPairsContext(ctx context.Context, ta, tb *rtree.Tree, opts Optio
 		}
 		return out[i].RefP < out[j].RefP
 	})
-	if ta.Pool() == tb.Pool() {
-		stats.IOP = ta.Pool().Stats().Sub(startA)
-	} else {
-		stats.IOP = ta.Pool().Stats().Sub(startA)
+	// With a shared pool report the delta once.
+	stats.IOP = ta.Pool().Stats().Sub(startA)
+	if ta.Pool() != tb.Pool() {
 		stats.IOQ = tb.Pool().Stats().Sub(startB)
 	}
 	return out, stats, nil

@@ -50,10 +50,9 @@ func SemiClosestPairsBatchedContext(ctx context.Context, ta, tb *rtree.Tree, opt
 		}
 		return out[i].RefP < out[j].RefP
 	})
-	if ta.Pool() == tb.Pool() {
-		s.stats.IOP = ta.Pool().Stats().Sub(startA)
-	} else {
-		s.stats.IOP = ta.Pool().Stats().Sub(startA)
+	// With a shared pool report the delta once.
+	s.stats.IOP = ta.Pool().Stats().Sub(startA)
+	if ta.Pool() != tb.Pool() {
 		s.stats.IOQ = tb.Pool().Stats().Sub(startB)
 	}
 	return out, s.stats, nil

@@ -3,8 +3,8 @@
 // against (Sections 3.9 and 5.2). An Iterator produces closest pairs in
 // ascending distance order from a priority queue holding four kinds of
 // items — node/node, object/node, node/object and object/object — under
-// one of three traversal policies (basic, even, simultaneous) and one of
-// two tie policies (depth-first, breadth-first). Setting MaxK enables the
+// one of three traversal policies (basic, even, simultaneous), equal
+// distances going to the deeper pair first. Setting MaxK enables the
 // K-bounded queue pruning of the modified algorithm in [11].
 package incremental
 
@@ -50,35 +50,10 @@ func (t Traversal) String() string {
 	}
 }
 
-// TiePolicy orders queue items whose distance keys are equal.
-type TiePolicy int
-
-const (
-	// DepthFirst gives priority to the pair containing a node at a deeper
-	// level (closer to the leaves).
-	DepthFirst TiePolicy = iota
-	// BreadthFirst gives priority to the pair at the shallower level.
-	BreadthFirst
-)
-
-// String implements fmt.Stringer.
-func (t TiePolicy) String() string {
-	switch t {
-	case DepthFirst:
-		return "depth-first"
-	case BreadthFirst:
-		return "breadth-first"
-	default:
-		return fmt.Sprintf("TiePolicy(%d)", int(t))
-	}
-}
-
 // Options configures an incremental distance join.
 type Options struct {
 	// Traversal is the node-pair expansion policy (default Basic).
 	Traversal Traversal
-	// Tie is the equal-distance ordering policy (default DepthFirst).
-	Tie TiePolicy
 	// MaxK, when positive, bounds the number of pairs the join will ever
 	// produce and enables the queue pruning of the modified algorithm:
 	// items that cannot beat the current K-th best candidate distance are
@@ -153,11 +128,6 @@ func New(ta, tb *rtree.Tree, opts Options) (*Iterator, error) {
 	default:
 		return nil, fmt.Errorf("incremental: unknown traversal %d", int(opts.Traversal))
 	}
-	switch opts.Tie {
-	case DepthFirst, BreadthFirst:
-	default:
-		return nil, fmt.Errorf("incremental: unknown tie policy %d", int(opts.Tie))
-	}
 	if opts.MaxK < 0 {
 		return nil, fmt.Errorf("incremental: negative MaxK %d", opts.MaxK)
 	}
@@ -169,7 +139,6 @@ func New(ta, tb *rtree.Tree, opts Options) (*Iterator, error) {
 		startA: ta.Pool().Stats(),
 		startB: tb.Pool().Stats(),
 	}
-	it.queue.tie = opts.Tie
 	ra, err := ta.Bounds()
 	if err != nil {
 		return nil, err

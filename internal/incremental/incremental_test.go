@@ -42,23 +42,21 @@ func TestAllPoliciesMatchBruteForce(t *testing.T) {
 	tb := buildTree(t, qs, 256)
 	want := core.BruteForceKCP(ps, qs, 50)
 	for _, tr := range Traversals() {
-		for _, tie := range []TiePolicy{DepthFirst, BreadthFirst} {
-			got, stats, err := GetK(ta, tb, 50, Options{Traversal: tr, Tie: tie})
-			if err != nil {
-				t.Fatalf("%v/%v: %v", tr, tie, err)
+		got, stats, err := GetK(ta, tb, 50, Options{Traversal: tr})
+		if err != nil {
+			t.Fatalf("%v: %v", tr, err)
+		}
+		if len(got) != 50 {
+			t.Fatalf("%v: got %d pairs", tr, len(got))
+		}
+		for i := range got {
+			if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
+				t.Fatalf("%v pair %d: dist %.12g, want %.12g",
+					tr, i, got[i].Dist, want[i].Dist)
 			}
-			if len(got) != 50 {
-				t.Fatalf("%v/%v: got %d pairs", tr, tie, len(got))
-			}
-			for i := range got {
-				if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
-					t.Fatalf("%v/%v pair %d: dist %.12g, want %.12g",
-						tr, tie, i, got[i].Dist, want[i].Dist)
-				}
-			}
-			if stats.Accesses() <= 0 || stats.MaxQueueSize <= 0 {
-				t.Errorf("%v/%v: stats not recorded: %+v", tr, tie, stats)
-			}
+		}
+		if stats.Accesses() <= 0 || stats.MaxQueueSize <= 0 {
+			t.Errorf("%v: stats not recorded: %+v", tr, stats)
 		}
 	}
 }
@@ -220,9 +218,6 @@ func TestIncrementalErrors(t *testing.T) {
 	if _, err := New(ta, ta, Options{Traversal: Traversal(9)}); err == nil {
 		t.Error("bad traversal must fail")
 	}
-	if _, err := New(ta, ta, Options{Tie: TiePolicy(9)}); err == nil {
-		t.Error("bad tie policy must fail")
-	}
 	if _, err := New(ta, ta, Options{MaxK: -1}); err == nil {
 		t.Error("negative MaxK must fail")
 	}
@@ -267,10 +262,7 @@ func TestRandomizedIncrementalProperty(t *testing.T) {
 		ta := buildTree(t, ps, 256)
 		tb := buildTree(t, qs, 256)
 		k := 1 + rng.Intn(np*nq)
-		opts := Options{
-			Traversal: Traversals()[rng.Intn(3)],
-			Tie:       TiePolicy(rng.Intn(2)),
-		}
+		opts := Options{Traversal: Traversals()[rng.Intn(3)]}
 		got, _, err := GetK(ta, tb, k, opts)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -316,13 +308,5 @@ func TestPolicyStringers(t *testing.T) {
 	}
 	if Traversal(9).String() != "Traversal(9)" {
 		t.Error("unknown traversal String")
-	}
-	for _, tp := range []TiePolicy{DepthFirst, BreadthFirst} {
-		if tp.String() == "" {
-			t.Error("empty tie policy name")
-		}
-	}
-	if TiePolicy(9).String() != "TiePolicy(9)" {
-		t.Error("unknown tie policy String")
 	}
 }

@@ -1,11 +1,10 @@
 package incremental
 
 // pq is a binary min-heap of queue items ordered by ascending distance
-// key, with equal keys resolved by the configured tie policy and finally
-// by insertion order (making runs deterministic).
+// key, with equal keys resolved depth-first and finally by insertion
+// order (making runs deterministic).
 type pq struct {
 	items []item
-	tie   TiePolicy
 }
 
 func (q *pq) len() int { return len(q.items) }
@@ -16,11 +15,8 @@ func (q *pq) less(a, b *item) bool {
 		return a.keySq < b.keySq
 	}
 	if a.depth != b.depth {
-		if q.tie == DepthFirst {
-			// Deeper pairs (smaller level; objects are -1) first.
-			return a.depth < b.depth
-		}
-		return a.depth > b.depth
+		// Deeper pairs (smaller level; objects are -1) first.
+		return a.depth < b.depth
 	}
 	return a.seq < b.seq
 }

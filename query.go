@@ -2,7 +2,6 @@ package cpq
 
 import (
 	"context"
-
 	"errors"
 
 	"repro/internal/core"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/obs/explain"
 	"repro/internal/rtree"
 	"repro/internal/shard"
-	"repro/internal/sortx"
 )
 
 // Pair is one closest-pair result.
@@ -39,52 +37,6 @@ const (
 	// min-heap of node pairs. It is the default: the paper found it (with
 	// STD) the most robust across configurations.
 	HeapAlgorithm = core.Heap
-)
-
-// TieStrategy breaks MINMINDIST ties in STD and HEAP (paper Section 3.6).
-type TieStrategy = core.TieStrategy
-
-// Tie strategies T1-T5; T1 is the paper's winner and the default.
-const (
-	TieNone = core.TieNone
-	Tie1    = core.Tie1
-	Tie2    = core.Tie2
-	Tie3    = core.Tie3
-	Tie4    = core.Tie4
-	Tie5    = core.Tie5
-)
-
-// HeightStrategy treats trees of different heights (paper Section 3.7).
-type HeightStrategy = core.HeightStrategy
-
-// Height strategies; FixAtRoot is the paper's recommendation and the
-// default.
-const (
-	FixAtRoot   = core.FixAtRoot
-	FixAtLeaves = core.FixAtLeaves
-)
-
-// SortMethod selects STD's sorting algorithm (paper footnote 2).
-type SortMethod = sortx.Method
-
-// The six candidate sorts; MergeSort is the authors' choice and default.
-const (
-	MergeSort     = sortx.Merge
-	QuickSort     = sortx.Quick
-	HeapSort      = sortx.Heap
-	InsertionSort = sortx.Insertion
-	SelectionSort = sortx.Selection
-	BubbleSort    = sortx.Bubble
-)
-
-// KPruning selects the K>1 pruning bound (paper Section 3.8).
-type KPruning = core.KPruning
-
-// K-pruning rules; KPruneMaxMax (the technical report's MAXMAXDIST rule)
-// is the default.
-const (
-	KPruneMaxMax  = core.KPruneMaxMax
-	KPruneHeapTop = core.KPruneHeapTop
 )
 
 // Metric is a Minkowski (L_p) distance metric. The zero value is the
@@ -121,27 +73,6 @@ func WithAlgorithm(a Algorithm) QueryOption {
 	return func(o *queryConfig) { o.core.Algorithm = a }
 }
 
-// WithTieStrategy selects the tie-break strategy (default Tie1).
-func WithTieStrategy(t TieStrategy) QueryOption {
-	return func(o *queryConfig) { o.core.Tie = t }
-}
-
-// WithHeightStrategy selects the different-heights treatment
-// (default FixAtRoot).
-func WithHeightStrategy(h HeightStrategy) QueryOption {
-	return func(o *queryConfig) { o.core.Height = h }
-}
-
-// WithSortMethod selects STD's sorting algorithm (default MergeSort).
-func WithSortMethod(m SortMethod) QueryOption {
-	return func(o *queryConfig) { o.core.Sort = m }
-}
-
-// WithKPruning selects the K>1 pruning rule (default KPruneMaxMax).
-func WithKPruning(k KPruning) QueryOption {
-	return func(o *queryConfig) { o.core.KPrune = k }
-}
-
 // WithMetric selects the distance metric (default Euclidean).
 func WithMetric(m Metric) QueryOption {
 	return func(o *queryConfig) { o.core.Metric = m }
@@ -175,6 +106,9 @@ func WithParallelism(n int) QueryOption {
 // one broadcast tighten-only bound. Results are bit-identical (distances
 // and tie order) to the unsharded query. t <= 1 (the default) keeps the
 // monolithic join; the self-, semi- and range variants ignore the knob.
+// The plan is t^2 tile pairs, so t is capped at (|P|+|Q|) / 2M, one tile
+// per two full leaves' worth of points; EXPLAIN reports the count the
+// query ran on.
 //
 // Sharding pays off when tile-level pruning can skip most of the T^2
 // tile pairs — clustered data, or K-th distances far below the tile
@@ -190,6 +124,16 @@ func buildConfig(opts []QueryOption) queryConfig {
 	for _, f := range opts {
 		f(&c)
 	}
+	return c
+}
+
+// buildJoinConfig resolves the configuration of a bichromatic query over
+// p and q, capping the tile count as WithShards documents: a tile smaller
+// than one leaf per side prunes nothing a leaf pair would not. A cap of 1
+// or less leaves the monolithic join.
+func buildJoinConfig(opts []QueryOption, p, q *Index) queryConfig {
+	c := buildConfig(opts)
+	c.shards = min(c.shards, int((p.Len()+q.Len())/int64(2*p.tree.Config().MaxEntries)))
 	return c
 }
 
@@ -261,7 +205,7 @@ func ClosestPair(p, q *Index, opts ...QueryOption) (Pair, Stats, error) {
 // When the context never fires the results, paper counters and disk
 // accesses are identical to the context-free call.
 func ClosestPairContext(ctx context.Context, p, q *Index, opts ...QueryOption) (Pair, Stats, error) {
-	cfg := buildConfig(opts)
+	cfg := buildJoinConfig(opts, p, q)
 	if cfg.capture != nil {
 		pairs, stats, err := explainKCPQ(ctx, p, q, 1, cfg)
 		if err != nil {
@@ -290,7 +234,7 @@ func KClosestPairs(p, q *Index, k int, opts ...QueryOption) ([]Pair, Stats, erro
 // KClosestPairsContext is KClosestPairs under a context; see
 // ClosestPairContext for the cancellation contract.
 func KClosestPairsContext(ctx context.Context, p, q *Index, k int, opts ...QueryOption) ([]Pair, Stats, error) {
-	cfg := buildConfig(opts)
+	cfg := buildJoinConfig(opts, p, q)
 	if cfg.capture != nil {
 		return explainKCPQ(ctx, p, q, k, cfg)
 	}
@@ -328,7 +272,12 @@ func SelfKClosestPairsContext(ctx context.Context, p *Index, k int, opts ...Quer
 
 // SemiClosestPairs returns, for every point of p, its nearest point in q
 // (the paper's semi-CPQ future-work variant), sorted by ascending
-// distance. It is the non-cancellable shim over SemiClosestPairsContext.
+// distance. The traversal is batched: one best-first search over q per
+// leaf of p serves all of the leaf's points at once, at a fraction of the
+// disk accesses of one nearest-neighbour search per point. Where two
+// points of q are exactly equally near a point of p, which of them RefQ
+// names is not specified. It is the non-cancellable shim over
+// SemiClosestPairsContext.
 func SemiClosestPairs(p, q *Index, opts ...QueryOption) ([]Pair, Stats, error) {
 	return SemiClosestPairsContext(context.Background(), p, q, opts...)
 }
@@ -336,21 +285,6 @@ func SemiClosestPairs(p, q *Index, opts ...QueryOption) ([]Pair, Stats, error) {
 // SemiClosestPairsContext is SemiClosestPairs under a context; see
 // ClosestPairContext for the cancellation contract.
 func SemiClosestPairsContext(ctx context.Context, p, q *Index, opts ...QueryOption) ([]Pair, Stats, error) {
-	return core.SemiClosestPairsContext(ctx, p.tree, q.tree, buildOptions(opts))
-}
-
-// SemiClosestPairsBatched computes the same result as SemiClosestPairs
-// with a batched traversal: one best-first search over q per leaf of p
-// serves all of the leaf's points at once, usually at a fraction of the
-// disk accesses. It is the non-cancellable shim over
-// SemiClosestPairsBatchedContext.
-func SemiClosestPairsBatched(p, q *Index, opts ...QueryOption) ([]Pair, Stats, error) {
-	return SemiClosestPairsBatchedContext(context.Background(), p, q, opts...)
-}
-
-// SemiClosestPairsBatchedContext is SemiClosestPairsBatched under a
-// context; see ClosestPairContext for the cancellation contract.
-func SemiClosestPairsBatchedContext(ctx context.Context, p, q *Index, opts ...QueryOption) ([]Pair, Stats, error) {
 	return core.SemiClosestPairsBatchedContext(ctx, p.tree, q.tree, buildOptions(opts))
 }
 

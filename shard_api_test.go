@@ -88,3 +88,42 @@ func TestWithShardsOneTileIsMonolithic(t *testing.T) {
 			wantStats.NodePairsProcessed, gotStats.NodePairsProcessed)
 	}
 }
+
+// TestWithShardsCapsTileCount pins the cap on the tile count: the plan is
+// tiles^2 shard pairs, so a count far above what the input can fill must
+// not be taken literally (uncapped, this query processes 249,000 node
+// pairs against 99 at four tiles).
+func TestWithShardsCapsTileCount(t *testing.T) {
+	p, err := BuildIndex(randomPoints(45, 500, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	q, err := BuildIndex(randomPoints(46, 500, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	want, _, err := KClosestPairs(p, q, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stats, rep, err := Explain(p, q, 10, WithShards(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("result length: want %d, got %d", len(want), len(got))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("pair %d: want %+v, got %+v", i, want[i], got[i])
+		}
+	}
+	if stats.NodePairsProcessed >= 1000 {
+		t.Fatalf("WithShards(1000) on 500 x 500 points processed %d node pairs", stats.NodePairsProcessed)
+	}
+	if wantTiles := 1000 / (2 * 21); rep.Plan.Shards != wantTiles {
+		t.Fatalf("plan reports %d shards, want the effective %d", rep.Plan.Shards, wantTiles)
+	}
+}
