@@ -4,8 +4,9 @@
 # the repo-specific static analyzer (cpqlint, DESIGN.md §7), the analyzer
 # turned on itself, the full test suite, the race detector over the
 # whole module (the parallel K-CPQ engine and the sharded buffer pool
-# make every package fair game for concurrency bugs), and one run of
-# every binary that has no tests.
+# make every package fair game for concurrency bugs) and repeatedly over
+# the scheduling-dependent tests, and one run of every binary that has no
+# tests.
 #
 # Usage:
 #   ./ci.sh            run every gate
@@ -167,6 +168,12 @@ all() {
 	obs
 	go test ./...
 	go test -race ./...
+	# One -race pass sees one interleaving: the tests whose outcome depends
+	# on how the parallel engine's workers are scheduled run again, twenty
+	# times (-short trims the largest inputs, which the passes above ran in
+	# full), and the sharded executor's parallel joins five.
+	go test -race -short -count=20 -run 'Parallel|TestSweepParallelEquivalence|TestConcurrentQueriesShareFreeList|TestParallelFaultSweep' ./internal/core
+	go test -race -count=5 -run 'TestShardedMatchesUnshardedParallelism' ./internal/shard
 	# The benchmark is a module of its own (benchmark/go.mod), outside
 	# ./...: compile and test it here so an engine change cannot break it
 	# unnoticed.

@@ -209,8 +209,6 @@ type Totals struct {
 	Accesses        int64   `json:"accesses"`
 	NodePairs       int64   `json:"node_pairs"`
 	PointPairs      int64   `json:"point_pairs"`
-	HeapBatches     int64   `json:"heap_batches"`
-	HeapBatchPairs  int64   `json:"heap_batch_pairs"`
 	NodeCacheHits   int64   `json:"node_cache_hits"`
 	NodeCacheMisses int64   `json:"node_cache_misses"`
 	NodeCacheRatio  float64 `json:"node_cache_hit_ratio"`
@@ -264,8 +262,6 @@ func (l *Lab) RunCore(ta, tb *rtree.Tree, k int, opts core.Options, bufferPages 
 		l.totals.Accesses += stats.Accesses()
 		l.totals.NodePairs += stats.NodePairsProcessed
 		l.totals.PointPairs += stats.PointPairsCompared
-		l.totals.HeapBatches += stats.HeapBatches
-		l.totals.HeapBatchPairs += stats.HeapBatchPairs
 		l.totals.NodeCacheHits += stats.NodeCacheHits
 		l.totals.NodeCacheMisses += stats.NodeCacheMisses
 	}

@@ -28,11 +28,11 @@ func KClosestPairs(ta, tb *rtree.Tree, k int, opts Options) ([]Pair, Stats, erro
 }
 
 // KClosestPairsContext is KClosestPairs under a context: the traversal
-// polls ctx every cancelStride steps (parallel workers per claimed batch)
-// and returns ctx.Err() when it fires, with all buffer-pool pins released
-// and all workers joined. A query that completes without the context
-// firing returns results, counters and disk accesses byte-identical to
-// the context-free call.
+// polls ctx every cancelStride steps (a parallel query also per seed
+// expansion and per task) and returns ctx.Err() when it fires, with all
+// buffer-pool pins released and all workers joined. A query that completes
+// without the context firing returns results, counters and disk accesses
+// byte-identical to the context-free call.
 func KClosestPairsContext(ctx context.Context, ta, tb *rtree.Tree, k int, opts Options) ([]Pair, Stats, error) {
 	if k <= 0 {
 		return nil, Stats{}, fmt.Errorf("core: k must be positive, got %d", k)

@@ -14,24 +14,22 @@ type join struct {
 	ta, tb *rtree.Tree
 	opts   Options
 	k      int
-	// sc is the query's scratch, held from newJoin to release; kheap is
-	// the result heap inside it. The sequential drivers work in sc alone;
-	// the parallel engine uses its queue and result heap, and each worker
-	// brings a scratch of its own for the rest.
+	// sc is the join's scratch, held from newJoin to release; kheap is
+	// the result heap inside it. Every driver works in sc alone; a
+	// parallel worker's join holds the scratch that worker took
+	// (parallel.go).
 	sc    *queryScratch
 	kheap *kHeap
 	// bound is the auxiliary pruning bound B (squared): the MINMAXDIST
 	// bound of Inequality 2 for K = 1, or the MAXMAXDIST prefix bound for
 	// K > 1 under KPruneMaxMax. The effective pruning distance T is
-	// min(bound, K-heap threshold). Only the sequential algorithms use it;
-	// the parallel HEAP engine folds both sources into one atomic bound.
+	// min(bound, K-heap threshold, shared bound).
 	bound float64
 	stats statsAcc
 
 	// span is the query's trace span, nil when tracing is disabled. lastT
-	// is the last effective bound T the span saw, used by the sequential
-	// algorithms to emit EvBoundTightened only on strict decreases (the
-	// parallel engine traces CAS successes instead; see trace.go).
+	// is the last effective bound T this join traced, so EvBoundTightened
+	// is emitted only on strict decreases (see trace.go).
 	span  *obs.Span
 	lastT float64
 
@@ -40,14 +38,15 @@ type join struct {
 	mA, mB               float64 // minimum node occupancies as floats
 	metric               geom.Metric
 
-	// shared is the optional cross-join bound (Options.SharedBound): the
-	// effective pruning distance T folds it in, and publishShared pushes
-	// this join's own sound upper bounds back. nil for self-contained
-	// queries.
+	// shared is the bound this join shares with others: Options.SharedBound
+	// (the shard executor's), or a parallel query's own, which its workers'
+	// joins all point at. The effective pruning distance T folds it in, and
+	// publishShared pushes this join's own sound upper bounds back. nil for
+	// a self-contained sequential query.
 	shared *SharedBound
 
-	// cancel is the stride-gated context poll the sequential drivers call
-	// once per traversal step (heap pop, recursive visit, range-join pop).
+	// cancel is the stride-gated context poll the drivers call once per
+	// traversal step (heap pop, recursive visit, range-join pop).
 	cancel cancelGate
 }
 
@@ -127,8 +126,8 @@ func (j *join) T() float64 {
 // min(K-heap threshold, auxiliary bound), both valid beyond this join's
 // subtree product (see SharedBound) — to the cross-join bound. No-op
 // without one. Sequential drivers call it after every tightening site
-// (leaf scans, expansion bound updates); the parallel engine forwards
-// its atomic bound's CAS successes instead (see parallel.go).
+// (leaf scans, expansion bound updates), which is also how a parallel
+// worker's bounds reach the others.
 func (j *join) publishShared() {
 	if j.shared == nil {
 		return
@@ -205,9 +204,8 @@ func (j *join) modeFor(na, nb *rtree.Node) expandMode {
 // HEAP), and appends the sub-pairs surviving the post-tighten pruning
 // bound T to dst. MINMINDIST values are computed for every pruning
 // algorithm; tie keys only for survivors, when a tie strategy is active
-// (kernel.go). Sequential drivers only — it mutates j.bound and works in
-// the join's own scratch; parallel workers pair beginExpand with the atomic
-// bound and their own scratch instead.
+// (kernel.go). It mutates j.bound and works in the join's own scratch,
+// so a parallel worker calls it only on its own join.
 func (j *join) expandInto(p nodePair, na, nb *rtree.Node, dst []nodePair) []nodePair {
 	e := j.beginExpand(&j.sc.kern, p, na, nb, j.bound)
 	if j.tightens() && e.bound < j.bound {
@@ -237,9 +235,9 @@ func nodeGuaranteedPoints(m float64, n *rtree.Node) float64 {
 	return float64(len(n.Entries)) * math.Pow(m, float64(n.Level))
 }
 
-// scanLeaves performs step CP3 for the sequential algorithms: evaluate the
-// point pairs between two leaves against the join's K-heap, pruned by the
-// auxiliary bound and — when attached — the shared cross-join bound (the
+// scanLeaves performs step CP3: evaluate the point pairs between two
+// leaves against the join's K-heap, pruned by the auxiliary bound and —
+// when attached — the shared bound (the
 // K-heap's own threshold applies in any case). Accepted pairs may have
 // tightened the K-heap threshold, so the new value is published back.
 func (j *join) scanLeaves(na, nb *rtree.Node) {

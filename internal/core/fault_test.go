@@ -132,8 +132,8 @@ func TestCancelledQueriesReturnCtxErr(t *testing.T) {
 		})
 	}
 
-	// Everything spawned by the cancelled runs (workers, the Done
-	// watcher) must be joined, not abandoned. Settle briefly: exiting
+	// Everything spawned by the cancelled runs (the parallel workers)
+	// must be joined, not abandoned. Settle briefly: exiting
 	// goroutines are observable slightly after their spawner returns.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

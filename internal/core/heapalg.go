@@ -65,20 +65,11 @@ func (h *pairHeap) siftDown(i int) {
 	}
 }
 
-// popBatch pops pairs in ascending order while the top pair's key does not
-// exceed limit, up to max pairs, appending them to dst. The caller
-// guarantees the initial top qualifies, so a batch is never empty.
-func (h *pairHeap) popBatch(dst []nodePair, max int, limit float64) []nodePair {
-	for len(dst) < max && len(h.pairs) > 0 && h.pairs[0].minminSq <= limit {
-		dst = append(dst, h.pop())
-	}
-	return dst
-}
-
 // runHeap drives the iterative Heap algorithm from the given root pair:
 // pop the pair with the smallest MINMINDIST, stop as soon as it exceeds T
 // (everything still queued is at least as far), otherwise process it and
-// enqueue its surviving sub-pairs.
+// enqueue its surviving sub-pairs. It is the whole sequential query, and a
+// parallel worker runs it unchanged on each of its tasks (parallel.go).
 //
 // Cancellation: the stride-gated poll runs once per dequeued pair, so a
 // cancelled context unwinds within cancelStride pairs.

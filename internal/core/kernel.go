@@ -20,9 +20,9 @@ import (
 // computes all pairwise MINMINDIST keys in one tight branch-light loop the
 // compiler keeps in registers; finish then materialises only the sub-pairs
 // whose key survives the pruning bound. The two-phase shape exists because
-// the two drivers tighten the auxiliary bound differently: the sequential
-// algorithms assign j.bound between the phases, the parallel engine CASes
-// the shared atomic. Everything observable — the sub-pair set, the bound
+// the callers differ between the phases: expandInto assigns j.bound and
+// filters by the tightened T, the range join filters by its fixed ε.
+// Everything observable — the sub-pair set, the bound
 // value, SubPairsGenerated/SubPairsPruned, trace events — is identical to
 // the reference (TestKernelCounterParity):
 //
@@ -111,8 +111,7 @@ type expansion struct {
 	hasKeys bool
 	// bound is the auxiliary pruning bound the sub-pair MBR metrics
 	// support if that is below the caller's current bound, +Inf otherwise
-	// (boundCandidate). The caller applies it: the sequential driver
-	// assigns j.bound, the parallel engine CASes the shared atomic.
+	// (boundCandidate). The caller applies it (expandInto assigns j.bound).
 	bound float64
 }
 
@@ -121,9 +120,9 @@ type expansion struct {
 // algorithms) and the auxiliary bound candidate (for the tightening ones),
 // and counts the generated sub-pairs. The caller then calls finish to
 // materialise the survivors; sc, na and nb must stay untouched in between.
-// cur is the bound the caller will compare the candidate with — j.bound on
-// the sequential drivers, the published atomic on the parallel workers — and
-// lets the kernel skip every candidate that could not be applied anyway.
+// cur is the bound the caller will compare the candidate with — j.bound —
+// and lets the kernel skip every candidate that could not be applied
+// anyway.
 func (j *join) beginExpand(sc *kernelScratch, p nodePair, na, nb *rtree.Node, cur float64) expansion {
 	e := expansion{
 		j: j, sc: sc,

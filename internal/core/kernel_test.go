@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -185,125 +184,6 @@ func TestKernelCounterParity(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestKernelBoundParityParallel is the parallel engine's half of the same
-// claim. Its workers hand the kernel the published atomic bound — which
-// folds in the K-heap threshold, so far fewer candidates lie below it than
-// below the sequential auxiliary bound — and apply the candidate by CAS.
-// With one worker the schedule is deterministic, so every successful CAS
-// (the EvBoundTightened events: value displaced, value stored, rule) can
-// be held to a replay of the same schedule over the textbook expansion,
-// along with the counters and the result.
-func TestKernelBoundParityParallel(t *testing.T) {
-	for _, in := range parityInputs(t) {
-		for _, k := range parityKs {
-			name := fmt.Sprintf("%s/k=%d", in.name, k)
-			opts := DefaultOptions(Heap)
-			opts.Height = in.height
-			jk, err := newJoin(in.ka, in.kb, k, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jr, err := newJoin(in.ra, in.rb, k, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var trace captureTracer
-			jk.span = obs.StartSpan(&trace, name)
-			root, err := jk.rootPair()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := jk.runHeapParallel(context.Background(), root, 1); err != nil {
-				t.Fatal(err)
-			}
-			want := refParallelOneWorker(t, jr, root)
-			if got := boundSteps(trace.events); !slices.Equal(got, want) {
-				t.Fatalf("%s: published bound tightened through\n kernel    %v\n reference %v", name, got, want)
-			} else if len(got) == 0 {
-				t.Fatalf("%s: the published bound never tightened", name)
-			}
-			sk, sr := jk.stats.snapshot(), jr.stats.snapshot()
-			sk.MaxQueueSize, sk.HeapBatches, sk.HeapBatchPairs = 0, 0, 0 // the replay keeps no such counts
-			if sk != sr {
-				t.Fatalf("%s: counters differ\n kernel    %+v\n reference %+v", name, sk, sr)
-			}
-			if !slices.Equal(jk.kheap.results(jk.metric), jr.kheap.results(jr.metric)) {
-				t.Fatalf("%s: results differ", name)
-			}
-			jk.release()
-			jr.release()
-		}
-	}
-}
-
-// refParallelOneWorker replays parallel.go's schedule for a single worker
-// — claim up to parBatch of the best pairs, process them against the
-// published bound, merge the local heap when it can lower it — with the
-// reference expansion in place of the kernel, and returns every tightening
-// of the published bound.
-func refParallelOneWorker(t *testing.T, j *join, root nodePair) []boundStep {
-	t.Helper()
-	var steps []boundStep
-	bound := math.Inf(1)
-	tighten := func(v float64, src obs.BoundSource) {
-		if v < bound {
-			steps = append(steps, boundStep{bound, v, src})
-			bound = v
-		}
-	}
-	local := newKHeap(j.k)
-	merge := func() {
-		if len(local.pairs) == 0 {
-			return
-		}
-		for i := range local.pairs {
-			j.kheap.offer(local.pairs[i])
-		}
-		if j.kheap.full() {
-			tighten(j.kheap.threshold(), obs.SourceMerge)
-		}
-		local.reset()
-	}
-	var frontier pairHeap
-	if root.minminSq <= bound {
-		frontier.push(root)
-	}
-	localMin := math.Inf(1)
-	f := j.sc.frame(0)
-	for frontier.Len() > 0 && frontier.pairs[0].minminSq <= bound {
-		for _, p := range frontier.popBatch(nil, parBatch, bound) {
-			if p.minminSq > bound {
-				continue
-			}
-			if err := j.readPair(p, f); err != nil {
-				t.Fatal(err)
-			}
-			if f.na.IsLeaf() && f.nb.IsLeaf() {
-				if m := j.scanLeavesSweep(&f.na, &f.nb, local, bound); m < localMin {
-					localMin = m
-				}
-				continue
-			}
-			// A fixed side's rectangle is the node's own MBR, as in the kernel.
-			subs, mode := refComputeSubs(j, refPair{nodePair: p, ra: f.na.MBR(), rb: f.nb.MBR()}, &f.na, &f.nb)
-			tighten(refBoundCandidate(j, subs, mode, &f.na, &f.nb), j.boundSource())
-			for _, sp := range subs {
-				if sp.minminSq > bound {
-					j.stats.subPairsPruned.Add(1)
-					continue
-				}
-				frontier.push(sp.nodePair)
-			}
-		}
-		if localMin < bound {
-			merge()
-			localMin = math.Inf(1)
-		}
-	}
-	merge()
-	return steps
 }
 
 // refPair is the queue element the engine used before ISSUE 18: the

@@ -45,11 +45,8 @@ func (h *kHeap) threshold() float64 {
 	return h.pairs[0].distSq
 }
 
-// full reports whether K pairs have been collected.
-func (h *kHeap) full() bool { return len(h.pairs) >= h.k }
-
-// reset empties the heap, keeping the backing array (parallel workers
-// reuse their local heap between merges).
+// reset empties the heap, keeping the backing array (a parallel worker
+// empties its own after each merge).
 func (h *kHeap) reset() { h.pairs = h.pairs[:0] }
 
 // lessPair is the heap's total order: ascending squared distance, exact

@@ -37,7 +37,6 @@ func TestDisabledHooksZeroAlloc(t *testing.T) {
 		j.traceBoundValue(9, 4, obs.SourceMerge)
 		j.traceHighWater(17)
 		j.traceSweepPruned(12)
-		j.traceWorkerSteal(1, 8)
 		j.traceQueryEnd(0, nil)
 	})
 	if allocs != 0 {

@@ -187,8 +187,8 @@ type Options struct {
 	// the same metric, preserving every pruning argument.
 	Metric geom.Metric
 	// Tracer, when non-nil, receives a per-query span of typed events
-	// (node expansions, bound tightenings, heap high-water marks, worker
-	// steals; see the obs event taxonomy). nil — the default — disables
+	// (node expansions, bound tightenings, heap high-water marks, leaf
+	// sweeps; see the obs event taxonomy). nil — the default — disables
 	// tracing entirely: every emission site sits behind one nil check and
 	// allocates nothing.
 	Tracer obs.Tracer
@@ -214,13 +214,14 @@ type Options struct {
 	Trace obs.TraceContext
 	// Parallelism is the number of worker goroutines for the HEAP
 	// algorithm. 0 and 1 run the paper's sequential algorithm, whose disk
-	// access counts repeat exactly; N > 1 runs N workers over a shared
-	// frontier with an atomically tightened pruning bound; AutoParallelism
-	// (-1) uses runtime.GOMAXPROCS(0). The recursive algorithms (Naive,
-	// EXH, SIM, STD) ignore the knob: their pruning depends on depth-first
-	// T evolution and stays sequential. Parallel runs return the same K
-	// distances as sequential ones, but disk access counts may vary
-	// slightly run to run (see DESIGN.md, "Parallel execution").
+	// access counts repeat exactly; N > 1 runs N workers, each a
+	// sequential HEAP over independent subtree pairs, under one shared
+	// tighten-only pruning bound; AutoParallelism (-1) uses
+	// runtime.GOMAXPROCS(0). The recursive algorithms (Naive, EXH, SIM,
+	// STD) ignore the knob: their pruning depends on depth-first T
+	// evolution and stays sequential. A parallel run returns identical
+	// pairs, refs and order to the sequential one; only disk-access (and
+	// node-pair) counts may vary run to run (DESIGN.md §6).
 	Parallelism int
 }
 

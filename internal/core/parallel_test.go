@@ -1,46 +1,59 @@
 package core
 
 import (
+	"context"
 	"errors"
-	"math"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/obs"
+	"repro/internal/rtree"
 	"repro/internal/storage"
 )
 
-// distances extracts the (sorted) result distances of a K-CPQ run.
-func distances(pairs []Pair) []float64 {
-	out := make([]float64, len(pairs))
-	for i, p := range pairs {
-		out[i] = p.Dist
-	}
-	return out
-}
-
-// sameDistances asserts two runs produced exactly the same distance
-// multiset. The K smallest distances of a point-pair population are
-// unique (unlike the pair sets, which may differ under exact ties), and
-// every path computes them with the same float64 operations, so exact
-// equality is required, not a tolerance.
-func sameDistances(t *testing.T, label string, got, want []float64) {
+// samePairs asserts two runs returned the same pairs — points, refs,
+// distances and order. The K-heap's (distSq, refP, refQ) total order makes
+// the top K a function of the candidate set alone, so every execution mode
+// must agree exactly, exact distance ties included.
+func samePairs(t *testing.T, label string, got, want []Pair) {
 	t.Helper()
+	if slices.Equal(got, want) {
+		return
+	}
 	if len(got) != len(want) {
-		t.Fatalf("%s: got %d results, want %d", label, len(got), len(want))
+		t.Fatalf("%s: got %d pairs, want %d", label, len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("%s: distance %d = %.17g, want %.17g", label, i, got[i], want[i])
+			t.Fatalf("%s: pair %d = %v, want %v", label, i, got[i], want[i])
 		}
 	}
 }
 
+// gridPoints draws n points from the 20 x 20 integer grid: duplicates and
+// exact distance ties everywhere.
+func gridPoints(seed int64, n int) []geom.Point {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Point{X: float64(rng.Intn(20)), Y: float64(rng.Intn(20))}
+	}
+	return pts
+}
+
 // TestParallelMatchesSequential is the parallel-equivalence property test:
 // across K, tie strategies, height strategies and data distributions, the
-// parallel HEAP engine must return exactly the same K distances as the
-// sequential HEAP and STD algorithms (the pair sets are equally valid
-// instances under ties; checkAgainstBrute validates the instance).
+// parallel HEAP engine must return exactly the pairs of the sequential
+// HEAP, refs and order included, and the sequential STD must agree too.
+// The grid trials are the duplicate-heavy case, where a pair set that is
+// merely "a valid instance under ties" would show.
 func TestParallelMatchesSequential(t *testing.T) {
 	type data struct {
 		name   string
@@ -70,30 +83,28 @@ func TestParallelMatchesSequential(t *testing.T) {
 					opts := DefaultOptions(Heap)
 					opts.Tie = tie
 					opts.Height = height
+					label := fmt.Sprintf("%s/k=%d/%v/%v", d.name, k, height, tie)
 
-					seqPairs, _, err := KClosestPairs(ta, tb, k, opts)
+					want, _, err := KClosestPairs(ta, tb, k, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := distances(seqPairs)
-
 					stdOpts := opts
 					stdOpts.Algorithm = SortedDistances
 					stdPairs, _, err := KClosestPairs(ta, tb, k, stdOpts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameDistances(t, d.name+"/STD", distances(stdPairs), want)
+					samePairs(t, label+"/STD", stdPairs, want)
 
 					for _, workers := range []int{2, 4} {
 						popts := opts
 						popts.Parallelism = workers
-						parPairs, stats, err := KClosestPairs(ta, tb, k, popts)
+						got, stats, err := KClosestPairs(ta, tb, k, popts)
 						if err != nil {
 							t.Fatal(err)
 						}
-						label := d.name
-						sameDistances(t, label, distances(parPairs), want)
+						samePairs(t, fmt.Sprintf("%s/par=%d", label, workers), got, want)
 						if stats.Accesses() <= 0 || stats.PointPairsCompared <= 0 {
 							t.Fatalf("%s: implausible parallel stats: %v", label, stats)
 						}
@@ -102,7 +113,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 		}
 		// Validate one parallel instance in full against brute force
-		// (refs, points, ordering), not just the distance multiset.
+		// (refs, points, ordering), not just against the sequential engine.
 		opts := DefaultOptions(Heap)
 		opts.Parallelism = 4
 		pairs, _, err := KClosestPairs(ta, tb, 10, opts)
@@ -110,6 +121,118 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkAgainstBrute(t, pairs, d.ps, d.qs, 10)
+	}
+
+	trials := int64(20)
+	if testing.Short() {
+		trials = 4 // ci.sh repeats this test under -race
+	}
+	for trial := int64(0); trial < trials; trial++ {
+		ps, qs := gridPoints(4500+2*trial, 400), gridPoints(4501+2*trial, 400)
+		ta, tb := buildTree(t, ps, 256), buildTree(t, qs, 256)
+		for _, k := range []int{1, 10, 100, 1000} {
+			want, _, err := KClosestPairs(ta, tb, k, DefaultOptions(Heap))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 4} {
+				opts := DefaultOptions(Heap)
+				opts.Parallelism = workers
+				got, _, err := KClosestPairs(ta, tb, k, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				samePairs(t, fmt.Sprintf("grid %d/k=%d/par=%d", trial, k, workers), got, want)
+			}
+		}
+	}
+}
+
+// TestParallelTaskEngine drives the task engine directly, with one worker
+// and with three, over the golden configurations. The result must be the
+// sequential query's, every node pair the counters count must have been
+// traced, and every traced tightening must lower its bound without
+// undercutting the final K-th key. With one worker the whole run — seed,
+// tasks, merges — is a single chain of tightenings, so the traced values
+// must also strictly decrease from one event to the next.
+func TestParallelTaskEngine(t *testing.T) {
+	for _, in := range parityInputs(t) {
+		for _, k := range parityKs {
+			if testing.Short() && k > 100 {
+				continue // ci.sh repeats this test under -race
+			}
+			opts := DefaultOptions(Heap)
+			opts.Height = in.height
+			want, _, err := KClosestPairs(in.ka, in.kb, k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 3} {
+				name := fmt.Sprintf("%s/k=%d/W=%d", in.name, k, workers)
+				j, err := newJoin(in.ka, in.kb, k, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var trace captureTracer
+				j.span = obs.StartSpan(&trace, name)
+				root, err := j.rootPair()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := j.runHeapParallel(context.Background(), root, workers); err != nil {
+					t.Fatal(err)
+				}
+				stats := j.stats.snapshot()
+				got := j.kheap.results(j.metric)
+				kth := j.kheap.pairs[len(j.kheap.pairs)-1].distSq // sorted by results
+				j.release()
+
+				samePairs(t, name, got, want)
+				var expanded int64
+				for _, e := range trace.events {
+					if e.Kind == obs.EvNodeExpanded {
+						expanded++
+					}
+				}
+				if expanded != stats.NodePairsProcessed {
+					t.Fatalf("%s: %d node_expanded events, NodePairsProcessed = %d", name, expanded, stats.NodePairsProcessed)
+				}
+				steps := boundSteps(trace.events)
+				if len(steps) == 0 {
+					t.Fatalf("%s: the bound never tightened", name)
+				}
+				for i, s := range steps {
+					if !(s.to < s.old) || s.to < kth {
+						t.Fatalf("%s: tightening %d went %g -> %g (final K-th key %g)", name, i, s.old, s.to, kth)
+					}
+					if workers == 1 && i > 0 && !(s.to < steps[i-1].to) {
+						t.Fatalf("%s: tightening %d to %g does not undercut the previous one, %g", name, i, s.to, steps[i-1].to)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestParallelQueuesArePerTask pins the property the parallel speedup
+// rests on: a worker's queue holds one subtree pair's frontier, not the
+// query's, so the largest queue of a two-worker query is a small fraction
+// of the sequential one.
+func TestParallelQueuesArePerTask(t *testing.T) {
+	ta := bulkTree(t, dataset.Uniform(1801, 20000))
+	tb := bulkTree(t, dataset.Uniform(1802, 20000))
+	_, seq, err := KClosestPairs(ta, tb, 100, DefaultOptions(Heap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions(Heap)
+	opts.Parallelism = 2
+	_, par, err := KClosestPairs(ta, tb, 100, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if par.MaxQueueSize*10 >= seq.MaxQueueSize {
+		t.Fatalf("two-worker max queue %d, sequential %d: want below a tenth", par.MaxQueueSize, seq.MaxQueueSize)
 	}
 }
 
@@ -194,6 +317,119 @@ func TestParallelSurfacesInjectedReadErrors(t *testing.T) {
 	checkAgainstBrute(t, pairs, ps, qs, 10)
 }
 
+// pollCountCtx is a context whose Err counts its calls and reports
+// context.Canceled from call fireAt on (never when fireAt < 0): cancelling
+// at the N-th poll is deterministic wherever that poll sits — the check
+// before the traversal, the seed, or a worker's claim.
+type pollCountCtx struct {
+	context.Context
+	fireAt int64
+	calls  atomic.Int64
+}
+
+func (c *pollCountCtx) Err() error {
+	if n := c.calls.Add(1) - 1; c.fireAt >= 0 && n >= c.fireAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestParallelFaultSweep fails the parallel engine at every step it has:
+// the N-th page read of either tree for every N up to the query's read
+// count, and the N-th context poll for every poll the query makes. Each
+// query must return the injected error (or finish, having read no more
+// than N pages, with the right answer) or ctx.Err(); afterwards every
+// worker goroutine is gone, the scratch free list is within its bound, and
+// the next query is correct. That next query completing is also the proof
+// that no page stayed pinned: a pin is the pool's shard lock, held only
+// inside BufferPool.View, and a leaked one would block its first read.
+func TestParallelFaultSweep(t *testing.T) {
+	ps, qs := uniformPoints(5200, 300, 0), uniformPoints(5300, 250, 0.3)
+	ta, fa := buildFaultTree(t, ps)
+	tb, fb := buildFaultTree(t, qs)
+	const k = 10
+	want := BruteForceKCP(ps, qs, k)
+	baseline := runtime.NumGoroutine()
+	bound := runtime.GOMAXPROCS(0) + 1
+
+	// after runs the checks every failed query owes.
+	after := func(label string, opts Options) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Fatalf("%s: %d goroutines, %d before", label, n, baseline)
+		}
+		if n := freeListLen(); n > bound {
+			t.Fatalf("%s: free list holds %d scratches, bound %d", label, n, bound)
+		}
+		got, _, err := KClosestPairs(ta, tb, k, opts)
+		if err != nil {
+			t.Fatalf("%s: next query: %v", label, err)
+		}
+		samePairs(t, label+": next query", got, want)
+	}
+
+	for _, workers := range []int{2, 4} {
+		opts := DefaultOptions(Heap)
+		opts.Parallelism = workers
+		for _, side := range []struct {
+			name string
+			tree *rtree.Tree
+			ff   *storage.FaultFile
+		}{{"P", ta, fa}, {"Q", tb, fb}} {
+			reads := func() int64 { return side.tree.Pool().Stats().Reads }
+			before := reads()
+			if _, _, err := KClosestPairs(ta, tb, k, opts); err != nil {
+				t.Fatal(err)
+			}
+			total := reads() - before
+			t.Logf("W=%d: failing each of %s's %d reads", workers, side.name, total)
+			for n := int64(0); n <= total; n++ {
+				label := fmt.Sprintf("W=%d: read %d of %s's %d fails", workers, n, side.name, total)
+				side.ff.FailReadAfter(n)
+				before := reads()
+				got, _, err := KClosestPairs(ta, tb, k, opts)
+				did := reads() - before
+				side.ff.FailReadAfter(-1)
+				switch {
+				case err != nil && !errors.Is(err, storage.ErrInjected):
+					t.Fatalf("%s: err = %v, want ErrInjected", label, err)
+				case err == nil && did > n:
+					t.Fatalf("%s: succeeded after %d reads", label, did)
+				case err == nil:
+					samePairs(t, label, got, want)
+				}
+				after(label, opts)
+			}
+		}
+
+		ref := &pollCountCtx{Context: context.Background(), fireAt: -1}
+		_, stats, err := KClosestPairsContext(ref, ta, tb, k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.NodePairsProcessed >= cancelStride {
+			t.Fatalf("%d node pairs: a worker's stride-gated poll could fire, and the poll count would depend on the schedule", stats.NodePairsProcessed)
+		}
+		polls := ref.calls.Load()
+		if polls < 3 {
+			t.Fatalf("only %d polls: the sweep would not reach the seed and the tasks", polls)
+		}
+		t.Logf("W=%d: cancelling at each of %d polls", workers, polls)
+		for n := int64(0); n < polls; n++ {
+			label := fmt.Sprintf("W=%d: poll %d of %d cancels", workers, n, polls)
+			ctx := &pollCountCtx{Context: context.Background(), fireAt: n}
+			if _, _, err := KClosestPairsContext(ctx, ta, tb, k, opts); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: err = %v, want context.Canceled", label, err)
+			}
+			after(label, opts)
+		}
+	}
+}
+
 // TestParallelSelfJoinSharedPool runs a parallel join of a tree with
 // itself (shared buffer pool) to exercise concurrent access to one pool
 // from both sides of the join.
@@ -211,13 +447,8 @@ func TestParallelSelfJoinSharedPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDistances(t, "self", distances(par), distances(seq))
+	samePairs(t, "self", par, seq)
 	if stats.IOQ != (storage.IOStats{}) {
 		t.Fatalf("shared pool must report its delta once, got IOQ = %v", stats.IOQ)
-	}
-	for _, p := range par {
-		if p.Dist != 0 && math.IsNaN(p.Dist) {
-			t.Fatalf("bad distance %v", p)
-		}
 	}
 }

@@ -10,11 +10,11 @@ import (
 
 // queryScratch owns every buffer a closest-pair traversal reuses from step
 // to step: the decoded nodes and sub-pair lists of each recursion depth,
-// the expansion kernel's flat arrays, a parallel worker's claimed batch,
-// and the backing arrays of the node-pair queue and of the K-heaps. One
-// query holds one scratch from start to end, and each worker of the
-// parallel engine one more for its goroutine-local buffers; there only the
-// join's queue and result heap are shared, behind the engine's two mutexes.
+// the expansion kernel's flat arrays, and the backing arrays of the
+// node-pair queue and of the K-heap. One query holds one scratch from
+// start to end, and each worker of the parallel engine one more for the
+// join it runs its tasks in; of the query's own, only the result heap is
+// shared, behind the engine's one mutex.
 //
 // Ownership rule: a decoded node is valid until the same depth's next
 // readPair, and nothing in the scratch outlives the query — results leave
@@ -24,11 +24,11 @@ import (
 type queryScratch struct {
 	frames  []*frame
 	kern    kernelScratch
-	batch   []nodePair  // one claim of a parallel worker
+	tasks   []nodePair  // the parallel engine's seeded task list
 	sortBuf []nodePair  // STD's merge-sort working space
-	queue   pairHeap    // the HEAP queue, or the parallel frontier
-	kheap   kHeap       // the query's result heap
-	local   kHeap       // a parallel worker's private heap between merges
+	queue   pairHeap    // the HEAP queue
+	kheap   kHeap       // the join's result heap (a worker's, in parallel)
+	shared  SharedBound // a parallel query's bound, unless one is passed in
 	prefix  []selfCount // self-join MAXMAXDIST prefix rule
 }
 
@@ -105,5 +105,5 @@ func releaseScratch(sc *queryScratch) {
 // and tree height.
 func (sc *queryScratch) retainedBytes() int {
 	return cap(sc.queue.pairs)*int(unsafe.Sizeof(nodePair{})) +
-		(cap(sc.kheap.pairs)+cap(sc.local.pairs))*int(unsafe.Sizeof(kPair{}))
+		cap(sc.kheap.pairs)*int(unsafe.Sizeof(kPair{}))
 }

@@ -1,26 +1,32 @@
 package core
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // SharedBound is a tighten-only pruning bound shared across cooperating
-// joins. The shard scatter-gather executor injects one (via
-// Options.SharedBound) into every shard-pair join it dispatches, so a
-// tight pair found inside one tile immediately prunes the traversal of
-// every other tile — the cross-join analogue of the parallel engine's
-// per-query atomic bound.
+// joins. Every parallel query holds one (its workers' common T), and the
+// shard scatter-gather executor injects one (via Options.SharedBound) into
+// every shard-pair join it dispatches, so a tight pair found inside one
+// task or tile immediately prunes the traversal of every other.
 //
 // The value is a distance key (squared under L2), the same unit as the
 // engine's internal bound T. Only sound global upper bounds may be
 // published: the K-heap threshold of a full heap (K real point pairs at
 // most that far apart exist) and the auxiliary MINMAXDIST/MAXMAXDIST
 // bound (Inequalities 1–2 guarantee the required point pairs exist).
-// Both remain sound across shard boundaries because every shard-pair
-// point pair is also a point pair of the global product.
+// Both remain sound across task and shard boundaries because every point
+// pair of a subtree or shard product is also a point pair of the global
+// product.
 //
-// All methods are nil-safe: a nil *SharedBound loads +Inf and ignores
-// tightens, so unsharded queries pay one nil check and nothing else.
+// The key is stored as its IEEE-754 bit pattern: non-negative doubles and
+// +Inf order like their bits, so a compare-and-swap on the bits is a
+// numeric CAS-min. All methods are nil-safe: a nil *SharedBound loads +Inf
+// and ignores tightens, so a self-contained sequential query pays one nil
+// check and nothing else.
 type SharedBound struct {
-	b atomicMinFloat64
+	bits atomic.Uint64
 }
 
 // NewSharedBound returns a shared bound initialized to +Inf (no pruning
@@ -35,7 +41,7 @@ func NewSharedBound() *SharedBound {
 // the one write that is not a CAS-min — stays inside the bound type's
 // own methods, where the boundmono check allows it.
 func (s *SharedBound) reset() {
-	s.b.store(math.Inf(1))
+	s.bits.Store(math.Float64bits(math.Inf(1)))
 }
 
 // Load returns the current bound (squared); +Inf on a nil receiver or
@@ -44,15 +50,25 @@ func (s *SharedBound) Load() float64 {
 	if s == nil {
 		return math.Inf(1)
 	}
-	return s.b.load()
+	return math.Float64frombits(s.bits.Load())
 }
 
-// Tighten lowers the bound to v if v is smaller (CAS-min). It returns
-// the previous value and whether v became the new bound. A nil receiver
-// ignores the call.
+// Tighten lowers the bound to v if v is smaller (CAS loop; a lost race
+// retries against the new, smaller value). It returns the displaced value
+// and whether v replaced it — the trace layer turns successful tightenings
+// into EvBoundTightened events. A nil receiver ignores the call.
 func (s *SharedBound) Tighten(v float64) (old float64, ok bool) {
 	if s == nil {
 		return math.Inf(1), false
 	}
-	return s.b.tighten(v)
+	for {
+		bits := s.bits.Load()
+		old = math.Float64frombits(bits)
+		if v >= old {
+			return old, false
+		}
+		if s.bits.CompareAndSwap(bits, math.Float64bits(v)) {
+			return old, true
+		}
+	}
 }

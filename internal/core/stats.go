@@ -27,13 +27,9 @@ type Stats struct {
 	// the leaf level.
 	PointPairsCompared int64
 	// MaxQueueSize is the high-water mark of the HEAP algorithm's pair
-	// heap (0 for the recursive algorithms).
+	// heap (0 for the recursive algorithms); in parallel, the largest
+	// queue any worker held.
 	MaxQueueSize int
-	// HeapBatches and HeapBatchPairs are the parallel engine's steal
-	// counters: the batches its workers claimed from the shared frontier
-	// and the node pairs those carried. Both are zero for a sequential
-	// query, which pops one pair at a time.
-	HeapBatches, HeapBatchPairs int64
 	// NodeCacheHits and NodeCacheMisses are the decoded-node cache lookup
 	// deltas of both trees over the query (both zero when no cache is
 	// attached, the default). A hit serves a node without touching the
@@ -55,9 +51,6 @@ func (s Stats) String() string {
 		"accesses=%d (P=%d Q=%d) nodePairs=%d subPairs=%d pruned=%d pointPairs=%d maxQueue=%d",
 		s.Accesses(), s.IOP.Reads, s.IOQ.Reads, s.NodePairsProcessed,
 		s.SubPairsGenerated, s.SubPairsPruned, s.PointPairsCompared, s.MaxQueueSize)
-	if s.HeapBatches > 0 {
-		out += fmt.Sprintf(" heapBatches=%d (%d pairs)", s.HeapBatches, s.HeapBatchPairs)
-	}
 	if s.NodeCacheHits > 0 || s.NodeCacheMisses > 0 {
 		out += fmt.Sprintf(" nodeCache=%d/%d hitRatio=%.3f",
 			s.NodeCacheHits, s.NodeCacheHits+s.NodeCacheMisses, s.NodeCacheHitRatio())
@@ -70,7 +63,8 @@ func (s Stats) String() string {
 // helper for combining per-shard (or otherwise partial) query stats —
 // the shard executor's gather and the facade's per-tree cache-delta fold
 // both go through it, so a new Stats field only needs its combination
-// rule stated here. Merge operates on snapshots: take them with
+// rule stated here (and in statsAcc.add, which folds a parallel worker's
+// live counters the same way). Merge operates on snapshots: take them with
 // statsAcc.snapshot (or pool/cache Stats diffs) first; the snapshots
 // themselves are plain values, so merging needs no atomics.
 func (s *Stats) Merge(other Stats) {
@@ -83,8 +77,6 @@ func (s *Stats) Merge(other Stats) {
 	if other.MaxQueueSize > s.MaxQueueSize {
 		s.MaxQueueSize = other.MaxQueueSize
 	}
-	s.HeapBatches += other.HeapBatches
-	s.HeapBatchPairs += other.HeapBatchPairs
 	s.NodeCacheHits += other.NodeCacheHits
 	s.NodeCacheMisses += other.NodeCacheMisses
 }
@@ -99,18 +91,26 @@ func (s Stats) NodeCacheHitRatio() float64 {
 	return float64(s.NodeCacheHits) / float64(lookups)
 }
 
-// statsAcc accumulates the work counters of one query with atomic
-// operations, so both the sequential algorithms and the parallel HEAP
-// workers share the same bookkeeping and the race detector stays clean.
-// IO deltas are attached when the query finishes (see snapshot callers).
+// statsAcc accumulates the work counters of one join with atomic
+// operations, so a parallel query's workers can fold theirs into the
+// query's while the race detector stays clean. IO deltas are attached
+// when the query finishes (see snapshot callers).
 type statsAcc struct {
 	nodePairsProcessed atomic.Int64
 	subPairsGenerated  atomic.Int64
 	subPairsPruned     atomic.Int64
 	pointPairsCompared atomic.Int64
 	maxQueueSize       atomic.Int64
-	heapBatches        atomic.Int64
-	heapBatchPairs     atomic.Int64
+}
+
+// add folds a parallel worker's counters into the query's, by Merge's
+// rule: work counters add, the queue mark takes the maximum.
+func (a *statsAcc) add(w *statsAcc) {
+	a.nodePairsProcessed.Add(w.nodePairsProcessed.Load())
+	a.subPairsGenerated.Add(w.subPairsGenerated.Load())
+	a.subPairsPruned.Add(w.subPairsPruned.Load())
+	a.pointPairsCompared.Add(w.pointPairsCompared.Load())
+	a.observeQueueLen(int(w.maxQueueSize.Load()))
 }
 
 // observeQueueLen raises the queue high-water mark (CAS max-update) and
@@ -136,7 +136,5 @@ func (a *statsAcc) snapshot() Stats {
 		SubPairsPruned:     a.subPairsPruned.Load(),
 		PointPairsCompared: a.pointPairsCompared.Load(),
 		MaxQueueSize:       int(a.maxQueueSize.Load()),
-		HeapBatches:        a.heapBatches.Load(),
-		HeapBatchPairs:     a.heapBatchPairs.Load(),
 	}
 }

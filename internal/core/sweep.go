@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"repro/internal/rtree"
-)
+import "repro/internal/rtree"
 
 // This file implements the leaf scan, step CP3: the brute all-pairs loop of
 // the paper replaced by the band technique of the planar closest-pair
@@ -23,20 +19,16 @@ import (
 // ends up with the same result set.
 
 // scanLeavesSweep evaluates the point pairs between two leaves against the
-// given K-heap (the join's own for the sequential algorithms, a worker's
-// local heap in parallel mode). extBound is a pruning distance (squared)
-// from outside the heap — the sequential auxiliary bound or the parallel
-// engine's published bound; pairs farther than min(extBound, K-heap
-// threshold) cannot enter the final result, so only pairs whose x distance
-// is within that at the time the pair is reached are evaluated, and exactly
-// those are counted in Stats.PointPairsCompared. It returns the smallest
-// distance (squared) the heap accepted, +Inf if none — the signal parallel
-// workers use to decide whether merging their local heap can tighten the
-// published bound. The two leaves must be the caller's own decoded copies
-// (a frame's): a leaf that did not come off its page x-ordered is ordered
-// in place, by the writer's own rule, so the scan evaluates the same pairs
-// whichever side did the ordering.
-func (j *join) scanLeavesSweep(na, nb *rtree.Node, kh *kHeap, extBound float64) float64 {
+// given K-heap. extBound is a pruning distance (squared) from outside the
+// heap — the auxiliary and shared bounds; pairs farther than
+// min(extBound, K-heap threshold) cannot enter the final result, so only
+// pairs whose x distance is within that at the time the pair is reached
+// are evaluated, and exactly those are counted in Stats.PointPairsCompared.
+// The two leaves must be the caller's own decoded copies (a frame's): a
+// leaf that did not come off its page x-ordered is ordered in place, by
+// the writer's own rule, so the scan evaluates the same pairs whichever
+// side did the ordering.
+func (j *join) scanLeavesSweep(na, nb *rtree.Node, kh *kHeap, extBound float64) {
 	rtree.OrderLeaf(na.Entries)
 	rtree.OrderLeaf(nb.Entries)
 	as, bs := na.Entries, nb.Entries
@@ -47,7 +39,6 @@ func (j *join) scanLeavesSweep(na, nb *rtree.Node, kh *kHeap, extBound float64) 
 	if th := kh.threshold(); th < T {
 		T = th
 	}
-	minAccepted := math.Inf(1)
 	var compared int64
 	i, t := 0, 0
 	for i < len(as) && t < len(bs) {
@@ -87,9 +78,6 @@ func (j *join) scanLeavesSweep(na, nb *rtree.Node, kh *kHeap, extBound float64) 
 				refP:   ea.Ref,
 				refQ:   eb.Ref,
 			})
-			if d < minAccepted {
-				minAccepted = d
-			}
 			if th := kh.threshold(); th < T {
 				T = th
 			}
@@ -97,5 +85,4 @@ func (j *join) scanLeavesSweep(na, nb *rtree.Node, kh *kHeap, extBound float64) 
 	}
 	j.stats.pointPairsCompared.Add(compared)
 	j.traceSweepPruned(int64(len(na.Entries)*len(nb.Entries)) - compared)
-	return minAccepted
 }

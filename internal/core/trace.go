@@ -39,8 +39,9 @@ func (j *join) boundSource() obs.BoundSource {
 }
 
 // traceBound emits EvBoundTightened when the sequential effective bound
-// T = min(aux bound, K-heap threshold) strictly decreased since the last
-// emission. Sequential only: j.lastT is unsynchronized.
+// T = min(aux bound, K-heap threshold, shared bound) strictly decreased
+// since the last emission. j.lastT is unsynchronized: a parallel worker
+// traces through a join of its own.
 func (j *join) traceBound(src obs.BoundSource) {
 	if j.span == nil {
 		return
@@ -52,8 +53,8 @@ func (j *join) traceBound(src obs.BoundSource) {
 }
 
 // traceBoundValue emits EvBoundTightened for an explicit old → new
-// transition — the parallel engine's successful CAS tightenings, where
-// the atomic itself reports the displaced value.
+// transition — the parallel merge's successful tightening of the shared
+// bound, where the CAS itself reports the displaced value.
 func (j *join) traceBoundValue(old, to float64, src obs.BoundSource) {
 	if j.span == nil {
 		return
@@ -61,8 +62,8 @@ func (j *join) traceBoundValue(old, to float64, src obs.BoundSource) {
 	j.span.Emit(obs.Event{Kind: obs.EvBoundTightened, Old: old, New: to, Source: src})
 }
 
-// traceHighWater emits EvHeapHighWater after the pair heap (or parallel
-// frontier) reached a new maximum length n.
+// traceHighWater emits EvHeapHighWater after the join's pair heap (a
+// parallel worker's own) reached a new maximum length n.
 func (j *join) traceHighWater(n int) {
 	if j.span == nil {
 		return
@@ -78,15 +79,6 @@ func (j *join) traceSweepPruned(skipped int64) {
 		return
 	}
 	j.span.Emit(obs.Event{Kind: obs.EvLeafSweepPruned, N: skipped})
-}
-
-// traceWorkerSteal emits EvWorkerSteal after a parallel worker claimed a
-// batch of n node pairs from the shared frontier.
-func (j *join) traceWorkerSteal(worker int32, n int) {
-	if j.span == nil {
-		return
-	}
-	j.span.Emit(obs.Event{Kind: obs.EvWorkerSteal, Worker: worker, N: int64(n)})
 }
 
 // traceQueryEnd closes the span with the final effective bound and the

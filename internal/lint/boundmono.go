@@ -28,16 +28,14 @@ type BoundMono struct {
 	// Scopes are import-path fragments; only bound types declared in
 	// these packages are protected.
 	Scopes []string
-	// TypeNames are the names of the tighten-only bound types: the
-	// parallel engine's internal bound and the exported wrapper the
-	// shard executor broadcasts across joins.
+	// TypeNames are the names of the tighten-only bound types.
 	TypeNames []string
 }
 
-// NewBoundMono returns the check configured for the parallel engine and
-// the shard executor's broadcast bound.
+// NewBoundMono returns the check configured for core.SharedBound, the
+// bound a parallel query's workers and the shard executor's joins share.
 func NewBoundMono() *BoundMono {
-	return &BoundMono{Scopes: []string{"internal/core"}, TypeNames: []string{"atomicMinFloat64", "SharedBound"}}
+	return &BoundMono{Scopes: []string{"internal/core"}, TypeNames: []string{"SharedBound"}}
 }
 
 // Name implements Check.

@@ -34,14 +34,6 @@ type DisciplineRule struct {
 // (writeNode/freeNode); a goroutine-reachable call to it means a query
 // path is mutating the index, which the engine forbids.
 //
-// core.join: expandInto and scanLeaves are the sequential drivers' entry
-// points — they assign the non-atomic auxiliary bound, offer into the
-// shared K-heap and reuse the caller-owned destination buffer. The
-// parallel engine's workers must instead pair beginExpand/finish with the
-// shared atomic bound and call scanLeavesSweep against a worker-local
-// K-heap; a goroutine-reachable call to the sequential pair is a data
-// race waiting for a scheduler.
-//
 // The check finds every go statement in the analyzed packages, walks the
 // callgraph from the spawned functions and flags reachable calls to the
 // restricted methods.
@@ -65,12 +57,6 @@ func NewBufferDiscipline() *BufferDiscipline {
 				Type:    "NodeCache",
 				Methods: []string{"Invalidate", "Clear"},
 				Advice:  "cache writes belong to the single-writer mutation path; concurrent readers use Get/Add only",
-			},
-			{
-				Pkg:     "internal/core",
-				Type:    "join",
-				Methods: []string{"expandInto", "scanLeaves"},
-				Advice:  "these drive the sequential contract (the shared K-heap, the non-atomic bound, the caller-owned dst buffer); parallel workers use beginExpand/finish and scanLeavesSweep with per-worker state",
 			},
 		},
 	}

@@ -70,7 +70,7 @@ func NewCancelPoll() *CancelPoll {
 	return &CancelPoll{
 		Scopes:     []string{"internal/core", "internal/shard"},
 		IOScopes:   []string{"internal/storage"},
-		HotNames:   []string{"expandInto", "scanLeaves", "readPair", "pop", "popBatch", "Pop"},
+		HotNames:   []string{"expandInto", "scanLeaves", "readPair", "pop", "Pop"},
 		ExemptRecv: []string{"pairHeap", "kHeap", "batchQueue"},
 		MaxStride:  1 << 16,
 	}

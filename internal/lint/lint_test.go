@@ -185,8 +185,8 @@ func TestShareguardMultilineSuppression(t *testing.T) {
 
 // TestShareguardCleanRepo pins the real module to zero shareguard
 // findings with zero suppressions: the parallel engine's sharing
-// discipline (mutex-guarded frontier state, sync/atomic counters,
-// worker-local scratch, constructor-then-publish initialization) is
+// discipline (a mutex-guarded result heap, sync/atomic counters,
+// worker-local joins, constructor-then-publish initialization) is
 // recognized by the analysis itself, not waived by directives.
 func TestShareguardCleanRepo(t *testing.T) {
 	if testing.Short() {

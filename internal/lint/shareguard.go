@@ -329,6 +329,47 @@ func (f *sgFacts) scanFunc(fs FuncSource, node any) ([]sgBind, []sgAlias, []sgHe
 		}
 	}
 
+	// escOrder orders a use of v at pos in block b against v's earliest
+	// escape site: pre when the use definitely comes first, post when it
+	// definitely comes after (with the site's position), neither when v
+	// does not escape here or the blocks are unordered.
+	escOrder := func(v *types.Var, b *ssa.Block, pos token.Pos) (pre, post bool, site token.Pos) {
+		l, ok := escLoc[v]
+		if !ok {
+			return false, false, token.NoPos
+		}
+		s := l.block.Nodes[l.idx]
+		switch {
+		case l.block == b:
+			return pos < s.Pos(), pos >= s.End(), s.Pos()
+		case dom.Dominates(l.block, b):
+			return false, true, s.Pos()
+		case dom.Dominates(b, l.block):
+			return true, false, token.NoPos
+		}
+		return false, false, token.NoPos
+	}
+
+	// prePublication reports whether a call at pos in block b runs, every
+	// time, before v reaches another goroutine: it comes first and no loop
+	// runs it again after the escape. Such a call shares nothing through v,
+	// so it does not bind v's taint to the callee — the engine's seed
+	// expands node pairs on the query's join before the workers that share
+	// it start, and the callees are the ones each worker also runs on a
+	// join of its own.
+	loops := ir.Loops(dom)
+	prePublication := func(v *types.Var, b *ssa.Block, pos token.Pos) bool {
+		if pre, _, _ := escOrder(v, b, pos); !pre {
+			return false
+		}
+		for _, l := range loops {
+			if l.Contains(b) && l.Contains(escLoc[v].block) {
+				return false
+			}
+		}
+		return true
+	}
+
 	// May-held fixpoint over the blocks (the lockorder discipline:
 	// union at joins, deferred Unlock never seen so the lock stays held,
 	// go/defer bodies skipped).
@@ -378,26 +419,7 @@ func (f *sgFacts) scanFunc(fs FuncSource, node any) ([]sgBind, []sgAlias, []sgHe
 			held:  heldBefore(b, sel.Pos()),
 		}
 		if acc.base != nil {
-			if l, ok := escLoc[acc.base]; ok {
-				switch {
-				case l.block == b:
-					site := b.Nodes[l.idx]
-					if sel.Pos() < site.Pos() {
-						acc.preEscape = true
-					} else if sel.Pos() >= site.End() {
-						acc.postEscape = true
-						acc.escapePos = site.Pos()
-					}
-				case dom.Dominates(l.block, b):
-					acc.postEscape = true
-					acc.escapePos = b.Nodes[0].Pos()
-					if site := esc.Site(acc.base); site != nil {
-						acc.escapePos = site.Pos()
-					}
-				case dom.Dominates(b, l.block):
-					acc.preEscape = true
-				}
-			}
+			acc.preEscape, acc.postEscape, acc.escapePos = escOrder(acc.base, b, sel.Pos())
 		}
 		f.accesses[field] = append(f.accesses[field], acc)
 	}
@@ -420,8 +442,23 @@ func (f *sgFacts) scanFunc(fs FuncSource, node any) ([]sgBind, []sgAlias, []sgHe
 	// statically known (arguments to parameters, receiver expression to
 	// the receiver) and returns the callee node for the held-call list —
 	// the *types.Func for a resolved call, the *ast.FuncLit for a
-	// directly invoked literal, nil for a dynamic call.
-	bindCall := func(call *ast.CallExpr) any {
+	// directly invoked literal, nil for a dynamic call. at is the block of
+	// a call that runs here and now, whose pre-publication roots bind
+	// nothing; nil for go and defer, which run later.
+	bindCall := func(call *ast.CallExpr, at *ssa.Block) any {
+		rootsOf := func(e ast.Expr) []*types.Var {
+			roots := taintRoots(info, e)
+			if at == nil {
+				return roots
+			}
+			kept := roots[:0]
+			for _, v := range roots {
+				if !prePublication(v, at, call.Pos()) {
+					kept = append(kept, v)
+				}
+			}
+			return kept
+		}
 		var sig *types.Signature
 		var callee any
 		if fn := staticCallee(info, call); fn != nil {
@@ -438,7 +475,7 @@ func (f *sgFacts) scanFunc(fs FuncSource, node any) ([]sgBind, []sgAlias, []sgHe
 		}
 		if recv := sig.Recv(); recv != nil {
 			if selx, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				binds = append(binds, sgBind{param: recv, roots: taintRoots(info, selx.X)})
+				binds = append(binds, sgBind{param: recv, roots: rootsOf(selx.X)})
 			}
 		}
 		params := sig.Params()
@@ -451,7 +488,7 @@ func (f *sgFacts) scanFunc(fs FuncSource, node any) ([]sgBind, []sgAlias, []sgHe
 				p = params.At(params.Len() - 1) // variadic tail
 			}
 			if p != nil {
-				binds = append(binds, sgBind{param: p, roots: taintRoots(info, arg)})
+				binds = append(binds, sgBind{param: p, roots: rootsOf(arg)})
 			}
 		}
 		return callee
@@ -538,13 +575,13 @@ func (f *sgFacts) scanFunc(fs FuncSource, node any) ([]sgBind, []sgAlias, []sgHe
 			ssa.Inspect(n, func(m ast.Node) bool {
 				switch m := m.(type) {
 				case *ast.GoStmt:
-					bindCall(m.Call)
+					bindCall(m.Call, nil)
 					return false
 				case *ast.DeferStmt:
-					bindCall(m.Call)
+					bindCall(m.Call, nil)
 					return false
 				case *ast.CallExpr:
-					if fn := bindCall(m); fn != nil {
+					if fn := bindCall(m, b); fn != nil {
 						calls = append(calls, sgHeldCall{caller: node, callee: fn, held: heldBefore(b, m.Lparen)})
 					}
 				case *ast.FuncLit:

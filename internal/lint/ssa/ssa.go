@@ -45,7 +45,7 @@ type Block struct {
 // Func is the control-flow graph of one function or function-literal
 // body.
 type Func struct {
-	// Name labels the function for debugging ("(*parHeap).work",
+	// Name labels the function for debugging ("(*taskRun).work",
 	// "func@42" for literals).
 	Name string
 	// Body is the AST body the graph was built from.

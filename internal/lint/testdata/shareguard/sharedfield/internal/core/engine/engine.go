@@ -121,6 +121,59 @@ func (c *child) loop() {
 	close(c.done)
 }
 
+// run is a negative case, the parallel query engine's shape: the spawner
+// steps its own run before any worker can see it (the seed), then every
+// worker steps a run of its own. step's receiver is one variable for both
+// call sites, but the spawner's call comes before the run is published,
+// so it shares nothing and binds no taint to step.
+type run struct {
+	n    int
+	size int
+}
+
+func (r *run) step() { r.n++ }
+
+func seedThenSpawn() {
+	q := &run{size: 2}
+	q.step() // pre-publication: no other goroutine can see q yet
+	var wg sync.WaitGroup
+	for i := 0; i < q.size; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := &run{size: q.size}
+			w.step()
+		}()
+	}
+	wg.Wait()
+}
+
+// relay is the positive twin of run: the spawner's step sits in the
+// spawning loop, so from the second round on it writes n while the
+// previous round's worker reads it.
+type relay struct {
+	n int
+}
+
+func (r *relay) step() {
+	r.n++ // want: sharedfield
+}
+
+func runRelay() {
+	q := &relay{}
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		q.step() // before this round's go, after the last round's
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := &relay{n: q.n}
+			w.step()
+		}()
+	}
+	wg.Wait()
+}
+
 // loud is the suppressed case: the same race as hub, acknowledged
 // in-line.
 type loud struct {

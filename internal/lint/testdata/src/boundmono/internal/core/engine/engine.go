@@ -9,16 +9,16 @@ import (
 	"sync/atomic"
 )
 
-// atomicMinFloat64 mirrors the parallel engine's tighten-only bound.
-type atomicMinFloat64 struct {
+// SharedBound mirrors the engine's tighten-only bound.
+type SharedBound struct {
 	bits atomic.Uint64
 }
 
-func (a *atomicMinFloat64) store(v float64) { a.bits.Store(math.Float64bits(v)) }
+func (a *SharedBound) store(v float64) { a.bits.Store(math.Float64bits(v)) }
 
-func (a *atomicMinFloat64) load() float64 { return math.Float64frombits(a.bits.Load()) }
+func (a *SharedBound) load() float64 { return math.Float64frombits(a.bits.Load()) }
 
-func (a *atomicMinFloat64) tighten(v float64) {
+func (a *SharedBound) tighten(v float64) {
 	for {
 		old := a.bits.Load()
 		if v >= math.Float64frombits(old) {
@@ -31,7 +31,7 @@ func (a *atomicMinFloat64) tighten(v float64) {
 }
 
 type searcher struct {
-	bound atomicMinFloat64
+	bound SharedBound
 }
 
 // resetToZero stores a non-Inf constant: every candidate pair would be
@@ -54,7 +54,7 @@ func (s *searcher) pokeBits() {
 
 // overwrite replaces the whole value, resetting the bound to zero.
 func (s *searcher) overwrite() {
-	s.bound = atomicMinFloat64{}
+	s.bound = SharedBound{}
 }
 
 // initialize is the one legal store: +Inf before any worker runs.
@@ -82,35 +82,12 @@ func (s *searcher) suppressed() {
 	s.bound.store(0)
 }
 
-// SharedBound mirrors the exported cross-join broadcast bound: a thin
-// wrapper whose +Inf reset lives in its own method, so the wrapper is
-// exempt inside its methods exactly like the inner type.
-type SharedBound struct {
-	b atomicMinFloat64
-}
-
-func (s *SharedBound) reset() { s.b.store(math.Inf(1)) }
-
-// Tighten is the sanctioned cross-join write path.
-func (s *SharedBound) Tighten(v float64) { s.b.tighten(v) }
-
 type coordinator struct {
-	shared  *SharedBound
-	scratch SharedBound
+	shared *SharedBound
 }
 
 // inject hands the shared bound pointer to a collaborator; pointer
 // assignment is injection, not a reset, and is not flagged.
 func (c *coordinator) inject(b *SharedBound) {
 	c.shared = b
-}
-
-// clobber overwrites the whole wrapper value, resetting the bound.
-func (c *coordinator) clobber() {
-	c.scratch = SharedBound{}
-}
-
-// reachInside pokes the wrapped bound from outside the type's methods.
-func (c *coordinator) reachInside() {
-	c.scratch.b.store(0)
 }

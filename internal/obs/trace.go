@@ -33,8 +33,7 @@ const (
 	EvQueryEnd
 	// EvNodeExpanded records one processed node pair (a recursive call or
 	// a heap pop that reads two nodes). Level and Level2 are the pair's
-	// levels, New its MINMINDIST key, Worker the parallel worker id (0
-	// when sequential).
+	// levels, New its MINMINDIST key.
 	EvNodeExpanded
 	// EvBoundTightened records a strict decrease of the effective pruning
 	// bound T. Old and New are metric keys; Source tells which rule
@@ -51,9 +50,6 @@ const (
 	// rtree.ReadNode; N is the page id.
 	EvCacheHit
 	EvCacheMiss
-	// EvWorkerSteal records a parallel worker claiming a batch from the
-	// shared frontier; Worker is the worker id, N the batch size.
-	EvWorkerSteal
 	// EvPoolEvict records a buffer-pool page eviction; N is the page id.
 	EvPoolEvict
 	// EvShardPlan records the shard executor planning its work list; N is
@@ -95,8 +91,6 @@ func (k EventKind) String() string {
 		return "cache_hit"
 	case EvCacheMiss:
 		return "cache_miss"
-	case EvWorkerSteal:
-		return "worker_steal"
 	case EvPoolEvict:
 		return "pool_evict"
 	case EvShardPlan:
@@ -126,8 +120,8 @@ const (
 	// SourceKHeap is the K-heap threshold: the K-th smallest distance
 	// found so far, after a leaf scan accepted pairs.
 	SourceKHeap
-	// SourceMerge is the parallel engine publishing a worker's local
-	// K-heap into the global one.
+	// SourceMerge is the parallel engine folding a worker's K-heap into
+	// the query's and publishing the query heap's threshold.
 	SourceMerge
 )
 
@@ -167,7 +161,7 @@ type Event struct {
 	Nanos int64
 	// Level and Level2 are the node levels of a NodeExpanded pair.
 	Level, Level2 int32
-	// Worker is the parallel worker id (0 in sequential mode).
+	// Worker is the shard executor worker of an EvShardJoin.
 	Worker int32
 	// Source tells which rule tightened the bound (EvBoundTightened).
 	Source BoundSource

@@ -81,7 +81,7 @@ func TestSpanStamping(t *testing.T) {
 
 func TestEventKindStrings(t *testing.T) {
 	kinds := []EventKind{EvQueryStart, EvQueryEnd, EvNodeExpanded, EvBoundTightened,
-		EvHeapHighWater, EvLeafSweepPruned, EvCacheHit, EvCacheMiss, EvWorkerSteal, EvPoolEvict}
+		EvHeapHighWater, EvLeafSweepPruned, EvCacheHit, EvCacheMiss, EvPoolEvict}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

@@ -33,7 +33,6 @@ const (
 	EvLeafSweepPruned = obs.EvLeafSweepPruned
 	EvCacheHit        = obs.EvCacheHit
 	EvCacheMiss       = obs.EvCacheMiss
-	EvWorkerSteal     = obs.EvWorkerSteal
 	EvPoolEvict       = obs.EvPoolEvict
 	EvShardPlan       = obs.EvShardPlan
 	EvShardPruned     = obs.EvShardPruned
@@ -96,8 +95,8 @@ func ObservabilityMux(m *Metrics, withPprof bool) *http.ServeMux {
 }
 
 // WithTracer attaches a tracer to the query: it receives a span of typed
-// events (node expansions, bound tightenings, heap high-water marks,
-// worker steals). The default nil tracer is free: every emission site in
+// events (node expansions, bound tightenings, heap high-water marks, leaf
+// sweeps). The default nil tracer is free: every emission site in
 // the engine hides behind one nil check and allocates nothing.
 func WithTracer(tr Tracer) QueryOption {
 	return func(o *queryConfig) { o.core.Tracer = tr }

@@ -78,14 +78,14 @@ func WithMetric(m Metric) QueryOption {
 	return func(o *queryConfig) { o.core.Metric = m }
 }
 
-// WithParallelism runs the HEAP algorithm with n worker goroutines over a
-// shared frontier with an atomically tightened pruning bound. n = 1 (the
-// default) is the paper's sequential algorithm; n <= 0 selects
-// runtime.GOMAXPROCS(0). Parallel runs return the same K distances as
-// sequential ones (under distance ties the pair set is an equally valid
-// instance), but disk access counts — the paper's cost metric — may vary
-// slightly from run to run because the traversal order depends on
-// goroutine scheduling. The recursive algorithms ignore the knob. Pair
+// WithParallelism runs the HEAP algorithm with n worker goroutines, each
+// a sequential HEAP over independent subtree pairs, under one shared
+// tighten-only pruning bound. n = 1 (the default) is the paper's
+// sequential algorithm; n <= 0 selects runtime.GOMAXPROCS(0). A parallel
+// query returns identical pairs, refs and order to the sequential one;
+// only disk access counts — the paper's cost metric — may vary slightly
+// from run to run, because when the bound tightens depends on goroutine
+// scheduling. The recursive algorithms ignore the knob. Pair
 // WithParallelism with WithBufferShards on the indexes so concurrent page
 // reads do not serialize on one buffer-pool mutex.
 func WithParallelism(n int) QueryOption {
