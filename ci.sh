@@ -87,7 +87,8 @@ obs() {
 
 # reach fails on an island: an internal package that neither the facade,
 # a command, an example nor the benchmark module depends on is exercised
-# by nothing but its own tests.
+# by nothing but its own tests. It also keeps internal/shard out of
+# everything but the benchmark module.
 reach() {
 	# A reached internal package is listed twice below, an island once.
 	islands=$({
@@ -99,6 +100,13 @@ reach() {
 	} | sort | uniq -u | grep '^repro/internal/' || true)
 	if [ -n "$islands" ]; then
 		echo "islands, imported by nothing outside their own tests:" "$islands" >&2
+		exit 1
+	fi
+	# The shard executor is reached by the benchmark's probes only: a facade
+	# query runs the parallel engine on the indexes' own trees, and the
+	# per-call drain, partition and bulk-load must not come back through it.
+	if go list -deps . ./cmd/... ./examples/... | grep -qx 'repro/internal/shard'; then
+		echo "repro/internal/shard is imported by the facade, a command or an example" >&2
 		exit 1
 	fi
 }
@@ -113,6 +121,8 @@ smoke() {
 	go run ./cmd/cpqgen -n 1000 -seed 1 -out "$tmp/p.csv"
 	go run ./cmd/cpqgen -n 1000 -seed 2 -out "$tmp/q.csv"
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5
+	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5 -shards 4
+	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5 -explain
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -semi -quiet
 	# cpqtree reads an index file and no command writes one, so build it

@@ -10,7 +10,8 @@
 //	cpqquery -p a.csv -self -k 5
 //	cpqquery -p a.csv -q b.csv -semi
 //	cpqquery -p a.csv -q b.csv -k 100 -watch
-//	cpqquery -p a.csv -q b.csv -k 10 -shards 4 -explain
+//	cpqquery -p a.csv -q b.csv -k 10 -shards 4
+//	cpqquery -p a.csv -q b.csv -k 10 -explain
 //	cpqquery -p a.csv -q b.csv -k 10 -explain-json
 package main
 
@@ -40,7 +41,7 @@ func main() {
 		semi        = flag.Bool("semi", false, "semi-CPQ: nearest -q point for every -p point")
 		watch       = flag.Bool("watch", false, "live progress on stderr while the query runs, and a bound-convergence chart at the end")
 		quiet       = flag.Bool("quiet", false, "print only statistics, not pairs")
-		shards      = flag.Int("shards", 1, "run the bichromatic query scatter-gather over this many spatial tiles")
+		shards      = flag.Int("shards", 1, "deprecated: above 1, run the bichromatic query on GOMAXPROCS parallel HEAP workers")
 		explain     = flag.Bool("explain", false, "print the query's EXPLAIN/ANALYZE tree (plan + execution)")
 		explainJSON = flag.Bool("explain-json", false, "print the EXPLAIN/ANALYZE snapshot as canonical JSON")
 	)

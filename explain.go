@@ -10,10 +10,9 @@ import (
 )
 
 // ExplainReport is one query's EXPLAIN/ANALYZE snapshot: the plan
-// (algorithm, K, workers, shard layout) and the execution (phase wall
-// breakdown, per-shard-pair dispatch decisions, bound-tightening
-// trajectory, span tree, full work counters). Render draws it as a text
-// tree; JSON emits the canonical byte-stable form.
+// (algorithm, K, workers) and the execution (phase wall breakdown,
+// bound-tightening trajectory, span tree, full work counters). Render
+// draws it as a text tree; JSON emits the canonical byte-stable form.
 type ExplainReport = explain.Explain
 
 // ExplainCapture collects one query's explain data. Pass it to queries
@@ -26,8 +25,7 @@ type ExplainCapture = explain.Capture
 type ExplainSpan = explain.SpanNode
 
 // TraceContext identifies a span's position in a trace (trace id + span
-// id) — the value the shard executor hands its joins so their spans
-// correlate with the gather-side query span.
+// id), as an ExplainSpan's Trace and Parent fields record it.
 type TraceContext = obs.TraceContext
 
 // NewExplainCapture returns an empty explain capture. tee, when non-nil,
@@ -37,7 +35,7 @@ func NewExplainCapture(tee Tracer) *ExplainCapture { return explain.New(tee) }
 
 // WithExplain attaches an explain capture to the query: the capture
 // becomes the query's tracer (an existing WithTracer is teed through),
-// the plan and per-phase/per-shard execution rows are recorded, and a
+// the plan and the per-phase execution rows are recorded, and a
 // slow-query log attached to the same query embeds the full snapshot in
 // its JSON line. Call capture.Snapshot() after the query for the report.
 func WithExplain(c *ExplainCapture) QueryOption {
@@ -53,9 +51,8 @@ func Explain(p, q *Index, k int, opts ...QueryOption) ([]Pair, Stats, *ExplainRe
 
 // ExplainContext is Explain under a context; see ClosestPairContext for
 // the cancellation contract. The returned report covers the whole query:
-// for sharded runs the plan carries the tile boundaries, the execution
-// carries one row per planned shard pair, and the span tree correlates
-// every shard join under the query's trace id.
+// the plan (algorithm, K, workers), one "join" phase, the bound
+// trajectory across every worker, the counters and the query's span.
 func ExplainContext(ctx context.Context, p, q *Index, k int, opts ...QueryOption) ([]Pair, Stats, *ExplainReport, error) {
 	c := NewExplainCapture(nil)
 	pairs, stats, err := KClosestPairsContext(ctx, p, q, k, append(append([]QueryOption{}, opts...), WithExplain(c))...)
@@ -67,7 +64,7 @@ func ExplainContext(ctx context.Context, p, q *Index, k int, opts ...QueryOption
 
 // explainKCPQ is the explain-enabled K-CPQ runner: it wires the capture
 // in as the query's tracer (teeing any user tracer), records the plan,
-// routes the query (sharded or not), and feeds the finished snapshot to
+// runs the query as one "join" phase, and feeds the finished snapshot to
 // the slow-query log.
 func explainKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pair, Stats, error) {
 	started := time.Now()
@@ -80,8 +77,6 @@ func explainKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pa
 	slowLog := cfg.core.SlowLog
 	cfg.core.SlowLog = nil
 
-	// The shard plan (count, tile boundaries) is filled by the sharded
-	// runner once the partitioner has built the tiles.
 	cap.SetPlan(explain.Plan{
 		Label:     core.QueryLabel(cfg.core, k),
 		Algorithm: cfg.core.Algorithm.String(),
@@ -89,19 +84,12 @@ func explainKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pa
 		Workers:   cfg.core.Workers(),
 	})
 
-	var pairs []Pair
-	var stats Stats
-	var err error
-	if cfg.shards > 1 {
-		pairs, stats, err = shardedKClosestPairs(ctx, p, q, k, cfg)
-	} else {
-		var phaseStart time.Time
-		if cap.Enabled() {
-			phaseStart = time.Now()
-		}
-		pairs, stats, err = core.KClosestPairsContext(ctx, p.tree, q.tree, k, cfg.core)
-		cap.Phase("join", time.Since(phaseStart).Nanoseconds())
+	var phaseStart time.Time
+	if cap.Enabled() {
+		phaseStart = time.Now()
 	}
+	pairs, stats, err := core.KClosestPairsContext(ctx, p.tree, q.tree, k, cfg.core)
+	cap.Phase("join", time.Since(phaseStart).Nanoseconds())
 	seconds := time.Since(started)
 	if err != nil {
 		if slowLog != nil {

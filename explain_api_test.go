@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -73,10 +75,10 @@ func TestExplainUnsharded(t *testing.T) {
 	}
 }
 
-// TestExplainSharded checks the sharded EXPLAIN path end to end: the
-// plan records shard count and tile boundaries; the shard-pair
-// rows sum to planned = joined + pruned; and every join span hangs under
-// the executor span with the query's trace id.
+// TestExplainSharded checks EXPLAIN under the deprecated WithShards: the
+// query runs on the parallel engine with GOMAXPROCS workers as one "join"
+// phase, with no tile plan, and returns the WithParallelism(0) query's
+// pairs.
 func TestExplainSharded(t *testing.T) {
 	p, err := BuildIndex(randomPoints(63, 900, 0))
 	if err != nil {
@@ -89,7 +91,7 @@ func TestExplainSharded(t *testing.T) {
 	}
 	defer q.Close()
 
-	want, _, err := KClosestPairs(p, q, 10)
+	want, _, err := KClosestPairs(p, q, 10, WithParallelism(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,54 +99,14 @@ func TestExplainSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if math.Float64bits(want[i].Dist) != math.Float64bits(got[i].Dist) {
-			t.Fatalf("pair %d: sharded explain distance differs", i)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got %+v, want %+v", got, want)
 	}
-
-	if rep.Plan.Shards != 4 || len(rep.Plan.Tiles) != 4 {
-		t.Fatalf("shard plan: %+v", rep.Plan)
+	if w := runtime.GOMAXPROCS(0); rep.Plan.Workers != w {
+		t.Fatalf("plan has %d workers, want GOMAXPROCS = %d", rep.Plan.Workers, w)
 	}
-	var joined, pruned int
-	for _, row := range rep.Exec.ShardPairs {
-		switch row.Status {
-		case "joined":
-			joined++
-		case "pruned":
-			pruned++
-		default:
-			t.Fatalf("shard pair [%d,%d] has status %q", row.A, row.B, row.Status)
-		}
-	}
-	if joined+pruned != len(rep.Exec.ShardPairs) || len(rep.Exec.ShardPairs) == 0 {
-		t.Fatalf("shard-pair rows: %d joined + %d pruned of %d", joined, pruned, len(rep.Exec.ShardPairs))
-	}
-	var names []string
-	for _, ph := range rep.Exec.Phases {
-		names = append(names, ph.Name)
-	}
-	if strings.Join(names, " ") != "partition build dispatch join merge" {
-		t.Fatalf("phases = %v", names)
-	}
-	if len(rep.Exec.Spans) != 1 {
-		t.Fatalf("got %d root spans, want 1", len(rep.Exec.Spans))
-	}
-	root := rep.Exec.Spans[0]
-	if len(root.Children) != joined {
-		t.Fatalf("span children: want %d (one per join), got %d", joined, len(root.Children))
-	}
-	for _, child := range root.Children {
-		if child.Trace != root.Trace || child.Parent != root.Span {
-			t.Fatalf("join span %d not correlated: trace %d parent %d, want %d/%d",
-				child.Span, child.Trace, child.Parent, root.Trace, root.Span)
-		}
-	}
-	out := rep.Render()
-	for _, frag := range []string{"shards: 4 tiles", "shard pairs", "partition", "tile 0"} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("render missing %q:\n%s", frag, out)
-		}
+	if len(rep.Exec.Phases) != 1 || rep.Exec.Phases[0].Name != "join" {
+		t.Fatalf("phases = %+v, want one join phase", rep.Exec.Phases)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -51,7 +52,9 @@ func TestNodePairSize(t *testing.T) {
 //
 // The parallel engine gets a start-up allowance on top, stated below: per
 // worker a goroutine, its closure, its join and its first stack growth,
-// plus the state the workers share.
+// plus the state the workers share. The four-worker case runs at
+// GOMAXPROCS = 2 within the same two-worker allowance: more workers than
+// cores must not cost a fresh scratch per query.
 func TestKCPQSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates shadow state and randomises scheduling")
@@ -73,19 +76,22 @@ func TestKCPQSteadyStateAllocs(t *testing.T) {
 	)
 	par := DefaultOptions(Heap)
 	par.Parallelism = 2
+	par4 := DefaultOptions(Heap)
+	par4.Parallelism = 4
 	type budget struct {
 		allocs uint64
 		slack  uint64
 	}
 	type tcase struct {
-		name string
-		k    int
-		b    budget
-		run  func(k int) (int, error)
+		name  string
+		k     int
+		b     budget
+		procs int // GOMAXPROCS for the case; 0 leaves it
+		run   func(k int) (int, error)
 	}
 	var cases []tcase
 	add := func(name string, k int, b budget, run func(k int) (int, error)) {
-		cases = append(cases, tcase{name, k, b, run})
+		cases = append(cases, tcase{name: name, k: k, b: b, run: run})
 	}
 	bichromatic := func(opts Options) func(k int) (int, error) {
 		return func(k int) (int, error) {
@@ -97,13 +103,18 @@ func TestKCPQSteadyStateAllocs(t *testing.T) {
 		add("heap", k, budget{seqAllocs, seqSlack}, bichromatic(DefaultOptions(Heap)))
 	}
 	add("heap-par2", 100, budget{parAllocs, parSlack}, bichromatic(par))
+	add("heap-par4", 100, budget{parAllocs, parSlack}, bichromatic(par4))
+	cases[len(cases)-1].procs = 2
 	add("std", 100, budget{seqAllocs, seqSlack}, bichromatic(DefaultOptions(SortedDistances)))
 	add("self", 100, budget{seqAllocs, seqSlack}, func(k int) (int, error) {
 		pairs, _, err := SelfKClosestPairs(ta, k, DefaultOptions(Heap))
 		return len(pairs), err
 	})
 
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
 	for _, c := range cases {
+		runtime.GOMAXPROCS(cmp.Or(c.procs, procs))
 		run := func() {
 			got, err := c.run(c.k)
 			if err != nil {
@@ -124,14 +135,10 @@ func TestKCPQSteadyStateAllocs(t *testing.T) {
 				run()
 			}
 		}
-		// testing.AllocsPerRun pins GOMAXPROCS to 1 while it measures,
-		// which is also the free list's bound: fine for the sequential
-		// engines, but a two-worker run would lose a scratch per query to
-		// it. The parallel case is therefore counted from MemStats alone.
-		if c.b.allocs == seqAllocs {
-			if allocs := testing.AllocsPerRun(3, run); allocs > seqAllocs {
-				t.Errorf("%s k=%d: %.0f allocations per warm query, budget %d", c.name, c.k, allocs, seqAllocs)
-			}
+		// testing.AllocsPerRun pins GOMAXPROCS to 1 while it measures: the
+		// free list must still keep a scratch for every worker.
+		if allocs := testing.AllocsPerRun(3, run); allocs > float64(c.b.allocs) {
+			t.Errorf("%s k=%d: %.0f allocations per warm query, budget %d", c.name, c.k, allocs, c.b.allocs)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

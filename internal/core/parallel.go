@@ -54,7 +54,8 @@ type taskRun struct {
 //
 // Scratch: the seed and the query heap live in the join's scratch; each
 // worker takes one of its own from the free list and returns it on exit,
-// so a run of W workers holds W + 1 scratches.
+// so a run of W workers holds W + 1 scratches, and the free list is
+// widened to keep them all.
 //
 // Cancellation: the seed polls ctx before every expansion, a worker
 // before every task and, inside runHeap, every cancelStride pairs. Every
@@ -70,6 +71,7 @@ func (j *join) runHeapParallel(ctx context.Context, root nodePair, workers int) 
 	}
 	r := &taskRun{j: j, tasks: tasks}
 	workers = min(workers, len(tasks))
+	noteWorkers(workers)
 	var wallStart time.Time // timestamps only for metrics
 	if j.opts.Metrics != nil {
 		wallStart = time.Now()

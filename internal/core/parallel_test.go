@@ -48,12 +48,25 @@ func gridPoints(seed int64, n int) []geom.Point {
 	return pts
 }
 
+// squeeze maps points' X into [lo, hi], keeping Y, to build spatially
+// disjoint sets.
+func squeeze(pts []geom.Point, lo, hi float64) []geom.Point {
+	out := make([]geom.Point, len(pts))
+	for i, p := range pts {
+		out[i] = geom.Point{X: lo + p.X*(hi-lo), Y: p.Y}
+	}
+	return out
+}
+
 // TestParallelMatchesSequential is the parallel-equivalence property test:
 // across K, tie strategies, height strategies and data distributions, the
 // parallel HEAP engine must return exactly the pairs of the sequential
-// HEAP, refs and order included, and the sequential STD must agree too.
-// The grid trials are the duplicate-heavy case, where a pair set that is
-// merely "a valid instance under ties" would show.
+// HEAP, refs and order included, and the sequential STD and brute force
+// must agree too. Besides uniform and clustered data, the inputs are the
+// shapes the per-call shard partitioner was tested on: two spatially
+// disjoint sets, and one point against many. The grid trials are the
+// duplicate-heavy case, where a pair set that is merely "a valid instance
+// under ties" would show.
 func TestParallelMatchesSequential(t *testing.T) {
 	type data struct {
 		name   string
@@ -66,6 +79,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	datasets := []data{
 		{"uniform", uni, uniQ},
 		{"clustered", clu, cluQ},
+		{"disjoint", squeeze(dataset.Uniform(4410, 900), 0, 0.35), squeeze(dataset.Uniform(4420, 800), 0.65, 1)},
+		{"one-point", uniformPoints(4430, 1, 0), uniformPoints(4440, 900, 0)},
 	}
 
 	for _, d := range datasets {
@@ -78,6 +93,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 				d.name, ta.Height(), tb.Height())
 		}
 		for _, k := range []int{1, 10, 100} {
+			brute := BruteForceKCP(d.ps, d.qs, k)
 			for _, height := range []HeightStrategy{FixAtRoot, FixAtLeaves} {
 				for _, tie := range TieStrategies() {
 					opts := DefaultOptions(Heap)
@@ -89,6 +105,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					samePairs(t, label+"/brute", want, brute)
 					stdOpts := opts
 					stdOpts.Algorithm = SortedDistances
 					stdPairs, _, err := KClosestPairs(ta, tb, k, stdOpts)
@@ -112,15 +129,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 				}
 			}
 		}
-		// Validate one parallel instance in full against brute force
-		// (refs, points, ordering), not just against the sequential engine.
-		opts := DefaultOptions(Heap)
-		opts.Parallelism = 4
-		pairs, _, err := KClosestPairs(ta, tb, 10, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkAgainstBrute(t, pairs, d.ps, d.qs, 10)
 	}
 
 	trials := int64(20)
@@ -350,7 +358,6 @@ func TestParallelFaultSweep(t *testing.T) {
 	const k = 10
 	want := BruteForceKCP(ps, qs, k)
 	baseline := runtime.NumGoroutine()
-	bound := runtime.GOMAXPROCS(0) + 1
 
 	// after runs the checks every failed query owes.
 	after := func(label string, opts Options) {
@@ -362,7 +369,7 @@ func TestParallelFaultSweep(t *testing.T) {
 		if n := runtime.NumGoroutine(); n > baseline {
 			t.Fatalf("%s: %d goroutines, %d before", label, n, baseline)
 		}
-		if n := freeListLen(); n > bound {
+		if n, bound := freeListLen(), freeListBound(); n > bound {
 			t.Fatalf("%s: free list holds %d scratches, bound %d", label, n, bound)
 		}
 		got, _, err := KClosestPairs(ta, tb, k, opts)

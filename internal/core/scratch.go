@@ -59,16 +59,33 @@ func (sc *queryScratch) frame(depth int) *frame {
 const scratchRetainBytes = 64 << 20
 
 // scratchFree is the one reuse point of the query engine: a LIFO free list
-// of scratches, bounded at GOMAXPROCS + 1 entries — what one parallel query
-// at full width holds (a scratch per worker and the join's own), so that it
-// too finds every scratch warm the next time. It is deliberately not a
-// sync.Pool: a Pool's per-P slots and its emptying every second GC made the
-// multi-megabyte queue backing come back only some of the time (measured:
-// 62 MB/query one run, 102 MB the next), while a list hands the same warm
-// scratch to the next query every time.
+// of scratches, bounded at max(GOMAXPROCS, widest) + 1 entries, where
+// widest is the most workers any parallel query in the process has run —
+// what one parallel query at that width holds (a scratch per worker and
+// the join's own), so that it too finds every scratch warm the next time.
+// A query with more workers than cores (WithParallelism(n) takes n as
+// given) would otherwise build the surplus anew on every call. It is
+// deliberately not a sync.Pool: a Pool's per-P slots and its emptying
+// every second GC made the multi-megabyte queue backing come back only
+// some of the time (measured: 62 MB/query one run, 102 MB the next), while
+// a list hands the same warm scratch to the next query every time.
 var scratchFree struct {
-	mu   sync.Mutex
-	list []*queryScratch
+	mu     sync.Mutex
+	list   []*queryScratch
+	widest int
+}
+
+// noteWorkers records that a parallel query runs n workers, widening the
+// free list's bound to hold its scratches.
+func noteWorkers(n int) {
+	scratchFree.mu.Lock()
+	scratchFree.widest = max(scratchFree.widest, n)
+	scratchFree.mu.Unlock()
+}
+
+// scratchRetainCount is the free list's bound. Caller holds scratchFree.mu.
+func scratchRetainCount() int {
+	return max(runtime.GOMAXPROCS(0), scratchFree.widest) + 1
 }
 
 // acquireScratch takes the most recently released scratch, or a new one.
@@ -95,7 +112,7 @@ func releaseScratch(sc *queryScratch) {
 	}
 	scratchFree.mu.Lock()
 	defer scratchFree.mu.Unlock()
-	if len(scratchFree.list) <= runtime.GOMAXPROCS(0) {
+	if len(scratchFree.list) < scratchRetainCount() {
 		scratchFree.list = append(scratchFree.list, sc)
 	}
 }

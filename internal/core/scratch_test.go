@@ -17,6 +17,13 @@ func freeListLen() int {
 	return len(scratchFree.list)
 }
 
+// freeListBound is the most scratches the free list may retain now.
+func freeListBound() int {
+	scratchFree.mu.Lock()
+	defer scratchFree.mu.Unlock()
+	return scratchRetainCount()
+}
+
 // TestResultsDoNotAliasScratch: the pairs a query returns are the caller's.
 // A later query — other trees, other K, other engine — reuses the same
 // scratch and must leave them untouched.
@@ -72,7 +79,6 @@ func TestScratchSurvivesFailedQueries(t *testing.T) {
 	ps, qs := uniformPoints(9900, 3000, 0), uniformPoints(9950, 3000, 0)
 	ta, fa := buildFaultTree(t, ps)
 	tb, _ := buildFaultTree(t, qs)
-	bound := runtime.GOMAXPROCS(0) + 1
 
 	par := DefaultOptions(Heap)
 	par.Parallelism = 3
@@ -107,14 +113,14 @@ func TestScratchSurvivesFailedQueries(t *testing.T) {
 			if !errors.Is(err, storage.ErrInjected) {
 				t.Fatalf("%s: read fault after %d reads: err = %v", e.name, n, err)
 			}
-			if got := freeListLen(); got > bound {
+			if got, bound := freeListLen(), freeListBound(); got > bound {
 				t.Fatalf("%s: free list holds %d scratches, bound %d", e.name, got, bound)
 			}
 		}
 		if _, err := e.run(cancelled, 2000); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: cancelled query: err = %v", e.name, err)
 		}
-		if got := freeListLen(); got > bound || got == 0 {
+		if got, bound := freeListLen(), freeListBound(); got > bound || got == 0 {
 			t.Fatalf("%s: free list holds %d scratches after a cancelled query, want 1..%d", e.name, got, bound)
 		}
 
@@ -135,10 +141,27 @@ func TestScratchSurvivesFailedQueries(t *testing.T) {
 	}
 }
 
-// TestScratchRetentionBound: the free list keeps GOMAXPROCS + 1 scratches
-// at most, and not one whose query-sized buffers outgrew the byte cap.
+// TestScratchRetentionBound: the free list keeps max(GOMAXPROCS, the
+// widest parallel query's workers) + 1 scratches at most, and not one
+// whose query-sized buffers outgrew the byte cap. A query with more
+// workers than GOMAXPROCS holds W + 1 scratches, and gets all of them back.
 func TestScratchRetentionBound(t *testing.T) {
-	bound := runtime.GOMAXPROCS(0) + 1
+	procs := runtime.GOMAXPROCS(0)
+	if got := freeListBound(); got < procs+1 {
+		t.Fatalf("free list bound %d, below GOMAXPROCS + 1 = %d", got, procs+1)
+	}
+	ps, qs := uniformPoints(9980, 1500, 0), uniformPoints(9990, 1500, 0)
+	ta, tb := buildTree(t, ps, 256), buildTree(t, qs, 256)
+	wide := DefaultOptions(Heap)
+	wide.Parallelism = procs + 2
+	if _, _, err := KClosestPairs(ta, tb, 10, wide); err != nil {
+		t.Fatal(err)
+	}
+	if got := freeListLen(); got < wide.Parallelism+1 {
+		t.Fatalf("after a %d-worker query the free list holds %d scratches, want its %d", wide.Parallelism, got, wide.Parallelism+1)
+	}
+
+	bound := freeListBound()
 	held := make([]*queryScratch, bound+3)
 	for i := range held {
 		held[i] = acquireScratch()
@@ -198,7 +221,7 @@ func TestConcurrentQueriesShareFreeList(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	if got, bound := freeListLen(), runtime.GOMAXPROCS(0)+1; got > bound {
+	if got, bound := freeListLen(), freeListBound(); got > bound {
 		t.Fatalf("free list holds %d scratches, bound %d", got, bound)
 	}
 }

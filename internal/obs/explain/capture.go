@@ -121,19 +121,6 @@ func (c *Capture) SetPlan(p Plan) {
 	c.mu.Unlock()
 }
 
-// SetPlanShards records the sharded layout on the plan — called once the
-// partitioner has fixed the tile boundaries, separately from SetPlan
-// because the facade knows the plan before the tiles exist.
-func (c *Capture) SetPlanShards(shards int, tiles []Tile) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.plan.Shards = shards
-	c.plan.Tiles = tiles
-	c.mu.Unlock()
-}
-
 // Phase appends one named phase's wall time to the execution breakdown.
 func (c *Capture) Phase(name string, ns int64) {
 	if c == nil {

@@ -1,8 +1,8 @@
 // Package explain is the engine's per-query EXPLAIN/ANALYZE subsystem: a
-// Capture that records one query's plan (algorithm, K, workers, shard
-// layout) and execution (phase wall breakdown, per-shard-pair dispatch
-// decisions, bound-tightening trajectory, span tree, full work counters),
-// and renders the snapshot as a text tree or canonical JSON.
+// Capture that records one query's plan (algorithm, K, workers) and
+// execution (phase wall breakdown, per-shard-pair dispatch decisions of
+// the shard executor, bound-tightening trajectory, span tree, full work
+// counters), and renders the snapshot as a text tree or canonical JSON.
 //
 // The package sits beside the rest of internal/obs: it imports only obs
 // and the standard library, so core, shard and the facade can all feed it
@@ -47,23 +47,6 @@ type Plan struct {
 	K int `json:"k"`
 	// Workers is the resolved parallel worker count (1 = sequential).
 	Workers int `json:"workers"`
-	// Shards is the tile count T of a sharded execution (0 or 1 =
-	// unsharded); Tiles are the shard tile boundaries.
-	Shards int    `json:"shards,omitempty"`
-	Tiles  []Tile `json:"tiles,omitempty"`
-}
-
-// Tile is one shard's tile boundary: the union MBR of the shard's data
-// from both sets. Empty marks a tile that received no data (its
-// coordinates are zeroed: the engine's empty rectangle is a ±Inf sentinel
-// JSON cannot carry).
-type Tile struct {
-	Index int     `json:"index"`
-	MinX  float64 `json:"min_x"`
-	MinY  float64 `json:"min_y"`
-	MaxX  float64 `json:"max_x"`
-	MaxY  float64 `json:"max_y"`
-	Empty bool    `json:"empty,omitempty"`
 }
 
 // Exec describes what actually happened.

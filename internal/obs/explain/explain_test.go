@@ -21,13 +21,6 @@ func sampleExplain() *Explain {
 			Algorithm: "HEAP",
 			K:         8,
 			Workers:   4,
-			Shards:    4,
-			Tiles: []Tile{
-				{Index: 0, MinX: 0, MinY: 0, MaxX: 0.25, MaxY: 1},
-				{Index: 1, MinX: 0.25, MinY: 0, MaxX: 0.5, MaxY: 1},
-				{Index: 2, MinX: 0.5, MinY: 0, MaxX: 0.75, MaxY: 1},
-				{Index: 3, Empty: true},
-			},
 		},
 		Exec: Exec{
 			DurationNS: 12_345_678,
@@ -200,8 +193,6 @@ func TestRender(t *testing.T) {
 		"QUERY HEAP k=8 shards=4",
 		"plan",
 		"algorithm: HEAP  k=8  workers=4",
-		"shards: 4 tiles",
-		"tile 3: (empty)",
 		"execution",
 		"phases: partition 1.2ms",
 		"shard pairs: 3 planned = 2 joined + 1 pruned",

@@ -18,21 +18,9 @@ func (e *Explain) Render() string {
 
 	// Plan.
 	b.WriteString("├─ plan\n")
-	planLines := []string{
+	writeBranch(&b, "│  ", []string{
 		fmt.Sprintf("algorithm: %s  k=%d  workers=%d", e.Plan.Algorithm, e.Plan.K, e.Plan.Workers),
-	}
-	if e.Plan.Shards > 1 {
-		planLines = append(planLines, fmt.Sprintf("shards: %d tiles", e.Plan.Shards))
-		for _, t := range e.Plan.Tiles {
-			if t.Empty {
-				planLines = append(planLines, fmt.Sprintf("tile %d: (empty)", t.Index))
-				continue
-			}
-			planLines = append(planLines, fmt.Sprintf("tile %d: [%.4g, %.4g] × [%.4g, %.4g]",
-				t.Index, t.MinX, t.MaxX, t.MinY, t.MaxY))
-		}
-	}
-	writeBranch(&b, "│  ", planLines)
+	})
 
 	// Execution.
 	fmt.Fprintf(&b, "└─ execution (%s)\n", fmtDur(e.Exec.DurationNS))

@@ -110,24 +110,6 @@ func (s *Set) Tiles() int { return len(s.shards) }
 // Config returns the configuration the set was built with.
 func (s *Set) Config() Config { return s.cfg }
 
-// TileBounds renders the shards' tile MBRs in the explain snapshot's
-// form: one entry per shard, empty tiles flagged (their ±Inf sentinel
-// rectangle cannot travel as JSON).
-func (s *Set) TileBounds() []explain.Tile {
-	out := make([]explain.Tile, len(s.shards))
-	for i, sh := range s.shards {
-		t := explain.Tile{Index: i}
-		if sh.Tile.IsEmpty() {
-			t.Empty = true
-		} else {
-			t.MinX, t.MinY = sh.Tile.Min.X, sh.Tile.Min.Y
-			t.MaxX, t.MaxY = sh.Tile.Max.X, sh.Tile.Max.Y
-		}
-		out[i] = t
-	}
-	return out
-}
-
 // Close releases every shard's page files. The set is unusable
 // afterwards.
 func (s *Set) Close() error {

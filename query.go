@@ -2,14 +2,11 @@ package cpq
 
 import (
 	"context"
-	"errors"
 
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/incremental"
 	"repro/internal/obs/explain"
-	"repro/internal/rtree"
-	"repro/internal/shard"
 )
 
 // Pair is one closest-pair result.
@@ -57,11 +54,9 @@ func Chebyshev() Metric { return geom.LInf() }
 func Minkowski(p float64) (Metric, error) { return geom.Lp(p) }
 
 // queryConfig is the facade-level query configuration: the engine options
-// plus what lives above the engine (the scatter-gather tile count, the
-// explain capture).
+// plus what lives above the engine (the explain capture).
 type queryConfig struct {
 	core    core.Options
-	shards  int
 	capture *explain.Capture
 }
 
@@ -98,25 +93,21 @@ func WithParallelism(n int) QueryOption {
 	}
 }
 
-// WithShards runs the bichromatic queries (ClosestPair, KClosestPairs)
-// as scatter-gather over t spatial tiles: both point sets are split by
-// shared STR-order quantile boundaries, each tile gets its own R-tree
-// pair on dedicated buffer pools, tile pairs whose MINMINDIST exceeds
-// the current bound are pruned whole, and all in-flight tile joins share
-// one broadcast tighten-only bound. Results are bit-identical (distances
-// and tie order) to the unsharded query. t <= 1 (the default) keeps the
-// monolithic join; the self-, semi- and range variants ignore the knob.
-// The plan is t^2 tile pairs, so t is capped at (|P|+|Q|) / 2M, one tile
-// per two full leaves' worth of points; EXPLAIN reports the count the
-// query ran on.
+// WithShards is a deprecated alias of WithParallelism for the bichromatic
+// queries (ClosestPair, KClosestPairs, Explain). t > 1 no longer splits the
+// sets into spatial tiles: the query runs on the parallel HEAP engine over
+// the indexes' own trees with runtime.GOMAXPROCS(0) workers, each taking
+// independent subtree pairs under one shared bound, and returns the
+// unsharded query's pairs, refs and order. A WithParallelism(n > 1) on the
+// same query wins. t <= 1 (the default) changes nothing.
 //
-// Sharding pays off when tile-level pruning can skip most of the T^2
-// tile pairs — clustered data, or K-th distances far below the tile
-// side. The partitioning cost (a full re-bulk-load of both sets) is paid
-// per query, so the knob targets one-shot large joins, not repeated
-// queries over a prebuilt index.
+// Deprecated: use WithParallelism.
 func WithShards(t int) QueryOption {
-	return func(o *queryConfig) { o.shards = t }
+	return func(o *queryConfig) {
+		if t > 1 && o.core.Parallelism <= 1 {
+			o.core.Parallelism = core.AutoParallelism
+		}
+	}
 }
 
 func buildConfig(opts []QueryOption) queryConfig {
@@ -127,69 +118,10 @@ func buildConfig(opts []QueryOption) queryConfig {
 	return c
 }
 
-// buildJoinConfig resolves the configuration of a bichromatic query over
-// p and q, capping the tile count as WithShards documents: a tile smaller
-// than one leaf per side prunes nothing a leaf pair would not. A cap of 1
-// or less leaves the monolithic join.
-func buildJoinConfig(opts []QueryOption, p, q *Index) queryConfig {
-	c := buildConfig(opts)
-	c.shards = min(c.shards, int((p.Len()+q.Len())/int64(2*p.tree.Config().MaxEntries)))
-	return c
-}
-
 // buildOptions resolves just the engine options, for the query variants
-// that never shard.
+// that take no explain capture.
 func buildOptions(opts []QueryOption) core.Options {
 	return buildConfig(opts).core
-}
-
-// shardedKClosestPairs routes a bichromatic K-CPQ through the
-// scatter-gather executor: re-partition both sets into cfg.shards tiles,
-// join the tile pairs under a broadcast bound, K-merge. The shard trees
-// inherit p's tree geometry so per-shard traversals see the same page
-// and fan-out regime as the monolithic join.
-func shardedKClosestPairs(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pair, Stats, error) {
-	itemsP, err := collectItems(p)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	itemsQ, err := collectItems(q)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	set, err := shard.PartitionContext(ctx, itemsP, itemsQ, shard.Config{
-		Tiles:   cfg.shards,
-		Tree:    p.tree.Config(),
-		Capture: cfg.capture,
-	})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	// The tile-bound collection runs only under an explain capture; the
-	// nil-capture path must not pay for it (SetPlanShards is nil-safe, but
-	// its arguments would still be built).
-	if cfg.capture != nil {
-		cfg.capture.SetPlanShards(cfg.shards, set.TileBounds())
-	}
-	ex := shard.Executor{Set: set, Capture: cfg.capture}
-	res, err := ex.RunContext(ctx, k, cfg.core)
-	if err != nil {
-		return nil, Stats{}, errors.Join(err, set.Close())
-	}
-	if err := set.Close(); err != nil {
-		return nil, Stats{}, err
-	}
-	return res.Pairs, res.Stats, nil
-}
-
-// collectItems drains an index's items for re-partitioning.
-func collectItems(i *Index) ([]rtree.Item, error) {
-	out := make([]rtree.Item, 0, i.tree.Len())
-	err := i.tree.All(func(it rtree.Item) bool {
-		out = append(out, it)
-		return true
-	})
-	return out, err
 }
 
 // ClosestPair returns the closest pair between the two indexed point sets
@@ -205,16 +137,9 @@ func ClosestPair(p, q *Index, opts ...QueryOption) (Pair, Stats, error) {
 // When the context never fires the results, paper counters and disk
 // accesses are identical to the context-free call.
 func ClosestPairContext(ctx context.Context, p, q *Index, opts ...QueryOption) (Pair, Stats, error) {
-	cfg := buildJoinConfig(opts, p, q)
+	cfg := buildConfig(opts)
 	if cfg.capture != nil {
 		pairs, stats, err := explainKCPQ(ctx, p, q, 1, cfg)
-		if err != nil {
-			return Pair{}, stats, err
-		}
-		return pairs[0], stats, nil
-	}
-	if cfg.shards > 1 {
-		pairs, stats, err := shardedKClosestPairs(ctx, p, q, 1, cfg)
 		if err != nil {
 			return Pair{}, stats, err
 		}
@@ -234,12 +159,9 @@ func KClosestPairs(p, q *Index, k int, opts ...QueryOption) ([]Pair, Stats, erro
 // KClosestPairsContext is KClosestPairs under a context; see
 // ClosestPairContext for the cancellation contract.
 func KClosestPairsContext(ctx context.Context, p, q *Index, k int, opts ...QueryOption) ([]Pair, Stats, error) {
-	cfg := buildJoinConfig(opts, p, q)
+	cfg := buildConfig(opts)
 	if cfg.capture != nil {
 		return explainKCPQ(ctx, p, q, k, cfg)
-	}
-	if cfg.shards > 1 {
-		return shardedKClosestPairs(ctx, p, q, k, cfg)
 	}
 	return core.KClosestPairsContext(ctx, p.tree, q.tree, k, cfg.core)
 }

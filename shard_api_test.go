@@ -1,13 +1,14 @@
 package cpq
 
 import (
-	"math"
+	"slices"
 	"testing"
 )
 
 // TestWithShardsMatchesUnsharded is the facade-level equivalence check:
-// the sharded bichromatic queries return bit-identical distances and tie
-// order to the monolithic join.
+// WithShards runs the parallel engine over the same trees, so the
+// bichromatic queries return the monolithic join's pairs, refs and order
+// for every tile count.
 func TestWithShardsMatchesUnsharded(t *testing.T) {
 	ptsP := randomPoints(41, 800, 0)
 	ptsQ := randomPoints(42, 800, 0)
@@ -26,22 +27,13 @@ func TestWithShardsMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{2, 8} {
+	for _, shards := range []int{2, 8, 1000} {
 		got, _, err := KClosestPairs(p, q, 10, WithShards(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: result length: want %d, got %d", shards, len(want), len(got))
-		}
-		for i := range want {
-			if math.Float64bits(want[i].Dist) != math.Float64bits(got[i].Dist) {
-				t.Fatalf("shards=%d pair %d: distance: want %v, got %v", shards, i, want[i].Dist, got[i].Dist)
-			}
-			if want[i].RefP != got[i].RefP || want[i].RefQ != got[i].RefQ {
-				t.Fatalf("shards=%d pair %d: tie order: want (%d,%d), got (%d,%d)",
-					shards, i, want[i].RefP, want[i].RefQ, got[i].RefP, got[i].RefQ)
-			}
+		if !slices.Equal(got, want) {
+			t.Fatalf("shards=%d: got %+v, want %+v", shards, got, want)
 		}
 	}
 
@@ -53,8 +45,7 @@ func TestWithShardsMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(wantPair.Dist) != math.Float64bits(gotPair.Dist) ||
-		wantPair.RefP != gotPair.RefP || wantPair.RefQ != gotPair.RefQ {
+	if gotPair != wantPair {
 		t.Fatalf("sharded ClosestPair differs: want %+v, got %+v", wantPair, gotPair)
 	}
 }
@@ -89,11 +80,12 @@ func TestWithShardsOneTileIsMonolithic(t *testing.T) {
 	}
 }
 
-// TestWithShardsCapsTileCount pins the cap on the tile count: the plan is
-// tiles^2 shard pairs, so a count far above what the input can fill must
-// not be taken literally (uncapped, this query processes 249,000 node
-// pairs against 99 at four tiles).
-func TestWithShardsCapsTileCount(t *testing.T) {
+// TestWithShardsBoundedWork: a tile count far above what the input can
+// fill costs no more work than the query itself. Under the old per-call
+// partitioning, WithShards(1000) on these points planned a million tile
+// pairs; uncapped, it processed 249,000 node pairs against 99 at four
+// tiles.
+func TestWithShardsBoundedWork(t *testing.T) {
 	p, err := BuildIndex(randomPoints(45, 500, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -108,22 +100,14 @@ func TestWithShardsCapsTileCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, rep, err := Explain(p, q, 10, WithShards(1000))
+	got, stats, err := KClosestPairs(p, q, 10, WithShards(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("result length: want %d, got %d", len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("pair %d: want %+v, got %+v", i, want[i], got[i])
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got %+v, want %+v", got, want)
 	}
 	if stats.NodePairsProcessed >= 1000 {
 		t.Fatalf("WithShards(1000) on 500 x 500 points processed %d node pairs", stats.NodePairsProcessed)
-	}
-	if wantTiles := 1000 / (2 * 21); rep.Plan.Shards != wantTiles {
-		t.Fatalf("plan reports %d shards, want the effective %d", rep.Plan.Shards, wantTiles)
 	}
 }
