@@ -1,10 +1,14 @@
 package cpq
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -280,6 +284,64 @@ func TestSelfAndSemiFacade(t *testing.T) {
 	}
 	if len(semi) != len(pts) {
 		t.Fatalf("semi pairs = %d, want %d", len(semi), len(pts))
+	}
+}
+
+// nodeCounter counts the node-pair expansions a query traces.
+type nodeCounter struct{ n atomic.Int64 }
+
+func (c *nodeCounter) Event(e TraceEvent) {
+	if e.Kind == EvNodeExpanded {
+		c.n.Add(1)
+	}
+}
+
+// TestSelfJoinHonoursOptions: the self join is the K-CPQ join in self mode,
+// so the tracer, algorithm, parallelism and metrics options reach it.
+func TestSelfJoinHonoursOptions(t *testing.T) {
+	pts := randomPoints(13, 600, 0)
+	p, err := BuildIndex(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const k = 20
+	heap, _, err := SelfKClosestPairs(p, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := core.BruteForceSelfKCP(pts, k); !slices.Equal(heap, want) {
+		t.Fatalf("HEAP self join = %v, want %v", heap, want)
+	}
+
+	var tr nodeCounter
+	_, stats, err := SelfKClosestPairs(p, k, WithTracer(&tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.n.Load(); got == 0 || got != stats.NodePairsProcessed {
+		t.Fatalf("%d node_expanded events, NodePairsProcessed = %d", got, stats.NodePairsProcessed)
+	}
+
+	std, _, err := SelfKClosestPairs(p, k, WithAlgorithm(SortedDistancesAlgorithm), WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(std, heap) {
+		t.Fatalf("STD at W=2 = %v, HEAP %v", std, heap)
+	}
+
+	reg := NewMetrics()
+	em := NewEngineMetrics(reg)
+	var slow bytes.Buffer
+	if _, _, err := SelfKClosestPairs(p, k, WithMetrics(em), WithSlowQueryLog(NewSlowQueryLog(0, &slow))); err != nil {
+		t.Fatal(err)
+	}
+	if n := em.Queries.Value(); n != 1 {
+		t.Fatalf("metrics recorded %d queries, want 1", n)
+	}
+	if !strings.Contains(slow.String(), `"HEAP self k=20"`) {
+		t.Fatalf("report label is not the self join's: %s", slow.String())
 	}
 }
 

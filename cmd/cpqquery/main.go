@@ -41,7 +41,7 @@ func main() {
 		semi        = flag.Bool("semi", false, "semi-CPQ: nearest -q point for every -p point")
 		watch       = flag.Bool("watch", false, "live progress on stderr while the query runs, and a bound-convergence chart at the end")
 		quiet       = flag.Bool("quiet", false, "print only statistics, not pairs")
-		shards      = flag.Int("shards", 1, "deprecated: above 1, run the bichromatic query on GOMAXPROCS parallel HEAP workers")
+		shards      = flag.Int("shards", 1, "deprecated: above 1, run the query on GOMAXPROCS parallel HEAP workers")
 		explain     = flag.Bool("explain", false, "print the query's EXPLAIN/ANALYZE tree (plan + execution)")
 		explainJSON = flag.Bool("explain-json", false, "print the EXPLAIN/ANALYZE snapshot as canonical JSON")
 	)

@@ -78,7 +78,7 @@ func explainKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pa
 	cfg.core.SlowLog = nil
 
 	cap.SetPlan(explain.Plan{
-		Label:     core.QueryLabel(cfg.core, k),
+		Label:     core.QueryLabel(cfg.core, k, false),
 		Algorithm: cfg.core.Algorithm.String(),
 		K:         k,
 		Workers:   cfg.core.Workers(),
@@ -93,7 +93,7 @@ func explainKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pa
 	seconds := time.Since(started)
 	if err != nil {
 		if slowLog != nil {
-			slowLog.Record(QueryReport{Label: core.QueryLabel(cfg.core, k),
+			slowLog.Record(QueryReport{Label: core.QueryLabel(cfg.core, k, false),
 				Seconds: seconds.Seconds(), Workers: cfg.core.Workers(), Err: err.Error()})
 		}
 		return nil, stats, err
@@ -107,7 +107,7 @@ func explainKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pa
 
 	if slowLog != nil {
 		r := QueryReport{
-			Label:       core.QueryLabel(cfg.core, k),
+			Label:       core.QueryLabel(cfg.core, k, false),
 			Seconds:     seconds.Seconds(),
 			Accesses:    stats.Accesses(),
 			NodePairs:   stats.NodePairsProcessed,

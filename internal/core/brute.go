@@ -37,22 +37,29 @@ func BruteForceKCPMetric(ps, qs []geom.Point, k int, m geom.Metric) []Pair {
 // BruteForceSelfKCP computes the K closest pairs within one point set,
 // considering each unordered pair of distinct indices once.
 func BruteForceSelfKCP(ps []geom.Point, k int) []Pair {
+	return BruteForceSelfKCPMetric(ps, k, geom.L2())
+}
+
+// BruteForceSelfKCPMetric is BruteForceSelfKCP under an arbitrary
+// Minkowski metric. Each pair has RefP < RefQ.
+func BruteForceSelfKCPMetric(ps []geom.Point, k int, m geom.Metric) []Pair {
 	if k <= 0 || len(ps) < 2 {
 		return nil
 	}
 	h := newKHeap(k)
-	for i := 0; i < len(ps); i++ {
+	for i, p := range ps {
 		for t := i + 1; t < len(ps); t++ {
+			q := ps[t]
 			h.offer(kPair{
-				distSq: ps[i].DistSq(ps[t]),
-				p:      [2]float64{ps[i].X, ps[i].Y},
-				q:      [2]float64{ps[t].X, ps[t].Y},
+				distSq: m.Key(p, q),
+				p:      [2]float64{p.X, p.Y},
+				q:      [2]float64{q.X, q.Y},
 				refP:   int64(i),
 				refQ:   int64(t),
 			})
 		}
 	}
-	return h.results(geom.L2())
+	return h.results(m)
 }
 
 // BruteForceSemiCP computes the semi-CPQ oracle: for every point of ps,

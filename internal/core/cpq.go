@@ -34,10 +34,16 @@ func KClosestPairs(ta, tb *rtree.Tree, k int, opts Options) ([]Pair, Stats, erro
 // without the context firing returns results, counters and disk accesses
 // byte-identical to the context-free call.
 func KClosestPairsContext(ctx context.Context, ta, tb *rtree.Tree, k int, opts Options) ([]Pair, Stats, error) {
+	return kClosestPairs(ctx, ta, tb, k, opts, false)
+}
+
+// kClosestPairs runs every K-CPQ: bichromatic, or with self set the self
+// join of ta == tb. It validates, picks the traversal and reports.
+func kClosestPairs(ctx context.Context, ta, tb *rtree.Tree, k int, opts Options, self bool) ([]Pair, Stats, error) {
 	if k <= 0 {
 		return nil, Stats{}, fmt.Errorf("core: k must be positive, got %d", k)
 	}
-	j, err := newJoin(ta, tb, k, opts)
+	j, err := newJoin(ta, tb, k, opts, self)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -55,7 +61,7 @@ func KClosestPairsContext(ctx context.Context, ta, tb *rtree.Tree, k int, opts O
 	measure := opts.Metrics != nil || opts.SlowLog != nil
 	var label string
 	if opts.Tracer != nil || measure {
-		label = QueryLabel(opts, k)
+		label = QueryLabel(opts, k, self)
 	}
 	if opts.Tracer != nil {
 		j.span = obs.StartSpanFrom(opts.Tracer, opts.Trace, label)
@@ -133,13 +139,18 @@ func KClosestPairsContext(ctx context.Context, ta, tb *rtree.Tree, k int, opts O
 }
 
 // QueryLabel renders the query description used as the span label and the
-// metrics/slow-log aggregation key. Exported so the facade's explain path
-// labels its plan exactly like the engine labels its span.
-func QueryLabel(opts Options, k int) string {
-	if w := opts.Workers(); w > 1 {
-		return fmt.Sprintf("%s k=%d par=%d", opts.Algorithm, k, w)
+// metrics/slow-log aggregation key; a self join's label reads
+// "HEAP self k=1", so it never shares a key with a bichromatic query. Exported so the facade's
+// explain path labels its plan exactly like the engine labels its span.
+func QueryLabel(opts Options, k int, self bool) string {
+	alg := opts.Algorithm.String()
+	if self {
+		alg += " self"
 	}
-	return fmt.Sprintf("%s k=%d", opts.Algorithm, k)
+	if w := opts.Workers(); w > 1 {
+		return fmt.Sprintf("%s k=%d par=%d", alg, k, w)
+	}
+	return fmt.Sprintf("%s k=%d", alg, k)
 }
 
 // ClosestPair finds the single closest pair (the 1-CPQ of Section 2.1),

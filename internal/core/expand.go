@@ -14,6 +14,13 @@ type join struct {
 	ta, tb *rtree.Tree
 	opts   Options
 	k      int
+	// self marks a self join (ta == tb, SelfKClosestPairsContext): the
+	// result is unordered pairs of distinct points, so a diagonal pair — a
+	// node against itself — reads its node once, expands to the i <= t
+	// triangle of its children and scans its leaf's upper triangle (see
+	// diagonal). It is a flag, not ta == tb: KClosestPairs(t, t) is the
+	// bichromatic query over two copies of one set, (p, p) pairs included.
+	self bool
 	// sc is the join's scratch, held from newJoin to release; kheap is
 	// the result heap inside it. Every driver works in sc alone; a
 	// parallel worker's join holds the scratch that worker took
@@ -51,9 +58,10 @@ type join struct {
 }
 
 // newJoin validates the options and sets up a query over the two trees in
-// a scratch taken from the free list. On success the caller owns the
-// scratch and must release() the join on every path out of the query.
-func newJoin(ta, tb *rtree.Tree, k int, opts Options) (*join, error) {
+// a scratch taken from the free list; self makes it the self join of
+// ta == tb. On success the caller owns the scratch and must release() the
+// join on every path out of the query.
+func newJoin(ta, tb *rtree.Tree, k int, opts Options, self bool) (*join, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -72,6 +80,7 @@ func newJoin(ta, tb *rtree.Tree, k int, opts Options) (*join, error) {
 		mB:     float64(tb.Config().MinEntries),
 		metric: opts.Metric,
 		shared: opts.SharedBound,
+		self:   self,
 	}
 	j.useTie = opts.Tie != TieNone &&
 		(opts.Algorithm == SortedDistances || opts.Algorithm == Heap)
@@ -91,11 +100,12 @@ func (j *join) release() {
 	j.sc, j.kheap = nil, nil
 }
 
-// rootBounds reads both roots into the scratch and returns their MBRs.
+// rootBounds reads both roots into the scratch and returns their MBRs; a
+// self join reads its one root once.
 func (j *join) rootBounds() (ba, bb geom.Rect, err error) {
 	f := j.sc.frame(0)
-	if ba, err = rootMBR(j.ta, &f.na); err != nil {
-		return ba, bb, err
+	if ba, err = rootMBR(j.ta, &f.na); err != nil || j.self {
+		return ba, ba, err
 	}
 	bb, err = rootMBR(j.tb, &f.nb)
 	return ba, bb, err
@@ -150,6 +160,9 @@ func (j *join) tightens() bool {
 	}
 	return false
 }
+
+// diagonal reports whether p pairs a node with itself in a self join.
+func (j *join) diagonal(p nodePair) bool { return j.self && p.a == p.b }
 
 // rootPair forms the initial node pair from the two roots.
 func (j *join) rootPair() (nodePair, error) {
@@ -246,16 +259,21 @@ func (j *join) scanLeaves(na, nb *rtree.Node) {
 }
 
 // readPair fetches both nodes of a pair into the frame, counting the
-// accesses the paper measures. The nodes are valid until the frame's next
-// readPair.
-func (j *join) readPair(p nodePair, f *frame) error {
+// accesses the paper measures, and returns them. A diagonal pair reads its
+// one node once and returns it as both sides: the kernel and the sweep
+// take na == nb for the diagonal. The nodes are valid until the frame's
+// next readPair.
+func (j *join) readPair(p nodePair, f *frame) (na, nb *rtree.Node, err error) {
 	if err := j.ta.ReadNodeInto(p.a, &f.na); err != nil {
-		return err
+		return nil, nil, err
 	}
-	if err := j.tb.ReadNodeInto(p.b, &f.nb); err != nil {
-		return err
+	na, nb = &f.na, &f.nb
+	if j.diagonal(p) {
+		nb = na
+	} else if err := j.tb.ReadNodeInto(p.b, nb); err != nil {
+		return nil, nil, err
 	}
 	j.stats.nodePairsProcessed.Add(1)
 	j.traceNodeExpanded(p)
-	return nil
+	return na, nb, nil
 }

@@ -32,7 +32,8 @@ func buildFaultTree(t *testing.T, pts []geom.Point) (*rtree.Tree, *storage.Fault
 
 // TestQueriesSurfaceInjectedReadErrors: every algorithm must propagate a
 // mid-traversal page read failure instead of panicking or returning
-// partial results silently.
+// partial results silently. The K-CPQ self join's read failures are swept
+// read by read in TestParallelFaultSweep.
 func TestQueriesSurfaceInjectedReadErrors(t *testing.T) {
 	ps := uniformPoints(7000, 500, 0)
 	qs := uniformPoints(7100, 500, 0.5)
@@ -48,13 +49,6 @@ func TestQueriesSurfaceInjectedReadErrors(t *testing.T) {
 		}
 		fa.FailReadAfter(-1)
 	}
-
-	// Self-CPQ.
-	fa.FailReadAfter(2)
-	if _, _, err := SelfKClosestPairs(ta, 5, DefaultOptions(Heap)); !errors.Is(err, storage.ErrInjected) {
-		t.Errorf("self: err = %v, want ErrInjected", err)
-	}
-	fa.FailReadAfter(-1)
 
 	// Semi-CPQ.
 	fa.FailReadAfter(2)

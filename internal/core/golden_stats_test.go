@@ -96,12 +96,36 @@ var goldenStats = map[string]string{
 	"tallQ/fix-at-leaves/STD/k=100":   "accesses=1024 (P=512 Q=512) nodePairs=511 subPairs=888 pruned=378 pointPairs=1525 maxQueue=0",
 	"tallQ/fix-at-leaves/HEAP/k=1":    "accesses=662 (P=331 Q=331) nodePairs=330 subPairs=671 pruned=260 pointPairs=204 maxQueue=131",
 	"tallQ/fix-at-leaves/HEAP/k=100":  "accesses=842 (P=421 Q=421) nodePairs=420 subPairs=794 pruned=204 pointPairs=1385 maxQueue=248",
+	// The self join of each configuration's P tree, recorded when it
+	// moved onto the K-CPQ join: it has no row in results_full.txt, so
+	// these are its only pin.
+	"self/same/P/NAIVE/k=1":    "accesses=38822 (P=38822 Q=0) nodePairs=19537 subPairs=19536 pruned=0 pointPairs=680 maxQueue=0",
+	"self/same/P/NAIVE/k=100":  "accesses=38822 (P=38822 Q=0) nodePairs=19537 subPairs=19536 pruned=0 pointPairs=10884 maxQueue=0",
+	"self/same/P/EXH/k=1":      "accesses=290 (P=290 Q=0) nodePairs=271 subPairs=926 pruned=656 pointPairs=59 maxQueue=0",
+	"self/same/P/EXH/k=100":    "accesses=670 (P=670 Q=0) nodePairs=461 subPairs=2006 pruned=1546 pointPairs=1572 maxQueue=0",
+	"self/same/P/SIM/k=1":      "accesses=290 (P=290 Q=0) nodePairs=271 subPairs=926 pruned=656 pointPairs=59 maxQueue=0",
+	"self/same/P/SIM/k=100":    "accesses=670 (P=670 Q=0) nodePairs=461 subPairs=2006 pruned=1546 pointPairs=1572 maxQueue=0",
+	"self/same/P/STD/k=1":      "accesses=296 (P=296 Q=0) nodePairs=274 subPairs=976 pruned=703 pointPairs=136 maxQueue=0",
+	"self/same/P/STD/k=100":    "accesses=612 (P=612 Q=0) nodePairs=432 subPairs=1958 pruned=1527 pointPairs=1410 maxQueue=0",
+	"self/same/P/HEAP/k=1":     "accesses=290 (P=290 Q=0) nodePairs=271 subPairs=926 pruned=496 pointPairs=96 maxQueue=354",
+	"self/same/P/HEAP/k=100":   "accesses=458 (P=458 Q=0) nodePairs=355 subPairs=1676 pruned=728 pointPairs=1085 maxQueue=840",
+	"self/tallP/P/NAIVE/k=1":   "accesses=324991 (P=324991 Q=0) nodePairs=162864 subPairs=162863 pruned=0 pointPairs=2882 maxQueue=0",
+	"self/tallP/P/NAIVE/k=100": "accesses=324991 (P=324991 Q=0) nodePairs=162864 subPairs=162863 pruned=0 pointPairs=29993 maxQueue=0",
+	"self/tallP/P/EXH/k=1":     "accesses=965 (P=965 Q=0) nodePairs=851 subPairs=3201 pruned=2351 pointPairs=145 maxQueue=0",
+	"self/tallP/P/EXH/k=100":   "accesses=1601 (P=1601 Q=0) nodePairs=1169 subPairs=5406 pruned=4238 pointPairs=2061 maxQueue=0",
+	"self/tallP/P/SIM/k=1":     "accesses=965 (P=965 Q=0) nodePairs=851 subPairs=3201 pruned=2351 pointPairs=145 maxQueue=0",
+	"self/tallP/P/SIM/k=100":   "accesses=1601 (P=1601 Q=0) nodePairs=1169 subPairs=5406 pruned=4238 pointPairs=2061 maxQueue=0",
+	"self/tallP/P/STD/k=1":     "accesses=977 (P=977 Q=0) nodePairs=857 subPairs=3271 pruned=2415 pointPairs=120 maxQueue=0",
+	"self/tallP/P/STD/k=100":   "accesses=1649 (P=1649 Q=0) nodePairs=1193 subPairs=5310 pruned=4118 pointPairs=2332 maxQueue=0",
+	"self/tallP/P/HEAP/k=1":    "accesses=947 (P=947 Q=0) nodePairs=842 subPairs=3150 pruned=1864 pointPairs=101 maxQueue=998",
+	"self/tallP/P/HEAP/k=100":  "accesses=1089 (P=1089 Q=0) nodePairs=913 subPairs=3770 pruned=699 pointPairs=1662 maxQueue=2756",
 }
 
-// TestGoldenStats pins the full cost profile of the five algorithms: a
-// change to the traversal that moves any paper counter — accesses per
-// tree, node pairs, sub-pairs generated or pruned, point pairs, queue
-// high-water mark — fails here by name.
+// TestGoldenStats pins the full cost profile of the five algorithms, on
+// the bichromatic join and on the self join of each P tree: a change to
+// the traversal that moves any paper counter — accesses per tree, node
+// pairs, sub-pairs generated or pruned, point pairs, queue high-water
+// mark — fails here by name.
 func TestGoldenStats(t *testing.T) {
 	same, diff := goldenTrees(t)
 	type input struct {
@@ -123,6 +147,23 @@ func TestGoldenStats(t *testing.T) {
 				opts := DefaultOptions(alg)
 				opts.Height = in.height
 				_, stats, err := KClosestPairs(in.ta, in.tb, k, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got, want := stats.String(), goldenStats[name]; got != want {
+					t.Errorf("%s:\n got  %s\n want %s", name, got, want)
+				}
+			}
+		}
+	}
+	for _, in := range []struct {
+		name string
+		tr   *rtree.Tree
+	}{{"same/P", same[0]}, {"tallP/P", diff[0]}} {
+		for _, alg := range Algorithms() {
+			for _, k := range []int{1, 100} {
+				name := fmt.Sprintf("self/%s/%v/k=%d", in.name, alg, k)
+				_, stats, err := SelfKClosestPairs(in.tr, k, DefaultOptions(alg))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

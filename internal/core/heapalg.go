@@ -92,15 +92,16 @@ func (j *join) runHeap(ctx context.Context, root nodePair) error {
 			return err
 		}
 		p := h.pop()
-		if err := j.readPair(p, f); err != nil {
+		na, nb, err := j.readPair(p, f)
+		if err != nil {
 			return err
 		}
-		if f.na.IsLeaf() && f.nb.IsLeaf() {
-			j.scanLeaves(&f.na, &f.nb)
+		if na.IsLeaf() && nb.IsLeaf() {
+			j.scanLeaves(na, nb)
 			j.traceBound(obs.SourceKHeap)
 			continue
 		}
-		f.subs = j.expandInto(p, &f.na, &f.nb, f.subs[:0]) // also tightens T
+		f.subs = j.expandInto(p, na, nb, f.subs[:0]) // also tightens T
 		for _, sp := range f.subs {
 			h.push(sp)
 		}

@@ -105,9 +105,14 @@ type expansion struct {
 	// fixed is the MBR of the side that is not opened (expandAOnly: nb's,
 	// expandBOnly: na's) — the node's own MBR, which equals the rectangle
 	// its parent holds for it.
-	fixed   geom.Rect
-	nA, nB  int
-	n       int // nA * nB candidate sub-pairs
+	fixed  geom.Rect
+	nA, nB int
+	n      int // nA * nB keys
+	// diag marks a self join's diagonal pair (join.diagonal): na == nb, and
+	// the candidates are the subs = nA(nA+1)/2 sub-pairs of the i <= t
+	// triangle, each unordered child pair once. Otherwise subs = n.
+	diag    bool
+	subs    int
 	hasKeys bool
 	// bound is the auxiliary pruning bound the sub-pair MBR metrics
 	// support if that is below the caller's current bound, +Inf otherwise
@@ -128,6 +133,7 @@ func (j *join) beginExpand(sc *kernelScratch, p nodePair, na, nb *rtree.Node, cu
 		j: j, sc: sc,
 		p: p, na: na, nb: nb,
 		mode:  j.modeFor(na, nb),
+		diag:  j.diagonal(p),
 		bound: math.Inf(1),
 	}
 	switch e.mode {
@@ -146,8 +152,11 @@ func (j *join) beginExpand(sc *kernelScratch, p nodePair, na, nb *rtree.Node, cu
 		e.sc.fillARect(e.fixed)
 		e.sc.fillB(nb.Entries)
 	}
-	e.n = e.nA * e.nB
-	j.stats.subPairsGenerated.Add(int64(e.n))
+	e.n, e.subs = e.nA*e.nB, e.nA*e.nB
+	if e.diag {
+		e.subs = e.nA * (e.nA + 1) / 2
+	}
+	j.stats.subPairsGenerated.Add(int64(e.subs))
 	if j.prunes() {
 		e.computeKeys()
 		e.hasKeys = true
@@ -222,6 +231,15 @@ func (e *expansion) computeKeys() {
 	}
 }
 
+// first is the first candidate column of row i: i on the diagonal, whose
+// triangle skips the mirrored t < i half, 0 otherwise.
+func (e *expansion) first(i int) int {
+	if e.diag {
+		return i
+	}
+	return 0
+}
+
 // rectA returns the a-side MBR of sub-pair column i (the fixed node's own
 // MBR when the a side is not opened).
 func (e *expansion) rectA(i int) geom.Rect {
@@ -243,9 +261,10 @@ func (e *expansion) rectB(t int) geom.Rect {
 // metrics support, provided it is below cur, the bound the caller is about
 // to compare it with; +Inf otherwise (nothing applies, or what applies
 // cannot lower cur). K = 1: the minimum MINMAXDIST over all sub-pairs
-// (Inequality 2: MINMAXDIST holds for at least one point pair). K > 1
-// under KPruneMaxMax: the MAXMAXDIST prefix bound. It never mutates join
-// state.
+// (Inequality 2: MINMAXDIST holds for at least one point pair), less a
+// diagonal's i == t sub-pairs, where that pair could be a point against
+// itself. K > 1 under KPruneMaxMax: the MAXMAXDIST prefix bound. It never
+// mutates join state.
 //
 // Both rules read off an order statistic of a metric that is at least the
 // sub-pair's MINMINDIST, and only a value below cur is ever applied. So the
@@ -275,6 +294,12 @@ func (e *expansion) boundCandidate(cur float64) float64 {
 	// so the prefix is the first r = ceil(K/c) sub-pairs and the bound is
 	// the r-th smallest MAXMAXDIST: the minimum when r = 1, otherwise read
 	// off a sort of the few values below cur.
+	//
+	// A diagonal's triangle counts unordered pairs of distinct points: an
+	// i == t sub-pair guarantees c(c-1)/2 of them for c = m^(l+1) points
+	// per child, an i < t one c² and its mirror none, being never
+	// generated. Taking the smaller c(c-1)/2 for every sub-pair undercounts,
+	// which keeps the bound sound and the count uniform.
 	var cntA, cntB float64
 	switch e.mode {
 	case expandBoth:
@@ -288,11 +313,14 @@ func (e *expansion) boundCandidate(cur float64) float64 {
 		cntB = j.guaranteedPoints(j.mB, e.nb.Level-1)
 	}
 	c := cntA * cntB
+	if e.diag {
+		c = cntA * (cntA - 1) / 2
+	}
 	// r by repeated addition, not division: the accumulated count is the
 	// one the prefix rule is defined on, rounding included.
 	r := 0
 	var cum float64
-	for i := 1; i <= e.n; i++ {
+	for i := 1; i <= e.subs; i++ {
 		cum += c
 		if cum >= float64(j.k) {
 			r = i
@@ -308,16 +336,16 @@ func (e *expansion) boundCandidate(cur float64) float64 {
 	e.sc.maxmax = growF64(e.sc.maxmax, e.n)
 	mx := e.sc.maxmax
 	keys := e.sc.keys[:e.n]
-	kept, idx := 0, 0
+	kept := 0
 	for i := 0; i < e.nA; i++ {
-		for t := 0; t < e.nB; t++ {
+		t0 := e.first(i)
+		for t, idx := t0, i*e.nB+t0; t < e.nB; t, idx = t+1, idx+1 {
 			if keys[idx] < cur {
 				if v := j.metric.MaxMaxKey(e.rectA(i), e.rectB(t)); v < cur {
 					mx[kept] = v
 					kept++
 				}
 			}
-			idx++
 		}
 	}
 	if kept < r {
@@ -328,7 +356,8 @@ func (e *expansion) boundCandidate(cur float64) float64 {
 }
 
 // minBelow returns the smallest MINMAXDIST (MAXMAXDIST with maxmax set) key
-// over the sub-pairs if it is below cur, +Inf otherwise. Either metric is
+// over the sub-pairs if it is below cur, +Inf otherwise; MINMAXDIST skips
+// a diagonal's i == t sub-pairs (boundCandidate). Either metric is
 // at least the sub-pair's MINMINDIST, so a sub-pair whose MINMINDIST key
 // already reaches the running minimum cannot lower it and is skipped — that
 // leaves the result unchanged and avoids most of the evaluations (16 edge
@@ -337,9 +366,12 @@ func (e *expansion) minBelow(cur float64, maxmax bool) float64 {
 	m := e.j.metric
 	keys := e.sc.keys[:e.n]
 	best := cur
-	idx := 0
 	for i := 0; i < e.nA; i++ {
-		for t := 0; t < e.nB; t++ {
+		t0 := e.first(i)
+		if e.diag && !maxmax {
+			t0++
+		}
+		for t, idx := t0, i*e.nB+t0; t < e.nB; t, idx = t+1, idx+1 {
 			if keys[idx] < best {
 				var v float64
 				if maxmax {
@@ -351,7 +383,6 @@ func (e *expansion) minBelow(cur float64, maxmax bool) float64 {
 					best = v
 				}
 			}
-			idx++
 		}
 	}
 	if best < cur {
@@ -370,15 +401,14 @@ func (e *expansion) finish(dst []nodePair, T float64) []nodePair {
 	j := e.j
 	keys := e.sc.keys
 	var pruned int64
-	idx := 0
 	for i := 0; i < e.nA; i++ {
-		for t := 0; t < e.nB; t++ {
+		t0 := e.first(i)
+		for t, idx := t0, i*e.nB+t0; t < e.nB; t, idx = t+1, idx+1 {
 			var key float64
 			if e.hasKeys {
 				key = keys[idx]
 				if key > T {
 					pruned++
-					idx++
 					continue
 				}
 			}
@@ -399,7 +429,6 @@ func (e *expansion) finish(dst []nodePair, T float64) []nodePair {
 					j.rootAreaA, j.rootAreaB)
 			}
 			dst = append(dst, sp)
-			idx++
 		}
 	}
 	if pruned > 0 {

@@ -82,11 +82,11 @@ func TestKernelCounterParity(t *testing.T) {
 				name := fmt.Sprintf("%s/%v/k=%d", in.name, alg, k)
 				opts := DefaultOptions(alg)
 				opts.Height = in.height
-				jk, err := newJoin(in.ka, in.kb, k, opts)
+				jk, err := newJoin(in.ka, in.kb, k, opts, false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				jr, err := newJoin(in.ra, in.rb, k, opts)
+				jr, err := newJoin(in.ra, in.rb, k, opts, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,10 +117,10 @@ func TestKernelCounterParity(t *testing.T) {
 						return
 					}
 					fk, fr := jk.sc.frame(depth), jr.sc.frame(depth)
-					if err := jk.readPair(p.nodePair, fk); err != nil {
+					if _, _, err := jk.readPair(p.nodePair, fk); err != nil {
 						t.Fatal(err)
 					}
-					if err := jr.readPair(p.nodePair, fr); err != nil {
+					if _, _, err := jr.readPair(p.nodePair, fr); err != nil {
 						t.Fatal(err)
 					}
 					if fk.na.IsLeaf() && fk.nb.IsLeaf() {

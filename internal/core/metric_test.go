@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -95,20 +96,8 @@ func TestSelfCPUnderMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
-		// Validate against a metric-aware self brute force.
-		type pr struct{ d float64 }
-		var best []float64
-		for i := 0; i < len(ps); i++ {
-			for j := i + 1; j < len(ps); j++ {
-				best = append(best, m.Dist(ps[i], ps[j]))
-			}
-		}
-		sortFloats(best)
-		_ = pr{}
-		for i := range got {
-			if math.Abs(got[i].Dist-best[i]) > 1e-9 {
-				t.Fatalf("%v pair %d: dist %.12g, want %.12g", m, i, got[i].Dist, best[i])
-			}
+		if want := BruteForceSelfKCPMetric(ps, 10, m); !slices.Equal(got, want) {
+			t.Fatalf("%v: got %v, want %v", m, got, want)
 		}
 	}
 }

@@ -116,10 +116,11 @@ func (j *join) seedTasks(ctx context.Context, root nodePair, target int) ([]node
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				if err := j.readPair(p, f); err != nil {
+				na, nb, err := j.readPair(p, f)
+				if err != nil {
 					return nil, err
 				}
-				next = j.expandInto(p, &f.na, &f.nb, next)
+				next = j.expandInto(p, na, nb, next)
 			}
 		}
 		tasks, next = next, tasks
@@ -130,12 +131,12 @@ func (j *join) seedTasks(ctx context.Context, root nodePair, target int) ([]node
 }
 
 // worker returns the join one worker runs its tasks in: the query's trees,
-// options, span and shared bound, with the worker's scratch, K-heap,
-// auxiliary bound, counters and cancel gate.
+// self mode, options, span and shared bound, with the worker's scratch,
+// K-heap, auxiliary bound, counters and cancel gate.
 func (j *join) worker(sc *queryScratch) *join {
 	sc.kheap.init(j.k)
 	return &join{
-		ta: j.ta, tb: j.tb, opts: j.opts, k: j.k,
+		ta: j.ta, tb: j.tb, opts: j.opts, k: j.k, self: j.self,
 		sc: sc, kheap: &sc.kheap,
 		bound:     math.Inf(1),
 		span:      j.span,

@@ -177,7 +177,7 @@ func TestParallelTaskEngine(t *testing.T) {
 			}
 			for _, workers := range []int{1, 3} {
 				name := fmt.Sprintf("%s/k=%d/W=%d", in.name, k, workers)
-				j, err := newJoin(in.ka, in.kb, k, opts)
+				j, err := newJoin(in.ka, in.kb, k, opts, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -351,88 +351,112 @@ func (c *pollCountCtx) Err() error {
 // the next query is correct. That next query completing is also the proof
 // that no page stayed pinned: a pin is the pool's shard lock, held only
 // inside BufferPool.View, and a leaked one would block its first read.
+// The self join of P runs the same sweep, sequentially and on the engine.
 func TestParallelFaultSweep(t *testing.T) {
 	ps, qs := uniformPoints(5200, 300, 0), uniformPoints(5300, 250, 0.3)
 	ta, fa := buildFaultTree(t, ps)
 	tb, fb := buildFaultTree(t, qs)
 	const k = 10
-	want := BruteForceKCP(ps, qs, k)
+	type side struct {
+		name string
+		tree *rtree.Tree
+		ff   *storage.FaultFile
+	}
+	sideP, sideQ := side{"P", ta, fa}, side{"Q", tb, fb}
+	queries := []struct {
+		name    string
+		run     func(context.Context, Options) ([]Pair, Stats, error)
+		want    []Pair
+		sides   []side
+		workers []int
+	}{
+		{"P x Q", func(ctx context.Context, opts Options) ([]Pair, Stats, error) {
+			return KClosestPairsContext(ctx, ta, tb, k, opts)
+		}, BruteForceKCP(ps, qs, k), []side{sideP, sideQ}, []int{2, 4}},
+		{"self P", func(ctx context.Context, opts Options) ([]Pair, Stats, error) {
+			return SelfKClosestPairsContext(ctx, ta, k, opts)
+		}, BruteForceSelfKCP(ps, k), []side{sideP}, []int{1, 2, 4}},
+	}
 	baseline := runtime.NumGoroutine()
 
-	// after runs the checks every failed query owes.
-	after := func(label string, opts Options) {
-		t.Helper()
-		deadline := time.Now().Add(2 * time.Second)
-		for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
+	for _, q := range queries {
+		// after runs the checks every failed query owes.
+		after := func(label string, opts Options) {
+			t.Helper()
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > baseline {
+				t.Fatalf("%s: %d goroutines, %d before", label, n, baseline)
+			}
+			if n, bound := freeListLen(), freeListBound(); n > bound {
+				t.Fatalf("%s: free list holds %d scratches, bound %d", label, n, bound)
+			}
+			got, _, err := q.run(context.Background(), opts)
+			if err != nil {
+				t.Fatalf("%s: next query: %v", label, err)
+			}
+			samePairs(t, label+": next query", got, q.want)
 		}
-		if n := runtime.NumGoroutine(); n > baseline {
-			t.Fatalf("%s: %d goroutines, %d before", label, n, baseline)
-		}
-		if n, bound := freeListLen(), freeListBound(); n > bound {
-			t.Fatalf("%s: free list holds %d scratches, bound %d", label, n, bound)
-		}
-		got, _, err := KClosestPairs(ta, tb, k, opts)
-		if err != nil {
-			t.Fatalf("%s: next query: %v", label, err)
-		}
-		samePairs(t, label+": next query", got, want)
-	}
 
-	for _, workers := range []int{2, 4} {
-		opts := DefaultOptions(Heap)
-		opts.Parallelism = workers
-		for _, side := range []struct {
-			name string
-			tree *rtree.Tree
-			ff   *storage.FaultFile
-		}{{"P", ta, fa}, {"Q", tb, fb}} {
-			reads := func() int64 { return side.tree.Pool().Stats().Reads }
-			before := reads()
-			if _, _, err := KClosestPairs(ta, tb, k, opts); err != nil {
+		for _, workers := range q.workers {
+			opts := DefaultOptions(Heap)
+			opts.Parallelism = workers
+			for _, side := range q.sides {
+				reads := func() int64 { return side.tree.Pool().Stats().Reads }
+				before := reads()
+				if _, _, err := q.run(context.Background(), opts); err != nil {
+					t.Fatal(err)
+				}
+				total := reads() - before
+				t.Logf("%s W=%d: failing each of %s's %d reads", q.name, workers, side.name, total)
+				for n := int64(0); n <= total; n++ {
+					label := fmt.Sprintf("%s W=%d: read %d of %s's %d fails", q.name, workers, n, side.name, total)
+					side.ff.FailReadAfter(n)
+					before := reads()
+					got, _, err := q.run(context.Background(), opts)
+					did := reads() - before
+					side.ff.FailReadAfter(-1)
+					switch {
+					case err != nil && !errors.Is(err, storage.ErrInjected):
+						t.Fatalf("%s: err = %v, want ErrInjected", label, err)
+					case err == nil && did > n:
+						t.Fatalf("%s: succeeded after %d reads", label, did)
+					case err == nil:
+						samePairs(t, label, got, q.want)
+					}
+					after(label, opts)
+				}
+			}
+
+			ref := &pollCountCtx{Context: context.Background(), fireAt: -1}
+			_, stats, err := q.run(ref, opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-			total := reads() - before
-			t.Logf("W=%d: failing each of %s's %d reads", workers, side.name, total)
-			for n := int64(0); n <= total; n++ {
-				label := fmt.Sprintf("W=%d: read %d of %s's %d fails", workers, n, side.name, total)
-				side.ff.FailReadAfter(n)
-				before := reads()
-				got, _, err := KClosestPairs(ta, tb, k, opts)
-				did := reads() - before
-				side.ff.FailReadAfter(-1)
-				switch {
-				case err != nil && !errors.Is(err, storage.ErrInjected):
-					t.Fatalf("%s: err = %v, want ErrInjected", label, err)
-				case err == nil && did > n:
-					t.Fatalf("%s: succeeded after %d reads", label, did)
-				case err == nil:
-					samePairs(t, label, got, want)
+			if stats.NodePairsProcessed >= cancelStride {
+				t.Fatalf("%d node pairs: a worker's stride-gated poll could fire, and the poll count would depend on the schedule", stats.NodePairsProcessed)
+			}
+			// The sequential query polls once, before the traversal; the
+			// engine also per seed expansion and per task.
+			polls := ref.calls.Load()
+			minPolls := int64(3)
+			if workers == 1 {
+				minPolls = 1
+			}
+			if polls < minPolls {
+				t.Fatalf("only %d polls: the sweep would not reach the seed and the tasks", polls)
+			}
+			t.Logf("%s W=%d: cancelling at each of %d polls", q.name, workers, polls)
+			for n := int64(0); n < polls; n++ {
+				label := fmt.Sprintf("%s W=%d: poll %d of %d cancels", q.name, workers, n, polls)
+				ctx := &pollCountCtx{Context: context.Background(), fireAt: n}
+				if _, _, err := q.run(ctx, opts); !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: err = %v, want context.Canceled", label, err)
 				}
 				after(label, opts)
 			}
-		}
-
-		ref := &pollCountCtx{Context: context.Background(), fireAt: -1}
-		_, stats, err := KClosestPairsContext(ref, ta, tb, k, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.NodePairsProcessed >= cancelStride {
-			t.Fatalf("%d node pairs: a worker's stride-gated poll could fire, and the poll count would depend on the schedule", stats.NodePairsProcessed)
-		}
-		polls := ref.calls.Load()
-		if polls < 3 {
-			t.Fatalf("only %d polls: the sweep would not reach the seed and the tasks", polls)
-		}
-		t.Logf("W=%d: cancelling at each of %d polls", workers, polls)
-		for n := int64(0); n < polls; n++ {
-			label := fmt.Sprintf("W=%d: poll %d of %d cancels", workers, n, polls)
-			ctx := &pollCountCtx{Context: context.Background(), fireAt: n}
-			if _, _, err := KClosestPairsContext(ctx, ta, tb, k, opts); !errors.Is(err, context.Canceled) {
-				t.Fatalf("%s: err = %v, want context.Canceled", label, err)
-			}
-			after(label, opts)
 		}
 	}
 }

@@ -160,7 +160,7 @@ func TestBoundIsAlwaysSound(t *testing.T) {
 		ta := buildTree(t, ps, 256)
 		tb := buildTree(t, qs, 256)
 		k := 1 + rng.Intn(50)
-		j, err := newJoin(ta, tb, k, DefaultOptions(Heap))
+		j, err := newJoin(ta, tb, k, DefaultOptions(Heap), false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func WithinDistanceContext(ctx context.Context, ta, tb *rtree.Tree, eps float64,
 		return Stats{}, nil
 	}
 	opts.Algorithm = Exhaustive // MINMINDIST keys, no bound tightening, no tie keys
-	j, err := newJoin(ta, tb, 1, opts)
+	j, err := newJoin(ta, tb, 1, opts, false)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -61,10 +61,10 @@ func WithinDistanceContext(ctx context.Context, ta, tb *rtree.Tree, eps float64,
 			j.stats.subPairsPruned.Add(1)
 			continue
 		}
-		if err := j.readPair(p, f); err != nil {
+		na, nb, err := j.readPair(p, f)
+		if err != nil {
 			return Stats{}, err
 		}
-		na, nb := &f.na, &f.nb
 		if na.IsLeaf() && nb.IsLeaf() {
 			for i := range na.Entries {
 				ea := &na.Entries[i]

@@ -21,11 +21,12 @@ func (j *join) runRecursive(ctx context.Context, p nodePair, depth int) error {
 		return nil
 	}
 	f := j.sc.frame(depth)
-	if err := j.readPair(p, f); err != nil {
+	na, nb, err := j.readPair(p, f)
+	if err != nil {
 		return err
 	}
-	if f.na.IsLeaf() && f.nb.IsLeaf() {
-		j.scanLeaves(&f.na, &f.nb)
+	if na.IsLeaf() && nb.IsLeaf() {
+		j.scanLeaves(na, nb)
 		j.traceBound(obs.SourceKHeap)
 		return nil
 	}
@@ -33,7 +34,7 @@ func (j *join) runRecursive(ctx context.Context, p nodePair, depth int) error {
 	// contain a result (CP2: keep MINMINDIST <= T). The sub-pairs go into
 	// this depth's own list: the recursion below keeps each level's
 	// sub-pairs live while descending, so depths cannot share one.
-	f.subs = j.expandInto(p, &f.na, &f.nb, f.subs[:0])
+	f.subs = j.expandInto(p, na, nb, f.subs[:0])
 	subs := f.subs
 	if j.opts.Algorithm == SortedDistances {
 		// CP2 of STD: process candidates in ascending MINMINDIST order

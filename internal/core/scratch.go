@@ -29,7 +29,6 @@ type queryScratch struct {
 	queue   pairHeap    // the HEAP queue
 	kheap   kHeap       // the join's result heap (a worker's, in parallel)
 	shared  SharedBound // a parallel query's bound, unless one is passed in
-	prefix  []selfCount // self-join MAXMAXDIST prefix rule
 }
 
 // frame is one recursion depth's share of the scratch: the two nodes of

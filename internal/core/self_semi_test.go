@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/rtree"
 )
 
 func TestSelfKCPMatchesBruteForce(t *testing.T) {
@@ -30,6 +32,90 @@ func TestSelfKCPMatchesBruteForce(t *testing.T) {
 		}
 		if stats.Accesses() <= 0 {
 			t.Errorf("k=%d: no accesses recorded", k)
+		}
+	}
+}
+
+// TestParallelSelfJoinMatrix: the self join is the K-CPQ join in self
+// mode, so every algorithm, sequential and on the task engine, must
+// return the oracle's pairs, refs and order — RefP < RefQ included — for
+// every K up to more than the set has pairs. The inputs are where a
+// diagonal rule would slip: the duplicate-heavy grids of
+// TestParallelMatchesSequential, one x for every point (every sweep gap
+// is zero), a tree that is one leaf of two points, and a bulk-loaded
+// vertical line whose closest pair straddles two leaves. On the line each
+// leaf's MBR has zero width, so a leaf's MINMAXDIST with itself is 0: a
+// diagonal that applied Inequality 2 to (c, c) would prune that pair.
+// Under -short or -race (ci.sh repeats the test under both) one grid
+// runs, K stops at 20000 pairs, and the algorithms that ignore
+// Parallelism run once.
+func TestParallelSelfJoinMatrix(t *testing.T) {
+	quick := testing.Short() || raceEnabled
+	type input struct {
+		name string
+		ps   []geom.Point
+		bulk bool
+	}
+	allX := uniformPoints(5600, 150, 0)
+	for i := range allX {
+		allX[i].X = 0.5
+	}
+	// STR packs the y-sorted line into ten 20-point leaves: the only 0.5
+	// gap, the closest pair, is between points 19 and 20.
+	line := make([]geom.Point, 200)
+	for i := range line {
+		line[i] = geom.Point{X: 0.5, Y: float64(i)}
+		if i >= 20 {
+			line[i].Y -= 0.5
+		}
+	}
+	inputs := []input{
+		{"uniform", uniformPoints(5500, 400, 0), false},
+		{"all-x-equal", allX, false},
+		{"two-points", uniformPoints(5700, 2, 0), false},
+		{"line", line, true},
+	}
+	grids := int64(4)
+	if quick {
+		grids = 1
+	}
+	for trial := int64(0); trial < grids; trial++ {
+		inputs = append(inputs, input{fmt.Sprintf("grid %d", trial), gridPoints(4500+2*trial, 400), false})
+	}
+	for _, in := range inputs {
+		var tr *rtree.Tree
+		if in.bulk {
+			tr = bulkTree(t, in.ps)
+			var root rtree.Node
+			if err := tr.ReadNodeInto(tr.RootID(), &root); err != nil {
+				t.Fatal(err)
+			}
+			if root.IsLeaf() || root.Entries[0].Rect.Max.Y != in.ps[19].Y {
+				t.Fatalf("%s: the closest pair does not straddle the first two leaves", in.name)
+			}
+		} else {
+			tr = buildTree(t, in.ps, 256)
+		}
+		n := len(in.ps)
+		for _, k := range []int{1, 10, 100, 1000, n*(n-1)/2 + 5} {
+			if quick && k > 20000 {
+				continue
+			}
+			want := BruteForceSelfKCP(in.ps, k)
+			for _, alg := range Algorithms() {
+				for _, workers := range []int{1, 2, 4} {
+					if quick && workers > 1 && alg != Heap {
+						continue
+					}
+					opts := DefaultOptions(alg)
+					opts.Parallelism = workers
+					got, _, err := SelfKClosestPairs(tr, k, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					samePairs(t, fmt.Sprintf("%s/k=%d/%v/W=%d", in.name, k, alg, workers), got, want)
+				}
+			}
 		}
 	}
 }

@@ -14,9 +14,11 @@ import "repro/internal/rtree"
 // as large (the lists are sorted by low x and the anchor's low x is the
 // smallest still unconsumed), so the break is safe, and every pair within T
 // is evaluated exactly once — when the first-consumed of its two entries is
-// the anchor. T = min(extBound, K-heap threshold) only ever tightens, so
-// the sweep evaluates a subset of the brute scan's pairs yet the K-heap
-// ends up with the same result set.
+// the anchor. A self join's diagonal leaf (na == nb, see readPair) is one
+// list walked over its upper triangle (scanLeafSelf): each entry anchors
+// the entries after it, under the same break. T = min(extBound, K-heap threshold) only
+// ever tightens, so the sweep evaluates a subset of the brute scan's pairs
+// yet the K-heap ends up with the same result set.
 
 // scanLeavesSweep evaluates the point pairs between two leaves against the
 // given K-heap. extBound is a pruning distance (squared) from outside the
@@ -27,8 +29,13 @@ import "repro/internal/rtree"
 // The two leaves must be the caller's own decoded copies (a frame's): a
 // leaf that did not come off its page x-ordered is ordered in place, by
 // the writer's own rule, so the scan evaluates the same pairs whichever
-// side did the ordering.
+// side did the ordering. A self join's diagonal leaf goes to
+// scanLeafSelf.
 func (j *join) scanLeavesSweep(na, nb *rtree.Node, kh *kHeap, extBound float64) {
+	if na == nb {
+		j.scanLeafSelf(na, kh, extBound)
+		return
+	}
 	rtree.OrderLeaf(na.Entries)
 	rtree.OrderLeaf(nb.Entries)
 	as, bs := na.Entries, nb.Entries
@@ -71,18 +78,62 @@ func (j *join) scanLeavesSweep(na, nb *rtree.Node, kh *kHeap, extBound float64) 
 			if !anchorIsA {
 				ea, eb = other, anchor
 			}
-			kh.offer(kPair{
-				distSq: d,
-				p:      [2]float64{ea.Rect.Min.X, ea.Rect.Min.Y},
-				q:      [2]float64{eb.Rect.Min.X, eb.Rect.Min.Y},
-				refP:   ea.Ref,
-				refQ:   eb.Ref,
-			})
-			if th := kh.threshold(); th < T {
+			if th := j.offerLeafPair(kh, d, ea, eb); th < T {
 				T = th
 			}
 		}
 	}
 	j.stats.pointPairsCompared.Add(compared)
 	j.traceSweepPruned(int64(len(na.Entries)*len(nb.Entries)) - compared)
+}
+
+// scanLeafSelf is scanLeavesSweep for a self join's diagonal leaf (na ==
+// nb, see readPair): the one x-ordered list walked over its upper
+// triangle, each entry anchoring the entries after it under the same gap
+// break, so each unordered pair of distinct entries is evaluated at most
+// once.
+func (j *join) scanLeafSelf(n *rtree.Node, kh *kHeap, extBound float64) {
+	rtree.OrderLeaf(n.Entries)
+	es := n.Entries
+	T := extBound
+	if th := kh.threshold(); th < T {
+		T = th
+	}
+	var compared int64
+	for i := range es {
+		anchor := &es[i]
+		for u := i + 1; u < len(es); u++ {
+			other := &es[u]
+			if gap := other.Rect.Min.X - anchor.Rect.Max.X; gap > 0 && j.metric.DistToKey(gap) > T {
+				break
+			}
+			compared++
+			d := j.metric.MinMinKey(anchor.Rect, other.Rect)
+			if !kh.wouldAccept(d) {
+				continue
+			}
+			if th := j.offerLeafPair(kh, d, anchor, other); th < T {
+				T = th
+			}
+		}
+	}
+	j.stats.pointPairsCompared.Add(compared)
+	j.traceSweepPruned(int64(len(es)*(len(es)-1)/2) - compared)
+}
+
+// offerLeafPair offers the point pair (ea, eb) at squared distance d to
+// the K-heap — a self join's with refP < refQ — and returns the heap's
+// threshold after it.
+func (j *join) offerLeafPair(kh *kHeap, d float64, ea, eb *rtree.Entry) float64 {
+	if j.self && ea.Ref > eb.Ref {
+		ea, eb = eb, ea
+	}
+	kh.offer(kPair{
+		distSq: d,
+		p:      [2]float64{ea.Rect.Min.X, ea.Rect.Min.Y},
+		q:      [2]float64{eb.Rect.Min.X, eb.Rect.Min.Y},
+		refP:   ea.Ref,
+		refQ:   eb.Ref,
+	})
+	return kh.threshold()
 }

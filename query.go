@@ -63,7 +63,8 @@ type queryConfig struct {
 // QueryOption tunes a closest-pair query.
 type QueryOption func(*queryConfig)
 
-// WithAlgorithm selects the CPQ algorithm (default HeapAlgorithm).
+// WithAlgorithm selects the CPQ algorithm (default HeapAlgorithm) of the
+// bichromatic and the self closest-pair queries.
 func WithAlgorithm(a Algorithm) QueryOption {
 	return func(o *queryConfig) { o.core.Algorithm = a }
 }
@@ -80,9 +81,10 @@ func WithMetric(m Metric) QueryOption {
 // query returns identical pairs, refs and order to the sequential one;
 // only disk access counts — the paper's cost metric — may vary slightly
 // from run to run, because when the bound tightens depends on goroutine
-// scheduling. The recursive algorithms ignore the knob. Pair
-// WithParallelism with WithBufferShards on the indexes so concurrent page
-// reads do not serialize on one buffer-pool mutex.
+// scheduling. The self queries honour it as the bichromatic ones do. The
+// recursive algorithms ignore the knob. Pair WithParallelism with
+// WithBufferShards on the indexes so concurrent page reads do not
+// serialize on one buffer-pool mutex.
 func WithParallelism(n int) QueryOption {
 	return func(o *queryConfig) {
 		if n <= 0 {
@@ -93,10 +95,11 @@ func WithParallelism(n int) QueryOption {
 	}
 }
 
-// WithShards is a deprecated alias of WithParallelism for the bichromatic
-// queries (ClosestPair, KClosestPairs, Explain). t > 1 no longer splits the
-// sets into spatial tiles: the query runs on the parallel HEAP engine over
-// the indexes' own trees with runtime.GOMAXPROCS(0) workers, each taking
+// WithShards is a deprecated alias of WithParallelism for the closest-pair
+// queries (ClosestPair, KClosestPairs, Explain and the Self variants). t > 1
+// no longer splits the sets into spatial tiles: the query runs on the
+// parallel HEAP engine over the indexes' own trees with
+// runtime.GOMAXPROCS(0) workers, each taking
 // independent subtree pairs under one shared bound, and returns the
 // unsharded query's pairs, refs and order. A WithParallelism(n > 1) on the
 // same query wins. t <= 1 (the default) changes nothing.
@@ -167,27 +170,32 @@ func KClosestPairsContext(ctx context.Context, p, q *Index, k int, opts ...Query
 }
 
 // SelfClosestPair returns the closest pair of distinct points within one
-// index (the paper's self-CPQ future-work variant). It is the
-// non-cancellable shim over SelfClosestPairContext.
+// index (the paper's self-CPQ future-work variant). It is the K-CPQ join
+// of the index with itself, so every option of KClosestPairs applies —
+// algorithm, parallelism, metric, tracer, metrics and slow-query log — but
+// WithExplain. It is the non-cancellable shim over SelfClosestPairContext.
 func SelfClosestPair(p *Index, opts ...QueryOption) (Pair, Stats, error) {
 	return SelfClosestPairContext(context.Background(), p, opts...)
 }
 
 // SelfClosestPairContext is SelfClosestPair under a context; see
-// ClosestPairContext for the cancellation contract.
+// ClosestPairContext for the cancellation contract. It honours the same
+// options as SelfClosestPair.
 func SelfClosestPairContext(ctx context.Context, p *Index, opts ...QueryOption) (Pair, Stats, error) {
 	return core.SelfClosestPairContext(ctx, p.tree, buildOptions(opts))
 }
 
 // SelfKClosestPairs returns the k closest unordered pairs of distinct
-// points within one index. It is the non-cancellable shim over
-// SelfKClosestPairsContext.
+// points within one index in ascending distance order, each with
+// RefP < RefQ. It honours the options SelfClosestPair does. It is the
+// non-cancellable shim over SelfKClosestPairsContext.
 func SelfKClosestPairs(p *Index, k int, opts ...QueryOption) ([]Pair, Stats, error) {
 	return SelfKClosestPairsContext(context.Background(), p, k, opts...)
 }
 
 // SelfKClosestPairsContext is SelfKClosestPairs under a context; see
-// ClosestPairContext for the cancellation contract.
+// ClosestPairContext for the cancellation contract. It honours the options
+// SelfClosestPair does.
 func SelfKClosestPairsContext(ctx context.Context, p *Index, k int, opts ...QueryOption) ([]Pair, Stats, error) {
 	return core.SelfKClosestPairsContext(ctx, p.tree, k, buildOptions(opts))
 }
