@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -409,6 +411,49 @@ func TestIndexOptionErrors(t *testing.T) {
 	defer full.Close()
 	if _, _, err := ClosestPair(empty, full); !errors.Is(err, core.ErrEmptyInput) {
 		t.Errorf("empty index query err = %v", err)
+	}
+}
+
+// TestIndexErrorPathsCloseTheFile: an on-disk index that fails to open or
+// to create must close the file it opened. Linux only: the test counts
+// the process's open descriptors in /proc/self/fd around each call.
+func TestIndexErrorPathsCloseTheFile(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts descriptors through /proc/self/fd")
+	}
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(fds)
+	}
+	dir := t.TempDir()
+	notMeta := filepath.Join(dir, "zeros.idx")
+	if err := os.WriteFile(notMeta, make([]byte, 1024), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"OpenIndex, page 0 not a meta page", func() error {
+			_, err := OpenIndex(notMeta)
+			return err
+		}},
+		{"NewIndex, node capacity the tree rejects", func() error {
+			_, err := NewIndex(WithPath(filepath.Join(dir, "new.idx")), WithNodeCapacity(4, 3))
+			return err
+		}},
+	}
+	for _, c := range calls {
+		before := openFDs()
+		if err := c.call(); err == nil {
+			t.Errorf("%s: no error", c.name)
+		}
+		if after := openFDs(); after != before {
+			t.Errorf("%s: %d open descriptors before, %d after", c.name, before, after)
+		}
 	}
 }
 

@@ -28,12 +28,11 @@
 set -eu
 
 lint() {
-	# One pass, one load of the module: the default check set contains the
-	# ctxflow (DESIGN.md §11) and shareguard (§12) groups, which a test in
-	# cmd/cpqlint pins, so neither needs a run of its own. -budget fails
-	# the build if any single check runs past 30s, so an interprocedural
-	# pass that regresses (the ctxflow summaries, the shareguard fixpoints)
-	# shows up here instead of silently stretching every CI run.
+	# One pass, one load of the module: the default run is every check.
+	# -budget fails the build if any single check runs past 30s, so a
+	# check whose analysis regresses (the interprocedural ctxflow summaries
+	# of DESIGN.md §11, the lock-order closure) shows up here instead of
+	# silently stretching every CI run.
 	go run ./cmd/cpqlint -timing -budget 30s ./...
 }
 

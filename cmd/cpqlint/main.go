@@ -13,32 +13,24 @@
 //	cpqlint ./...                             # lint the whole module
 //	cpqlint internal/core internal/storage    # specific package directories
 //	cpqlint -checks sqrtfree,errprop ./...    # a subset of the checks
-//	cpqlint -checks shareguard ./...          # a group alias expands
-//	cpqlint -json ./...                       # SARIF-style JSON on stdout
 //	cpqlint -timing -budget 30s ./...         # fail if any check runs long
 //	cpqlint -list                             # list available checks
 //
-// The syntactic checks are bufferdiscipline (no BufferPool.Get/Put on
-// paths reachable from goroutines — concurrent readers must use View),
-// atomicfields (fields touched via sync/atomic must be atomic everywhere),
-// sqrtfree (no math.Sqrt on pruning/traversal hot paths outside the
-// result-reporting allowlist) and errprop (no discarded errors from the
-// storage / R-tree I/O layers). The path-sensitive checks, which run on
-// the SSA-lite IR, are pinleak (storage handles released on every path),
-// lockorder (acyclic lock-ordering graph, no nested shard locks),
-// boundmono (the parallel pruning bound only tightens) and deferinloop
-// (no deferred releases inside loops). Two interprocedural groups ride
-// the shared callgraph: ctxflow (ctxprop, cancelpoll, ctxleak — the
-// cancellation contract of DESIGN.md §11) and shareguard (sharedfield,
-// guardlock, pubimmut — the static data-race pass of DESIGN.md §12).
-// See DESIGN.md §7 for the contracts the per-check analyses guard.
+// The syntactic checks are sqrtfree (no math.Sqrt on pruning/traversal
+// hot paths outside the result-reporting allowlist), errprop (no
+// discarded errors from the storage / R-tree I/O layers) and obshooks
+// (nil-guarded observability emissions). The path-sensitive checks, which
+// run on the SSA-lite IR, are lockorder (acyclic lock-ordering graph, no
+// nested shard locks), boundmono (the parallel pruning bound only
+// tightens) and deferinloop (no deferred releases inside loops). ctxprop
+// and cancelpoll ride the shared callgraph and guard the cancellation
+// contract of DESIGN.md §11. See DESIGN.md §7 for the contracts the
+// per-check analyses guard.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -48,9 +40,7 @@ import (
 
 func main() {
 	var (
-		checksFlag = flag.String("checks", "", "comma-separated subset of checks to run; group aliases like ctxflow expand (default: all)")
-		checkAlias = flag.String("check", "", "alias for -checks")
-		jsonOut    = flag.Bool("json", false, "emit findings as SARIF-style JSON on stdout")
+		checksFlag = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 		timing     = flag.Bool("timing", false, "print a per-check wall-clock breakdown on stderr")
 		budget     = flag.Duration("budget", 0, "per-check wall-clock budget; any check over it fails the run (0 = unlimited)")
 		list       = flag.Bool("list", false, "list available checks and exit")
@@ -61,16 +51,9 @@ func main() {
 		for _, c := range lint.Checks() {
 			fmt.Println(c.Name())
 		}
-		for g, names := range lint.CheckGroups() {
-			fmt.Printf("%s (group: %s)\n", g, strings.Join(names, ","))
-		}
 		return
 	}
-	selection := *checksFlag
-	if selection == "" {
-		selection = *checkAlias
-	}
-	checks, err := selectChecks(selection)
+	checks, err := selectChecks(*checksFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -87,7 +70,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	diags, suppressed, timings := lint.RunAll(prog, checks)
+	diags, timings := lint.RunWithTimings(prog, checks)
 	if *timing {
 		var total time.Duration
 		for _, t := range timings {
@@ -109,14 +92,8 @@ func main() {
 			}
 		}
 	}
-	if *jsonOut {
-		if err := writeSARIF(os.Stdout, checks, diags, suppressed); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	// Load failures are reported last and dominate the exit status: a
 	// clean run over half the module proves nothing about the half that
@@ -139,130 +116,20 @@ func main() {
 	}
 }
 
-// SARIF-style output, close enough to SARIF 2.1.0 for log viewers:
-// one run, one rule per check, one result per finding.
-
-type sarifLog struct {
-	Version string     `json:"version"`
-	Schema  string     `json:"$schema"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool       sarifTool     `json:"tool"`
-	Results    []sarifResult `json:"results"`
-	Properties sarifRunProps `json:"properties"`
-}
-
-// sarifRunProps is the run-level property bag; suppressed counts the
-// findings dropped by //lint:ignore directives, so a log consumer can
-// tell a genuinely clean run from a heavily waived one.
-type sarifRunProps struct {
-	Suppressed int `json:"suppressed"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID string `json:"id"`
-}
-
-type sarifResult struct {
-	RuleID     string           `json:"ruleId"`
-	Level      string           `json:"level"`
-	Message    sarifMessage     `json:"message"`
-	Locations  []sarifLocation  `json:"locations"`
-	Properties sarifResultProps `json:"properties"`
-}
-
-// sarifResultProps carries the check-group alias ("ctxflow",
-// "shareguard", ... or "" for ungrouped checks) so findings can be
-// filtered by pass without knowing the member-check names.
-type sarifResultProps struct {
-	Group string `json:"group"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
-func writeSARIF(w io.Writer, checks []lint.Check, diags []lint.Diagnostic, suppressed int) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(buildSARIF(checks, diags, suppressed))
-}
-
-func buildSARIF(checks []lint.Check, diags []lint.Diagnostic, suppressed int) sarifLog {
-	rules := make([]sarifRule, 0, len(checks))
-	for _, c := range checks {
-		rules = append(rules, sarifRule{ID: c.Name()})
-	}
-	results := make([]sarifResult, 0, len(diags))
-	for _, d := range diags {
-		results = append(results, sarifResult{
-			RuleID:  d.Check,
-			Level:   "error",
-			Message: sarifMessage{Text: d.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysical{
-					ArtifactLocation: sarifArtifact{URI: d.Pos.Filename},
-					Region:           sarifRegion{StartLine: d.Pos.Line, StartColumn: d.Pos.Column},
-				},
-			}},
-			Properties: sarifResultProps{Group: lint.GroupOf(d.Check)},
-		})
-	}
-	return sarifLog{
-		Version: "2.1.0",
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Runs: []sarifRun{{
-			Tool:       sarifTool{Driver: sarifDriver{Name: "cpqlint", Rules: rules}},
-			Results:    results,
-			Properties: sarifRunProps{Suppressed: suppressed},
-		}},
-	}
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "cpqlint:", err)
 	os.Exit(2)
 }
 
-// selectChecks resolves a -checks selection — check names and group
-// aliases, comma separated — against the suite. The empty selection is the
-// default run: every check, so that one pass over the module (ci.sh lint)
-// gates the ctxflow and shareguard groups too.
+// selectChecks resolves a -checks selection — check names, comma
+// separated — against the suite. The empty selection is the default run:
+// every check, so that one pass over the module (ci.sh lint) gates them
+// all.
 func selectChecks(selection string) ([]lint.Check, error) {
 	checks := lint.Checks()
 	if selection == "" {
 		return checks, nil
 	}
-	groups := lint.CheckGroups()
 	byName := make(map[string]lint.Check, len(checks))
 	for _, c := range checks {
 		byName[c.Name()] = c
@@ -271,19 +138,13 @@ func selectChecks(selection string) ([]lint.Check, error) {
 	seen := make(map[string]bool)
 	for _, name := range strings.Split(selection, ",") {
 		name = strings.TrimSpace(name)
-		names, ok := groups[name]
+		c, ok := byName[name]
 		if !ok {
-			names = []string{name}
+			return nil, fmt.Errorf("unknown check %q (try -list)", name)
 		}
-		for _, n := range names {
-			c, ok := byName[n]
-			if !ok {
-				return nil, fmt.Errorf("unknown check %q (try -list)", n)
-			}
-			if !seen[n] {
-				seen[n] = true
-				selected = append(selected, c)
-			}
+		if !seen[name] {
+			seen[name] = true
+			selected = append(selected, c)
 		}
 	}
 	return selected, nil

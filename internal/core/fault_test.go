@@ -78,11 +78,13 @@ func TestQueriesSurfaceInjectedReadErrors(t *testing.T) {
 // and the recursive STD algorithm, leak no goroutines, and leave the
 // trees reusable (every buffer-pool pin released) for a follow-up query.
 //
-// The context is cancelled before the call, so the error can only come
-// out of a traversal-loop poll — which, because polls are stride-gated,
-// also proves the workload drives each loop past cancelStride steps (a
-// precondition the test checks explicitly against the uncancelled run's
-// node-pair counter).
+// The context's Err reports nil on its first call — the check before the
+// traversal starts — and context.Canceled from then on, so the sequential
+// drivers can only return the error from a traversal-loop poll (the
+// parallel engine may also return it from its seed). Because polls are
+// stride-gated, that also proves the workload drives each loop past
+// cancelStride steps, a precondition the test checks explicitly against
+// the uncancelled run's node-pair counter.
 func TestCancelledQueriesReturnCtxErr(t *testing.T) {
 	ps := uniformPoints(7400, 3000, 0)
 	qs := uniformPoints(7500, 3000, 0) // full overlap: maximal frontier work
@@ -102,8 +104,8 @@ func TestCancelledQueriesReturnCtxErr(t *testing.T) {
 	}
 
 	// Precondition: the sequential drivers must take well over one poll
-	// stride's worth of steps, or a pre-cancelled context could never be
-	// observed and the query would "pass" by completing normally.
+	// stride's worth of steps, or the loop poll would never look at the
+	// context and the query would "pass" by completing normally.
 	_, stats, err := KClosestPairs(ta, tb, k, DefaultOptions(Heap))
 	if err != nil {
 		t.Fatal(err)
@@ -114,11 +116,9 @@ func TestCancelledQueriesReturnCtxErr(t *testing.T) {
 	}
 
 	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
+			ctx := &pollCountCtx{Context: context.Background(), fireAt: 1}
 			_, _, err := KClosestPairsContext(ctx, ta, tb, k, m.opts)
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("err = %v, want context.Canceled", err)
@@ -181,32 +181,69 @@ func TestContextNeutralWhenNotCancelled(t *testing.T) {
 	}
 }
 
-// TestInsertSurfacesInjectedWriteErrors: tree mutation must propagate
-// write failures.
-func TestInsertSurfacesInjectedWriteErrors(t *testing.T) {
-	ff := storage.NewFaultFile(storage.NewMemFile(256))
-	pool := storage.NewBufferPool(ff, 0)
-	tr, err := rtree.New(pool, rtree.Config{PageSize: 256})
-	if err != nil {
-		t.Fatal(err)
+// failOneWrite is a page file that fails exactly one page write, the
+// n-th (0-based, negative: none), and passes every other write through.
+// storage.FaultFile fails every write from its trigger on, so a tree
+// operation's last write — the header, which every insert and delete
+// ends with — would carry the error out even where an earlier write's
+// error was dropped.
+type failOneWrite struct {
+	storage.PageFile
+	n, writes int64
+}
+
+func (f *failOneWrite) WritePage(id storage.PageID, buf []byte) error {
+	f.writes++
+	if f.writes-1 == f.n {
+		return storage.ErrInjected
 	}
-	for i, p := range uniformPoints(7200, 50, 0) {
-		if err := tr.InsertPoint(p, int64(i)); err != nil {
+	return f.PageFile.WritePage(id, buf)
+}
+
+// TestInsertSurfacesInjectedWriteErrors: tree mutation must propagate
+// every write failure. One InsertPoint and one Delete each run on a fresh
+// tree with the N-th of their page writes failing, for every N below the
+// number of writes the same operation makes on a twin tree where nothing
+// fails.
+func TestInsertSurfacesInjectedWriteErrors(t *testing.T) {
+	pts := uniformPoints(7200, 50, 0)
+	extra := uniformPoints(7300, 1, 0)[0]
+	build := func() (*rtree.Tree, *failOneWrite) {
+		f := &failOneWrite{PageFile: storage.NewMemFile(256), n: -1}
+		tr, err := rtree.New(storage.NewBufferPool(f, 0), rtree.Config{PageSize: 256})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	ff.FailWriteAfter(0)
-	failed := false
-	for i, p := range uniformPoints(7300, 50, 0) {
-		if err := tr.InsertPoint(p, int64(100+i)); err != nil {
-			if !errors.Is(err, storage.ErrInjected) {
-				t.Fatalf("err = %v, want ErrInjected", err)
+		for i, p := range pts {
+			if err := tr.InsertPoint(p, int64(i)); err != nil {
+				t.Fatal(err)
 			}
-			failed = true
-			break
 		}
+		return tr, f
 	}
-	if !failed {
-		t.Fatal("insertions kept succeeding with failing writes")
+	ops := []struct {
+		name string
+		run  func(*rtree.Tree) error
+	}{
+		{"insert", func(tr *rtree.Tree) error { return tr.InsertPoint(extra, int64(len(pts))) }},
+		{"delete", func(tr *rtree.Tree) error { return tr.DeletePoint(pts[0], 0) }},
+	}
+	for _, op := range ops {
+		twin, _ := build()
+		before := twin.Pool().Stats().Writes
+		if err := op.run(twin); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		writes := twin.Pool().Stats().Writes - before
+		if writes == 0 {
+			t.Fatalf("%s wrote nothing", op.name)
+		}
+		for n := int64(0); n < writes; n++ {
+			tr, f := build()
+			f.n = f.writes + n
+			if err := op.run(tr); !errors.Is(err, storage.ErrInjected) {
+				t.Errorf("%s, write %d of %d fails: err = %v, want ErrInjected", op.name, n, writes, err)
+			}
+		}
 	}
 }

@@ -113,7 +113,11 @@ func (h *kHeap) sort() []kPair {
 // shares nothing with the heap's backing array, which may belong to a
 // scratch the next query reuses.
 func (h *kHeap) results(m geom.Metric) []Pair {
-	ks := h.sort()
+	return publicPairs(h.sort(), m)
+}
+
+// publicPairs converts kPairs into a fresh slice of public Pairs, in order.
+func publicPairs(ks []kPair, m geom.Metric) []Pair {
 	out := make([]Pair, len(ks))
 	for i := range ks {
 		kp := &ks[i]

@@ -7,9 +7,9 @@ import (
 	"go/types"
 )
 
-// This file is the shared substrate of the ctxflow pass — the three
-// cancellation-correctness checks ctxprop, cancelpoll and ctxleak (see
-// DESIGN.md §11). It computes interprocedural summaries over the memoized
+// This file is the shared substrate of the ctxflow pass — the two
+// cancellation-correctness checks ctxprop and cancelpoll (see DESIGN.md
+// §11). It computes interprocedural summaries over the memoized
 // callgraph:
 //
 //   - cancels: the function polls the context (calls ctx.Err or ctx.Done
@@ -17,16 +17,12 @@ import (
 //     that calls a summarized canceller is interruptible without spelling
 //     the poll inline — this is how the engine's stride-gated
 //     cancelGate.poll makes every driver loop a cancellation point.
-//   - waitsDone: the function receives from a context's Done channel
-//     (<-ctx.Done(), typically a select case), directly or through a
-//     callee. The ctxleak check accepts a spawned goroutine that
-//     transitively waits on Done.
-//   - reachesIO: the function calls into the storage or R-tree layers,
-//     directly or through a callee. Together with a list of hot-path
-//     callee names this classifies loops as "potentially unbounded" for
-//     cancelpoll.
+//   - reachesIO (computed by cancelpoll from the same propagation): the
+//     function calls into the storage layer, directly or through a
+//     callee. Together with a list of hot-path callee names this
+//     classifies loops as "potentially unbounded".
 //
-// All three are may-analyses over the callgraph-lite edges: an edge
+// Both are may-analyses over the callgraph-lite edges: an edge
 // over-approximates (a literal may run whenever its encloser does, a
 // method value may be invoked by its receiver), so a summary can claim a
 // poll that a particular path never executes. That direction of error
@@ -120,8 +116,6 @@ type ctxFacts struct {
 	infos  map[any]*types.Info
 	// cancels marks nodes that poll ctx.Err/ctx.Done, transitively.
 	cancels map[any]bool
-	// waitsDone marks nodes that receive from a Done channel, transitively.
-	waitsDone map[any]bool
 }
 
 // newCtxFacts builds the summaries over every loaded package.
@@ -132,52 +126,25 @@ func newCtxFacts(prog *Program) *ctxFacts {
 		infos:  make(map[any]*types.Info),
 	}
 	directCancel := make(map[any]bool)
-	directDone := make(map[any]bool)
 	for _, pkg := range prog.Packages {
 		info := pkg.Info
 		for _, fs := range funcsOf(prog, pkg) {
-			node := fs.node(pkg)
+			node := fs.node()
 			if node == nil {
 				continue
 			}
 			f.bodies[node] = fs.Body
 			f.infos[node] = info
 			bodyInspect(fs.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					if ctxMethodName(info, n) != "" {
-						directCancel[node] = true
-					}
-				case *ast.UnaryExpr:
-					if n.Op.String() == "<-" {
-						if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok &&
-							ctxMethodName(info, call) == "Done" {
-							directDone[node] = true
-						}
-					}
+				if call, ok := n.(*ast.CallExpr); ok && ctxMethodName(info, call) != "" {
+					directCancel[node] = true
 				}
 				return true
 			})
 		}
 	}
 	f.cancels = propagateUp(f.g, directCancel)
-	f.waitsDone = propagateUp(f.g, directDone)
 	return f
-}
-
-// node resolves a FuncSource to its callgraph node: the *types.Func for a
-// declared function, the *ast.FuncLit itself for a literal.
-func (fs FuncSource) node(pkg *Package) any {
-	switch d := fs.Decl.(type) {
-	case *ast.FuncDecl:
-		if fn, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
-			return fn
-		}
-		return nil
-	case *ast.FuncLit:
-		return d
-	}
-	return nil
 }
 
 // propagateUp closes a direct-fact map over the callgraph: a node holds

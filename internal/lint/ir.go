@@ -10,8 +10,8 @@ import (
 
 // This file ports the driver onto the SSA-lite IR: Program owns one
 // memoized CFG per function body, so the path-sensitive checks
-// (pinleak, lockorder, boundmono, deferinloop) and the callgraph's
-// go-root resolution all share a single build per function.
+// (lockorder, boundmono, deferinloop, cancelpoll) share a single build
+// per function.
 
 // FuncSource is one analyzable function body: a declared function or a
 // function literal, with the package context a check needs to resolve
@@ -74,36 +74,32 @@ func literalsIn(prog *Program, pkg *Package, parent string, body ast.Node) []Fun
 	return out
 }
 
+// node resolves a FuncSource to its callgraph node: the *types.Func for a
+// declared function, the *ast.FuncLit itself for a literal.
+func (fs FuncSource) node() any {
+	switch d := fs.Decl.(type) {
+	case *ast.FuncDecl:
+		if fn, ok := fs.Pkg.Info.Defs[d.Name].(*types.Func); ok {
+			return fn
+		}
+	case *ast.FuncLit:
+		return d
+	}
+	return nil
+}
+
 // IR returns the control-flow graph for fs, building and memoizing it
 // on first use.
 func (p *Program) IR(fs FuncSource) *ssa.Func {
-	return p.irFor(fs.Name, fs.Body, fs.Pkg.Info)
-}
-
-// irFor is the memoized CFG builder shared by IR and the callgraph.
-func (p *Program) irFor(name string, body *ast.BlockStmt, info *types.Info) *ssa.Func {
 	if p.ir == nil {
 		p.ir = make(map[*ast.BlockStmt]*ssa.Func)
 	}
-	if f, ok := p.ir[body]; ok {
+	if f, ok := p.ir[fs.Body]; ok {
 		return f
 	}
-	f := ssa.Build(name, body, info)
-	p.ir[body] = f
+	f := ssa.Build(fs.Name, fs.Body, fs.Pkg.Info)
+	p.ir[fs.Body] = f
 	return f
-}
-
-// escFor memoizes the escape-to-goroutine facts per CFG.
-func (p *Program) escFor(f *ssa.Func, info *types.Info) *ssa.Escapes {
-	if p.esc == nil {
-		p.esc = make(map[*ssa.Func]*ssa.Escapes)
-	}
-	if e, ok := p.esc[f]; ok {
-		return e
-	}
-	e := ssa.AnalyzeEscapes(f, info)
-	p.esc[f] = e
-	return e
 }
 
 // reachFor memoizes the reaching-definitions solution per CFG.

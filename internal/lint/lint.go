@@ -2,14 +2,10 @@
 // built directly on the standard library's go/parser + go/ast + go/types
 // stack (no golang.org/x/tools dependency). It loads every package of the
 // module from source, builds a lightweight callgraph over the typed ASTs
-// and enforces the engine's cross-cutting invariants:
+// and enforces the engine's cross-cutting invariants. Each check earns its
+// place by a bug it catches that no test, `go test -race` or `go vet`
+// catches (EXPERIMENTS.md note 18):
 //
-//   - bufferdiscipline: code reachable from a goroutine must read pages
-//     through BufferPool.View, never Get/Put — Get hands out the pooled
-//     slice, which a concurrent eviction may reuse under the reader.
-//   - atomicfields: a struct field accessed through sync/atomic anywhere
-//     must be accessed atomically everywhere, and fields of sync/atomic
-//     types must only be touched through their methods.
 //   - sqrtfree: the pruning and traversal hot paths compare squared
 //     distances; math.Sqrt is reserved for the final result-reporting
 //     functions (MINMINDIST <= MINMAXDIST <= MAXMAXDIST ordering is
@@ -21,12 +17,10 @@
 //     helper or an enclosing `if x != nil` block), keeping the disabled
 //     observability path at zero cost.
 //
-// Four further checks are path-sensitive: they run over the SSA-lite IR
-// of package repro/internal/lint/ssa (basic blocks, dominators, reaching
+// Three checks are path-sensitive: they run over the SSA-lite IR of
+// package repro/internal/lint/ssa (basic blocks, dominators, reaching
 // definitions) instead of matching syntax:
 //
-//   - pinleak: a storage handle must be released on every control-flow
-//     path out of the acquiring function, or demonstrably change owner.
 //   - lockorder: the static lock-ordering graph over the engine's
 //     mutexes must be acyclic, and no two instances of one shard lock
 //     may be held at once.
@@ -36,7 +30,7 @@
 //   - deferinloop: a deferred Close/Put inside a loop releases nothing
 //     until function return and so pins the whole traversal's resources.
 //
-// The ctxflow pass (three checks sharing interprocedural summaries over
+// The ctxflow pass (two checks sharing interprocedural summaries over
 // the callgraph; DESIGN.md §11) guards the cancellation contract:
 //
 //   - ctxprop: query entry points and join drivers must accept a
@@ -47,24 +41,6 @@
 //     path, directly or via a summarized cancellation point such as the
 //     stride-gated cancelGate.poll; gates coarser than the allowance are
 //     flagged.
-//   - ctxleak: a spawned goroutine must select on ctx.Done() or be
-//     joined by its spawner, so cancelled queries leak nothing.
-//
-// The shareguard pass (three checks sharing an escape analysis, a taint
-// fixpoint over the callgraph and per-block locksets; DESIGN.md §12)
-// guards the sharing discipline the race detector can only spot-check:
-//
-//   - sharedfield: a struct field written from goroutine-reachable code
-//     through shared state with no lock held at any access, no
-//     sync/atomic discipline and no annotation is a data race waiting
-//     for a schedule.
-//   - guardlock: where locking evidence exists it must cover — every
-//     access to a //lint:guardedby-annotated field holds the declared
-//     mutex, and an unannotated field's locksets must share at least one
-//     lock across all shared accesses.
-//   - pubimmut: a field write after its value was published to another
-//     goroutine needs synchronization; constructor writes before the
-//     publishing go statement, send or global store are exempt.
 //
 // A finding can be suppressed by the line comment
 //
@@ -116,46 +92,15 @@ type Check interface {
 // configuration.
 func Checks() []Check {
 	return []Check{
-		NewBufferDiscipline(),
-		NewAtomicFields(),
 		NewSqrtFree(),
 		NewErrProp(),
-		NewPinLeak(),
 		NewLockOrder(),
 		NewBoundMono(),
 		NewDeferInLoop(),
 		NewObsHooks(),
 		NewCtxProp(),
 		NewCancelPoll(),
-		NewCtxLeak(),
-		NewSharedField(),
-		NewGuardLock(),
-		NewPubImmut(),
 	}
-}
-
-// CheckGroups maps group aliases to the check names they expand to; the
-// cpqlint -checks flag accepts a group name wherever it accepts a check
-// name. "ctxflow" is the cancellation-correctness pass of DESIGN.md §11;
-// "shareguard" is the static data-race pass of DESIGN.md §12.
-func CheckGroups() map[string][]string {
-	return map[string][]string{
-		"ctxflow":    {"ctxprop", "cancelpoll", "ctxleak"},
-		"shareguard": {"sharedfield", "guardlock", "pubimmut"},
-	}
-}
-
-// GroupOf maps each check name to its group alias ("" for ungrouped
-// checks); the cpqlint JSON output attaches it to every finding.
-func GroupOf(check string) string {
-	for group, names := range CheckGroups() {
-		for _, n := range names {
-			if n == check {
-				return group
-			}
-		}
-	}
-	return ""
 }
 
 // CheckTiming is the wall-clock cost of one check during a
@@ -176,20 +121,11 @@ func Run(prog *Program, checks []Check) []Diagnostic {
 }
 
 // RunWithTimings is Run plus a per-check wall-clock breakdown, for the
-// cpqlint -timing flag and the lint benchmark.
+// cpqlint -timing flag and the lint benchmark. The typed load, the
+// callgraph and the per-function IR are memoized on prog, so the first
+// check that needs a shared artifact pays for it and the rest ride
+// along — the timings show exactly that.
 func RunWithTimings(prog *Program, checks []Check) ([]Diagnostic, []CheckTiming) {
-	diags, _, timings := RunAll(prog, checks)
-	return diags, timings
-}
-
-// RunAll executes the checks over prog and returns the surviving
-// diagnostics, the number of findings dropped by //lint:ignore
-// directives (for the JSON output's suppressed count), and the per-check
-// wall-clock breakdown. The typed load, the callgraph and the
-// per-function IR are memoized on prog, so the first check that needs a
-// shared artifact pays for it and the rest ride along — the timings show
-// exactly that.
-func RunAll(prog *Program, checks []Check) ([]Diagnostic, int, []CheckTiming) {
 	var diags []Diagnostic
 	timings := make([]CheckTiming, 0, len(checks))
 	for _, c := range checks {
@@ -198,16 +134,13 @@ func RunAll(prog *Program, checks []Check) ([]Diagnostic, int, []CheckTiming) {
 		timings = append(timings, CheckTiming{Name: c.Name(), Elapsed: time.Since(start)})
 	}
 	// A directive may name any check of the full registry, not only the
-	// selected subset — running `-checks ctxflow` must not turn every
+	// selected subset — running `-checks cancelpoll` must not turn every
 	// sqrtfree suppression in the tree into an "unknown check" finding.
-	known := make(map[string]bool, len(checks))
-	for _, c := range checks {
-		known[c.Name()] = true
-	}
+	known := make(map[string]bool)
 	for _, c := range Checks() {
 		known[c.Name()] = true
 	}
-	diags, suppressed := applyIgnores(prog, known, diags)
+	diags = applyIgnores(prog, known, diags)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -221,7 +154,7 @@ func RunAll(prog *Program, checks []Check) ([]Diagnostic, int, []CheckTiming) {
 		}
 		return a.Message < b.Message
 	})
-	return diags, suppressed, timings
+	return diags, timings
 }
 
 // ignoreKey identifies the scope of one suppression directive: a check
@@ -234,10 +167,9 @@ type ignoreKey struct {
 }
 
 // applyIgnores drops diagnostics covered by well-formed //lint:ignore
-// directives (returning how many were dropped) and reports malformed or
-// unknown-check directives as findings of the built-in "lint"
-// pseudo-check.
-func applyIgnores(prog *Program, known map[string]bool, diags []Diagnostic) ([]Diagnostic, int) {
+// directives and reports malformed or unknown-check directives as
+// findings of the built-in "lint" pseudo-check.
+func applyIgnores(prog *Program, known map[string]bool, diags []Diagnostic) []Diagnostic {
 	ignores := make(map[ignoreKey]bool)
 	var problems []Diagnostic
 	for _, pkg := range prog.Packages {
@@ -274,11 +206,9 @@ func applyIgnores(prog *Program, known map[string]bool, diags []Diagnostic) ([]D
 	}
 	starts := stmtStartLines(prog)
 	kept := problems
-	suppressed := 0
 	for _, d := range diags {
 		if ignores[ignoreKey{d.Pos.Filename, d.Pos.Line, d.Check}] ||
 			ignores[ignoreKey{d.Pos.Filename, d.Pos.Line - 1, d.Check}] {
-			suppressed++
 			continue
 		}
 		// A finding inside a multi-line statement is also covered by a
@@ -287,12 +217,11 @@ func applyIgnores(prog *Program, known map[string]bool, diags []Diagnostic) ([]D
 		if s, ok := starts[lineKey{d.Pos.Filename, d.Pos.Line}]; ok &&
 			(ignores[ignoreKey{d.Pos.Filename, s, d.Check}] ||
 				ignores[ignoreKey{d.Pos.Filename, s - 1, d.Check}]) {
-			suppressed++
 			continue
 		}
 		kept = append(kept, d)
 	}
-	return kept, suppressed
+	return kept
 }
 
 // lineKey addresses one source line of one file.

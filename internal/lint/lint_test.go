@@ -37,31 +37,27 @@ func runCheck(t *testing.T, check lint.Check, patterns ...string) []lint.Diagnos
 	return lint.Run(prog, []lint.Check{check})
 }
 
+// fixtures pairs each check with its fixture packages: purpose-built
+// true-positive, negative and suppressed cases.
+var fixtures = []struct {
+	check    lint.Check
+	patterns []string
+}{
+	{lint.NewSqrtFree(), []string{"internal/lint/testdata/src/sqrtfree/..."}},
+	{lint.NewErrProp(), []string{"internal/lint/testdata/src/errprop/..."}},
+	{lint.NewLockOrder(), []string{"internal/lint/testdata/src/lockorder/internal/core/pool"}},
+	{lint.NewBoundMono(), []string{"internal/lint/testdata/src/boundmono/internal/core/engine"}},
+	{lint.NewDeferInLoop(), []string{"internal/lint/testdata/src/deferinloop/internal/rtree/walk"}},
+	{lint.NewObsHooks(), []string{"internal/lint/testdata/src/obshooks/internal/core/trace"}},
+	{lint.NewCtxProp(), []string{"internal/lint/testdata/ctxflow/ctxprop/internal/core/driver"}},
+	{lint.NewCancelPoll(), []string{"internal/lint/testdata/ctxflow/cancelpoll/..."}},
+}
+
 // TestGolden pins each check's behavior on its fixture package: the
 // formatted diagnostics must match the committed golden file exactly
 // (regenerate with `go test ./internal/lint -run Golden -update`).
 func TestGolden(t *testing.T) {
-	cases := []struct {
-		check    lint.Check
-		patterns []string
-	}{
-		{lint.NewBufferDiscipline(), []string{"internal/lint/testdata/src/bufferdiscipline/..."}},
-		{lint.NewAtomicFields(), []string{"internal/lint/testdata/src/atomicfields"}},
-		{lint.NewSqrtFree(), []string{"internal/lint/testdata/src/sqrtfree/..."}},
-		{lint.NewErrProp(), []string{"internal/lint/testdata/src/errprop/..."}},
-		{lint.NewPinLeak(), []string{"internal/lint/testdata/src/pinleak"}},
-		{lint.NewLockOrder(), []string{"internal/lint/testdata/src/lockorder/internal/core/pool"}},
-		{lint.NewBoundMono(), []string{"internal/lint/testdata/src/boundmono/internal/core/engine"}},
-		{lint.NewDeferInLoop(), []string{"internal/lint/testdata/src/deferinloop/internal/rtree/walk"}},
-		{lint.NewObsHooks(), []string{"internal/lint/testdata/src/obshooks/internal/core/trace"}},
-		{lint.NewCtxProp(), []string{"internal/lint/testdata/ctxflow/ctxprop/internal/core/driver"}},
-		{lint.NewCancelPoll(), []string{"internal/lint/testdata/ctxflow/cancelpoll/..."}},
-		{lint.NewCtxLeak(), []string{"internal/lint/testdata/ctxflow/ctxleak/internal/core/engine"}},
-		{lint.NewSharedField(), []string{"internal/lint/testdata/shareguard/sharedfield/internal/core/engine"}},
-		{lint.NewGuardLock(), []string{"internal/lint/testdata/shareguard/guardlock/internal/core/pool"}},
-		{lint.NewPubImmut(), []string{"internal/lint/testdata/shareguard/pubimmut/internal/core/job"}},
-	}
-	for _, tc := range cases {
+	for _, tc := range fixtures {
 		t.Run(tc.check.Name(), func(t *testing.T) {
 			diags := runCheck(t, tc.check, tc.patterns...)
 			var lines []string
@@ -90,27 +86,7 @@ func TestGolden(t *testing.T) {
 // TestFixturesFindSomething guards against a check silently going blind:
 // every fixture run must produce at least one finding of its own check.
 func TestFixturesFindSomething(t *testing.T) {
-	cases := []struct {
-		check    lint.Check
-		patterns []string
-	}{
-		{lint.NewBufferDiscipline(), []string{"internal/lint/testdata/src/bufferdiscipline/..."}},
-		{lint.NewAtomicFields(), []string{"internal/lint/testdata/src/atomicfields"}},
-		{lint.NewSqrtFree(), []string{"internal/lint/testdata/src/sqrtfree/..."}},
-		{lint.NewErrProp(), []string{"internal/lint/testdata/src/errprop/..."}},
-		{lint.NewPinLeak(), []string{"internal/lint/testdata/src/pinleak"}},
-		{lint.NewLockOrder(), []string{"internal/lint/testdata/src/lockorder/internal/core/pool"}},
-		{lint.NewBoundMono(), []string{"internal/lint/testdata/src/boundmono/internal/core/engine"}},
-		{lint.NewDeferInLoop(), []string{"internal/lint/testdata/src/deferinloop/internal/rtree/walk"}},
-		{lint.NewObsHooks(), []string{"internal/lint/testdata/src/obshooks/internal/core/trace"}},
-		{lint.NewCtxProp(), []string{"internal/lint/testdata/ctxflow/ctxprop/internal/core/driver"}},
-		{lint.NewCancelPoll(), []string{"internal/lint/testdata/ctxflow/cancelpoll/..."}},
-		{lint.NewCtxLeak(), []string{"internal/lint/testdata/ctxflow/ctxleak/internal/core/engine"}},
-		{lint.NewSharedField(), []string{"internal/lint/testdata/shareguard/sharedfield/internal/core/engine"}},
-		{lint.NewGuardLock(), []string{"internal/lint/testdata/shareguard/guardlock/internal/core/pool"}},
-		{lint.NewPubImmut(), []string{"internal/lint/testdata/shareguard/pubimmut/internal/core/job"}},
-	}
-	for _, tc := range cases {
+	for _, tc := range fixtures {
 		found := false
 		for _, d := range runCheck(t, tc.check, tc.patterns...) {
 			if d.Check == tc.check.Name() {
@@ -156,59 +132,6 @@ func TestMultilineSuppression(t *testing.T) {
 	}
 }
 
-// TestShareguardMultilineSuppression pins the directive-above-wrapped-
-// statement path for the shareguard group: the guardlock fixture's
-// observe method has two copies of the same wrapped call reading an
-// annotated field, one under a //lint:ignore directive, one bare. The
-// finding anchors to the wrapped line (the q.total argument, not the
-// sink( line), so only the stmtStartLines mapping can connect it to the
-// directive above the statement's first line.
-func TestShareguardMultilineSuppression(t *testing.T) {
-	prog, err := lint.Load(moduleDir(t), "internal/lint/testdata/shareguard/guardlock/internal/core/pool")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, suppressed, _ := lint.RunAll(prog, []lint.Check{lint.NewGuardLock()})
-	var reads []lint.Diagnostic
-	for _, d := range diags {
-		if strings.Contains(d.Message, "read here") {
-			reads = append(reads, d)
-		}
-	}
-	if len(reads) != 1 {
-		t.Errorf("want exactly 1 unsuppressed wrapped-statement read finding, got %d: %v", len(reads), reads)
-	}
-	if suppressed != 1 {
-		t.Errorf("want 1 suppressed finding (the directive-covered twin), got %d", suppressed)
-	}
-}
-
-// TestShareguardCleanRepo pins the real module to zero shareguard
-// findings with zero suppressions: the parallel engine's sharing
-// discipline (a mutex-guarded result heap, sync/atomic counters,
-// worker-local joins, constructor-then-publish initialization) is
-// recognized by the analysis itself, not waived by directives.
-func TestShareguardCleanRepo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	prog, err := lint.Load(moduleDir(t), "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, le := range prog.Failed {
-		t.Errorf("package failed to load: %v", le)
-	}
-	checks := []lint.Check{lint.NewSharedField(), lint.NewGuardLock(), lint.NewPubImmut()}
-	diags, suppressed, _ := lint.RunAll(prog, checks)
-	for _, d := range diags {
-		t.Errorf("unexpected shareguard finding: %s", d)
-	}
-	if suppressed != 0 {
-		t.Errorf("shareguard needed %d suppression(s) on the real module, want 0", suppressed)
-	}
-}
-
 // TestLoadFailure asserts that a package that fails to type-check is
 // reported through Program.Failed without hiding the packages that do
 // load: the analyzable part of the module must still produce findings.
@@ -232,7 +155,7 @@ func TestLoadFailure(t *testing.T) {
 }
 
 // TestCleanRepo asserts the real module lints clean with the production
-// check suite — the repository's own code is the fifth fixture, pinned to
+// check suite — the repository's own code is one more fixture, pinned to
 // zero findings.
 func TestCleanRepo(t *testing.T) {
 	if testing.Short() {
@@ -298,26 +221,6 @@ func BenchmarkLintRepo(b *testing.B) {
 			if _, err := lint.Load(mod.Dir, "./..."); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-
-	// The shareguard sub-benchmark isolates the group's substrate —
-	// per-function escape analysis, the taint fixpoint and the lockset
-	// solve — by running it on a fresh Program each iteration (the
-	// substrate is memoized, so reusing prog would time a map lookup).
-	// The load is paused out of the timer; the reported allocs are the
-	// escape layer plus the shareguard facts, nothing else.
-	b.Run("shareguard", func(b *testing.B) {
-		checks := []lint.Check{lint.NewSharedField(), lint.NewGuardLock(), lint.NewPubImmut()}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			fresh, err := lint.Load(mod.Dir, "./...")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			lint.Run(fresh, checks)
 		}
 	})
 }

@@ -55,15 +55,10 @@ type Program struct {
 
 	// ir memoizes the SSA-lite CFG per function body, and reach the
 	// reaching-definitions solution per CFG (see ir.go). cg memoizes the
-	// callgraph so every check shares one build (see Callgraph). esc
-	// memoizes the escape-to-goroutine facts per CFG and sg the whole
-	// shareguard substrate (see shareguard.go), so the three shareguard
-	// checks pay for one access/taint/lockset pass between them.
+	// callgraph so every check shares one build (see Callgraph).
 	ir    map[*ast.BlockStmt]*ssa.Func
 	reach map[*ssa.Func]*ssa.Reaching
 	cg    *callgraph
-	esc   map[*ssa.Func]*ssa.Escapes
-	sg    *sgFacts
 }
 
 // Callgraph returns the program's callgraph-lite, building and memoizing

@@ -69,7 +69,7 @@ func (c *LockOrder) Run(prog *Program) []Diagnostic {
 	var edges []lockEdge
 	for _, pkg := range prog.Packages {
 		for _, fs := range funcsOf(prog, pkg) {
-			key := funcKey(fs)
+			key := fs.node()
 			if key == nil {
 				continue
 			}
@@ -120,19 +120,6 @@ func (c *LockOrder) Run(prog *Program) []Diagnostic {
 	}
 
 	return c.report(prog, edges)
-}
-
-// funcKey maps a FuncSource to its callgraph node.
-func funcKey(fs FuncSource) any {
-	switch d := fs.Decl.(type) {
-	case *ast.FuncDecl:
-		if fn, ok := fs.Pkg.Info.Defs[d.Name].(*types.Func); ok {
-			return fn
-		}
-	case *ast.FuncLit:
-		return d
-	}
-	return nil
 }
 
 // lockEventKind distinguishes the primitive held-set transitions.
@@ -392,4 +379,34 @@ func (c *LockOrder) report(prog *Program, edges []lockEdge) []Diagnostic {
 		}
 	}
 	return diags
+}
+
+// fieldName renders a field as Struct.field for messages.
+func fieldName(f *types.Var) string {
+	return fmt.Sprintf("%s.%s", ownerName(f), f.Name())
+}
+
+// ownerName finds the name of the struct type declaring field f, falling
+// back to the package name.
+func ownerName(f *types.Var) string {
+	if pkg := f.Pkg(); pkg != nil {
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if st.Field(i) == f {
+					return tn.Name()
+				}
+			}
+		}
+		return pkg.Name()
+	}
+	return "?"
 }

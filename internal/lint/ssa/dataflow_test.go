@@ -107,61 +107,3 @@ func f(c bool) int {
 		t.Errorf("want resolution to stop at the ambiguous x, got %v", resolved)
 	}
 }
-
-func TestLivenessAcrossLoop(t *testing.T) {
-	f, info := buildFunc(t, `package p
-func f(n int) int {
-	s := 0
-	for i := 0; i < n; i++ {
-		s += i
-	}
-	return s
-}`, "f")
-	l := ssa.Live(f, info)
-	sUse := findIdent(f, "s", 2) // s in `s += i`
-	v := varOf(t, info, sUse)
-	// s is read after the loop, so it is live out of the loop body.
-	body := f.BlockOf(f.Body.List[1].(*ast.ForStmt).Body.List[0])
-	if body == nil {
-		t.Fatal("loop body block not found")
-	}
-	if !l.LiveOut(body, v) {
-		t.Error("s must be live out of the loop body (read by the return)")
-	}
-}
-
-func TestLivenessDeadAfterLastUse(t *testing.T) {
-	f, info := buildFunc(t, `package p
-func sink(int) {}
-func f() int {
-	tmp := 41
-	sink(tmp)
-	return 7
-}`, "f")
-	l := ssa.Live(f, info)
-	def := findIdent(f, "tmp", 1)
-	v := varOf(t, info, def)
-	if l.LiveOut(f.Entry, v) {
-		t.Error("tmp is never read after the entry block; must be dead at its end")
-	}
-}
-
-func TestLivenessCaptureByClosure(t *testing.T) {
-	f, info := buildFunc(t, `package p
-func f(c bool) func() int {
-	x := 1
-	var g func() int
-	if c {
-		g = func() int { return x }
-	}
-	return g
-}`, "f")
-	l := ssa.Live(f, info)
-	def := findIdent(f, "x", 1)
-	v := varOf(t, info, def)
-	// x is captured by the literal in the then-branch; the capture
-	// counts as a use, so x must be live out of the entry block.
-	if !l.LiveOut(f.Entry, v) {
-		t.Error("captured variable must be live out of the defining block")
-	}
-}

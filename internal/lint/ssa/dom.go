@@ -61,10 +61,6 @@ func (d *Dom) intersect(a, b *Block) *Block {
 	return a
 }
 
-// Idom returns the immediate dominator of b (Entry's is Entry); nil for
-// unreachable blocks.
-func (d *Dom) Idom(b *Block) *Block { return d.idom[b] }
-
 // Dominates reports whether a dominates b (reflexively). Unreachable
 // blocks are dominated by nothing and dominate nothing but themselves.
 func (d *Dom) Dominates(a, b *Block) bool {

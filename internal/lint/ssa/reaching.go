@@ -149,9 +149,6 @@ func (r *Reaching) At(use ast.Node, v *types.Var) []*Def {
 	return res
 }
 
-// Defs returns every definition in the function, in block order.
-func (r *Reaching) Defs() []*Def { return r.defs }
-
 // ResolveIdent chases an identifier through its reaching definitions:
 // if id has exactly one reaching definition with a known Rhs, that Rhs
 // is returned (unwrapping further single-definition identifiers); the
