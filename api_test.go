@@ -2,6 +2,7 @@ package cpq
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -571,6 +572,66 @@ func TestSemiBatchedFacade(t *testing.T) {
 	for i := range got {
 		if math.Abs(got[i].Dist-perPoint[i].Dist) > 1e-9 {
 			t.Fatalf("pair %d: %g vs %g", i, got[i].Dist, perPoint[i].Dist)
+		}
+	}
+}
+
+// TestContextEntryPointsHonourCancel: each of the facade's seven *Context
+// entry points hands its caller's context to the engine. Under a
+// cancelled context every one returns context.Canceled; one that passed
+// context.Background() on would answer the query instead. The indexes are
+// large enough that the semi and range joins, which look at the context
+// only once per stride of loop steps, take more than one stride.
+func TestContextEntryPointsHonourCancel(t *testing.T) {
+	p, err := BuildIndex(randomPoints(31, 3000, 0), WithPageSize(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	q, err := BuildIndex(randomPoints(32, 3000, 0), WithPageSize(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"ClosestPairContext", func() error {
+			_, _, err := ClosestPairContext(ctx, p, q)
+			return err
+		}},
+		{"KClosestPairsContext", func() error {
+			_, _, err := KClosestPairsContext(ctx, p, q, 10)
+			return err
+		}},
+		{"SelfClosestPairContext", func() error {
+			_, _, err := SelfClosestPairContext(ctx, p)
+			return err
+		}},
+		{"SelfKClosestPairsContext", func() error {
+			_, _, err := SelfKClosestPairsContext(ctx, p, 10)
+			return err
+		}},
+		{"SemiClosestPairsContext", func() error {
+			_, _, err := SemiClosestPairsContext(ctx, p, q)
+			return err
+		}},
+		{"WithinDistanceContext", func() error {
+			_, err := WithinDistanceContext(ctx, p, q, 0.01, func(Pair) bool { return true })
+			return err
+		}},
+		{"ExplainContext", func() error {
+			_, _, _, err := ExplainContext(ctx, p, q, 10)
+			return err
+		}},
+	}
+	for _, c := range calls {
+		if err := c.call(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", c.name, err)
 		}
 	}
 }

@@ -30,9 +30,8 @@ set -eu
 lint() {
 	# One pass, one load of the module: the default run is every check.
 	# -budget fails the build if any single check runs past 30s, so a
-	# check whose analysis regresses (the interprocedural ctxflow summaries
-	# of DESIGN.md §11, the lock-order closure) shows up here instead of
-	# silently stretching every CI run.
+	# check whose analysis regresses (the lock-order closure over the
+	# callgraph) shows up here instead of silently stretching every CI run.
 	go run ./cmd/cpqlint -timing -budget 30s ./...
 }
 
@@ -182,8 +181,10 @@ all() {
 	# One -race pass sees one interleaving: the tests whose outcome depends
 	# on how the parallel engine's workers are scheduled run again, twenty
 	# times (-short trims the largest inputs, which the passes above ran in
-	# full), and the sharded executor's parallel joins five.
-	go test -race -short -count=20 -run 'Parallel|TestSweepParallelEquivalence|TestConcurrentQueriesShareFreeList|TestParallelFaultSweep' ./internal/core
+	# full), the fault sweep's parallel rows among them, and the sharded
+	# executor's parallel joins five.
+	go test -race -short -count=20 -run 'Parallel|TestSweepParallelEquivalence|TestConcurrentQueriesShareFreeList' ./internal/core
+	go test -race -short -count=20 -run 'TestFaultSweep/-par' ./internal/core
 	go test -race -count=5 -run 'TestShardedMatchesUnshardedParallelism' ./internal/shard
 	# The benchmark is a module of its own (benchmark/go.mod), outside
 	# ./...: compile and test it here so an engine change cannot break it

@@ -12,20 +12,17 @@
 //
 //	cpqlint ./...                             # lint the whole module
 //	cpqlint internal/core internal/storage    # specific package directories
-//	cpqlint -checks sqrtfree,errprop ./...    # a subset of the checks
+//	cpqlint -checks sqrtfree,lockorder ./...  # a subset of the checks
 //	cpqlint -timing -budget 30s ./...         # fail if any check runs long
 //	cpqlint -list                             # list available checks
 //
 // The syntactic checks are sqrtfree (no math.Sqrt on pruning/traversal
-// hot paths outside the result-reporting allowlist), errprop (no
-// discarded errors from the storage / R-tree I/O layers) and obshooks
+// hot paths outside the result-reporting allowlist) and obshooks
 // (nil-guarded observability emissions). The path-sensitive checks, which
 // run on the SSA-lite IR, are lockorder (acyclic lock-ordering graph, no
-// nested shard locks), boundmono (the parallel pruning bound only
-// tightens) and deferinloop (no deferred releases inside loops). ctxprop
-// and cancelpoll ride the shared callgraph and guard the cancellation
-// contract of DESIGN.md §11. See DESIGN.md §7 for the contracts the
-// per-check analyses guard.
+// nested shard locks) and deferinloop (no deferred releases inside
+// loops). See DESIGN.md §7 for the contracts the checks guard, and §11
+// for the tests that guard cancellation and I/O errors instead.
 package main
 
 import (

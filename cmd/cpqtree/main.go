@@ -33,7 +33,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	//lint:ignore errprop read-only inspection tool; nothing to persist on exit
 	defer file.Close()
 	pool := storage.NewBufferPool(file, 256)
 	tree, err := rtree.Open(pool)

@@ -77,8 +77,9 @@ func explainKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pa
 	slowLog := cfg.core.SlowLog
 	cfg.core.SlowLog = nil
 
+	label := core.QueryLabel(cfg.core, k, false)
 	cap.SetPlan(explain.Plan{
-		Label:     core.QueryLabel(cfg.core, k, false),
+		Label:     label,
 		Algorithm: cfg.core.Algorithm.String(),
 		K:         k,
 		Workers:   cfg.core.Workers(),
@@ -91,33 +92,16 @@ func explainKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pa
 	pairs, stats, err := core.KClosestPairsContext(ctx, p.tree, q.tree, k, cfg.core)
 	cap.Phase("join", time.Since(phaseStart).Nanoseconds())
 	seconds := time.Since(started)
+	r := core.QueryReport(label, seconds.Seconds(), cfg.core.Workers(), pairs, stats, err)
 	if err != nil {
 		if slowLog != nil {
-			slowLog.Record(QueryReport{Label: core.QueryLabel(cfg.core, k, false),
-				Seconds: seconds.Seconds(), Workers: cfg.core.Workers(), Err: err.Error()})
+			slowLog.Record(r)
 		}
 		return nil, stats, err
 	}
-
-	kth := 0.0
-	if len(pairs) > 0 {
-		kth = pairs[len(pairs)-1].Dist
-	}
-	cap.SetResult(seconds.Nanoseconds(), stats.ExplainStats(), len(pairs), kth)
+	cap.SetResult(seconds.Nanoseconds(), stats.ExplainStats(), len(pairs), r.KthDistance)
 
 	if slowLog != nil {
-		r := QueryReport{
-			Label:       core.QueryLabel(cfg.core, k, false),
-			Seconds:     seconds.Seconds(),
-			Accesses:    stats.Accesses(),
-			NodePairs:   stats.NodePairsProcessed,
-			PointPairs:  stats.PointPairsCompared,
-			CacheHits:   stats.NodeCacheHits,
-			CacheMisses: stats.NodeCacheMisses,
-			Results:     len(pairs),
-			KthDistance: kth,
-			Workers:     cfg.core.Workers(),
-		}
 		// Embed the snapshot so an over-threshold line carries the full
 		// plan and execution breakdown of the outlier.
 		if raw, jerr := cap.Snapshot().JSON(); jerr == nil {

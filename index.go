@@ -218,15 +218,13 @@ func BuildIndex(points []Point, opts ...IndexOption) (*Index, error) {
 			items[i] = rtree.Item{Rect: p.Rect(), Ref: int64(i)}
 		}
 		if err := idx.tree.BulkLoad(items, c.bulkFill); err != nil {
-			idx.Close()
-			return nil, err
+			return nil, errors.Join(err, idx.Close())
 		}
 		return idx, nil
 	}
 	for i, p := range points {
 		if err := idx.tree.InsertPoint(p, int64(i)); err != nil {
-			idx.Close()
-			return nil, err
+			return nil, errors.Join(err, idx.Close())
 		}
 	}
 	return idx, nil

@@ -1,13 +1,18 @@
-package core
+// Package bound holds the tighten-only pruning bound that cooperating
+// joins share. It is a package of its own so that the bound's bits are
+// reachable only through Load, Tighten and Reset: code outside this
+// package cannot store into them, so a raw write that could widen the
+// bound and lose results does not compile.
+package bound
 
 import (
 	"math"
 	"sync/atomic"
 )
 
-// SharedBound is a tighten-only pruning bound shared across cooperating
-// joins. Every parallel query holds one (its workers' common T), and the
-// shard scatter-gather executor injects one (via Options.SharedBound) into
+// Shared is a tighten-only pruning bound shared across cooperating joins.
+// Every parallel query holds one (its workers' common T), and the shard
+// scatter-gather executor injects one (via core.Options.SharedBound) into
 // every shard-pair join it dispatches, so a tight pair found inside one
 // task or tile immediately prunes the traversal of every other.
 //
@@ -22,31 +27,31 @@ import (
 //
 // The key is stored as its IEEE-754 bit pattern: non-negative doubles and
 // +Inf order like their bits, so a compare-and-swap on the bits is a
-// numeric CAS-min. All methods are nil-safe: a nil *SharedBound loads +Inf
-// and ignores tightens, so a self-contained sequential query pays one nil
-// check and nothing else.
-type SharedBound struct {
+// numeric CAS-min. Load and Tighten are nil-safe: a nil *Shared loads
+// +Inf and ignores tightens, so a self-contained sequential query pays one
+// nil check and nothing else. The zero value loads 0 and prunes
+// everything; Reset or New make it usable.
+type Shared struct {
 	bits atomic.Uint64
 }
 
-// NewSharedBound returns a shared bound initialized to +Inf (no pruning
-// information yet).
-func NewSharedBound() *SharedBound {
-	sb := &SharedBound{}
-	sb.reset()
-	return sb
+// New returns a shared bound initialized to +Inf (no pruning information
+// yet).
+func New() *Shared {
+	s := &Shared{}
+	s.Reset()
+	return s
 }
 
-// reset initializes the bound to +Inf. It exists so the +Inf store —
-// the one write that is not a CAS-min — stays inside the bound type's
-// own methods, where the boundmono check allows it.
-func (s *SharedBound) reset() {
+// Reset sets the bound to +Inf, the one write that is not a CAS-min. It
+// is for the start of a query, before any worker reads the bound.
+func (s *Shared) Reset() {
 	s.bits.Store(math.Float64bits(math.Inf(1)))
 }
 
 // Load returns the current bound (squared); +Inf on a nil receiver or
 // when no tighten has landed yet.
-func (s *SharedBound) Load() float64 {
+func (s *Shared) Load() float64 {
 	if s == nil {
 		return math.Inf(1)
 	}
@@ -57,7 +62,7 @@ func (s *SharedBound) Load() float64 {
 // retries against the new, smaller value). It returns the displaced value
 // and whether v replaced it — the trace layer turns successful tightenings
 // into EvBoundTightened events. A nil receiver ignores the call.
-func (s *SharedBound) Tighten(v float64) (old float64, ok bool) {
+func (s *Shared) Tighten(v float64) (old float64, ok bool) {
 	if s == nil {
 		return math.Inf(1), false
 	}

@@ -6,17 +6,17 @@ import "context"
 // context. It must be a power of two: the gate tests a mask, which costs
 // one increment and one branch per step — cheap enough that the hot loops
 // (heap pops, recursive expansions, best-first dequeues) stay within noise
-// of the context-free PR6 baseline (the "ctxflow" benchmark experiment
-// gates this at <= 1%). 1024 steps bound the cancellation latency to a few
-// node reads' worth of work, far below human-visible deadlines.
+// of a context-free loop. 1024 steps bound the cancellation latency to a
+// few node reads' worth of work, far below human-visible deadlines.
 const cancelStride = 1024
 
 // cancelGate is a stride-gated context poll shared by the sequential
 // traversal drivers. Each driver owns one gate (the zero value is ready to
 // use) and calls poll once per loop step; only every cancelStride-th call
-// actually touches the context. The cpqlint cancelpoll check summarizes
-// poll as a cancellation point, so a loop that calls it is proven
-// interruptible.
+// actually touches the context. TestCancelledQueriesReturnCtxErr holds
+// every driver to that bound: a query consults its context at least once
+// per cancelStride steps, and a context that fires after the first look
+// stops it from inside its loop.
 type cancelGate struct {
 	steps uint32
 }

@@ -93,8 +93,7 @@ func kClosestPairs(ctx context.Context, ta, tb *rtree.Tree, k int, opts Options,
 	if err != nil {
 		j.traceQueryEnd(0, err)
 		if measure {
-			r := obs.QueryReport{Label: label, Seconds: time.Since(started).Seconds(),
-				Workers: opts.Workers(), Err: err.Error()}
+			r := QueryReport(label, time.Since(started).Seconds(), opts.Workers(), nil, Stats{}, err)
 			opts.Metrics.Record(r)
 			opts.SlowLog.Record(r)
 		}
@@ -118,24 +117,34 @@ func kClosestPairs(ctx context.Context, ta, tb *rtree.Tree, k int, opts Options,
 	j.traceQueryEnd(len(j.kheap.pairs), nil)
 	pairs := j.kheap.results(j.metric)
 	if measure {
-		r := obs.QueryReport{
-			Label:       label,
-			Seconds:     time.Since(started).Seconds(),
-			Accesses:    stats.Accesses(),
-			NodePairs:   stats.NodePairsProcessed,
-			PointPairs:  stats.PointPairsCompared,
-			CacheHits:   stats.NodeCacheHits,
-			CacheMisses: stats.NodeCacheMisses,
-			Results:     len(pairs),
-			Workers:     opts.Workers(),
-		}
-		if len(pairs) > 0 {
-			r.KthDistance = pairs[len(pairs)-1].Dist
-		}
+		r := QueryReport(label, time.Since(started).Seconds(), opts.Workers(), pairs, stats, nil)
 		opts.Metrics.Record(r)
 		opts.SlowLog.Record(r)
 	}
 	return pairs, stats, nil
+}
+
+// QueryReport builds the cost report a finished K-CPQ hands to the
+// metrics and the slow-query log: its label, wall time and worker count,
+// and either its error or its counters, result count and K-th distance.
+// The engine and the facade's explain path both report through it, so a
+// query's slow-log line is the same whichever of them records it.
+func QueryReport(label string, seconds float64, workers int, pairs []Pair, stats Stats, err error) obs.QueryReport {
+	r := obs.QueryReport{Label: label, Seconds: seconds, Workers: workers}
+	if err != nil {
+		r.Err = err.Error()
+		return r
+	}
+	r.Accesses = stats.Accesses()
+	r.NodePairs = stats.NodePairsProcessed
+	r.PointPairs = stats.PointPairsCompared
+	r.CacheHits = stats.NodeCacheHits
+	r.CacheMisses = stats.NodeCacheMisses
+	r.Results = len(pairs)
+	if len(pairs) > 0 {
+		r.KthDistance = pairs[len(pairs)-1].Dist
+	}
+	return r
 }
 
 // QueryLabel renders the query description used as the span label and the

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"repro/internal/core/bound"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/rtree"
@@ -50,7 +51,7 @@ type join struct {
 	// joins all point at. The effective pruning distance T folds it in, and
 	// publishShared pushes this join's own sound upper bounds back. nil for
 	// a self-contained sequential query.
-	shared *SharedBound
+	shared *bound.Shared
 
 	// cancel is the stride-gated context poll the drivers call once per
 	// traversal step (heap pop, recursive visit, range-join pop).
@@ -134,7 +135,7 @@ func (j *join) T() float64 {
 
 // publishShared forwards the join's current sound global upper bound —
 // min(K-heap threshold, auxiliary bound), both valid beyond this join's
-// subtree product (see SharedBound) — to the cross-join bound. No-op
+// subtree product (see bound.Shared) — to the cross-join bound. No-op
 // without one. Sequential drivers call it after every tightening site
 // (leaf scans, expansion bound updates), which is also how a parallel
 // worker's bounds reach the others.

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"repro/internal/core/bound"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/sortx"
@@ -206,7 +207,7 @@ type Options struct {
 	// bounds back through Tighten, so a tight pair found by any
 	// cooperating join prunes all the others. nil — the default — keeps
 	// the query self-contained.
-	SharedBound *SharedBound
+	SharedBound *bound.Shared
 	// Trace is the parent trace context for this query's span. The zero
 	// value — the default — opens a fresh root trace; the shard executor
 	// sets it to its own query span's context so per-shard join spans

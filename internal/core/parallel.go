@@ -20,7 +20,7 @@ import (
 // three phases. Seed: the query's own join expands node pairs level by
 // level into tasks. Run: W workers each run the unchanged sequential
 // runHeap on one task at a time, in a join of their own whose T folds in
-// the query's one SharedBound. Merge: after each task a worker folds its
+// the query's one bound.Shared. Merge: after each task a worker folds its
 // K-heap into the query's under one mutex. Every prune is a strict > against
 // a valid upper bound and the K-heaps keep the (distSq, refP, refQ) total
 // order, so the result is the sequential query's, pairs and order
@@ -62,7 +62,7 @@ type taskRun struct {
 // worker is joined before this returns.
 func (j *join) runHeapParallel(ctx context.Context, root nodePair, workers int) error {
 	if j.shared == nil {
-		j.sc.shared.reset()
+		j.sc.shared.Reset()
 		j.shared = &j.sc.shared
 	}
 	tasks, err := j.seedTasks(ctx, root, seedTasksPerWorker*workers)

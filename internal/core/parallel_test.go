@@ -5,16 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/rtree"
 	"repro/internal/storage"
 )
 
@@ -323,142 +319,6 @@ func TestParallelSurfacesInjectedReadErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainstBrute(t, pairs, ps, qs, 10)
-}
-
-// pollCountCtx is a context whose Err counts its calls and reports
-// context.Canceled from call fireAt on (never when fireAt < 0): cancelling
-// at the N-th poll is deterministic wherever that poll sits — the check
-// before the traversal, the seed, or a worker's claim.
-type pollCountCtx struct {
-	context.Context
-	fireAt int64
-	calls  atomic.Int64
-}
-
-func (c *pollCountCtx) Err() error {
-	if n := c.calls.Add(1) - 1; c.fireAt >= 0 && n >= c.fireAt {
-		return context.Canceled
-	}
-	return nil
-}
-
-// TestParallelFaultSweep fails the parallel engine at every step it has:
-// the N-th page read of either tree for every N up to the query's read
-// count, and the N-th context poll for every poll the query makes. Each
-// query must return the injected error (or finish, having read no more
-// than N pages, with the right answer) or ctx.Err(); afterwards every
-// worker goroutine is gone, the scratch free list is within its bound, and
-// the next query is correct. That next query completing is also the proof
-// that no page stayed pinned: a pin is the pool's shard lock, held only
-// inside BufferPool.View, and a leaked one would block its first read.
-// The self join of P runs the same sweep, sequentially and on the engine.
-func TestParallelFaultSweep(t *testing.T) {
-	ps, qs := uniformPoints(5200, 300, 0), uniformPoints(5300, 250, 0.3)
-	ta, fa := buildFaultTree(t, ps)
-	tb, fb := buildFaultTree(t, qs)
-	const k = 10
-	type side struct {
-		name string
-		tree *rtree.Tree
-		ff   *storage.FaultFile
-	}
-	sideP, sideQ := side{"P", ta, fa}, side{"Q", tb, fb}
-	queries := []struct {
-		name    string
-		run     func(context.Context, Options) ([]Pair, Stats, error)
-		want    []Pair
-		sides   []side
-		workers []int
-	}{
-		{"P x Q", func(ctx context.Context, opts Options) ([]Pair, Stats, error) {
-			return KClosestPairsContext(ctx, ta, tb, k, opts)
-		}, BruteForceKCP(ps, qs, k), []side{sideP, sideQ}, []int{2, 4}},
-		{"self P", func(ctx context.Context, opts Options) ([]Pair, Stats, error) {
-			return SelfKClosestPairsContext(ctx, ta, k, opts)
-		}, BruteForceSelfKCP(ps, k), []side{sideP}, []int{1, 2, 4}},
-	}
-	baseline := runtime.NumGoroutine()
-
-	for _, q := range queries {
-		// after runs the checks every failed query owes.
-		after := func(label string, opts Options) {
-			t.Helper()
-			deadline := time.Now().Add(2 * time.Second)
-			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > baseline {
-				t.Fatalf("%s: %d goroutines, %d before", label, n, baseline)
-			}
-			if n, bound := freeListLen(), freeListBound(); n > bound {
-				t.Fatalf("%s: free list holds %d scratches, bound %d", label, n, bound)
-			}
-			got, _, err := q.run(context.Background(), opts)
-			if err != nil {
-				t.Fatalf("%s: next query: %v", label, err)
-			}
-			samePairs(t, label+": next query", got, q.want)
-		}
-
-		for _, workers := range q.workers {
-			opts := DefaultOptions(Heap)
-			opts.Parallelism = workers
-			for _, side := range q.sides {
-				reads := func() int64 { return side.tree.Pool().Stats().Reads }
-				before := reads()
-				if _, _, err := q.run(context.Background(), opts); err != nil {
-					t.Fatal(err)
-				}
-				total := reads() - before
-				t.Logf("%s W=%d: failing each of %s's %d reads", q.name, workers, side.name, total)
-				for n := int64(0); n <= total; n++ {
-					label := fmt.Sprintf("%s W=%d: read %d of %s's %d fails", q.name, workers, n, side.name, total)
-					side.ff.FailReadAfter(n)
-					before := reads()
-					got, _, err := q.run(context.Background(), opts)
-					did := reads() - before
-					side.ff.FailReadAfter(-1)
-					switch {
-					case err != nil && !errors.Is(err, storage.ErrInjected):
-						t.Fatalf("%s: err = %v, want ErrInjected", label, err)
-					case err == nil && did > n:
-						t.Fatalf("%s: succeeded after %d reads", label, did)
-					case err == nil:
-						samePairs(t, label, got, q.want)
-					}
-					after(label, opts)
-				}
-			}
-
-			ref := &pollCountCtx{Context: context.Background(), fireAt: -1}
-			_, stats, err := q.run(ref, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.NodePairsProcessed >= cancelStride {
-				t.Fatalf("%d node pairs: a worker's stride-gated poll could fire, and the poll count would depend on the schedule", stats.NodePairsProcessed)
-			}
-			// The sequential query polls once, before the traversal; the
-			// engine also per seed expansion and per task.
-			polls := ref.calls.Load()
-			minPolls := int64(3)
-			if workers == 1 {
-				minPolls = 1
-			}
-			if polls < minPolls {
-				t.Fatalf("only %d polls: the sweep would not reach the seed and the tasks", polls)
-			}
-			t.Logf("%s W=%d: cancelling at each of %d polls", q.name, workers, polls)
-			for n := int64(0); n < polls; n++ {
-				label := fmt.Sprintf("%s W=%d: poll %d of %d cancels", q.name, workers, n, polls)
-				ctx := &pollCountCtx{Context: context.Background(), fireAt: n}
-				if _, _, err := q.run(ctx, opts); !errors.Is(err, context.Canceled) {
-					t.Fatalf("%s: err = %v, want context.Canceled", label, err)
-				}
-				after(label, opts)
-			}
-		}
-	}
 }
 
 // TestParallelSelfJoinSharedPool runs a parallel join of a tree with

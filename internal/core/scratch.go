@@ -5,6 +5,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"repro/internal/core/bound"
 	"repro/internal/rtree"
 )
 
@@ -24,11 +25,11 @@ import (
 type queryScratch struct {
 	frames  []*frame
 	kern    kernelScratch
-	tasks   []nodePair  // the parallel engine's seeded task list
-	sortBuf []nodePair  // STD's merge-sort working space
-	queue   pairHeap    // the HEAP queue
-	kheap   kHeap       // the join's result heap (a worker's, in parallel)
-	shared  SharedBound // a parallel query's bound, unless one is passed in
+	tasks   []nodePair   // the parallel engine's seeded task list
+	sortBuf []nodePair   // STD's merge-sort working space
+	queue   pairHeap     // the HEAP queue
+	kheap   kHeap        // the join's result heap (a worker's, in parallel)
+	shared  bound.Shared // a parallel query's bound, unless one is passed in
 }
 
 // frame is one recursion depth's share of the scratch: the two nodes of

@@ -10,7 +10,7 @@ import (
 
 // This file ports the driver onto the SSA-lite IR: Program owns one
 // memoized CFG per function body, so the path-sensitive checks
-// (lockorder, boundmono, deferinloop, cancelpoll) share a single build
+// (lockorder, deferinloop) share a single build
 // per function.
 
 // FuncSource is one analyzable function body: a declared function or a
@@ -26,8 +26,6 @@ type FuncSource struct {
 	Decl ast.Node
 	// Body is the function body the IR is built from.
 	Body *ast.BlockStmt
-	// Recv is the receiver's named type for methods, nil otherwise.
-	Recv *types.Named
 }
 
 // funcsOf lists every function and function literal of pkg, outermost
@@ -41,16 +39,12 @@ func funcsOf(prog *Program, pkg *Package) []FuncSource {
 				continue
 			}
 			name := fd.Name.Name
-			var recv *types.Named
 			if fd.Recv != nil && len(fd.Recv.List) == 1 {
-				if t := pkg.Info.TypeOf(fd.Recv.List[0].Type); t != nil {
-					recv = namedOf(t)
-					if recv != nil {
-						name = fmt.Sprintf("(*%s).%s", recv.Obj().Name(), fd.Name.Name)
-					}
+				if recv := namedOf(pkg.Info.TypeOf(fd.Recv.List[0].Type)); recv != nil {
+					name = fmt.Sprintf("(*%s).%s", recv.Obj().Name(), fd.Name.Name)
 				}
 			}
-			out = append(out, FuncSource{Pkg: pkg, Name: name, Decl: fd, Body: fd.Body, Recv: recv})
+			out = append(out, FuncSource{Pkg: pkg, Name: name, Decl: fd, Body: fd.Body})
 			out = append(out, literalsIn(prog, pkg, name, fd.Body)...)
 		}
 	}
@@ -100,19 +94,6 @@ func (p *Program) IR(fs FuncSource) *ssa.Func {
 	f := ssa.Build(fs.Name, fs.Body, fs.Pkg.Info)
 	p.ir[fs.Body] = f
 	return f
-}
-
-// reachFor memoizes the reaching-definitions solution per CFG.
-func (p *Program) reachFor(f *ssa.Func, info *types.Info) *ssa.Reaching {
-	if p.reach == nil {
-		p.reach = make(map[*ssa.Func]*ssa.Reaching)
-	}
-	if r, ok := p.reach[f]; ok {
-		return r
-	}
-	r := ssa.Reach(f, info)
-	p.reach[f] = r
-	return r
 }
 
 // namedOf unwraps pointers to the named type underneath, or nil.

@@ -3,44 +3,29 @@
 // stack (no golang.org/x/tools dependency). It loads every package of the
 // module from source, builds a lightweight callgraph over the typed ASTs
 // and enforces the engine's cross-cutting invariants. Each check earns its
-// place by a bug it catches that no test, `go test -race` or `go vet`
-// catches (EXPERIMENTS.md note 18):
+// place by a bug it catches that no test, `go test -race`, `go vet` or the
+// compiler catches (EXPERIMENTS.md notes 18 and 19); the cancellation,
+// I/O-error and shared-bound contracts are enforced by tests and by the
+// bound package's boundary instead (DESIGN.md §6, §11).
 //
 //   - sqrtfree: the pruning and traversal hot paths compare squared
 //     distances; math.Sqrt is reserved for the final result-reporting
 //     functions (MINMINDIST <= MINMAXDIST <= MAXMAXDIST ordering is
 //     preserved by squaring, so comparisons never need the root).
-//   - errprop: errors returned by the storage and R-tree I/O layers must
-//     not be discarded with `_ =` or a bare call.
 //   - obshooks: tracer and metric emissions in the hot-path packages must
 //     sit behind an explicit nil guard (a leading `if x == nil { return }`
 //     helper or an enclosing `if x != nil` block), keeping the disabled
 //     observability path at zero cost.
 //
-// Three checks are path-sensitive: they run over the SSA-lite IR of
-// package repro/internal/lint/ssa (basic blocks, dominators, reaching
-// definitions) instead of matching syntax:
+// Two checks are path-sensitive: they run over the SSA-lite IR of
+// package repro/internal/lint/ssa (basic blocks, dominators, natural
+// loops) instead of matching syntax:
 //
 //   - lockorder: the static lock-ordering graph over the engine's
 //     mutexes must be acyclic, and no two instances of one shard lock
 //     may be held at once.
-//   - boundmono: the parallel engine's shared pruning bound is written
-//     only through its CAS-min helper; a raw store or whole-value
-//     overwrite can widen the bound and lose results.
 //   - deferinloop: a deferred Close/Put inside a loop releases nothing
 //     until function return and so pins the whole traversal's resources.
-//
-// The ctxflow pass (two checks sharing interprocedural summaries over
-// the callgraph; DESIGN.md §11) guards the cancellation contract:
-//
-//   - ctxprop: query entry points and join drivers must accept a
-//     context.Context and thread it through — context.Background() is
-//     allowed only in the recognized *Context delegating shims.
-//   - cancelpoll: every potentially unbounded driver loop (frontier
-//     expansion, heap pops, storage I/O) must poll the context on some
-//     path, directly or via a summarized cancellation point such as the
-//     stride-gated cancelGate.poll; gates coarser than the allowance are
-//     flagged.
 //
 // A finding can be suppressed by the line comment
 //
@@ -93,13 +78,9 @@ type Check interface {
 func Checks() []Check {
 	return []Check{
 		NewSqrtFree(),
-		NewErrProp(),
 		NewLockOrder(),
-		NewBoundMono(),
 		NewDeferInLoop(),
 		NewObsHooks(),
-		NewCtxProp(),
-		NewCancelPoll(),
 	}
 }
 
@@ -134,7 +115,7 @@ func RunWithTimings(prog *Program, checks []Check) ([]Diagnostic, []CheckTiming)
 		timings = append(timings, CheckTiming{Name: c.Name(), Elapsed: time.Since(start)})
 	}
 	// A directive may name any check of the full registry, not only the
-	// selected subset — running `-checks cancelpoll` must not turn every
+	// selected subset — running `-checks lockorder` must not turn every
 	// sqrtfree suppression in the tree into an "unknown check" finding.
 	known := make(map[string]bool)
 	for _, c := range Checks() {

@@ -44,13 +44,9 @@ var fixtures = []struct {
 	patterns []string
 }{
 	{lint.NewSqrtFree(), []string{"internal/lint/testdata/src/sqrtfree/..."}},
-	{lint.NewErrProp(), []string{"internal/lint/testdata/src/errprop/..."}},
 	{lint.NewLockOrder(), []string{"internal/lint/testdata/src/lockorder/internal/core/pool"}},
-	{lint.NewBoundMono(), []string{"internal/lint/testdata/src/boundmono/internal/core/engine"}},
 	{lint.NewDeferInLoop(), []string{"internal/lint/testdata/src/deferinloop/internal/rtree/walk"}},
 	{lint.NewObsHooks(), []string{"internal/lint/testdata/src/obshooks/internal/core/trace"}},
-	{lint.NewCtxProp(), []string{"internal/lint/testdata/ctxflow/ctxprop/internal/core/driver"}},
-	{lint.NewCancelPoll(), []string{"internal/lint/testdata/ctxflow/cancelpoll/..."}},
 }
 
 // TestGolden pins each check's behavior on its fixture package: the
@@ -101,7 +97,7 @@ func TestFixturesFindSomething(t *testing.T) {
 }
 
 // TestSuppression asserts the //lint:ignore mechanics directly: the
-// suppressed sqrtfree site in the fixture must not appear, while the
+// suppressed sqrtfree sites in the fixture must not appear, while the
 // unsuppressed ones must.
 func TestSuppression(t *testing.T) {
 	diags := runCheck(t, lint.NewSqrtFree(), "internal/lint/testdata/src/sqrtfree/...")
@@ -110,20 +106,20 @@ func TestSuppression(t *testing.T) {
 			t.Errorf("suppressed finding leaked: %s", d)
 		}
 	}
-	if len(diags) != 4 {
-		t.Errorf("want exactly the 4 hot-loop findings (2 prune, 2 grid/kernel), got %d: %v", len(diags), diags)
+	if len(diags) != 5 {
+		t.Errorf("want exactly the 5 hot-loop findings (2 prune, 2 grid/kernel, 1 wrapped), got %d: %v", len(diags), diags)
 	}
 }
 
 // TestMultilineSuppression is the regression test for directives above
-// statements that wrap across lines: the errprop fixture has two copies
-// of the same wrapped statement, one suppressed, one not, and only the
-// unsuppressed one may surface.
+// statements that wrap across lines: the sqrtfree fixture has two copies
+// of the same wrapped statement, the root on its second line, one
+// suppressed, one not, and only the unsuppressed one may surface.
 func TestMultilineSuppression(t *testing.T) {
-	diags := runCheck(t, lint.NewErrProp(), "internal/lint/testdata/src/errprop")
+	diags := runCheck(t, lint.NewSqrtFree(), "internal/lint/testdata/src/sqrtfree/...")
 	var wrapped []lint.Diagnostic
 	for _, d := range diags {
-		if strings.Contains(d.Message, "WritePage") {
+		if strings.Contains(d.Message, "Wrapped") {
 			wrapped = append(wrapped, d)
 		}
 	}

@@ -53,12 +53,11 @@ type Program struct {
 	// linted.
 	Failed []LoadError
 
-	// ir memoizes the SSA-lite CFG per function body, and reach the
-	// reaching-definitions solution per CFG (see ir.go). cg memoizes the
-	// callgraph so every check shares one build (see Callgraph).
-	ir    map[*ast.BlockStmt]*ssa.Func
-	reach map[*ssa.Func]*ssa.Reaching
-	cg    *callgraph
+	// ir memoizes the SSA-lite CFG per function body (see ir.go). cg
+	// memoizes the callgraph so every check shares one build (see
+	// Callgraph).
+	ir map[*ast.BlockStmt]*ssa.Func
+	cg *callgraph
 }
 
 // Callgraph returns the program's callgraph-lite, building and memoizing

@@ -1,16 +1,13 @@
 // Package ssa is the SSA-lite intermediate representation behind the
 // path-sensitive cpqlint checks. "Lite" is deliberate: the IR stops at
 // basic blocks over the typed AST — no phi nodes, no virtual registers —
-// because the factored form of SSA that the checks actually need
-// (which definitions of a variable reach a use, which blocks must run
-// before which) is recoverable from classic analyses over the
-// control-flow graph:
+// because what the checks actually need (which blocks must run before
+// which, which blocks loop) is recoverable from classic analyses over
+// the control-flow graph:
 //
 //   - a CFG of basic blocks per function body (cfg.go),
 //   - the dominator tree (dom.go),
-//   - natural-loop detection from back edges (loops.go),
-//   - intraprocedural reaching definitions with def-use chains
-//     (reaching.go).
+//   - natural-loop detection from back edges (loops.go).
 //
 // The package is stdlib-only (go/ast + go/types), like the rest of the
 // analyzer. It deals in the original AST nodes throughout, so checks can

@@ -18,3 +18,19 @@ func legacy(dSq float64) float64 {
 	//lint:ignore sqrtfree reporting helper kept for a comparison test
 	return math.Sqrt(dSq)
 }
+
+// legacyWrapped and pruneWrapped hold the same statement wrapped across
+// two lines, the root on the second: the directive above the first line
+// of legacyWrapped's copy suppresses it, pruneWrapped's copy surfaces.
+func legacyWrapped(aSq, bSq float64) float64 {
+	//lint:ignore sqrtfree reporting helper kept for a comparison test
+	d := max(aSq,
+		math.Sqrt(bSq))
+	return d
+}
+
+func pruneWrapped(aSq, bSq float64) float64 {
+	d := max(aSq,
+		math.Sqrt(bSq))
+	return d
+}

@@ -97,8 +97,10 @@ func (c *NodeCache) Get(id storage.PageID) (*Node, bool) {
 	s := c.shardFor(id)
 	s.mu.Lock()
 	e, ok := s.entries[id]
+	var n *Node
 	if ok {
 		s.moveToFront(e)
+		n = e.node // under the lock: Add replaces an entry's node in place
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -106,7 +108,7 @@ func (c *NodeCache) Get(id storage.PageID) (*Node, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return e.node, true
+	return n, true
 }
 
 // Add caches a freshly decoded node, evicting the shard's LRU entry when

@@ -1,6 +1,6 @@
 package shard
 
-import "repro/internal/core"
+import "repro/internal/core/bound"
 
 // BoundBroadcaster shares one tighten-only global pruning bound across
 // all in-flight shard-pair joins. A tight pair found in one tile
@@ -20,23 +20,23 @@ import "repro/internal/core"
 //     still-queued shard pair's tile-level MINMINDIST against it at
 //     dispatch time.
 //
-// Both verbs are one atomic CAS-min (core.SharedBound): idempotent and
+// Both verbs are one atomic CAS-min (bound.Shared): idempotent and
 // commutative, so a late or re-ordered publication only delays pruning,
 // never breaks correctness.
 type BoundBroadcaster struct {
-	bound *core.SharedBound
+	bound *bound.Shared
 }
 
 // NewBoundBroadcaster returns a broadcaster with the bound at +Inf
 // (nothing known yet).
 func NewBoundBroadcaster() *BoundBroadcaster {
-	return &BoundBroadcaster{bound: core.NewSharedBound()}
+	return &BoundBroadcaster{bound: bound.New()}
 }
 
 // Bound exposes the shared bound for injection into a shard join's
 // core.Options.SharedBound; the join then publishes and observes it on
 // the engine's existing bound-maintenance sites.
-func (b *BoundBroadcaster) Bound() *core.SharedBound { return b.bound }
+func (b *BoundBroadcaster) Bound() *bound.Shared { return b.bound }
 
 // Load returns the current global bound as a metric key (squared
 // distance under L2), +Inf while nothing has been published.

@@ -4,7 +4,7 @@
 // dedicated buffer pool (and optional decoded-node cache), and a
 // scatter-gather executor joins the shard pairs concurrently, pruned by
 // MINMINDIST between tile MBRs and coupled through a broadcast
-// tighten-only bound (core.SharedBound) — the distributed analogue of
+// tighten-only bound (bound.Shared) — the distributed analogue of
 // the parallel engine's per-query atomic bound (DESIGN.md §13).
 package shard
 
@@ -114,7 +114,6 @@ func (s *Set) Config() Config { return s.cfg }
 // afterwards.
 func (s *Set) Close() error {
 	var errs []error
-	//lint:ignore cancelpoll teardown loop bounded by the tile count, no context at Close time
 	for _, sh := range s.shards {
 		if sh.fileA != nil {
 			errs = append(errs, sh.fileA.Close())

@@ -8,20 +8,23 @@ import (
 // ErrInjected is the failure produced by a FaultFile when a trigger fires.
 var ErrInjected = errors.New("storage: injected fault")
 
-// FaultFile wraps a PageFile and injects failures for testing: after
-// FailReadAfter / FailWriteAfter successful operations of the respective
-// kind, every further operation of that kind fails with ErrInjected until
-// the countdown is reset. A zero countdown (the default) never fires.
-// It is used by the failure-injection tests of the R-tree and the join
-// algorithms, and is exported so downstream users can test their own
-// error handling.
+// FaultFile wraps a PageFile and injects failures for testing. Reads fail
+// from a trigger on: after FailReadAfter(n) successful reads, every
+// further read fails with ErrInjected until the trigger is reset. Writes
+// fail one at a time: after FailWrite(n) only the n-th write fails, so an
+// operation's later writes (the tree header every insert and delete ends
+// with) cannot carry the error out in place of one an earlier step
+// dropped. Both triggers start disarmed. It is used by the
+// failure-injection tests of the R-tree and the join algorithms, and is
+// exported so downstream users can test their own error handling.
 type FaultFile struct {
 	mu     sync.Mutex
 	inner  PageFile
 	reads  int64
 	writes int64
-	// failRead / failWrite are the remaining successful operations before
-	// failures start; negative means disarmed.
+	// failRead is the count of reads that succeed before every later one
+	// fails, failWrite the index of the one write that fails; negative
+	// means disarmed.
 	failRead  int64
 	failWrite int64
 }
@@ -41,8 +44,10 @@ func (f *FaultFile) FailReadAfter(n int64) {
 	f.reads = 0
 }
 
-// FailWriteAfter arms the write trigger analogously.
-func (f *FaultFile) FailWriteAfter(n int64) {
+// FailWrite arms the write trigger: of the writes from now on, the n-th
+// (0-based) fails and every other one succeeds. Pass a negative n to
+// disarm.
+func (f *FaultFile) FailWrite(n int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.failWrite = n
@@ -71,11 +76,10 @@ func (f *FaultFile) ReadPage(id PageID, buf []byte) error {
 	return f.inner.ReadPage(id, buf)
 }
 
-// WritePage implements PageFile, failing once the write trigger fires.
+// WritePage implements PageFile, failing the one write the trigger names.
 func (f *FaultFile) WritePage(id PageID, buf []byte) error {
 	f.mu.Lock()
-	armed := f.failWrite >= 0
-	fire := armed && f.writes >= f.failWrite
+	fire := f.writes == f.failWrite
 	f.writes++
 	f.mu.Unlock()
 	if fire {
