@@ -184,7 +184,6 @@ all() {
 	# full), the fault sweep's parallel rows among them, and the sharded
 	# executor's parallel joins five.
 	go test -race -short -count=20 -run 'Parallel|TestSweepParallelEquivalence|TestConcurrentQueriesShareFreeList' ./internal/core
-	go test -race -short -count=20 -run 'TestFaultSweep/-par' ./internal/core
 	go test -race -count=5 -run 'TestShardedMatchesUnshardedParallelism' ./internal/shard
 	# The benchmark is a module of its own (benchmark/go.mod), outside
 	# ./...: compile and test it here so an engine change cannot break it

@@ -137,20 +137,33 @@ func settle(t *testing.T, label string, baseline int) {
 	}
 }
 
-// TestFaultSweep fails every query driver at every step it has: the N-th
-// page read of either tree for every N up to the query's read count, and
-// the N-th context poll for every poll the query makes. Each query must
-// return the injected error (or finish, having read no more than N
-// pages, with the right answer) or ctx.Err(); afterwards every worker
-// goroutine is gone, the scratch free list is within its bound, and the
-// next query returns the answer of an undisturbed run. That next query
-// completing is also the proof that no page stayed pinned: a pin is the
-// pool's shard lock, held only inside BufferPool.View, and a leaked one
-// would block its first read. On these trees a driver's loop takes fewer
-// than cancelStride steps, so the polls swept here are the checks around
-// the loops (before a traversal, per seed expansion and task, per semi
-// point); TestCancelledQueriesReturnCtxErr sweeps the loop polls.
-func TestFaultSweep(t *testing.T) {
+// TestParallelFaultSweep runs faultSweep over the parallel engine's rows
+// (HEAP at W > 1) and the self join's.
+func TestParallelFaultSweep(t *testing.T) {
+	faultSweep(t, func(d queryDriver) bool { return d.workers > 1 || d.self })
+}
+
+// TestQueriesSurfaceInjectedReadErrors runs faultSweep over the remaining
+// rows: the five algorithms at W = 1, both semi joins and the range join.
+func TestQueriesSurfaceInjectedReadErrors(t *testing.T) {
+	faultSweep(t, func(d queryDriver) bool { return d.workers == 1 && !d.self })
+}
+
+// faultSweep fails every query driver that keep selects at every step it
+// has: the N-th page read of either tree for every N up to the query's
+// read count, and the N-th context poll for every poll the query makes.
+// Each query must return the injected error (or finish, having read no
+// more than N pages, with the right answer) or ctx.Err(); afterwards
+// every worker goroutine is gone, the scratch free list is within its
+// bound, and the next query returns the answer of an undisturbed run.
+// That next query completing is also the proof that no page stayed
+// pinned: a pin is the pool's shard lock, held only inside
+// BufferPool.View, and a leaked one would block its first read. On these
+// trees a driver's loop takes fewer than cancelStride steps, so the polls
+// swept here are the checks around the loops (before a traversal, per
+// seed expansion and task, per semi point);
+// TestCancelledQueriesReturnCtxErr sweeps the loop polls.
+func faultSweep(t *testing.T, keep func(queryDriver) bool) {
 	ps, qs := uniformPoints(5200, 100, 0), uniformPoints(5300, 80, 0.3)
 	ta, fa := buildFaultTree(t, ps)
 	tb, fb := buildFaultTree(t, qs)
@@ -161,6 +174,9 @@ func TestFaultSweep(t *testing.T) {
 	}
 
 	for _, d := range queryDrivers(10, 0.02) {
+		if !keep(d) {
+			continue
+		}
 		t.Run(d.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			want, stats, err := d.run(context.Background(), ta, tb)
