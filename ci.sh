@@ -71,7 +71,6 @@ obs() {
 	go test -run 'TestDisabledHooksZeroAlloc' ./internal/core
 	go test -run 'TestCacheTraceDisabledZeroAlloc' ./internal/rtree
 	go test -run 'TestNilCaptureZeroAlloc' ./internal/obs/explain
-	go test -run 'TestShardDisabledHooksZeroAlloc' ./internal/shard
 	# The warm-query allocation budget (DESIGN.md §10): what a K-CPQ
 	# allocates depends on K alone. The core test skips itself under -race,
 	# so this line, without it, is the one place it is sure to run.
@@ -119,7 +118,7 @@ smoke() {
 	go run ./cmd/cpqgen -n 1000 -seed 1 -out "$tmp/p.csv"
 	go run ./cmd/cpqgen -n 1000 -seed 2 -out "$tmp/q.csv"
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5
-	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5 -shards 4
+	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5 -parallel 2
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5 -explain
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self -algorithm STD

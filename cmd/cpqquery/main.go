@@ -10,7 +10,7 @@
 //	cpqquery -p a.csv -self -k 5
 //	cpqquery -p a.csv -q b.csv -semi
 //	cpqquery -p a.csv -q b.csv -k 100 -watch
-//	cpqquery -p a.csv -q b.csv -k 10 -shards 4
+//	cpqquery -p a.csv -q b.csv -k 10 -parallel 4
 //	cpqquery -p a.csv -q b.csv -k 10 -explain
 //	cpqquery -p a.csv -q b.csv -k 10 -explain-json
 package main
@@ -41,7 +41,7 @@ func main() {
 		semi        = flag.Bool("semi", false, "semi-CPQ: nearest -q point for every -p point")
 		watch       = flag.Bool("watch", false, "live progress on stderr while the query runs, and a bound-convergence chart at the end")
 		quiet       = flag.Bool("quiet", false, "print only statistics, not pairs")
-		shards      = flag.Int("shards", 1, "deprecated: above 1, run the query on GOMAXPROCS parallel HEAP workers")
+		parallel    = flag.Int("parallel", 1, "HEAP worker count; 1 = the paper's sequential algorithm, 0 = GOMAXPROCS")
 		explain     = flag.Bool("explain", false, "print the query's EXPLAIN/ANALYZE tree (plan + execution)")
 		explainJSON = flag.Bool("explain-json", false, "print the EXPLAIN/ANALYZE snapshot as canonical JSON")
 	)
@@ -68,8 +68,8 @@ func main() {
 		watchWG sync.WaitGroup
 	)
 	qopts = append(qopts, cpq.WithAlgorithm(parseAlgorithm(*algorithm)))
-	if *shards > 1 {
-		qopts = append(qopts, cpq.WithShards(*shards))
+	if *parallel != 1 {
+		qopts = append(qopts, cpq.WithParallelism(*parallel))
 	}
 	doExplain := *explain || *explainJSON
 	if doExplain && (*self || *semi || *incremental != "") {

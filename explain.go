@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/obs/explain"
 )
 
@@ -21,23 +20,23 @@ type ExplainReport = explain.Explain
 // in the engine costs one pointer comparison and allocates nothing.
 type ExplainCapture = explain.Capture
 
-// ExplainSpan is one span of the query's trace in the explain snapshot.
+// ExplainSpan is the query's span in the explain snapshot: its id, label,
+// wall time, event count, result count and final bound. A query has
+// exactly one; its parallel workers emit on it.
 type ExplainSpan = explain.SpanNode
-
-// TraceContext identifies a span's position in a trace (trace id + span
-// id), as an ExplainSpan's Trace and Parent fields record it.
-type TraceContext = obs.TraceContext
 
 // NewExplainCapture returns an empty explain capture. tee, when non-nil,
 // receives every trace event the capture sees, so an existing tracer
-// keeps working while explain is on.
+// keeps working while explain is on. A query that also has a WithTracer
+// tees to that tracer instead: WithTracer wins.
 func NewExplainCapture(tee Tracer) *ExplainCapture { return explain.New(tee) }
 
 // WithExplain attaches an explain capture to the query: the capture
-// becomes the query's tracer (an existing WithTracer is teed through),
-// the plan and the per-phase execution rows are recorded, and a
-// slow-query log attached to the same query embeds the full snapshot in
-// its JSON line. Call capture.Snapshot() after the query for the report.
+// becomes the query's tracer (an existing WithTracer is teed through, in
+// place of the capture's own tee), the plan and the per-phase execution
+// rows are recorded, and a slow-query log attached to the same query
+// embeds the full snapshot in its JSON line. Call capture.Snapshot()
+// after the query for the report.
 func WithExplain(c *ExplainCapture) QueryOption {
 	return func(o *queryConfig) { o.capture = c }
 }
@@ -69,7 +68,9 @@ func ExplainContext(ctx context.Context, p, q *Index, k int, opts ...QueryOption
 func explainKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pair, Stats, error) {
 	started := time.Now()
 	cap := cfg.capture
-	cap.SetTee(cfg.core.Tracer)
+	if cfg.core.Tracer != nil {
+		cap.SetTee(cfg.core.Tracer)
+	}
 	cfg.core.Tracer = cap
 
 	// The slow-query log is recorded here, not in the engine, so the

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -134,6 +135,42 @@ func TestExplainTeesTracer(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"kind":"query_start"`) {
 		t.Fatal("teed tracer saw no events")
+	}
+}
+
+// countingTracer counts the query_start and query_end events it sees.
+type countingTracer struct{ starts, ends atomic.Int64 }
+
+func (c *countingTracer) Event(e TraceEvent) {
+	switch e.Kind {
+	case EvQueryStart:
+		c.starts.Add(1)
+	case EvQueryEnd:
+		c.ends.Add(1)
+	}
+}
+
+// TestExplainCaptureKeepsItsTee checks that the tee given to
+// NewExplainCapture survives WithExplain on a query without WithTracer:
+// it sees the query's start and end events.
+func TestExplainCaptureKeepsItsTee(t *testing.T) {
+	p, err := BuildIndex(randomPoints(69, 300, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	q, err := BuildIndex(randomPoints(70, 300, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+
+	tee := &countingTracer{}
+	if _, _, err := KClosestPairs(p, q, 5, WithExplain(NewExplainCapture(tee))); err != nil {
+		t.Fatal(err)
+	}
+	if s, e := tee.starts.Load(), tee.ends.Load(); s != 1 || e != 1 {
+		t.Fatalf("tee saw %d query_start and %d query_end events, want 1 and 1", s, e)
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 
 // Shared is a tighten-only pruning bound shared across cooperating joins.
 // Every parallel query holds one (its workers' common T), and the shard
-// scatter-gather executor injects one (via core.Options.SharedBound) into
-// every shard-pair join it dispatches, so a tight pair found inside one
-// task or tile immediately prunes the traversal of every other.
+// scatter-gather executor creates one and sets it directly as
+// core.Options.SharedBound of every shard-pair join it dispatches, so a
+// tight pair found inside one task or tile immediately prunes the
+// traversal of every other.
 //
 // The value is a distance key (squared under L2), the same unit as the
 // engine's internal bound T. Only sound global upper bounds may be

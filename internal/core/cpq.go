@@ -64,7 +64,7 @@ func kClosestPairs(ctx context.Context, ta, tb *rtree.Tree, k int, opts Options,
 		label = QueryLabel(opts, k, self)
 	}
 	if opts.Tracer != nil {
-		j.span = obs.StartSpanFrom(opts.Tracer, opts.Trace, label)
+		j.span = obs.StartSpan(opts.Tracer, label)
 	}
 	var started time.Time
 	if measure {

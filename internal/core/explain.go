@@ -3,8 +3,7 @@ package core
 import "repro/internal/obs/explain"
 
 // ExplainStats renders the work counters in the explain snapshot's
-// canonical form, shared by the shard executor (per-join rows) and the
-// facade (query totals).
+// canonical form, for the facade's query totals.
 func (s Stats) ExplainStats() explain.Stats {
 	return explain.Stats{
 		Accesses:           s.Accesses(),

@@ -201,18 +201,13 @@ type Options struct {
 	// queries slower than its threshold as JSON lines.
 	SlowLog *obs.SlowQueryLog
 	// SharedBound, when non-nil, couples this query to other in-flight
-	// joins through an external tighten-only pruning bound (the shard
-	// executor's broadcast bound, DESIGN.md §13). The join prunes against
-	// min(T, SharedBound.Load()) and publishes its own sound global upper
-	// bounds back through Tighten, so a tight pair found by any
-	// cooperating join prunes all the others. nil — the default — keeps
-	// the query self-contained.
+	// joins through an external tighten-only pruning bound (the one the
+	// shard executor shares across its joins, DESIGN.md §13). The join
+	// prunes against min(T, SharedBound.Load()) and publishes its own
+	// sound global upper bounds back through Tighten, so a tight pair
+	// found by any cooperating join prunes all the others. nil — the
+	// default — keeps the query self-contained.
 	SharedBound *bound.Shared
-	// Trace is the parent trace context for this query's span. The zero
-	// value — the default — opens a fresh root trace; the shard executor
-	// sets it to its own query span's context so per-shard join spans
-	// correlate with the gather-side span. Ignored when Tracer is nil.
-	Trace obs.TraceContext
 	// Parallelism is the number of worker goroutines for the HEAP
 	// algorithm. 0 and 1 run the paper's sequential algorithm, whose disk
 	// access counts repeat exactly; N > 1 runs N workers, each a

@@ -60,13 +60,13 @@ func (s Stats) String() string {
 
 // Merge folds other into s: IO deltas and work counters add element-wise,
 // the queue high-water mark takes the maximum. It is the one aggregation
-// helper for combining per-shard (or otherwise partial) query stats —
-// the shard executor's gather and the facade's per-tree cache-delta fold
-// both go through it, so a new Stats field only needs its combination
-// rule stated here (and in statsAcc.add, which folds a parallel worker's
-// live counters the same way). Merge operates on snapshots: take them with
-// statsAcc.snapshot (or pool/cache Stats diffs) first; the snapshots
-// themselves are plain values, so merging needs no atomics.
+// helper for combining partial query stats — the query's per-tree
+// cache-delta fold goes through it, so a new Stats field only needs its
+// combination rule stated here (and in statsAcc.add, which folds a
+// parallel worker's live counters the same way). Merge operates on
+// snapshots: take them with statsAcc.snapshot (or pool/cache Stats
+// diffs) first; the snapshots themselves are plain values, so merging
+// needs no atomics.
 func (s *Stats) Merge(other Stats) {
 	s.IOP = s.IOP.Add(other.IOP)
 	s.IOQ = s.IOQ.Add(other.IOQ)

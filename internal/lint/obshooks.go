@@ -38,11 +38,11 @@ type ObsHooks struct {
 // explain.Capture implementation included), Span.Emit/End, and the metric
 // mutators Counter.Inc/Add, Gauge.Set/Add, Histogram.Observe. Aggregating
 // consumers (EngineMetrics.Record, SlowQueryLog.Record) and the explain
-// capture's structured mutators (Phase, AddShardPair, SetShards, ...) are
-// nil-safe by contract and not flagged.
+// capture's structured mutators (SetPlan, Phase, SetResult) are nil-safe
+// by contract and not flagged.
 func NewObsHooks() *ObsHooks {
 	return &ObsHooks{
-		Scopes: []string{"internal/core", "internal/rtree", "internal/storage", "internal/shard"},
+		Scopes: []string{"internal/core", "internal/rtree", "internal/storage"},
 		Methods: map[string]bool{
 			"Event":   true,
 			"Emit":    true,

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"strconv"
-)
+import "encoding/json"
 
 // EngineMetrics is the fixed metric set the CPQ engine records into — one
 // struct of pre-registered handles so the per-query recording path does no
@@ -33,20 +30,12 @@ type EngineMetrics struct {
 	// WorkerUtilization is busy-time / (workers × wall-time) per parallel
 	// query (0..1); sequential queries do not record it.
 	WorkerUtilization *Histogram
-
-	// reg is kept for the per-shard labeled series RecordShards mints on
-	// demand: the shard axis is dynamic (tile counts vary per query), so
-	// those handles cannot be pre-registered here. The registry's
-	// get-or-create identity (name + label set) makes each lookup cheap
-	// after the first query touches a shard id.
-	reg *Metrics
 }
 
 // NewEngineMetrics registers the engine's metric set on m under the cpq_
 // namespace and returns the handles.
 func NewEngineMetrics(m *Metrics) *EngineMetrics {
 	return &EngineMetrics{
-		reg:         m,
 		Queries:     m.Counter("cpq_queries_total", "Completed closest-pair queries."),
 		QueryErrors: m.Counter("cpq_query_errors_total", "Closest-pair queries that returned an error."),
 		QuerySeconds: m.Histogram("cpq_query_seconds", "Query latency in seconds.",
@@ -117,47 +106,5 @@ func (em *EngineMetrics) Record(r QueryReport) {
 	em.NodeCacheMisses.Add(r.CacheMisses)
 	if lookups := em.NodeCacheHits.Value() + em.NodeCacheMisses.Value(); lookups > 0 {
 		em.NodeCacheHitRatio.Set(float64(em.NodeCacheHits.Value()) / float64(lookups))
-	}
-}
-
-// ShardRecord is one shard's contribution to a sharded scatter-gather
-// execution, fed to RecordShards by the shard executor at completion.
-type ShardRecord struct {
-	// Shard is the tile index (the metric label value).
-	Shard int
-	// Planned, Pruned and Joined count the shard-pair joins this shard
-	// participated in: planned by the executor, eliminated by the
-	// broadcast bound before dispatch, and actually dispatched.
-	Planned, Pruned, Joined int64
-	// Accesses is the shard's buffer-pool miss delta over the execution;
-	// CacheHits/CacheMisses the decoded-node cache deltas.
-	Accesses    int64
-	CacheHits   int64
-	CacheMisses int64
-}
-
-// RecordShards feeds one sharded execution's per-shard rows into the
-// registry as cpq_shard_* counters labeled by shard id, so Prometheus
-// exposition covers where a scatter-gather query's work went. Nil-safe on
-// both the handle and a metric set built without a registry; like Record,
-// it runs once per query on the gather goroutine, never inside a join.
-func (em *EngineMetrics) RecordShards(rows []ShardRecord) {
-	if em == nil || em.reg == nil {
-		return
-	}
-	for _, r := range rows {
-		l := Label{Key: "shard", Value: strconv.Itoa(r.Shard)}
-		em.reg.Counter("cpq_shard_pairs_planned_total",
-			"Shard-pair joins planned for this shard over all sharded queries.", l).Add(r.Planned)
-		em.reg.Counter("cpq_shard_pairs_pruned_total",
-			"Planned shard-pair joins the broadcast bound eliminated before dispatch.", l).Add(r.Pruned)
-		em.reg.Counter("cpq_shard_pairs_joined_total",
-			"Shard-pair joins dispatched for this shard.", l).Add(r.Joined)
-		em.reg.Counter("cpq_shard_accesses_total",
-			"Disk accesses (buffer-pool misses) charged to this shard's pools.", l).Add(r.Accesses)
-		em.reg.Counter("cpq_shard_node_cache_hits_total",
-			"Decoded-node cache hits on this shard's trees.", l).Add(r.CacheHits)
-		em.reg.Counter("cpq_shard_node_cache_misses_total",
-			"Decoded-node cache misses on this shard's trees.", l).Add(r.CacheMisses)
 	}
 }

@@ -8,9 +8,8 @@ import (
 )
 
 // TestEventKindExhaustive pins EventKind.String and the JSONL encoding
-// over every declared kind: a PR that appends a kind to the taxonomy
-// (as PR 9 did with EvShard*) without naming it fails here instead of
-// shipping "unknown" lines.
+// over every declared kind: a kind appended to the taxonomy without a
+// name fails here instead of shipping "unknown" lines.
 func TestEventKindExhaustive(t *testing.T) {
 	seen := map[string]EventKind{}
 	for k := EventKind(0); k < evKindCount; k++ {
@@ -44,81 +43,30 @@ func TestEventKindExhaustive(t *testing.T) {
 	}
 }
 
-// TestStartSpanFrom pins the trace-propagation contract: a root span's
-// trace id is its own id, a child inherits the parent's trace id and
-// records the parent's span id, and every stamped event carries both.
-func TestStartSpanFrom(t *testing.T) {
-	tr := &captureTracer{}
-	root := StartSpan(tr, "query")
-	rc := root.Context()
-	if rc.TraceID == 0 || rc.TraceID != rc.SpanID {
-		t.Fatalf("root context = %+v, want trace id == span id != 0", rc)
-	}
-	child := StartSpanFrom(tr, rc, "shard-join")
-	cc := child.Context()
-	if cc.TraceID != rc.TraceID {
-		t.Fatalf("child trace id %d, want parent's %d", cc.TraceID, rc.TraceID)
-	}
-	if cc.SpanID == rc.SpanID {
-		t.Fatalf("child reused the parent span id %d", rc.SpanID)
-	}
-	child.Emit(Event{Kind: EvNodeExpanded})
-	child.End(0, 1, "")
-	for _, e := range tr.events[1:] { // events of the child span
-		if e.Trace != rc.TraceID {
-			t.Errorf("child event %s trace %d, want %d", e.Kind, e.Trace, rc.TraceID)
-		}
-		if e.Parent != rc.SpanID {
-			t.Errorf("child event %s parent %d, want %d", e.Kind, e.Parent, rc.SpanID)
-		}
-	}
-
-	// Nil-safety: a nil span yields the zero context, and a zero context
-	// opens a fresh root trace.
-	var nilSpan *Span
-	if nilSpan.Context() != (TraceContext{}) {
-		t.Fatalf("nil span context = %+v, want zero", nilSpan.Context())
-	}
-	if s := StartSpanFrom(nil, rc, "x"); s != nil {
-		t.Fatalf("StartSpanFrom(nil tracer) = %v, want nil", s)
-	}
-}
-
-// TestJSONLTraceFields pins the wire shape: root query_start lines keep
-// the pre-TraceContext byte layout (no trace/parent keys), child spans
-// carry both on query_start only.
+// TestJSONLTraceFields pins the wire shape of a query's span: its lines
+// carry the span id and sequence number and no trace, parent or worker
+// keys, the shape every query path has always written.
 func TestJSONLTraceFields(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewJSONLWriter(&buf)
-	root := StartSpan(w, "q")
-	child := StartSpanFrom(w, root.Context(), "join")
-	child.Emit(Event{Kind: obsTestKindNode, New: 1})
-	child.End(1, 1, "")
-	root.End(1, 1, "")
+	s := StartSpan(w, "q")
+	s.Emit(Event{Kind: EvNodeExpanded, New: 1})
+	s.End(1, 1, "")
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("got %d lines, want 5:\n%s", len(lines), buf.String())
+	if len(lines) != 3 {
+		t.Fatalf("got %d lines, want 3:\n%s", len(lines), buf.String())
 	}
-	if strings.Contains(lines[0], `"trace"`) || strings.Contains(lines[0], `"parent"`) {
-		t.Errorf("root query_start grew trace fields: %s", lines[0])
+	if want := `{"kind":"query_start","span":`; !strings.HasPrefix(lines[0], want) {
+		t.Errorf("query_start line %s, want prefix %s", lines[0], want)
 	}
-	var m map[string]any
-	if err := json.Unmarshal([]byte(lines[1]), &m); err != nil {
-		t.Fatal(err)
-	}
-	rc := root.Context()
-	if m["trace"] != float64(rc.TraceID) || m["parent"] != float64(rc.SpanID) {
-		t.Errorf("child query_start = %v, want trace=%d parent=%d", m, rc.TraceID, rc.SpanID)
-	}
-	for _, line := range lines[2:] {
-		if strings.Contains(line, `"trace"`) {
-			t.Errorf("non-start event carries trace fields: %s", line)
+	for _, line := range lines {
+		for _, key := range []string{`"trace"`, `"parent"`, `"worker"`} {
+			if strings.Contains(line, key) {
+				t.Errorf("line carries %s: %s", key, line)
+			}
 		}
 	}
 }
-
-// obsTestKindNode keeps the test independent of specific event kinds.
-const obsTestKindNode = EvNodeExpanded

@@ -1,7 +1,6 @@
 package explain
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/obs"
@@ -9,9 +8,9 @@ import (
 
 // Capture collects one query's EXPLAIN/ANALYZE data. It implements
 // obs.Tracer, so attaching it as (or teeing it into) the query's tracer
-// rebuilds the span tree and bound trajectory from the trace stream, while
-// the gather-side code feeds it structured rows (plan, phases, shard-pair
-// decisions) through the mutators.
+// rebuilds the span and bound trajectory from the trace stream, while
+// the facade feeds it structured rows (plan, phases, totals) through the
+// mutators.
 //
 // All methods are safe for concurrent use (parallel workers emit trace
 // events) and nil-safe: every method on a nil *Capture returns
@@ -22,8 +21,6 @@ type Capture struct {
 	inner  obs.Tracer // optional tee (the user's own tracer)
 	plan   Plan
 	phases []Phase
-	pairs  []ShardPair
-	shards []ShardStat
 	bounds []BoundStep
 	counts [int(obsKindCount)]int64
 	spans  map[uint64]*spanState
@@ -54,7 +51,7 @@ func New(inner obs.Tracer) *Capture {
 // Enabled reports whether the capture collects (false for nil).
 func (c *Capture) Enabled() bool { return c != nil }
 
-// Event implements obs.Tracer: it maintains the span forest, the bound
+// Event implements obs.Tracer: it maintains the spans, the bound
 // trajectory and the per-kind counts, and forwards to the tee.
 func (c *Capture) Event(e obs.Event) {
 	if c == nil {
@@ -70,8 +67,7 @@ func (c *Capture) Event(e obs.Event) {
 	case obs.EvQueryStart:
 		if _, ok := c.spans[e.Span]; !ok {
 			c.spans[e.Span] = &spanState{node: SpanNode{
-				Span: e.Span, Trace: e.Trace, Parent: e.Parent,
-				Label: e.Label, FinalBound: Unbounded,
+				Span: e.Span, Label: e.Label, FinalBound: Unbounded,
 			}}
 			c.order = append(c.order, e.Span)
 		}
@@ -131,27 +127,6 @@ func (c *Capture) Phase(name string, ns int64) {
 	c.mu.Unlock()
 }
 
-// AddShardPair records one planned shard pair's fate (joined or pruned).
-// Safe to call from executor workers.
-func (c *Capture) AddShardPair(p ShardPair) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.pairs = append(c.pairs, p)
-	c.mu.Unlock()
-}
-
-// SetShards records the per-shard work attribution rows.
-func (c *Capture) SetShards(rows []ShardStat) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.shards = rows
-	c.mu.Unlock()
-}
-
 // SetResult records the query's totals: wall time, aggregated counters,
 // result count and the K-th distance.
 func (c *Capture) SetResult(durNS int64, stats Stats, results int, kth float64) {
@@ -166,10 +141,8 @@ func (c *Capture) SetResult(durNS int64, stats Stats, results int, kth float64) 
 	c.mu.Unlock()
 }
 
-// Snapshot assembles the explain report collected so far. The span forest
-// is rebuilt from the trace stream: children attach under their parent
-// span when it was captured locally; roots (and orphans whose parent ran
-// elsewhere) surface at the top level, sorted by first appearance.
+// Snapshot assembles the explain report collected so far, with the
+// captured spans in first-seen order.
 func (c *Capture) Snapshot() *Explain {
 	if c == nil {
 		return nil
@@ -181,8 +154,6 @@ func (c *Capture) Snapshot() *Explain {
 	e.Exec = Exec{
 		DurationNS:  c.dur,
 		Phases:      append([]Phase(nil), c.phases...),
-		ShardPairs:  sortedPairs(c.pairs),
-		Shards:      append([]ShardStat(nil), c.shards...),
 		Bounds:      append([]BoundStep(nil), c.bounds...),
 		Stats:       c.stats,
 		Results:     c.nres,
@@ -193,54 +164,11 @@ func (c *Capture) Snapshot() *Explain {
 			e.Exec.Events = append(e.Exec.Events, KindCount{Kind: obs.EventKind(k).String(), N: n})
 		}
 	}
-	e.Exec.Spans = c.buildForest()
-	return e
-}
-
-// sortedPairs orders shard-pair rows deterministically (by A then B):
-// workers append concurrently, so arrival order varies run to run while
-// the canonical JSON must not.
-func sortedPairs(pairs []ShardPair) []ShardPair {
-	out := append([]ShardPair(nil), pairs...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
-
-// buildForest links captured spans into trees by parent id. Caller holds
-// c.mu.
-func (c *Capture) buildForest() []SpanNode {
-	if len(c.order) == 0 {
-		return nil
-	}
-	// Group child ids under their parents, preserving first-seen order.
-	children := make(map[uint64][]uint64)
-	var roots []uint64
 	for _, id := range c.order {
-		s := c.spans[id]
-		if p := s.node.Parent; p != 0 && c.spans[p] != nil {
-			children[p] = append(children[p], id)
-		} else {
-			roots = append(roots, id)
-		}
-	}
-	var build func(id uint64) SpanNode
-	build = func(id uint64) SpanNode {
 		s := c.spans[id]
 		n := s.node
 		n.Events = s.events
-		for _, cid := range children[id] {
-			n.Children = append(n.Children, build(cid))
-		}
-		return n
+		e.Exec.Spans = append(e.Exec.Spans, n)
 	}
-	out := make([]SpanNode, 0, len(roots))
-	for _, id := range roots {
-		out = append(out, build(id))
-	}
-	return out
+	return e
 }

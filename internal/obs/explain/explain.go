@@ -1,14 +1,14 @@
 // Package explain is the engine's per-query EXPLAIN/ANALYZE subsystem: a
 // Capture that records one query's plan (algorithm, K, workers) and
-// execution (phase wall breakdown, per-shard-pair dispatch decisions of
-// the shard executor, bound-tightening trajectory, span tree, full work
-// counters), and renders the snapshot as a text tree or canonical JSON.
+// execution (phase wall breakdown, bound-tightening trajectory, the
+// query's span, full work counters), and renders the snapshot as a text
+// tree or canonical JSON.
 //
 // The package sits beside the rest of internal/obs: it imports only obs
 // and the standard library, so core, shard and the facade can all feed it
 // without cycles. A Capture doubles as an obs.Tracer, so one value both
-// collects structured rows from the gather side and rebuilds the span tree
-// from the trace stream.
+// collects structured rows from the facade and rebuilds the span and the
+// bound trajectory from the trace stream.
 //
 // Everything is nil-safe in the PR 5 disabled-hook discipline: every
 // method on a nil *Capture returns immediately, so explain-off query paths
@@ -53,16 +53,9 @@ type Plan struct {
 type Exec struct {
 	// DurationNS is the query's total wall time.
 	DurationNS int64 `json:"duration_ns"`
-	// Phases is the wall breakdown in execution order (partition, build,
-	// dispatch, join, merge for a sharded run).
+	// Phases is the wall breakdown in execution order (one join phase
+	// for a facade query; partition and build for the shard partitioner).
 	Phases []Phase `json:"phases,omitempty"`
-	// ShardPairs has one row per planned shard pair, in decision order:
-	// every pair the executor planned is either pruned here or joined
-	// here, so the rows sum to the executor's planned/pruned counts.
-	ShardPairs []ShardPair `json:"shard_pairs,omitempty"`
-	// Shards attributes the work counters per shard (the same rows fed to
-	// the cpq_shard_* metrics).
-	Shards []ShardStat `json:"shards,omitempty"`
 	// Bounds is the bound-tightening trajectory: every strict decrease of
 	// the pruning bound, timestamped relative to its span's start.
 	Bounds []BoundStep `json:"bounds,omitempty"`
@@ -74,8 +67,8 @@ type Exec struct {
 	// reported distance (0 when no results).
 	Results     int     `json:"results"`
 	KthDistance float64 `json:"kth_distance"`
-	// Spans is the query's span forest: the gather-side query span with
-	// its shard-join children.
+	// Spans lists the spans the capture saw, in first-seen order: one for
+	// a query, whose parallel workers all emit on the query's span.
 	Spans []SpanNode `json:"spans,omitempty"`
 }
 
@@ -83,49 +76,6 @@ type Exec struct {
 type Phase struct {
 	Name       string `json:"name"`
 	DurationNS int64  `json:"duration_ns"`
-}
-
-// ShardPair is one planned shard-pair join and what became of it.
-type ShardPair struct {
-	// A and B are the two shard ids (A-side tile, B-side tile).
-	A int `json:"a"`
-	B int `json:"b"`
-	// Status is "joined" or "pruned".
-	Status string `json:"status"`
-	// MinMinDist is the MINMINDIST key between the two tile MBRs; Bound is
-	// the broadcast bound at decision time (Unbounded when no bound had
-	// been established yet).
-	MinMinDist float64 `json:"minmindist"`
-	Bound      float64 `json:"bound"`
-	// Worker is the executor worker that ran a joined pair.
-	Worker int `json:"worker,omitempty"`
-	// DurationNS, Results, Accesses, NodePairs and PointPairs describe a
-	// joined pair's work (all zero for pruned pairs).
-	DurationNS int64 `json:"duration_ns,omitempty"`
-	Results    int   `json:"results,omitempty"`
-	Accesses   int64 `json:"accesses,omitempty"`
-	NodePairs  int64 `json:"node_pairs,omitempty"`
-	PointPairs int64 `json:"point_pairs,omitempty"`
-}
-
-// Statuses for ShardPair.Status.
-const (
-	StatusJoined = "joined"
-	StatusPruned = "pruned"
-)
-
-// ShardStat attributes executor work to one shard (mirrors
-// obs.ShardRecord, which feeds the labeled metrics).
-type ShardStat struct {
-	Shard   int   `json:"shard"`
-	Planned int64 `json:"planned"`
-	Pruned  int64 `json:"pruned"`
-	Joined  int64 `json:"joined"`
-	// Accesses is the shard's buffer-pool miss delta; CacheHits and
-	// CacheMisses the decoded-node cache deltas.
-	Accesses    int64 `json:"accesses"`
-	CacheHits   int64 `json:"cache_hits,omitempty"`
-	CacheMisses int64 `json:"cache_misses,omitempty"`
 }
 
 // BoundStep is one strict decrease of the pruning bound.
@@ -138,7 +88,7 @@ type BoundStep struct {
 	New float64 `json:"new"`
 	// Source names the pruning rule (obs.BoundSource).
 	Source string `json:"source"`
-	// Span is the emitting span's id (a shard join or the query span).
+	// Span is the emitting span's id.
 	Span uint64 `json:"span"`
 }
 
@@ -164,26 +114,22 @@ type Stats struct {
 	NodeCacheMisses    int64 `json:"node_cache_misses"`
 }
 
-// SpanNode is one span of the query's trace, with its children.
+// SpanNode is one span of the query's trace.
 type SpanNode struct {
-	// Span is the span's id, Trace the distributed trace id it belongs
-	// to, Parent the id of the span it was started from (0 for roots).
-	Span   uint64 `json:"span"`
-	Trace  uint64 `json:"trace"`
-	Parent uint64 `json:"parent,omitempty"`
+	// Span is the span's id.
+	Span uint64 `json:"span"`
 	// Label is the span's EvQueryStart label.
 	Label string `json:"label"`
 	// DurationNS is start-to-end wall time (0 if the span never ended).
 	DurationNS int64 `json:"duration_ns"`
-	// Events counts the span's own events (children excluded).
+	// Events counts the span's events.
 	Events int64 `json:"events"`
 	// FinalBound is the final pruning bound at EvQueryEnd (Unbounded when
 	// never tightened below +Inf); Results the span's result count; Err
 	// the error text, empty on success.
-	FinalBound float64    `json:"final_bound"`
-	Results    int64      `json:"results"`
-	Err        string     `json:"err,omitempty"`
-	Children   []SpanNode `json:"children,omitempty"`
+	FinalBound float64 `json:"final_bound"`
+	Results    int64   `json:"results"`
+	Err        string  `json:"err,omitempty"`
 }
 
 // JSON renders the snapshot in its canonical byte-stable form: fixed field

@@ -17,7 +17,7 @@ import (
 func sampleExplain() *Explain {
 	return &Explain{
 		Plan: Plan{
-			Label:     "HEAP k=8 shards=4",
+			Label:     "HEAP k=8 par=4",
 			Algorithm: "HEAP",
 			K:         8,
 			Workers:   4,
@@ -25,31 +25,15 @@ func sampleExplain() *Explain {
 		Exec: Exec{
 			DurationNS: 12_345_678,
 			Phases: []Phase{
-				{Name: "partition", DurationNS: 1_200_000},
-				{Name: "build", DurationNS: 3_400_000},
-				{Name: "dispatch", DurationNS: 100_000},
-				{Name: "join", DurationNS: 6_500_000},
-				{Name: "merge", DurationNS: 200_000},
-			},
-			ShardPairs: []ShardPair{
-				{A: 0, B: 0, Status: StatusJoined, MinMinDist: 0, Bound: Unbounded,
-					Worker: 1, DurationNS: 2_000_000, Results: 8, Accesses: 120, NodePairs: 64, PointPairs: 512},
-				{A: 0, B: 1, Status: StatusJoined, MinMinDist: 0.001, Bound: 0.02,
-					Worker: 2, DurationNS: 1_500_000, Results: 3, Accesses: 80, NodePairs: 40, PointPairs: 300},
-				{A: 2, B: 3, Status: StatusPruned, MinMinDist: 0.5, Bound: 0.002},
-			},
-			Shards: []ShardStat{
-				{Shard: 0, Planned: 2, Pruned: 0, Joined: 2, Accesses: 200, CacheHits: 10, CacheMisses: 2},
-				{Shard: 1, Planned: 1, Pruned: 0, Joined: 1, Accesses: 80},
-				{Shard: 2, Planned: 1, Pruned: 1, Joined: 0},
-				{Shard: 3, Planned: 1, Pruned: 1, Joined: 0},
+				{Name: "join", DurationNS: 12_100_000},
 			},
 			Bounds: []BoundStep{
-				{Nanos: 800_000, Old: Unbounded, New: 0.02, Source: "kheap", Span: 18},
+				{Nanos: 800_000, Old: Unbounded, New: 0.02, Source: "kheap", Span: 17},
 				{Nanos: 2_100_000, Old: 0.02, New: 0.002, Source: "merge", Span: 17},
 			},
 			Events: []KindCount{
-				{Kind: "query_start", N: 3},
+				{Kind: "query_start", N: 1},
+				{Kind: "query_end", N: 1},
 				{Kind: "node_expanded", N: 104},
 				{Kind: "bound_tightened", N: 2},
 			},
@@ -61,14 +45,8 @@ func sampleExplain() *Explain {
 			Results:     8,
 			KthDistance: 0.00132,
 			Spans: []SpanNode{{
-				Span: 17, Trace: 17, Label: "HEAP k=8 shards=4", DurationNS: 12_000_000,
-				Events: 9, FinalBound: 0.002, Results: 8,
-				Children: []SpanNode{
-					{Span: 18, Trace: 17, Parent: 17, Label: "HEAP k=8", DurationNS: 2_000_000,
-						Events: 60, FinalBound: 0.02, Results: 8},
-					{Span: 19, Trace: 17, Parent: 17, Label: "HEAP k=8", DurationNS: 1_500_000,
-						Events: 44, FinalBound: 0.002, Results: 3},
-				},
+				Span: 17, Label: "HEAP k=8 par=4", DurationNS: 12_000_000,
+				Events: 108, FinalBound: 0.002, Results: 8,
 			}},
 		},
 	}
@@ -113,36 +91,27 @@ func TestExplainGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCaptureSpanForest drives a Capture as a Tracer through a sharded
-// query shape and checks the rebuilt span tree and bound trajectory.
-func TestCaptureSpanForest(t *testing.T) {
+// TestCaptureSpan drives a Capture as a Tracer through one query span and
+// checks the captured span and bound trajectory.
+func TestCaptureSpan(t *testing.T) {
 	c := New(nil)
-	root := obs.StartSpan(c, "query")
-	rc := root.Context()
-	child := obs.StartSpanFrom(c, rc, "join-0")
-	child.Emit(obs.Event{Kind: obs.EvBoundTightened, Old: math.Inf(1), New: 0.5, Source: obs.SourceKHeap})
-	child.End(0.5, 3, "")
-	root.End(0.25, 8, "")
+	s := obs.StartSpan(c, "query")
+	s.Emit(obs.Event{Kind: obs.EvBoundTightened, Old: math.Inf(1), New: 0.5, Source: obs.SourceKHeap})
+	s.End(0.25, 8, "")
 
 	snap := c.Snapshot()
 	if len(snap.Exec.Spans) != 1 {
-		t.Fatalf("got %d root spans, want 1: %+v", len(snap.Exec.Spans), snap.Exec.Spans)
+		t.Fatalf("got %d spans, want 1: %+v", len(snap.Exec.Spans), snap.Exec.Spans)
 	}
 	q := snap.Exec.Spans[0]
-	if q.Trace != rc.TraceID || q.Span != rc.SpanID {
-		t.Fatalf("root span = %+v, want trace %d span %d", q, rc.TraceID, rc.SpanID)
-	}
-	if len(q.Children) != 1 || q.Children[0].Label != "join-0" || q.Children[0].Trace != rc.TraceID {
-		t.Fatalf("children = %+v", q.Children)
-	}
-	if q.FinalBound != 0.25 || q.Results != 8 {
-		t.Fatalf("root end not captured: %+v", q)
+	if q.Label != "query" || q.Events != 3 || q.FinalBound != 0.25 || q.Results != 8 {
+		t.Fatalf("span = %+v, want \"query\" with 3 events, final bound 0.25, 8 results", q)
 	}
 	if len(snap.Exec.Bounds) != 1 || snap.Exec.Bounds[0].Old != Unbounded || snap.Exec.Bounds[0].New != 0.5 {
 		t.Fatalf("bounds = %+v, want one step inf→0.5", snap.Exec.Bounds)
 	}
-	if snap.Exec.Bounds[0].Source != "kheap" {
-		t.Fatalf("bound source = %q", snap.Exec.Bounds[0].Source)
+	if b := snap.Exec.Bounds[0]; b.Source != "kheap" || b.Span != q.Span {
+		t.Fatalf("bound step = %+v, want source kheap on span %d", b, q.Span)
 	}
 }
 
@@ -177,8 +146,6 @@ func TestNilCaptureZeroAlloc(t *testing.T) {
 		c.Event(obs.Event{Kind: obs.EvNodeExpanded})
 		c.SetPlan(Plan{})
 		c.Phase("join", 1)
-		c.AddShardPair(ShardPair{A: 1, B: 2})
-		c.SetShards(nil)
 		c.SetResult(1, Stats{}, 1, 0.5)
 	})
 	if allocs != 0 {
@@ -190,17 +157,15 @@ func TestNilCaptureZeroAlloc(t *testing.T) {
 func TestRender(t *testing.T) {
 	out := sampleExplain().Render()
 	for _, want := range []string{
-		"QUERY HEAP k=8 shards=4",
+		"QUERY HEAP k=8 par=4",
 		"plan",
 		"algorithm: HEAP  k=8  workers=4",
 		"execution",
-		"phases: partition 1.2ms",
-		"shard pairs: 3 planned = 2 joined + 1 pruned",
-		"[2,3] pruned",
+		"phases: join 12.1ms",
 		"bound trajectory: 2 tightenings, ∞ → 0.002",
 		"stats: 280 accesses",
 		"results: 8 pairs",
-		"trace 17 · span 17",
+		`└─ span 17 "HEAP k=8 par=4" 12ms, 108 events, 8 results, final bound 0.002`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render output missing %q:\n%s", want, out)
@@ -232,7 +197,7 @@ func FuzzExplainRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add([]byte(`{"plan":{"label":"STD k=1","algorithm":"STD","k":1,"workers":1},"exec":{"duration_ns":1,"stats":{"accesses":2,"reads_p":1,"reads_q":1,"buffer_hits":0,"node_pairs":1,"sub_pairs_generated":0,"sub_pairs_pruned":0,"point_pairs":4,"max_queue_size":0,"node_cache_hits":0,"node_cache_misses":0},"results":1,"kth_distance":0.25}}`))
+	f.Add([]byte(`{"plan":{"label":"STD k=1","algorithm":"STD","k":1,"workers":1},"exec":{"duration_ns":1,"stats":{"accesses":2,"reads_p":1,"reads_q":1,"buffer_hits":0,"node_pairs":1,"sub_pairs_generated":0,"sub_pairs_pruned":0,"point_pairs":4,"max_queue_size":0,"node_cache_hits":0,"node_cache_misses":0},"results":1,"kth_distance":0.25,"spans":[{"span":1,"label":"STD k=1","duration_ns":1,"events":2,"final_bound":0.0625,"results":1}]}}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var e Explain

@@ -32,28 +32,6 @@ func (e *Explain) Render() string {
 		}
 		lines = append(lines, "phases: "+strings.Join(parts, " · "))
 	}
-	if len(e.Exec.ShardPairs) > 0 {
-		var joined, pruned int
-		for _, p := range e.Exec.ShardPairs {
-			if p.Status == StatusPruned {
-				pruned++
-			} else {
-				joined++
-			}
-		}
-		lines = append(lines, fmt.Sprintf("shard pairs: %d planned = %d joined + %d pruned",
-			len(e.Exec.ShardPairs), joined, pruned))
-		for _, p := range e.Exec.ShardPairs {
-			if p.Status == StatusPruned {
-				lines = append(lines, fmt.Sprintf("  [%d,%d] pruned  minmin=%s bound=%s",
-					p.A, p.B, fmtKey(p.MinMinDist), fmtKey(p.Bound)))
-				continue
-			}
-			lines = append(lines, fmt.Sprintf("  [%d,%d] joined  minmin=%s bound=%s worker=%d %s: %d results, %d accesses, %d node pairs",
-				p.A, p.B, fmtKey(p.MinMinDist), fmtKey(p.Bound), p.Worker, fmtDur(p.DurationNS),
-				p.Results, p.Accesses, p.NodePairs))
-		}
-	}
 	if len(e.Exec.Bounds) > 0 {
 		lines = append(lines, fmt.Sprintf("bound trajectory: %d tightenings, %s → %s",
 			len(e.Exec.Bounds), fmtKey(e.Exec.Bounds[0].Old), fmtKey(e.Exec.Bounds[len(e.Exec.Bounds)-1].New)))
@@ -67,7 +45,7 @@ func (e *Explain) Render() string {
 		e.Exec.Stats.NodeCacheHits, e.Exec.Stats.NodeCacheHits+e.Exec.Stats.NodeCacheMisses))
 	lines = append(lines, fmt.Sprintf("results: %d pairs, k-th distance %.6g", e.Exec.Results, e.Exec.KthDistance))
 	for _, s := range e.Exec.Spans {
-		lines = append(lines, spanLines(s, 0)...)
+		lines = append(lines, spanLine(s))
 	}
 	writeBranch(&b, "   ", lines)
 	return b.String()
@@ -84,23 +62,13 @@ func trajectoryHighlights(steps []BoundStep) []BoundStep {
 	return append(out, steps[len(steps)-max/2:]...)
 }
 
-func spanLines(s SpanNode, depth int) []string {
-	indent := strings.Repeat("  ", depth)
-	head := "span"
-	if depth == 0 {
-		head = fmt.Sprintf("trace %d · span", s.Trace)
-	}
+func spanLine(s SpanNode) string {
 	status := ""
 	if s.Err != "" {
 		status = " err=" + s.Err
 	}
-	lines := []string{fmt.Sprintf("%s%s %d %q %s, %d events, %d results, final bound %s%s",
-		indent, head, s.Span, s.Label, fmtDur(s.DurationNS), s.Events, s.Results,
-		fmtKey(s.FinalBound), status)}
-	for _, c := range s.Children {
-		lines = append(lines, spanLines(c, depth+1)...)
-	}
-	return lines
+	return fmt.Sprintf("span %d %q %s, %d events, %d results, final bound %s%s",
+		s.Span, s.Label, fmtDur(s.DurationNS), s.Events, s.Results, fmtKey(s.FinalBound), status)
 }
 
 // writeBranch writes lines as tree leaves under the current branch.

@@ -41,24 +41,11 @@ func (j *JSONLWriter) Event(e Event) {
 	b = strconv.AppendUint(b, e.Seq, 10)
 	b = append(b, `,"ns":`...)
 	b = strconv.AppendInt(b, e.Nanos, 10)
-	// Trace correlation travels on the span-opening event only, and only
-	// for child spans: root spans (Parent == 0) keep the pre-TraceContext
-	// line shape byte for byte.
-	if e.Kind == EvQueryStart && e.Parent != 0 {
-		b = append(b, `,"trace":`...)
-		b = strconv.AppendUint(b, e.Trace, 10)
-		b = append(b, `,"parent":`...)
-		b = strconv.AppendUint(b, e.Parent, 10)
-	}
 	if e.Level != 0 || e.Level2 != 0 {
 		b = append(b, `,"level":`...)
 		b = strconv.AppendInt(b, int64(e.Level), 10)
 		b = append(b, `,"level2":`...)
 		b = strconv.AppendInt(b, int64(e.Level2), 10)
-	}
-	if e.Worker != 0 {
-		b = append(b, `,"worker":`...)
-		b = strconv.AppendInt(b, int64(e.Worker), 10)
 	}
 	if e.Source != SourceNone {
 		b = append(b, `,"source":"`...)

@@ -52,17 +52,6 @@ const (
 	EvCacheMiss
 	// EvPoolEvict records a buffer-pool page eviction; N is the page id.
 	EvPoolEvict
-	// EvShardPlan records the shard executor planning its work list; N is
-	// the number of shard pairs planned (non-empty tile products).
-	EvShardPlan
-	// EvShardPruned records a shard pair skipped because the MINMINDIST
-	// between its tile MBRs exceeded the broadcast bound at dispatch time;
-	// N encodes the pair as shardA*tiles + shardB, New its MINMINDIST key.
-	EvShardPruned
-	// EvShardJoin records one dispatched shard-pair join; N encodes the
-	// pair as shardA*tiles + shardB, New the broadcast bound at dispatch,
-	// Worker the executor worker id.
-	EvShardJoin
 
 	// evKindCount counts the declared event kinds. Keep it the last
 	// member of this block: the exhaustiveness test iterates [0,
@@ -93,12 +82,6 @@ func (k EventKind) String() string {
 		return "cache_miss"
 	case EvPoolEvict:
 		return "pool_evict"
-	case EvShardPlan:
-		return "shard_plan"
-	case EvShardPruned:
-		return "shard_pruned"
-	case EvShardJoin:
-		return "shard_join"
 	default:
 		return "unknown"
 	}
@@ -148,12 +131,6 @@ type Event struct {
 	Kind EventKind
 	// Span is the owning query span's id, 0 for tree/pool-level events.
 	Span uint64
-	// Trace is the distributed trace id the owning span belongs to (the
-	// root span's id), 0 for spanless events. Parent is the id of the
-	// span this one was started from (StartSpanFrom), 0 for root spans.
-	// Together they let a collector rebuild the span tree of a sharded
-	// query even when shard joins ran on other nodes.
-	Trace, Parent uint64
 	// Seq is the event's sequence number within its span (1-based), 0
 	// for spanless events.
 	Seq uint64
@@ -161,8 +138,6 @@ type Event struct {
 	Nanos int64
 	// Level and Level2 are the node levels of a NodeExpanded pair.
 	Level, Level2 int32
-	// Worker is the shard executor worker of an EvShardJoin.
-	Worker int32
 	// Source tells which rule tightened the bound (EvBoundTightened).
 	Source BoundSource
 	// Old and New carry bound values as metric keys (squared distances
@@ -188,67 +163,27 @@ type Tracer interface {
 // spanIDs issues process-unique span ids.
 var spanIDs atomic.Uint64
 
-// TraceContext identifies one span's position in a trace: the trace id
-// shared by every span of the query and the span's own id. The shard
-// executor hands its query span's context to every shard join
-// (core.Options.Trace) so the joins start child spans under the same trace
-// id; being two plain integers, it could cross a process boundary as well.
-// The zero value means "no parent": StartSpanFrom then opens a fresh root
-// trace, so code that never propagates context behaves exactly as before.
-type TraceContext struct {
-	// TraceID is the id shared by every span of one query (the root
-	// span's id); 0 when no trace is active.
-	TraceID uint64
-	// SpanID is the id of the span this context describes; a span started
-	// from the context records it as its parent.
-	SpanID uint64
-}
-
 // Span stamps one query's events with a shared id, a sequence number and
-// a relative timestamp. A nil *Span is the disabled tracer: every method
-// is a cheap no-op, so call sites guard on nil once and pay nothing more.
+// a relative timestamp. A query has exactly one span: its parallel
+// workers emit on the query's. A nil *Span is the disabled tracer: every
+// method is a cheap no-op, so call sites guard on nil once and pay
+// nothing more.
 type Span struct {
-	id     uint64
-	trace  uint64
-	parent uint64
-	tr     Tracer
-	start  time.Time
-	seq    atomic.Uint64
+	id    uint64
+	tr    Tracer
+	start time.Time
+	seq   atomic.Uint64
 }
 
-// StartSpan opens a root span on tr and emits EvQueryStart with the given
+// StartSpan opens a span on tr and emits EvQueryStart with the given
 // label. A nil tr returns a nil span, on which every method no-ops.
 func StartSpan(tr Tracer, label string) *Span {
-	return StartSpanFrom(tr, TraceContext{}, label)
-}
-
-// StartSpanFrom opens a span under the given parent context: the new span
-// inherits the parent's trace id and records the parent's span id, so a
-// collector can rebuild the tree from the EvQueryStart events alone. A
-// zero parent opens a fresh root trace (the span's own id becomes the
-// trace id), which makes StartSpanFrom(tr, TraceContext{}, l) identical
-// to StartSpan(tr, l). A nil tr returns a nil span.
-func StartSpanFrom(tr Tracer, parent TraceContext, label string) *Span {
 	if tr == nil {
 		return nil
 	}
-	s := &Span{id: spanIDs.Add(1), parent: parent.SpanID, tr: tr, start: time.Now()}
-	s.trace = parent.TraceID
-	if s.trace == 0 {
-		s.trace = s.id
-	}
+	s := &Span{id: spanIDs.Add(1), tr: tr, start: time.Now()}
 	s.Emit(Event{Kind: EvQueryStart, Label: label})
 	return s
-}
-
-// Context returns the span's trace context, the value to propagate to
-// child spans (possibly across a process boundary). Nil-safe: a nil span
-// returns the zero context, under which children open fresh root traces.
-func (s *Span) Context() TraceContext {
-	if s == nil {
-		return TraceContext{}
-	}
-	return TraceContext{TraceID: s.trace, SpanID: s.id}
 }
 
 // Enabled reports whether events reach a tracer.
@@ -261,8 +196,6 @@ func (s *Span) Emit(e Event) {
 		return
 	}
 	e.Span = s.id
-	e.Trace = s.trace
-	e.Parent = s.parent
 	e.Seq = s.seq.Add(1)
 	e.Nanos = time.Since(s.start).Nanoseconds()
 	s.tr.Event(e)

@@ -100,7 +100,7 @@ func TestJSONLWriter(t *testing.T) {
 	w := NewJSONLWriter(&buf)
 	s := StartSpan(w, `label with "quotes" and
 newline`)
-	s.Emit(Event{Kind: EvNodeExpanded, Level: 1, Level2: 1, New: 2.5, Worker: 3})
+	s.Emit(Event{Kind: EvNodeExpanded, Level: 1, Level2: 1, New: 2.5})
 	s.Emit(Event{Kind: EvBoundTightened, Old: mathInf(), New: 2.5, Source: SourceMinMax})
 	s.End(2.5, 1, "")
 	if err := w.Err(); err != nil {

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -41,9 +42,11 @@ func Partition(itemsA, itemsB []rtree.Item, cfg Config) (*Set, error) {
 // run sequentially afterwards, one tile at a time, checking ctx
 // between builds.
 func PartitionContext(ctx context.Context, itemsA, itemsB []rtree.Item, cfg Config) (*Set, error) {
-	cfg.fillDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if cfg.Tiles == 0 {
+		cfg.Tiles = 1
+	}
+	if cfg.Tiles < 1 {
+		return nil, fmt.Errorf("shard: tile count %d < 1", cfg.Tiles)
 	}
 
 	// Phase timestamps are taken only when an explain capture is
@@ -76,29 +79,27 @@ func PartitionContext(ctx context.Context, itemsA, itemsB []rtree.Item, cfg Conf
 	}
 
 	// Phase 2 (sequential, page writes): build each shard's tree pair.
-	set := &Set{cfg: cfg}
+	set := &Set{}
 	for i := range bucketsA {
 		if err := ctx.Err(); err != nil {
 			return nil, errors.Join(err, set.Close())
 		}
-		sh := &Shard{ID: i}
+		sh := &shard{}
 		var err error
-		if sh.A, sh.fileA, err = buildTree(bucketsA[i], cfg); err != nil {
+		if sh.a, sh.fileA, err = buildTree(bucketsA[i], cfg.Tree); err != nil {
 			return nil, errors.Join(err, set.Close())
 		}
-		if sh.B, sh.fileB, err = buildTree(bucketsB[i], cfg); err != nil {
+		if sh.b, sh.fileB, err = buildTree(bucketsB[i], cfg.Tree); err != nil {
 			err = errors.Join(err, sh.fileA.Close())
 			return nil, errors.Join(err, set.Close())
 		}
-		if sh.boundsA, err = sh.A.Bounds(); err == nil {
-			sh.boundsB, err = sh.B.Bounds()
+		if sh.boundsA, err = sh.a.Bounds(); err == nil {
+			sh.boundsB, err = sh.b.Bounds()
 		}
+		set.shards = append(set.shards, sh)
 		if err != nil {
-			set.shards = append(set.shards, sh)
 			return nil, errors.Join(err, set.Close())
 		}
-		sh.Tile = sh.boundsA.Union(sh.boundsB)
-		set.shards = append(set.shards, sh)
 	}
 	if cfg.Capture.Enabled() {
 		cfg.Capture.Phase("build", time.Since(tBuild).Nanoseconds())
@@ -108,22 +109,19 @@ func PartitionContext(ctx context.Context, itemsA, itemsB []rtree.Item, cfg Conf
 
 // buildTree bulk loads one shard-side tree over its own in-memory page
 // file and sharded buffer pool. items must already be in SortSTR order.
-func buildTree(items []rtree.Item, cfg Config) (*rtree.Tree, *storage.MemFile, error) {
-	pageSize := cfg.Tree.PageSize
+func buildTree(items []rtree.Item, tc rtree.Config) (*rtree.Tree, *storage.MemFile, error) {
+	pageSize := tc.PageSize
 	if pageSize == 0 {
 		pageSize = rtree.DefaultConfig().PageSize
 	}
 	file := storage.NewMemFile(pageSize)
-	pool := storage.NewShardedBufferPool(file, cfg.BufferPages, cfg.PoolShards, storage.LRU)
-	t, err := rtree.New(pool, cfg.Tree)
+	pool := storage.NewShardedBufferPool(file, bufferPages, poolShards, storage.LRU)
+	t, err := rtree.New(pool, tc)
 	if err == nil {
-		err = t.BulkLoadSorted(items, cfg.Fill)
+		err = t.BulkLoadSorted(items, fill)
 	}
 	if err != nil {
 		return nil, nil, errors.Join(err, file.Close())
-	}
-	if cfg.NodeCache > 0 {
-		t.SetNodeCache(rtree.NewNodeCache(cfg.NodeCache, cfg.PoolShards))
 	}
 	return t, file, nil
 }

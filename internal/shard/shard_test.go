@@ -48,6 +48,14 @@ func runUnsharded(t testing.TB, ptsA, ptsB []geom.Point, k int, opts core.Option
 
 func runSharded(t testing.TB, ptsA, ptsB []geom.Point, k int, opts core.Options, tiles, workers int) Result {
 	t.Helper()
+	res, _ := runShardedSet(t, ptsA, ptsB, k, opts, tiles, workers)
+	return res
+}
+
+// runShardedSet is runSharded that also hands back the (closed) set, for
+// tests that inspect how the partitioner laid the tiles out.
+func runShardedSet(t testing.TB, ptsA, ptsB []geom.Point, k int, opts core.Options, tiles, workers int) (Result, *Set) {
+	t.Helper()
 	set, err := Partition(items(ptsA), items(ptsB), Config{Tiles: tiles})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +70,7 @@ func runSharded(t testing.TB, ptsA, ptsB []geom.Point, k int, opts core.Options,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, set
 }
 
 // comparePairs demands bit-identical distances and identical tie order.
@@ -172,12 +180,12 @@ func TestShardedClusteredAndSkewed(t *testing.T) {
 		opts := core.Options{Algorithm: core.Heap}
 		want := runUnsharded(t, ptsA, ptsB, 10, opts)
 		for _, tiles := range tileCounts {
-			res := runSharded(t, ptsA, ptsB, 10, opts, tiles, 4)
+			res, set := runShardedSet(t, ptsA, ptsB, 10, opts, tiles, 4)
 			comparePairs(t, want, res.Pairs)
 			if tiles > 1 {
 				empty := false
-				for _, row := range res.Shards {
-					if row.NA == 0 || row.NB == 0 {
+				for _, sh := range set.shards {
+					if sh.a.Len() == 0 || sh.b.Len() == 0 {
 						empty = true
 					}
 				}
@@ -209,17 +217,15 @@ func TestPartitionInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if set.Tiles() != tiles {
-			t.Fatalf("tiles: want %d, got %d", tiles, set.Tiles())
+		if len(set.shards) != tiles {
+			t.Fatalf("tiles: want %d, got %d", tiles, len(set.shards))
 		}
 		var na, nb int64
-		for _, sh := range set.Shards() {
-			na += sh.A.Len()
-			nb += sh.B.Len()
-			if sh.A.Len() > 0 || sh.B.Len() > 0 {
-				if !sh.Tile.Valid() {
-					t.Fatalf("shard %d holds points but has tile %v", sh.ID, sh.Tile)
-				}
+		for i, sh := range set.shards {
+			na += sh.a.Len()
+			nb += sh.b.Len()
+			if sh.a.Len() > 0 && !sh.boundsA.Valid() || sh.b.Len() > 0 && !sh.boundsB.Valid() {
+				t.Fatalf("shard %d holds points but has bounds %v / %v", i, sh.boundsA, sh.boundsB)
 			}
 		}
 		if na != int64(len(ptsA)) || nb != int64(len(ptsB)) {

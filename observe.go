@@ -34,9 +34,6 @@ const (
 	EvCacheHit        = obs.EvCacheHit
 	EvCacheMiss       = obs.EvCacheMiss
 	EvPoolEvict       = obs.EvPoolEvict
-	EvShardPlan       = obs.EvShardPlan
-	EvShardPruned     = obs.EvShardPruned
-	EvShardJoin       = obs.EvShardJoin
 )
 
 // BoundSource names the pruning rule behind a bound_tightened event.
