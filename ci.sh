@@ -1,8 +1,8 @@
 #!/bin/sh
 # ci.sh — the repository's check suite: formatting, vet, build, the
 # reachability gate (no internal package that only its own tests import),
-# the repo-specific static analyzer (cpqlint, DESIGN.md §7), the analyzer
-# turned on itself, the full test suite, the race detector over the
+# the fuzz seed corpora's presence, the full test suite (the hot-path
+# source rules of DESIGN.md §7 among it), the race detector over the
 # whole module (the parallel K-CPQ engine and the sharded buffer pool
 # make every package fair game for concurrency bugs) and repeatedly over
 # the scheduling-dependent tests, and one run of every binary that has no
@@ -10,11 +10,6 @@
 #
 # Usage:
 #   ./ci.sh            run every gate
-#   ./ci.sh lint       just the analyzer over the module
-#                      (alias for `go run ./cmd/cpqlint ./...`,
-#                      the single supported lint entry point)
-#   ./ci.sh lint-self  the analyzer over its own sources, plus the
-#                      fuzz seed-corpus presence check
 #   ./ci.sh bench      does-it-run smoke of the Go benchmarks and of the
 #                      repository's benchmark (benchmark/README.md); the
 #                      numbers come from `go run -C benchmark .`
@@ -26,28 +21,6 @@
 #                      target over its seed corpus), and the EXPLAIN
 #                      golden round-trip with its fuzz corpus
 set -eu
-
-lint() {
-	# One pass, one load of the module: the default run is every check.
-	# -budget fails the build if any single check runs past 30s, so a
-	# check whose analysis regresses (the lock-order closure over the
-	# callgraph) shows up here instead of silently stretching every CI run.
-	go run ./cmd/cpqlint -timing -budget 30s ./...
-}
-
-# lint_self guards the analyzer's own hygiene: cpqlint must hold its own
-# packages to the same invariants it enforces on the engine, and the
-# fuzz seed corpora the tier-1 suite replays must not silently vanish
-# (an empty corpus dir makes `go test` pass while fuzzing nothing).
-lint_self() {
-	go run ./cmd/cpqlint internal/lint internal/lint/ssa ./cmd/...
-	for corpus in internal/rtree/testdata/fuzz internal/geom/testdata/fuzz internal/obs/testdata/fuzz internal/obs/explain/testdata/fuzz internal/core/testdata/fuzz; do
-		if [ -z "$(ls "$corpus" 2>/dev/null)" ]; then
-			echo "fuzz seed corpus missing or empty: $corpus" >&2
-			exit 1
-		fi
-	done
-}
 
 # bench is a smoke pass, not a gate: one iteration per Go benchmark case,
 # two seconds per workload of the repository's benchmark (which checks
@@ -162,18 +135,17 @@ all() {
 		echo "gofmt needed on:" "$unformatted" >&2
 		exit 1
 	fi
-	# Keeps the interface-based sort package out of the leaf scan and the
-	# expansion kernel (DESIGN.md §8, §10). It guards that import only: what
-	# keeps sorting off the hot path is measured by ./ci.sh bench.
-	if grep -n '"sort"' internal/core/sweep.go internal/core/kernel.go; then
-		echo "the leaf scan and the expansion kernel must not import sort" >&2
-		exit 1
-	fi
 	go vet ./...
 	go build ./...
 	reach
-	lint
-	lint_self
+	# The fuzz seed corpora the tier-1 suite replays must not silently
+	# vanish: an empty corpus dir makes `go test` pass while fuzzing nothing.
+	for corpus in internal/rtree/testdata/fuzz internal/geom/testdata/fuzz internal/obs/testdata/fuzz internal/obs/explain/testdata/fuzz internal/core/testdata/fuzz; do
+		if [ -z "$(ls "$corpus" 2>/dev/null)" ]; then
+			echo "fuzz seed corpus missing or empty: $corpus" >&2
+			exit 1
+		fi
+	done
 	obs
 	go test ./...
 	go test -race ./...
@@ -195,12 +167,10 @@ all() {
 set -x
 case "${1:-all}" in
 all) all ;;
-lint) lint ;;
-lint-self) lint_self ;;
 bench) bench ;;
 obs) obs ;;
 *)
-	echo "usage: $0 [all|lint|lint-self|bench|obs]" >&2
+	echo "usage: $0 [all|bench|obs]" >&2
 	exit 2
 	;;
 esac

@@ -5,15 +5,15 @@ import (
 )
 
 // This file holds every tracer emission helper of the query engine. The
-// discipline (enforced by the cpqlint obshooks check) is that hot-path
-// code never calls a Span or Tracer method outside a nil guard: each
+// discipline (held by the root package's TestHotPathSourceRules) is that
+// hot-path code never calls a Span method outside a nil guard: each
 // helper begins with `if j.span == nil { return }`, so a query without a
 // tracer pays one pointer comparison per potential event and allocates
 // nothing — verified by the zero-alloc test in obs_test.go.
 //
 // All bound values travel as metric keys (squared distances under L2),
 // never through KeyToDist: the helpers run inside the traversal, where
-// the sqrtfree check bans math.Sqrt. Consumers convert at the edge.
+// the same test bans math.Sqrt. Consumers convert at the edge.
 
 // traceNodeExpanded emits EvNodeExpanded for one processed node pair
 // (levels of both sides, MINMINDIST key).

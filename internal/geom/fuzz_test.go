@@ -14,7 +14,7 @@ import (
 // reported (rooted) forms, plus the side conditions the algorithms lean
 // on: all three are non-negative, and MINMINDIST is exactly 0 for
 // intersecting rectangles. The engine's correctness rests on this chain —
-// the sqrtfree lint check keeps roots out of comparisons, and this fuzz
+// TestHotPathSourceRules keeps roots out of comparisons, and this fuzz
 // target keeps the squared metrics ordered.
 func FuzzMetricOrder(f *testing.F) {
 	f.Add(0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0)      // disjoint squares

@@ -13,7 +13,7 @@
 // Everything is nil-safe in the PR 5 disabled-hook discipline: every
 // method on a nil *Capture returns immediately, so explain-off query paths
 // pay one pointer comparison per capture point and allocate nothing
-// (enforced by the zero-alloc tests and the cpqlint obshooks check).
+// (enforced by the zero-alloc tests).
 package explain
 
 import "encoding/json"

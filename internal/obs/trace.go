@@ -6,10 +6,10 @@
 //
 // The package sits below every engine layer (it imports only the standard
 // library), so internal/storage, internal/rtree and internal/core can all
-// emit events. Emission follows one discipline, enforced by the cpqlint
-// obshooks check: hot-path code never calls a Tracer or Span method
-// directly; it goes through a tiny nil-guarded helper, so a disabled
-// tracer costs one pointer comparison and zero allocations.
+// emit events. Emission follows one discipline: hot-path code never calls
+// a Tracer or Span method directly; it goes through a tiny nil-guarded
+// helper, so a disabled tracer costs one pointer comparison and zero
+// allocations (DESIGN.md §7 says which test holds each helper).
 package obs
 
 import (
@@ -154,8 +154,9 @@ type Event struct {
 // concurrent use: parallel HEAP workers emit from many goroutines.
 //
 // Engine code does not call Event directly on a possibly-nil tracer —
-// every emission site sits behind a nil-guarded helper (the cpqlint
-// obshooks check enforces this), so tracing disabled costs one branch.
+// every emission site sits behind a nil-guarded helper (a dropped guard
+// panics on the nil interface under the tests), so tracing disabled costs
+// one branch.
 type Tracer interface {
 	Event(e Event)
 }

@@ -120,7 +120,8 @@ func (t *Tree) packLevel(entries []Entry, level, capacity int, presorted bool) (
 	n := len(entries)
 	sizes := packSizes(n, capacity, t.cfg.MinEntries, t.cfg.MaxEntries)
 	numNodes := len(sizes)
-	//lint:ignore sqrtfree STR slab count is sqrt of the node count, not a distance comparison
+	// The slab count is the root of a node count, not a distance: the one
+	// math.Sqrt outside the reporting functions (TestHotPathSourceRules).
 	slabs := int(math.Ceil(math.Sqrt(float64(numNodes))))
 	nodesPerSlab := (numNodes + slabs - 1) / slabs
 

@@ -66,10 +66,10 @@ type BufferPool struct {
 	policy Policy
 	shards []*bufShard
 
-	// capMu serializes capacity changes (Resize) so the per-shard split
-	// stays consistent; capacity is the total across shards.
-	capMu    sync.Mutex
-	capacity int
+	// capacity is the total across shards. Each shard derives its own
+	// share from it under its own lock (Resize), so no lock is held while
+	// another is taken.
+	capacity atomic.Int64
 
 	hits, reads, writes, evictions atomic.Int64
 
@@ -121,9 +121,6 @@ func NewBufferPoolWithPolicy(file PageFile, capacity int, policy Policy) *Buffer
 // cost of an approximate global LRU (per-shard miss counts can deviate
 // slightly from the single-shard pool on the same access sequence).
 func NewShardedBufferPool(file PageFile, capacity, shards int, policy Policy) *BufferPool {
-	if capacity < 0 {
-		panic(fmt.Sprintf("storage: negative buffer capacity %d", capacity))
-	}
 	if shards < 1 {
 		panic(fmt.Sprintf("storage: buffer pool needs at least one shard, got %d", shards))
 	}
@@ -133,34 +130,15 @@ func NewShardedBufferPool(file PageFile, capacity, shards int, policy Policy) *B
 		panic(fmt.Sprintf("storage: unknown replacement policy %d", int(policy)))
 	}
 	b := &BufferPool{
-		file:     file,
-		policy:   policy,
-		capacity: capacity,
-		shards:   make([]*bufShard, shards),
+		file:   file,
+		policy: policy,
+		shards: make([]*bufShard, shards),
 	}
 	for i := range b.shards {
 		b.shards[i] = &bufShard{pool: b, entries: make(map[PageID]*bufEntry)}
 	}
-	b.splitCapacity(capacity)
+	b.Resize(capacity)
 	return b
-}
-
-// splitCapacity distributes the total capacity over the shards: the first
-// capacity%shards shards get one extra page. Callers hold capMu (or are
-// the constructor).
-func (b *BufferPool) splitCapacity(capacity int) {
-	n := len(b.shards)
-	base, extra := capacity/n, capacity%n
-	for i, s := range b.shards {
-		c := base
-		if i < extra {
-			c++
-		}
-		s.mu.Lock()
-		s.capacity = c
-		s.evictOverflow()
-		s.mu.Unlock()
-	}
 }
 
 // shardFor maps a page id to its lock stripe.
@@ -181,11 +159,7 @@ func (b *BufferPool) Shards() int { return len(b.shards) }
 func (b *BufferPool) File() PageFile { return b.file }
 
 // Capacity returns the pool capacity in pages (total across shards).
-func (b *BufferPool) Capacity() int {
-	b.capMu.Lock()
-	defer b.capMu.Unlock()
-	return b.capacity
-}
+func (b *BufferPool) Capacity() int { return int(b.capacity.Load()) }
 
 // PageSize returns the page size of the underlying file.
 func (b *BufferPool) PageSize() int { return b.file.PageSize() }
@@ -303,14 +277,28 @@ func (b *BufferPool) Clear() {
 }
 
 // Resize changes the total capacity, evicting LRU pages if shrinking.
+//
+// The total is stored first; then each shard, under its own lock and no
+// other, takes its share of the total it loads there: the first
+// total%shards shards get one extra page. A shard's last update comes
+// after the last store, so concurrent Resize calls settle on the last
+// total stored.
 func (b *BufferPool) Resize(capacity int) {
 	if capacity < 0 {
 		panic(fmt.Sprintf("storage: negative buffer capacity %d", capacity))
 	}
-	b.capMu.Lock()
-	defer b.capMu.Unlock()
-	b.capacity = capacity
-	b.splitCapacity(capacity)
+	b.capacity.Store(int64(capacity))
+	n := len(b.shards)
+	for i, s := range b.shards {
+		s.mu.Lock()
+		total := int(b.capacity.Load())
+		s.capacity = total / n
+		if i < total%n {
+			s.capacity++
+		}
+		s.evictOverflow()
+		s.mu.Unlock()
+	}
 }
 
 // Len returns the number of cached pages.

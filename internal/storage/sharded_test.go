@@ -225,3 +225,107 @@ func TestShardedPoolConcurrentGetAndView(t *testing.T) {
 		t.Fatalf("hits %d + misses %d != %d", s.Hits, s.Reads, 8*2000)
 	}
 }
+
+// TestShardedPoolConcurrentResize runs rounds of concurrent Resize calls,
+// one per resizer with a total of its own, while readers and writers keep
+// the 4-shard pool busy. Resize holds no lock while it takes a shard's: it
+// stores the total, and each shard takes its share of the total it loads
+// under its own lock. After each round the pool must have settled on the
+// last total stored, which is one of that round's totals, and every shard
+// must hold its share of it. Run with -race (ci.sh does).
+func TestShardedPoolConcurrentResize(t *testing.T) {
+	const (
+		pages    = 64
+		shards   = 4
+		resizers = 4
+		rounds   = 300
+	)
+	f := NewMemFile(64)
+	fillPages(t, f, pages)
+	b := NewShardedBufferPool(f, 16, shards, LRU)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			buf := make([]byte, f.PageSize())
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := PageID(rng.Intn(pages))
+				var err error
+				switch i % 3 {
+				case 0:
+					err = b.View(id, func(data []byte) error { return checkPage(id, data) })
+				case 1:
+					for off := 0; off+8 <= len(buf); off += 8 {
+						binary.LittleEndian.PutUint64(buf[off:], uint64(id))
+					}
+					err = b.Write(id, buf)
+				default:
+					if n := b.Len(); n > pages {
+						err = fmt.Errorf("Len = %d with %d pages in the file", n, pages)
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(int64(w + 300))
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	}()
+
+	for round := 0; round < rounds; round++ {
+		// Resizer r stores r + 4·(round%10): no two resizers of a round
+		// share a total.
+		stored := make(map[int]bool)
+		var rw sync.WaitGroup
+		for r := 0; r < resizers; r++ {
+			total := r + resizers*(round%10)
+			stored[total] = true
+			rw.Add(1)
+			go func() {
+				defer rw.Done()
+				b.Resize(total)
+			}()
+		}
+		rw.Wait()
+
+		last := b.Capacity()
+		if !stored[last] {
+			t.Fatalf("round %d: Capacity = %d, not a total of the round %v", round, last, stored)
+		}
+		sum := 0
+		for i, s := range b.shards {
+			want := last / shards
+			if i < last%shards {
+				want++
+			}
+			s.mu.Lock()
+			got := s.capacity
+			s.mu.Unlock()
+			if got != want {
+				t.Fatalf("round %d: shard %d capacity = %d, want %d of total %d", round, i, got, want, last)
+			}
+			sum += got
+		}
+		if sum != last {
+			t.Fatalf("round %d: shard capacities sum to %d, want %d", round, sum, last)
+		}
+	}
+}
