@@ -153,8 +153,10 @@ all() {
 	# on how the parallel engine's workers are scheduled run again, twenty
 	# times (-short trims the largest inputs, which the passes above ran in
 	# full), the fault sweep's parallel rows among them, and the sharded
-	# executor's parallel joins five.
-	go test -race -short -count=20 -run 'Parallel|TestSweepParallelEquivalence|TestConcurrentQueriesShareFreeList' ./internal/core
+	# executor's parallel joins five. The twenty passes take seven to
+	# eleven minutes on two cores, up to past go test's default ten-minute
+	# timeout.
+	go test -race -short -count=20 -timeout 30m -run 'Parallel|TestSweepParallelEquivalence|TestConcurrentQueriesShareFreeList' ./internal/core
 	go test -race -count=5 -run 'TestShardedMatchesUnshardedParallelism' ./internal/shard
 	# The benchmark is a module of its own (benchmark/go.mod), outside
 	# ./...: compile and test it here so an engine change cannot break it

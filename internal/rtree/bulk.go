@@ -5,9 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
 
-	"repro/internal/geom"
 	"repro/internal/storage"
 )
 
@@ -21,35 +22,20 @@ func (t *Tree) BulkLoad(items []Item, fill float64) error {
 }
 
 // SortSTR orders items exactly as BulkLoad's leaf-level STR pass would:
-// stable by ascending MBR center X, ties by center Y. BulkLoadSorted
-// skips that sort when handed items in this order, so callers building
-// many trees (the shard partitioner) can run the dominant O(n log n)
-// CPU phase of every build in parallel goroutines while the
-// page-writing phase stays sequential: SortSTR touches only the slice
-// it is given — never a tree, a buffer pool or a node cache — so it is
-// safe to call from any goroutine.
+// by ascending MBR center X, ties by center Y, then by input position —
+// the order a stable sort by center gives. BulkLoadSorted skips that sort
+// when handed items in this order, so callers building many trees (the
+// shard partitioner) can run the dominant O(n log n) CPU phase of every
+// build in parallel goroutines while the page-writing phase stays
+// sequential: SortSTR touches only the slice it is given — never a tree,
+// a buffer pool or a node cache — so it is safe to call from any
+// goroutine.
 func SortSTR(items []Item) {
-	slices.SortStableFunc(items, func(a, b Item) int { return cmpCenterXY(a.Rect, b.Rect) })
-}
-
-// cmpCenterXY orders rectangles by ascending center X, ties by center Y;
-// cmpCenterYX is the same with the axes swapped. Both are the three-way
-// form of the "differs, then less" comparison STR has always sorted with,
-// so a stable sort by them is the same permutation.
-func cmpCenterXY(a, b geom.Rect) int {
-	ca, cb := a.Center(), b.Center()
-	if ca.X != cb.X {
-		return cmp.Compare(ca.X, cb.X)
+	orig := slices.Clone(items)
+	var buf []strKey
+	for j, k := range sortX(centerKeys(make([]strKey, len(items)), orig), &buf) {
+		items[j] = orig[k.i]
 	}
-	return cmp.Compare(ca.Y, cb.Y)
-}
-
-func cmpCenterYX(a, b geom.Rect) int {
-	ca, cb := a.Center(), b.Center()
-	if ca.Y != cb.Y {
-		return cmp.Compare(ca.Y, cb.Y)
-	}
-	return cmp.Compare(ca.X, cb.X)
 }
 
 // BulkLoadSorted is BulkLoad for items already in SortSTR order: the
@@ -82,41 +68,153 @@ func (t *Tree) bulkLoad(items []Item, fill float64, presorted bool) error {
 		capacity = t.cfg.MinEntries
 	}
 
-	entries := make([]Entry, len(items))
-	for i, it := range items {
-		entries[i] = Entry{Rect: it.Rect, Ref: it.Ref}
+	// The key buffers serve every level, as levels only shrink, and every
+	// node is written through the one node: a level hands the next only
+	// each node's page id and MBR.
+	keys := make([]strKey, len(items))
+	var buf []strKey
+	node := &Node{Entries: make([]Entry, 0, t.cfg.MaxEntries)}
+	next, err := packLevel(t, items, keys, &buf, node, capacity, presorted)
+	for err == nil && len(next) > 1 {
+		node.Level++
+		next, err = packLevel(t, next, keys, &buf, node, capacity, false)
 	}
-	level := 0
-	for {
-		nodes, err := t.packLevel(entries, level, capacity, presorted && level == 0)
-		if err != nil {
-			return err
-		}
-		if len(nodes) == 1 {
-			t.root = nodes[0].ID
-			t.height = level + 1
-			break
-		}
-		next := make([]Entry, len(nodes))
-		for i, n := range nodes {
-			next[i] = Entry{Rect: n.MBR(), Ref: int64(n.ID)}
-		}
-		entries = next
-		level++
+	if err != nil {
+		return err
 	}
+	t.root = next[0].Child()
+	t.height = node.Level + 1
 	t.size = int64(len(items))
 	return t.writeMeta()
+}
+
+// strKey is an entry's STR sort key: its MBR center, computed once, and
+// its position in the level's input.
+type strKey struct {
+	cx, cy float64
+	i      int
+}
+
+// centerKeys fills keys with each entry's center and position. The
+// leaf level packs the caller's items, the levels above the entries the
+// level below returned; both are a rectangle and a reference.
+func centerKeys[E Item | Entry](keys []strKey, entries []E) []strKey {
+	for i := range entries {
+		c := Entry(entries[i]).Rect.Center()
+		keys[i] = strKey{c.X, c.Y, i}
+	}
+	return keys
+}
+
+// cmpKeyXY orders keys by ascending center X, ties by center Y, then by
+// input position; cmpKeyYX is the same with the axes swapped. The
+// position makes the order total, so any sort by it yields the one
+// permutation a stable sort by center alone would. Centers of valid
+// rectangles are never NaN, so < and > decide every other case.
+func cmpKeyXY(a, b strKey) int {
+	switch {
+	case a.cx < b.cx:
+		return -1
+	case a.cx > b.cx:
+		return 1
+	case a.cy < b.cy:
+		return -1
+	case a.cy > b.cy:
+		return 1
+	}
+	return cmp.Compare(a.i, b.i)
+}
+
+func cmpKeyYX(a, b strKey) int {
+	switch {
+	case a.cy < b.cy:
+		return -1
+	case a.cy > b.cy:
+		return 1
+	case a.cx < b.cx:
+		return -1
+	case a.cx > b.cx:
+		return 1
+	}
+	return cmp.Compare(a.i, b.i)
+}
+
+// parallelSortMin is the key count from which a sort is split across
+// goroutines; below it a goroutine costs more than it saves.
+const parallelSortMin = 4096
+
+// sortX sorts keys by cmpKeyXY. From parallelSortMin keys on it sorts the
+// two halves on two goroutines and merges them into *buf, growing it if
+// it is shorter than keys; it returns whichever of the two holds the
+// result.
+func sortX(keys []strKey, buf *[]strKey) []strKey {
+	n := len(keys)
+	if n < parallelSortMin {
+		slices.SortFunc(keys, cmpKeyXY)
+		return keys
+	}
+	if cap(*buf) < n {
+		*buf = make([]strKey, n)
+	}
+	lo, hi := keys[:n/2], keys[n/2:]
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		slices.SortFunc(lo, cmpKeyXY)
+	}()
+	slices.SortFunc(hi, cmpKeyXY)
+	wg.Wait()
+	out := (*buf)[:0]
+	for len(lo) > 0 && len(hi) > 0 {
+		if cmpKeyXY(lo[0], hi[0]) < 0 {
+			out, lo = append(out, lo[0]), lo[1:]
+		} else {
+			out, hi = append(out, hi[0]), hi[1:]
+		}
+	}
+	out = append(out, lo...)
+	return append(out, hi...)
+}
+
+// sortSlabs sorts each run keys[bounds[s]:bounds[s+1]] by cmpKeyYX. The
+// runs are disjoint, so from parallelSortMin keys on they are dealt out
+// round robin to runtime.GOMAXPROCS(0) goroutines.
+func sortSlabs(keys []strKey, bounds []int) {
+	slabs := len(bounds) - 1
+	workers := min(runtime.GOMAXPROCS(0), slabs)
+	if len(keys) < parallelSortMin {
+		workers = 1
+	}
+	sortEvery := func(first int) {
+		for s := first; s < slabs; s += workers {
+			slices.SortFunc(keys[bounds[s]:bounds[s+1]], cmpKeyYX)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sortEvery(w)
+		}()
+	}
+	sortEvery(0)
+	wg.Wait()
 }
 
 // packLevel tiles entries into nodes using STR: sort by center X, cut into
 // vertical slabs, sort each slab by center Y, chop into nodes. Node sizes
 // are pre-computed as an even distribution so that every node of a
 // multi-node level respects the minimum occupancy m (a plain
-// chop-into-runs-of-capacity leaves underfull tail nodes). Every produced
-// node is written to its page. With presorted set the level's entries
-// are already in SortSTR order (center X, tie Y) and the initial sort is
-// skipped; the per-slab Y-sorts then mutate the given slice in place.
-func (t *Tree) packLevel(entries []Entry, level, capacity int, presorted bool) ([]*Node, error) {
+// chop-into-runs-of-capacity leaves underfull tail nodes). The sorts run
+// over keys (at least len(entries) long) and buf and touch nothing else;
+// the nodes are then filled through node, allocated and written one at a
+// time in slab order, so the page file does not depend on how the sorts
+// were scheduled. With presorted set the entries are already in SortSTR
+// order and the X-sort is skipped. It returns one entry per node written,
+// at node.Level: its MBR and page id, the next level's input.
+func packLevel[E Item | Entry](t *Tree, entries []E, keys []strKey, buf *[]strKey, node *Node, capacity int, presorted bool) ([]Entry, error) {
 	n := len(entries)
 	sizes := packSizes(n, capacity, t.cfg.MinEntries, t.cfg.MaxEntries)
 	numNodes := len(sizes)
@@ -125,39 +223,36 @@ func (t *Tree) packLevel(entries []Entry, level, capacity int, presorted bool) (
 	slabs := int(math.Ceil(math.Sqrt(float64(numNodes))))
 	nodesPerSlab := (numNodes + slabs - 1) / slabs
 
-	sorted := entries
+	sorted := centerKeys(keys[:n], entries)
 	if !presorted {
-		sorted = append([]Entry(nil), entries...)
-		slices.SortStableFunc(sorted, func(a, b Entry) int { return cmpCenterXY(a.Rect, b.Rect) })
+		sorted = sortX(sorted, buf)
 	}
-
-	out := make([]*Node, 0, numNodes)
-	next := 0 // next unconsumed entry in sorted
+	bounds := []int{0}
 	for slabStart := 0; slabStart < numNodes; slabStart += nodesPerSlab {
-		slabEnd := slabStart + nodesPerSlab
-		if slabEnd > numNodes {
-			slabEnd = numNodes
+		end := bounds[len(bounds)-1]
+		for _, s := range sizes[slabStart:min(slabStart+nodesPerSlab, numNodes)] {
+			end += s
 		}
-		slabSize := 0
-		for _, s := range sizes[slabStart:slabEnd] {
-			slabSize += s
+		bounds = append(bounds, end)
+	}
+	sortSlabs(sorted, bounds)
+
+	out := make([]Entry, 0, numNodes)
+	for _, s := range sizes {
+		id, err := t.allocPage()
+		if err != nil {
+			return nil, err
 		}
-		slab := sorted[next : next+slabSize]
-		next += slabSize
-		slices.SortStableFunc(slab, func(a, b Entry) int { return cmpCenterYX(a.Rect, b.Rect) })
-		off := 0
-		for _, s := range sizes[slabStart:slabEnd] {
-			node, err := t.allocNode(level)
-			if err != nil {
-				return nil, err
-			}
-			node.Entries = append([]Entry(nil), slab[off:off+s]...)
-			off += s
-			if err := t.writeNode(node); err != nil {
-				return nil, err
-			}
-			out = append(out, node)
+		node.ID = id
+		node.Entries = node.Entries[:0]
+		for _, k := range sorted[:s] {
+			node.Entries = append(node.Entries, Entry(entries[k.i]))
 		}
+		sorted = sorted[s:]
+		if err := t.writeNode(node); err != nil {
+			return nil, err
+		}
+		out = append(out, Entry{Rect: node.MBR(), Ref: int64(id)})
 	}
 	return out, nil
 }

@@ -4,8 +4,10 @@ import (
 	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -267,6 +269,126 @@ func TestBulkLoadPageImagePinned(t *testing.T) {
 		}
 		if got := pageFileHash(t, c.tr, true); got != wantByRef {
 			t.Errorf("%s Ref-canonical page image hash = %s, want %s", c.name, got, wantByRef)
+		}
+	}
+}
+
+// refBulkLoad is the STR bulk load as it stood before the keyed sorts:
+// stable sorts by center, the comparator recomputing both centers on every
+// call, one fresh node per page. It is the reference the keyed build must
+// match page for page.
+func refBulkLoad(t *Tree, items []Item, fill float64) error {
+	capacity := max(int(fill*float64(t.cfg.MaxEntries)), t.cfg.MinEntries)
+	entries := make([]Entry, len(items))
+	for i, it := range items {
+		entries[i] = Entry(it)
+	}
+	for level := 0; ; level++ {
+		sizes := packSizes(len(entries), capacity, t.cfg.MinEntries, t.cfg.MaxEntries)
+		slabs := int(math.Ceil(math.Sqrt(float64(len(sizes)))))
+		nodesPerSlab := (len(sizes) + slabs - 1) / slabs
+		sorted := slices.Clone(entries)
+		slices.SortStableFunc(sorted, func(a, b Entry) int { return refCmpCenter(a.Rect, b.Rect, false) })
+		var next []Entry
+		for slabStart := 0; slabStart < len(sizes); slabStart += nodesPerSlab {
+			slabSizes := sizes[slabStart:min(slabStart+nodesPerSlab, len(sizes))]
+			slabSize := 0
+			for _, s := range slabSizes {
+				slabSize += s
+			}
+			slab := sorted[:slabSize]
+			sorted = sorted[slabSize:]
+			slices.SortStableFunc(slab, func(a, b Entry) int { return refCmpCenter(a.Rect, b.Rect, true) })
+			for _, s := range slabSizes {
+				node, err := t.allocNode(level)
+				if err != nil {
+					return err
+				}
+				node.Entries = slices.Clone(slab[:s])
+				slab = slab[s:]
+				if err := t.writeNode(node); err != nil {
+					return err
+				}
+				next = append(next, Entry{Rect: node.MBR(), Ref: int64(node.ID)})
+			}
+		}
+		if len(next) == 1 {
+			t.root, t.height = next[0].Child(), level+1
+			break
+		}
+		entries = next
+	}
+	t.size = int64(len(items))
+	return t.writeMeta()
+}
+
+// refCmpCenter is the old comparator: center X then Y, or Y then X with
+// yFirst set.
+func refCmpCenter(a, b geom.Rect, yFirst bool) int {
+	ca, cb := a.Center(), b.Center()
+	if yFirst {
+		ca.X, ca.Y, cb.X, cb.Y = ca.Y, ca.X, cb.Y, cb.X
+	}
+	if ca.X != cb.X {
+		return cmp.Compare(ca.X, cb.X)
+	}
+	return cmp.Compare(ca.Y, cb.Y)
+}
+
+// TestBulkLoadMatchesStableSortReference holds the keyed STR build to the
+// stable-sort build it replaced: the same page image from BulkLoad and the
+// same permutation from SortSTR, at one and at four procs, on inputs whose
+// centers tie heavily, on rectangles whose Min.X is not their center
+// (OrderLeaf reorders those leaves), and on one point repeated, where the
+// input position alone decides every comparison. The sizes fall on both
+// sides of parallelSortMin.
+func TestBulkLoadMatchesStableSortReference(t *testing.T) {
+	q := func(rng *rand.Rand, steps float64) float64 { return math.Floor(rng.Float64()*steps) / steps }
+	inputs := []struct {
+		name string
+		item func(rng *rand.Rand) geom.Rect
+	}{
+		{"quantized-points", func(rng *rand.Rand) geom.Rect {
+			return geom.Point{X: q(rng, 32), Y: q(rng, 32)}.Rect()
+		}},
+		{"rects", func(rng *rand.Rand) geom.Rect {
+			c := geom.Point{X: q(rng, 64), Y: q(rng, 64)}
+			hw, hh := q(rng, 8)/64, q(rng, 8)/64
+			return geom.Rect{Min: geom.Point{X: c.X - hw, Y: c.Y - hh}, Max: geom.Point{X: c.X + hw, Y: c.Y + hh}}
+		}},
+		{"one-point", func(*rand.Rand) geom.Rect { return geom.Point{X: 0.5, Y: 0.25}.Rect() }},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, in := range inputs {
+		for _, n := range []int{1, 100, 3000, parallelSortMin, 10000, 50000} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			items := make([]Item, n)
+			for i := range items {
+				items[i] = Item{Rect: in.item(rng), Ref: int64(i)}
+			}
+			ref := newTestTree(t, Config{})
+			if err := refBulkLoad(ref, items, 0.7); err != nil {
+				t.Fatal(err)
+			}
+			wantImage := pageFileHash(t, ref, false)
+			wantOrder := slices.Clone(items)
+			slices.SortStableFunc(wantOrder, func(a, b Item) int { return refCmpCenter(a.Rect, b.Rect, false) })
+			for _, procs := range []int{1, 4} {
+				name := fmt.Sprintf("%s/n=%d/procs=%d", in.name, n, procs)
+				runtime.GOMAXPROCS(procs)
+				tr := newTestTree(t, Config{})
+				if err := tr.BulkLoad(items, 0.7); err != nil {
+					t.Fatal(err)
+				}
+				if got := pageFileHash(t, tr, false); got != wantImage {
+					t.Errorf("%s: BulkLoad page image %s, reference %s", name, got, wantImage)
+				}
+				order := slices.Clone(items)
+				SortSTR(order)
+				if !slices.Equal(order, wantOrder) {
+					t.Errorf("%s: SortSTR permutation differs from the stable reference", name)
+				}
+			}
 		}
 	}
 }

@@ -374,23 +374,28 @@ const (
 
 // allocNode creates a node at the given level on a recycled or fresh page.
 func (t *Tree) allocNode(level int) (*Node, error) {
-	if t.freeHead != storage.InvalidPageID {
-		id := t.freeHead
-		buf, err := t.pool.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		if buf[0] != freeMagic0 || buf[1] != freeMagic1 {
-			return nil, fmt.Errorf("rtree: free-list page %d is not free", id)
-		}
-		t.freeHead = storage.PageID(int64(binary.LittleEndian.Uint64(buf[8:])))
-		return &Node{ID: id, Level: level}, nil
-	}
-	id, err := t.pool.Allocate()
+	id, err := t.allocPage()
 	if err != nil {
 		return nil, err
 	}
 	return &Node{ID: id, Level: level}, nil
+}
+
+// allocPage takes a node page off the free list, or a fresh one.
+func (t *Tree) allocPage() (storage.PageID, error) {
+	if t.freeHead != storage.InvalidPageID {
+		id := t.freeHead
+		buf, err := t.pool.Get(id)
+		if err != nil {
+			return storage.InvalidPageID, err
+		}
+		if buf[0] != freeMagic0 || buf[1] != freeMagic1 {
+			return storage.InvalidPageID, fmt.Errorf("rtree: free-list page %d is not free", id)
+		}
+		t.freeHead = storage.PageID(int64(binary.LittleEndian.Uint64(buf[8:])))
+		return id, nil
+	}
+	return t.pool.Allocate()
 }
 
 // freeNode returns a node page to the tree's free list.
