@@ -20,6 +20,9 @@
 #                      Prometheus-exposition parse smoke test (the fuzz
 #                      target over its seed corpus), and the EXPLAIN
 #                      golden round-trip with its fuzz corpus
+#   ./ci.sh paper      regenerate every figure at full scale (about two
+#                      minutes) and diff the report against
+#                      results_full.txt, wall times masked
 set -eu
 
 # bench is a smoke pass, not a gate: one iteration per Go benchmark case,
@@ -28,7 +31,7 @@ set -eu
 # compare full `go run -C benchmark .` reports with its -compare instead.
 bench() {
 	go test -run '^$' -bench 'BenchmarkFig4Algorithms1CP|BenchmarkFig7KCP' -benchtime 1x -benchmem .
-	go test -run '^$' -bench 'BenchmarkPairHeap|BenchmarkSweepLeafScan|BenchmarkBoundCandidate' -benchtime 100x -benchmem ./internal/core
+	go test -run '^$' -bench 'BenchmarkPairHeap|BenchmarkSweepLeafScan|BenchmarkBoundCandidate|BenchmarkSemiClosestPairsBatched|BenchmarkWithinDistance' -benchtime 100x -benchmem ./internal/core
 	go run -C benchmark . -seed 1 -seconds 2
 }
 
@@ -53,6 +56,32 @@ obs() {
 	go test -count=1 -run 'TestLeafOrderOnEveryWritePath|TestUnorderedLeafTwins' ./internal/rtree ./internal/core
 	go test -run 'FuzzMetricsExposition' ./internal/obs
 	go test -run 'TestExplainGoldenRoundTrip|FuzzExplainRoundTrip' ./internal/obs/explain
+}
+
+# paper reruns `cpqbench -out` at the paper's sizes and diffs the report
+# against the committed results_full.txt. Every cell is a counter and
+# reproduces exactly at -parallel 1 (the default), except two wall-clock
+# fields that mask hides on both sides.
+paper() {
+	tmp=$(mktemp -d)
+	trap 'rm -rf "$tmp"' EXIT
+	go run ./cmd/cpqbench -out "$tmp/results.txt" >/dev/null
+	mask results_full.txt >"$tmp/want"
+	mask "$tmp/results.txt" >"$tmp/got"
+	diff "$tmp/want" "$tmp/got"
+}
+
+# mask blanks the wall times of a cpqbench report: the total wall time
+# line, and the time column of the sorts table, whose padding follows the
+# widest time, so that table's spacing is collapsed too.
+mask() {
+	awk '
+		/^=== / { sorts = ($2 == "sorts:") }
+		/^total wall time:/ { $0 = "total wall time: *" }
+		sorts && NF == 3 && $2 ~ /^[0-9]+$/ { $3 = "*" }
+		sorts { $1 = $1 }
+		{ print }
+	' "$1"
 }
 
 # reach fails on an island: an internal package that neither the facade,
@@ -171,8 +200,9 @@ case "${1:-all}" in
 all) all ;;
 bench) bench ;;
 obs) obs ;;
+paper) paper ;;
 *)
-	echo "usage: $0 [all|bench|obs]" >&2
+	echo "usage: $0 [all|bench|obs|paper]" >&2
 	exit 2
 	;;
 esac

@@ -110,6 +110,26 @@ func TestKCPQSteadyStateAllocs(t *testing.T) {
 		pairs, _, err := SelfKClosestPairs(ta, k, DefaultOptions(Heap))
 		return len(pairs), err
 	})
+	// The semi join returns one pair per point of ta.
+	add("semi", n, budget{seqAllocs, seqSlack}, func(int) (int, error) {
+		pairs, _, err := SemiClosestPairsBatched(ta, tb, DefaultOptions(Heap))
+		return len(pairs), err
+	})
+	// The range join streams exactly 100 pairs at an eps halfway between
+	// the 100th and 101st closest distances.
+	top, _, err := KClosestPairs(ta, tb, 101, DefaultOptions(Heap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := (top[99].Dist + top[100].Dist) / 2
+	add("range", 100, budget{seqAllocs, seqSlack}, func(int) (int, error) {
+		streamed := 0
+		_, err := WithinDistance(ta, tb, eps, DefaultOptions(Heap), func(Pair) bool {
+			streamed++
+			return true
+		})
+		return streamed, err
+	})
 
 	procs := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(procs)

@@ -54,7 +54,7 @@ type join struct {
 	shared *bound.Shared
 
 	// cancel is the stride-gated context poll the drivers call once per
-	// traversal step (heap pop, recursive visit, range-join pop).
+	// traversal step (heap pop, recursive visit, range- or semi-join pop).
 	cancel cancelGate
 }
 

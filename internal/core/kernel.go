@@ -397,8 +397,12 @@ func (e *expansion) minBelow(cur float64, maxmax bool) float64 {
 // The survivors are self-contained: once finish returns, neither the
 // kernel scratch nor the two nodes are needed to process them. Callers
 // that recurse into the result give each depth its own dst (its frame's).
+// dst is first grown to hold every generated sub-pair, so a frame's list
+// reaches its final capacity on its first full expansion whatever T
+// prunes, and a parallel worker's T depends on the schedule.
 func (e *expansion) finish(dst []nodePair, T float64) []nodePair {
 	j := e.j
+	dst = slices.Grow(dst, e.subs)
 	keys := e.sc.keys
 	var pruned int64
 	for i := 0; i < e.nA; i++ {

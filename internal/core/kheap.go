@@ -120,16 +120,20 @@ func (h *kHeap) results(m geom.Metric) []Pair {
 func publicPairs(ks []kPair, m geom.Metric) []Pair {
 	out := make([]Pair, len(ks))
 	for i := range ks {
-		kp := &ks[i]
-		out[i] = Pair{
-			P:    geom.Point{X: kp.p[0], Y: kp.p[1]},
-			Q:    geom.Point{X: kp.q[0], Y: kp.q[1]},
-			RefP: kp.refP,
-			RefQ: kp.refQ,
-			Dist: m.KeyToDist(kp.distSq),
-		}
+		out[i] = ks[i].public(m)
 	}
 	return out
+}
+
+// public converts one kPair into its public Pair.
+func (kp *kPair) public(m geom.Metric) Pair {
+	return Pair{
+		P:    geom.Point{X: kp.p[0], Y: kp.p[1]},
+		Q:    geom.Point{X: kp.q[0], Y: kp.q[1]},
+		RefP: kp.refP,
+		RefQ: kp.refQ,
+		Dist: m.KeyToDist(kp.distSq),
+	}
 }
 
 func (h *kHeap) siftUp(i int) {

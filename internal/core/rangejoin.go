@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/rtree"
 )
@@ -11,11 +12,12 @@ import (
 // report every pair (p, q) ∈ P × Q with dist(p, q) <= eps. It reuses the
 // paper's machinery with a fixed pruning bound T = eps — subtree pairs
 // with MINMINDIST > eps cannot contribute — and streams results through
-// fn, which may return false to stop early. The traversal is iterative
-// (HEAP-style ordering is unnecessary since T never changes, so plain
-// stack order is used). Options contribute the metric and the height
-// strategy; whatever Algorithm they name, sub-pairs are generated by the
-// expansion kernel in its prune-only (EXH) form against the fixed bound.
+// fn, which may return false to stop early. Since T never changes, node
+// pairs are taken in depth-first stack order, expanded by the kernel in
+// its prune-only (EXH) form whatever Algorithm the options name (they
+// contribute the metric and the height strategy). A leaf pair goes
+// through the leaf sweep under the bound eps into the join's K-heap,
+// opened with no K limit, which is streamed to fn and emptied.
 //
 // WithinDistance is the non-cancellable shim over WithinDistanceContext.
 func WithinDistance(ta, tb *rtree.Tree, eps float64, opts Options, fn func(Pair) bool) (Stats, error) {
@@ -28,14 +30,14 @@ func WithinDistanceContext(ctx context.Context, ta, tb *rtree.Tree, eps float64,
 	if err := opts.validate(); err != nil {
 		return Stats{}, err
 	}
-	if eps < 0 {
-		return Stats{}, fmt.Errorf("core: negative distance bound %g", eps)
+	if !(eps >= 0) {
+		return Stats{}, fmt.Errorf("core: distance bound %g is negative or NaN", eps)
 	}
 	if ta.Len() == 0 || tb.Len() == 0 {
 		return Stats{}, nil
 	}
 	opts.Algorithm = Exhaustive // MINMINDIST keys, no bound tightening, no tie keys
-	j, err := newJoin(ta, tb, 1, opts, false)
+	j, err := newJoin(ta, tb, math.MaxInt, opts, false)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -48,15 +50,14 @@ func WithinDistanceContext(ctx context.Context, ta, tb *rtree.Tree, eps float64,
 	if err != nil {
 		return Stats{}, err
 	}
-	f := j.sc.frame(0)
-	stack := []nodePair{root}
-	stopped := false
-	for len(stack) > 0 && !stopped {
+	f := j.sc.frame(0) // its sub-pair list is the stack
+	f.subs = append(f.subs[:0], root)
+	for len(f.subs) > 0 {
 		if err := j.cancel.poll(ctx); err != nil {
 			return Stats{}, err
 		}
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+		p := f.subs[len(f.subs)-1]
+		f.subs = f.subs[:len(f.subs)-1]
 		if p.minminSq > epsKey {
 			j.stats.subPairsPruned.Add(1)
 			continue
@@ -66,41 +67,18 @@ func WithinDistanceContext(ctx context.Context, ta, tb *rtree.Tree, eps float64,
 			return Stats{}, err
 		}
 		if na.IsLeaf() && nb.IsLeaf() {
-			for i := range na.Entries {
-				ea := &na.Entries[i]
-				for t := range nb.Entries {
-					eb := &nb.Entries[t]
-					j.stats.pointPairsCompared.Add(1)
-					key := j.metric.MinMinKey(ea.Rect, eb.Rect)
-					if key > epsKey {
-						continue
-					}
-					ok := fn(Pair{
-						P:    ea.Rect.Min,
-						Q:    eb.Rect.Min,
-						RefP: ea.Ref,
-						RefQ: eb.Ref,
-						Dist: j.metric.KeyToDist(key),
-					})
-					if !ok {
-						stopped = true
-						break
-					}
-				}
-				if stopped {
-					break
+			// The sweep offers every pair inside its x band, some beyond eps.
+			j.scanLeavesSweep(na, nb, j.kheap, epsKey)
+			for i := range j.kheap.pairs {
+				if kp := &j.kheap.pairs[i]; kp.distSq <= epsKey && !fn(kp.public(j.metric)) {
+					return j.poolStats(startA, startB), nil
 				}
 			}
+			j.kheap.reset()
 			continue
 		}
 		e := j.beginExpand(&j.sc.kern, p, na, nb, j.bound)
-		stack = e.finish(stack, epsKey)
+		f.subs = e.finish(f.subs, epsKey)
 	}
-
-	stats := j.stats.snapshot()
-	stats.IOP = ta.Pool().Stats().Sub(startA)
-	if ta.Pool() != tb.Pool() {
-		stats.IOQ = tb.Pool().Stats().Sub(startB)
-	}
-	return stats, nil
+	return j.poolStats(startA, startB), nil
 }

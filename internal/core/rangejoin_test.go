@@ -104,6 +104,11 @@ func TestWithinDistanceEdgeCases(t *testing.T) {
 	if _, err := WithinDistance(ta, ta, -1, DefaultOptions(Heap), func(Pair) bool { return true }); err == nil {
 		t.Error("negative eps must fail")
 	}
+	// NaN eps rejected: no key compares above it, so nothing would be pruned
+	// and the whole cross product would stream.
+	if _, err := WithinDistance(ta, ta, math.NaN(), DefaultOptions(Heap), func(Pair) bool { return true }); err == nil {
+		t.Error("NaN eps must fail")
+	}
 	// eps = 0 on identical sets: coincident points only.
 	tb := buildTree(t, ps, 256)
 	n := 0
@@ -134,4 +139,31 @@ func TestWithinDistancePrunes(t *testing.T) {
 	if stats.Accesses() > 4 {
 		t.Errorf("distant workspaces cost %d accesses, want <= 4 (root pair only)", stats.Accesses())
 	}
+}
+
+// BenchmarkWithinDistance runs the range join over the 60k x 60k uniform
+// inputs of benchJoinTrees at eps = the K = 100 closest-pair distance.
+func BenchmarkWithinDistance(b *testing.B) {
+	ta, tb := benchJoinTrees(b)
+	top, _, err := KClosestPairs(ta, tb, 100, DefaultOptions(Heap))
+	if err != nil {
+		b.Fatal(err)
+	}
+	eps := top[len(top)-1].Dist
+	var stats Stats
+	n := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n = 0
+		if stats, err = WithinDistance(ta, tb, eps, DefaultOptions(Heap), func(Pair) bool { n++; return true }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n < len(top) {
+		b.Fatalf("streamed %d pairs, want at least %d", n, len(top))
+	}
+	b.ReportMetric(float64(stats.NodePairsProcessed), "nodepairs/op")
+	b.ReportMetric(float64(stats.PointPairsCompared), "pointpairs/op")
+	b.ReportMetric(float64(n), "pairs/op")
 }

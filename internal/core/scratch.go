@@ -35,7 +35,7 @@ type queryScratch struct {
 // frame is one recursion depth's share of the scratch: the two nodes of
 // the pair being processed there and the sub-pairs it expanded to, which
 // stay live while the recursion works through them. The iterative drivers
-// use depth 0 only.
+// use depth 0 only, the semi join one frame per depth of its walk over P.
 type frame struct {
 	na, nb rtree.Node
 	subs   []nodePair

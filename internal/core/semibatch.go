@@ -1,12 +1,11 @@
 package core
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
-	"repro/internal/geom"
 	"repro/internal/rtree"
 	"repro/internal/storage"
 )
@@ -17,9 +16,11 @@ import (
 // point: the P-tree's leaves are visited once, and for each leaf a single
 // best-first search over the Q-tree serves all of the leaf's points
 // simultaneously, pruned by the leaf's worst unresolved best-so-far
-// distance. On clustered data this shares most Q-node reads among the
-// ~M points of a P leaf, cutting disk accesses substantially (see the
-// "semi" benchmark for the comparison).
+// distance. This shares most Q-node reads among the ~M points of a P leaf
+// (see the "semi" benchmark for the comparison). The search runs on the
+// join's scratch frames, pair heap and expansion kernel (in its
+// prune-only form, whatever Algorithm the options name). Pairs are
+// returned in ascending distance order, ties broken by RefP.
 //
 // SemiClosestPairsBatched is the non-cancellable shim over
 // SemiClosestPairsBatchedContext.
@@ -36,153 +37,110 @@ func SemiClosestPairsBatchedContext(ctx context.Context, ta, tb *rtree.Tree, opt
 	if ta.Len() == 0 || tb.Len() == 0 {
 		return nil, Stats{}, ErrEmptyInput
 	}
+	opts.Algorithm = Exhaustive // MINMINDIST keys, no bound tightening, no tie keys
+	j, err := newJoin(ta, tb, 1, opts, false)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	defer j.release()
 	startA := ta.Pool().Stats()
 	startB := tb.Pool().Stats()
 
-	s := &semiBatch{tb: tb, metric: opts.Metric}
 	out := make([]Pair, 0, ta.Len())
-	if err := s.walkLeaves(ctx, ta, ta.RootID(), &out); err != nil {
+	if err := j.semiWalk(ctx, ta.RootID(), 0, &out); err != nil {
 		return nil, Stats{}, err
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].RefP < out[j].RefP
+	slices.SortFunc(out, func(a, b Pair) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.RefP, b.RefP))
 	})
-	// With a shared pool report the delta once.
-	s.stats.IOP = ta.Pool().Stats().Sub(startA)
-	if ta.Pool() != tb.Pool() {
-		s.stats.IOQ = tb.Pool().Stats().Sub(startB)
-	}
-	return out, s.stats, nil
+	return out, j.poolStats(startA, startB), nil
 }
 
-type semiBatch struct {
-	tb     *rtree.Tree
-	metric geom.Metric
-	stats  Stats
-	cancel cancelGate
-}
-
-// walkLeaves visits every leaf of the P-tree in depth-first order. The
-// poll at the top makes each visit a cancellation point, covering both
-// the child loop below and resolveLeaf's best-first loop.
-func (s *semiBatch) walkLeaves(ctx context.Context, ta *rtree.Tree, id storage.PageID, out *[]Pair) error {
-	if err := s.cancel.poll(ctx); err != nil {
+// semiWalk visits the P-tree's leaves depth first, each depth's node in
+// its own frame, and appends each leaf's pairs to out. Each visit, like
+// each pop of semiLeaf's search, is a cancellation point.
+func (j *join) semiWalk(ctx context.Context, id storage.PageID, depth int, out *[]Pair) error {
+	if err := j.cancel.poll(ctx); err != nil {
 		return err
 	}
-	n, err := ta.ReadNode(id)
-	if err != nil {
+	f := j.sc.frame(depth)
+	if err := j.ta.ReadNodeInto(id, &f.na); err != nil {
 		return err
 	}
-	if n.IsLeaf() {
-		return s.resolveLeaf(ctx, n, out)
+	if f.na.IsLeaf() {
+		return j.semiLeaf(ctx, f, out)
 	}
-	for i := range n.Entries {
-		if err := s.walkLeaves(ctx, ta, n.Entries[i].Child(), out); err != nil {
+	for i := range f.na.Entries {
+		if err := j.semiWalk(ctx, f.na.Entries[i].Child(), depth+1, out); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// batchItem is a Q-subtree candidate keyed by MINDIST to the P-leaf MBR —
-// a lower bound on its distance to every point of the leaf.
-type batchItem struct {
-	key  float64
-	page storage.PageID
-}
-
-type batchQueue []batchItem
-
-func (q batchQueue) Len() int            { return len(q) }
-func (q batchQueue) Less(i, j int) bool  { return q[i].key < q[j].key }
-func (q batchQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *batchQueue) Push(x interface{}) { *q = append(*q, x.(batchItem)) }
-func (q *batchQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
-// resolveLeaf finds the Q-nearest neighbor of every point in one P leaf
-// with a single best-first search over the Q-tree.
-func (s *semiBatch) resolveLeaf(ctx context.Context, leaf *rtree.Node, out *[]Pair) error {
-	pts := make([]geom.Point, len(leaf.Entries))
-	refs := make([]int64, len(leaf.Entries))
-	bestKey := make([]float64, len(leaf.Entries))
-	bestPt := make([]geom.Point, len(leaf.Entries))
-	bestRef := make([]int64, len(leaf.Entries))
+// semiLeaf finds the Q-nearest neighbor of every point of the P leaf in
+// f.na with one best-first search over the Q-tree, decoding into f.nb. A
+// (leaf, Q node) pair's key, MINMINDIST to the leaf's MBR, bounds every
+// leaf point's distance into the Q subtree, so the search prunes and
+// stops at keys above worst, the largest best-so-far key among the leaf's
+// points. The bests are the leaf's pairs in out, each Dist holding its
+// key until the search ends.
+func (j *join) semiLeaf(ctx context.Context, f *frame, out *[]Pair) error {
+	leaf := &f.na
+	base := len(*out)
 	for i := range leaf.Entries {
-		pts[i] = leaf.Entries[i].Rect.Min
-		refs[i] = leaf.Entries[i].Ref
-		bestKey[i] = math.Inf(1)
+		e := &leaf.Entries[i]
+		*out = append(*out, Pair{P: e.Rect.Min, RefP: e.Ref, Dist: math.Inf(1)})
 	}
-	leafMBR := leaf.MBR()
+	best := (*out)[base:]
+	worst := math.Inf(1)
 
-	// worst returns the largest unresolved best-so-far key: a Q subtree
-	// whose MINDIST to the leaf MBR exceeds it cannot improve any point.
-	worst := func() float64 {
-		w := 0.0
-		for _, k := range bestKey {
-			if k > w {
-				w = k
-			}
-		}
-		return w
-	}
-
-	pq := &batchQueue{{key: 0, page: s.tb.RootID()}}
-	for pq.Len() > 0 {
-		if err := s.cancel.poll(ctx); err != nil {
+	h := &j.sc.queue
+	h.reset()
+	h.push(nodePair{a: leaf.ID, b: j.tb.RootID(), lb: int32(j.tb.Height() - 1)})
+	for h.Len() > 0 {
+		if err := j.cancel.poll(ctx); err != nil {
 			return err
 		}
-		it := heap.Pop(pq).(batchItem)
-		if it.key > worst() {
+		p := h.pop()
+		if p.minminSq > worst {
 			break
 		}
-		n, err := s.tb.ReadNode(it.page)
-		if err != nil {
+		if err := j.tb.ReadNodeInto(p.b, &f.nb); err != nil {
 			return err
 		}
-		s.stats.NodePairsProcessed++
-		if n.IsLeaf() {
-			for qi := range n.Entries {
-				q := n.Entries[qi].Rect.Min
-				for pi := range pts {
-					s.stats.PointPairsCompared++
-					if k := s.metric.Key(pts[pi], q); k < bestKey[pi] {
-						bestKey[pi] = k
-						bestPt[pi] = q
-						bestRef[pi] = n.Entries[qi].Ref
-					}
-				}
-			}
+		j.stats.nodePairsProcessed.Add(1)
+		if f.nb.IsLeaf() {
+			worst = j.semiScan(best, f.nb.Entries)
 			continue
 		}
-		w := worst()
-		for i := range n.Entries {
-			key := s.metric.MinMinKey(leafMBR, n.Entries[i].Rect)
-			s.stats.SubPairsGenerated++
-			if key > w {
-				s.stats.SubPairsPruned++
-				continue
-			}
-			heap.Push(pq, batchItem{key: key, page: n.Entries[i].Child()})
+		e := j.beginExpand(&j.sc.kern, p, leaf, &f.nb, j.bound) // a leaf and an inner node: expandBOnly
+		f.subs = e.finish(f.subs[:0], worst)
+		for _, sp := range f.subs {
+			h.push(sp)
 		}
 	}
-
-	for i := range pts {
-		*out = append(*out, Pair{
-			P:    pts[i],
-			Q:    bestPt[i],
-			RefP: refs[i],
-			RefQ: bestRef[i],
-			Dist: s.metric.KeyToDist(bestKey[i]),
-		})
+	for i := range best {
+		best[i].Dist = j.metric.KeyToDist(best[i].Dist)
 	}
 	return nil
+}
+
+// semiScan compares every point of a Q leaf with every point of the P
+// leaf, keeps each P point's best in best, and returns the largest key.
+func (j *join) semiScan(best []Pair, qs []rtree.Entry) float64 {
+	for qi := range qs {
+		q := &qs[qi]
+		for pi := range best {
+			if k := j.metric.Key(best[pi].P, q.Rect.Min); k < best[pi].Dist {
+				best[pi].Q, best[pi].RefQ, best[pi].Dist = q.Rect.Min, q.Ref, k
+			}
+		}
+	}
+	j.stats.pointPairsCompared.Add(int64(len(qs) * len(best)))
+	worst := 0.0
+	for i := range best {
+		worst = max(worst, best[i].Dist)
+	}
+	return worst
 }

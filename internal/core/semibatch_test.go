@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/rtree"
 )
 
 func TestSemiBatchedMatchesBruteForce(t *testing.T) {
@@ -118,4 +120,27 @@ func TestSemiBatchedEmpty(t *testing.T) {
 	if _, _, err := SemiClosestPairsBatched(tr, empty, DefaultOptions(Heap)); err == nil {
 		t.Error("empty Q must fail")
 	}
+}
+
+// benchJoinTrees bulk-loads the inputs of the semi and range join
+// benchmarks: 60k x 60k uniform points, in pools that hold every page.
+func benchJoinTrees(b *testing.B) (ta, tb *rtree.Tree) {
+	return bulkTree(b, dataset.Uniform(3301, 60000)), bulkTree(b, dataset.Uniform(3302, 60000))
+}
+
+// BenchmarkSemiClosestPairsBatched runs the semi join over the inputs of
+// benchJoinTrees.
+func BenchmarkSemiClosestPairsBatched(b *testing.B) {
+	ta, tb := benchJoinTrees(b)
+	var stats Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if _, stats, err = SemiClosestPairsBatched(ta, tb, DefaultOptions(Heap)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(stats.NodePairsProcessed), "nodepairs/op")
+	b.ReportMetric(float64(stats.PointPairsCompared), "pointpairs/op")
 }

@@ -138,3 +138,14 @@ func (a *statsAcc) snapshot() Stats {
 		MaxQueueSize:       int(a.maxQueueSize.Load()),
 	}
 }
+
+// poolStats is the join's counters with the access deltas of the two
+// trees' pools since startA and startB, a shared pool's reported once.
+func (j *join) poolStats(startA, startB storage.IOStats) Stats {
+	stats := j.stats.snapshot()
+	stats.IOP = j.ta.Pool().Stats().Sub(startA)
+	if j.ta.Pool() != j.tb.Pool() {
+		stats.IOQ = j.tb.Pool().Stats().Sub(startB)
+	}
+	return stats
+}

@@ -204,7 +204,9 @@ func SelfKClosestPairsContext(ctx context.Context, p *Index, k int, opts ...Quer
 // (the paper's semi-CPQ future-work variant), sorted by ascending
 // distance. The traversal is batched: one best-first search over q per
 // leaf of p serves all of the leaf's points at once, at a fraction of the
-// disk accesses of one nearest-neighbour search per point. Where two
+// disk accesses of one nearest-neighbour search per point. It runs on the
+// closest-pair engine's pair heap, expansion kernel and reused query
+// memory, so a query allocates little beyond its result. Where two
 // points of q are exactly equally near a point of p, which of them RefQ
 // names is not specified. It is the non-cancellable shim over
 // SemiClosestPairsContext.
