@@ -125,6 +125,7 @@ smoke() {
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self -algorithm STD
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self -watch
+	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self -explain
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -semi -quiet
 	# cpqtree reads an index file and no command writes one, so build it
 	# through the facade; a file named on the command line compiles inside

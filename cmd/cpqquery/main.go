@@ -13,6 +13,7 @@
 //	cpqquery -p a.csv -q b.csv -k 10 -parallel 4
 //	cpqquery -p a.csv -q b.csv -k 10 -explain
 //	cpqquery -p a.csv -q b.csv -k 10 -explain-json
+//	cpqquery -p a.csv -self -k 5 -explain
 package main
 
 import (
@@ -71,9 +72,13 @@ func main() {
 	if *parallel != 1 {
 		qopts = append(qopts, cpq.WithParallelism(*parallel))
 	}
-	doExplain := *explain || *explainJSON
-	if doExplain && (*self || *semi || *incremental != "") {
-		fatal(fmt.Errorf("-explain supports only the bichromatic K-CPQ"))
+	var capture *cpq.ExplainCapture
+	if *explain || *explainJSON {
+		if *semi || *incremental != "" {
+			fatal(fmt.Errorf("-explain supports only the K-CPQ, not -semi or -incremental"))
+		}
+		capture = cpq.NewExplainCapture(nil)
+		qopts = append(qopts, cpq.WithExplain(capture))
 	}
 	watchDone := make(chan struct{})
 	if *watch {
@@ -95,10 +100,9 @@ func main() {
 
 	start := time.Now()
 	var (
-		pairs  []cpq.Pair
-		stats  cpq.Stats
-		report *cpq.ExplainReport
-		err    error
+		pairs []cpq.Pair
+		stats cpq.Stats
+		err   error
 	)
 	switch {
 	case *self:
@@ -137,11 +141,7 @@ func main() {
 		if q == nil {
 			fatal(fmt.Errorf("-q is required (or use -self)"))
 		}
-		if doExplain {
-			pairs, stats, report, err = cpq.Explain(p, q, *k, qopts...)
-		} else {
-			pairs, stats, err = cpq.KClosestPairs(p, q, *k, qopts...)
-		}
+		pairs, stats, err = cpq.KClosestPairs(p, q, *k, qopts...)
 	}
 	close(watchDone)
 	watchWG.Wait()
@@ -159,7 +159,8 @@ func main() {
 	if wt != nil {
 		wt.render(os.Stderr)
 	}
-	if report != nil {
+	if capture != nil {
+		report := capture.Snapshot()
 		if *explainJSON {
 			raw, jerr := report.JSONIndent()
 			if jerr != nil {

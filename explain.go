@@ -2,7 +2,6 @@ package cpq
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs/explain"
@@ -36,9 +35,10 @@ func NewExplainCapture(tee Tracer) *ExplainCapture { return explain.New(tee) }
 // place of the capture's own tee), the plan and the per-phase execution
 // rows are recorded, and a slow-query log attached to the same query
 // embeds the full snapshot in its JSON line. Call capture.Snapshot()
-// after the query for the report.
+// after the query for the report. SemiClosestPairs and WithinDistance
+// ignore it.
 func WithExplain(c *ExplainCapture) QueryOption {
-	return func(o *queryConfig) { o.capture = c }
+	return func(o *core.Options) { observer(o).Explain = c }
 }
 
 // Explain runs KClosestPairs with an explain capture attached and returns
@@ -59,56 +59,4 @@ func ExplainContext(ctx context.Context, p, q *Index, k int, opts ...QueryOption
 		return nil, stats, nil, err
 	}
 	return pairs, stats, c.Snapshot(), nil
-}
-
-// explainKCPQ is the explain-enabled K-CPQ runner: it wires the capture
-// in as the query's tracer (teeing any user tracer), records the plan,
-// runs the query as one "join" phase, and feeds the finished snapshot to
-// the slow-query log.
-func explainKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pair, Stats, error) {
-	started := time.Now()
-	cap := cfg.capture
-	if cfg.core.Tracer != nil {
-		cap.SetTee(cfg.core.Tracer)
-	}
-	cfg.core.Tracer = cap
-
-	// The slow-query log is recorded here, not in the engine, so the
-	// entry can embed the explain snapshot.
-	slowLog := cfg.core.SlowLog
-	cfg.core.SlowLog = nil
-
-	label := core.QueryLabel(cfg.core, k, false)
-	cap.SetPlan(explain.Plan{
-		Label:     label,
-		Algorithm: cfg.core.Algorithm.String(),
-		K:         k,
-		Workers:   cfg.core.Workers(),
-	})
-
-	var phaseStart time.Time
-	if cap.Enabled() {
-		phaseStart = time.Now()
-	}
-	pairs, stats, err := core.KClosestPairsContext(ctx, p.tree, q.tree, k, cfg.core)
-	cap.Phase("join", time.Since(phaseStart).Nanoseconds())
-	seconds := time.Since(started)
-	r := core.QueryReport(label, seconds.Seconds(), cfg.core.Workers(), pairs, stats, err)
-	if err != nil {
-		if slowLog != nil {
-			slowLog.Record(r)
-		}
-		return nil, stats, err
-	}
-	cap.SetResult(seconds.Nanoseconds(), stats.ExplainStats(), len(pairs), r.KthDistance)
-
-	if slowLog != nil {
-		// Embed the snapshot so an over-threshold line carries the full
-		// plan and execution breakdown of the outlier.
-		if raw, jerr := cap.Snapshot().JSON(); jerr == nil {
-			r.Explain = raw
-		}
-		slowLog.Record(r)
-	}
-	return pairs, stats, nil
 }

@@ -237,7 +237,7 @@ func TestWorkersOnlyForParallelHeap(t *testing.T) {
 		{[]QueryOption{WithParallelism(1)}, "HEAP k=2", 1},
 		{[]QueryOption{WithParallelism(4)}, "HEAP k=2 par=4", 4},
 	} {
-		// Under explain the facade writes the report, without it the engine.
+		// The engine writes the report, with explain on and off alike.
 		for _, explained := range []bool{true, false} {
 			var buf bytes.Buffer
 			opts := append([]QueryOption{WithSlowQueryLog(NewSlowQueryLog(0, &buf))}, c.opts...)

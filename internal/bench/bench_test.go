@@ -174,13 +174,26 @@ func TestLabConfigIsPerLab(t *testing.T) {
 		}
 		return stats
 	}
-	run(wired)
+	wiredStats := run(wired)
 	seen := tr.n.Load()
 	if seen == 0 || wired.LastExplain() == nil {
 		t.Fatalf("wired lab: %d events, explain %v", seen, wired.LastExplain())
 	}
-	if spans := wired.LastExplain().Exec.Spans; len(spans) != 1 || !strings.HasSuffix(spans[0].Label, "par=2") {
+	rep := wired.LastExplain()
+	if spans := rep.Exec.Spans; len(spans) != 1 || !strings.HasSuffix(spans[0].Label, "par=2") {
 		t.Fatalf("wired lab did not run the 2-worker engine: spans %+v", spans)
+	}
+	// The snapshot is the whole query's, not just its trace: the plan, the
+	// result count and the counters the query returned.
+	if !strings.HasSuffix(rep.Plan.Label, "par=2") {
+		t.Errorf("wired lab's explain plan is %+v, want a label ending in par=2", rep.Plan)
+	}
+	if rep.Exec.Results <= 0 {
+		t.Errorf("wired lab's explain reports %d results", rep.Exec.Results)
+	}
+	if rep.Exec.Stats.NodePairsProcessed != wiredStats.NodePairsProcessed {
+		t.Errorf("wired lab's explain reports %d node pairs, the query returned %d",
+			rep.Exec.Stats.NodePairsProcessed, wiredStats.NodePairsProcessed)
 	}
 
 	got := run(plain)

@@ -231,8 +231,9 @@ func (l *Lab) Totals() Totals {
 func (l *Lab) LastExplain() *explain.Explain { return l.lastExplain }
 
 // RunCore executes one K-CPQ with one of the paper's algorithms under the
-// given buffer size and returns its statistics. The Lab's Parallelism,
-// Tracer and Metrics fill the corresponding options the caller left zero.
+// given buffer size and returns its statistics. The Lab's Parallelism
+// fills the option when the caller left it zero, and its Tracer, Metrics
+// and Explain become the query's observer when the caller set none.
 func (l *Lab) RunCore(ta, tb *rtree.Tree, k int, opts core.Options, bufferPages int) (core.Stats, error) {
 	prepare(ta, tb, bufferPages)
 	ctx := l.Ctx
@@ -242,20 +243,15 @@ func (l *Lab) RunCore(ta, tb *rtree.Tree, k int, opts core.Options, bufferPages 
 	if opts.Parallelism == 0 {
 		opts.Parallelism = l.Parallelism
 	}
-	if opts.Tracer == nil {
-		opts.Tracer = l.Tracer
-	}
-	if opts.Metrics == nil {
-		opts.Metrics = l.Metrics
-	}
-	var ec *explain.Capture
-	if l.Explain {
-		ec = explain.New(opts.Tracer)
-		opts.Tracer = ec
+	if opts.Observe == nil && (l.Tracer != nil || l.Metrics != nil || l.Explain) {
+		opts.Observe = &core.Observer{Tracer: l.Tracer, Metrics: l.Metrics}
+		if l.Explain {
+			opts.Observe.Explain = explain.New(nil)
+		}
 	}
 	_, stats, err := core.KClosestPairsContext(ctx, ta, tb, k, opts)
-	if ec != nil {
-		l.lastExplain = ec.Snapshot()
+	if l.Explain {
+		l.lastExplain = opts.Observe.Explain.Snapshot()
 	}
 	if err == nil {
 		l.totals.Queries++

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/rtree"
 )
 
@@ -55,20 +53,11 @@ func kClosestPairs(ctx context.Context, ta, tb *rtree.Tree, k int, opts Options,
 		return nil, Stats{}, ErrEmptyInput
 	}
 
-	// Observability setup: the label and start time are only computed when
-	// a consumer is attached, so the default query path takes no
-	// timestamps and formats nothing.
-	measure := opts.Metrics != nil || opts.SlowLog != nil
-	var label string
-	if opts.Tracer != nil || measure {
-		label = QueryLabel(opts, k, self)
-	}
-	if opts.Tracer != nil {
-		j.span = obs.StartSpan(opts.Tracer, label)
-	}
-	var started time.Time
-	if measure {
-		started = time.Now()
+	// Observation starts after the argument and empty-input checks; a
+	// query without an observer takes no timestamp and formats nothing.
+	var q observed
+	if o := opts.Observe; o != nil {
+		q = o.start(j, k, self)
 	}
 
 	startA := ta.Pool().Stats()
@@ -92,20 +81,11 @@ func kClosestPairs(ctx context.Context, ta, tb *rtree.Tree, k int, opts Options,
 	}
 	if err != nil {
 		j.traceQueryEnd(0, err)
-		if measure {
-			r := QueryReport(label, time.Since(started).Seconds(), opts.Workers(), nil, Stats{}, err)
-			opts.Metrics.Record(r)
-			opts.SlowLog.Record(r)
-		}
+		q.finish(nil, Stats{}, err)
 		return nil, Stats{}, err
 	}
 
-	stats := j.stats.snapshot()
-	// With a shared pool (e.g. a self join) report the delta once.
-	stats.IOP = ta.Pool().Stats().Sub(startA)
-	if ta.Pool() != tb.Pool() {
-		stats.IOQ = tb.Pool().Stats().Sub(startB)
-	}
+	stats := j.poolStats(startA, startB)
 	ca := ta.NodeCacheStats().Sub(startCA)
 	stats.Merge(Stats{NodeCacheHits: ca.Hits, NodeCacheMisses: ca.Misses})
 	if ta != tb {
@@ -116,50 +96,8 @@ func kClosestPairs(ctx context.Context, ta, tb *rtree.Tree, k int, opts Options,
 	// before results() sorts the heap out of heap order.
 	j.traceQueryEnd(len(j.kheap.pairs), nil)
 	pairs := j.kheap.results(j.metric)
-	if measure {
-		r := QueryReport(label, time.Since(started).Seconds(), opts.Workers(), pairs, stats, nil)
-		opts.Metrics.Record(r)
-		opts.SlowLog.Record(r)
-	}
+	q.finish(pairs, stats, nil)
 	return pairs, stats, nil
-}
-
-// QueryReport builds the cost report a finished K-CPQ hands to the
-// metrics and the slow-query log: its label, wall time and worker count,
-// and either its error or its counters, result count and K-th distance.
-// The engine and the facade's explain path both report through it, so a
-// query's slow-log line is the same whichever of them records it.
-func QueryReport(label string, seconds float64, workers int, pairs []Pair, stats Stats, err error) obs.QueryReport {
-	r := obs.QueryReport{Label: label, Seconds: seconds, Workers: workers}
-	if err != nil {
-		r.Err = err.Error()
-		return r
-	}
-	r.Accesses = stats.Accesses()
-	r.NodePairs = stats.NodePairsProcessed
-	r.PointPairs = stats.PointPairsCompared
-	r.CacheHits = stats.NodeCacheHits
-	r.CacheMisses = stats.NodeCacheMisses
-	r.Results = len(pairs)
-	if len(pairs) > 0 {
-		r.KthDistance = pairs[len(pairs)-1].Dist
-	}
-	return r
-}
-
-// QueryLabel renders the query description used as the span label and the
-// metrics/slow-log aggregation key; a self join's label reads
-// "HEAP self k=1", so it never shares a key with a bichromatic query. Exported so the facade's
-// explain path labels its plan exactly like the engine labels its span.
-func QueryLabel(opts Options, k int, self bool) string {
-	alg := opts.Algorithm.String()
-	if self {
-		alg += " self"
-	}
-	if w := opts.Workers(); w > 1 {
-		return fmt.Sprintf("%s k=%d par=%d", alg, k, w)
-	}
-	return fmt.Sprintf("%s k=%d", alg, k)
 }
 
 // ClosestPair finds the single closest pair (the 1-CPQ of Section 2.1),

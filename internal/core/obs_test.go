@@ -58,7 +58,7 @@ func TestTraceEventCompleteness(t *testing.T) {
 		for _, k := range []int{1, 10} {
 			opts := DefaultOptions(alg)
 			tr := &captureTracer{}
-			opts.Tracer = tr
+			opts.Observe = &Observer{Tracer: tr}
 			pairs, stats, err := KClosestPairs(ta, tb, k, opts)
 			if err != nil {
 				t.Fatalf("%v k=%d: %v", alg, k, err)
@@ -73,7 +73,7 @@ func TestTraceEventCompleteness(t *testing.T) {
 	opts := DefaultOptions(Heap)
 	opts.Parallelism = 4
 	tr := &captureTracer{}
-	opts.Tracer = tr
+	opts.Observe = &Observer{Tracer: tr}
 	pairs, stats, err := KClosestPairs(ta, tb, 10, opts)
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
@@ -152,8 +152,7 @@ func TestQueryMetricsAndSlowLog(t *testing.T) {
 	em := obs.NewEngineMetrics(reg)
 	slow := obs.NewSlowQueryLog(0, nil) // threshold 0: every query is slow
 	opts := DefaultOptions(Heap)
-	opts.Metrics = em
-	opts.SlowLog = slow
+	opts.Observe = &Observer{Metrics: em, SlowLog: slow}
 	pairs, stats, err := KClosestPairs(ta, tb, 5, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +189,9 @@ func benchQuery(b *testing.B, tracer obs.Tracer) {
 	ta := buildTree(b, ps, 1024)
 	tb := buildTree(b, qs, 1024)
 	opts := DefaultOptions(Heap)
-	opts.Tracer = tracer
+	if tracer != nil {
+		opts.Observe = &Observer{Tracer: tracer}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := KClosestPairs(ta, tb, 10, opts); err != nil {

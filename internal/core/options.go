@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core/bound"
 	"repro/internal/geom"
-	"repro/internal/obs"
 	"repro/internal/sortx"
 )
 
@@ -187,19 +186,11 @@ type Options struct {
 	// MBR bounds (MINMINDIST, MINMAXDIST, MAXMAXDIST) are computed under
 	// the same metric, preserving every pruning argument.
 	Metric geom.Metric
-	// Tracer, when non-nil, receives a per-query span of typed events
-	// (node expansions, bound tightenings, heap high-water marks, leaf
-	// sweeps; see the obs event taxonomy). nil — the default — disables
-	// tracing entirely: every emission site sits behind one nil check and
-	// allocates nothing.
-	Tracer obs.Tracer
-	// Metrics, when non-nil, receives one cost record per completed query
-	// (latency, accesses, K-th distance, cache counters). Recording
-	// happens at query completion only, never inside the traversal.
-	Metrics *obs.EngineMetrics
-	// SlowLog, when non-nil, aggregates per-query cost reports and writes
-	// queries slower than its threshold as JSON lines.
-	SlowLog *obs.SlowQueryLog
+	// Observe, when non-nil, attaches the query's tracer, metrics,
+	// slow-query log and explain capture (see Observer). nil — the default
+	// — observes nothing: every trace hook is one nil check and allocates
+	// nothing.
+	Observe *Observer
 	// SharedBound, when non-nil, couples this query to other in-flight
 	// joins through an external tighten-only pruning bound (the one the
 	// shard executor shares across its joins, DESIGN.md §13). The join

@@ -72,8 +72,12 @@ func (j *join) runHeapParallel(ctx context.Context, root nodePair, workers int) 
 	r := &taskRun{j: j, tasks: tasks}
 	workers = min(workers, len(tasks))
 	noteWorkers(workers)
-	var wallStart time.Time // timestamps only for metrics
-	if j.opts.Metrics != nil {
+	var em *obs.EngineMetrics // timestamps only for metrics
+	if o := j.opts.Observe; o != nil {
+		em = o.Metrics
+	}
+	var wallStart time.Time
+	if em != nil {
 		wallStart = time.Now()
 	}
 	var wg sync.WaitGroup
@@ -87,9 +91,9 @@ func (j *join) runHeapParallel(ctx context.Context, root nodePair, workers int) 
 		}()
 	}
 	wg.Wait()
-	if j.opts.Metrics != nil {
+	if em != nil {
 		if wall := time.Since(wallStart).Seconds(); wall > 0 && workers > 0 {
-			j.opts.Metrics.WorkerUtilization.Observe(float64(r.busyNanos.Load()) / 1e9 / (wall * float64(workers)))
+			em.WorkerUtilization.Observe(float64(r.busyNanos.Load()) / 1e9 / (wall * float64(workers)))
 		}
 	}
 	return r.err
@@ -151,7 +155,7 @@ func (j *join) worker(sc *queryScratch) *join {
 // worker's counters join the query's.
 func (r *taskRun) work(ctx context.Context, w *join) {
 	defer r.j.stats.add(&w.stats)
-	timed := w.opts.Metrics != nil
+	timed := w.opts.Observe != nil && w.opts.Observe.Metrics != nil
 	for {
 		i := int(r.next.Add(1)) - 1
 		if i >= len(r.tasks) {

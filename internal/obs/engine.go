@@ -79,9 +79,9 @@ type QueryReport struct {
 	// Err is the error text for failed queries, empty on success.
 	Err string `json:"err,omitempty"`
 	// Explain, when non-nil, is the query's EXPLAIN/ANALYZE snapshot in
-	// its canonical JSON form (internal/obs/explain). The facade attaches
-	// it for explain-enabled queries so slow-query log lines carry the
-	// full plan and execution breakdown of the outlier.
+	// its canonical JSON form (internal/obs/explain). The engine attaches
+	// it to a query that has an explain capture, so its slow-query log line
+	// carries the full plan and execution breakdown of the outlier.
 	Explain json.RawMessage `json:"explain,omitempty"`
 }
 

@@ -9,7 +9,7 @@ import (
 // Capture collects one query's EXPLAIN/ANALYZE data. It implements
 // obs.Tracer, so attaching it as (or teeing it into) the query's tracer
 // rebuilds the span and bound trajectory from the trace stream, while
-// the facade feeds it structured rows (plan, phases, totals) through the
+// the engine feeds it structured rows (plan, phases, totals) through the
 // mutators.
 //
 // All methods are safe for concurrent use (parallel workers emit trace

@@ -5,10 +5,10 @@
 // tree or canonical JSON.
 //
 // The package sits beside the rest of internal/obs: it imports only obs
-// and the standard library, so core, shard and the facade can all feed it
-// without cycles. A Capture doubles as an obs.Tracer, so one value both
-// collects structured rows from the facade and rebuilds the span and the
-// bound trajectory from the trace stream.
+// and the standard library, so core and shard can feed it without cycles.
+// A Capture doubles as an obs.Tracer, so one value both collects
+// structured rows from the engine and rebuilds the span and the bound
+// trajectory from the trace stream.
 //
 // Everything is nil-safe in the PR 5 disabled-hook discipline: every
 // method on a nil *Capture returns immediately, so explain-off query paths
@@ -38,8 +38,7 @@ const Unbounded = -1
 
 // Plan describes what the query decided to do before doing it.
 type Plan struct {
-	// Label is the engine's query label (core.QueryLabel), the same string
-	// the span and the slow-query log use.
+	// Label is the engine's query label, as on the span and the slow log.
 	Label string `json:"label"`
 	// Algorithm is the CPQ algorithm's paper abbreviation (HEAP, STD, ...).
 	Algorithm string `json:"algorithm"`
@@ -54,7 +53,7 @@ type Exec struct {
 	// DurationNS is the query's total wall time.
 	DurationNS int64 `json:"duration_ns"`
 	// Phases is the wall breakdown in execution order (one join phase
-	// for a facade query; partition and build for the shard partitioner).
+	// for a K-CPQ; partition and build for the shard partitioner).
 	Phases []Phase `json:"phases,omitempty"`
 	// Bounds is the bound-tightening trajectory: every strict decrease of
 	// the pruning bound, timestamped relative to its span's start.

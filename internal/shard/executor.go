@@ -83,8 +83,7 @@ func (e *Executor) Run(k int, opts core.Options) (Result, error) {
 // it and publishes its own sound upper bounds (a full K-heap threshold, a
 // MINMAXDIST/MAXMAXDIST bound) through it, so a tight pair found in one
 // tile prunes node pairs, and whole shard pairs still queued, in every
-// other. Each join opens its own span on opts.Tracer and records into
-// opts.Metrics like any query.
+// other. Each join is observed through opts.Observe like any query.
 func (e *Executor) RunContext(ctx context.Context, k int, opts core.Options) (Result, error) {
 	if e.Set == nil || len(e.Set.shards) == 0 {
 		return Result{}, fmt.Errorf("shard: executor has no shard set")

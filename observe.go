@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -95,21 +96,30 @@ func ObservabilityMux(m *Metrics, withPprof bool) *http.ServeMux {
 // events (node expansions, bound tightenings, heap high-water marks, leaf
 // sweeps). The default nil tracer is free: every emission site in
 // the engine hides behind one nil check and allocates nothing.
+// SemiClosestPairs and WithinDistance ignore it.
 func WithTracer(tr Tracer) QueryOption {
-	return func(o *queryConfig) { o.core.Tracer = tr }
+	return func(o *core.Options) { observer(o).Tracer = tr }
 }
 
 // WithMetrics records the query's cost (latency, accesses, K-th distance,
 // cache counters, worker utilization) into the given engine metric set at
 // completion. Recording happens once per query, never inside the
-// traversal.
+// traversal. SemiClosestPairs and WithinDistance ignore it.
 func WithMetrics(em *EngineMetrics) QueryOption {
-	return func(o *queryConfig) { o.core.Metrics = em }
+	return func(o *core.Options) { observer(o).Metrics = em }
 }
 
 // WithSlowQueryLog feeds the query's cost report to the given slow-query
 // log: aggregated always, written as a JSON line when the latency meets
-// the log's threshold.
+// the log's threshold. SemiClosestPairs and WithinDistance ignore it.
 func WithSlowQueryLog(l *SlowQueryLog) QueryOption {
-	return func(o *queryConfig) { o.core.SlowLog = l }
+	return func(o *core.Options) { observer(o).SlowLog = l }
+}
+
+// observer returns the query's observer, allocated on first use.
+func observer(o *core.Options) *core.Observer {
+	if o.Observe == nil {
+		o.Observe = new(core.Observer)
+	}
+	return o.Observe
 }

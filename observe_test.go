@@ -2,6 +2,7 @@ package cpq_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -195,4 +197,92 @@ func Example_observability() {
 	page, _ := io.ReadAll(resp.Body)
 	fmt.Println(strings.Contains(string(page), "# TYPE cpq_queries_total counter"))
 	// Output: true
+}
+
+// startEndTracer counts the query_start and query_end events it sees.
+type startEndTracer struct{ starts, ends atomic.Int64 }
+
+func (c *startEndTracer) Event(e cpq.TraceEvent) {
+	switch e.Kind {
+	case cpq.EvQueryStart:
+		c.starts.Add(1)
+	case cpq.EvQueryEnd:
+		c.ends.Add(1)
+	}
+}
+
+// TestEveryEntryPointHonoursEveryHook runs every K-CPQ entry point under
+// each observer option alone: the tracer sees one span, the metrics count
+// one query, the slow-query log writes one line with the query's label
+// and the explain snapshot has the plan's label and the result count.
+func TestEveryEntryPointHonoursEveryHook(t *testing.T) {
+	p, q := buildPair(t)
+	ctx := context.Background()
+	one := func(pair cpq.Pair, stats cpq.Stats, err error) ([]cpq.Pair, error) {
+		return []cpq.Pair{pair}, err
+	}
+	many := func(pairs []cpq.Pair, stats cpq.Stats, err error) ([]cpq.Pair, error) { return pairs, err }
+	for _, row := range []struct {
+		name, label string
+		run         func(opts ...cpq.QueryOption) ([]cpq.Pair, error)
+	}{
+		{"ClosestPair", "HEAP k=1", func(o ...cpq.QueryOption) ([]cpq.Pair, error) { return one(cpq.ClosestPair(p, q, o...)) }},
+		{"ClosestPairContext", "HEAP k=1", func(o ...cpq.QueryOption) ([]cpq.Pair, error) {
+			return one(cpq.ClosestPairContext(ctx, p, q, o...))
+		}},
+		{"KClosestPairs", "HEAP k=3", func(o ...cpq.QueryOption) ([]cpq.Pair, error) { return many(cpq.KClosestPairs(p, q, 3, o...)) }},
+		{"KClosestPairsContext", "HEAP k=3", func(o ...cpq.QueryOption) ([]cpq.Pair, error) {
+			return many(cpq.KClosestPairsContext(ctx, p, q, 3, o...))
+		}},
+		{"SelfClosestPair", "HEAP self k=1", func(o ...cpq.QueryOption) ([]cpq.Pair, error) { return one(cpq.SelfClosestPair(p, o...)) }},
+		{"SelfClosestPairContext", "HEAP self k=1", func(o ...cpq.QueryOption) ([]cpq.Pair, error) {
+			return one(cpq.SelfClosestPairContext(ctx, p, o...))
+		}},
+		{"SelfKClosestPairs", "HEAP self k=3", func(o ...cpq.QueryOption) ([]cpq.Pair, error) { return many(cpq.SelfKClosestPairs(p, 3, o...)) }},
+		{"SelfKClosestPairsContext", "HEAP self k=3", func(o ...cpq.QueryOption) ([]cpq.Pair, error) {
+			return many(cpq.SelfKClosestPairsContext(ctx, p, 3, o...))
+		}},
+	} {
+		t.Run(row.name+"/tracer", func(t *testing.T) {
+			tr := &startEndTracer{}
+			if _, err := row.run(cpq.WithTracer(tr)); err != nil {
+				t.Fatal(err)
+			}
+			if s, e := tr.starts.Load(), tr.ends.Load(); s != 1 || e != 1 {
+				t.Fatalf("tracer saw %d query_start and %d query_end events, want 1 and 1", s, e)
+			}
+		})
+		t.Run(row.name+"/metrics", func(t *testing.T) {
+			em := cpq.NewEngineMetrics(cpq.NewMetrics())
+			if _, err := row.run(cpq.WithMetrics(em)); err != nil {
+				t.Fatal(err)
+			}
+			if n := em.Queries.Value(); n != 1 {
+				t.Fatalf("metrics counted %d queries, want 1", n)
+			}
+		})
+		t.Run(row.name+"/slowlog", func(t *testing.T) {
+			var buf bytes.Buffer
+			if _, err := row.run(cpq.WithSlowQueryLog(cpq.NewSlowQueryLog(0, &buf))); err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+			var rep cpq.QueryReport
+			if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &rep) != nil || rep.Label != row.label {
+				t.Fatalf("slow log wrote %q, want one line labelled %q", buf.String(), row.label)
+			}
+		})
+		t.Run(row.name+"/explain", func(t *testing.T) {
+			c := cpq.NewExplainCapture(nil)
+			pairs, err := row.run(cpq.WithExplain(c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := c.Snapshot()
+			if snap.Plan.Label != row.label || snap.Exec.Results != len(pairs) {
+				t.Fatalf("explain plan %+v with %d results, want label %q and %d results",
+					snap.Plan, snap.Exec.Results, row.label, len(pairs))
+			}
+		})
+	}
 }

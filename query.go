@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/incremental"
-	"repro/internal/obs/explain"
 )
 
 // Pair is one closest-pair result.
@@ -53,25 +52,18 @@ func Chebyshev() Metric { return geom.LInf() }
 // Minkowski returns the L_p metric for p >= 1.
 func Minkowski(p float64) (Metric, error) { return geom.Lp(p) }
 
-// queryConfig is the facade-level query configuration: the engine options
-// plus what lives above the engine (the explain capture).
-type queryConfig struct {
-	core    core.Options
-	capture *explain.Capture
-}
-
 // QueryOption tunes a closest-pair query.
-type QueryOption func(*queryConfig)
+type QueryOption func(*core.Options)
 
 // WithAlgorithm selects the CPQ algorithm (default HeapAlgorithm) of the
 // bichromatic and the self closest-pair queries.
 func WithAlgorithm(a Algorithm) QueryOption {
-	return func(o *queryConfig) { o.core.Algorithm = a }
+	return func(o *core.Options) { o.Algorithm = a }
 }
 
 // WithMetric selects the distance metric (default Euclidean).
 func WithMetric(m Metric) QueryOption {
-	return func(o *queryConfig) { o.core.Metric = m }
+	return func(o *core.Options) { o.Metric = m }
 }
 
 // WithParallelism runs the HEAP algorithm with n worker goroutines, each
@@ -86,11 +78,11 @@ func WithMetric(m Metric) QueryOption {
 // WithBufferShards on the indexes so concurrent page reads do not
 // serialize on one buffer-pool mutex.
 func WithParallelism(n int) QueryOption {
-	return func(o *queryConfig) {
+	return func(o *core.Options) {
 		if n <= 0 {
-			o.core.Parallelism = core.AutoParallelism
+			o.Parallelism = core.AutoParallelism
 		} else {
-			o.core.Parallelism = n
+			o.Parallelism = n
 		}
 	}
 }
@@ -106,25 +98,21 @@ func WithParallelism(n int) QueryOption {
 //
 // Deprecated: use WithParallelism.
 func WithShards(t int) QueryOption {
-	return func(o *queryConfig) {
-		if t > 1 && o.core.Parallelism <= 1 {
-			o.core.Parallelism = core.AutoParallelism
+	return func(o *core.Options) {
+		if t > 1 && o.Parallelism <= 1 {
+			o.Parallelism = core.AutoParallelism
 		}
 	}
 }
 
-func buildConfig(opts []QueryOption) queryConfig {
-	c := queryConfig{core: core.DefaultOptions(core.Heap)}
-	for _, f := range opts {
-		f(&c)
-	}
-	return c
-}
-
-// buildOptions resolves just the engine options, for the query variants
-// that take no explain capture.
+// buildOptions resolves the engine options of one query: the facade's
+// default, DefaultOptions(HeapAlgorithm), under opts in order.
 func buildOptions(opts []QueryOption) core.Options {
-	return buildConfig(opts).core
+	o := core.DefaultOptions(core.Heap)
+	for _, f := range opts {
+		f(&o)
+	}
+	return o
 }
 
 // ClosestPair returns the closest pair between the two indexed point sets
@@ -140,15 +128,7 @@ func ClosestPair(p, q *Index, opts ...QueryOption) (Pair, Stats, error) {
 // When the context never fires the results, paper counters and disk
 // accesses are identical to the context-free call.
 func ClosestPairContext(ctx context.Context, p, q *Index, opts ...QueryOption) (Pair, Stats, error) {
-	cfg := buildConfig(opts)
-	if cfg.capture != nil {
-		pairs, stats, err := explainKCPQ(ctx, p, q, 1, cfg)
-		if err != nil {
-			return Pair{}, stats, err
-		}
-		return pairs[0], stats, nil
-	}
-	return core.ClosestPairContext(ctx, p.tree, q.tree, cfg.core)
+	return core.ClosestPairContext(ctx, p.tree, q.tree, buildOptions(opts))
 }
 
 // KClosestPairs returns the k closest pairs between the two indexed point
@@ -162,18 +142,14 @@ func KClosestPairs(p, q *Index, k int, opts ...QueryOption) ([]Pair, Stats, erro
 // KClosestPairsContext is KClosestPairs under a context; see
 // ClosestPairContext for the cancellation contract.
 func KClosestPairsContext(ctx context.Context, p, q *Index, k int, opts ...QueryOption) ([]Pair, Stats, error) {
-	cfg := buildConfig(opts)
-	if cfg.capture != nil {
-		return explainKCPQ(ctx, p, q, k, cfg)
-	}
-	return core.KClosestPairsContext(ctx, p.tree, q.tree, k, cfg.core)
+	return core.KClosestPairsContext(ctx, p.tree, q.tree, k, buildOptions(opts))
 }
 
 // SelfClosestPair returns the closest pair of distinct points within one
 // index (the paper's self-CPQ future-work variant). It is the K-CPQ join
-// of the index with itself, so every option of KClosestPairs applies —
-// algorithm, parallelism, metric, tracer, metrics and slow-query log — but
-// WithExplain. It is the non-cancellable shim over SelfClosestPairContext.
+// of the index with itself, so every option of KClosestPairs applies:
+// algorithm, parallelism, metric, tracer, metrics, slow-query log and
+// explain. It is the non-cancellable shim over SelfClosestPairContext.
 func SelfClosestPair(p *Index, opts ...QueryOption) (Pair, Stats, error) {
 	return SelfClosestPairContext(context.Background(), p, opts...)
 }
@@ -208,8 +184,9 @@ func SelfKClosestPairsContext(ctx context.Context, p *Index, k int, opts ...Quer
 // closest-pair engine's pair heap, expansion kernel and reused query
 // memory, so a query allocates little beyond its result. Where two
 // points of q are exactly equally near a point of p, which of them RefQ
-// names is not specified. It is the non-cancellable shim over
-// SemiClosestPairsContext.
+// names is not specified. It is not observed: WithTracer, WithMetrics,
+// WithSlowQueryLog and WithExplain have no effect on it. It is the
+// non-cancellable shim over SemiClosestPairsContext.
 func SemiClosestPairs(p, q *Index, opts ...QueryOption) ([]Pair, Stats, error) {
 	return SemiClosestPairsContext(context.Background(), p, q, opts...)
 }
@@ -261,7 +238,8 @@ func WithJoinMetric(m Metric) JoinOption {
 }
 
 // NewIncrementalJoin starts an incremental distance join between the two
-// indexes.
+// indexes. It takes no observer option (tracer, metrics, slow-query log
+// or explain capture).
 func NewIncrementalJoin(p, q *Index, opts ...JoinOption) (*JoinIterator, error) {
 	var o incremental.Options
 	for _, f := range opts {
