@@ -150,6 +150,52 @@ func TestIndexCRUD(t *testing.T) {
 	}
 }
 
+// TestInsertionBuildAtExtremeMagnitudes builds by insertion, through
+// BuildIndex and then Index.Insert, on uniform points scaled to ±1e300,
+// ±1e307 and ±1.7e308. At the two larger scales every margin sum of the
+// R* split overflows to +Inf, so no split axis wins on "<" and the split
+// must still pick one; areas are +Inf and overlap sums NaN in
+// ChooseSubtree. The tree must hold every point and stay valid.
+func TestInsertionBuildAtExtremeMagnitudes(t *testing.T) {
+	for _, scale := range []float64{1e300, 1e307, 1.7e308} {
+		rng := rand.New(rand.NewSource(35))
+		pts := make([]Point, 600)
+		for i := range pts {
+			pts[i] = Point{X: (2*rng.Float64() - 1) * scale, Y: (2*rng.Float64() - 1) * scale}
+		}
+		idx, err := BuildIndex(pts[:400])
+		if err != nil {
+			t.Fatalf("scale %g: BuildIndex: %v", scale, err)
+		}
+		for i := 400; i < len(pts); i++ {
+			if err := idx.Insert(pts[i], int64(i)); err != nil {
+				t.Fatalf("scale %g: Insert %d: %v", scale, i, err)
+			}
+		}
+		if err := idx.CheckInvariants(); err != nil {
+			t.Fatalf("scale %g: %v", scale, err)
+		}
+		seen := make([]bool, len(pts))
+		all := Rect{Min: Point{X: -math.MaxFloat64, Y: -math.MaxFloat64}, Max: Point{X: math.MaxFloat64, Y: math.MaxFloat64}}
+		if err := idx.Search(all, func(p Point, ref int64) bool {
+			if ref < 0 || ref >= int64(len(pts)) || seen[ref] || p != pts[ref] {
+				t.Errorf("scale %g: Search returned ref %d at %v unexpectedly", scale, ref, p)
+				return false
+			}
+			seen[ref] = true
+			return true
+		}); err != nil {
+			t.Fatalf("scale %g: %v", scale, err)
+		}
+		if missing := slices.Index(seen, false); missing >= 0 {
+			t.Errorf("scale %g: Search missed ref %d", scale, missing)
+		}
+		if err := idx.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestOnDiskIndexRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "idx.cpq")
 	pts := randomPoints(6, 300, 0)

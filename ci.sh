@@ -20,18 +20,19 @@
 #                      Prometheus-exposition parse smoke test (the fuzz
 #                      target over its seed corpus), and the EXPLAIN
 #                      golden round-trip with its fuzz corpus
-#   ./ci.sh paper      regenerate every figure at full scale (about two
-#                      minutes) and diff the report against
+#   ./ci.sh paper      regenerate every figure at full scale (about a
+#                      minute and a quarter) and diff the report against
 #                      results_full.txt, wall times masked
 set -eu
 
-# bench is a smoke pass, not a gate: one iteration per Go benchmark case,
-# two seconds per workload of the repository's benchmark (which checks
+# bench is a smoke pass, not a gate: a few iterations per Go benchmark
+# case, two seconds per workload of the repository's benchmark (which checks
 # every result against its oracle). Timings this short decide nothing;
 # compare full `go run -C benchmark .` reports with its -compare instead.
 bench() {
 	go test -run '^$' -bench 'BenchmarkFig4Algorithms1CP|BenchmarkFig7KCP' -benchtime 1x -benchmem .
 	go test -run '^$' -bench 'BenchmarkPairHeap|BenchmarkSweepLeafScan|BenchmarkBoundCandidate|BenchmarkSemiClosestPairsBatched|BenchmarkWithinDistance' -benchtime 100x -benchmem ./internal/core
+	go test -run '^$' -bench 'BenchmarkInsert|BenchmarkBulkLoadSTR' -benchtime 100x -benchmem ./internal/rtree
 	go run -C benchmark . -seed 1 -seconds 2
 }
 
@@ -50,7 +51,7 @@ obs() {
 	# The warm-query allocation budget (DESIGN.md §10): what a K-CPQ
 	# allocates depends on K alone. The core test skips itself under -race,
 	# so this line, without it, is the one place it is sure to run.
-	go test -count=1 -run 'TestKCPQSteadyStateAllocs|TestReadNodeIntoWarmZeroAlloc' ./internal/core ./internal/rtree
+	go test -count=1 -run 'TestKCPQSteadyStateAllocs|TestReadNodeIntoWarmZeroAlloc|TestInsertWarmAllocs' ./internal/core ./internal/rtree
 	# The leaf order (DESIGN.md §8): every write path stores leaves
 	# x-ordered, and the leaf scan answers exactly from pages that are not.
 	go test -count=1 -run 'TestLeafOrderOnEveryWritePath|TestUnorderedLeafTwins' ./internal/rtree ./internal/core

@@ -72,6 +72,11 @@ func (r Rect) Center() Point {
 }
 
 // Union returns the smallest rectangle containing both r and s.
+// Union, Intersect and OverlapArea use the builtin min and max, which
+// compile inline where math.Min and math.Max are calls. Both forms order
+// -0 below +0 and return NaN for a NaN operand; they part only where a NaN
+// meets an infinity (math.Max(NaN, +Inf) is +Inf), and no Valid rectangle
+// holds a NaN or an infinity.
 func (r Rect) Union(s Rect) Rect {
 	if r.IsEmpty() {
 		return s
@@ -80,19 +85,18 @@ func (r Rect) Union(s Rect) Rect {
 		return r
 	}
 	return Rect{
-		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
+		Min: Point{min(r.Min.X, s.Min.X), min(r.Min.Y, s.Min.Y)},
+		Max: Point{max(r.Max.X, s.Max.X), max(r.Max.Y, s.Max.Y)},
 	}
 }
 
 // Intersect returns the overlap of r and s; the result IsEmpty when the
 // rectangles are disjoint.
 func (r Rect) Intersect(s Rect) Rect {
-	out := Rect{
-		Min: Point{math.Max(r.Min.X, s.Min.X), math.Max(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Min(r.Max.X, s.Max.X), math.Min(r.Max.Y, s.Max.Y)},
+	return Rect{
+		Min: Point{max(r.Min.X, s.Min.X), max(r.Min.Y, s.Min.Y)},
+		Max: Point{min(r.Max.X, s.Max.X), min(r.Max.Y, s.Max.Y)},
 	}
-	return out
 }
 
 // Intersects reports whether r and s share at least one point
@@ -105,11 +109,11 @@ func (r Rect) Intersects(s Rect) bool {
 // OverlapArea returns the area of the intersection of r and s
 // (0 when disjoint or merely touching).
 func (r Rect) OverlapArea(s Rect) float64 {
-	dx := math.Min(r.Max.X, s.Max.X) - math.Max(r.Min.X, s.Min.X)
+	dx := min(r.Max.X, s.Max.X) - max(r.Min.X, s.Min.X)
 	if dx <= 0 {
 		return 0
 	}
-	dy := math.Min(r.Max.Y, s.Max.Y) - math.Max(r.Min.Y, s.Min.Y)
+	dy := min(r.Max.Y, s.Max.Y) - max(r.Min.Y, s.Min.Y)
 	if dy <= 0 {
 		return 0
 	}

@@ -204,3 +204,60 @@ func TestRectValid(t *testing.T) {
 		t.Error("NaN rect must be invalid")
 	}
 }
+
+// TestRectMinMaxMatchMath holds Union, Intersect and OverlapArea, which
+// use the builtin min and max, to the math.Min/math.Max forms they
+// replaced, bit for bit, on coordinates drawn from ±0, the largest finite
+// magnitudes, small integers, and either NaN or ±Inf. The two differ only
+// where a NaN meets an infinity (math.Max(NaN, +Inf) is +Inf, the builtin
+// max gives NaN), which no rectangle a tree stores can hold: Valid
+// rejects both, and EmptyRect has infinities but no NaN.
+func TestRectMinMaxMatchMath(t *testing.T) {
+	finite := []float64{math.Copysign(0, -1), 0, -math.MaxFloat64, math.MaxFloat64, -1, 1, 2}
+	withNaN := append([]float64{math.NaN()}, finite...)
+	withInf := append([]float64{math.Inf(-1), math.Inf(1)}, finite...)
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	sameRect := func(a, b Rect) bool {
+		return same(a.Min.X, b.Min.X) && same(a.Min.Y, b.Min.Y) && same(a.Max.X, b.Max.X) && same(a.Max.Y, b.Max.Y)
+	}
+	rng := rand.New(rand.NewSource(35))
+	for i := 0; i < 20000; i++ {
+		vals := withNaN
+		if i%2 == 1 {
+			vals = withInf
+		}
+		pick := func() float64 { return vals[rng.Intn(len(vals))] }
+		r := Rect{Min: Point{pick(), pick()}, Max: Point{pick(), pick()}}
+		s := Rect{Min: Point{pick(), pick()}, Max: Point{pick(), pick()}}
+		wantUnion := r
+		if r.IsEmpty() {
+			wantUnion = s
+		} else if !s.IsEmpty() {
+			wantUnion = Rect{
+				Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
+				Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
+			}
+		}
+		if got := r.Union(s); !sameRect(got, wantUnion) {
+			t.Fatalf("%v.Union(%v) = %v, math form %v", r, s, got, wantUnion)
+		}
+		wantInter := Rect{
+			Min: Point{math.Max(r.Min.X, s.Min.X), math.Max(r.Min.Y, s.Min.Y)},
+			Max: Point{math.Min(r.Max.X, s.Max.X), math.Min(r.Max.Y, s.Max.Y)},
+		}
+		if got := r.Intersect(s); !sameRect(got, wantInter) {
+			t.Fatalf("%v.Intersect(%v) = %v, math form %v", r, s, got, wantInter)
+		}
+		wantOverlap := 0.0
+		if dx := math.Min(r.Max.X, s.Max.X) - math.Max(r.Min.X, s.Min.X); !(dx <= 0) {
+			if dy := math.Min(r.Max.Y, s.Max.Y) - math.Max(r.Min.Y, s.Min.Y); !(dy <= 0) {
+				wantOverlap = dx * dy
+			}
+		}
+		if got := r.OverlapArea(s); !same(got, wantOverlap) {
+			t.Fatalf("%v.OverlapArea(%v) = %g, math form %g", r, s, got, wantOverlap)
+		}
+	}
+}

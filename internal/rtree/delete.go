@@ -85,7 +85,7 @@ type deleteCtx struct {
 func (t *Tree) deleteAt(id storage.PageID, level int, r geom.Rect, ref int64, ctx *deleteCtx) (bool, geom.Rect, error) {
 	// readNodeMut, not ReadNode: n is edited in place below and must never
 	// be a shared node-cache decode.
-	n, err := t.readNodeMut(id)
+	n, err := t.readNodeMut(id, level)
 	if err != nil {
 		return false, geom.Rect{}, err
 	}
@@ -190,16 +190,5 @@ func (t *Tree) reinsertOrphan(o pendingInsert) error {
 		t.height++
 		return nil
 	}
-	ctx := &insertCtx{reinserted: make(map[int]bool)}
-	if err := t.insertEntry(o.entry, o.level, ctx); err != nil {
-		return err
-	}
-	for len(ctx.pending) > 0 {
-		p := ctx.pending[0]
-		ctx.pending = ctx.pending[1:]
-		if err := t.insertEntry(p.entry, p.level, ctx); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.insertWithReinserts(o.entry, o.level)
 }

@@ -28,16 +28,8 @@ func (t *Tree) Insert(r geom.Rect, ref int64) error {
 		t.size = 1
 		return t.writeMeta()
 	}
-	ctx := &insertCtx{reinserted: make(map[int]bool)}
-	if err := t.insertEntry(Entry{Rect: r, Ref: ref}, 0, ctx); err != nil {
+	if err := t.insertWithReinserts(Entry{Rect: r, Ref: ref}, 0); err != nil {
 		return err
-	}
-	for len(ctx.pending) > 0 {
-		p := ctx.pending[0]
-		ctx.pending = ctx.pending[1:]
-		if err := t.insertEntry(p.entry, p.level, ctx); err != nil {
-			return err
-		}
 	}
 	t.size++
 	return t.writeMeta()
@@ -49,11 +41,31 @@ func (t *Tree) InsertPoint(p geom.Point, ref int64) error {
 }
 
 // insertCtx carries per-insertion state: which levels already performed a
-// forced reinsert (R* allows one per level per data insertion) and the
-// queue of entries awaiting reinsertion.
+// forced reinsert (R* allows one per level per data insertion), as a bit
+// per level, and the queue of entries awaiting reinsertion. The Tree owns
+// one and resets it for each insertion, so the queue's array is reused.
+// 64 levels bound the mask; a tree with fan-out at least 2 never gets near.
 type insertCtx struct {
-	reinserted map[int]bool
+	reinserted uint64
 	pending    []pendingInsert
+}
+
+// insertWithReinserts inserts e at level, then drains the forced-reinsert
+// queue that insertion fills. The queue is walked by index: a reinsert can
+// append to it while it is being walked.
+func (t *Tree) insertWithReinserts(e Entry, level int) error {
+	ctx := &t.ins
+	ctx.reinserted, ctx.pending = 0, ctx.pending[:0]
+	if err := t.insertEntry(e, level, ctx); err != nil {
+		return err
+	}
+	for i := 0; i < len(ctx.pending); i++ {
+		p := ctx.pending[i]
+		if err := t.insertEntry(p.entry, p.level, ctx); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 type pendingInsert struct {
@@ -95,7 +107,7 @@ func (t *Tree) insertEntry(e Entry, targetLevel int, ctx *insertCtx) error {
 func (t *Tree) insertAt(id storage.PageID, level int, e Entry, targetLevel int, ctx *insertCtx) (geom.Rect, *Entry, error) {
 	// readNodeMut, not ReadNode: n is edited in place below and must never
 	// be a shared node-cache decode.
-	n, err := t.readNodeMut(id)
+	n, err := t.readNodeMut(id, level)
 	if err != nil {
 		return geom.Rect{}, nil, err
 	}
@@ -131,8 +143,8 @@ func (t *Tree) insertAt(id storage.PageID, level int, e Entry, targetLevel int, 
 func (t *Tree) overflowTreatment(n *Node, ctx *insertCtx) (geom.Rect, *Entry, error) {
 	p := int(t.cfg.ReinsertFraction * float64(t.cfg.MaxEntries))
 	isRoot := n.ID == t.root
-	if !isRoot && p > 0 && !ctx.reinserted[n.Level] {
-		ctx.reinserted[n.Level] = true
+	if bit := uint64(1) << n.Level; !isRoot && p > 0 && ctx.reinserted&bit == 0 {
+		ctx.reinserted |= bit
 		removed := removeFarthest(n, p)
 		if err := t.writeNode(n); err != nil {
 			return geom.Rect{}, nil, err
@@ -205,18 +217,45 @@ func chooseLeastAreaEnlargement(n *Node, r geom.Rect) int {
 	return best
 }
 
+// chooseLeastOverlapEnlargement returns the entry whose overlap with its
+// siblings grows least when it is enlarged to cover r, ties broken by
+// area enlargement, then area, then the lower index. It computes the
+// exhaustive O(M²) choice exactly, but stops summing a candidate's
+// overlap enlargement once the candidate can no longer win: every term
+// OverlapArea(enlarged, j) - OverlapArea(entry, j) is non-negative or NaN
+// (the enlarged rectangle contains the entry, OverlapArea is monotone in
+// its operands, and rounding is monotone), so the partial sum only grows
+// or turns NaN. Once it exceeds the best sum, or equals it while the
+// candidate loses the enlargement and area tie-breaks, the full sum would
+// not have been installed either. Candidates are visited in index order
+// and each sum is accumulated in the same order whether or not it is cut
+// short, so a finished sum is bit for bit the exhaustive one.
 func chooseLeastOverlapEnlargement(n *Node, r geom.Rect) int {
 	best := 0
 	bestOverlap := overlapEnlargement(n, 0, r)
 	bestEnl := n.Entries[0].Rect.Enlargement(r)
 	bestArea := n.Entries[0].Rect.Area()
 	for i := 1; i < len(n.Entries); i++ {
-		ov := overlapEnlargement(n, i, r)
 		enl := n.Entries[i].Rect.Enlargement(r)
 		area := n.Entries[i].Rect.Area()
-		if ov < bestOverlap ||
-			(ov == bestOverlap && enl < bestEnl) ||
-			(ov == bestOverlap && enl == bestEnl && area < bestArea) {
+		winsTie := enl < bestEnl || (enl == bestEnl && area < bestArea)
+		orig := n.Entries[i].Rect
+		enlarged := orig.Union(r)
+		var ov float64
+		for j := range n.Entries {
+			if ov > bestOverlap || (ov == bestOverlap && !winsTie) {
+				break // lost: the test below rejects the partial sum too
+			}
+			if j == i {
+				continue
+			}
+			// An enlarged overlap of 0 implies the original one is 0, and
+			// adding 0 - 0 leaves the sum as it is.
+			if a := enlarged.OverlapArea(n.Entries[j].Rect); a != 0 {
+				ov += a - orig.OverlapArea(n.Entries[j].Rect)
+			}
+		}
+		if ov < bestOverlap || (ov == bestOverlap && winsTie) {
 			best, bestOverlap, bestEnl, bestArea = i, ov, enl, area
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // Consistency contract: cached nodes are immutable. Query paths treat a
 // *Node from ReadNode as read-only (they already had to — decoded nodes
 // are shared between concurrent readers), while the mutating paths (insert,
-// delete, reinsertion) decode fresh copies via readNodeMut and every
+// delete, reinsertion) decode into their own nodes via readNodeMut and every
 // writeNode/freeNode invalidates the page's cache entry. Tree mutation is
 // single-goroutine by the Tree's own contract; concurrent readers during
 // read-only use see a consistent cache because Get/Add take the shard lock.

@@ -172,7 +172,7 @@ func TestNodeCacheReadPathEquivalence(t *testing.T) {
 	tr.SetNodeCache(NewNodeCache(512, 2)) // larger than the tree: later passes hit
 	for pass := 0; pass < 3; pass++ {
 		err := tr.Walk(func(n *Node) error {
-			fresh, err := tr.readNodeMut(n.ID)
+			fresh, err := tr.readNodeFresh(n.ID)
 			if err != nil {
 				return err
 			}

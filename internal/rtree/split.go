@@ -1,8 +1,9 @@
 package rtree
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -19,7 +20,7 @@ func (t *Tree) splitNode(n *Node) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.Entries = g1
+	n.Entries = append(n.Entries[:0], g1...) // keeps n's entry array for reuse
 	sibling.Entries = g2
 	if err := t.writeNode(n); err != nil {
 		return nil, err
@@ -31,14 +32,13 @@ func (t *Tree) splitNode(n *Node) (*Node, error) {
 }
 
 // chooseSplit partitions entries (len M+1) into two groups of at least m
-// entries each, following the R* axis/distribution selection.
+// entries each, following the R* axis/distribution selection. The groups
+// are two halves of one new slice; neither aliases entries.
 func chooseSplit(entries []Entry, m int) (g1, g2 []Entry) {
 	sorted := bestSplitAxisSort(entries, m)
 	k := bestDistribution(sorted, m)
 	split := m - 1 + k // entries [0:split) vs [split:), both groups >= m
-	g1 = append([]Entry(nil), sorted[:split]...)
-	g2 = append([]Entry(nil), sorted[split:]...)
-	return g1, g2
+	return sorted[:split], sorted[split:]
 }
 
 // axisSorts returns the candidate sorted orders for one axis: by lower
@@ -58,17 +58,19 @@ func axisSorts(entries []Entry, axis int) [2][]Entry {
 		}
 		return e.Rect.Max.Y
 	}
-	sort.SliceStable(byMin, func(i, j int) bool {
-		if lo(byMin[i]) != lo(byMin[j]) {
-			return lo(byMin[i]) < lo(byMin[j])
+	// A stable sort's result is fixed by the order alone, so any stable
+	// sort gives the same permutation (coordinates are finite: no NaN).
+	slices.SortStableFunc(byMin, func(a, b Entry) int {
+		if c := cmp.Compare(lo(a), lo(b)); c != 0 {
+			return c
 		}
-		return hi(byMin[i]) < hi(byMin[j])
+		return cmp.Compare(hi(a), hi(b))
 	})
-	sort.SliceStable(byMax, func(i, j int) bool {
-		if hi(byMax[i]) != hi(byMax[j]) {
-			return hi(byMax[i]) < hi(byMax[j])
+	slices.SortStableFunc(byMax, func(a, b Entry) int {
+		if c := cmp.Compare(hi(a), hi(b)); c != 0 {
+			return c
 		}
-		return lo(byMax[i]) < lo(byMax[j])
+		return cmp.Compare(lo(a), lo(b))
 	})
 	return [2][]Entry{byMin, byMax}
 }
@@ -94,7 +96,9 @@ func marginSum(sorted []Entry, m int) float64 {
 // bestSplitAxisSort evaluates both sort orders on both axes and returns the
 // sorted order belonging to the axis with the minimum margin sum. Within
 // the winning axis the order with smaller margin sum is kept, so
-// bestDistribution only needs to scan a single order.
+// bestDistribution only needs to scan a single order. The first axis
+// always seeds the choice: at coordinates near the float64 limit every
+// margin sum overflows to +Inf and no axis would win on "<".
 func bestSplitAxisSort(entries []Entry, m int) []Entry {
 	best := []Entry(nil)
 	bestS := math.Inf(1)
@@ -104,7 +108,7 @@ func bestSplitAxisSort(entries []Entry, m int) []Entry {
 		s0 := marginSum(sorts[0], m)
 		s1 := marginSum(sorts[1], m)
 		axisSum := s0 + s1
-		if axisSum < bestAxisSum {
+		if best == nil || axisSum < bestAxisSum {
 			bestAxisSum = axisSum
 			if s0 <= s1 {
 				best, bestS = sorts[0], s0

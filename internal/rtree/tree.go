@@ -96,6 +96,13 @@ type Tree struct {
 
 	scratch []byte // page-size encode buffer
 
+	// The write path's reused state (a Tree is not safe for concurrent
+	// mutation): path[level] is the node Insert and Delete decode the page
+	// at that level of their descent into, and ins is the insertion context.
+	// Neither is ever handed to the node cache.
+	path []*Node
+	ins  insertCtx
+
 	// cache, when non-nil, is the decoded-node cache consulted by ReadNode
 	// (see NodeCache for the consistency contract). nil by default: the
 	// cache changes which reads reach the buffer pool, so the paper's
@@ -283,7 +290,8 @@ func (t *Tree) NodeCacheStats() CacheStats {
 // pool's shard lock (BufferPool.View), so ReadNode is safe for concurrent
 // readers: the decoded Node owns its entries, never aliases the pooled
 // page buffer, and is treated as immutable by every read path (the
-// mutating paths use readNodeMut).
+// mutating paths use readNodeMut). A miss decodes into a fresh node, so
+// the cache never holds a node some other path reuses.
 func (t *Tree) ReadNode(id storage.PageID) (*Node, error) {
 	c := t.cache
 	if c != nil {
@@ -293,7 +301,7 @@ func (t *Tree) ReadNode(id storage.PageID) (*Node, error) {
 		}
 		t.traceCacheEvent(obs.EvCacheMiss, id)
 	}
-	n, err := t.readNodeMut(id)
+	n, err := t.readNodeFresh(id)
 	if err != nil {
 		return nil, err
 	}
@@ -327,11 +335,9 @@ func (t *Tree) ReadNodeInto(id storage.PageID, dst *Node) error {
 	})
 }
 
-// readNodeMut fetches and decodes a private copy of the node stored at
-// page id, bypassing the node cache in both directions. The mutating paths
-// (insert, delete, reinsertion) use it so in-place edits never touch a
-// cached — and therefore shared and immutable — node.
-func (t *Tree) readNodeMut(id storage.PageID) (*Node, error) {
+// readNodeFresh fetches and decodes the node stored at page id into a
+// newly allocated node, bypassing the node cache.
+func (t *Tree) readNodeFresh(id storage.PageID) (*Node, error) {
 	var n *Node
 	err := t.pool.View(id, func(buf []byte) error {
 		var derr error
@@ -339,6 +345,25 @@ func (t *Tree) readNodeMut(id storage.PageID) (*Node, error) {
 		return derr
 	})
 	if err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// readNodeMut decodes the node stored at page id into the tree-owned node
+// for the given level of the write path's descent, bypassing the node
+// cache in both directions. The mutating paths (insert, delete,
+// reinsertion) use it so in-place edits never touch a cached — and
+// therefore shared and immutable — node. The returned node is valid until
+// the next readNodeMut at the same level. A descent reads a level again
+// only after the call holding that level's node has returned, and one
+// descent is over before the next one starts.
+func (t *Tree) readNodeMut(id storage.PageID, level int) (*Node, error) {
+	for len(t.path) <= level {
+		t.path = append(t.path, new(Node))
+	}
+	n := t.path[level]
+	if err := t.pool.View(id, func(buf []byte) error { return decodeNodeInto(id, buf, n) }); err != nil {
 		return nil, err
 	}
 	return n, nil
