@@ -251,6 +251,9 @@ func TestBulkLoadOption(t *testing.T) {
 	}
 }
 
+// TestBufferControls compares access counts across three queries, so it
+// runs them sequentially: a parallel query's workers share the pool, so
+// its access counts vary run to run.
 func TestBufferControls(t *testing.T) {
 	ps := randomPoints(9, 2000, 0)
 	qs := randomPoints(10, 2000, 0.8)
@@ -266,7 +269,7 @@ func TestBufferControls(t *testing.T) {
 	defer q.Close()
 	p.ResetIOStats()
 	q.ResetIOStats()
-	_, stats, err := ClosestPair(p, q)
+	_, stats, err := ClosestPair(p, q, WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +280,7 @@ func TestBufferControls(t *testing.T) {
 	// Generous buffers must not increase the cost.
 	p.SetBufferPages(4096)
 	q.SetBufferPages(4096)
-	_, stats2, err := ClosestPair(p, q)
+	_, stats2, err := ClosestPair(p, q, WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +292,7 @@ func TestBufferControls(t *testing.T) {
 	q.SetBufferPages(0)
 	p.DropCaches()
 	q.DropCaches()
-	_, stats3, err := ClosestPair(p, q)
+	_, stats3, err := ClosestPair(p, q, WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +386,7 @@ func TestSelfJoinHonoursOptions(t *testing.T) {
 	reg := NewMetrics()
 	em := NewEngineMetrics(reg)
 	var slow bytes.Buffer
-	if _, _, err := SelfKClosestPairs(p, k, WithMetrics(em), WithSlowQueryLog(NewSlowQueryLog(0, &slow))); err != nil {
+	if _, _, err := SelfKClosestPairs(p, k, WithMetrics(em), WithSlowQueryLog(NewSlowQueryLog(0, &slow)), WithParallelism(1)); err != nil {
 		t.Fatal(err)
 	}
 	if n := em.Queries.Value(); n != 1 {

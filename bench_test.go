@@ -10,6 +10,7 @@ package cpq
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -280,5 +281,62 @@ func BenchmarkPublicAPI(b *testing.B) {
 		if _, _, err := KClosestPairs(p, q, 10); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDefaultVsSequential is the curve behind the facade's default
+// parallelism (EXPERIMENTS.md note 25): the default call against
+// WithParallelism(1), for the bichromatic and the self query at each K, on
+// two uniform sets of n points bulk-loaded at 0.7 into pools that hold
+// every page. The default runs GOMAXPROCS workers where the engine's size
+// rule admits the query and the sequential algorithm elsewhere; the
+// parallel cells run GOMAXPROCS workers on every query, which is what the
+// rule saves the cells it refuses. Vary the workers with -cpu.
+func BenchmarkDefaultVsSequential(b *testing.B) {
+	modes := []struct {
+		name string
+		opts func() []QueryOption
+	}{
+		{"default", func() []QueryOption { return nil }},
+		{"sequential", func() []QueryOption { return []QueryOption{WithParallelism(1)} }},
+		{"parallel", func() []QueryOption { return []QueryOption{WithParallelism(runtime.GOMAXPROCS(0))} }},
+	}
+	for _, n := range []int{10, 100, 1000, 5000, 10000, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var idx [2]*Index
+			for i := range idx {
+				var err error
+				idx[i], err = BuildIndex(dataset.Uniform(int64(2*n+i), n), WithBulkLoad(0.7), WithBufferPages(16384))
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer idx[i].Close()
+			}
+			for _, self := range []bool{false, true} {
+				for _, k := range []int{1, 100, 10000} {
+					for _, m := range modes {
+						name := fmt.Sprintf("k=%d/%s", k, m.name)
+						if self {
+							name = "self/" + name
+						}
+						b.Run(name, func(b *testing.B) {
+							b.ReportMetric(float64(idx[0].Height()), "levels")
+							opts := m.opts()
+							for i := 0; i < b.N; i++ {
+								var err error
+								if self {
+									_, _, err = SelfKClosestPairs(idx[0], k, opts...)
+								} else {
+									_, _, err = KClosestPairs(idx[0], idx[1], k, opts...)
+								}
+								if err != nil {
+									b.Fatal(err)
+								}
+							}
+						})
+					}
+				}
+			}
+		})
 	}
 }

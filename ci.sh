@@ -31,6 +31,9 @@ set -eu
 # compare full `go run -C benchmark .` reports with its -compare instead.
 bench() {
 	go test -run '^$' -bench 'BenchmarkFig4Algorithms1CP|BenchmarkFig7KCP' -benchtime 1x -benchmem .
+	# The smallest cells of the default-parallelism curve (EXPERIMENTS.md
+	# note 25), where the size rule keeps the default sequential.
+	go test -run '^$' -bench 'BenchmarkDefaultVsSequential/n=(10|100)$' -benchtime 100x -benchmem .
 	go test -run '^$' -bench 'BenchmarkPairHeap|BenchmarkSweepLeafScan|BenchmarkBoundCandidate|BenchmarkSemiClosestPairsBatched|BenchmarkWithinDistance' -benchtime 100x -benchmem ./internal/core
 	go test -run '^$' -bench 'BenchmarkInsert|BenchmarkBulkLoadSTR' -benchtime 100x -benchmem ./internal/rtree
 	go run -C benchmark . -seed 1 -seconds 2
@@ -123,6 +126,22 @@ smoke() {
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5 -parallel 2
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5 -explain
+	# -parallel 1 is the paper's sequential algorithm: its plan label must
+	# not name workers, though the default runs these four-level trees on
+	# the task engine wherever GOMAXPROCS > 1.
+	go run ./cmd/cpqgen -n 5000 -seed 3 -out "$tmp/p5k.csv"
+	go run ./cmd/cpqgen -n 5000 -seed 4 -out "$tmp/q5k.csv"
+	plan=$(go run ./cmd/cpqquery -p "$tmp/p5k.csv" -q "$tmp/q5k.csv" -k 5 -parallel 1 -explain -quiet)
+	case $plan in
+	*par=* | "") seq=no ;;
+	*"QUERY HEAP k=5"*) seq=yes ;;
+	*) seq=no ;;
+	esac
+	if [ "$seq" != yes ]; then
+		echo "cpqquery -parallel 1 did not run sequentially:" >&2
+		echo "$plan" >&2
+		exit 1
+	fi
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self -algorithm STD
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self -watch
@@ -179,6 +198,10 @@ all() {
 	done
 	obs
 	go test ./...
+	# The facade's default parallelism resolves to the sequential path at
+	# GOMAXPROCS 1 and to the task engine above it: run the facade's tests
+	# on both sides.
+	go test -cpu 1,2 .
 	go test -race ./...
 	# One -race pass sees one interleaving: the tests whose outcome depends
 	# on how the parallel engine's workers are scheduled run again, twenty

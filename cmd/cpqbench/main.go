@@ -10,7 +10,7 @@
 //	cpqbench -experiment fig4      # one experiment
 //	cpqbench -quick                # 1/10 cardinalities (smoke run)
 //	cpqbench -scale 0.25           # custom scale
-//	cpqbench -parallel 4           # 4 HEAP workers (0 = GOMAXPROCS)
+//	cpqbench -parallel 4           # 4 HEAP workers (0 = the library's default)
 //	cpqbench -explain              # capture EXPLAIN per query, print the last query's tree
 //	cpqbench -timeout 2m           # wall-clock budget; exits 3 with partial totals
 //	cpqbench -trace trace.jsonl    # write every query's trace events as JSON lines
@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		experiment = fs.String("experiment", "", "experiment to run (default: all); see -list")
 		quick      = fs.Bool("quick", false, "scale cardinalities down to 1/10 for a fast smoke run")
 		scale      = fs.Float64("scale", 1.0, "cardinality scale factor (1.0 = the paper's sizes)")
-		parallel   = fs.Int("parallel", 1, "HEAP worker count for experiments that don't pick their own; 1 = the paper's sequential algorithm, 0 = GOMAXPROCS")
+		parallel   = fs.Int("parallel", 1, "HEAP worker count for experiments that don't pick their own; 1 = the paper's sequential algorithm, 0 = the library's default (GOMAXPROCS where the task engine wins)")
 		explainOn  = fs.Bool("explain", false, "attach an EXPLAIN capture to every query and print the last query's plan+execution tree at the end")
 		traceFile  = fs.String("trace", "", "write every query's trace events to this file as JSON lines")
 		metricsAt  = fs.String("metrics-addr", "", "serve engine metrics on this address (/metrics Prometheus text, /debug/vars expvar)")

@@ -42,7 +42,7 @@ func main() {
 		semi        = flag.Bool("semi", false, "semi-CPQ: nearest -q point for every -p point")
 		watch       = flag.Bool("watch", false, "live progress on stderr while the query runs, and a bound-convergence chart at the end")
 		quiet       = flag.Bool("quiet", false, "print only statistics, not pairs")
-		parallel    = flag.Int("parallel", 1, "HEAP worker count; 1 = the paper's sequential algorithm, 0 = GOMAXPROCS")
+		parallel    = flag.Int("parallel", 0, "HEAP worker count; 1 = the paper's sequential algorithm, 0 = the library's default (GOMAXPROCS where the task engine wins)")
 		explain     = flag.Bool("explain", false, "print the query's EXPLAIN/ANALYZE tree (plan + execution)")
 		explainJSON = flag.Bool("explain-json", false, "print the EXPLAIN/ANALYZE snapshot as canonical JSON")
 	)
@@ -69,9 +69,7 @@ func main() {
 		watchWG sync.WaitGroup
 	)
 	qopts = append(qopts, cpq.WithAlgorithm(parseAlgorithm(*algorithm)))
-	if *parallel != 1 {
-		qopts = append(qopts, cpq.WithParallelism(*parallel))
-	}
+	qopts = append(qopts, cpq.WithParallelism(*parallel))
 	var capture *cpq.ExplainCapture
 	if *explain || *explainJSON {
 		if *semi || *incremental != "" {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -13,7 +12,9 @@ import (
 
 // TestExplainUnsharded checks the monolithic EXPLAIN path: results are
 // bit-identical to the plain query, the plan carries the resolved knobs,
-// and the execution totals mirror the stats.
+// and the execution totals mirror the stats. Both calls pass
+// WithParallelism(1): the stats compared include disk accesses, which
+// repeat exactly only on the sequential path.
 func TestExplainUnsharded(t *testing.T) {
 	p, err := BuildIndex(randomPoints(61, 500, 0))
 	if err != nil {
@@ -26,11 +27,11 @@ func TestExplainUnsharded(t *testing.T) {
 	}
 	defer q.Close()
 
-	want, wantStats, err := KClosestPairs(p, q, 10)
+	want, wantStats, err := KClosestPairs(p, q, 10, WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotStats, rep, err := Explain(p, q, 10)
+	got, gotStats, rep, err := Explain(p, q, 10, WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +77,9 @@ func TestExplainUnsharded(t *testing.T) {
 	}
 }
 
-// TestExplainSharded checks EXPLAIN under the deprecated WithShards: the
-// query runs on the parallel engine with GOMAXPROCS workers as one "join"
-// phase, with no tile plan, and returns the WithParallelism(0) query's
-// pairs.
+// TestExplainSharded checks EXPLAIN under the deprecated WithShards, a
+// no-op: the query runs as it does without it, as one "join" phase with no
+// tile plan, on the workers the default picks, and returns the same pairs.
 func TestExplainSharded(t *testing.T) {
 	p, err := BuildIndex(randomPoints(63, 900, 0))
 	if err != nil {
@@ -92,7 +92,7 @@ func TestExplainSharded(t *testing.T) {
 	}
 	defer q.Close()
 
-	want, _, err := KClosestPairs(p, q, 10, WithParallelism(0))
+	want, _, wantRep, err := Explain(p, q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +103,8 @@ func TestExplainSharded(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("got %+v, want %+v", got, want)
 	}
-	if w := runtime.GOMAXPROCS(0); rep.Plan.Workers != w {
-		t.Fatalf("plan has %d workers, want GOMAXPROCS = %d", rep.Plan.Workers, w)
+	if rep.Plan != wantRep.Plan {
+		t.Fatalf("plan %+v, want the default's %+v", rep.Plan, wantRep.Plan)
 	}
 	if len(rep.Exec.Phases) != 1 || rep.Exec.Phases[0].Name != "join" {
 		t.Fatalf("phases = %+v, want one join phase", rep.Exec.Phases)

@@ -73,7 +73,8 @@ type Lab struct {
 	Ctx context.Context
 	// Parallelism is the HEAP worker count of RunCore queries whose options
 	// leave it zero (0 = the paper's sequential algorithm;
-	// core.AutoParallelism = GOMAXPROCS): cpqbench -parallel re-runs every
+	// core.AutoParallelism = the facade's default, GOMAXPROCS where the
+	// task engine wins): cpqbench -parallel re-runs every
 	// experiment in parallel mode for disk-access-parity comparisons.
 	Parallelism int
 	// Tracer, when set, receives every RunCore query's events and the

@@ -3,6 +3,8 @@ package core
 import (
 	"cmp"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -50,11 +52,19 @@ func TestNodePairSize(t *testing.T) {
 // twice the bytes of its result slice (K pairs of 56 bytes) plus 4 KB of
 // per-query bookkeeping — the join, its stats, the result header.
 //
-// The parallel engine gets a start-up allowance on top, stated below: per
-// worker a goroutine, its closure, its join and its first stack growth,
-// plus the state the workers share. The four-worker case runs at
-// GOMAXPROCS = 2 within the same two-worker allowance: more workers than
-// cores must not cost a fresh scratch per query.
+// A parallel query allocates what the sequential one at the same K does,
+// plus at most one goroutine closure per worker, and within 2 % of its
+// bytes: the workers' shared state and each worker's join live in the
+// scratches. The four-worker case runs at GOMAXPROCS = 2: more workers than
+// cores must not cost a fresh scratch per query. The auto case is what the
+// facade's default call hands the engine, AutoParallelism, at GOMAXPROCS 2,
+// where the 20k-point trees take the task engine. Every case is measured
+// over several warm queries. A sequential case must meet its budget on
+// each of them. A parallel case is judged by its median: which scratch a
+// worker takes is up to the scheduler, so a parallel query now and then
+// still grows a worker's queue to a new high-water mark, or a worker
+// blocked on a contended lock takes a wait record the runtime has not yet
+// cached. Neither is the steady state the budget is about.
 func TestKCPQSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates shadow state and randomises scheduling")
@@ -66,32 +76,25 @@ func TestKCPQSteadyStateAllocs(t *testing.T) {
 	const (
 		seqAllocs = 16
 		seqSlack  = 4 << 10
-		// Two workers: each costs a goroutine (its descriptor and stack
-		// come from the runtime's own free lists once warm, but a stack
-		// that has to grow is a fresh allocation of up to 8 KB), a closure
-		// and the join it runs its tasks in; the engine adds the state the
-		// workers share and a WaitGroup.
-		parAllocs = seqAllocs + 8
-		parSlack  = seqSlack + 2*(8<<10)
+		// measured is how many warm queries a case is measured over.
+		measured = 11
 	)
 	par := DefaultOptions(Heap)
 	par.Parallelism = 2
 	par4 := DefaultOptions(Heap)
 	par4.Parallelism = 4
-	type budget struct {
-		allocs uint64
-		slack  uint64
-	}
+	auto := DefaultOptions(Heap)
+	auto.Parallelism = AutoParallelism
 	type tcase struct {
-		name  string
-		k     int
-		b     budget
-		procs int // GOMAXPROCS for the case; 0 leaves it
-		run   func(k int) (int, error)
+		name    string
+		k       int
+		workers int // > 1 for a parallel case, held to the sequential "heap" case at its K
+		procs   int // GOMAXPROCS for the case; 0 leaves it
+		run     func(k int) (int, error)
 	}
 	var cases []tcase
-	add := func(name string, k int, b budget, run func(k int) (int, error)) {
-		cases = append(cases, tcase{name: name, k: k, b: b, run: run})
+	add := func(name string, k int, run func(k int) (int, error)) {
+		cases = append(cases, tcase{name: name, k: k, run: run})
 	}
 	bichromatic := func(opts Options) func(k int) (int, error) {
 		return func(k int) (int, error) {
@@ -100,18 +103,21 @@ func TestKCPQSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	for _, k := range []int{1, 100, 10000} {
-		add("heap", k, budget{seqAllocs, seqSlack}, bichromatic(DefaultOptions(Heap)))
+		add("heap", k, bichromatic(DefaultOptions(Heap)))
 	}
-	add("heap-par2", 100, budget{parAllocs, parSlack}, bichromatic(par))
-	add("heap-par4", 100, budget{parAllocs, parSlack}, bichromatic(par4))
-	cases[len(cases)-1].procs = 2
-	add("std", 100, budget{seqAllocs, seqSlack}, bichromatic(DefaultOptions(SortedDistances)))
-	add("self", 100, budget{seqAllocs, seqSlack}, func(k int) (int, error) {
+	add("heap-par2", 100, bichromatic(par))
+	cases[len(cases)-1].workers = 2
+	add("heap-par4", 100, bichromatic(par4))
+	cases[len(cases)-1].workers, cases[len(cases)-1].procs = 4, 2
+	add("heap-auto", 100, bichromatic(auto))
+	cases[len(cases)-1].workers, cases[len(cases)-1].procs = 2, 2
+	add("std", 100, bichromatic(DefaultOptions(SortedDistances)))
+	add("self", 100, func(k int) (int, error) {
 		pairs, _, err := SelfKClosestPairs(ta, k, DefaultOptions(Heap))
 		return len(pairs), err
 	})
 	// The semi join returns one pair per point of ta.
-	add("semi", n, budget{seqAllocs, seqSlack}, func(int) (int, error) {
+	add("semi", n, func(int) (int, error) {
 		pairs, _, err := SemiClosestPairsBatched(ta, tb, DefaultOptions(Heap))
 		return len(pairs), err
 	})
@@ -122,7 +128,7 @@ func TestKCPQSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	eps := (top[99].Dist + top[100].Dist) / 2
-	add("range", 100, budget{seqAllocs, seqSlack}, func(int) (int, error) {
+	add("range", 100, func(int) (int, error) {
 		streamed := 0
 		_, err := WithinDistance(ta, tb, eps, DefaultOptions(Heap), func(Pair) bool {
 			streamed++
@@ -131,6 +137,8 @@ func TestKCPQSteadyStateAllocs(t *testing.T) {
 		return streamed, err
 	})
 
+	type cost struct{ mallocs, bytes uint64 }
+	sequential := map[int]cost{} // the "heap" case's measured cost per K
 	procs := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(procs)
 	for _, c := range cases {
@@ -146,33 +154,76 @@ func TestKCPQSteadyStateAllocs(t *testing.T) {
 		}
 		run()
 		run()
-		if c.b.allocs != seqAllocs {
+		if c.workers > 1 {
 			// A worker's scratch has grown its queue and K-heap to their
 			// high-water marks only once it has run the task that sets
 			// them, and which worker runs which task is up to the
-			// scheduler: warm both over more queries.
+			// scheduler: warm both over more queries. Each worker
+			// goroutine's descriptor comes from the runtime's free lists
+			// once they hold enough; fill them first.
+			warmGoroutines(256)
 			for i := 0; i < 8; i++ {
 				run()
 			}
 		}
-		// testing.AllocsPerRun pins GOMAXPROCS to 1 while it measures: the
-		// free list must still keep a scratch for every worker.
-		if allocs := testing.AllocsPerRun(3, run); allocs > float64(c.b.allocs) {
-			t.Errorf("%s k=%d: %.0f allocations per warm query, budget %d", c.name, c.k, allocs, c.b.allocs)
+		var mallocs, bytes [measured]uint64
+		for i := range measured {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			mallocs[i], bytes[i] = after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		limit := 2*uint64(c.k)*uint64(unsafe.Sizeof(Pair{})) + c.b.slack
-		mallocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		slices.Sort(mallocs[:])
+		slices.Sort(bytes[:])
+		got := cost{mallocs[measured-1], bytes[measured-1]} // the largest
+		if c.workers > 1 {
+			got = cost{mallocs[measured/2], bytes[measured/2]} // the median
+		}
+		budget := cost{seqAllocs, 2*uint64(c.k)*uint64(unsafe.Sizeof(Pair{})) + seqSlack}
+		if c.workers > 1 {
+			seq, ok := sequential[c.k]
+			if !ok {
+				t.Fatalf("%s k=%d: no sequential heap case at this K", c.name, c.k)
+			}
+			budget = cost{seq.mallocs + uint64(c.workers), seq.bytes + seq.bytes/50}
+		} else if c.name == "heap" {
+			sequential[c.k] = got
+		}
 		t.Logf("%s k=%d: %d allocations, %d bytes per warm query (budget %d, %d)",
-			c.name, c.k, mallocs, bytes, c.b.allocs, limit)
-		if mallocs > c.b.allocs {
-			t.Errorf("%s k=%d: %d allocations per warm query, budget %d", c.name, c.k, mallocs, c.b.allocs)
+			c.name, c.k, got.mallocs, got.bytes, budget.mallocs, budget.bytes)
+		if got.mallocs > budget.mallocs {
+			t.Errorf("%s k=%d: %d allocations per warm query, budget %d", c.name, c.k, got.mallocs, budget.mallocs)
 		}
-		if bytes > limit {
-			t.Errorf("%s k=%d: %d bytes per warm query, budget %d", c.name, c.k, bytes, limit)
+		if got.bytes > budget.bytes {
+			t.Errorf("%s k=%d: %d bytes per warm query, budget %d", c.name, c.k, got.bytes, budget.bytes)
+		}
+		// testing.AllocsPerRun pins GOMAXPROCS to 1 while it measures (so it
+		// comes last: resizing the runtime's cores empties their goroutine
+		// free lists): the free list must still keep a scratch for every
+		// worker (the auto case takes the sequential path there).
+		if allocs := testing.AllocsPerRun(3, run); allocs > float64(budget.mallocs) {
+			t.Errorf("%s k=%d: %.0f allocations per warm query, budget %d", c.name, c.k, allocs, budget.mallocs)
 		}
 	}
+}
+
+// warmGoroutines keeps n goroutines alive at once, so that the runtime's
+// free lists hold n goroutine descriptors once they exit. The runtime
+// keeps exited goroutines on per-core lists and moves them to a shared one
+// only in batches, so without this a query that starts a worker on one
+// core, which exits on the other, gets a fresh descriptor now and then
+// until some tens of goroutines have run.
+func warmGoroutines(n int) {
+	var start, done sync.WaitGroup
+	start.Add(1)
+	done.Add(n)
+	for range n {
+		go func() {
+			start.Wait()
+			done.Done()
+		}()
+	}
+	start.Done()
+	done.Wait()
 }

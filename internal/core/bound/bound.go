@@ -1,6 +1,6 @@
 // Package bound holds the tighten-only pruning bound that cooperating
 // joins share. It is a package of its own so that the bound's bits are
-// reachable only through Load, Tighten and Reset: code outside this
+// reachable only through New, Load and Tighten: code outside this
 // package cannot store into them, so a raw write that could widen the
 // bound and lose results does not compile.
 package bound
@@ -11,11 +11,10 @@ import (
 )
 
 // Shared is a tighten-only pruning bound shared across cooperating joins.
-// Every parallel query holds one (its workers' common T), and the shard
-// scatter-gather executor creates one and sets it directly as
+// The shard scatter-gather executor creates one and sets it directly as
 // core.Options.SharedBound of every shard-pair join it dispatches, so a
-// tight pair found inside one task or tile immediately prunes the
-// traversal of every other.
+// tight pair found inside one tile immediately prunes the traversal of
+// every other.
 //
 // The value is a distance key (squared under L2), the same unit as the
 // engine's internal bound T. Only sound global upper bounds may be
@@ -31,7 +30,7 @@ import (
 // numeric CAS-min. Load and Tighten are nil-safe: a nil *Shared loads
 // +Inf and ignores tightens, so a self-contained sequential query pays one
 // nil check and nothing else. The zero value loads 0 and prunes
-// everything; Reset or New make it usable.
+// everything; New makes it usable.
 type Shared struct {
 	bits atomic.Uint64
 }
@@ -40,14 +39,8 @@ type Shared struct {
 // yet).
 func New() *Shared {
 	s := &Shared{}
-	s.Reset()
-	return s
-}
-
-// Reset sets the bound to +Inf, the one write that is not a CAS-min. It
-// is for the start of a query, before any worker reads the bound.
-func (s *Shared) Reset() {
 	s.bits.Store(math.Float64bits(math.Inf(1)))
+	return s
 }
 
 // Load returns the current bound (squared); +Inf on a nil receiver or

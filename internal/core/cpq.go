@@ -53,11 +53,13 @@ func kClosestPairs(ctx context.Context, ta, tb *rtree.Tree, k int, opts Options,
 		return nil, Stats{}, ErrEmptyInput
 	}
 
+	workers := opts.Workers(ta, tb, k)
+
 	// Observation starts after the argument and empty-input checks; a
 	// query without an observer takes no timestamp and formats nothing.
 	var q observed
 	if o := opts.Observe; o != nil {
-		q = o.start(j, k, self)
+		q = o.start(j, k, self, workers)
 	}
 
 	startA := ta.Pool().Stats()
@@ -71,8 +73,8 @@ func kClosestPairs(ctx context.Context, ta, tb *rtree.Tree, k int, opts Options,
 	}
 	if err == nil {
 		switch {
-		case opts.Workers() > 1:
-			err = j.runHeapParallel(ctx, root, opts.Workers())
+		case workers > 1:
+			err = j.runHeapParallel(ctx, root, workers)
 		case opts.Algorithm == Heap:
 			err = j.runHeap(ctx, root)
 		default:

@@ -47,10 +47,10 @@ type join struct {
 	metric               geom.Metric
 
 	// shared is the bound this join shares with others: Options.SharedBound
-	// (the shard executor's), or a parallel query's own, which its workers'
-	// joins all point at. The effective pruning distance T folds it in, and
+	// (the shard executor's), which a parallel query's workers' joins point
+	// at too. The effective pruning distance T folds it in, and
 	// publishShared pushes this join's own sound upper bounds back. nil for
-	// a self-contained sequential query.
+	// a self-contained query, sequential or parallel.
 	shared *bound.Shared
 
 	// cancel is the stride-gated context poll the drivers call once per
@@ -129,21 +129,27 @@ func rootMBR(t *rtree.Tree, n *rtree.Node) (geom.Rect, error) {
 // cross-join bound attached (Options.SharedBound) the fold includes it:
 // pairs farther than a distance already achieved elsewhere in the
 // scatter-gather cannot enter the merged global result either.
+//
+// T, publishShared and scanLeaves fold with the builtin min, which
+// compiles inline where math.Min is a call. The two part only where a NaN
+// meets an infinity, and no operand here is NaN: each is +Inf or a key
+// of coordinates a tree stores, which are finite, and a key of finite
+// coordinates is a sum or maximum of non-negative terms that may overflow
+// to +Inf but never subtracts one infinity from another.
 func (j *join) T() float64 {
-	return math.Min(math.Min(j.kheap.threshold(), j.bound), j.shared.Load())
+	return min(j.kheap.threshold(), j.bound, j.shared.Load())
 }
 
 // publishShared forwards the join's current sound global upper bound —
 // min(K-heap threshold, auxiliary bound), both valid beyond this join's
 // subtree product (see bound.Shared) — to the cross-join bound. No-op
-// without one. Sequential drivers call it after every tightening site
-// (leaf scans, expansion bound updates), which is also how a parallel
-// worker's bounds reach the others.
+// without one. The drivers, a parallel worker's included, call it after
+// every tightening site (leaf scans, expansion bound updates).
 func (j *join) publishShared() {
 	if j.shared == nil {
 		return
 	}
-	if t := math.Min(j.kheap.threshold(), j.bound); !math.IsInf(t, 1) {
+	if t := min(j.kheap.threshold(), j.bound); !math.IsInf(t, 1) {
 		j.shared.Tighten(t)
 	}
 }
@@ -255,7 +261,7 @@ func nodeGuaranteedPoints(m float64, n *rtree.Node) float64 {
 // K-heap's own threshold applies in any case). Accepted pairs may have
 // tightened the K-heap threshold, so the new value is published back.
 func (j *join) scanLeaves(na, nb *rtree.Node) {
-	j.scanLeavesSweep(na, nb, j.kheap, math.Min(j.bound, j.shared.Load()))
+	j.scanLeavesSweep(na, nb, j.kheap, min(j.bound, j.shared.Load()))
 	j.publishShared()
 }
 

@@ -37,7 +37,7 @@ func buildFaultTree(t *testing.T, pts []geom.Point) (*rtree.Tree, *storage.Fault
 // pollCountCtx is a context whose Err counts its calls and reports
 // context.Canceled from call fireAt on (never when fireAt < 0): cancelling
 // at the N-th poll is deterministic wherever that poll sits — the check
-// before the traversal, the seed, a worker's claim or a driver's loop.
+// before the traversal, the seed, a worker's next task or a driver's loop.
 type pollCountCtx struct {
 	context.Context
 	fireAt int64

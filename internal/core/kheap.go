@@ -45,8 +45,8 @@ func (h *kHeap) threshold() float64 {
 	return h.pairs[0].distSq
 }
 
-// reset empties the heap, keeping the backing array (a parallel worker
-// empties its own after each merge).
+// reset empties the heap, keeping the backing array (the range join
+// empties its own after each leaf pair it streams).
 func (h *kHeap) reset() { h.pairs = h.pairs[:0] }
 
 // lessPair is the heap's total order: ascending squared distance, exact

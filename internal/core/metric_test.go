@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/core/bound"
 	"repro/internal/geom"
 )
 
@@ -130,5 +132,79 @@ func TestSemiCPUnderMetrics(t *testing.T) {
 					m, pair.RefP, pair.Dist, best)
 			}
 		}
+	}
+}
+
+// TestQueryMinMaxMatchMath holds the query path's builtin min and max to
+// the math.Min/math.Max forms they replaced, bit for bit, site by site, on
+// the values each site can see (the argument for each is at the site):
+//   - T and publishShared fold thresholds and bounds that are +Inf, ±0 or
+//     finite keys, and never NaN;
+//   - tieKeyFor's T1 ratios are NaN when an area overflows, and never
+//     +Inf, because a node lies inside its root.
+func TestQueryMinMaxMatchMath(t *testing.T) {
+	keys := []float64{math.Inf(1), math.Copysign(0, -1), 0, 1, 2, 1e307, math.MaxFloat64}
+	coords := []float64{-math.MaxFloat64, -1e307, -2, -1, math.Copysign(0, -1), 0, 1, 2, 1e307, math.MaxFloat64}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	for _, row := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"T/publishShared", func(t *testing.T) {
+			for _, th := range keys {
+				for _, b := range keys {
+					for _, sh := range keys {
+						j := &join{kheap: &kHeap{k: 1, pairs: []kPair{{distSq: th}}}, bound: b, shared: bound.New()}
+						j.shared.Tighten(sh)
+						if got, want := j.T(), math.Min(math.Min(th, b), sh); !same(got, want) {
+							t.Fatalf("T(threshold %g, bound %g, shared %g) = %g, math form %g", th, b, sh, got, want)
+						}
+						j.publishShared()
+						want := sh
+						if m := math.Min(th, b); !math.IsInf(m, 1) && m < sh {
+							want = m
+						}
+						if got := j.shared.Load(); !same(got, want) {
+							t.Fatalf("publishShared(threshold %g, bound %g) over %g left %g, math form %g", th, b, sh, got, want)
+						}
+					}
+				}
+			}
+		}},
+		{"tieKeyFor/T1", func(t *testing.T) {
+			rng := rand.New(rand.NewSource(36))
+			// nested draws four sorted coordinates per axis: the outer two
+			// span the root, the inner two a node inside it.
+			nested := func() (root, node geom.Rect) {
+				var x, y [4]float64
+				for i := range x {
+					x[i], y[i] = coords[rng.Intn(len(coords))], coords[rng.Intn(len(coords))]
+				}
+				slices.Sort(x[:])
+				slices.Sort(y[:])
+				return geom.Rect{Min: geom.Point{X: x[0], Y: y[0]}, Max: geom.Point{X: x[3], Y: y[3]}},
+					geom.Rect{Min: geom.Point{X: x[1], Y: y[1]}, Max: geom.Point{X: x[2], Y: y[2]}}
+			}
+			for i := 0; i < 20000; i++ {
+				rootA, ra := nested()
+				rootB, rb := nested()
+				areaA, areaB := rootA.Area(), rootB.Area()
+				relA, relB := 0.0, 0.0
+				if areaA > 0 {
+					relA = ra.Area() / areaA
+				}
+				if areaB > 0 {
+					relB = rb.Area() / areaB
+				}
+				want := -math.Max(relA, relB)
+				if got := tieKeyFor(Tie1, geom.L2(), ra, rb, areaA, areaB); !same(got, want) {
+					t.Fatalf("T1 key of %v in %v, %v in %v = %g, math form %g", ra, rootA, rb, rootB, got, want)
+				}
+			}
+		}},
+	} {
+		t.Run(row.name, row.run)
 	}
 }

@@ -31,10 +31,11 @@ type observed struct {
 	started time.Time
 }
 
-// start labels the query j runs for K = k, records the explain plan, opens
-// the query's span on j and starts the clock.
-func (o *Observer) start(j *join, k int, self bool) observed {
-	q := observed{o: o, label: queryLabel(j.opts, k, self), workers: j.opts.Workers()}
+// start labels the query j runs for K = k on the given number of workers,
+// records the explain plan, opens the query's span on j and starts the
+// clock.
+func (o *Observer) start(j *join, k int, self bool, workers int) observed {
+	q := observed{o: o, label: queryLabel(j.opts.Algorithm, k, self, workers), workers: workers}
 	o.Explain.SetPlan(explain.Plan{
 		Label:     q.label,
 		Algorithm: j.opts.Algorithm.String(),
@@ -91,13 +92,13 @@ func (q observed) finish(pairs []Pair, stats Stats, err error) {
 // explain plan's label and the metrics/slow-log aggregation key; a self
 // join's label reads "HEAP self k=1", so it never shares a key with a
 // bichromatic query.
-func queryLabel(opts Options, k int, self bool) string {
-	alg := opts.Algorithm.String()
+func queryLabel(a Algorithm, k int, self bool, workers int) string {
+	alg := a.String()
 	if self {
 		alg += " self"
 	}
-	if w := opts.Workers(); w > 1 {
-		return fmt.Sprintf("%s k=%d par=%d", alg, k, w)
+	if workers > 1 {
+		return fmt.Sprintf("%s k=%d par=%d", alg, k, workers)
 	}
 	return fmt.Sprintf("%s k=%d", alg, k)
 }

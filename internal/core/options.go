@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core/bound"
 	"repro/internal/geom"
+	"repro/internal/rtree"
 	"repro/internal/sortx"
 )
 
@@ -202,28 +203,35 @@ type Options struct {
 	// Parallelism is the number of worker goroutines for the HEAP
 	// algorithm. 0 and 1 run the paper's sequential algorithm, whose disk
 	// access counts repeat exactly; N > 1 runs N workers, each a
-	// sequential HEAP over independent subtree pairs, under one shared
-	// tighten-only pruning bound; AutoParallelism (-1) uses
-	// runtime.GOMAXPROCS(0). The recursive algorithms (Naive, EXH, SIM,
-	// STD) ignore the knob: their pruning depends on depth-first T
-	// evolution and stays sequential. A parallel run returns identical
-	// pairs, refs and order to the sequential one; only disk-access (and
-	// node-pair) counts may vary run to run (DESIGN.md §6).
+	// sequential HEAP over its fixed share of independent subtree pairs;
+	// AutoParallelism (-1), the facade's
+	// default, runs runtime.GOMAXPROCS(0) workers where parallelWins says
+	// the task engine pays and one elsewhere. The recursive algorithms
+	// (Naive, EXH, SIM, STD) ignore the knob: their pruning depends on
+	// depth-first T evolution and stays sequential. A parallel run returns
+	// identical pairs, refs and order to the sequential one, with work
+	// counters that repeat run to run; only its disk-access counts may
+	// vary (DESIGN.md §6).
 	Parallelism int
 }
 
 // AutoParallelism selects runtime.GOMAXPROCS(0) workers for the HEAP
-// algorithm.
+// algorithm on the queries parallelWins admits, and the sequential
+// algorithm on the rest.
 const AutoParallelism = -1
 
-// Workers resolves the Parallelism knob to the number of goroutines the
-// query runs on: only the HEAP algorithm has a parallel engine, so every
-// other algorithm resolves to 1 whatever the knob says.
-func (o Options) Workers() int {
+// Workers resolves the Parallelism knob to the number of goroutines a
+// query for k pairs over ta and tb runs on. Only the HEAP algorithm has a
+// parallel engine, so every other algorithm resolves to 1 whatever the
+// knob says; an explicit count is taken as given.
+func (o Options) Workers(ta, tb *rtree.Tree, k int) int {
 	switch {
 	case o.Algorithm != Heap:
 		return 1
 	case o.Parallelism == AutoParallelism:
+		if !parallelWins(ta, tb, k) {
+			return 1
+		}
 		return runtime.GOMAXPROCS(0)
 	case o.Parallelism <= 1:
 		return 1
@@ -232,10 +240,33 @@ func (o Options) Workers() int {
 	}
 }
 
+// parallelWins is the rule by which AutoParallelism goes parallel. It sees
+// only what a query knows before it starts, and it admits a query when
+// both of these hold (DESIGN.md §6, EXPERIMENTS.md note 25):
+//   - Both trees are at least four levels high. On three levels the seed's
+//     tasks sit one level above the leaves, a few leaf scans each, and the
+//     workers' start and heap merges cost about what they save:
+//     the task engine won the bichromatic queries at K <= 100 there but
+//     tied or lost the self queries.
+//   - K is at most a quarter of the smaller set. Each worker keeps a
+//     K-heap of its own, which bounds the search only once it holds K
+//     pairs; a K near the set size makes every worker find most of the
+//     answer by itself.
+//
+// The rule was read from a curve measured at GOMAXPROCS 2 on uniform
+// inputs only. It is applied unchanged at any worker count and on any
+// data, but that is assumed, not measured: more workers seed more tasks,
+// a level deeper, and fill more K-heaps before their bounds prune, so
+// both boundaries may move with W.
+func parallelWins(ta, tb *rtree.Tree, k int) bool {
+	return min(ta.Height(), tb.Height()) >= 4 && int64(k) <= min(ta.Len(), tb.Len())/4
+}
+
 // DefaultOptions returns the paper's preferred configuration for the given
 // algorithm. It is the paper-exact preset — results_full.txt is generated
 // from it, each figure that studies Tie, Height, Sort or KPrune overriding
-// that one field — and it is what the facade runs: there is no second
+// that one field — and it runs the sequential algorithm. The facade starts
+// from it with Parallelism set to AutoParallelism: there is no second
 // preset.
 func DefaultOptions(a Algorithm) Options {
 	return Options{Algorithm: a, Tie: Tie1, Height: FixAtRoot, Sort: sortx.Merge}

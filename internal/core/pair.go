@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
 	"repro/internal/storage"
@@ -59,6 +58,12 @@ func (p *nodePair) less(q *nodePair) bool {
 // processed first, so "largest X wins" strategies negate X. rootAreaA and
 // rootAreaB normalize T1's areas as the paper prescribes (percent of the
 // relevant root's area).
+//
+// T1 takes the builtin max, which parts from math.Max only where a NaN
+// meets an infinity. A ratio here is NaN when an area overflows to +Inf,
+// since its root's area, which is no smaller, is +Inf too; and it is never
+// +Inf, because a node's area is at most its root's, so a ratio with a
+// finite denominator is at most 1.
 func tieKeyFor(strategy TieStrategy, m geom.Metric, ra, rb geom.Rect, rootAreaA, rootAreaB float64) float64 {
 	switch strategy {
 	case TieNone:
@@ -71,7 +76,7 @@ func tieKeyFor(strategy TieStrategy, m geom.Metric, ra, rb geom.Rect, rootAreaA,
 		if rootAreaB > 0 {
 			relB = rb.Area() / rootAreaB
 		}
-		return -math.Max(relA, relB)
+		return -max(relA, relB)
 	case Tie2:
 		return m.MinMaxKey(ra, rb)
 	case Tie3:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,18 +12,29 @@ import (
 )
 
 // This file is the parallel mode of the HEAP algorithm (Options.Parallelism
-// > 1): independent subtree-pair tasks under one shared bound, the shape of
-// the parallel divide-and-conquer closest pair rather than a shared
-// priority queue (DESIGN.md §6). CP1-CP5 are sound in any processing order
-// while T is an upper bound on the final K-th distance, so a query runs in
-// three phases. Seed: the query's own join expands node pairs level by
-// level into tasks. Run: W workers each run the unchanged sequential
-// runHeap on one task at a time, in a join of their own whose T folds in
-// the query's one bound.Shared. Merge: after each task a worker folds its
-// K-heap into the query's under one mutex. Every prune is a strict > against
-// a valid upper bound and the K-heaps keep the (distSq, refP, refQ) total
-// order, so the result is the sequential query's, pairs and order
-// included; only node-pair and disk-access counts depend on the schedule.
+// > 1): independent subtree-pair tasks, the shape of the parallel
+// divide-and-conquer closest pair rather than a shared priority queue
+// (DESIGN.md §6). CP1-CP5 are sound in any processing order while T is an
+// upper bound on the final K-th distance, so a query runs in three phases.
+// Seed: the query's own join expands node pairs level by level into tasks,
+// in best-first order. Run: W workers each run the unchanged sequential
+// runHeap on a fixed share of the tasks — worker i takes tasks i, i + W,
+// i + 2W, … — in a join of its own whose auxiliary bound starts at the
+// seed's T. A worker's K-heap lives across its tasks, which are disjoint,
+// so once full it holds K distinct pairs and its threshold is a sound
+// global bound. Merge: when a worker has run its share it folds its K-heap
+// into the query's under one mutex, once. Every prune is a strict >
+// against a valid upper bound and the K-heaps keep the (distSq, refP,
+// refQ) total order, so the result is the sequential query's, pairs and
+// order included.
+//
+// Workers exchange no bound while they run: what a worker prunes depends
+// on its share and the seed's T alone, never on the schedule, so the
+// node-pair, sub-pair and point-pair counts of a parallel query repeat
+// from run to run as the sequential query's do; only disk accesses, through
+// a buffer pool the workers share, may vary. A join handed an external
+// Options.SharedBound (the shard executor's) still folds it in and
+// publishes to it, in the workers as in the sequential drivers.
 
 // seedTasksPerWorker is how many tasks per worker the seed expands to.
 // The list grows by a whole tree level at a time: on mem-par's trees at
@@ -32,11 +42,18 @@ import (
 // with worker queues ten times longer (EXPERIMENTS.md note 15).
 const seedTasksPerWorker = 8
 
-// taskRun is what the workers of one parallel query share.
+// taskRun is what the workers of one parallel query share. It lives in the
+// query's scratch (queryScratch.run), so a warm parallel query allocates
+// it no more than a sequential one does; start fills it and end clears
+// the pointers it holds into the query.
 type taskRun struct {
-	j     *join
-	tasks []nodePair
-	next  atomic.Int64 // index of the next unclaimed task
+	j       *join
+	ctx     context.Context
+	tasks   []nodePair
+	workers int         // the stride between one worker's tasks
+	seedT   float64     // T when the seed ended, every worker's start
+	failed  atomic.Bool // a task failed: every worker stops
+	wg      sync.WaitGroup
 
 	// mu guards the query's K-heap (j.kheap) and err, the first error.
 	mu  sync.Mutex
@@ -50,27 +67,28 @@ type taskRun struct {
 // runHeapParallel drives the HEAP algorithm from the root pair with the
 // given number of workers. It fills j.kheap and j.stats: the counters are
 // summed over the seed and every worker, MaxQueueSize is the largest
-// worker queue.
+// worker queue, and none depends on the schedule.
 //
-// Scratch: the seed and the query heap live in the join's scratch; each
-// worker takes one of its own from the free list and returns it on exit,
-// so a run of W workers holds W + 1 scratches, and the free list is
-// widened to keep them all.
+// Scratch: the seed, the query heap and the taskRun live in the join's
+// scratch; each worker takes one of its own from the free list, runs its
+// join in it and returns it on exit, so a run of W workers holds W + 1
+// scratches, and the free list is widened to keep them all.
 //
 // Cancellation: the seed polls ctx before every expansion, a worker
 // before every task and, inside runHeap, every cancelStride pairs. Every
 // worker is joined before this returns.
 func (j *join) runHeapParallel(ctx context.Context, root nodePair, workers int) error {
-	if j.shared == nil {
-		j.sc.shared.Reset()
-		j.shared = &j.sc.shared
-	}
 	tasks, err := j.seedTasks(ctx, root, seedTasksPerWorker*workers)
 	if err != nil {
 		return err
 	}
-	r := &taskRun{j: j, tasks: tasks}
 	workers = min(workers, len(tasks))
+	if workers == 0 {
+		return nil // the bound pruned every task
+	}
+	r := &j.sc.run
+	r.start(ctx, j, tasks, workers)
+	defer r.end()
 	noteWorkers(workers)
 	var em *obs.EngineMetrics // timestamps only for metrics
 	if o := j.opts.Observe; o != nil {
@@ -80,23 +98,33 @@ func (j *join) runHeapParallel(ctx context.Context, root nodePair, workers int) 
 	if em != nil {
 		wallStart = time.Now()
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := acquireScratch()
-			defer releaseScratch(sc)
-			r.work(ctx, r.j.worker(sc))
-		}()
+	// The calling goroutine is the last worker: it would only wait.
+	r.wg.Add(workers)
+	for i := 1; i < workers; i++ {
+		go r.work(i)
 	}
-	wg.Wait()
+	r.work(0)
+	r.wg.Wait()
 	if em != nil {
-		if wall := time.Since(wallStart).Seconds(); wall > 0 && workers > 0 {
+		if wall := time.Since(wallStart).Seconds(); wall > 0 {
 			em.WorkerUtilization.Observe(float64(r.busyNanos.Load()) / 1e9 / (wall * float64(workers)))
 		}
 	}
 	return r.err
+}
+
+// start readies the run for one query's workers.
+func (r *taskRun) start(ctx context.Context, j *join, tasks []nodePair, workers int) {
+	r.j, r.ctx, r.tasks, r.workers, r.err = j, ctx, tasks, workers, nil
+	r.seedT = j.T()
+	r.failed.Store(false)
+	r.busyNanos.Store(0)
+}
+
+// end drops the run's references to the query, so that a scratch on the
+// free list pins no tree, context or caller data.
+func (r *taskRun) end() {
+	r.j, r.ctx, r.tasks, r.err = nil, nil, nil, nil
 }
 
 // seedTasks expands node pairs from the root one level at a time on the
@@ -134,42 +162,56 @@ func (j *join) seedTasks(ctx context.Context, root nodePair, target int) ([]node
 	return tasks, nil
 }
 
-// worker returns the join one worker runs its tasks in: the query's trees,
-// self mode, options, span and shared bound, with the worker's scratch,
-// K-heap, auxiliary bound, counters and cancel gate.
-func (j *join) worker(sc *queryScratch) *join {
+// worker readies the join one worker runs its tasks in, inside the
+// worker's scratch: the query's trees, self mode, options, span and
+// external shared bound, with the worker's scratch, K-heap, counters and
+// cancel gate, and an auxiliary bound that starts at t, the seed's T.
+func (j *join) worker(sc *queryScratch, t float64) *join {
 	sc.kheap.init(j.k)
-	return &join{
+	sc.worker = join{
 		ta: j.ta, tb: j.tb, opts: j.opts, k: j.k, self: j.self,
 		sc: sc, kheap: &sc.kheap,
-		bound:     math.Inf(1),
-		span:      j.span,
+		bound: t,
+		span:  j.span, lastT: t,
 		rootAreaA: j.rootAreaA, rootAreaB: j.rootAreaB,
 		useTie: j.useTie, mA: j.mA, mB: j.mB,
 		metric: j.metric, shared: j.shared,
 	}
+	return &sc.worker
 }
 
-// work is one worker's loop: claim a task, run the sequential HEAP on it,
-// merge. The first error stops every worker's claims. On exit the
-// worker's counters join the query's.
-func (r *taskRun) work(ctx context.Context, w *join) {
-	defer r.j.stats.add(&w.stats)
+// work is the life of the worker that starts at task first: take a
+// scratch, run its share of the tasks in the join it holds, then merge its
+// K-heap into the query's once (unless a task failed), add its counters to
+// the query's and give the scratch back.
+func (r *taskRun) work(first int) {
+	defer r.wg.Done()
+	sc := acquireScratch()
+	defer releaseScratch(sc)
+	w := r.j.worker(sc, r.seedT)
+	if r.runTasks(w, first) {
+		r.merge(w)
+	}
+	r.j.stats.add(&w.stats)
+	sc.worker = join{} // pins no tree on the free list
+}
+
+// runTasks runs the sequential HEAP in w on tasks first, first + W, …
+// until its share is done. The first error stops every worker at its next
+// task; it reports whether w ended without one.
+func (r *taskRun) runTasks(w *join, first int) bool {
 	timed := w.opts.Observe != nil && w.opts.Observe.Metrics != nil
-	for {
-		i := int(r.next.Add(1)) - 1
-		if i >= len(r.tasks) {
-			return
+	for i := first; i < len(r.tasks); i += r.workers {
+		if r.failed.Load() {
+			return false
 		}
 		var t0 time.Time
 		if timed {
 			t0 = time.Now()
 		}
-		// Tightenings other workers made are traced where they happened.
-		w.lastT = w.T()
-		err := ctx.Err()
+		err := r.ctx.Err()
 		if err == nil {
-			err = w.runHeap(ctx, r.tasks[i])
+			err = w.runHeap(r.ctx, r.tasks[i])
 		}
 		if err != nil {
 			r.mu.Lock()
@@ -177,19 +219,18 @@ func (r *taskRun) work(ctx context.Context, w *join) {
 				r.err = err
 			}
 			r.mu.Unlock()
-			r.next.Store(int64(len(r.tasks)))
-			return
+			r.failed.Store(true)
+			return false
 		}
-		r.merge(w)
 		if timed {
 			r.busyNanos.Add(time.Since(t0).Nanoseconds())
 		}
 	}
+	return true
 }
 
-// merge folds a worker's K-heap into the query's, publishes the query
-// heap's threshold once it is full, and empties the worker's heap — its
-// pairs are the query's now.
+// merge folds a worker's K-heap into the query's and publishes the query
+// heap's threshold to the external shared bound, if any, once it is full.
 func (r *taskRun) merge(w *join) {
 	if len(w.kheap.pairs) == 0 {
 		return
@@ -203,5 +244,4 @@ func (r *taskRun) merge(w *join) {
 	if old, ok := w.shared.Tighten(th); ok {
 		w.traceBoundValue(old, th, obs.SourceMerge)
 	}
-	w.kheap.reset()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -156,8 +157,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 // and with three, over the golden configurations. The result must be the
 // sequential query's, every node pair the counters count must have been
 // traced, and every traced tightening must lower its bound without
-// undercutting the final K-th key. With one worker the whole run — seed,
-// tasks, merges — is a single chain of tightenings, so the traced values
+// undercutting the final K-th key. With one worker the whole run — seed
+// and tasks — is a single chain of tightenings, so the traced values
 // must also strictly decrease from one event to the next.
 func TestParallelTaskEngine(t *testing.T) {
 	for _, in := range parityInputs(t) {
@@ -237,6 +238,49 @@ func TestParallelQueuesArePerTask(t *testing.T) {
 	}
 	if par.MaxQueueSize*10 >= seq.MaxQueueSize {
 		t.Fatalf("two-worker max queue %d, sequential %d: want below a tenth", par.MaxQueueSize, seq.MaxQueueSize)
+	}
+}
+
+// TestParallelCountersRepeat pins what the fixed task shares buy: what a
+// parallel query prunes depends on its tasks and the seed's bound alone,
+// so its paper counters are the same on every run, at any GOMAXPROCS. The
+// buffer-pool counters, through a pool the workers share, are left out.
+func TestParallelCountersRepeat(t *testing.T) {
+	ta := bulkTree(t, dataset.Uniform(1811, 20000))
+	tb := bulkTree(t, dataset.Uniform(1812, 20000))
+	counters := func(s Stats) Stats {
+		s.IOP, s.IOQ = storage.IOStats{}, storage.IOStats{}
+		return s
+	}
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+	for _, workers := range []int{2, 3} {
+		opts := DefaultOptions(Heap)
+		opts.Parallelism = workers
+		for _, k := range []int{1, 100} {
+			for _, self := range []bool{false, true} {
+				name := fmt.Sprintf("W=%d/k=%d/self=%v", workers, k, self)
+				var want Stats
+				for i, gomaxprocs := range []int{1, 2, 2, 4, 4} {
+					runtime.GOMAXPROCS(gomaxprocs)
+					var stats Stats
+					var err error
+					if self {
+						_, stats, err = SelfKClosestPairs(ta, k, opts)
+					} else {
+						_, stats, err = KClosestPairs(ta, tb, k, opts)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i == 0 {
+						want = counters(stats)
+					} else if got := counters(stats); got != want {
+						t.Fatalf("%s: run %d at GOMAXPROCS %d counted %+v, run 0 %+v", name, i, gomaxprocs, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

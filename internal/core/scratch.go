@@ -5,7 +5,6 @@ import (
 	"sync"
 	"unsafe"
 
-	"repro/internal/core/bound"
 	"repro/internal/rtree"
 )
 
@@ -14,8 +13,9 @@ import (
 // the expansion kernel's flat arrays, and the backing arrays of the
 // node-pair queue and of the K-heap. One query holds one scratch from
 // start to end, and each worker of the parallel engine one more for the
-// join it runs its tasks in; of the query's own, only the result heap is
-// shared, behind the engine's one mutex.
+// join it runs its tasks in (worker); of the query's own, only the result
+// heap and the workers' shared state (run) are shared, the heap behind the
+// engine's one mutex.
 //
 // Ownership rule: a decoded node is valid until the same depth's next
 // readPair, and nothing in the scratch outlives the query — results leave
@@ -25,11 +25,12 @@ import (
 type queryScratch struct {
 	frames  []*frame
 	kern    kernelScratch
-	tasks   []nodePair   // the parallel engine's seeded task list
-	sortBuf []nodePair   // STD's merge-sort working space
-	queue   pairHeap     // the HEAP queue
-	kheap   kHeap        // the join's result heap (a worker's, in parallel)
-	shared  bound.Shared // a parallel query's bound, unless one is passed in
+	tasks   []nodePair // the parallel engine's seeded task list
+	sortBuf []nodePair // STD's merge-sort working space
+	queue   pairHeap   // the HEAP queue
+	kheap   kHeap      // the join's result heap (a worker's, in parallel)
+	run     taskRun    // a parallel query's workers' shared state
+	worker  join       // the join a parallel worker runs its tasks in
 }
 
 // frame is one recursion depth's share of the scratch: the two nodes of
@@ -104,8 +105,9 @@ func acquireScratch() *queryScratch {
 
 // releaseScratch returns a scratch once its query is over, whatever the
 // outcome. It keeps no pointers into the trees or the caller's data (its
-// buffers hold plain values), so there is nothing to clear; every user
-// resets the lengths it needs on entry.
+// buffers hold plain values; run and worker are cleared by their users),
+// so there is nothing to clear here; every user resets the lengths it
+// needs on entry.
 func releaseScratch(sc *queryScratch) {
 	if sc.retainedBytes() > scratchRetainBytes {
 		return

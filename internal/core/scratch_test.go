@@ -180,6 +180,40 @@ func TestScratchRetentionBound(t *testing.T) {
 	}
 }
 
+// TestFreeListPinsNoQuery: the parallel engine keeps the workers' shared
+// state and each worker's join in scratches, and clears both before a
+// scratch goes back on the free list, after a failed query too. An idle
+// scratch holds no tree, context, task list or bound of a finished query.
+func TestFreeListPinsNoQuery(t *testing.T) {
+	ps, qs := uniformPoints(9970, 1500, 0), uniformPoints(9975, 1500, 0)
+	ta, fa := buildFaultTree(t, ps)
+	tb, _ := buildFaultTree(t, qs)
+	par := DefaultOptions(Heap)
+	par.Parallelism = 3
+	check := func(what string) {
+		t.Helper()
+		scratchFree.mu.Lock()
+		defer scratchFree.mu.Unlock()
+		for i, sc := range scratchFree.list {
+			if r, w := &sc.run, &sc.worker; r.j != nil || r.ctx != nil || r.tasks != nil ||
+				w.ta != nil || w.tb != nil || w.sc != nil || w.shared != nil || w.opts.Observe != nil {
+				t.Fatalf("%s: free-list scratch %d still holds its query's state", what, i)
+			}
+		}
+	}
+	par.Observe = &Observer{}
+	if _, _, err := KClosestPairs(ta, tb, 10, par); err != nil {
+		t.Fatal(err)
+	}
+	check("after a query")
+	fa.FailReadAfter(6)
+	if _, _, err := KClosestPairs(ta, tb, 10, par); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("err = %v, want ErrInjected", err)
+	}
+	fa.FailReadAfter(-1)
+	check("after a failed query")
+}
+
 // TestConcurrentQueriesShareFreeList: independent queries on several
 // goroutines take and return scratches through the one free list at the
 // same time; each must still get the answer it gets alone (run under

@@ -56,7 +56,9 @@ func (m Metric) String() string {
 // IsEuclidean reports whether m is the L2 metric.
 func (m Metric) IsEuclidean() bool { return m.p == 0 }
 
-// combine merges non-negative per-axis deltas into a comparison key.
+// combine merges non-negative per-axis deltas into a comparison key. The
+// L∞ branch takes the builtin max (see MaxMaxKey for why it agrees with
+// math.Max on every delta a caller passes).
 func (m Metric) combine(dx, dy float64) float64 {
 	switch {
 	case m.p == 0:
@@ -64,7 +66,7 @@ func (m Metric) combine(dx, dy float64) float64 {
 	case m.p == 1:
 		return dx + dy
 	case math.IsInf(m.p, 1):
-		return math.Max(dx, dy)
+		return max(dx, dy)
 	default:
 		return math.Pow(dx, m.p) + math.Pow(dy, m.p)
 	}
@@ -133,9 +135,15 @@ func (m Metric) MinMinKey(a, b Rect) float64 {
 // MaxMaxKey returns the key of MAXMAXDIST under m. Any L_p norm is
 // coordinate-wise increasing in the per-axis deltas, whose maxima are
 // attained simultaneously at a corner pair.
+//
+// It takes the builtin max, which compiles inline where math.Max is a
+// call; the two part only where a NaN meets an infinity. A delta here is
+// the difference of two coordinates a tree stores, which Valid keeps
+// finite: it overflows to +Inf at magnitudes near 1e308, but it is never
+// NaN, and so is no per-axis delta any caller hands combine.
 func (m Metric) MaxMaxKey(a, b Rect) float64 {
-	dx := math.Max(math.Abs(b.Max.X-a.Min.X), math.Abs(a.Max.X-b.Min.X))
-	dy := math.Max(math.Abs(b.Max.Y-a.Min.Y), math.Abs(a.Max.Y-b.Min.Y))
+	dx := max(math.Abs(b.Max.X-a.Min.X), math.Abs(a.Max.X-b.Min.X))
+	dy := max(math.Abs(b.Max.Y-a.Min.Y), math.Abs(a.Max.Y-b.Min.Y))
 	return m.combine(dx, dy)
 }
 

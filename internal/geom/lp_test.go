@@ -194,3 +194,68 @@ func TestLpMetricOrderingProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricMinMaxMatchMath holds MaxMaxKey, MaxMaxDistSq and combine's L∞
+// branch, which use the builtin max, to the math.Max forms they replaced,
+// bit for bit, on the inputs a tree can hand them: coordinates drawn from
+// ±0, small integers and magnitudes whose differences overflow to +Inf,
+// rectangles that may be EmptyRect, and NaN coordinates only among values
+// whose differences stay finite. The two forms part only where a NaN meets
+// an infinity (math.Max(NaN, +Inf) is +Inf, the builtin max gives NaN):
+// a NaN delta beside an overflowing one, which needs a NaN coordinate, and
+// Valid rejects those.
+func TestMetricMinMaxMatchMath(t *testing.T) {
+	huge := []float64{math.Copysign(0, -1), 0, -math.MaxFloat64, math.MaxFloat64, -1e307, 1e307, -1, 1, 2}
+	small := []float64{math.NaN(), math.Copysign(0, -1), 0, -1, 1, 2}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	mathDeltas := func(a, b Rect) (dx, dy float64) {
+		return math.Max(math.Abs(b.Max.X-a.Min.X), math.Abs(a.Max.X-b.Min.X)),
+			math.Max(math.Abs(b.Max.Y-a.Min.Y), math.Abs(a.Max.Y-b.Min.Y))
+	}
+	metrics := metricsUnderTest(t)
+	rng := rand.New(rand.NewSource(36))
+	for i := 0; i < 20000; i++ {
+		vals := huge
+		if i%2 == 1 {
+			vals = small
+		}
+		pick := func() float64 { return vals[rng.Intn(len(vals))] }
+		rect := func() Rect {
+			if i%2 == 0 && rng.Intn(8) == 0 {
+				return EmptyRect()
+			}
+			return Rect{Min: Point{pick(), pick()}, Max: Point{pick(), pick()}}
+		}
+		a, b := rect(), rect()
+		dx, dy := mathDeltas(a, b)
+		for _, m := range metrics {
+			var want float64
+			switch {
+			case m.IsEuclidean():
+				want = dx*dx + dy*dy
+			case math.IsInf(m.p, 1):
+				want = math.Max(dx, dy)
+			default:
+				want = m.combine(dx, dy)
+			}
+			if got := m.MaxMaxKey(a, b); !same(got, want) {
+				t.Fatalf("%v.MaxMaxKey(%v, %v) = %g, math form %g", m, a, b, got, want)
+			}
+		}
+		if got, want := MaxMaxDistSq(a, b), dx*dx+dy*dy; !same(got, want) {
+			t.Fatalf("MaxMaxDistSq(%v, %v) = %g, math form %g", a, b, got, want)
+		}
+	}
+	// combine's L∞ branch on every delta its callers pass: an absolute or
+	// zero-clamped difference of finite coordinates, so ±0, finite or +Inf.
+	deltas := []float64{math.Copysign(0, -1), 0, 1, 2, 1e307, math.MaxFloat64, math.Inf(1)}
+	for _, dx := range deltas {
+		for _, dy := range deltas {
+			if got, want := LInf().Combine(dx, dy), math.Max(dx, dy); !same(got, want) {
+				t.Fatalf("LInf.Combine(%g, %g) = %g, math form %g", dx, dy, got, want)
+			}
+		}
+	}
+}

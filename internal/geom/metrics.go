@@ -46,10 +46,11 @@ func MinMinDist(a, b Rect) float64 {
 // MaxMaxDistSq returns the squared MAXMAXDIST between two MBRs: the largest
 // possible squared distance between a point in a and a point in b. The
 // maximum of the (coordinate-wise convex) distance function over two
-// rectangles is attained at a pair of corners.
+// rectangles is attained at a pair of corners. It takes the builtin max,
+// as Metric.MaxMaxKey does and for the same reason.
 func MaxMaxDistSq(a, b Rect) float64 {
-	dx := math.Max(math.Abs(b.Max.X-a.Min.X), math.Abs(a.Max.X-b.Min.X))
-	dy := math.Max(math.Abs(b.Max.Y-a.Min.Y), math.Abs(a.Max.Y-b.Min.Y))
+	dx := max(math.Abs(b.Max.X-a.Min.X), math.Abs(a.Max.X-b.Min.X))
+	dy := max(math.Abs(b.Max.Y-a.Min.Y), math.Abs(a.Max.Y-b.Min.Y))
 	return dx*dx + dy*dy
 }
 

@@ -104,7 +104,8 @@ const (
 	// found so far, after a leaf scan accepted pairs.
 	SourceKHeap
 	// SourceMerge is the parallel engine folding a worker's K-heap into
-	// the query's and publishing the query heap's threshold.
+	// the query's and publishing the query heap's threshold to an
+	// external shared bound (core.Options.SharedBound).
 	SourceMerge
 )
 

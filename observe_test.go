@@ -214,7 +214,9 @@ func (c *startEndTracer) Event(e cpq.TraceEvent) {
 // TestEveryEntryPointHonoursEveryHook runs every K-CPQ entry point under
 // each observer option alone: the tracer sees one span, the metrics count
 // one query, the slow-query log writes one line with the query's label
-// and the explain snapshot has the plan's label and the result count.
+// and the explain snapshot has the plan's label and the result count. The
+// label cells pin the sequential label, so they pass WithParallelism(1),
+// which holds whatever the default picks for these trees.
 func TestEveryEntryPointHonoursEveryHook(t *testing.T) {
 	p, q := buildPair(t)
 	ctx := context.Background()
@@ -263,7 +265,7 @@ func TestEveryEntryPointHonoursEveryHook(t *testing.T) {
 		})
 		t.Run(row.name+"/slowlog", func(t *testing.T) {
 			var buf bytes.Buffer
-			if _, err := row.run(cpq.WithSlowQueryLog(cpq.NewSlowQueryLog(0, &buf))); err != nil {
+			if _, err := row.run(cpq.WithSlowQueryLog(cpq.NewSlowQueryLog(0, &buf)), cpq.WithParallelism(1)); err != nil {
 				t.Fatal(err)
 			}
 			lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -274,7 +276,7 @@ func TestEveryEntryPointHonoursEveryHook(t *testing.T) {
 		})
 		t.Run(row.name+"/explain", func(t *testing.T) {
 			c := cpq.NewExplainCapture(nil)
-			pairs, err := row.run(cpq.WithExplain(c))
+			pairs, err := row.run(cpq.WithExplain(c), cpq.WithParallelism(1))
 			if err != nil {
 				t.Fatal(err)
 			}

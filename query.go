@@ -67,16 +67,20 @@ func WithMetric(m Metric) QueryOption {
 }
 
 // WithParallelism runs the HEAP algorithm with n worker goroutines, each
-// a sequential HEAP over independent subtree pairs, under one shared
-// tighten-only pruning bound. n = 1 (the default) is the paper's
-// sequential algorithm; n <= 0 selects runtime.GOMAXPROCS(0). A parallel
-// query returns identical pairs, refs and order to the sequential one;
-// only disk access counts — the paper's cost metric — may vary slightly
-// from run to run, because when the bound tightens depends on goroutine
-// scheduling. The self queries honour it as the bichromatic ones do. The
-// recursive algorithms ignore the knob. Pair WithParallelism with
-// WithBufferShards on the indexes so concurrent page reads do not
-// serialize on one buffer-pool mutex.
+// a sequential HEAP over its fixed share of independent subtree pairs.
+// n = 1 is the paper's sequential algorithm. n <= 0 is the default:
+// runtime.GOMAXPROCS(0) workers where the task engine wins, which is when
+// both trees are at least four levels high and k is at most a quarter of
+// the smaller set, and the sequential algorithm elsewhere. That rule was
+// measured with two workers on uniform data only. A parallel query
+// returns identical pairs, refs and order to the sequential one, and its
+// node- and point-pair counts repeat from run to run; only its disk
+// access counts — the paper's cost metric — may vary slightly, because
+// its workers share the buffer pool. Pass WithParallelism(1) for disk
+// access counts that repeat exactly. The self queries honour it as the
+// bichromatic ones do. The recursive algorithms ignore the knob. Pair a
+// parallel query with WithBufferShards on the indexes so concurrent page
+// reads do not serialize on one buffer-pool mutex.
 func WithParallelism(n int) QueryOption {
 	return func(o *core.Options) {
 		if n <= 0 {
@@ -87,28 +91,22 @@ func WithParallelism(n int) QueryOption {
 	}
 }
 
-// WithShards is a deprecated alias of WithParallelism for the closest-pair
-// queries (ClosestPair, KClosestPairs, Explain and the Self variants). t > 1
-// no longer splits the sets into spatial tiles: the query runs on the
-// parallel HEAP engine over the indexes' own trees with
-// runtime.GOMAXPROCS(0) workers, each taking
-// independent subtree pairs under one shared bound, and returns the
-// unsharded query's pairs, refs and order. A WithParallelism(n > 1) on the
-// same query wins. t <= 1 (the default) changes nothing.
+// WithShards has no effect. It once split the sets into spatial tiles;
+// the closest-pair queries now run on the parallel HEAP engine by default
+// (see WithParallelism), which returns the same pairs, refs and order.
 //
-// Deprecated: use WithParallelism.
+// Deprecated: it is a no-op, kept so existing callers compile. Use
+// WithParallelism.
 func WithShards(t int) QueryOption {
-	return func(o *core.Options) {
-		if t > 1 && o.Parallelism <= 1 {
-			o.Parallelism = core.AutoParallelism
-		}
-	}
+	return func(*core.Options) {}
 }
 
 // buildOptions resolves the engine options of one query: the facade's
-// default, DefaultOptions(HeapAlgorithm), under opts in order.
+// default, DefaultOptions(HeapAlgorithm) with the default parallelism,
+// under opts in order.
 func buildOptions(opts []QueryOption) core.Options {
 	o := core.DefaultOptions(core.Heap)
+	o.Parallelism = core.AutoParallelism
 	for _, f := range opts {
 		f(&o)
 	}
@@ -125,8 +123,10 @@ func ClosestPair(p, q *Index, opts ...QueryOption) (Pair, Stats, error) {
 // ClosestPairContext is ClosestPair under a context: a deadline or cancel
 // interrupts the traversal within a bounded number of steps, releases all
 // buffer-pool pins, joins all worker goroutines and returns ctx.Err().
-// When the context never fires the results, paper counters and disk
-// accesses are identical to the context-free call.
+// When the context never fires the results and the node- and point-pair
+// counters are identical to the context-free call, and so are the disk
+// accesses of a sequential query (WithParallelism(1)); a parallel one's
+// vary run to run.
 func ClosestPairContext(ctx context.Context, p, q *Index, opts ...QueryOption) (Pair, Stats, error) {
 	return core.ClosestPairContext(ctx, p.tree, q.tree, buildOptions(opts))
 }

@@ -6,9 +6,8 @@ import (
 )
 
 // TestWithShardsMatchesUnsharded is the facade-level equivalence check:
-// WithShards runs the parallel engine over the same trees, so the
-// bichromatic queries return the monolithic join's pairs, refs and order
-// for every tile count.
+// WithShards is a no-op, so the bichromatic queries return the
+// monolithic join's pairs, refs and order for every tile count.
 func TestWithShardsMatchesUnsharded(t *testing.T) {
 	ptsP := randomPoints(41, 800, 0)
 	ptsQ := randomPoints(42, 800, 0)
@@ -51,7 +50,9 @@ func TestWithShardsMatchesUnsharded(t *testing.T) {
 }
 
 // TestWithShardsOneTileIsMonolithic pins that t <= 1 keeps the
-// monolithic path (no partitioning cost, identical stats semantics).
+// monolithic path (no partitioning cost, identical stats semantics). The
+// trees are two levels high, so the default runs them sequentially and
+// the node-pair counts repeat.
 func TestWithShardsOneTileIsMonolithic(t *testing.T) {
 	p, err := BuildIndex(randomPoints(43, 200, 0))
 	if err != nil {
