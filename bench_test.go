@@ -340,3 +340,38 @@ func BenchmarkDefaultVsSequential(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNodeCache is the decoded-node cache's worth on the shape of the
+// benchmark's mutate-query workload: a K = 10 query, through the facade's
+// default call, over two 50k-point insertion-built indexes behind
+// 512-page pools, with a cache that holds every node (4,096 slots over
+// trees of about 3.6k nodes), one that the trees outgrow (1,024) and none.
+// It reports the cache's hit ratio beside the time.
+func BenchmarkNodeCache(b *testing.B) {
+	for _, nodes := range []int{4096, 1024, 0} {
+		b.Run(fmt.Sprintf("cache=%d", nodes), func(b *testing.B) {
+			var idx [2]*Index
+			for i := range idx {
+				var err error
+				idx[i], err = BuildIndex(dataset.Uniform(int64(50000+i), 50000), WithBufferPages(512), WithNodeCache(nodes))
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer idx[i].Close()
+			}
+			var hits, lookups int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, st, err := KClosestPairs(idx[0], idx[1], 10)
+				if err != nil {
+					b.Fatal(err)
+				}
+				hits += st.NodeCacheHits
+				lookups += st.NodeCacheHits + st.NodeCacheMisses
+			}
+			if lookups > 0 {
+				b.ReportMetric(float64(hits)/float64(lookups), "hit-ratio")
+			}
+		})
+	}
+}

@@ -34,8 +34,11 @@ bench() {
 	# The smallest cells of the default-parallelism curve (EXPERIMENTS.md
 	# note 25), where the size rule keeps the default sequential.
 	go test -run '^$' -bench 'BenchmarkDefaultVsSequential/n=(10|100)$' -benchtime 100x -benchmem .
+	# The node cache's worth (EXPERIMENTS.md note 26): a cache that holds
+	# the trees, one they outgrow and none.
+	go test -run '^$' -bench 'BenchmarkNodeCache' -benchtime 5x -benchmem .
 	go test -run '^$' -bench 'BenchmarkPairHeap|BenchmarkSweepLeafScan|BenchmarkBoundCandidate|BenchmarkSemiClosestPairsBatched|BenchmarkWithinDistance' -benchtime 100x -benchmem ./internal/core
-	go test -run '^$' -bench 'BenchmarkInsert|BenchmarkBulkLoadSTR' -benchtime 100x -benchmem ./internal/rtree
+	go test -run '^$' -bench 'BenchmarkInsert|BenchmarkBulkLoadSTR|BenchmarkNodeCacheHit' -benchtime 100x -benchmem ./internal/rtree
 	go run -C benchmark . -seed 1 -seconds 2
 }
 
@@ -209,8 +212,8 @@ all() {
 	# full), the fault sweep's parallel rows among them, and the sharded
 	# executor's parallel joins five. The twenty passes take seven to
 	# eleven minutes on two cores, up to past go test's default ten-minute
-	# timeout.
-	go test -race -short -count=20 -timeout 30m -run 'Parallel|TestSweepParallelEquivalence|TestConcurrentQueriesShareFreeList' ./internal/core
+	# timeout. The node cache's lock-free slots get the same twenty passes.
+	go test -race -short -count=20 -timeout 30m -run 'Parallel|TestSweepParallelEquivalence|TestConcurrentQueriesShareFreeList|TestNodeCacheConcurrentInvalidate' ./internal/core ./internal/rtree
 	go test -race -count=5 -run 'TestShardedMatchesUnshardedParallelism' ./internal/shard
 	# The benchmark is a module of its own (benchmark/go.mod), outside
 	# ./...: compile and test it here so an engine change cannot break it

@@ -104,17 +104,19 @@ func WithBufferShards(n int) IndexOption {
 	}
 }
 
-// WithNodeCache attaches a decoded-node cache holding up to the given
-// number of nodes (0, the default, disables it). A cache hit serves an
+// WithNodeCache attaches a decoded-node cache of the given number of
+// slots (0, the default, disables it). A cache hit serves an
 // already-decoded, immutable node without touching the buffer pool at all,
 // which makes repeated traversals of the upper tree levels (the HEAP
 // frontier's habit) much cheaper — but it also means cached reads no
 // longer appear in IOStats, so experiments reproducing the paper's
 // disk-access figures must leave it off. Cache hit/miss counts are
 // reported separately (Stats.NodeCacheHits / NodeCacheMisses and
-// Index.NodeCacheStats). The cache is sharded like the buffer pool
-// (WithBufferShards) so parallel workers do not serialize on it, and it is
-// kept consistent by invalidation on every node write.
+// Index.NodeCacheStats). The cache is direct-mapped: a page has one slot,
+// its page id mod the cache size, and a node read into an occupied slot
+// replaces the page there. A hit takes no lock, so the workers of a
+// parallel query never wait on each other for it. The cache is kept
+// consistent by invalidation on every node write.
 func WithNodeCache(nodes int) IndexOption {
 	return func(c *indexConfig) error {
 		if nodes < 0 {
@@ -193,7 +195,7 @@ func NewIndex(opts ...IndexOption) (*Index, error) {
 		return nil, errors.Join(err, idx.file.Close())
 	}
 	if c.nodeCacheNodes > 0 {
-		tree.SetNodeCache(rtree.NewNodeCache(c.nodeCacheNodes, c.bufferShards))
+		tree.SetNodeCache(rtree.NewNodeCache(c.nodeCacheNodes, 0))
 	}
 	idx.tree = tree
 	return idx, nil
@@ -247,7 +249,7 @@ func OpenIndex(path string, opts ...IndexOption) (*Index, error) {
 		return nil, errors.Join(err, df.Close())
 	}
 	if c.nodeCacheNodes > 0 {
-		tree.SetNodeCache(rtree.NewNodeCache(c.nodeCacheNodes, c.bufferShards))
+		tree.SetNodeCache(rtree.NewNodeCache(c.nodeCacheNodes, 0))
 	}
 	return &Index{tree: tree, pool: pool, file: df, disk: df}, nil
 }

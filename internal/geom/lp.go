@@ -147,36 +147,40 @@ func (m Metric) MaxMaxKey(a, b Rect) float64 {
 	return m.combine(dx, dy)
 }
 
-// edgeMaxKey returns the key of the maximum distance between two segments
-// under m; every L_p norm is convex, so the maximum over the segment
-// product is attained at endpoints.
-func (m Metric) edgeMaxKey(e, f [2]Point) float64 {
-	mx := m.Key(e[0], f[0])
-	if d := m.Key(e[0], f[1]); d > mx {
-		mx = d
-	}
-	if d := m.Key(e[1], f[0]); d > mx {
-		mx = d
-	}
-	if d := m.Key(e[1], f[1]); d > mx {
-		mx = d
-	}
-	return mx
-}
-
 // MinMaxKey returns the key of MINMAXDIST under m (Inequality 2 holds for
 // any metric: each MBR edge carries at least one data point).
+//
+// MINMAXDIST is the least, over the 16 pairs of an edge of a and an edge
+// of b, of the pair's MAXDIST: the largest key over its four endpoint
+// pairs. A key is nondecreasing in each per-axis delta, and an edge is
+// fixed on one axis and spans its rectangle on the other, so an edge
+// pair's MAXDIST combines its largest x delta with its largest y delta,
+// and the least over the four pairs of one orientation combines extreme
+// deltas:
+//   - two horizontal edges: the largest x delta over the four x pairs,
+//     with the least y delta over the four y pairs;
+//   - two vertical edges: the same with the axes swapped;
+//   - a horizontal edge of a and a vertical edge of b: per axis, the
+//     least over the fixed coordinate (b's x, a's y) of the largest delta
+//     to the other rectangle's span;
+//   - a vertical edge of a and a horizontal edge of b: the same with the
+//     rectangles swapped.
+//
+// Each of the four keys is one the 16-edge evaluation computes, and so is
+// their least: the two forms agree bit for bit on every rectangle a tree
+// can hold (TestMinMaxKeyMatchesEdgeReference).
 func (m Metric) MinMaxKey(a, b Rect) float64 {
-	ea, eb := a.Edges(), b.Edges()
-	min := math.Inf(1)
-	for i := range ea {
-		for j := range eb {
-			if d := m.edgeMaxKey(ea[i], eb[j]); d < min {
-				min = d
-			}
-		}
-	}
-	return min
+	// xij is |Δx| between a's min (i = 0) or max (i = 1) and b's min
+	// (j = 0) or max (j = 1); y likewise.
+	x00, x01 := math.Abs(a.Min.X-b.Min.X), math.Abs(a.Min.X-b.Max.X)
+	x10, x11 := math.Abs(a.Max.X-b.Min.X), math.Abs(a.Max.X-b.Max.X)
+	y00, y01 := math.Abs(a.Min.Y-b.Min.Y), math.Abs(a.Min.Y-b.Max.Y)
+	y10, y11 := math.Abs(a.Max.Y-b.Min.Y), math.Abs(a.Max.Y-b.Max.Y)
+	hh := m.combine(max(x00, x01, x10, x11), min(y00, y01, y10, y11))
+	vv := m.combine(min(x00, x01, x10, x11), max(y00, y01, y10, y11))
+	hv := m.combine(min(max(x00, x10), max(x01, x11)), min(max(y00, y01), max(y10, y11)))
+	vh := m.combine(min(max(x00, x01), max(x10, x11)), min(max(y00, y10), max(y01, y11)))
+	return min(hh, vv, hv, vh)
 }
 
 // PointRectMinKey returns the key of MINDIST(p, r) under m.

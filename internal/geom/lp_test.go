@@ -259,3 +259,81 @@ func TestMetricMinMaxMatchMath(t *testing.T) {
 		}
 	}
 }
+
+// minMaxKeyEdges is MINMAXDIST by its definition, the reference for
+// MinMaxKey: the least, over the 16 pairs of an edge of a and an edge of
+// b, of the largest key over the pair's four endpoint pairs.
+func minMaxKeyEdges(m Metric, a, b Rect) float64 {
+	ea, eb := a.Edges(), b.Edges()
+	best := math.Inf(1)
+	for _, e := range ea {
+		for _, f := range eb {
+			mx := m.Key(e[0], f[0])
+			for _, d := range []float64{m.Key(e[0], f[1]), m.Key(e[1], f[0]), m.Key(e[1], f[1])} {
+				if d > mx {
+					mx = d
+				}
+			}
+			if mx < best {
+				best = mx
+			}
+		}
+	}
+	return best
+}
+
+// TestMinMaxKeyMatchesEdgeReference holds the closed-form MinMaxKey to
+// the 16-edge definition bit for bit, under every metric, on rectangles
+// a tree can hold (finite coordinates, Min ≤ Max): random ones at several
+// scales, degenerate ones (points and segments), ones sharing coordinates
+// drawn from a small set (so deltas tie and vanish, ±0 among them), and
+// ones reaching ±1e307 and ±MaxFloat64, whose deltas overflow to +Inf.
+func TestMinMaxKeyMatchesEdgeReference(t *testing.T) {
+	metrics := metricsUnderTest(t)
+	l725, err := Lp(7.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics = append(metrics, l725)
+	pool := []float64{math.Copysign(0, -1), 0, -1, 1, 2, -2, 0.5, 3,
+		-1e307, 1e307, -math.MaxFloat64, math.MaxFloat64}
+	rng := rand.New(rand.NewSource(37))
+	coord := func(kind int) float64 {
+		switch kind {
+		case 0:
+			return rng.Float64()*2 - 1
+		case 1:
+			return (rng.Float64()*2 - 1) * 1e6
+		default:
+			return pool[rng.Intn(len(pool))]
+		}
+	}
+	span := func(kind int) (lo, hi float64) {
+		u := coord(kind)
+		if rng.Intn(4) == 0 {
+			return u, u // degenerate on this axis
+		}
+		v := coord(kind)
+		return min(u, v), max(u, v)
+	}
+	rect := func(kind int) Rect {
+		x0, x1 := span(kind)
+		y0, y1 := span(kind)
+		return Rect{Min: Point{x0, y0}, Max: Point{x1, y1}}
+	}
+	n := 40000
+	if testing.Short() {
+		n = 4000
+	}
+	for i := 0; i < n; i++ {
+		kind := i % 3
+		a, b := rect(kind), rect(kind)
+		for _, m := range metrics {
+			got, want := m.MinMaxKey(a, b), minMaxKeyEdges(m, a, b)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v.MinMaxKey(%v, %v) = %g (%#x), 16-edge reference %g (%#x)",
+					m, a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}

@@ -78,3 +78,42 @@ func BenchmarkNearestNeighbors(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNodeCacheHit reads a warm tree's nodes through ReadNodeInto
+// with a cache that holds them all, from GOMAXPROCS goroutines at once:
+// the cost of a hit, the copy included, when parallel workers share it.
+func BenchmarkNodeCacheHit(b *testing.B) {
+	pool := storage.NewBufferPool(storage.NewMemFile(1024), 4096)
+	tr, err := New(pool, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tr.BulkLoad(itemsFromPoints(randPoints(4, 20000)), 0.7); err != nil {
+		b.Fatal(err)
+	}
+	var ids []storage.PageID
+	if err := tr.Walk(func(n *Node) error { ids = append(ids, n.ID); return nil }); err != nil {
+		b.Fatal(err)
+	}
+	tr.SetNodeCache(NewNodeCache(4096, 1))
+	var dst Node
+	for _, id := range ids {
+		if err := tr.ReadNodeInto(id, &dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var dst Node
+		for i := 0; pb.Next(); i++ {
+			if err := tr.ReadNodeInto(ids[i%len(ids)], &dst); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	if st := tr.NodeCacheStats(); st.Misses != int64(len(ids)) {
+		b.Fatalf("misses = %d, want %d (the warm-up)", st.Misses, len(ids))
+	}
+}

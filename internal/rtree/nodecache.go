@@ -1,29 +1,32 @@
 package rtree
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/storage"
 )
 
-// NodeCache is a sharded LRU cache of decoded nodes, keyed by page id and
+// NodeCache is a direct-mapped cache of decoded nodes, keyed by page id and
 // sitting above the buffer pool: a hit hands back an already-decoded *Node
 // and skips BufferPool.View, decodeNode and the entry allocation entirely.
 // It trades exact disk-access accounting for speed, so it is opt-in
 // (Tree.SetNodeCache); hits and misses are counted separately from the
 // pool's counters, keeping the paper's access numbers honest.
 //
-// Consistency contract: cached nodes are immutable. Query paths treat a
-// *Node from ReadNode as read-only (they already had to — decoded nodes
-// are shared between concurrent readers), while the mutating paths (insert,
-// delete, reinsertion) decode into their own nodes via readNodeMut and every
-// writeNode/freeNode invalidates the page's cache entry. Tree mutation is
-// single-goroutine by the Tree's own contract; concurrent readers during
-// read-only use see a consistent cache because Get/Add take the shard lock.
+// A page has one slot, its id mod the capacity, and a slot holds one node:
+// a node added to an occupied slot replaces whatever page was there. A hit
+// is one atomic load and an id compare, so concurrent readers never wait on
+// each other; the policy gives up LRU's choice of victim for that.
+//
+// Consistency contract: cached nodes are immutable, and are published
+// whole through the slot's atomic pointer. Query paths treat a *Node from
+// ReadNode as read-only (they already had to — decoded nodes are shared
+// between concurrent readers), while the mutating paths (insert, delete,
+// reinsertion) decode into their own nodes via readNodeMut and every
+// writeNode/freeNode invalidates the page's slot. Tree mutation is
+// single-goroutine by the Tree's own contract.
 type NodeCache struct {
-	shards []nodeCacheShard
-	mask   uint64
+	slots  []atomic.Pointer[Node]
 	hits   atomic.Int64
 	misses atomic.Int64
 }
@@ -49,112 +52,51 @@ func (s CacheStats) HitRate() float64 {
 	return 0
 }
 
-type nodeCacheShard struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[storage.PageID]*nodeCacheEntry
-	// Intrusive LRU list: head is most recently used, tail the eviction
-	// victim.
-	head, tail *nodeCacheEntry
-}
-
-type nodeCacheEntry struct {
-	node       *Node
-	prev, next *nodeCacheEntry
-}
-
-// NewNodeCache returns a cache holding up to capacity decoded nodes, split
-// over the given number of lock-striped shards (rounded up to a power of
-// two; values < 1 mean one shard). Each shard holds capacity/shards nodes,
-// at least one.
+// NewNodeCache returns a cache of exactly capacity slots (values < 1 mean
+// one). shards is ignored: a hit takes no lock, so there is nothing to
+// stripe. It stays in the signature for the callers that pass one.
 func NewNodeCache(capacity, shards int) *NodeCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	per := capacity / n
-	if per < 1 {
-		per = 1
-	}
-	c := &NodeCache{shards: make([]nodeCacheShard, n), mask: uint64(n - 1)}
-	for i := range c.shards {
-		c.shards[i].capacity = per
-		c.shards[i].entries = make(map[storage.PageID]*nodeCacheEntry, per)
-	}
-	return c
+	return &NodeCache{slots: make([]atomic.Pointer[Node], capacity)}
 }
 
-func (c *NodeCache) shardFor(id storage.PageID) *nodeCacheShard {
-	return &c.shards[uint64(id)&c.mask]
+func (c *NodeCache) slot(id storage.PageID) *atomic.Pointer[Node] {
+	return &c.slots[uint64(id)%uint64(len(c.slots))]
 }
 
 // Get returns the cached node for a page id, counting the lookup. The
 // returned node is shared and must be treated as read-only.
 func (c *NodeCache) Get(id storage.PageID) (*Node, bool) {
-	s := c.shardFor(id)
-	s.mu.Lock()
-	e, ok := s.entries[id]
-	var n *Node
-	if ok {
-		s.moveToFront(e)
-		n = e.node // under the lock: Add replaces an entry's node in place
+	if n := c.slot(id).Load(); n != nil && n.ID == id {
+		c.hits.Add(1)
+		return n, true
 	}
-	s.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return n, true
+	c.misses.Add(1)
+	return nil, false
 }
 
-// Add caches a freshly decoded node, evicting the shard's LRU entry when
-// the shard is full. The caller must not mutate n afterwards.
-func (c *NodeCache) Add(n *Node) {
-	s := c.shardFor(n.ID)
-	s.mu.Lock()
-	if e, ok := s.entries[n.ID]; ok {
-		e.node = n
-		s.moveToFront(e)
-		s.mu.Unlock()
-		return
-	}
-	if len(s.entries) >= s.capacity {
-		victim := s.tail
-		s.unlink(victim)
-		delete(s.entries, victim.node.ID)
-	}
-	e := &nodeCacheEntry{node: n}
-	s.entries[n.ID] = e
-	s.pushFront(e)
-	s.mu.Unlock()
-}
+// Add caches a freshly decoded node in its page's slot, replacing the
+// slot's previous node. The caller must not mutate n afterwards.
+func (c *NodeCache) Add(n *Node) { c.slot(n.ID).Store(n) }
 
-// Invalidate drops the cache entry for a page id, if present. Every write
-// to a node page (writeNode, freeNode) must invalidate, so a reader after
-// the write decodes the new bytes.
+// Invalidate drops the cached node of a page id, if its slot holds it; a
+// node of another page in the same slot stays. Every write to a node page
+// (writeNode, freeNode) must invalidate, so a reader after the write
+// decodes the new bytes.
 func (c *NodeCache) Invalidate(id storage.PageID) {
-	s := c.shardFor(id)
-	s.mu.Lock()
-	if e, ok := s.entries[id]; ok {
-		s.unlink(e)
-		delete(s.entries, id)
+	s := c.slot(id)
+	if n := s.Load(); n != nil && n.ID == id {
+		s.CompareAndSwap(n, nil)
 	}
-	s.mu.Unlock()
 }
 
 // Clear drops every cached node (the node-level analogue of dropping the
 // buffer pool's pages). Counters are unaffected; see ResetStats.
 func (c *NodeCache) Clear() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.entries = make(map[storage.PageID]*nodeCacheEntry, s.capacity)
-		s.head, s.tail = nil, nil
-		s.mu.Unlock()
+	for i := range c.slots {
+		c.slots[i].Store(nil)
 	}
 }
 
@@ -169,56 +111,16 @@ func (c *NodeCache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 }
 
-// Len returns the number of cached nodes.
+// Len returns the number of cached nodes, counting the occupied slots.
 func (c *NodeCache) Len() int {
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		total += len(s.entries)
-		s.mu.Unlock()
+	n := 0
+	for i := range c.slots {
+		if c.slots[i].Load() != nil {
+			n++
+		}
 	}
-	return total
+	return n
 }
 
-// Capacity returns the total node capacity over all shards.
-func (c *NodeCache) Capacity() int {
-	total := 0
-	for i := range c.shards {
-		total += c.shards[i].capacity
-	}
-	return total
-}
-
-func (s *nodeCacheShard) pushFront(e *nodeCacheEntry) {
-	e.prev, e.next = nil, s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *nodeCacheShard) unlink(e *nodeCacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *nodeCacheShard) moveToFront(e *nodeCacheEntry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
-}
+// Capacity returns the number of slots.
+func (c *NodeCache) Capacity() int { return len(c.slots) }

@@ -12,43 +12,47 @@ import (
 	"repro/internal/storage"
 )
 
-func TestNodeCacheLRU(t *testing.T) {
-	c := NewNodeCache(2, 1)
-	if c.Capacity() != 2 {
-		t.Fatalf("Capacity = %d, want 2", c.Capacity())
-	}
-	n1 := &Node{ID: 1, Level: 0}
-	n2 := &Node{ID: 2, Level: 0}
-	n3 := &Node{ID: 3, Level: 0}
+// TestNodeCacheDirectMapped: a page has one slot, its id mod the
+// capacity. An Add to an occupied slot replaces its node, a Get of a page
+// whose slot holds another page is a miss, and Invalidate drops only its
+// own page's node.
+func TestNodeCacheDirectMapped(t *testing.T) {
+	c := NewNodeCache(4, 1)
+	n1 := &Node{ID: 1}
+	n5 := &Node{ID: 5} // slot 1, as page 1
+	n2 := &Node{ID: 2}
 	c.Add(n1)
 	c.Add(n2)
 	if got, ok := c.Get(1); !ok || got != n1 {
 		t.Fatalf("Get(1) = %v, %v", got, ok)
 	}
-	// 2 is now the LRU victim: adding 3 must evict it, not 1.
-	c.Add(n3)
-	if _, ok := c.Get(2); ok {
-		t.Fatal("page 2 should have been evicted")
+	if _, ok := c.Get(5); ok {
+		t.Fatal("Get(5) hit a slot that holds page 1")
 	}
-	if got, ok := c.Get(1); !ok || got != n1 {
-		t.Fatalf("page 1 evicted by LRU order violation (got %v, %v)", got, ok)
+	c.Add(n5)
+	if _, ok := c.Get(1); ok {
+		t.Fatal("page 1 survived a conflicting Add")
 	}
-	if got, ok := c.Get(3); !ok || got != n3 {
-		t.Fatalf("Get(3) = %v, %v", got, ok)
+	if got, ok := c.Get(5); !ok || got != n5 {
+		t.Fatalf("Get(5) = %v, %v", got, ok)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	c.Invalidate(1) // slot 1 holds page 5: nothing to drop
+	if got, ok := c.Get(5); !ok || got != n5 {
+		t.Fatalf("Invalidate(1) dropped page 5: %v, %v", got, ok)
+	}
+	c.Invalidate(5)
+	if _, ok := c.Get(5); ok {
+		t.Fatal("page 5 survived Invalidate")
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d, want 1 (page 2)", c.Len())
 	}
 	st := c.Stats()
-	if st.Hits != 3 || st.Misses != 1 {
-		t.Fatalf("Stats = %+v, want 3 hits 1 miss", st)
+	if st.Hits != 3 || st.Misses != 3 {
+		t.Fatalf("Stats = %+v, want 3 hits 3 misses", st)
 	}
-	if st.HitRate() != 0.75 {
+	if st.HitRate() != 0.5 {
 		t.Fatalf("HitRate = %g", st.HitRate())
-	}
-	c.Invalidate(3)
-	if _, ok := c.Get(3); ok {
-		t.Fatal("page 3 survived Invalidate")
 	}
 	c.Clear()
 	if c.Len() != 0 {
@@ -60,16 +64,85 @@ func TestNodeCacheLRU(t *testing.T) {
 	}
 }
 
-func TestNodeCacheSharding(t *testing.T) {
-	c := NewNodeCache(64, 5) // rounds up to 8 shards
-	if len(c.shards) != 8 {
-		t.Fatalf("shards = %d, want 8", len(c.shards))
+// TestNodeCacheExactCapacity: the cache has exactly the slots asked for,
+// with no rounding to a power of two, so 2,500 slots never hold 4,096
+// nodes.
+func TestNodeCacheExactCapacity(t *testing.T) {
+	c := NewNodeCache(2500, 8)
+	if c.Capacity() != 2500 {
+		t.Fatalf("Capacity = %d, want 2500", c.Capacity())
 	}
-	for id := storage.PageID(0); id < 100; id++ {
+	for id := storage.PageID(0); id < 4096; id++ {
 		c.Add(&Node{ID: id})
 	}
-	if c.Len() > c.Capacity() {
-		t.Fatalf("Len %d exceeds capacity %d", c.Len(), c.Capacity())
+	if c.Len() != 2500 {
+		t.Fatalf("Len = %d, want 2500", c.Len())
+	}
+	for id := storage.PageID(0); id < 4096; id++ {
+		_, ok := c.Get(id)
+		if want := id >= 4096-2500; ok != want {
+			t.Fatalf("Get(%d) hit = %v, want %v", id, ok, want)
+		}
+	}
+	if c := NewNodeCache(0, 0); c.Capacity() != 1 {
+		t.Fatalf("NewNodeCache(0) capacity = %d, want 1", c.Capacity())
+	}
+}
+
+// TestNodeCacheConcurrentInvalidate races readers that Get and Add
+// against a goroutine that runs Invalidate and Clear on the same slots
+// (run under -race in CI). A hit must hand back the node of the page
+// asked for, whole.
+func TestNodeCacheConcurrentInvalidate(t *testing.T) {
+	const pages = 64
+	c := NewNodeCache(16, 1)
+	nodes := make([]*Node, pages)
+	for i := range nodes {
+		nodes[i] = &Node{ID: storage.PageID(i), Level: i % 3, Entries: []Entry{{Ref: int64(i)}}}
+	}
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%64 == 63 {
+				c.Clear()
+			} else {
+				c.Invalidate(storage.PageID(i % pages))
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func(seed int64) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 20000; i++ {
+				id := rng.Intn(pages)
+				n, ok := c.Get(storage.PageID(id))
+				if !ok {
+					c.Add(nodes[id])
+					continue
+				}
+				if n != nodes[id] || n.Entries[0].Ref != int64(id) {
+					t.Errorf("Get(%d) returned page %d", id, n.ID)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+	if st := c.Stats(); st.Lookups() != 4*20000 {
+		t.Fatalf("lookups = %d, want %d", st.Lookups(), 4*20000)
 	}
 }
 
