@@ -625,7 +625,7 @@ func TestSemiBatchedFacade(t *testing.T) {
 	}
 }
 
-// TestContextEntryPointsHonourCancel: each of the facade's seven *Context
+// TestContextEntryPointsHonourCancel: each of the facade's eight *Context
 // entry points hands its caller's context to the engine. Under a
 // cancelled context every one returns context.Canceled; one that passed
 // context.Background() on would answer the query instead. The indexes are
@@ -675,6 +675,14 @@ func TestContextEntryPointsHonourCancel(t *testing.T) {
 		}},
 		{"ExplainContext", func() error {
 			_, _, _, err := ExplainContext(ctx, p, q, 10)
+			return err
+		}},
+		{"NewIncrementalJoinContext", func() error {
+			it, err := NewIncrementalJoinContext(ctx, p, q)
+			if err != nil {
+				return err
+			}
+			_, _, err = it.Next()
 			return err
 		}},
 	}

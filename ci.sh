@@ -55,9 +55,11 @@ obs() {
 	go test -run 'TestCacheTraceDisabledZeroAlloc' ./internal/rtree
 	go test -run 'TestNilCaptureZeroAlloc' ./internal/obs/explain
 	# The warm-query allocation budget (DESIGN.md §10): what a K-CPQ
-	# allocates depends on K alone. The core test skips itself under -race,
-	# so this line, without it, is the one place it is sure to run.
-	go test -count=1 -run 'TestKCPQSteadyStateAllocs|TestReadNodeIntoWarmZeroAlloc|TestInsertWarmAllocs' ./internal/core ./internal/rtree
+	# allocates depends on K alone, and the incremental join allocates
+	# nothing per node read. The core test skips itself under -race and the
+	# join's is left out of -race builds, so this line, without it, is the
+	# one place they are sure to run.
+	go test -count=1 -run 'TestKCPQSteadyStateAllocs|TestReadNodeIntoWarmZeroAlloc|TestInsertWarmAllocs|TestJoinAllocs' ./internal/core ./internal/rtree ./internal/incremental
 	# The leaf order (DESIGN.md §8): every write path stores leaves
 	# x-ordered, and the leaf scan answers exactly from pages that are not.
 	go test -count=1 -run 'TestLeafOrderOnEveryWritePath|TestUnorderedLeafTwins' ./internal/rtree ./internal/core
@@ -150,6 +152,8 @@ smoke() {
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self -watch
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self -explain
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -semi -quiet
+	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5 -incremental SML
+	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5 -incremental BAS
 	# cpqtree reads an index file and no command writes one, so build it
 	# through the facade; a file named on the command line compiles inside
 	# this module wherever it lies.

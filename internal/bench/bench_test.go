@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -106,6 +108,26 @@ func TestRunIncremental(t *testing.T) {
 	}
 	if stats.Accesses() <= 0 || stats.Reported != 10 {
 		t.Fatalf("stats = %+v", stats)
+	}
+}
+
+// TestLabCtxReachesEveryRun: a Lab whose Ctx is done fails both kinds of
+// run with the context's error, so cpqbench -timeout bounds the
+// incremental joins of Figure 10 as well as the K-CPQs.
+func TestLabCtxReachesEveryRun(t *testing.T) {
+	l := smallLab()
+	ta, tb, err := l.Pair(realSpec(), uniformControl(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	l.Ctx = ctx
+	if _, err := l.RunCore(ta, tb, 10, core.DefaultOptions(core.Heap), 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunCore: err = %v, want context.Canceled", err)
+	}
+	if _, err := l.RunIncremental(ta, tb, 10, incremental.Options{Traversal: incremental.Simultaneous}, 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunIncremental: err = %v, want context.Canceled", err)
 	}
 }
 

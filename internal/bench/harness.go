@@ -67,9 +67,9 @@ type Lab struct {
 	// 0 means 512.
 	BuildBuffer int
 
-	// Ctx, when set, is threaded into every RunCore query: cpqbench
-	// -timeout puts a deadline here so a wall-clock budget covers the whole
-	// experiment sweep. nil means context.Background().
+	// Ctx, when set, is threaded into every RunCore and RunIncremental
+	// query: cpqbench -timeout puts a deadline here so a wall-clock budget
+	// covers the whole experiment sweep. nil means context.Background().
 	Ctx context.Context
 	// Parallelism is the HEAP worker count of RunCore queries whose options
 	// leave it zero (0 = the paper's sequential algorithm;
@@ -227,6 +227,14 @@ func (l *Lab) Totals() Totals {
 	return t
 }
 
+// ctx returns the context of the Lab's queries.
+func (l *Lab) ctx() context.Context {
+	if l.Ctx == nil {
+		return context.Background()
+	}
+	return l.Ctx
+}
+
 // LastExplain returns the explain snapshot of the Lab's most recent
 // RunCore query captured under Explain; nil if none ran.
 func (l *Lab) LastExplain() *explain.Explain { return l.lastExplain }
@@ -237,10 +245,6 @@ func (l *Lab) LastExplain() *explain.Explain { return l.lastExplain }
 // and Explain become the query's observer when the caller set none.
 func (l *Lab) RunCore(ta, tb *rtree.Tree, k int, opts core.Options, bufferPages int) (core.Stats, error) {
 	prepare(ta, tb, bufferPages)
-	ctx := l.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if opts.Parallelism == 0 {
 		opts.Parallelism = l.Parallelism
 	}
@@ -250,7 +254,7 @@ func (l *Lab) RunCore(ta, tb *rtree.Tree, k int, opts core.Options, bufferPages 
 			opts.Observe.Explain = explain.New(nil)
 		}
 	}
-	_, stats, err := core.KClosestPairsContext(ctx, ta, tb, k, opts)
+	_, stats, err := core.KClosestPairsContext(l.ctx(), ta, tb, k, opts)
 	if l.Explain {
 		l.lastExplain = opts.Observe.Explain.Snapshot()
 	}
@@ -269,7 +273,7 @@ func (l *Lab) RunCore(ta, tb *rtree.Tree, k int, opts core.Options, bufferPages 
 // the given buffer size and returns its statistics.
 func (l *Lab) RunIncremental(ta, tb *rtree.Tree, k int, opts incremental.Options, bufferPages int) (incremental.Stats, error) {
 	prepare(ta, tb, bufferPages)
-	_, stats, err := incremental.GetK(ta, tb, k, opts)
+	_, stats, err := incremental.GetKContext(l.ctx(), ta, tb, k, opts)
 	if err == nil {
 		l.totals.Queries++
 		l.totals.Accesses += stats.Accesses()

@@ -1,14 +1,15 @@
 // Package incremental implements the incremental distance-join algorithms
 // of Hjaltason & Samet (SIGMOD 1998), the prior work the paper compares
 // against (Sections 3.9 and 5.2). An Iterator produces closest pairs in
-// ascending distance order from a priority queue holding four kinds of
-// items — node/node, object/node, node/object and object/object — under
-// one of three traversal policies (basic, even, simultaneous), equal
-// distances going to the deeper pair first. Setting MaxK enables the
-// K-bounded queue pruning of the modified algorithm in [11].
+// ascending distance order from a priority queue of pairs whose sides are
+// each a node or an object, under one of three traversal policies (basic,
+// even, simultaneous), equal distances going to the deeper pair first.
+// Setting MaxK enables the K-bounded queue pruning of the modified
+// algorithm in [11].
 package incremental
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -79,50 +80,62 @@ type Stats struct {
 // Accesses returns total disk accesses on both trees.
 func (s Stats) Accesses() int64 { return s.IOP.Reads + s.IOQ.Reads }
 
-type itemKind uint8
+// side is one half of a queue item: a node, whose ref is its page id and
+// level its height above the leaves, or an object, at level -1 with its
+// record id as ref.
+type side struct {
+	rect  geom.Rect
+	ref   int64
+	level int
+}
 
-const (
-	nodeNode itemKind = iota
-	objNode
-	nodeObj
-	objObj
-)
-
-// item is one priority-queue element. Object sides use a degenerate
-// rectangle and carry the record id.
+// item is one priority-queue element, a pair of sides; seq is its
+// insertion number, which makes the queue order total.
 type item struct {
 	keySq float64
-	// depth is the minimum node level in the pair; objects count as -1.
-	depth int
-	seq   int64 // insertion sequence for deterministic final ordering
-	kind  itemKind
-
-	ra, rb     geom.Rect
-	aPage      storage.PageID
-	bPage      storage.PageID
-	la, lb     int
-	aRef, bRef int64
+	seq   int64
+	a, b  side
 }
+
+// depth is the lower level of the two sides: an item holding an object
+// is at depth -1.
+func (x *item) depth() int { return min(x.a.level, x.b.level) }
+
+// cancelStride is how many pops pass between two looks at the context,
+// the stride of internal/core's traversals.
+const cancelStride = 1024
 
 // Iterator produces closest pairs in ascending distance order.
 type Iterator struct {
+	ctx    context.Context
 	ta, tb *rtree.Tree
 	opts   Options
 	queue  pq
-	seq    int64
 	stats  Stats
 	startA storage.IOStats
 	startB storage.IOStats
 	// kbest implements the MaxK pruning: a bounded max-heap over candidate
 	// object/object distances; once it holds MaxK entries its top bounds
 	// every distance the join still needs to consider.
-	kbest    []float64
-	finished bool
+	kbest []float64
+	// na and nb receive the nodes expand opens, ca and cb the children it
+	// pairs: both reused, so a node read allocates nothing.
+	na, nb rtree.Node
+	ca, cb []side
+	// err is the first error Next met; every later call returns it, since
+	// the item whose expansion failed is gone from the queue.
+	err error
 }
 
-// New creates an iterator over the closest pairs of the two trees. Both
-// trees must be non-empty.
+// New is NewContext under context.Background().
 func New(ta, tb *rtree.Tree, opts Options) (*Iterator, error) {
+	return NewContext(context.Background(), ta, tb, opts)
+}
+
+// NewContext creates an iterator over the closest pairs of the two trees.
+// Both trees must be non-empty. Next polls ctx on the join's first pop and
+// then every cancelStride pops, and returns ctx.Err() once it is set.
+func NewContext(ctx context.Context, ta, tb *rtree.Tree, opts Options) (*Iterator, error) {
 	switch opts.Traversal {
 	case Basic, Even, Simultaneous:
 	default:
@@ -135,7 +148,7 @@ func New(ta, tb *rtree.Tree, opts Options) (*Iterator, error) {
 		return nil, errors.New("incremental: join over an empty data set")
 	}
 	it := &Iterator{
-		ta: ta, tb: tb, opts: opts,
+		ctx: ctx, ta: ta, tb: tb, opts: opts,
 		startA: ta.Pool().Stats(),
 		startB: tb.Pool().Stats(),
 	}
@@ -147,31 +160,15 @@ func New(ta, tb *rtree.Tree, opts Options) (*Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	it.push(item{
-		kind: nodeNode,
-		ra:   ra, rb: rb,
-		aPage: ta.RootID(), bPage: tb.RootID(),
-		la: ta.Height() - 1, lb: tb.Height() - 1,
-		keySq: opts.Metric.MinMinKey(ra, rb),
-		depth: minInt(ta.Height()-1, tb.Height()-1),
-	})
+	it.push(side{ra, int64(ta.RootID()), ta.Height() - 1}, side{rb, int64(tb.RootID()), tb.Height() - 1})
 	return it, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Stats returns a snapshot of the join's cost counters.
 func (it *Iterator) Stats() Stats {
 	s := it.stats
-	if it.ta.Pool() == it.tb.Pool() {
-		s.IOP = it.ta.Pool().Stats().Sub(it.startA)
-	} else {
-		s.IOP = it.ta.Pool().Stats().Sub(it.startA)
+	s.IOP = it.ta.Pool().Stats().Sub(it.startA)
+	if it.tb.Pool() != it.ta.Pool() {
 		s.IOQ = it.tb.Pool().Stats().Sub(it.startB)
 	}
 	return s
@@ -179,45 +176,30 @@ func (it *Iterator) Stats() Stats {
 
 // Next returns the next closest pair in ascending distance order. ok is
 // false when the join is exhausted (all pairs reported, or MaxK reached).
+// An error, from a node read or the context, ends the join: every later
+// call returns it again.
 func (it *Iterator) Next() (pair core.Pair, ok bool, err error) {
-	if it.finished {
-		return core.Pair{}, false, nil
-	}
-	if it.opts.MaxK > 0 && it.stats.Reported >= int64(it.opts.MaxK) {
-		it.finished = true
-		return core.Pair{}, false, nil
-	}
-	for it.queue.len() > 0 {
-		if n := it.queue.len(); n > it.stats.MaxQueueSize {
-			it.stats.MaxQueueSize = n
+	for it.err == nil && it.queue.len() > 0 &&
+		(it.opts.MaxK == 0 || it.stats.Reported < int64(it.opts.MaxK)) {
+		if it.stats.Popped%cancelStride == 0 {
+			if it.err = it.ctx.Err(); it.err != nil {
+				break
+			}
 		}
+		it.stats.MaxQueueSize = max(it.stats.MaxQueueSize, it.queue.len())
 		cur := it.queue.pop()
 		it.stats.Popped++
-		if cur.kind != objObj && cur.keySq > it.threshold() {
-			// Inserted before the MaxK bound tightened past it; the pairs
-			// it could produce can no longer be among the first MaxK.
-			continue
-		}
-		if cur.kind == objObj {
+		if cur.a.level < 0 && cur.b.level < 0 {
 			it.stats.Reported++
-			p := core.Pair{
-				P:    cur.ra.Min,
-				Q:    cur.rb.Min,
-				RefP: cur.aRef,
-				RefQ: cur.bRef,
+			return core.Pair{
+				P: cur.a.rect.Min, Q: cur.b.rect.Min,
+				RefP: cur.a.ref, RefQ: cur.b.ref,
 				Dist: it.opts.Metric.KeyToDist(cur.keySq),
-			}
-			if it.opts.MaxK > 0 && it.stats.Reported >= int64(it.opts.MaxK) {
-				it.finished = true
-			}
-			return p, true, nil
+			}, true, nil
 		}
-		if err := it.expand(cur); err != nil {
-			return core.Pair{}, false, err
-		}
+		it.err = it.expand(cur.a, cur.b)
 	}
-	it.finished = true
-	return core.Pair{}, false, nil
+	return core.Pair{}, false, it.err
 }
 
 // threshold returns the current pruning distance (squared): +Inf until the
@@ -269,205 +251,78 @@ func (it *Iterator) observeCandidate(dSq float64) {
 	}
 }
 
-// push enqueues an item unless the MaxK bound proves it useless.
-func (it *Iterator) push(x item) {
-	if x.kind == objObj {
-		it.observeCandidate(x.keySq)
+// push enqueues the pair (a, b) unless the MaxK bound proves it useless.
+// An item pushed before the bound tightened past its key is never
+// popped: the MaxK pairs that tightened it were pushed too, all below
+// it, and reporting them ends the join first.
+func (it *Iterator) push(a, b side) {
+	keySq := it.opts.Metric.MinMinKey(a.rect, b.rect)
+	if a.level < 0 && b.level < 0 {
+		it.observeCandidate(keySq)
 	}
-	if x.keySq > it.threshold() {
+	if keySq > it.threshold() {
 		return
 	}
-	it.seq++
-	x.seq = it.seq
-	it.queue.push(x)
 	it.stats.Inserted++
+	it.queue.push(item{keySq: keySq, seq: it.stats.Inserted, a: a, b: b})
 }
 
-// expand opens one or both nodes of a non-result item and enqueues the
-// generated children.
-func (it *Iterator) expand(cur item) error {
-	switch cur.kind {
-	case objNode:
-		nb, err := it.tb.ReadNode(cur.bPage)
-		if err != nil {
-			return err
-		}
-		it.pairObjectWithChildren(cur.ra.Min, cur.aRef, nb, true)
-		return nil
-	case nodeObj:
-		na, err := it.ta.ReadNode(cur.aPage)
-		if err != nil {
-			return err
-		}
-		it.pairObjectWithChildren(cur.rb.Min, cur.bRef, na, false)
-		return nil
+// expand opens the node sides of the pair (a, b) the traversal picks and
+// enqueues the cross product of the two sides' children, a side left
+// closed standing as its own only child. An object pairs with the other
+// side's children; of two nodes, BAS opens the first, EVN the one at the
+// higher level (the first on equal levels) and SML both.
+func (it *Iterator) expand(a, b side) error {
+	trav := it.opts.Traversal
+	openA := a.level >= 0 && (b.level < 0 || trav != Even || a.level >= b.level)
+	openB := b.level >= 0 && (a.level < 0 || trav == Simultaneous || trav == Even && b.level > a.level)
+	var err error
+	if it.ca, err = children(it.ta, &it.na, a, openA, it.ca[:0]); err != nil {
+		return err
 	}
-
-	// nodeNode: pick sides per traversal policy.
-	expandA, expandB := true, true
-	switch it.opts.Traversal {
-	case Basic:
-		expandB = false
-	case Even:
-		// Expand the node at the shallower depth (higher level); on equal
-		// levels expand the first tree.
-		if cur.la >= cur.lb {
-			expandB = false
-		} else {
-			expandA = false
-		}
-	case Simultaneous:
-		// both
+	if it.cb, err = children(it.tb, &it.nb, b, openB, it.cb[:0]); err != nil {
+		return err
 	}
-
-	switch {
-	case expandA && expandB:
-		na, err := it.ta.ReadNode(cur.aPage)
-		if err != nil {
-			return err
-		}
-		nb, err := it.tb.ReadNode(cur.bPage)
-		if err != nil {
-			return err
-		}
-		for i := range na.Entries {
-			for j := range nb.Entries {
-				it.pushChildPair(&na.Entries[i], na.IsLeaf(), &nb.Entries[j], nb.IsLeaf(),
-					na.Level-1, nb.Level-1)
-			}
-		}
-	case expandA:
-		na, err := it.ta.ReadNode(cur.aPage)
-		if err != nil {
-			return err
-		}
-		for i := range na.Entries {
-			ea := &na.Entries[i]
-			if na.IsLeaf() {
-				it.push(item{
-					kind: objNode,
-					ra:   ea.Rect, rb: cur.rb,
-					aRef: ea.Ref, bPage: cur.bPage, lb: cur.lb,
-					keySq: it.opts.Metric.MinMinKey(ea.Rect, cur.rb),
-					depth: minInt(-1, cur.lb),
-				})
-			} else {
-				it.push(item{
-					kind: nodeNode,
-					ra:   ea.Rect, rb: cur.rb,
-					aPage: ea.Child(), bPage: cur.bPage,
-					la: na.Level - 1, lb: cur.lb,
-					keySq: it.opts.Metric.MinMinKey(ea.Rect, cur.rb),
-					depth: minInt(na.Level-1, cur.lb),
-				})
-			}
-		}
-	default: // expandB
-		nb, err := it.tb.ReadNode(cur.bPage)
-		if err != nil {
-			return err
-		}
-		for j := range nb.Entries {
-			eb := &nb.Entries[j]
-			if nb.IsLeaf() {
-				it.push(item{
-					kind: nodeObj,
-					ra:   cur.ra, rb: eb.Rect,
-					aPage: cur.aPage, la: cur.la, bRef: eb.Ref,
-					keySq: it.opts.Metric.MinMinKey(cur.ra, eb.Rect),
-					depth: minInt(cur.la, -1),
-				})
-			} else {
-				it.push(item{
-					kind: nodeNode,
-					ra:   cur.ra, rb: eb.Rect,
-					aPage: cur.aPage, bPage: eb.Child(),
-					la: cur.la, lb: nb.Level - 1,
-					keySq: it.opts.Metric.MinMinKey(cur.ra, eb.Rect),
-					depth: minInt(cur.la, nb.Level-1),
-				})
-			}
+	for _, x := range it.ca {
+		for _, y := range it.cb {
+			it.push(x, y)
 		}
 	}
 	return nil
 }
 
-// pushChildPair enqueues the pair of two child entries (simultaneous
-// expansion): object/object for two leaf entries, node/node for two
-// internal entries, and the mixed kinds otherwise.
-func (it *Iterator) pushChildPair(ea *rtree.Entry, aLeaf bool, eb *rtree.Entry, bLeaf bool, la, lb int) {
-	keySq := it.opts.Metric.MinMinKey(ea.Rect, eb.Rect)
-	switch {
-	case aLeaf && bLeaf:
-		it.push(item{
-			kind: objObj, ra: ea.Rect, rb: eb.Rect,
-			aRef: ea.Ref, bRef: eb.Ref, keySq: keySq, depth: -1,
-		})
-	case aLeaf:
-		it.push(item{
-			kind: objNode, ra: ea.Rect, rb: eb.Rect,
-			aRef: ea.Ref, bPage: eb.Child(), lb: lb,
-			keySq: keySq, depth: -1,
-		})
-	case bLeaf:
-		it.push(item{
-			kind: nodeObj, ra: ea.Rect, rb: eb.Rect,
-			aPage: ea.Child(), la: la, bRef: eb.Ref,
-			keySq: keySq, depth: -1,
-		})
-	default:
-		it.push(item{
-			kind: nodeNode, ra: ea.Rect, rb: eb.Rect,
-			aPage: ea.Child(), bPage: eb.Child(), la: la, lb: lb,
-			keySq: keySq, depth: minInt(la, lb),
-		})
+// children appends s's children to buf: the entries of its node, read
+// from t into n, when open is set, and s itself otherwise.
+func children(t *rtree.Tree, n *rtree.Node, s side, open bool, buf []side) ([]side, error) {
+	if !open {
+		return append(buf, s), nil
 	}
+	if err := t.ReadNodeInto(storage.PageID(s.ref), n); err != nil {
+		return buf, err
+	}
+	for _, e := range n.Entries {
+		buf = append(buf, side{e.Rect, e.Ref, n.Level - 1})
+	}
+	return buf, nil
 }
 
-// pairObjectWithChildren pairs a fixed object with every entry of a node.
-// objFirst records whether the object came from the first tree.
-func (it *Iterator) pairObjectWithChildren(obj geom.Point, objRef int64, n *rtree.Node, objFirst bool) {
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		keySq := it.opts.Metric.PointRectMinKey(obj, e.Rect)
-		switch {
-		case n.IsLeaf() && objFirst:
-			it.push(item{
-				kind: objObj, ra: obj.Rect(), rb: e.Rect,
-				aRef: objRef, bRef: e.Ref, keySq: keySq, depth: -1,
-			})
-		case n.IsLeaf():
-			it.push(item{
-				kind: objObj, ra: e.Rect, rb: obj.Rect(),
-				aRef: e.Ref, bRef: objRef, keySq: keySq, depth: -1,
-			})
-		case objFirst:
-			it.push(item{
-				kind: objNode, ra: obj.Rect(), rb: e.Rect,
-				aRef: objRef, bPage: e.Child(), lb: n.Level - 1,
-				keySq: keySq, depth: -1,
-			})
-		default:
-			it.push(item{
-				kind: nodeObj, ra: e.Rect, rb: obj.Rect(),
-				aPage: e.Child(), la: n.Level - 1, bRef: objRef,
-				keySq: keySq, depth: -1,
-			})
-		}
-	}
-}
-
-// GetK runs the incremental join until k pairs are produced (or the join
-// exhausts) and returns them with the final statistics. It enables the
-// MaxK queue pruning with bound k unless opts.MaxK is already set.
+// GetK is GetKContext under context.Background().
 func GetK(ta, tb *rtree.Tree, k int, opts Options) ([]core.Pair, Stats, error) {
+	return GetKContext(context.Background(), ta, tb, k, opts)
+}
+
+// GetKContext runs the incremental join under ctx until k pairs are
+// produced (or the join exhausts) and returns them with the final
+// statistics. It enables the MaxK queue pruning with bound k unless
+// opts.MaxK is already set.
+func GetKContext(ctx context.Context, ta, tb *rtree.Tree, k int, opts Options) ([]core.Pair, Stats, error) {
 	if k <= 0 {
 		return nil, Stats{}, fmt.Errorf("incremental: k must be positive, got %d", k)
 	}
 	if opts.MaxK == 0 {
 		opts.MaxK = k
 	}
-	it, err := New(ta, tb, opts)
+	it, err := NewContext(ctx, ta, tb, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -310,3 +310,18 @@ func TestPolicyStringers(t *testing.T) {
 		t.Error("unknown traversal String")
 	}
 }
+
+// TestSharedPoolStatsCountOnce: when both sides read through one pool (a
+// tree joined with itself), Stats puts the pool's reads in IOP alone, so
+// Accesses counts each read once.
+func TestSharedPoolStatsCountOnce(t *testing.T) {
+	ta := buildTree(t, uniformPoints(22, 300, 0), 256)
+	before := ta.Pool().Stats().Reads
+	_, stats, err := GetK(ta, ta, 20, Options{Traversal: Simultaneous})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stats.Accesses(), ta.Pool().Stats().Reads-before; got != want || stats.IOQ.Reads != 0 {
+		t.Fatalf("Accesses() = %d (IOQ %d), pool read %d pages", got, stats.IOQ.Reads, want)
+	}
+}

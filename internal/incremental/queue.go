@@ -14,9 +14,9 @@ func (q *pq) less(a, b *item) bool {
 	if a.keySq != b.keySq {
 		return a.keySq < b.keySq
 	}
-	if a.depth != b.depth {
+	if da, db := a.depth(), b.depth(); da != db {
 		// Deeper pairs (smaller level; objects are -1) first.
-		return a.depth < b.depth
+		return da < db
 	}
 	return a.seq < b.seq
 }

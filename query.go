@@ -212,9 +212,7 @@ const (
 type JoinStats = incremental.Stats
 
 // JoinIterator streams closest pairs in ascending distance order.
-type JoinIterator struct {
-	it *incremental.Iterator
-}
+type JoinIterator = incremental.Iterator
 
 // JoinOption tunes an incremental join.
 type JoinOption func(*incremental.Options)
@@ -239,24 +237,20 @@ func WithJoinMetric(m Metric) JoinOption {
 
 // NewIncrementalJoin starts an incremental distance join between the two
 // indexes. It takes no observer option (tracer, metrics, slow-query log
-// or explain capture).
+// or explain capture). It is the non-cancellable shim over
+// NewIncrementalJoinContext.
 func NewIncrementalJoin(p, q *Index, opts ...JoinOption) (*JoinIterator, error) {
+	return NewIncrementalJoinContext(context.Background(), p, q, opts...)
+}
+
+// NewIncrementalJoinContext is NewIncrementalJoin under a context: the
+// iterator's Next looks at ctx on the join's first queue pop and then
+// once per 1,024 pops, and from the first time it finds ctx done it
+// returns ctx.Err(), on that call and every later one.
+func NewIncrementalJoinContext(ctx context.Context, p, q *Index, opts ...JoinOption) (*JoinIterator, error) {
 	var o incremental.Options
 	for _, f := range opts {
 		f(&o)
 	}
-	it, err := incremental.New(p.tree, q.tree, o)
-	if err != nil {
-		return nil, err
-	}
-	return &JoinIterator{it: it}, nil
+	return incremental.NewContext(ctx, p.tree, q.tree, o)
 }
-
-// Next returns the next closest pair; ok is false when the join is
-// exhausted.
-func (j *JoinIterator) Next() (pair Pair, ok bool, err error) {
-	return j.it.Next()
-}
-
-// Stats returns the join's cost counters so far.
-func (j *JoinIterator) Stats() JoinStats { return j.it.Stats() }
