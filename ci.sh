@@ -38,7 +38,10 @@ bench() {
 	# the trees, one they outgrow and none.
 	go test -run '^$' -bench 'BenchmarkNodeCache' -benchtime 5x -benchmem .
 	go test -run '^$' -bench 'BenchmarkPairHeap|BenchmarkSweepLeafScan|BenchmarkBoundCandidate|BenchmarkSemiClosestPairsBatched|BenchmarkWithinDistance' -benchtime 100x -benchmem ./internal/core
-	go test -run '^$' -bench 'BenchmarkInsert|BenchmarkBulkLoadSTR|BenchmarkNodeCacheHit' -benchtime 100x -benchmem ./internal/rtree
+	go test -run '^$' -bench 'BenchmarkInsert|BenchmarkBulkLoadSTR|BenchmarkNodeCacheHit|BenchmarkReadNodeInto' -benchtime 100x -benchmem ./internal/rtree
+	# The read path's layer numbers (EXPERIMENTS.md note 28), at one and two
+	# readers on one stripe.
+	go test -run '^$' -bench 'BenchmarkBufferViewHitParallel' -benchtime 100x -cpu 1,2 ./internal/storage
 	go run -C benchmark . -seed 1 -seconds 2
 }
 
@@ -216,8 +219,10 @@ all() {
 	# full), the fault sweep's parallel rows among them, and the sharded
 	# executor's parallel joins five. The twenty passes take seven to
 	# eleven minutes on two cores, up to past go test's default ten-minute
-	# timeout. The node cache's lock-free slots get the same twenty passes.
-	go test -race -short -count=20 -timeout 30m -run 'Parallel|TestSweepParallelEquivalence|TestConcurrentQueriesShareFreeList|TestNodeCacheConcurrentInvalidate' ./internal/core ./internal/rtree
+	# timeout. The node cache's lock-free slots get the same twenty passes,
+	# and so do the buffer pool's concurrent tests, over its per-shard
+	# counters and page table.
+	go test -race -short -count=20 -timeout 30m -run 'Parallel|TestSweepParallelEquivalence|TestConcurrentQueriesShareFreeList|TestNodeCacheConcurrentInvalidate|TestBufferPoolConcurrentAccess|TestShardedPoolConcurrent' ./internal/core ./internal/rtree ./internal/storage
 	go test -race -count=5 -run 'TestShardedMatchesUnshardedParallelism' ./internal/shard
 	# The benchmark is a module of its own (benchmark/go.mod), outside
 	# ./...: compile and test it here so an engine change cannot break it

@@ -117,3 +117,37 @@ func BenchmarkNodeCacheHit(b *testing.B) {
 		b.Fatalf("misses = %d, want %d (the warm-up)", st.Misses, len(ids))
 	}
 }
+
+// BenchmarkReadNodeInto reads a warm tree's nodes through ReadNodeInto
+// from GOMAXPROCS goroutines at once, without a node cache: the pool
+// lookup and the page decode under the pool's lock, the read every node
+// visit of a K-CPQ makes. Run it at -cpu 1,2.
+func BenchmarkReadNodeInto(b *testing.B) {
+	pool := storage.NewBufferPool(storage.NewMemFile(1024), 4096)
+	tr, err := New(pool, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tr.BulkLoad(itemsFromPoints(randPoints(4, 20000)), 0.7); err != nil {
+		b.Fatal(err)
+	}
+	var ids []storage.PageID
+	if err := tr.Walk(func(n *Node) error { ids = append(ids, n.ID); return nil }); err != nil {
+		b.Fatal(err)
+	}
+	pool.ResetStats()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var dst Node
+		for i := 0; pb.Next(); i++ {
+			if err := tr.ReadNodeInto(ids[i%len(ids)], &dst); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	if st := pool.Stats(); st.Reads != 0 {
+		b.Fatalf("reads = %d, want 0: the pool holds the tree", st.Reads)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/storage"
@@ -19,6 +20,9 @@ const fuzzPageSize = 1024
 // math.Float64bits untouched). The same page is also decoded into a dirty,
 // larger caller-owned node (decodeNodeInto): the result must be the node
 // decodeNode returns and nothing of the old contents may show past count.
+// Each input is decoded once more from an odd address, where the entries
+// cannot be viewed in place and the field-by-field decoder runs: it must
+// agree with the aligned decode in error and in every bit.
 func FuzzNodeRoundTrip(f *testing.F) {
 	seed := func(level int, entries []Entry) []byte {
 		buf := make([]byte, fuzzPageSize)
@@ -41,13 +45,17 @@ func FuzzNodeRoundTrip(f *testing.F) {
 		if len(data) > fuzzPageSize {
 			data = data[:fuzzPageSize]
 		}
-		page := make([]byte, fuzzPageSize)
+		page := alignedPage(fuzzPageSize)
 		copy(page, data)
 		dirty := dirtyNode()
 		n, err := decodeNode(storage.PageID(3), page)
 		intoErr := decodeNodeInto(storage.PageID(3), page, dirty)
 		if (err == nil) != (intoErr == nil) {
 			t.Fatalf("decodeNode err = %v, decodeNodeInto err = %v", err, intoErr)
+		}
+		var atOdd Node
+		if oddErr := decodeNodeInto(storage.PageID(3), atOddAddress(page), &atOdd); (err == nil) != (oddErr == nil) {
+			t.Fatalf("decodeNode err = %v, decode at an odd address err = %v", err, oddErr)
 		}
 		if err != nil {
 			// Malformed page rejected; nothing to round-trip, and the
@@ -62,9 +70,16 @@ func FuzzNodeRoundTrip(f *testing.F) {
 			t.Fatalf("decodeNodeInto shape (id %d level %d entries %d) != decodeNode (id %d level %d entries %d)",
 				dirty.ID, dirty.Level, len(dirty.Entries), n.ID, n.Level, len(n.Entries))
 		}
+		if atOdd.Level != n.Level || len(atOdd.Entries) != len(n.Entries) {
+			t.Fatalf("odd-address decode shape (level %d entries %d) != decodeNode (level %d entries %d)",
+				atOdd.Level, len(atOdd.Entries), n.Level, len(n.Entries))
+		}
 		for i := range n.Entries {
 			if !entriesBitEqual(n.Entries[i], dirty.Entries[i]) {
 				t.Fatalf("decodeNodeInto entry %d = %+v, decodeNode %+v", i, dirty.Entries[i], n.Entries[i])
+			}
+			if !entriesBitEqual(n.Entries[i], atOdd.Entries[i]) {
+				t.Fatalf("odd-address entry %d = %+v, decodeNode %+v", i, atOdd.Entries[i], n.Entries[i])
 			}
 		}
 		first := make([]byte, fuzzPageSize)
@@ -102,6 +117,26 @@ func dirtyNode() *Node {
 		n.Entries[i] = Entry{Rect: geom.Point{X: -777, Y: -777}.Rect(), Ref: -777}
 	}
 	return n
+}
+
+// alignedPage returns a zeroed page whose entry area is aligned for an
+// Entry, as a pool's pages are: one a test declares with make may sit on
+// the stack at any address.
+func alignedPage(size int) []byte {
+	words := make([]uint64, (size+7)/8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), size)
+}
+
+// atOddAddress returns a copy of page that starts at an odd address in a
+// larger buffer, so its entry area is not aligned for an Entry.
+func atOddAddress(page []byte) []byte {
+	buf := make([]byte, len(page)+1)
+	off := 0
+	if uintptr(unsafe.Pointer(&buf[0]))%2 == 0 {
+		off = 1
+	}
+	copy(buf[off:], page)
+	return buf[off : off+len(page)]
 }
 
 // entriesBitEqual compares entries at the bit level, so NaN coordinates

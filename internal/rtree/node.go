@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/storage"
@@ -103,6 +104,8 @@ func maxEntriesForPage(pageSize int) int {
 }
 
 // encodeNode serializes n into buf (which must be the tree's page size).
+// Everything past the last entry is zeroed, so a page's bytes depend on
+// the node alone.
 func encodeNode(n *Node, buf []byte) error {
 	need := nodeHeaderSize + len(n.Entries)*entrySize
 	if need > len(buf) {
@@ -112,15 +115,26 @@ func encodeNode(n *Node, buf []byte) error {
 	if n.Level < 0 || n.Level > math.MaxUint16 {
 		return fmt.Errorf("rtree: level %d out of range", n.Level)
 	}
-	for i := range buf {
-		buf[i] = 0
-	}
 	buf[0], buf[1] = nodeMagic0, nodeMagic1
 	binary.LittleEndian.PutUint16(buf[2:], uint16(n.Level))
 	binary.LittleEndian.PutUint16(buf[4:], uint16(len(n.Entries)))
+	buf[6], buf[7] = 0, 0
+	if slots := pageEntries(buf, len(n.Entries)); slots != nil {
+		copy(slots, n.Entries)
+	} else {
+		encodeEntryFields(buf, n.Entries)
+	}
+	clear(buf[need:])
+	return nil
+}
+
+// encodeEntryFields writes entries into the page's first len(entries)
+// slots one field at a time: the encoder wherever pageEntries cannot view
+// the page as entries.
+func encodeEntryFields(buf []byte, entries []Entry) {
 	off := nodeHeaderSize
-	for i := range n.Entries {
-		e := &n.Entries[i]
+	for i := range entries {
+		e := &entries[i]
 		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(e.Rect.Min.X))
 		binary.LittleEndian.PutUint64(buf[off+8:], math.Float64bits(e.Rect.Min.Y))
 		binary.LittleEndian.PutUint64(buf[off+16:], math.Float64bits(e.Rect.Max.X))
@@ -128,7 +142,6 @@ func encodeNode(n *Node, buf []byte) error {
 		binary.LittleEndian.PutUint64(buf[off+32:], uint64(e.Ref))
 		off += entrySize
 	}
-	return nil
 }
 
 // decodeNode parses a page into a fresh Node. The returned node owns its
@@ -180,8 +193,19 @@ func decodeHeader(id storage.PageID, buf []byte) (level, count int, err error) {
 	return level, count, nil
 }
 
-// decodeEntries fills entries from the page's first len(entries) slots.
+// decodeEntries fills entries from the page's first len(entries) slots:
+// one copy where pageEntries can view the page as entries, field by field
+// otherwise. Both give the same bits.
 func decodeEntries(buf []byte, entries []Entry) {
+	if slots := pageEntries(buf, len(entries)); slots != nil {
+		copy(entries, slots)
+		return
+	}
+	decodeEntryFields(buf, entries)
+}
+
+// decodeEntryFields is decodeEntries one field at a time.
+func decodeEntryFields(buf []byte, entries []Entry) {
 	off := nodeHeaderSize
 	for i := range entries {
 		entries[i] = Entry{
@@ -199,4 +223,33 @@ func decodeEntries(buf []byte, entries []Entry) {
 		}
 		off += entrySize
 	}
+}
+
+// entryIsPageSlot holds when an Entry in memory is byte for byte a page's
+// entry slot: a little-endian host, 40 bytes without padding, and the
+// fields at the slot's offsets (minX 0, minY 8, maxX 16, maxY 24, ref 32).
+var entryIsPageSlot = func() bool {
+	var e Entry
+	at := func(p unsafe.Pointer) uintptr { return uintptr(p) - uintptr(unsafe.Pointer(&e)) }
+	return binary.NativeEndian.Uint16([]byte{1, 0}) == 1 &&
+		unsafe.Sizeof(e) == entrySize &&
+		at(unsafe.Pointer(&e.Rect.Min.X)) == 0 && at(unsafe.Pointer(&e.Rect.Min.Y)) == 8 &&
+		at(unsafe.Pointer(&e.Rect.Max.X)) == 16 && at(unsafe.Pointer(&e.Rect.Max.Y)) == 24 &&
+		at(unsafe.Pointer(&e.Ref)) == 32
+}()
+
+// pageEntries returns the page's first count entry slots as an []Entry
+// aliasing buf, or nil when the entries cannot be viewed in place: count
+// is 0, entryIsPageSlot does not hold, or the entry area is not aligned
+// for an Entry (a page at an odd address). The caller has checked that
+// the slots fit in buf.
+func pageEntries(buf []byte, count int) []Entry {
+	if count == 0 || !entryIsPageSlot {
+		return nil
+	}
+	p := unsafe.Pointer(&buf[nodeHeaderSize])
+	if uintptr(p)%unsafe.Alignof(Entry{}) != 0 {
+		return nil
+	}
+	return unsafe.Slice((*Entry)(p), count)
 }

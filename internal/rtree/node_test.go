@@ -1,7 +1,10 @@
 package rtree
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -37,6 +40,95 @@ func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
 		for i := range n.Entries {
 			if got.Entries[i] != n.Entries[i] {
 				t.Fatalf("entry %d mismatch: %+v vs %+v", i, got.Entries[i], n.Entries[i])
+			}
+		}
+	}
+}
+
+// TestCodecFastPathMatchesFields holds the one-copy codec to the
+// field-by-field one, bit for bit, on random pages and on adversarial
+// values: NaN payloads, ±0, ±Inf, ±MaxFloat64, the smallest denormal and
+// negative refs. The encoders must write the same page whatever the
+// buffer held before, and a page at an odd address, which cannot be
+// viewed as entries, must decode the same through the fallback.
+func TestCodecFastPathMatchesFields(t *testing.T) {
+	if (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64") && !entryIsPageSlot {
+		t.Fatalf("entryIsPageSlot is false on %s: the one-copy codec never runs", runtime.GOARCH)
+	}
+	special := []uint64{
+		0, 1 << 63, // ±0
+		math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)),
+		math.Float64bits(math.MaxFloat64), math.Float64bits(-math.MaxFloat64),
+		math.Float64bits(math.SmallestNonzeroFloat64),
+		0x7ff8000000000001, 0xfff8000000000abc, // quiet NaNs with payloads
+		0x7ff0000000000001, 0xfff4000000000000, // signalling NaNs
+		0x7fffffffffffffff, 0xffffffffffffffff,
+	}
+	refs := []int64{-1, math.MinInt64, math.MaxInt64, 0, -777}
+	rng := rand.New(rand.NewSource(41))
+	word := func(adversarial bool) uint64 {
+		if adversarial {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.Uint64()
+	}
+	for trial := 0; trial < 400; trial++ {
+		adversarial := trial%2 == 1
+		n := &Node{ID: 5, Level: rng.Intn(4), Entries: make([]Entry, rng.Intn(maxEntriesForPage(fuzzPageSize)+1))}
+		for i := range n.Entries {
+			f := func() float64 { return math.Float64frombits(word(adversarial)) }
+			ref := int64(rng.Uint64())
+			if adversarial {
+				ref = refs[rng.Intn(len(refs))]
+			}
+			n.Entries[i] = Entry{Rect: geom.Rect{Min: geom.Point{X: f(), Y: f()}, Max: geom.Point{X: f(), Y: f()}}, Ref: ref}
+		}
+
+		page := alignedPage(fuzzPageSize)
+		if err := encodeNode(n, page); err != nil {
+			t.Fatal(err)
+		}
+		if entryIsPageSlot && len(n.Entries) > 0 && pageEntries(page, len(n.Entries)) == nil {
+			t.Fatalf("trial %d: an aligned page took the field-by-field path", trial)
+		}
+		fields := make([]byte, fuzzPageSize)
+		fields[0], fields[1] = nodeMagic0, nodeMagic1
+		fields[2], fields[4] = byte(n.Level), byte(len(n.Entries))
+		encodeEntryFields(fields, n.Entries)
+		if !bytes.Equal(page, fields) {
+			t.Fatalf("trial %d: one-copy and field-by-field encodings differ", trial)
+		}
+		dirty := alignedPage(fuzzPageSize)
+		for i := range dirty {
+			dirty[i] = 0xA5
+		}
+		if err := encodeNode(n, dirty); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(page, dirty) {
+			t.Fatalf("trial %d: encoding over a dirty buffer left old bytes", trial)
+		}
+
+		fast := make([]Entry, len(n.Entries))
+		decodeEntries(page, fast)
+		slow := make([]Entry, len(n.Entries))
+		decodeEntryFields(page, slow)
+		odd := atOddAddress(page)
+		if pageEntries(odd, len(n.Entries)) != nil {
+			t.Fatalf("trial %d: a page at an odd address was viewed in place", trial)
+		}
+		var atOdd Node
+		if err := decodeNodeInto(5, odd, &atOdd); err != nil {
+			t.Fatal(err)
+		}
+		if len(atOdd.Entries) != len(n.Entries) {
+			t.Fatalf("trial %d: odd-address decode has %d entries, want %d", trial, len(atOdd.Entries), len(n.Entries))
+		}
+		for i := range n.Entries {
+			if !entriesBitEqual(fast[i], n.Entries[i]) || !entriesBitEqual(slow[i], n.Entries[i]) ||
+				!entriesBitEqual(atOdd.Entries[i], n.Entries[i]) {
+				t.Fatalf("trial %d entry %d: wrote %+v, one copy %+v, fields %+v, odd address %+v",
+					trial, i, n.Entries[i], fast[i], slow[i], atOdd.Entries[i])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -46,14 +47,19 @@ func Policies() []Policy { return []Policy{LRU, FIFO, Clock} }
 // each query, split as B/2 pages per R-tree; a capacity of zero disables
 // caching entirely so every page read is a disk access. BufferPool counts
 // hits, misses (reads), writes and evictions; the miss counter is the
-// paper's "disk accesses" metric. The counters are atomic, so they stay
-// exact when many goroutines hammer the pool concurrently.
+// paper's "disk accesses" metric. Each shard keeps its own counters,
+// atomic and beside its mutex, so a hit writes only the cache line its
+// shard's lock already holds; Stats sums them, exact however many
+// goroutines hammer the pool.
 //
 // The pool is split into one or more lock-striped shards (pages map to
 // shards by page id). The default single shard is an exact global LRU and
 // reproduces the paper's replacement behaviour byte for byte; sharded
 // pools (NewShardedBufferPool) trade exact global LRU for per-shard LRU so
-// that concurrent readers do not serialize on one mutex.
+// that concurrent readers do not serialize on one mutex. A shard finds a
+// resident page in an open-addressed table sized by the pages it holds,
+// never by the file: a pool's memory is O(capacity) however large the
+// file it caches.
 //
 // BufferPool is safe for concurrent use, with one caveat: Get returns the
 // pooled page slice for efficiency, and that slice may be evicted and
@@ -71,8 +77,6 @@ type BufferPool struct {
 	// another is taken.
 	capacity atomic.Int64
 
-	hits, reads, writes, evictions atomic.Int64
-
 	// tracer, when non-nil, receives a pool_evict event per page eviction.
 	// Set it before concurrent use; nil (the default) costs one pointer
 	// comparison per eviction and nothing on hits or misses.
@@ -82,10 +86,14 @@ type BufferPool struct {
 // bufShard is one lock stripe: an independent replacement domain over the
 // pages that hash to it.
 type bufShard struct {
-	pool     *BufferPool
-	mu       sync.Mutex
+	pool *BufferPool
+	mu   sync.Mutex
+	// The shard's share of the pool's counters. They change under mu and
+	// are atomic only so Stats and ResetStats need no lock.
+	hits, reads, writes, evictions atomic.Int64
+
 	capacity int
-	entries  map[PageID]*bufEntry
+	pages    pageTable
 	// Intrusive LRU list: head is most recently used, tail least.
 	head, tail *bufEntry
 	// free keeps evicted entries for reuse to avoid re-allocating page
@@ -135,7 +143,7 @@ func NewShardedBufferPool(file PageFile, capacity, shards int, policy Policy) *B
 		shards: make([]*bufShard, shards),
 	}
 	for i := range b.shards {
-		b.shards[i] = &bufShard{pool: b, entries: make(map[PageID]*bufEntry)}
+		b.shards[i] = &bufShard{pool: b, pages: pageTable{stride: uint64(shards)}}
 	}
 	b.Resize(capacity)
 	return b
@@ -199,12 +207,12 @@ func (s *bufShard) view(id PageID, fn func(data []byte) error) error {
 	b := s.pool
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[id]; ok {
-		b.hits.Add(1)
+	if e := s.pages.get(id); e != nil {
+		s.hits.Add(1)
 		s.touch(e)
 		return fn(e.data)
 	}
-	b.reads.Add(1)
+	s.reads.Add(1)
 	e := s.takeFree()
 	if err := b.file.ReadPage(id, e.data); err != nil {
 		s.putFree(e)
@@ -218,7 +226,7 @@ func (s *bufShard) view(id PageID, fn func(data []byte) error) error {
 	}
 	e.id = id
 	s.insertFront(e)
-	s.entries[id] = e
+	s.pages.put(e)
 	s.evictOverflow()
 	return fn(e.data)
 }
@@ -233,11 +241,11 @@ func (b *BufferPool) Write(id PageID, buf []byte) error {
 	if err := b.file.WritePage(id, buf); err != nil {
 		return err
 	}
-	b.writes.Add(1)
+	s.writes.Add(1)
 	if s.capacity == 0 {
 		return nil
 	}
-	if e, ok := s.entries[id]; ok {
+	if e := s.pages.get(id); e != nil {
 		copy(e.data, buf)
 		s.touch(e)
 		return nil
@@ -246,7 +254,7 @@ func (b *BufferPool) Write(id PageID, buf []byte) error {
 	copy(e.data, buf)
 	e.id = id
 	s.insertFront(e)
-	s.entries[id] = e
+	s.pages.put(e)
 	s.evictOverflow()
 	return nil
 }
@@ -256,9 +264,9 @@ func (b *BufferPool) Invalidate(id PageID) {
 	s := b.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[id]; ok {
+	if e := s.pages.get(id); e != nil {
 		s.unlink(e)
-		delete(s.entries, id)
+		s.pages.remove(id)
 		s.putFree(e)
 	}
 }
@@ -267,11 +275,11 @@ func (b *BufferPool) Invalidate(id PageID) {
 func (b *BufferPool) Clear() {
 	for _, s := range b.shards {
 		s.mu.Lock()
-		for id, e := range s.entries {
+		for e := s.head; e != nil; e = s.head {
 			s.unlink(e)
-			delete(s.entries, id)
 			s.putFree(e)
 		}
+		s.pages.clear()
 		s.mu.Unlock()
 	}
 }
@@ -306,22 +314,26 @@ func (b *BufferPool) Len() int {
 	n := 0
 	for _, s := range b.shards {
 		s.mu.Lock()
-		n += len(s.entries)
+		n += s.pages.n
 		s.mu.Unlock()
 	}
 	return n
 }
 
-// Stats returns a snapshot of the counters. Each counter is individually
-// exact under concurrency; the snapshot as a whole is not a point-in-time
-// cut while other goroutines are mid-operation.
+// Stats returns a snapshot of the counters, summed over the shards. Each
+// counter is individually exact under concurrency; the snapshot as a whole
+// is not a point-in-time cut while other goroutines are mid-operation.
 func (b *BufferPool) Stats() IOStats {
-	return IOStats{
-		Reads:     b.reads.Load(),
-		Writes:    b.writes.Load(),
-		Hits:      b.hits.Load(),
-		Evictions: b.evictions.Load(),
+	var st IOStats
+	for _, s := range b.shards {
+		st = st.Add(IOStats{
+			Reads:     s.reads.Load(),
+			Writes:    s.writes.Load(),
+			Hits:      s.hits.Load(),
+			Evictions: s.evictions.Load(),
+		})
 	}
+	return st
 }
 
 // SetTracer attaches (or, with nil, detaches) a tracer receiving eviction
@@ -339,10 +351,12 @@ func (b *BufferPool) traceEvict(id PageID) {
 
 // ResetStats zeroes the counters (cache contents are preserved).
 func (b *BufferPool) ResetStats() {
-	b.reads.Store(0)
-	b.writes.Store(0)
-	b.hits.Store(0)
-	b.evictions.Store(0)
+	for _, s := range b.shards {
+		s.reads.Store(0)
+		s.writes.Store(0)
+		s.hits.Store(0)
+		s.evictions.Store(0)
+	}
 }
 
 // locked shard helpers ------------------------------------------------------
@@ -411,7 +425,7 @@ func (s *bufShard) touch(e *bufEntry) {
 }
 
 func (s *bufShard) evictOverflow() {
-	for len(s.entries) > s.capacity {
+	for s.pages.n > s.capacity {
 		victim := s.tail
 		if victim == nil {
 			return
@@ -426,9 +440,97 @@ func (s *bufShard) evictOverflow() {
 			}
 		}
 		s.unlink(victim)
-		delete(s.entries, victim.id)
-		s.pool.evictions.Add(1)
+		s.pages.remove(victim.id)
+		s.evictions.Add(1)
 		s.pool.traceEvict(victim.id)
 		s.putFree(victim)
 	}
+}
+
+// pageTable maps the page ids resident in one shard to their entries: open
+// addressing over a power-of-two slice, linear probing, backward-shift
+// deletion (no tombstones). The ids of a shard are congruent modulo the
+// pool's shard count, so id / stride numbers them densely, and a
+// Fibonacci hash of that number picks the home slot. Hashing matters: a
+// pool's resident pages are often a run of consecutive ids (a build
+// writing pages in order, a scan), and with the number itself as the
+// home they would fill one unbroken run of slots that every deletion's
+// backward shift walks to its end. The table doubles when an insertion
+// would fill more than half of it and never shrinks, so its size follows
+// the pages the shard has held at once (at most its largest capacity plus
+// the one page inserted before an eviction), never the file's page count.
+type pageTable struct {
+	slots  []*bufEntry
+	n      int
+	shift  uint   // 64 - log2(len(slots))
+	stride uint64 // the pool's shard count
+}
+
+// minPageTableSlots is the size of a table's first allocation.
+const minPageTableSlots = 8
+
+func (t *pageTable) home(id PageID) uint64 {
+	k := uint64(id)
+	if t.stride > 1 {
+		k /= t.stride
+	}
+	return k * 0x9E3779B97F4A7C15 >> t.shift
+}
+
+// slot returns the index of page id's slot or, if the page is not
+// resident, of the empty slot that ends its probe run.
+func (t *pageTable) slot(id PageID) uint64 {
+	mask := uint64(len(t.slots) - 1)
+	i := t.home(id)
+	for t.slots[i] != nil && t.slots[i].id != id {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// get returns the entry of page id, or nil if the page is not resident.
+func (t *pageTable) get(id PageID) *bufEntry {
+	if t.n == 0 {
+		return nil
+	}
+	return t.slots[t.slot(id)]
+}
+
+// put inserts e, whose page must not be resident.
+func (t *pageTable) put(e *bufEntry) {
+	if 2*(t.n+1) > len(t.slots) {
+		old := t.slots
+		t.slots = make([]*bufEntry, max(2*len(old), minPageTableSlots))
+		t.shift = uint(64 - bits.TrailingZeros(uint(len(t.slots))))
+		for _, o := range old {
+			if o != nil {
+				t.slots[t.slot(o.id)] = o
+			}
+		}
+	}
+	t.slots[t.slot(e.id)] = e
+	t.n++
+}
+
+// remove deletes page id, which must be resident. Each entry after the
+// hole in the probe run moves back into it unless the hole lies before
+// the entry's home slot, so every remaining entry stays reachable from
+// its home.
+func (t *pageTable) remove(id PageID) {
+	mask := uint64(len(t.slots) - 1)
+	hole := t.slot(id)
+	for i := (hole + 1) & mask; t.slots[i] != nil; i = (i + 1) & mask {
+		if (i-t.home(t.slots[i].id))&mask >= (i-hole)&mask {
+			t.slots[hole] = t.slots[i]
+			hole = i
+		}
+	}
+	t.slots[hole] = nil
+	t.n--
+}
+
+// clear empties the table and keeps its slots.
+func (t *pageTable) clear() {
+	clear(t.slots)
+	t.n = 0
 }

@@ -65,11 +65,17 @@ func TestShardedPoolBasics(t *testing.T) {
 	}
 	// All cached pages hit now.
 	b.ResetStats()
+	var resident []PageID
 	for _, sh := range b.shards {
-		for id := range sh.entries {
-			if _, err := b.Get(id); err != nil {
-				t.Fatal(err)
+		for _, e := range sh.pages.slots {
+			if e != nil {
+				resident = append(resident, e.id)
 			}
+		}
+	}
+	for _, id := range resident {
+		if _, err := b.Get(id); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if s := b.Stats(); s.Hits != 16 || s.Reads != 0 {
