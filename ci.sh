@@ -34,6 +34,10 @@ bench() {
 	# The smallest cells of the default-parallelism curve (EXPERIMENTS.md
 	# note 25), where the size rule keeps the default sequential.
 	go test -run '^$' -bench 'BenchmarkDefaultVsSequential/n=(10|100)$' -benchtime 100x -benchmem .
+	# The largest bichromatic cells, where the task engine's leaf batch reads
+	# each leaf once per expansion (EXPERIMENTS.md note 29): the default
+	# call beside the sequential one at each K.
+	go test -run '^$' -bench 'BenchmarkDefaultVsSequential/n=100000/k=(1|100|10000)/(default|sequential)$' -benchtime 5x -benchmem .
 	# The node cache's worth (EXPERIMENTS.md note 26): a cache that holds
 	# the trees, one they outgrow and none.
 	go test -run '^$' -bench 'BenchmarkNodeCache' -benchtime 5x -benchmem .

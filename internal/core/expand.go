@@ -53,6 +53,12 @@ type join struct {
 	// a self-contained query, sequential or parallel.
 	shared *bound.Shared
 
+	// leafBatch marks a task-engine worker's join: once its K-heap is full,
+	// runHeap scans the leaf pairs of a level-1 expansion at once
+	// (scanLeafBatch) instead of queueing them. The sequential HEAP keeps
+	// the paper's pop order.
+	leafBatch bool
+
 	// cancel is the stride-gated context poll the drivers call once per
 	// traversal step (heap pop, recursive visit, range- or semi-join pop).
 	cancel cancelGate

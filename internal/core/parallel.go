@@ -17,16 +17,16 @@ import (
 // (DESIGN.md §6). CP1-CP5 are sound in any processing order while T is an
 // upper bound on the final K-th distance, so a query runs in three phases.
 // Seed: the query's own join expands node pairs level by level into tasks,
-// in best-first order. Run: W workers each run the unchanged sequential
-// runHeap on a fixed share of the tasks — worker i takes tasks i, i + W,
-// i + 2W, … — in a join of its own whose auxiliary bound starts at the
-// seed's T. A worker's K-heap lives across its tasks, which are disjoint,
-// so once full it holds K distinct pairs and its threshold is a sound
-// global bound. Merge: when a worker has run its share it folds its K-heap
-// into the query's under one mutex, once. Every prune is a strict >
-// against a valid upper bound and the K-heaps keep the (distSq, refP,
-// refQ) total order, so the result is the sequential query's, pairs and
-// order included.
+// in best-first order. Run: W workers each run the sequential runHeap,
+// with its leaf batch, on a fixed share of the tasks — worker i takes
+// tasks i, i + W, i + 2W, … — in a join of its own whose auxiliary bound
+// starts at the seed's T. A worker's K-heap lives across its tasks, which
+// are disjoint, so once full it holds K distinct pairs and its threshold
+// is a sound global bound. Merge: when a worker has run its share it
+// folds its K-heap into the query's under one mutex, once. Every prune is
+// a strict > against a valid upper bound and the K-heaps keep the
+// (distSq, refP, refQ) total order, so the result is the sequential
+// query's, pairs and order included.
 //
 // Workers exchange no bound while they run: what a worker prunes depends
 // on its share and the seed's T alone, never on the schedule, so the
@@ -62,6 +62,10 @@ type taskRun struct {
 	// busyNanos is the time workers spent inside tasks, kept only when the
 	// query records metrics.
 	busyNanos atomic.Int64
+
+	// scratches holds each worker's scratch until every worker is done
+	// (releaseWorkers).
+	scratches []*queryScratch
 }
 
 // runHeapParallel drives the HEAP algorithm from the root pair with the
@@ -70,9 +74,10 @@ type taskRun struct {
 // worker queue, and none depends on the schedule.
 //
 // Scratch: the seed, the query heap and the taskRun live in the join's
-// scratch; each worker takes one of its own from the free list, runs its
-// join in it and returns it on exit, so a run of W workers holds W + 1
-// scratches, and the free list is widened to keep them all.
+// scratch; each worker takes one of its own from the free list and runs
+// its join in it, and the W scratches go back together once every worker
+// is done, so a run of W workers holds W + 1 scratches, and the free list
+// is widened to keep them all.
 //
 // Cancellation: the seed polls ctx before every expansion, a worker
 // before every task and, inside runHeap, every cancelStride pairs. Every
@@ -105,6 +110,7 @@ func (j *join) runHeapParallel(ctx context.Context, root nodePair, workers int) 
 	}
 	r.work(0)
 	r.wg.Wait()
+	r.releaseWorkers()
 	if em != nil {
 		if wall := time.Since(wallStart).Seconds(); wall > 0 {
 			em.WorkerUtilization.Observe(float64(r.busyNanos.Load()) / 1e9 / (wall * float64(workers)))
@@ -116,9 +122,31 @@ func (j *join) runHeapParallel(ctx context.Context, root nodePair, workers int) 
 // start readies the run for one query's workers.
 func (r *taskRun) start(ctx context.Context, j *join, tasks []nodePair, workers int) {
 	r.j, r.ctx, r.tasks, r.workers, r.err = j, ctx, tasks, workers, nil
+	r.scratches = slices.Grow(r.scratches[:0], workers)[:workers]
 	r.seedT = j.T()
 	r.failed.Store(false)
 	r.busyNanos.Store(0)
+}
+
+// releaseWorkers gives the workers' scratches back to the free list, each
+// queue grown to the longest among them. Which worker a scratch serves in
+// the next query is up to the scheduler, and the workers' queues differ in
+// length: a scratch that had only served short ones would grow again on
+// its first long one, long after the warm-up.
+func (r *taskRun) releaseWorkers() {
+	longest := 0
+	for _, sc := range r.scratches {
+		longest = max(longest, cap(sc.queue.pairs))
+	}
+	for i, sc := range r.scratches {
+		if cap(sc.queue.pairs) < longest {
+			// Exactly longest: append's rounding up would leave this queue
+			// the longest, and the next query would grow the others past it.
+			sc.queue.pairs = make([]nodePair, 0, longest)
+		}
+		releaseScratch(sc)
+		r.scratches[i] = nil
+	}
 }
 
 // end drops the run's references to the query, so that a scratch on the
@@ -176,18 +204,20 @@ func (j *join) worker(sc *queryScratch, t float64) *join {
 		rootAreaA: j.rootAreaA, rootAreaB: j.rootAreaB,
 		useTie: j.useTie, mA: j.mA, mB: j.mB,
 		metric: j.metric, shared: j.shared,
+		leafBatch: true,
 	}
 	return &sc.worker
 }
 
 // work is the life of the worker that starts at task first: take a
 // scratch, run its share of the tasks in the join it holds, then merge its
-// K-heap into the query's once (unless a task failed), add its counters to
-// the query's and give the scratch back.
+// K-heap into the query's once (unless a task failed) and add its counters
+// to the query's. The scratch goes back with the other workers' once all
+// are done (releaseWorkers).
 func (r *taskRun) work(first int) {
 	defer r.wg.Done()
 	sc := acquireScratch()
-	defer releaseScratch(sc)
+	r.scratches[first] = sc
 	w := r.j.worker(sc, r.seedT)
 	if r.runTasks(w, first) {
 		r.merge(w)

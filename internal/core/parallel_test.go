@@ -12,6 +12,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/rtree"
 	"repro/internal/storage"
 )
 
@@ -385,5 +386,108 @@ func TestParallelSelfJoinSharedPool(t *testing.T) {
 	samePairs(t, "self", par, seq)
 	if stats.IOQ != (storage.IOStats{}) {
 		t.Fatalf("shared pool must report its delta once, got IOQ = %v", stats.IOQ)
+	}
+}
+
+// TestParallelLeafBatch holds the task engine's leaf batch (scanLeafBatch)
+// to what it claims. Reads: on two 20k-point bulk-loaded trees, a
+// two-worker query's page accesses, hits and reads of both pools, are at
+// most three quarters of the sequential HEAP's, and that total and the
+// work counters repeat at GOMAXPROCS 1, 2 and 4, because a worker's batches
+// depend on its share and the seed's T alone. Exactness: the pairs are the
+// sequential query's on uniform, clustered and grid-duplicate inputs; in
+// the self join, whose diagonal batches read one leaf for both sides; and
+// on trees of different heights, where a batch's fixed side is a leaf
+// (under FixAtRoot, a one-leaf tree against a taller one).
+func TestParallelLeafBatch(t *testing.T) {
+	ta := bulkTree(t, dataset.Uniform(1821, 20000))
+	tb := bulkTree(t, dataset.Uniform(1822, 20000))
+	if ta.Height() < 4 || tb.Height() < 4 {
+		t.Fatalf("want trees of at least 4 levels, got %d and %d", ta.Height(), tb.Height())
+	}
+	accesses := func(s Stats) int64 { return s.IOP.Hits + s.IOP.Reads + s.IOQ.Hits + s.IOQ.Reads }
+	par := DefaultOptions(Heap)
+	par.Parallelism = 2
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+	for _, k := range []int{1, 100} {
+		_, seq, err := KClosestPairs(ta, tb, k, DefaultOptions(Heap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want Stats
+		for i, gomaxprocs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(gomaxprocs)
+			_, got, err := KClosestPairs(ta, tb, k, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("k=%d GOMAXPROCS=%d: %d page accesses, sequential HEAP %d", k, gomaxprocs, accesses(got), accesses(seq))
+			if 4*accesses(got) > 3*accesses(seq) {
+				t.Errorf("k=%d GOMAXPROCS=%d: %d page accesses, sequential HEAP %d: want at most three quarters",
+					k, gomaxprocs, accesses(got), accesses(seq))
+			}
+			got.IOP, got.IOQ = storage.IOStats{Hits: accesses(got)}, storage.IOStats{}
+			if i == 0 {
+				want = got
+			} else if got != want {
+				t.Errorf("k=%d: GOMAXPROCS %d counted %+v, GOMAXPROCS 1 %+v", k, gomaxprocs, got, want)
+			}
+		}
+	}
+	runtime.GOMAXPROCS(procs)
+
+	type input struct {
+		name   string
+		ta, tb *rtree.Tree
+		height HeightStrategy
+		self   bool // also run the self join of ta
+	}
+	tall := bulkTree(t, dataset.Uniform(1823, 5000))
+	leaf := bulkTree(t, dataset.Uniform(1824, 15))
+	short := bulkTree(t, dataset.Uniform(1825, 400))
+	if leaf.Height() != 1 || short.Height() >= tall.Height() {
+		t.Fatalf("heights %d, %d and %d: want a one-leaf tree and a shorter one", tall.Height(), leaf.Height(), short.Height())
+	}
+	inputs := []input{
+		{"uniform", ta, tb, FixAtRoot, true},
+		{"clustered", bulkTree(t, dataset.Clustered(1826, 5000)), bulkTree(t, dataset.Clustered(1827, 5000)), FixAtRoot, true},
+		{"grid", bulkTree(t, gridPoints(1828, 3000)), bulkTree(t, gridPoints(1829, 3000)), FixAtRoot, true},
+		// Against the one leaf, the tall side is the four-level ta: the
+		// seed's tasks must sit above the leaves for a worker to batch.
+		{"leafQ/fix-at-root", ta, leaf, FixAtRoot, false},
+		{"leafP/fix-at-root", leaf, ta, FixAtRoot, false},
+		{"shortQ/fix-at-leaves", tall, short, FixAtLeaves, false},
+		{"shortP/fix-at-leaves", short, tall, FixAtLeaves, false},
+	}
+	for _, in := range inputs {
+		for _, k := range []int{1, 100} {
+			opts := DefaultOptions(Heap)
+			opts.Height = in.height
+			popts := opts
+			popts.Parallelism = 2
+			name := fmt.Sprintf("%s/k=%d", in.name, k)
+			want, _, err := KClosestPairs(in.ta, in.tb, k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := KClosestPairs(in.ta, in.tb, k, popts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePairs(t, name, got, want)
+			if !in.self {
+				continue
+			}
+			want, _, err = SelfKClosestPairs(in.ta, k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err = SelfKClosestPairs(in.ta, k, popts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePairs(t, name+"/self", got, want)
+		}
 	}
 }

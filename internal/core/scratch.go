@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"repro/internal/rtree"
+	"repro/internal/storage"
 )
 
 // queryScratch owns every buffer a closest-pair traversal reuses from step
@@ -31,6 +32,7 @@ type queryScratch struct {
 	kheap   kHeap      // the join's result heap (a worker's, in parallel)
 	run     taskRun    // a parallel query's workers' shared state
 	worker  join       // the join a parallel worker runs its tasks in
+	leaves  leafFrame  // a task-engine worker's leaf batch (scanLeafBatch)
 }
 
 // frame is one recursion depth's share of the scratch: the two nodes of
@@ -50,6 +52,58 @@ func (sc *queryScratch) frame(depth int) *frame {
 		sc.frames = append(sc.frames, new(frame))
 	}
 	return sc.frames[depth]
+}
+
+// leafFrame holds the child leaves of one leaf batch (scanLeafBatch), one
+// side per tree: each leaf is read into a slot of its side the first time
+// a pair of the batch names it and serves every later pair that does, so a
+// batch reads at most nA + nB leaves, each once. A self join's diagonal
+// batch keeps both sides of its pairs in side a.
+type leafFrame struct {
+	a, b leafSide
+}
+
+// leafSide is one tree's share of a leafFrame: the pages read so far in
+// this batch and, slot for slot, their decoded nodes.
+type leafSide struct {
+	ids   []storage.PageID
+	nodes []rtree.Node
+}
+
+// reset readies the frame for a batch over trees whose nodes hold at most
+// m entries. A side grows once, to m slots at once, each node created
+// with room for m entries: a slot that later holds a fuller leaf, or a
+// scratch that served smaller expansions before, never regrows, so a warm
+// batch allocates nothing.
+func (lf *leafFrame) reset(m int) {
+	lf.a.reset(m)
+	lf.b.reset(m)
+}
+
+func (s *leafSide) reset(m int) {
+	if len(s.nodes) < m {
+		s.nodes, s.ids = make([]rtree.Node, m), make([]storage.PageID, 0, m)
+		for i := range s.nodes {
+			s.nodes[i].Entries = make([]rtree.Entry, 0, m)
+		}
+	}
+	s.ids = s.ids[:0]
+}
+
+// leaf returns the side's copy of leaf page id of tree t, reading it on
+// the batch's first ask.
+func (s *leafSide) leaf(t *rtree.Tree, id storage.PageID) (*rtree.Node, error) {
+	for i, have := range s.ids {
+		if have == id {
+			return &s.nodes[i], nil
+		}
+	}
+	n := &s.nodes[len(s.ids)]
+	if err := t.ReadNodeInto(id, n); err != nil {
+		return nil, err
+	}
+	s.ids = append(s.ids, id)
+	return n, nil
 }
 
 // scratchRetainBytes is the largest queue-plus-heaps backing a scratch may

@@ -15,7 +15,8 @@ type Stats struct {
 	// pools over the query (the P-tree and Q-tree of the join).
 	IOP, IOQ storage.IOStats
 	// NodePairsProcessed counts node pairs expanded (recursive calls or
-	// heap pops that read two nodes).
+	// heap pops that read two nodes). In the task engine a leaf pair that
+	// a worker's leaf batch scans without queueing it counts once too.
 	NodePairsProcessed int64
 	// SubPairsGenerated counts candidate sub-pairs produced during
 	// expansion, before pruning.
@@ -28,7 +29,8 @@ type Stats struct {
 	PointPairsCompared int64
 	// MaxQueueSize is the high-water mark of the HEAP algorithm's pair
 	// heap (0 for the recursive algorithms); in parallel, the largest
-	// queue any worker held.
+	// queue any worker held. A leaf pair that a worker's leaf batch scans
+	// never enters a queue, so it is not counted here.
 	MaxQueueSize int
 	// NodeCacheHits and NodeCacheMisses are the decoded-node cache lookup
 	// deltas of both trees over the query (both zero when no cache is
