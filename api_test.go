@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rtree"
 )
 
 func randomPoints(seed int64, n int, dx float64) []Point {
@@ -146,6 +147,63 @@ func TestIndexCRUD(t *testing.T) {
 	for i := 1; i < len(nn); i++ {
 		if nn[i].Dist < nn[i-1].Dist {
 			t.Fatal("Nearest not sorted")
+		}
+	}
+}
+
+// TestNearestRejectsNonFinitePoint: a query point with a NaN or infinite
+// coordinate is an error, as Insert makes it, on a full index and on an
+// empty one; it returns no neighbors "at" a meaningless distance.
+func TestNearestRejectsNonFinitePoint(t *testing.T) {
+	full, err := BuildIndex([]Point{{X: 0, Y: 0}, {X: 1, Y: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+	empty, err := NewIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer empty.Close()
+	for _, p := range []Point{
+		{X: math.NaN(), Y: 0.5}, {X: 0.5, Y: math.NaN()},
+		{X: math.Inf(1), Y: 0.5}, {X: 0.5, Y: math.Inf(-1)},
+	} {
+		if err := full.Insert(p, 9); err == nil {
+			t.Errorf("Insert(%v) accepted a non-finite point", p)
+		}
+		for name, idx := range map[string]*Index{"full": full, "empty": empty} {
+			if nn, err := idx.Nearest(p, 2); err == nil {
+				t.Errorf("%s index: Nearest(%v) = %v, want an error", name, p, nn)
+			}
+		}
+	}
+	if nn, err := full.Nearest(Point{X: 0.2, Y: 0.2}, 2); err != nil || len(nn) != 2 || nn[0].Ref != 0 {
+		t.Fatalf("finite Nearest = %v, %v", nn, err)
+	}
+}
+
+// TestNodeCapacityDefaults: the default index runs rtree.DefaultConfig,
+// and an explicit minimum occupancy with the default M survives at the
+// default page size as at any other.
+func TestNodeCapacityDefaults(t *testing.T) {
+	idx, err := NewIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	if got, want := idx.tree.Config(), rtree.DefaultConfig(); got != want {
+		t.Fatalf("default index config = %+v, want %+v", got, want)
+	}
+	for _, pageSize := range []int{1024, 4096} {
+		idx, err := NewIndex(WithPageSize(pageSize), WithNodeCapacity(0, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := idx.tree.Config()
+		idx.Close()
+		if cfg.PageSize != pageSize || cfg.MaxEntries != 21 || cfg.MinEntries != 5 {
+			t.Fatalf("page %d, WithNodeCapacity(0, 5): config %+v, want M = 21, m = 5", pageSize, cfg)
 		}
 	}
 }

@@ -221,9 +221,10 @@ all() {
 	# on how the parallel engine's workers are scheduled run again, twenty
 	# times (-short trims the largest inputs, which the passes above ran in
 	# full), the fault sweep's parallel rows among them, and the sharded
-	# executor's parallel joins five. The twenty passes take seven to
-	# eleven minutes on two cores, up to past go test's default ten-minute
-	# timeout. The node cache's lock-free slots get the same twenty passes,
+	# executor's run five: its shard joins follow one another, and each
+	# races the task engine's workers at Parallelism 4. The twenty passes
+	# take seven to eleven minutes on two cores, up to past go test's
+	# default ten-minute timeout. The node cache's lock-free slots get the same twenty passes,
 	# and so do the buffer pool's concurrent tests, over its per-shard
 	# counters and page table.
 	go test -race -short -count=20 -timeout 30m -run 'Parallel|TestSweepParallelEquivalence|TestConcurrentQueriesShareFreeList|TestNodeCacheConcurrentInvalidate|TestBufferPoolConcurrentAccess|TestShardedPoolConcurrent' ./internal/core ./internal/rtree ./internal/storage

@@ -162,15 +162,11 @@ func applyOptions(opts []IndexOption) (indexConfig, error) {
 }
 
 func (c indexConfig) treeConfig() rtree.Config {
-	cfg := rtree.Config{
+	return rtree.Config{
 		PageSize:   c.pageSize,
 		MaxEntries: c.maxEntries,
 		MinEntries: c.minEntries,
 	}
-	if c.pageSize == 1024 && c.maxEntries == 0 {
-		cfg = rtree.DefaultConfig()
-	}
-	return cfg
 }
 
 // NewIndex creates an empty index.

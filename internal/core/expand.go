@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"repro/internal/core/bound"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/rtree"
@@ -31,7 +30,7 @@ type join struct {
 	// bound is the auxiliary pruning bound B (squared): the MINMAXDIST
 	// bound of Inequality 2 for K = 1, or the MAXMAXDIST prefix bound for
 	// K > 1 under KPruneMaxMax. The effective pruning distance T is
-	// min(bound, K-heap threshold, shared bound).
+	// min(bound, K-heap threshold).
 	bound float64
 	stats statsAcc
 
@@ -45,13 +44,6 @@ type join struct {
 	useTie               bool
 	mA, mB               float64 // minimum node occupancies as floats
 	metric               geom.Metric
-
-	// shared is the bound this join shares with others: Options.SharedBound
-	// (the shard executor's), which a parallel query's workers' joins point
-	// at too. The effective pruning distance T folds it in, and
-	// publishShared pushes this join's own sound upper bounds back. nil for
-	// a self-contained query, sequential or parallel.
-	shared *bound.Shared
 
 	// leafBatch marks a task-engine worker's join: once its K-heap is full,
 	// runHeap scans the leaf pairs of a level-1 expansion at once
@@ -86,7 +78,6 @@ func newJoin(ta, tb *rtree.Tree, k int, opts Options, self bool) (*join, error) 
 		mA:     float64(ta.Config().MinEntries),
 		mB:     float64(tb.Config().MinEntries),
 		metric: opts.Metric,
-		shared: opts.SharedBound,
 		self:   self,
 	}
 	j.useTie = opts.Tie != TieNone &&
@@ -131,33 +122,16 @@ func rootMBR(t *rtree.Tree, n *rtree.Node) (geom.Rect, error) {
 }
 
 // T returns the current pruning distance (squared): candidate node pairs
-// with MINMINDIST > T cannot contribute a result pair. With a shared
-// cross-join bound attached (Options.SharedBound) the fold includes it:
-// pairs farther than a distance already achieved elsewhere in the
-// scatter-gather cannot enter the merged global result either.
+// with MINMINDIST > T cannot contribute a result pair.
 //
-// T, publishShared and scanLeaves fold with the builtin min, which
-// compiles inline where math.Min is a call. The two part only where a NaN
-// meets an infinity, and no operand here is NaN: each is +Inf or a key
-// of coordinates a tree stores, which are finite, and a key of finite
-// coordinates is a sum or maximum of non-negative terms that may overflow
-// to +Inf but never subtracts one infinity from another.
+// T folds with the builtin min, which compiles inline where math.Min is a
+// call. The two part only where a NaN meets an infinity, and no operand
+// here is NaN: each is +Inf or a key of coordinates a tree stores, which
+// are finite, and a key of finite coordinates is a sum or maximum of
+// non-negative terms that may overflow to +Inf but never subtracts one
+// infinity from another.
 func (j *join) T() float64 {
-	return min(j.kheap.threshold(), j.bound, j.shared.Load())
-}
-
-// publishShared forwards the join's current sound global upper bound —
-// min(K-heap threshold, auxiliary bound), both valid beyond this join's
-// subtree product (see bound.Shared) — to the cross-join bound. No-op
-// without one. The drivers, a parallel worker's included, call it after
-// every tightening site (leaf scans, expansion bound updates).
-func (j *join) publishShared() {
-	if j.shared == nil {
-		return
-	}
-	if t := min(j.kheap.threshold(), j.bound); !math.IsInf(t, 1) {
-		j.shared.Tighten(t)
-	}
+	return min(j.kheap.threshold(), j.bound)
 }
 
 // prunes reports whether the algorithm uses MINMINDIST pruning at all
@@ -237,7 +211,6 @@ func (j *join) expandInto(p nodePair, na, nb *rtree.Node, dst []nodePair) []node
 	if j.tightens() && e.bound < j.bound {
 		j.bound = e.bound
 		j.traceBound(j.boundSource())
-		j.publishShared()
 	}
 	T := math.Inf(1)
 	if j.prunes() {
@@ -262,13 +235,10 @@ func nodeGuaranteedPoints(m float64, n *rtree.Node) float64 {
 }
 
 // scanLeaves performs step CP3: evaluate the point pairs between two
-// leaves against the join's K-heap, pruned by the auxiliary bound and —
-// when attached — the shared bound (the
-// K-heap's own threshold applies in any case). Accepted pairs may have
-// tightened the K-heap threshold, so the new value is published back.
+// leaves against the join's K-heap, pruned by the auxiliary bound (the
+// K-heap's own threshold applies in any case).
 func (j *join) scanLeaves(na, nb *rtree.Node) {
-	j.scanLeavesSweep(na, nb, j.kheap, min(j.bound, j.shared.Load()))
-	j.publishShared()
+	j.scanLeavesSweep(na, nb, j.kheap, j.bound)
 }
 
 // readPair fetches both nodes of a pair into the frame, counting the

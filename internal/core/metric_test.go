@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/core/bound"
 	"repro/internal/geom"
 )
 
@@ -138,8 +137,8 @@ func TestSemiCPUnderMetrics(t *testing.T) {
 // TestQueryMinMaxMatchMath holds the query path's builtin min and max to
 // the math.Min/math.Max forms they replaced, bit for bit, site by site, on
 // the values each site can see (the argument for each is at the site):
-//   - T and publishShared fold thresholds and bounds that are +Inf, ±0 or
-//     finite keys, and never NaN;
+//   - T folds thresholds and bounds that are +Inf, ±0 or finite keys,
+//     and never NaN;
 //   - tieKeyFor's T1 ratios are NaN when an area overflows, and never
 //     +Inf, because a node lies inside its root.
 func TestQueryMinMaxMatchMath(t *testing.T) {
@@ -152,23 +151,12 @@ func TestQueryMinMaxMatchMath(t *testing.T) {
 		name string
 		run  func(t *testing.T)
 	}{
-		{"T/publishShared", func(t *testing.T) {
+		{"T", func(t *testing.T) {
 			for _, th := range keys {
 				for _, b := range keys {
-					for _, sh := range keys {
-						j := &join{kheap: &kHeap{k: 1, pairs: []kPair{{distSq: th}}}, bound: b, shared: bound.New()}
-						j.shared.Tighten(sh)
-						if got, want := j.T(), math.Min(math.Min(th, b), sh); !same(got, want) {
-							t.Fatalf("T(threshold %g, bound %g, shared %g) = %g, math form %g", th, b, sh, got, want)
-						}
-						j.publishShared()
-						want := sh
-						if m := math.Min(th, b); !math.IsInf(m, 1) && m < sh {
-							want = m
-						}
-						if got := j.shared.Load(); !same(got, want) {
-							t.Fatalf("publishShared(threshold %g, bound %g) over %g left %g, math form %g", th, b, sh, got, want)
-						}
+					j := &join{kheap: &kHeap{k: 1, pairs: []kPair{{distSq: th}}}, bound: b}
+					if got, want := j.T(), math.Min(th, b); !same(got, want) {
+						t.Fatalf("T(threshold %g, bound %g) = %g, math form %g", th, b, got, want)
 					}
 				}
 			}

@@ -34,7 +34,6 @@ func TestDisabledHooksZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		j.traceNodeExpanded(p)
 		j.traceBound(obs.SourceKHeap)
-		j.traceBoundValue(9, 4, obs.SourceMerge)
 		j.traceHighWater(17)
 		j.traceSweepPruned(12)
 		j.traceQueryEnd(0, nil)

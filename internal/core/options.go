@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"repro/internal/core/bound"
 	"repro/internal/geom"
 	"repro/internal/rtree"
 	"repro/internal/sortx"
@@ -192,14 +191,6 @@ type Options struct {
 	// — observes nothing: every trace hook is one nil check and allocates
 	// nothing.
 	Observe *Observer
-	// SharedBound, when non-nil, couples this query to other in-flight
-	// joins through an external tighten-only pruning bound (the one the
-	// shard executor shares across its joins, DESIGN.md §13). The join
-	// prunes against min(T, SharedBound.Load()) and publishes its own
-	// sound global upper bounds back through Tighten, so a tight pair
-	// found by any cooperating join prunes all the others. nil — the
-	// default — keeps the query self-contained.
-	SharedBound *bound.Shared
 	// Parallelism is the number of worker goroutines for the HEAP
 	// algorithm. 0 and 1 run the paper's sequential algorithm, whose disk
 	// access counts repeat exactly; N > 1 runs N workers, each a

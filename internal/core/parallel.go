@@ -32,9 +32,7 @@ import (
 // on its share and the seed's T alone, never on the schedule, so the
 // node-pair, sub-pair and point-pair counts of a parallel query repeat
 // from run to run as the sequential query's do; only disk accesses, through
-// a buffer pool the workers share, may vary. A join handed an external
-// Options.SharedBound (the shard executor's) still folds it in and
-// publishes to it, in the workers as in the sequential drivers.
+// a buffer pool the workers share, may vary.
 
 // seedTasksPerWorker is how many tasks per worker the seed expands to.
 // The list grows by a whole tree level at a time: on mem-par's trees at
@@ -191,9 +189,9 @@ func (j *join) seedTasks(ctx context.Context, root nodePair, target int) ([]node
 }
 
 // worker readies the join one worker runs its tasks in, inside the
-// worker's scratch: the query's trees, self mode, options, span and
-// external shared bound, with the worker's scratch, K-heap, counters and
-// cancel gate, and an auxiliary bound that starts at t, the seed's T.
+// worker's scratch: the query's trees, self mode, options and span, with
+// the worker's scratch, K-heap, counters and cancel gate, and an auxiliary
+// bound that starts at t, the seed's T.
 func (j *join) worker(sc *queryScratch, t float64) *join {
 	sc.kheap.init(j.k)
 	sc.worker = join{
@@ -203,7 +201,7 @@ func (j *join) worker(sc *queryScratch, t float64) *join {
 		span:  j.span, lastT: t,
 		rootAreaA: j.rootAreaA, rootAreaB: j.rootAreaB,
 		useTie: j.useTie, mA: j.mA, mB: j.mB,
-		metric: j.metric, shared: j.shared,
+		metric:    j.metric,
 		leafBatch: true,
 	}
 	return &sc.worker
@@ -259,19 +257,11 @@ func (r *taskRun) runTasks(w *join, first int) bool {
 	return true
 }
 
-// merge folds a worker's K-heap into the query's and publishes the query
-// heap's threshold to the external shared bound, if any, once it is full.
+// merge folds a worker's K-heap into the query's.
 func (r *taskRun) merge(w *join) {
-	if len(w.kheap.pairs) == 0 {
-		return
-	}
 	r.mu.Lock()
 	for i := range w.kheap.pairs {
 		r.j.kheap.offer(w.kheap.pairs[i])
 	}
-	th := r.j.kheap.threshold()
 	r.mu.Unlock()
-	if old, ok := w.shared.Tighten(th); ok {
-		w.traceBoundValue(old, th, obs.SourceMerge)
-	}
 }

@@ -183,7 +183,8 @@ func TestScratchRetentionBound(t *testing.T) {
 // TestFreeListPinsNoQuery: the parallel engine keeps the workers' shared
 // state and each worker's join in scratches, and clears both before a
 // scratch goes back on the free list, after a failed query too. An idle
-// scratch holds no tree, context, task list or bound of a finished query.
+// scratch holds no tree, context, task list or observer of a finished
+// query.
 func TestFreeListPinsNoQuery(t *testing.T) {
 	ps, qs := uniformPoints(9970, 1500, 0), uniformPoints(9975, 1500, 0)
 	ta, fa := buildFaultTree(t, ps)
@@ -196,7 +197,7 @@ func TestFreeListPinsNoQuery(t *testing.T) {
 		defer scratchFree.mu.Unlock()
 		for i, sc := range scratchFree.list {
 			if r, w := &sc.run, &sc.worker; r.j != nil || r.ctx != nil || r.tasks != nil ||
-				w.ta != nil || w.tb != nil || w.sc != nil || w.shared != nil || w.opts.Observe != nil {
+				w.ta != nil || w.tb != nil || w.sc != nil || w.opts.Observe != nil {
 				t.Fatalf("%s: free-list scratch %d still holds its query's state", what, i)
 			}
 		}

@@ -22,7 +22,7 @@ import "repro/internal/rtree"
 
 // scanLeavesSweep evaluates the point pairs between two leaves against the
 // given K-heap. extBound is a pruning distance (squared) from outside the
-// heap — the auxiliary and shared bounds; pairs farther than
+// heap — the auxiliary bound, or a range join's ε; pairs farther than
 // min(extBound, K-heap threshold) cannot enter the final result, so only
 // pairs whose x distance is within that at the time the pair is reached
 // are evaluated, and exactly those are counted in Stats.PointPairsCompared.

@@ -182,8 +182,8 @@ func TestSweepMetrics(t *testing.T) {
 }
 
 // TestSweepParallelEquivalence runs the sweep under the parallel HEAP
-// engine, where each worker's join offers into its own heap under the
-// shared bound: same pairs as the brute-force oracle.
+// engine, where each worker's join offers into its own heap under its own
+// bound: same pairs as the brute-force oracle.
 func TestSweepParallelEquivalence(t *testing.T) {
 	ps := dataset.Uniform(21, 900)
 	qs := dataset.Uniform(22, 800)

@@ -38,10 +38,10 @@ func (j *join) boundSource() obs.BoundSource {
 	return obs.SourceMaxMax
 }
 
-// traceBound emits EvBoundTightened when the sequential effective bound
-// T = min(aux bound, K-heap threshold, shared bound) strictly decreased
-// since the last emission. j.lastT is unsynchronized: a parallel worker
-// traces through a join of its own.
+// traceBound emits EvBoundTightened when the effective bound
+// T = min(aux bound, K-heap threshold) strictly decreased since the last
+// emission. j.lastT is unsynchronized: a parallel worker traces through a
+// join of its own.
 func (j *join) traceBound(src obs.BoundSource) {
 	if j.span == nil {
 		return
@@ -50,16 +50,6 @@ func (j *join) traceBound(src obs.BoundSource) {
 		j.span.Emit(obs.Event{Kind: obs.EvBoundTightened, Old: j.lastT, New: t, Source: src})
 		j.lastT = t
 	}
-}
-
-// traceBoundValue emits EvBoundTightened for an explicit old → new
-// transition — the parallel merge's successful tightening of the shared
-// bound, where the CAS itself reports the displaced value.
-func (j *join) traceBoundValue(old, to float64, src obs.BoundSource) {
-	if j.span == nil {
-		return
-	}
-	j.span.Emit(obs.Event{Kind: obs.EvBoundTightened, Old: old, New: to, Source: src})
 }
 
 // traceHighWater emits EvHeapHighWater after the join's pair heap (a

@@ -103,10 +103,6 @@ const (
 	// SourceKHeap is the K-heap threshold: the K-th smallest distance
 	// found so far, after a leaf scan accepted pairs.
 	SourceKHeap
-	// SourceMerge is the parallel engine folding a worker's K-heap into
-	// the query's and publishing the query heap's threshold to an
-	// external shared bound (core.Options.SharedBound).
-	SourceMerge
 )
 
 // String implements fmt.Stringer.
@@ -118,8 +114,6 @@ func (s BoundSource) String() string {
 		return "maxmax"
 	case SourceKHeap:
 		return "kheap"
-	case SourceMerge:
-		return "merge"
 	default:
 		return "none"
 	}

@@ -18,37 +18,6 @@ import (
 // node overlap than insertion-built trees, which is one of the build
 // ablations the benchmarks explore.
 func (t *Tree) BulkLoad(items []Item, fill float64) error {
-	return t.bulkLoad(items, fill, false)
-}
-
-// SortSTR orders items exactly as BulkLoad's leaf-level STR pass would:
-// by ascending MBR center X, ties by center Y, then by input position —
-// the order a stable sort by center gives. BulkLoadSorted skips that sort
-// when handed items in this order, so callers building many trees (the
-// shard partitioner) can run the dominant O(n log n) CPU phase of every
-// build in parallel goroutines while the page-writing phase stays
-// sequential: SortSTR touches only the slice it is given — never a tree,
-// a buffer pool or a node cache — so it is safe to call from any
-// goroutine.
-func SortSTR(items []Item) {
-	orig := slices.Clone(items)
-	var buf []strKey
-	for j, k := range sortX(centerKeys(make([]strKey, len(items)), orig), &buf) {
-		items[j] = orig[k.i]
-	}
-}
-
-// BulkLoadSorted is BulkLoad for items already in SortSTR order: the
-// leaf-level X-sort is skipped, everything else — slab tiling, per-slab
-// Y-sorts, upper-level packing, page writes — is identical, so
-// BulkLoadSorted after SortSTR produces a tree byte-identical to
-// BulkLoad on the same items. The order is not re-verified; handing it
-// unsorted items builds a valid but badly clustered tree.
-func (t *Tree) BulkLoadSorted(items []Item, fill float64) error {
-	return t.bulkLoad(items, fill, true)
-}
-
-func (t *Tree) bulkLoad(items []Item, fill float64, presorted bool) error {
 	if t.size != 0 || t.root != storage.InvalidPageID {
 		return errors.New("rtree: BulkLoad requires an empty tree")
 	}
@@ -74,10 +43,10 @@ func (t *Tree) bulkLoad(items []Item, fill float64, presorted bool) error {
 	keys := make([]strKey, len(items))
 	var buf []strKey
 	node := &Node{Entries: make([]Entry, 0, t.cfg.MaxEntries)}
-	next, err := packLevel(t, items, keys, &buf, node, capacity, presorted)
+	next, err := packLevel(t, items, keys, &buf, node, capacity)
 	for err == nil && len(next) > 1 {
 		node.Level++
-		next, err = packLevel(t, next, keys, &buf, node, capacity, false)
+		next, err = packLevel(t, next, keys, &buf, node, capacity)
 	}
 	if err != nil {
 		return err
@@ -86,6 +55,20 @@ func (t *Tree) bulkLoad(items []Item, fill float64, presorted bool) error {
 	t.height = node.Level + 1
 	t.size = int64(len(items))
 	return t.writeMeta()
+}
+
+// SortSTR orders items exactly as BulkLoad's leaf-level STR pass would:
+// by ascending MBR center X, ties by center Y, then by input position —
+// the order a stable sort by center gives. It touches only the slice it
+// is given, so it is safe to call from any goroutine. Only the
+// benchmark's rtree.sort_str_ns_per_point probe calls it, to time the
+// sort apart from the page writes.
+func SortSTR(items []Item) {
+	orig := slices.Clone(items)
+	var buf []strKey
+	for j, k := range sortX(centerKeys(make([]strKey, len(items)), orig), &buf) {
+		items[j] = orig[k.i]
+	}
 }
 
 // strKey is an entry's STR sort key: its MBR center, computed once, and
@@ -211,10 +194,9 @@ func sortSlabs(keys []strKey, bounds []int) {
 // over keys (at least len(entries) long) and buf and touch nothing else;
 // the nodes are then filled through node, allocated and written one at a
 // time in slab order, so the page file does not depend on how the sorts
-// were scheduled. With presorted set the entries are already in SortSTR
-// order and the X-sort is skipped. It returns one entry per node written,
-// at node.Level: its MBR and page id, the next level's input.
-func packLevel[E Item | Entry](t *Tree, entries []E, keys []strKey, buf *[]strKey, node *Node, capacity int, presorted bool) ([]Entry, error) {
+// were scheduled. It returns one entry per node written, at node.Level:
+// its MBR and page id, the next level's input.
+func packLevel[E Item | Entry](t *Tree, entries []E, keys []strKey, buf *[]strKey, node *Node, capacity int) ([]Entry, error) {
 	n := len(entries)
 	sizes := packSizes(n, capacity, t.cfg.MinEntries, t.cfg.MaxEntries)
 	numNodes := len(sizes)
@@ -223,10 +205,7 @@ func packLevel[E Item | Entry](t *Tree, entries []E, keys []strKey, buf *[]strKe
 	slabs := int(math.Ceil(math.Sqrt(float64(numNodes))))
 	nodesPerSlab := (numNodes + slabs - 1) / slabs
 
-	sorted := centerKeys(keys[:n], entries)
-	if !presorted {
-		sorted = sortX(sorted, buf)
-	}
+	sorted := sortX(centerKeys(keys[:n], entries), buf)
 	bounds := []int{0}
 	for slabStart := 0; slabStart < numNodes; slabStart += nodesPerSlab {
 		end := bounds[len(bounds)-1]

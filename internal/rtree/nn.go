@@ -50,10 +50,14 @@ func (t *Tree) NearestNeighbors(q geom.Point, k int) ([]Neighbor, error) {
 
 // NearestNeighborsMetric is NearestNeighbors under an arbitrary Minkowski
 // metric: the MINDIST lower bound is computed under the same metric, which
-// preserves the best-first pruning argument.
+// preserves the best-first pruning argument. A query point with a NaN or
+// infinite coordinate is an error, as it is for Insert.
 func (t *Tree) NearestNeighborsMetric(q geom.Point, k int, m geom.Metric) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("rtree: k must be positive, got %d", k)
+	}
+	if !q.Rect().Valid() {
+		return nil, fmt.Errorf("rtree: invalid query point %v", q)
 	}
 	if t.root == storage.InvalidPageID {
 		return nil, nil

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/geom"
@@ -35,11 +34,7 @@ func Partition(itemsA, itemsB []rtree.Item, cfg Config) (*Set, error) {
 // union (rather than a fixed grid) keep shard populations balanced
 // under skew; tiles that still end up without points of one set simply
 // hold an empty tree on that side, and the executor plans no work for
-// them.
-//
-// The O(n log n) STR sorts of every tile run in parallel goroutines
-// (rtree.SortSTR touches only its slice); the page-writing bulk loads
-// run sequentially afterwards, one tile at a time, checking ctx
+// them. The tiles' bulk loads run one after another, checking ctx
 // between builds.
 func PartitionContext(ctx context.Context, itemsA, itemsB []rtree.Item, cfg Config) (*Set, error) {
 	if cfg.Tiles == 0 {
@@ -58,27 +53,12 @@ func PartitionContext(ctx context.Context, itemsA, itemsB []rtree.Item, cfg Conf
 
 	bucketsA, bucketsB := bucketize(itemsA, itemsB, cfg.Tiles)
 
-	// Phase 1 (parallel, CPU only): STR-sort every tile's items. One
-	// goroutine per tile sorts both sides; SortSTR never touches shared
-	// state, so the only synchronization needed is the join below.
-	var wg sync.WaitGroup
-	for i := range bucketsA {
-		wg.Add(1)
-		go func(a, b []rtree.Item) {
-			defer wg.Done()
-			rtree.SortSTR(a)
-			rtree.SortSTR(b)
-		}(bucketsA[i], bucketsB[i])
-	}
-	wg.Wait()
-
 	var tBuild time.Time
 	if cfg.Capture.Enabled() {
 		tBuild = time.Now()
 		cfg.Capture.Phase("partition", tBuild.Sub(tPartition).Nanoseconds())
 	}
 
-	// Phase 2 (sequential, page writes): build each shard's tree pair.
 	set := &Set{}
 	for i := range bucketsA {
 		if err := ctx.Err(); err != nil {
@@ -108,7 +88,7 @@ func PartitionContext(ctx context.Context, itemsA, itemsB []rtree.Item, cfg Conf
 }
 
 // buildTree bulk loads one shard-side tree over its own in-memory page
-// file and sharded buffer pool. items must already be in SortSTR order.
+// file and sharded buffer pool.
 func buildTree(items []rtree.Item, tc rtree.Config) (*rtree.Tree, *storage.MemFile, error) {
 	pageSize := tc.PageSize
 	if pageSize == 0 {
@@ -118,7 +98,7 @@ func buildTree(items []rtree.Item, tc rtree.Config) (*rtree.Tree, *storage.MemFi
 	pool := storage.NewShardedBufferPool(file, bufferPages, poolShards, storage.LRU)
 	t, err := rtree.New(pool, tc)
 	if err == nil {
-		err = t.BulkLoadSorted(items, fill)
+		err = t.BulkLoad(items, fill)
 	}
 	if err != nil {
 		return nil, nil, errors.Join(err, file.Close())

@@ -1,9 +1,9 @@
 // Package shard runs K-CPQ as scatter-gather over spatial tiles: an
 // STR-order range partitioner splits both data sets into T tiles with
 // shared quantile boundaries, each tile getting one R-tree pair with a
-// dedicated buffer pool, and a scatter-gather executor joins the shard
-// pairs concurrently, pruned by MINMINDIST between tile MBRs and coupled
-// through one tighten-only bound (bound.Shared). Only the benchmark's
+// dedicated buffer pool, and an executor joins the shard pairs one after
+// another, closest first, skipping a pair whose MINMINDIST between tile
+// MBRs exceeds the K-th distance merged so far. Only the benchmark's
 // probes call it; the facade's queries run the parallel engine on the
 // indexes' own trees (DESIGN.md §13).
 package shard
@@ -18,11 +18,10 @@ import (
 )
 
 // The physical layout every shard tree shares: the buffer-pool capacity
-// in pages, the lock-stripe count of each pool (shard joins run
-// concurrently and two joins may share one side's pool, so the pools
-// must be striped for the View read path) and the STR bulk-load fill
-// factor. No decoded-node cache is attached, which keeps the paper's disk
-// accounting exact.
+// in pages, the lock-stripe count of each pool (a shard join may run the
+// parallel engine, whose workers read one pool concurrently) and the STR
+// bulk-load fill factor. No decoded-node cache is attached, which keeps
+// the paper's disk accounting exact.
 const (
 	bufferPages = 256
 	poolShards  = 8

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"math"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -46,15 +47,15 @@ func runUnsharded(t testing.TB, ptsA, ptsB []geom.Point, k int, opts core.Option
 	return pairs
 }
 
-func runSharded(t testing.TB, ptsA, ptsB []geom.Point, k int, opts core.Options, tiles, workers int) Result {
+func runSharded(t testing.TB, ptsA, ptsB []geom.Point, k int, opts core.Options, tiles int) Result {
 	t.Helper()
-	res, _ := runShardedSet(t, ptsA, ptsB, k, opts, tiles, workers)
+	res, _ := runShardedSet(t, ptsA, ptsB, k, opts, tiles)
 	return res
 }
 
 // runShardedSet is runSharded that also hands back the (closed) set, for
 // tests that inspect how the partitioner laid the tiles out.
-func runShardedSet(t testing.TB, ptsA, ptsB []geom.Point, k int, opts core.Options, tiles, workers int) (Result, *Set) {
+func runShardedSet(t testing.TB, ptsA, ptsB []geom.Point, k int, opts core.Options, tiles int) (Result, *Set) {
 	t.Helper()
 	set, err := Partition(items(ptsA), items(ptsB), Config{Tiles: tiles})
 	if err != nil {
@@ -65,7 +66,7 @@ func runShardedSet(t testing.TB, ptsA, ptsB []geom.Point, k int, opts core.Optio
 			t.Fatal(err)
 		}
 	}()
-	ex := Executor{Set: set, Workers: workers}
+	ex := Executor{Set: set}
 	res, err := ex.Run(k, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +114,7 @@ func TestShardedMatchesUnshardedAlgorithms(t *testing.T) {
 		want := runUnsharded(t, ptsA, ptsB, 10, opts)
 		for _, tiles := range tileCounts {
 			t.Run(name+"/tiles="+strconv.Itoa(tiles), func(t *testing.T) {
-				res := runSharded(t, ptsA, ptsB, 10, opts, tiles, 4)
+				res := runSharded(t, ptsA, ptsB, 10, opts, tiles)
 				comparePairs(t, want, res.Pairs)
 			})
 		}
@@ -128,7 +129,7 @@ func TestShardedMatchesUnshardedMetrics(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			opts := core.Options{Algorithm: core.Heap, Metric: m}
 			want := runUnsharded(t, ptsA, ptsB, 10, opts)
-			res := runSharded(t, ptsA, ptsB, 10, opts, 7, 4)
+			res := runSharded(t, ptsA, ptsB, 10, opts, 7)
 			comparePairs(t, want, res.Pairs)
 		})
 	}
@@ -141,7 +142,7 @@ func TestShardedMatchesUnshardedK(t *testing.T) {
 		t.Run("k="+strconv.Itoa(k), func(t *testing.T) {
 			opts := core.Options{Algorithm: core.Heap}
 			want := runUnsharded(t, ptsA, ptsB, k, opts)
-			res := runSharded(t, ptsA, ptsB, k, opts, 7, 4)
+			res := runSharded(t, ptsA, ptsB, k, opts, 7)
 			comparePairs(t, want, res.Pairs)
 		})
 	}
@@ -154,7 +155,7 @@ func TestShardedMatchesUnshardedParallelism(t *testing.T) {
 		t.Run("par="+strconv.Itoa(par), func(t *testing.T) {
 			opts := core.Options{Algorithm: core.Heap, Parallelism: par}
 			want := runUnsharded(t, ptsA, ptsB, 10, opts)
-			res := runSharded(t, ptsA, ptsB, 10, opts, 7, 4)
+			res := runSharded(t, ptsA, ptsB, 10, opts, 7)
 			comparePairs(t, want, res.Pairs)
 		})
 	}
@@ -170,7 +171,7 @@ func TestShardedClusteredAndSkewed(t *testing.T) {
 		opts := core.Options{Algorithm: core.Heap}
 		want := runUnsharded(t, ptsA, ptsB, 10, opts)
 		for _, tiles := range tileCounts {
-			res := runSharded(t, ptsA, ptsB, 10, opts, tiles, 4)
+			res := runSharded(t, ptsA, ptsB, 10, opts, tiles)
 			comparePairs(t, want, res.Pairs)
 		}
 	})
@@ -180,7 +181,7 @@ func TestShardedClusteredAndSkewed(t *testing.T) {
 		opts := core.Options{Algorithm: core.Heap}
 		want := runUnsharded(t, ptsA, ptsB, 10, opts)
 		for _, tiles := range tileCounts {
-			res, set := runShardedSet(t, ptsA, ptsB, 10, opts, tiles, 4)
+			res, set := runShardedSet(t, ptsA, ptsB, 10, opts, tiles)
 			comparePairs(t, want, res.Pairs)
 			if tiles > 1 {
 				empty := false
@@ -237,12 +238,12 @@ func TestPartitionInvariants(t *testing.T) {
 	}
 }
 
-// TestExecutorPruning pins the deterministic pruning case: two tight
-// clusters far apart, one worker, ascending MINMINDIST dispatch. The
-// left cluster's join runs first (smallest tile-level MINMINDIST) and
-// broadcasts its tiny best distance; the right cluster's internal gap
-// is three times wider, so its shard pair — and both cross-cluster
-// pairs — are pruned without dispatch.
+// TestExecutorPruning pins the pruning case: two tight clusters far
+// apart, joined in ascending MINMINDIST order. The left cluster's join
+// runs first (smallest tile-level MINMINDIST) and fills the merged top 1
+// with its tiny best distance; the right cluster's internal gap is three
+// times wider, so its shard pair — and both cross-cluster pairs — are
+// pruned without a join.
 func TestExecutorPruning(t *testing.T) {
 	var ptsA, ptsB []geom.Point
 	for i := 0; i < 50; i++ {
@@ -259,7 +260,7 @@ func TestExecutorPruning(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	ex := Executor{Set: set, Workers: 1}
+	ex := Executor{Set: set}
 	res, err := ex.Run(1, core.Options{Algorithm: core.Heap})
 	if err != nil {
 		t.Fatal(err)
@@ -272,6 +273,69 @@ func TestExecutorPruning(t *testing.T) {
 	}
 	want := runUnsharded(t, ptsA, ptsB, 1, core.Options{Algorithm: core.Heap})
 	comparePairs(t, want, res.Pairs)
+}
+
+// TestExecutorPruneEdges pins the two conditions of the executor's
+// pair prune, on two tiles whose cross-tile pairs are pruned in the end:
+//   - "short list": the left tile holds two A and four B points, 8 pairs
+//     against K = 10, so after its join the merged list is short and the
+//     right tile must still run, however far it is from the pairs so far;
+//   - "equal MINMINDIST": each tile holds one A and one B point at the
+//     same exact distance, and the right tile's pair, joined second, has
+//     the smaller refs and is the top 1, so the prune must be strict.
+func TestExecutorPruneEdges(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		ptsA, ptsB []geom.Point
+		k          int
+	}{
+		{"short list", []geom.Point{
+			{X: 0.100, Y: 0.100}, {X: 0.102, Y: 0.101},
+			{X: 0.80, Y: 0.80}, {X: 0.82, Y: 0.83}, {X: 0.85, Y: 0.81}, {X: 0.87, Y: 0.86},
+		}, []geom.Point{
+			{X: 0.101, Y: 0.102}, {X: 0.103, Y: 0.100}, {X: 0.104, Y: 0.103}, {X: 0.105, Y: 0.101},
+			{X: 0.90, Y: 0.90}, {X: 0.95, Y: 0.92},
+		}, 10},
+		{"equal MINMINDIST",
+			[]geom.Point{{X: 0.75, Y: 0.75}, {X: 0.125, Y: 0.125}},
+			[]geom.Point{{X: 0.875, Y: 0.8125}, {X: 0.25, Y: 0.0625}}, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := core.Options{Algorithm: core.Heap}
+			res := runSharded(t, c.ptsA, c.ptsB, c.k, opts, 2)
+			if res.PlannedPairs != 4 || res.PrunedPairs != 2 {
+				t.Fatalf("planned/pruned pairs: want 4/2 (both cross-tile pairs), got %d/%d", res.PlannedPairs, res.PrunedPairs)
+			}
+			comparePairs(t, runUnsharded(t, c.ptsA, c.ptsB, c.k, opts), res.Pairs)
+		})
+	}
+}
+
+// TestExecutorRepeatsAcrossGOMAXPROCS: the executor's pairs and prune
+// count do not depend on the number of cores, with the shard joins
+// sequential and on the task engine alike.
+func TestExecutorRepeatsAcrossGOMAXPROCS(t *testing.T) {
+	ptsA := dataset.Clustered(917, 1500)
+	ptsB := dataset.Clustered(918, 1500)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, par := range []int{1, 4, core.AutoParallelism} {
+		t.Run("par="+strconv.Itoa(par), func(t *testing.T) {
+			opts := core.Options{Algorithm: core.Heap, Parallelism: par}
+			want := runUnsharded(t, ptsA, ptsB, 10, opts)
+			var first Result
+			for i, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				res := runSharded(t, ptsA, ptsB, 10, opts, 7)
+				comparePairs(t, want, res.Pairs)
+				if i == 0 {
+					first = res
+				} else if res.PlannedPairs != first.PlannedPairs || res.PrunedPairs != first.PrunedPairs {
+					t.Fatalf("GOMAXPROCS %d: planned/pruned %d/%d, at 1: %d/%d",
+						procs, res.PlannedPairs, res.PrunedPairs, first.PlannedPairs, first.PrunedPairs)
+				}
+			}
+		})
+	}
 }
 
 func TestExecutorEmptyInput(t *testing.T) {
