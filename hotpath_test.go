@@ -43,8 +43,7 @@ func TestHotPathSourceRules(t *testing.T) {
 	// no distance.
 	t.Run("sqrt", func(t *testing.T) {
 		allowed := map[string]bool{
-			"Dist": true, "KeyToDist": true, "MinMinDist": true, "MinMaxDist": true,
-			"MaxMaxDist": true, "PointRectMinDist": true, "PointRectMinMaxDist": true,
+			"Dist": true, "KeyToDist": true,
 			"internal/rtree/bulk.go packLevel": true,
 		}
 		for _, f := range files {

@@ -55,16 +55,16 @@ func TestNodePairSize(t *testing.T) {
 // A parallel query allocates what the sequential one at the same K does,
 // plus at most one goroutine closure per worker, and within 2 % of its
 // bytes: the workers' shared state and each worker's join live in the
-// scratches. The four-worker case runs at GOMAXPROCS = 2: more workers than
-// cores must not cost a fresh scratch per query. The auto case is what the
-// facade's default call hands the engine, AutoParallelism, at GOMAXPROCS 2,
-// where the 20k-point trees take the task engine. Every case is measured
-// over several warm queries. A sequential case must meet its budget on
-// each of them. A parallel case is judged by its median: which scratch a
-// worker takes is up to the scheduler, so a parallel query now and then
-// still grows a worker's queue to a new high-water mark, or a worker
-// blocked on a contended lock takes a wait record the runtime has not yet
-// cached. Neither is the steady state the budget is about.
+// query's scratch and its worker slots. The four-worker case runs at
+// GOMAXPROCS = 2: more workers than cores must not cost a fresh scratch
+// per query. The auto case is what the facade's default call hands the
+// engine, AutoParallelism, at GOMAXPROCS 2, where the 20k-point trees take
+// the task engine. Every case is measured over several warm queries. A
+// sequential case must meet its budget on each of them. A parallel case is
+// judged by its median: the runtime's goroutine bookkeeping is not the
+// query's, and now and then a worker goroutine takes a descriptor or a
+// wait record the runtime has not yet cached. Neither is the steady state
+// the budget is about.
 func TestKCPQSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates shadow state and randomises scheduling")
@@ -155,12 +155,9 @@ func TestKCPQSteadyStateAllocs(t *testing.T) {
 		run()
 		run()
 		if c.workers > 1 {
-			// A worker's scratch has grown its queue and K-heap to their
-			// high-water marks only once it has run the task that sets
-			// them, and which worker runs which task is up to the
-			// scheduler: warm both over more queries. Each worker
-			// goroutine's descriptor comes from the runtime's free lists
-			// once they hold enough; fill them first.
+			// Each worker goroutine's descriptor comes from the runtime's
+			// free lists once they hold enough; fill them first, then warm
+			// them over more queries.
 			warmGoroutines(256)
 			for i := 0; i < 8; i++ {
 				run()
@@ -200,8 +197,8 @@ func TestKCPQSteadyStateAllocs(t *testing.T) {
 		}
 		// testing.AllocsPerRun pins GOMAXPROCS to 1 while it measures (so it
 		// comes last: resizing the runtime's cores empties their goroutine
-		// free lists): the free list must still keep a scratch for every
-		// worker (the auto case takes the sequential path there).
+		// free lists): the query's scratch must still keep a slot for
+		// every worker (the auto case takes the sequential path there).
 		if allocs := testing.AllocsPerRun(3, run); allocs > float64(budget.mallocs) {
 			t.Errorf("%s k=%d: %.0f allocations per warm query, budget %d", c.name, c.k, allocs, budget.mallocs)
 		}

@@ -32,7 +32,7 @@ type join struct {
 	// K > 1 under KPruneMaxMax. The effective pruning distance T is
 	// min(bound, K-heap threshold).
 	bound float64
-	stats statsAcc
+	stats workCounters
 
 	// span is the query's trace span, nil when tracing is disabled. lastT
 	// is the last effective bound T this join traced, so EvBoundTightened
@@ -256,7 +256,7 @@ func (j *join) readPair(p nodePair, f *frame) (na, nb *rtree.Node, err error) {
 	} else if err := j.tb.ReadNodeInto(p.b, nb); err != nil {
 		return nil, nil, err
 	}
-	j.stats.nodePairsProcessed.Add(1)
+	j.stats.nodePairsProcessed++
 	j.traceNodeExpanded(p)
 	return na, nb, nil
 }

@@ -86,8 +86,9 @@ func (j *join) runHeap(ctx context.Context, root nodePair) error {
 	}
 	f := j.sc.frame(0)
 	for h.Len() > 0 {
-		if j.stats.observeQueueLen(h.Len()) {
-			j.traceHighWater(h.Len())
+		if n := h.Len(); n > j.stats.maxQueueSize {
+			j.stats.maxQueueSize = n
+			j.traceHighWater(n)
 		}
 		if h.pairs[0].minminSq > j.T() {
 			// CP5: the heap is ordered, so no queued pair can qualify.
@@ -174,7 +175,7 @@ func (j *join) scanLeafBatch(ctx context.Context, p nodePair, na, nb *rtree.Node
 				return err
 			}
 		}
-		j.stats.nodePairsProcessed.Add(1)
+		j.stats.nodePairsProcessed++
 		j.traceNodeExpanded(sp)
 		j.scanLeaves(la, lb)
 		j.traceBound(obs.SourceKHeap)

@@ -156,7 +156,7 @@ func (j *join) beginExpand(sc *kernelScratch, p nodePair, na, nb *rtree.Node, cu
 	if e.diag {
 		e.subs = e.nA * (e.nA + 1) / 2
 	}
-	j.stats.subPairsGenerated.Add(int64(e.subs))
+	j.stats.subPairsGenerated += int64(e.subs)
 	if j.prunes() {
 		e.computeKeys()
 		e.hasKeys = true
@@ -436,7 +436,7 @@ func (e *expansion) finish(dst []nodePair, T float64) []nodePair {
 		}
 	}
 	if pruned > 0 {
-		j.stats.subPairsPruned.Add(pruned)
+		j.stats.subPairsPruned += pruned
 	}
 	return dst
 }

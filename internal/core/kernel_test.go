@@ -160,14 +160,14 @@ func TestKernelCounterParity(t *testing.T) {
 				walk(refPair{nodePair: root, ra: boundsA, rb: boundsB}, 0)
 				jk.release()
 				jr.release()
-				sk, sr := jk.stats.snapshot(), jr.stats.snapshot()
-				if sk.NodePairsProcessed != sr.NodePairsProcessed ||
-					sk.SubPairsGenerated != sr.SubPairsGenerated || sk.SubPairsPruned != sr.SubPairsPruned ||
+				sk, sr := jk.stats, jr.stats
+				if sk.nodePairsProcessed != sr.nodePairsProcessed ||
+					sk.subPairsGenerated != sr.subPairsGenerated || sk.subPairsPruned != sr.subPairsPruned ||
 					reads(jk)-readsK != reads(jr)-readsR {
 					t.Fatalf("%s: kernel walk (%d reads, %+v) deviates from reference walk (%d reads, %+v)",
 						name, reads(jk)-readsK, sk, reads(jr)-readsR, sr)
 				}
-				if sk.SubPairsGenerated == 0 || reads(jk) == readsK {
+				if sk.subPairsGenerated == 0 || reads(jk) == readsK {
 					t.Fatalf("%s: walk expanded nothing (%+v)", name, sk)
 				}
 				if !slices.Equal(appliedK, appliedR) {
@@ -214,7 +214,7 @@ func refExpandInto(j *join, p refPair, na, nb *rtree.Node) []refPair {
 	kept := subs[:0]
 	for _, sp := range subs {
 		if sp.minminSq > T {
-			j.stats.subPairsPruned.Add(1)
+			j.stats.subPairsPruned++
 			continue
 		}
 		kept = append(kept, sp)
@@ -260,7 +260,7 @@ func refExpandRaw(j *join, p refPair, na, nb *rtree.Node) []refPair {
 func refComputeSubs(j *join, p refPair, na, nb *rtree.Node) ([]refPair, expandMode) {
 	mode := j.modeFor(na, nb)
 	subs := refExpandRaw(j, p, na, nb)
-	j.stats.subPairsGenerated.Add(int64(len(subs)))
+	j.stats.subPairsGenerated += int64(len(subs))
 
 	if j.prunes() {
 		for i := range subs {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"slices"
 	"sync"
@@ -8,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/sortx"
 )
 
 // This file is the parallel mode of the HEAP algorithm (Options.Parallelism
@@ -23,10 +23,14 @@ import (
 // starts at the seed's T. A worker's K-heap lives across its tasks, which
 // are disjoint, so once full it holds K distinct pairs and its threshold
 // is a sound global bound. Merge: when a worker has run its share it
-// folds its K-heap into the query's under one mutex, once. Every prune is
-// a strict > against a valid upper bound and the K-heaps keep the
-// (distSq, refP, refQ) total order, so the result is the sequential
-// query's, pairs and order included.
+// folds its K-heap and its counters into the query's under one mutex,
+// once. Every prune is a strict > against a valid upper bound and the
+// K-heaps keep the (distSq, refP, refQ) total order, so the result is the
+// sequential query's, pairs and order included.
+//
+// Worker i runs in its own scratch, the query scratch's i-th worker slot,
+// and one goroutine writes its join: its counters are plain integers, and
+// the same share of tasks meets the same buffers on every warm run.
 //
 // Workers exchange no bound while they run: what a worker prunes depends
 // on its share and the seed's T alone, never on the schedule, so the
@@ -53,17 +57,12 @@ type taskRun struct {
 	failed  atomic.Bool // a task failed: every worker stops
 	wg      sync.WaitGroup
 
-	// mu guards the query's K-heap (j.kheap) and err, the first error.
-	mu  sync.Mutex
-	err error
-
-	// busyNanos is the time workers spent inside tasks, kept only when the
-	// query records metrics.
-	busyNanos atomic.Int64
-
-	// scratches holds each worker's scratch until every worker is done
-	// (releaseWorkers).
-	scratches []*queryScratch
+	// mu guards the query's K-heap (j.kheap) and counters (j.stats), busy,
+	// the time workers spent inside tasks (kept only when the query
+	// records metrics), and err, the first error.
+	mu   sync.Mutex
+	busy time.Duration
+	err  error
 }
 
 // runHeapParallel drives the HEAP algorithm from the root pair with the
@@ -72,10 +71,8 @@ type taskRun struct {
 // worker queue, and none depends on the schedule.
 //
 // Scratch: the seed, the query heap and the taskRun live in the join's
-// scratch; each worker takes one of its own from the free list and runs
-// its join in it, and the W scratches go back together once every worker
-// is done, so a run of W workers holds W + 1 scratches, and the free list
-// is widened to keep them all.
+// scratch; worker i runs its join in the scratch's i-th worker slot
+// (queryScratch.workers), which goes back to the free list inside it.
 //
 // Cancellation: the seed polls ctx before every expansion, a worker
 // before every task and, inside runHeap, every cancelStride pairs. Every
@@ -92,7 +89,6 @@ func (j *join) runHeapParallel(ctx context.Context, root nodePair, workers int) 
 	r := &j.sc.run
 	r.start(ctx, j, tasks, workers)
 	defer r.end()
-	noteWorkers(workers)
 	var em *obs.EngineMetrics // timestamps only for metrics
 	if o := j.opts.Observe; o != nil {
 		em = o.Metrics
@@ -108,42 +104,22 @@ func (j *join) runHeapParallel(ctx context.Context, root nodePair, workers int) 
 	}
 	r.work(0)
 	r.wg.Wait()
-	r.releaseWorkers()
 	if em != nil {
 		if wall := time.Since(wallStart).Seconds(); wall > 0 {
-			em.WorkerUtilization.Observe(float64(r.busyNanos.Load()) / 1e9 / (wall * float64(workers)))
+			em.WorkerUtilization.Observe(r.busy.Seconds() / (wall * float64(workers)))
 		}
 	}
 	return r.err
 }
 
-// start readies the run for one query's workers.
+// start readies the run for one query's workers, creating the worker
+// slots of the query's scratch that no earlier query used.
 func (r *taskRun) start(ctx context.Context, j *join, tasks []nodePair, workers int) {
-	r.j, r.ctx, r.tasks, r.workers, r.err = j, ctx, tasks, workers, nil
-	r.scratches = slices.Grow(r.scratches[:0], workers)[:workers]
+	r.j, r.ctx, r.tasks, r.workers, r.busy, r.err = j, ctx, tasks, workers, 0, nil
 	r.seedT = j.T()
 	r.failed.Store(false)
-	r.busyNanos.Store(0)
-}
-
-// releaseWorkers gives the workers' scratches back to the free list, each
-// queue grown to the longest among them. Which worker a scratch serves in
-// the next query is up to the scheduler, and the workers' queues differ in
-// length: a scratch that had only served short ones would grow again on
-// its first long one, long after the warm-up.
-func (r *taskRun) releaseWorkers() {
-	longest := 0
-	for _, sc := range r.scratches {
-		longest = max(longest, cap(sc.queue.pairs))
-	}
-	for i, sc := range r.scratches {
-		if cap(sc.queue.pairs) < longest {
-			// Exactly longest: append's rounding up would leave this queue
-			// the longest, and the next query would grow the others past it.
-			sc.queue.pairs = make([]nodePair, 0, longest)
-		}
-		releaseScratch(sc)
-		r.scratches[i] = nil
+	for len(j.sc.workers) < workers {
+		j.sc.workers = append(j.sc.workers, new(queryScratch))
 	}
 }
 
@@ -184,7 +160,15 @@ func (j *join) seedTasks(ctx context.Context, root nodePair, target int) ([]node
 		tasks, next = next, tasks
 	}
 	j.sc.tasks, f.subs = tasks, next
-	j.sc.sortBuf = sortx.SortBuf(tasks, j.sc.sortBuf, func(a, b nodePair) bool { return a.less(&b) }, sortx.Merge)
+	slices.SortStableFunc(tasks, func(a, b nodePair) int {
+		switch {
+		case a.less(&b):
+			return -1
+		case b.less(&a):
+			return 1
+		}
+		return 0
+	})
 	return tasks, nil
 }
 
@@ -207,61 +191,55 @@ func (j *join) worker(sc *queryScratch, t float64) *join {
 	return &sc.worker
 }
 
-// work is the life of the worker that starts at task first: take a
-// scratch, run its share of the tasks in the join it holds, then merge its
-// K-heap into the query's once (unless a task failed) and add its counters
-// to the query's. The scratch goes back with the other workers' once all
-// are done (releaseWorkers).
+// work is the life of the worker that starts at task first: run its share
+// of the tasks in its scratch slot's join, then, once and under the run's
+// mutex, fold its K-heap into the query's (unless a worker failed), its
+// counters by Stats.Merge's rule, and its busy time or its error.
 func (r *taskRun) work(first int) {
 	defer r.wg.Done()
-	sc := acquireScratch()
-	r.scratches[first] = sc
+	sc := r.j.sc.workers[first]
 	w := r.j.worker(sc, r.seedT)
-	if r.runTasks(w, first) {
-		r.merge(w)
+	busy, err := r.runTasks(w, first)
+	r.mu.Lock()
+	switch {
+	case err != nil:
+		r.err = cmp.Or(r.err, err)
+	case !r.failed.Load():
+		for i := range w.kheap.pairs {
+			r.j.kheap.offer(w.kheap.pairs[i])
+		}
 	}
-	r.j.stats.add(&w.stats)
+	q, c := &r.j.stats, &w.stats
+	q.nodePairsProcessed += c.nodePairsProcessed
+	q.subPairsGenerated += c.subPairsGenerated
+	q.subPairsPruned += c.subPairsPruned
+	q.pointPairsCompared += c.pointPairsCompared
+	q.maxQueueSize = max(q.maxQueueSize, c.maxQueueSize)
+	r.busy += busy
+	r.mu.Unlock()
 	sc.worker = join{} // pins no tree on the free list
 }
 
 // runTasks runs the sequential HEAP in w on tasks first, first + W, …
-// until its share is done. The first error stops every worker at its next
-// task; it reports whether w ended without one.
-func (r *taskRun) runTasks(w *join, first int) bool {
+// until its share is done, and returns the time it spent inside them when
+// the query records metrics. An error stops every worker at its next task.
+func (r *taskRun) runTasks(w *join, first int) (busy time.Duration, err error) {
 	timed := w.opts.Observe != nil && w.opts.Observe.Metrics != nil
-	for i := first; i < len(r.tasks); i += r.workers {
-		if r.failed.Load() {
-			return false
-		}
+	for i := first; i < len(r.tasks) && !r.failed.Load(); i += r.workers {
 		var t0 time.Time
 		if timed {
 			t0 = time.Now()
 		}
-		err := r.ctx.Err()
-		if err == nil {
+		if err = r.ctx.Err(); err == nil {
 			err = w.runHeap(r.ctx, r.tasks[i])
 		}
 		if err != nil {
-			r.mu.Lock()
-			if r.err == nil {
-				r.err = err
-			}
-			r.mu.Unlock()
 			r.failed.Store(true)
-			return false
+			return busy, err
 		}
 		if timed {
-			r.busyNanos.Add(time.Since(t0).Nanoseconds())
+			busy += time.Since(t0)
 		}
 	}
-	return true
-}
-
-// merge folds a worker's K-heap into the query's.
-func (r *taskRun) merge(w *join) {
-	r.mu.Lock()
-	for i := range w.kheap.pairs {
-		r.j.kheap.offer(w.kheap.pairs[i])
-	}
-	r.mu.Unlock()
+	return busy, nil
 }

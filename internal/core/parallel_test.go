@@ -188,7 +188,7 @@ func TestParallelTaskEngine(t *testing.T) {
 				if err := j.runHeapParallel(context.Background(), root, workers); err != nil {
 					t.Fatal(err)
 				}
-				stats := j.stats.snapshot()
+				nodePairs := j.stats.nodePairsProcessed
 				got := j.kheap.results(j.metric)
 				kth := j.kheap.pairs[len(j.kheap.pairs)-1].distSq // sorted by results
 				j.release()
@@ -200,8 +200,8 @@ func TestParallelTaskEngine(t *testing.T) {
 						expanded++
 					}
 				}
-				if expanded != stats.NodePairsProcessed {
-					t.Fatalf("%s: %d node_expanded events, NodePairsProcessed = %d", name, expanded, stats.NodePairsProcessed)
+				if expanded != nodePairs {
+					t.Fatalf("%s: %d node_expanded events, NodePairsProcessed = %d", name, expanded, nodePairs)
 				}
 				steps := boundSteps(trace.events)
 				if len(steps) == 0 {

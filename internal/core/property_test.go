@@ -128,7 +128,7 @@ func TestTieKeyProperties(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		a, b := randRect(), randRect()
 		// T2's key equals MINMAXDIST^2.
-		if got, want := tieKeyFor(Tie2, geom.L2(), a, b, 1, 1), geom.MinMaxDistSq(a, b); got != want {
+		if got, want := tieKeyFor(Tie2, geom.L2(), a, b, 1, 1), geom.L2().MinMaxKey(a, b); got != want {
 			t.Fatalf("T2 key = %g, want %g", got, want)
 		}
 		// T3 prefers larger area sums: growing one rect must not increase

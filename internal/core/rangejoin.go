@@ -59,7 +59,7 @@ func WithinDistanceContext(ctx context.Context, ta, tb *rtree.Tree, eps float64,
 		p := f.subs[len(f.subs)-1]
 		f.subs = f.subs[:len(f.subs)-1]
 		if p.minminSq > epsKey {
-			j.stats.subPairsPruned.Add(1)
+			j.stats.subPairsPruned++
 			continue
 		}
 		na, nb, err := j.readPair(p, f)

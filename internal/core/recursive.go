@@ -17,7 +17,7 @@ func (j *join) runRecursive(ctx context.Context, p nodePair, depth int) error {
 		return err
 	}
 	if j.prunes() && p.minminSq > j.T() {
-		j.stats.subPairsPruned.Add(1)
+		j.stats.subPairsPruned++
 		return nil
 	}
 	f := j.sc.frame(depth)

@@ -13,10 +13,11 @@ import (
 // to step: the decoded nodes and sub-pair lists of each recursion depth,
 // the expansion kernel's flat arrays, and the backing arrays of the
 // node-pair queue and of the K-heap. One query holds one scratch from
-// start to end, and each worker of the parallel engine one more for the
-// join it runs its tasks in (worker); of the query's own, only the result
-// heap and the workers' shared state (run) are shared, the heap behind the
-// engine's one mutex.
+// start to end. A parallel query's worker i runs its join (worker) in the
+// scratch's i-th worker slot, which the scratch owns and keeps across
+// queries; of the query's own scratch, only the result heap, the join's
+// counters and the workers' shared state (run) are shared, the first two
+// behind the engine's one mutex.
 //
 // Ownership rule: a decoded node is valid until the same depth's next
 // readPair, and nothing in the scratch outlives the query — results leave
@@ -26,13 +27,14 @@ import (
 type queryScratch struct {
 	frames  []*frame
 	kern    kernelScratch
-	tasks   []nodePair // the parallel engine's seeded task list
-	sortBuf []nodePair // STD's merge-sort working space
-	queue   pairHeap   // the HEAP queue
-	kheap   kHeap      // the join's result heap (a worker's, in parallel)
-	run     taskRun    // a parallel query's workers' shared state
-	worker  join       // the join a parallel worker runs its tasks in
-	leaves  leafFrame  // a task-engine worker's leaf batch (scanLeafBatch)
+	tasks   []nodePair      // the parallel engine's seeded task list
+	sortBuf []nodePair      // STD's merge-sort working space
+	queue   pairHeap        // the HEAP queue
+	kheap   kHeap           // the join's result heap (a worker's, in parallel)
+	run     taskRun         // a parallel query's workers' shared state
+	worker  join            // the join a parallel worker runs its tasks in
+	leaves  leafFrame       // a task-engine worker's leaf batch (scanLeafBatch)
+	workers []*queryScratch // a parallel query's worker i runs in workers[i]
 }
 
 // frame is one recursion depth's share of the scratch: the two nodes of
@@ -106,41 +108,28 @@ func (s *leafSide) leaf(t *rtree.Tree, id storage.PageID) (*rtree.Node, error) {
 	return n, nil
 }
 
-// scratchRetainBytes is the largest queue-plus-heaps backing a scratch may
-// carry back into the free list. The queue of one query over two
-// 100k-point trees at K = 10⁴ is 23 MB; a scratch grown beyond 64 MB by
-// one exceptional query is dropped rather than pinned for the life of the
-// process.
+// scratchRetainBytes is the largest queue-plus-heaps backing a scratch,
+// with its worker scratches, may carry back into the free list. The queue
+// of one query over two 100k-point trees at K = 10⁴ is 23 MB; a scratch
+// grown beyond 64 MB by one exceptional query is dropped rather than
+// pinned for the life of the process.
 const scratchRetainBytes = 64 << 20
 
 // scratchFree is the one reuse point of the query engine: a LIFO free list
-// of scratches, bounded at max(GOMAXPROCS, widest) + 1 entries, where
-// widest is the most workers any parallel query in the process has run —
-// what one parallel query at that width holds (a scratch per worker and
-// the join's own), so that it too finds every scratch warm the next time.
-// A query with more workers than cores (WithParallelism(n) takes n as
-// given) would otherwise build the surplus anew on every call. It is
-// deliberately not a sync.Pool: a Pool's per-P slots and its emptying
-// every second GC made the multi-megabyte queue backing come back only
-// some of the time (measured: 62 MB/query one run, 102 MB the next), while
-// a list hands the same warm scratch to the next query every time.
+// of query scratches, bounded at GOMAXPROCS + 1 entries, each with the
+// worker scratches its parallel queries have used. It is deliberately not
+// a sync.Pool: a Pool's per-P slots and its emptying every second GC made
+// the multi-megabyte queue backing come back only some of the time
+// (measured: 62 MB/query one run, 102 MB the next), while a list hands the
+// same warm scratch to the next query every time.
 var scratchFree struct {
-	mu     sync.Mutex
-	list   []*queryScratch
-	widest int
+	mu   sync.Mutex
+	list []*queryScratch
 }
 
-// noteWorkers records that a parallel query runs n workers, widening the
-// free list's bound to hold its scratches.
-func noteWorkers(n int) {
-	scratchFree.mu.Lock()
-	scratchFree.widest = max(scratchFree.widest, n)
-	scratchFree.mu.Unlock()
-}
-
-// scratchRetainCount is the free list's bound. Caller holds scratchFree.mu.
+// scratchRetainCount is the free list's bound.
 func scratchRetainCount() int {
-	return max(runtime.GOMAXPROCS(0), scratchFree.widest) + 1
+	return runtime.GOMAXPROCS(0) + 1
 }
 
 // acquireScratch takes the most recently released scratch, or a new one.
@@ -158,10 +147,10 @@ func acquireScratch() *queryScratch {
 }
 
 // releaseScratch returns a scratch once its query is over, whatever the
-// outcome. It keeps no pointers into the trees or the caller's data (its
-// buffers hold plain values; run and worker are cleared by their users),
-// so there is nothing to clear here; every user resets the lengths it
-// needs on entry.
+// outcome, its worker scratches with it. It keeps no pointers into the
+// trees or the caller's data (its buffers hold plain values; run and each
+// worker slot's worker are cleared by their users), so there is nothing
+// to clear here; every user resets the lengths it needs on entry.
 func releaseScratch(sc *queryScratch) {
 	if sc.retainedBytes() > scratchRetainBytes {
 		return
@@ -174,9 +163,13 @@ func releaseScratch(sc *queryScratch) {
 }
 
 // retainedBytes is the size of the buffers that scale with the query (K
-// and the queue's high-water mark); the rest is bounded by node capacity
-// and tree height.
+// and the queue's high-water mark), its worker scratches' included; the
+// rest is bounded by node capacity and tree height.
 func (sc *queryScratch) retainedBytes() int {
-	return cap(sc.queue.pairs)*int(unsafe.Sizeof(nodePair{})) +
+	n := cap(sc.queue.pairs)*int(unsafe.Sizeof(nodePair{})) +
 		cap(sc.kheap.pairs)*int(unsafe.Sizeof(kPair{}))
+	for _, w := range sc.workers {
+		n += w.retainedBytes()
+	}
+	return n
 }

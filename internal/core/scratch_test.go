@@ -19,9 +19,19 @@ func freeListLen() int {
 
 // freeListBound is the most scratches the free list may retain now.
 func freeListBound() int {
+	return scratchRetainCount()
+}
+
+// lastReleased is the scratch on top of the free list: the one the last
+// query released and the next query takes.
+func lastReleased(t *testing.T) *queryScratch {
+	t.Helper()
 	scratchFree.mu.Lock()
 	defer scratchFree.mu.Unlock()
-	return scratchRetainCount()
+	if len(scratchFree.list) == 0 {
+		t.Fatal("the free list is empty")
+	}
+	return scratchFree.list[len(scratchFree.list)-1]
 }
 
 // TestResultsDoNotAliasScratch: the pairs a query returns are the caller's.
@@ -141,28 +151,40 @@ func TestScratchSurvivesFailedQueries(t *testing.T) {
 	}
 }
 
-// TestScratchRetentionBound: the free list keeps max(GOMAXPROCS, the
-// widest parallel query's workers) + 1 scratches at most, and not one
-// whose query-sized buffers outgrew the byte cap. A query with more
-// workers than GOMAXPROCS holds W + 1 scratches, and gets all of them back.
+// TestScratchRetentionBound: the free list keeps GOMAXPROCS + 1 query
+// scratches at most, and not one whose query-sized buffers, its worker
+// scratches' included, outgrew the byte cap. A query with more workers
+// than GOMAXPROCS gets its scratch back holding one worker scratch per
+// worker.
 func TestScratchRetentionBound(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
-	if got := freeListBound(); got < procs+1 {
-		t.Fatalf("free list bound %d, below GOMAXPROCS + 1 = %d", got, procs+1)
+	if got := freeListBound(); got != procs+1 {
+		t.Fatalf("free list bound %d, want GOMAXPROCS + 1 = %d", got, procs+1)
 	}
 	ps, qs := uniformPoints(9980, 1500, 0), uniformPoints(9990, 1500, 0)
 	ta, tb := buildTree(t, ps, 256), buildTree(t, qs, 256)
+	// Take every scratch off the list, so the query builds its own.
+	var held []*queryScratch
+	for freeListLen() > 0 {
+		held = append(held, acquireScratch())
+	}
 	wide := DefaultOptions(Heap)
 	wide.Parallelism = procs + 2
 	if _, _, err := KClosestPairs(ta, tb, 10, wide); err != nil {
 		t.Fatal(err)
 	}
-	if got := freeListLen(); got < wide.Parallelism+1 {
-		t.Fatalf("after a %d-worker query the free list holds %d scratches, want its %d", wide.Parallelism, got, wide.Parallelism+1)
+	if got := freeListLen(); got != 1 {
+		t.Fatalf("after a %d-worker query the free list holds %d scratches, want its 1", wide.Parallelism, got)
+	}
+	if sc := lastReleased(t); len(sc.workers) != wide.Parallelism {
+		t.Fatalf("a %d-worker query's scratch came back with %d worker scratches", wide.Parallelism, len(sc.workers))
+	}
+	for _, sc := range held {
+		releaseScratch(sc)
 	}
 
 	bound := freeListBound()
-	held := make([]*queryScratch, bound+3)
+	held = make([]*queryScratch, bound+3)
 	for i := range held {
 		held[i] = acquireScratch()
 	}
@@ -173,18 +195,65 @@ func TestScratchRetentionBound(t *testing.T) {
 		t.Fatalf("free list holds %d scratches after %d releases, want %d", got, len(held), bound)
 	}
 	sc := acquireScratch()
-	sc.queue.pairs = make([]nodePair, 0, scratchRetainBytes/40+1)
+	oversized := &queryScratch{queue: pairHeap{pairs: make([]nodePair, 0, scratchRetainBytes/40+1)}}
+	sc.workers = append(sc.workers, oversized)
 	releaseScratch(sc)
 	if got := freeListLen(); got != bound-1 {
-		t.Fatalf("an oversized scratch was retained: %d on the list, want %d", got, bound-1)
+		t.Fatalf("a scratch with an oversized worker queue was retained: %d on the list, want %d", got, bound-1)
+	}
+}
+
+// TestParallelWorkerScratchesStayWarm: a parallel query's worker i runs in
+// its scratch's i-th worker slot, so the same share of tasks meets the
+// same buffers every time. Once two warm queries have run, ten more
+// identical ones grow neither the scratch nor any worker queue, with as
+// many workers as cores and with more.
+func TestParallelWorkerScratchesStayWarm(t *testing.T) {
+	ps, qs := uniformPoints(9930, 3000, 0), uniformPoints(9940, 3000, 0)
+	ta, tb := buildTree(t, ps, 256), buildTree(t, qs, 256)
+	for _, workers := range []int{2, runtime.GOMAXPROCS(0) + 2} {
+		opts := DefaultOptions(Heap)
+		opts.Parallelism = workers
+		run := func() *queryScratch {
+			t.Helper()
+			if _, _, err := KClosestPairs(ta, tb, 100, opts); err != nil {
+				t.Fatal(err)
+			}
+			return lastReleased(t)
+		}
+		run()
+		sc := run()
+		if len(sc.workers) < workers {
+			t.Fatalf("W=%d: the query's scratch holds %d worker scratches", workers, len(sc.workers))
+		}
+		bytes, queues := sc.retainedBytes(), make([]int, workers)
+		for i := range queues {
+			queues[i] = cap(sc.workers[i].queue.pairs)
+			if queues[i] == 0 {
+				t.Fatalf("W=%d: worker %d's scratch has no queue", workers, i)
+			}
+		}
+		for q := range 10 {
+			if got := run(); got != sc {
+				t.Fatalf("W=%d: query %d ran in another scratch", workers, q)
+			}
+			if got := sc.retainedBytes(); got != bytes {
+				t.Fatalf("W=%d: query %d: the scratch retains %d bytes, %d after the warm-up", workers, q, got, bytes)
+			}
+			for i, c := range queues {
+				if got := cap(sc.workers[i].queue.pairs); got != c {
+					t.Fatalf("W=%d: query %d: worker %d's queue holds %d pairs, %d after the warm-up", workers, q, i, got, c)
+				}
+			}
+		}
 	}
 }
 
 // TestFreeListPinsNoQuery: the parallel engine keeps the workers' shared
-// state and each worker's join in scratches, and clears both before a
-// scratch goes back on the free list, after a failed query too. An idle
-// scratch holds no tree, context, task list or observer of a finished
-// query.
+// state in the query's scratch and each worker's join in its worker slot,
+// and clears both before the scratch goes back on the free list, after a
+// failed query too. An idle scratch, and each of its worker scratches,
+// holds no tree, context, task list or observer of a finished query.
 func TestFreeListPinsNoQuery(t *testing.T) {
 	ps, qs := uniformPoints(9970, 1500, 0), uniformPoints(9975, 1500, 0)
 	ta, fa := buildFaultTree(t, ps)
@@ -195,10 +264,19 @@ func TestFreeListPinsNoQuery(t *testing.T) {
 		t.Helper()
 		scratchFree.mu.Lock()
 		defer scratchFree.mu.Unlock()
+		pins := func(sc *queryScratch) bool {
+			r, w := &sc.run, &sc.worker
+			return r.j != nil || r.ctx != nil || r.tasks != nil ||
+				w.ta != nil || w.tb != nil || w.sc != nil || w.opts.Observe != nil
+		}
 		for i, sc := range scratchFree.list {
-			if r, w := &sc.run, &sc.worker; r.j != nil || r.ctx != nil || r.tasks != nil ||
-				w.ta != nil || w.tb != nil || w.sc != nil || w.opts.Observe != nil {
+			if pins(sc) {
 				t.Fatalf("%s: free-list scratch %d still holds its query's state", what, i)
+			}
+			for k, wsc := range sc.workers {
+				if pins(wsc) {
+					t.Fatalf("%s: worker scratch %d of free-list scratch %d still holds its query's state", what, k, i)
+				}
 			}
 		}
 	}

@@ -109,7 +109,7 @@ func (j *join) semiLeaf(ctx context.Context, f *frame, out *[]Pair) error {
 		if err := j.tb.ReadNodeInto(p.b, &f.nb); err != nil {
 			return err
 		}
-		j.stats.nodePairsProcessed.Add(1)
+		j.stats.nodePairsProcessed++
 		if f.nb.IsLeaf() {
 			worst = j.semiScan(best, f.nb.Entries)
 			continue
@@ -137,7 +137,7 @@ func (j *join) semiScan(best []Pair, qs []rtree.Entry) float64 {
 			}
 		}
 	}
-	j.stats.pointPairsCompared.Add(int64(len(qs) * len(best)))
+	j.stats.pointPairsCompared += int64(len(qs) * len(best))
 	worst := 0.0
 	for i := range best {
 		worst = max(worst, best[i].Dist)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/storage"
 )
@@ -64,11 +63,8 @@ func (s Stats) String() string {
 // the queue high-water mark takes the maximum. It is the one aggregation
 // helper for combining partial query stats — the query's per-tree
 // cache-delta fold goes through it, so a new Stats field only needs its
-// combination rule stated here (and in statsAcc.add, which folds a
-// parallel worker's live counters the same way). Merge operates on
-// snapshots: take them with statsAcc.snapshot (or pool/cache Stats
-// diffs) first; the snapshots themselves are plain values, so merging
-// needs no atomics.
+// combination rule stated here (and in taskRun.work, which folds a
+// parallel worker's workCounters the same way).
 func (s *Stats) Merge(other Stats) {
 	s.IOP = s.IOP.Add(other.IOP)
 	s.IOQ = s.IOQ.Add(other.IOQ)
@@ -93,59 +89,30 @@ func (s Stats) NodeCacheHitRatio() float64 {
 	return float64(s.NodeCacheHits) / float64(lookups)
 }
 
-// statsAcc accumulates the work counters of one join with atomic
-// operations, so a parallel query's workers can fold theirs into the
-// query's while the race detector stays clean. IO deltas are attached
-// when the query finishes (see snapshot callers).
-type statsAcc struct {
-	nodePairsProcessed atomic.Int64
-	subPairsGenerated  atomic.Int64
-	subPairsPruned     atomic.Int64
-	pointPairsCompared atomic.Int64
-	maxQueueSize       atomic.Int64
-}
-
-// add folds a parallel worker's counters into the query's, by Merge's
-// rule: work counters add, the queue mark takes the maximum.
-func (a *statsAcc) add(w *statsAcc) {
-	a.nodePairsProcessed.Add(w.nodePairsProcessed.Load())
-	a.subPairsGenerated.Add(w.subPairsGenerated.Load())
-	a.subPairsPruned.Add(w.subPairsPruned.Load())
-	a.pointPairsCompared.Add(w.pointPairsCompared.Load())
-	a.observeQueueLen(int(w.maxQueueSize.Load()))
-}
-
-// observeQueueLen raises the queue high-water mark (CAS max-update) and
-// reports whether n set a new mark — the signal behind EvHeapHighWater.
-func (a *statsAcc) observeQueueLen(n int) bool {
-	v := int64(n)
-	for {
-		cur := a.maxQueueSize.Load()
-		if v <= cur {
-			return false
-		}
-		if a.maxQueueSize.CompareAndSwap(cur, v) {
-			return true
-		}
-	}
-}
-
-// snapshot converts the accumulated counters into the public Stats value.
-func (a *statsAcc) snapshot() Stats {
-	return Stats{
-		NodePairsProcessed: a.nodePairsProcessed.Load(),
-		SubPairsGenerated:  a.subPairsGenerated.Load(),
-		SubPairsPruned:     a.subPairsPruned.Load(),
-		PointPairsCompared: a.pointPairsCompared.Load(),
-		MaxQueueSize:       int(a.maxQueueSize.Load()),
-	}
+// workCounters are the work counters of one join. One goroutine writes
+// them: the query's own, or a parallel worker, whose join folds them into
+// the query's once, under the run's mutex, by Merge's rule (taskRun.work).
+// IO deltas are attached when the query finishes (poolStats).
+type workCounters struct {
+	nodePairsProcessed int64
+	subPairsGenerated  int64
+	subPairsPruned     int64
+	pointPairsCompared int64
+	maxQueueSize       int
 }
 
 // poolStats is the join's counters with the access deltas of the two
 // trees' pools since startA and startB, a shared pool's reported once.
 func (j *join) poolStats(startA, startB storage.IOStats) Stats {
-	stats := j.stats.snapshot()
-	stats.IOP = j.ta.Pool().Stats().Sub(startA)
+	c := &j.stats
+	stats := Stats{
+		IOP:                j.ta.Pool().Stats().Sub(startA),
+		NodePairsProcessed: c.nodePairsProcessed,
+		SubPairsGenerated:  c.subPairsGenerated,
+		SubPairsPruned:     c.subPairsPruned,
+		PointPairsCompared: c.pointPairsCompared,
+		MaxQueueSize:       c.maxQueueSize,
+	}
 	if j.ta.Pool() != j.tb.Pool() {
 		stats.IOQ = j.tb.Pool().Stats().Sub(startB)
 	}

@@ -83,7 +83,7 @@ func (j *join) scanLeavesSweep(na, nb *rtree.Node, kh *kHeap, extBound float64) 
 			}
 		}
 	}
-	j.stats.pointPairsCompared.Add(compared)
+	j.stats.pointPairsCompared += compared
 	j.traceSweepPruned(int64(len(na.Entries)*len(nb.Entries)) - compared)
 }
 
@@ -117,7 +117,7 @@ func (j *join) scanLeafSelf(n *rtree.Node, kh *kHeap, extBound float64) {
 			}
 		}
 	}
-	j.stats.pointPairsCompared.Add(compared)
+	j.stats.pointPairsCompared += compared
 	j.traceSweepPruned(int64(len(es)*(len(es)-1)/2) - compared)
 }
 

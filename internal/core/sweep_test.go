@@ -51,7 +51,7 @@ func checkSweepLeaf(t *testing.T, m geom.Metric, as, bs []rtree.Entry, k int, ex
 	na, nb := rtree.Node{Entries: slices.Clone(as)}, rtree.Node{Entries: slices.Clone(bs)}
 	j.scanLeavesSweep(&na, &nb, got, extBound)
 
-	if c := j.stats.pointPairsCompared.Load(); c > int64(len(as)*len(bs)) {
+	if c := j.stats.pointPairsCompared; c > int64(len(as)*len(bs)) {
 		t.Fatalf("sweep compared %d pairs of %d x %d leaves", c, len(as), len(bs))
 	}
 
@@ -64,10 +64,10 @@ func checkSweepLeaf(t *testing.T, m geom.Metric, as, bs []rtree.Entry, k int, ex
 	rtree.OrderLeaf(wa.Entries)
 	rtree.OrderLeaf(wb.Entries)
 	jw.scanLeavesSweep(&wa, &wb, stored, extBound)
-	if jw.stats.pointPairsCompared.Load() != j.stats.pointPairsCompared.Load() ||
+	if jw.stats.pointPairsCompared != j.stats.pointPairsCompared ||
 		!slices.Equal(stored.sort(), got.sort()) {
 		t.Fatalf("k=%d ext=%g: scan of writer-ordered leaves (%d pairs compared) differs from scan of the same leaves unordered (%d)",
-			k, extBound, jw.stats.pointPairsCompared.Load(), j.stats.pointPairsCompared.Load())
+			k, extBound, jw.stats.pointPairsCompared, j.stats.pointPairsCompared)
 	}
 	within := func(h *kHeap) []kPair {
 		ps := h.sort()

@@ -126,7 +126,7 @@ func TestPlaceWithOverlap(t *testing.T) {
 			t.Errorf("portion %g: workspace overlap area = %g", portion, got)
 		}
 		for i, p := range placed {
-			if !ws.ContainsPoint(p) {
+			if !ws.Contains(p.Rect()) {
 				t.Fatalf("portion %g: point %v outside workspace %v", portion, p, ws)
 			}
 			if math.Abs(p.Y-pts[i].Y) > 0 {

@@ -18,30 +18,33 @@ func benchRects(n int) ([]Rect, []Rect) {
 
 func BenchmarkMinMinDistSq(bb *testing.B) {
 	a, b := benchRects(1024)
+	m := L2()
 	bb.ResetTimer()
 	var sink float64
 	for i := 0; i < bb.N; i++ {
-		sink += MinMinDistSq(a[i%1024], b[i%1024])
+		sink += m.MinMinKey(a[i%1024], b[i%1024])
 	}
 	_ = sink
 }
 
 func BenchmarkMinMaxDistSq(bb *testing.B) {
 	a, b := benchRects(1024)
+	m := L2()
 	bb.ResetTimer()
 	var sink float64
 	for i := 0; i < bb.N; i++ {
-		sink += MinMaxDistSq(a[i%1024], b[i%1024])
+		sink += m.MinMaxKey(a[i%1024], b[i%1024])
 	}
 	_ = sink
 }
 
 func BenchmarkMaxMaxDistSq(bb *testing.B) {
 	a, b := benchRects(1024)
+	m := L2()
 	bb.ResetTimer()
 	var sink float64
 	for i := 0; i < bb.N; i++ {
-		sink += MaxMaxDistSq(a[i%1024], b[i%1024])
+		sink += m.MaxMaxKey(a[i%1024], b[i%1024])
 	}
 	_ = sink
 }

@@ -6,12 +6,13 @@ import (
 )
 
 // FuzzMetricOrder asserts the paper's Inequalities 1 and 2 (Section 2.3)
-// on arbitrary rectangle pairs: for any two MBRs,
+// on arbitrary rectangle pairs under the Euclidean metric: for any two
+// MBRs,
 //
 //	MINMINDIST <= MINMAXDIST <= MAXMAXDIST
 //
-// both in the squared forms the pruning hot paths compare and in the
-// reported (rooted) forms, plus the side conditions the algorithms lean
+// both in the keys (squared distances) the pruning hot paths compare and
+// in the reported (rooted) forms, plus the side conditions the algorithms lean
 // on: all three are non-negative, and MINMINDIST is exactly 0 for
 // intersecting rectangles. The engine's correctness rests on this chain —
 // TestHotPathSourceRules keeps roots out of comparisons, and this fuzz
@@ -31,9 +32,10 @@ func FuzzMetricOrder(f *testing.F) {
 		a := rectFrom(ax, ay, bx, by)
 		b := rectFrom(cx, cy, dx, dy)
 
-		minmin := MinMinDistSq(a, b)
-		minmax := MinMaxDistSq(a, b)
-		maxmax := MaxMaxDistSq(a, b)
+		m := L2()
+		minmin := m.MinMinKey(a, b)
+		minmax := m.MinMaxKey(a, b)
+		maxmax := m.MaxMaxKey(a, b)
 		if minmin < 0 || minmax < 0 || maxmax < 0 {
 			t.Fatalf("negative squared metric: minmin=%g minmax=%g maxmax=%g", minmin, minmax, maxmax)
 		}
@@ -49,7 +51,7 @@ func FuzzMetricOrder(f *testing.F) {
 
 		// The reported distances must order the same way (the root is
 		// monotone) and agree with the squared forms.
-		dMin, dMid, dMax := MinMinDist(a, b), MinMaxDist(a, b), MaxMaxDist(a, b)
+		dMin, dMid, dMax := m.KeyToDist(minmin), m.KeyToDist(minmax), m.KeyToDist(maxmax)
 		if dMin > dMid || dMid > dMax {
 			t.Errorf("rooted metrics out of order: %g %g %g for %v %v", dMin, dMid, dMax, a, b)
 		}

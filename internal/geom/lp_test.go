@@ -111,23 +111,239 @@ func TestMetricTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestMetricL2MatchesLegacyFunctions(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
+func TestMinMinDistBasic(t *testing.T) {
 	m := L2()
-	for i := 0; i < 1000; i++ {
+	a := Rect{Point{0, 0}, Point{1, 1}}
+	cases := []struct {
+		b    Rect
+		want float64 // the distance, not its key
+	}{
+		{Rect{Point{2, 0}, Point{3, 1}}, 1},     // right of a
+		{Rect{Point{0, 3}, Point{1, 4}}, 2},     // above a
+		{Rect{Point{4, 5}, Point{6, 7}}, 5},     // diagonal: dx=3, dy=4
+		{Rect{Point{0.5, 0.5}, Point{2, 2}}, 0}, // overlapping
+		{Rect{Point{1, 0}, Point{2, 1}}, 0},     // touching
+		{Rect{Point{-3, -4}, Point{-3, -4}}, 5}, // point rect, diagonal
+		{Rect{Point{0.2, 0.2}, Point{0.8, 0.8}}, 0} /* contained */}
+	for _, c := range cases {
+		if got := m.KeyToDist(m.MinMinKey(a, c.b)); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("MINMINDIST(%v, %v) = %g, want %g", a, c.b, got, c.want)
+		}
+		if got, want := m.MinMinKey(a, c.b), c.want*c.want; math.Abs(got-want) > 1e-12 {
+			t.Errorf("L2.MinMinKey(%v, %v) = %g, want %g", a, c.b, got, want)
+		}
+	}
+}
+
+func TestMaxMaxDistBasic(t *testing.T) {
+	m := L2()
+	a := Rect{Point{0, 0}, Point{1, 1}}
+	b := Rect{Point{2, 0}, Point{3, 1}}
+	// Farthest corners: (0,0)-(3,1) or (0,1)-(3,0): sqrt(9+1).
+	if got := m.KeyToDist(m.MaxMaxKey(a, b)); math.Abs(got-math.Sqrt(10)) > 1e-12 {
+		t.Errorf("MAXMAXDIST = %g, want sqrt(10)", got)
+	}
+	// Identical unit squares: diagonal.
+	if got := m.KeyToDist(m.MaxMaxKey(a, a)); math.Abs(got-math.Sqrt2) > 1e-12 {
+		t.Errorf("MAXMAXDIST(a, a) = %g, want sqrt(2)", got)
+	}
+}
+
+func TestMinMaxDistBasic(t *testing.T) {
+	m := L2()
+	a := Rect{Point{0, 0}, Point{1, 1}}
+	b := Rect{Point{2, 0}, Point{3, 1}}
+	// Best edge pair: right edge of a (x=1) and left edge of b (x=2).
+	// MAXDIST of those edges = max corner-to-corner = sqrt(1 + 1).
+	if got := m.KeyToDist(m.MinMaxKey(a, b)); math.Abs(got-math.Sqrt2) > 1e-12 {
+		t.Errorf("MINMAXDIST = %g, want sqrt(2)", got)
+	}
+}
+
+func TestMetricsOnDegenerateRects(t *testing.T) {
+	// For two point-rects all three metrics collapse to the point distance.
+	p, q := Point{1, 2}, Point{4, 6}
+	a, b := p.Rect(), q.Rect()
+	for _, m := range metricsUnderTest(t) {
+		want := m.Key(p, q)
+		for name, got := range map[string]float64{
+			"MinMinKey": m.MinMinKey(a, b),
+			"MinMaxKey": m.MinMaxKey(a, b),
+			"MaxMaxKey": m.MaxMaxKey(a, b),
+		} {
+			if math.Abs(got-want) > 1e-12 {
+				t.Errorf("%v.%s = %g, want %g", m, name, got, want)
+			}
+		}
+	}
+}
+
+func TestMetricOrderingProperty(t *testing.T) {
+	// MINMINDIST <= MINMAXDIST <= MAXMAXDIST for random rect pairs.
+	m := L2()
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 2000; i++ {
 		a, b := randRect(rng, 10), randRect(rng, 10)
-		if m.MinMinKey(a, b) != MinMinDistSq(a, b) {
-			t.Fatal("MinMinKey != MinMinDistSq")
+		mn, mm, mx := m.MinMinKey(a, b), m.MinMaxKey(a, b), m.MaxMaxKey(a, b)
+		if mn > mm+1e-9 || mm > mx+1e-9 {
+			t.Fatalf("metric ordering violated: a=%v b=%v mn=%g mm=%g mx=%g",
+				a, b, mn, mm, mx)
 		}
-		if m.MaxMaxKey(a, b) != MaxMaxDistSq(a, b) {
-			t.Fatal("MaxMaxKey != MaxMaxDistSq")
+	}
+}
+
+func TestInequalityOneProperty(t *testing.T) {
+	// Inequality 1: MINMINDIST <= dist(p,q) <= MAXMAXDIST for all p in a,
+	// q in b.
+	m := L2()
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		a, b := randRect(rng, 5), randRect(rng, 5)
+		mn, mx := m.MinMinKey(a, b), m.MaxMaxKey(a, b)
+		for j := 0; j < 20; j++ {
+			p, q := randPointIn(rng, a), randPointIn(rng, b)
+			d := m.Key(p, q)
+			if d < mn-1e-9 || d > mx+1e-9 {
+				t.Fatalf("inequality 1 violated: a=%v b=%v p=%v q=%v d=%g mn=%g mx=%g",
+					a, b, p, q, d, mn, mx)
+			}
 		}
-		if math.Abs(m.MinMaxKey(a, b)-MinMaxDistSq(a, b)) > 1e-9 {
-			t.Fatal("MinMaxKey != MinMaxDistSq")
+	}
+}
+
+func TestInequalityTwoProperty(t *testing.T) {
+	// Inequality 2: when every edge of both MBRs carries a data point, some
+	// pair has distance <= MINMAXDIST. Build MBRs of random point sets that
+	// overlap in part (so the edge property holds) and verify the minimum
+	// pairwise distance does not exceed MINMAXDIST.
+	m := L2()
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 300; i++ {
+		ps := make([]Point, 5+rng.Intn(10))
+		qs := make([]Point, 5+rng.Intn(10))
+		for j := range ps {
+			ps[j] = Point{rng.Float64() * 10, rng.Float64() * 10}
 		}
-		p := Point{X: rng.Float64() * 20, Y: rng.Float64() * 20}
-		if m.PointRectMinKey(p, a) != PointRectMinDistSq(p, a) {
-			t.Fatal("PointRectMinKey != PointRectMinDistSq")
+		for j := range qs {
+			qs[j] = Point{rng.Float64()*10 + 5, rng.Float64() * 10}
+		}
+		a, b := mbrOf(ps...), mbrOf(qs...)
+		mm := m.MinMaxKey(a, b)
+		best := math.Inf(1)
+		for _, p := range ps {
+			for _, q := range qs {
+				best = min(best, m.Key(p, q))
+			}
+		}
+		if best > mm+1e-9 {
+			t.Fatalf("inequality 2 violated: best=%g minmax=%g a=%v b=%v",
+				best, mm, a, b)
+		}
+	}
+}
+
+func TestMetricsSymmetry(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, m := range metricsUnderTest(t) {
+		for i := 0; i < 1000; i++ {
+			a, b := randRect(rng, 10), randRect(rng, 10)
+			if m.MinMinKey(a, b) != m.MinMinKey(b, a) {
+				t.Fatalf("%v.MinMinKey must be symmetric", m)
+			}
+			if m.MaxMaxKey(a, b) != m.MaxMaxKey(b, a) {
+				t.Fatalf("%v.MaxMaxKey must be symmetric", m)
+			}
+			if math.Abs(m.MinMaxKey(a, b)-m.MinMaxKey(b, a)) > 1e-9 {
+				t.Fatalf("%v.MinMaxKey must be symmetric", m)
+			}
+		}
+	}
+}
+
+func TestPointRectMinDist(t *testing.T) {
+	m := L2()
+	r := Rect{Point{0, 0}, Point{2, 2}}
+	cases := []struct {
+		p    Point
+		want float64
+	}{
+		{Point{1, 1}, 0},  // inside
+		{Point{0, 0}, 0},  // corner
+		{Point{3, 1}, 1},  // right
+		{Point{1, -2}, 2}, // below
+		{Point{5, 6}, 5},  // diagonal dx=3 dy=4
+	}
+	for _, c := range cases {
+		if got := m.KeyToDist(m.PointRectMinKey(c.p, r)); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("MINDIST(%v) = %g, want %g", c.p, got, c.want)
+		}
+	}
+}
+
+func TestPointRectMinDistMatchesRectMetric(t *testing.T) {
+	// MINDIST(p, r) == MINMINDIST(rect(p), r).
+	rng := rand.New(rand.NewSource(17))
+	for _, m := range metricsUnderTest(t) {
+		for i := 0; i < 2000; i++ {
+			r := randRect(rng, 10)
+			p := Point{rng.Float64()*40 - 20, rng.Float64()*40 - 20}
+			if a, b := m.PointRectMinKey(p, r), m.MinMinKey(p.Rect(), r); math.Abs(a-b) > 1e-9 {
+				t.Fatalf("%v: mismatch p=%v r=%v a=%g b=%g", m, p, r, a, b)
+			}
+		}
+	}
+}
+
+func TestPointRectMaxDist(t *testing.T) {
+	// The largest distance from a point to a rectangle, MAXMAXDIST with
+	// the point as a degenerate rectangle, is to a corner.
+	m := L2()
+	r := Rect{Point{0, 0}, Point{2, 2}}
+	// From (3,3) the farthest corner is (0,0): dist sqrt(18).
+	if got := m.MaxMaxKey(Point{3, 3}.Rect(), r); math.Abs(got-18) > 1e-12 {
+		t.Errorf("MaxMaxKey from outside = %g, want 18", got)
+	}
+	// Inside point: farthest corner.
+	if got := m.MaxMaxKey(Point{0.5, 0.5}.Rect(), r); math.Abs(got-4.5) > 1e-12 {
+		t.Errorf("MaxMaxKey from inside = %g, want 4.5", got)
+	}
+}
+
+func TestMinMaxDistBruteForceEdges(t *testing.T) {
+	// Cross-check MinMaxKey against sampling: for every edge pair, the
+	// sampled max over points on the edges must be <= the endpoint max
+	// (squared distance is convex in each endpoint); the min over edge
+	// pairs of sampled maxima approximates MINMAXDIST from below.
+	m := L2()
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 200; i++ {
+		a, b := randRect(rng, 5), randRect(rng, 5)
+		approx := math.Inf(1)
+		for _, e := range rectEdges(a) {
+			for _, f := range rectEdges(b) {
+				sampledMax := 0.0
+				for s := 0; s <= 8; s++ {
+					for u := 0; u <= 8; u++ {
+						sp := Point{
+							e[0].X + float64(s)/8*(e[1].X-e[0].X),
+							e[0].Y + float64(s)/8*(e[1].Y-e[0].Y),
+						}
+						up := Point{
+							f[0].X + float64(u)/8*(f[1].X-f[0].X),
+							f[0].Y + float64(u)/8*(f[1].Y-f[0].Y),
+						}
+						sampledMax = max(sampledMax, m.Key(sp, up))
+					}
+				}
+				if endpoints := edgeMaxKey(m, e, f); sampledMax > endpoints+1e-9 {
+					t.Fatalf("edge max underestimates: sampled=%g endpoints=%g",
+						sampledMax, endpoints)
+				}
+				approx = min(approx, sampledMax)
+			}
+		}
+		if got := m.MinMaxKey(a, b); got > approx+1e-9 {
+			t.Fatalf("MinMaxKey=%g exceeds sampled bound %g", got, approx)
 		}
 	}
 }
@@ -165,7 +381,7 @@ func TestLpInequalityTwoProperty(t *testing.T) {
 			for j := range qs {
 				qs[j] = Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
 			}
-			a, b := RectOf(ps...), RectOf(qs...)
+			a, b := mbrOf(ps...), mbrOf(qs...)
 			mm := m.MinMaxKey(a, b)
 			best := math.Inf(1)
 			for _, p := range ps {
@@ -195,8 +411,8 @@ func TestLpMetricOrderingProperty(t *testing.T) {
 	}
 }
 
-// TestMetricMinMaxMatchMath holds MaxMaxKey, MaxMaxDistSq and combine's L∞
-// branch, which use the builtin max, to the math.Max forms they replaced,
+// TestMetricMinMaxMatchMath holds MaxMaxKey and combine's L∞ branch,
+// which use the builtin max, to the math.Max forms they replaced,
 // bit for bit, on the inputs a tree can hand them: coordinates drawn from
 // ±0, small integers and magnitudes whose differences overflow to +Inf,
 // rectangles that may be EmptyRect, and NaN coordinates only among values
@@ -244,9 +460,6 @@ func TestMetricMinMaxMatchMath(t *testing.T) {
 				t.Fatalf("%v.MaxMaxKey(%v, %v) = %g, math form %g", m, a, b, got, want)
 			}
 		}
-		if got, want := MaxMaxDistSq(a, b), dx*dx+dy*dy; !same(got, want) {
-			t.Fatalf("MaxMaxDistSq(%v, %v) = %g, math form %g", a, b, got, want)
-		}
 	}
 	// combine's L∞ branch on every delta its callers pass: an absolute or
 	// zero-clamped difference of finite coordinates, so ±0, finite or +Inf.
@@ -260,23 +473,27 @@ func TestMetricMinMaxMatchMath(t *testing.T) {
 	}
 }
 
+// rectEdges returns the four edges of r as endpoint pairs: bottom, right,
+// top, left.
+func rectEdges(r Rect) [4][2]Point {
+	c := [4]Point{{r.Min.X, r.Min.Y}, {r.Max.X, r.Min.Y}, {r.Max.X, r.Max.Y}, {r.Min.X, r.Max.Y}}
+	return [4][2]Point{{c[0], c[1]}, {c[1], c[2]}, {c[2], c[3]}, {c[3], c[0]}}
+}
+
+// edgeMaxKey is the MAXDIST key of two edges: the largest key over their
+// four endpoint pairs.
+func edgeMaxKey(m Metric, e, f [2]Point) float64 {
+	return max(m.Key(e[0], f[0]), m.Key(e[0], f[1]), m.Key(e[1], f[0]), m.Key(e[1], f[1]))
+}
+
 // minMaxKeyEdges is MINMAXDIST by its definition, the reference for
 // MinMaxKey: the least, over the 16 pairs of an edge of a and an edge of
-// b, of the largest key over the pair's four endpoint pairs.
+// b, of the pair's MAXDIST.
 func minMaxKeyEdges(m Metric, a, b Rect) float64 {
-	ea, eb := a.Edges(), b.Edges()
 	best := math.Inf(1)
-	for _, e := range ea {
-		for _, f := range eb {
-			mx := m.Key(e[0], f[0])
-			for _, d := range []float64{m.Key(e[0], f[1]), m.Key(e[1], f[0]), m.Key(e[1], f[1])} {
-				if d > mx {
-					mx = d
-				}
-			}
-			if mx < best {
-				best = mx
-			}
+	for _, e := range rectEdges(a) {
+		for _, f := range rectEdges(b) {
+			best = min(best, edgeMaxKey(m, e, f))
 		}
 	}
 	return best

@@ -1,12 +1,18 @@
 // Package geom provides the planar geometry primitives and the MBR distance
 // metrics used by the closest-pair algorithms: points, axis-aligned
-// rectangles (MBRs), and the MINMINDIST / MINMAXDIST / MAXMAXDIST metrics
-// between two MBRs defined in Section 2.3 of Corral et al. (SIGMOD 2000),
-// plus the point-to-MBR metrics of Roussopoulos et al. (SIGMOD 1995).
+// rectangles (MBRs), and, as methods of a Minkowski Metric, the
+// MINMINDIST / MINMAXDIST / MAXMAXDIST metrics between two MBRs defined in
+// Section 2.3 of Corral et al. (SIGMOD 2000) and the point-to-MBR MINDIST
+// of Roussopoulos et al. (SIGMOD 1995). Because each edge of a minimum
+// bounding rectangle carries at least one data point, for MBRs M_P and M_Q
+// (Inequalities 1 and 2 of the paper):
 //
-// All distance computations are carried out on squared Euclidean distances
-// to avoid square roots on hot paths; every *Sq function has a non-squared
-// convenience wrapper.
+//	MINMINDIST <= dist(p, q) <= MAXMAXDIST   for every p in M_P, q in M_Q
+//	dist(p, q) <= MINMAXDIST                 for some p in M_P, q in M_Q
+//
+// Comparisons run on a monotone key of the distance (the squared distance
+// under the default Euclidean metric) to avoid roots on hot paths;
+// Metric.KeyToDist turns a key into the distance.
 package geom
 
 import (
@@ -45,15 +51,6 @@ func (p Point) Scale(s float64) Point {
 // Equal reports whether p and q have identical coordinates.
 func (p Point) Equal(q Point) bool {
 	return p.X == q.X && p.Y == q.Y
-}
-
-// Less orders points lexicographically by (X, Y). It is used to produce
-// deterministic output orders for pairs with tied distances.
-func (p Point) Less(q Point) bool {
-	if p.X != q.X {
-		return p.X < q.X
-	}
-	return p.Y < q.Y
 }
 
 // String implements fmt.Stringer.

@@ -46,40 +46,6 @@ func TestPointAddScale(t *testing.T) {
 	}
 }
 
-func TestPointLess(t *testing.T) {
-	cases := []struct {
-		p, q Point
-		want bool
-	}{
-		{Point{0, 0}, Point{1, 0}, true},
-		{Point{1, 0}, Point{0, 0}, false},
-		{Point{0, 0}, Point{0, 1}, true},
-		{Point{0, 1}, Point{0, 0}, false},
-		{Point{0, 0}, Point{0, 0}, false},
-	}
-	for _, c := range cases {
-		if got := c.p.Less(c.q); got != c.want {
-			t.Errorf("Less(%v, %v) = %v, want %v", c.p, c.q, got, c.want)
-		}
-	}
-}
-
-func TestPointLessIsStrictWeakOrder(t *testing.T) {
-	f := func(ax, ay, bx, by float64) bool {
-		p, q := Point{ax, ay}, Point{bx, by}
-		if p.Less(q) && q.Less(p) {
-			return false // antisymmetry
-		}
-		if p.Equal(q) && (p.Less(q) || q.Less(p)) {
-			return false // irreflexivity on equal points
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPointRect(t *testing.T) {
 	p := Point{3, 7}
 	r := p.Rect()
@@ -89,7 +55,7 @@ func TestPointRect(t *testing.T) {
 	if r.Area() != 0 {
 		t.Errorf("point rect area = %g", r.Area())
 	}
-	if !r.ContainsPoint(p) {
+	if !r.Contains(p.Rect()) {
 		t.Error("point rect must contain its point")
 	}
 }

@@ -21,16 +21,6 @@ func EmptyRect() Rect {
 	}
 }
 
-// RectOf returns the MBR of the given points. It returns EmptyRect for an
-// empty argument list.
-func RectOf(pts ...Point) Rect {
-	r := EmptyRect()
-	for _, p := range pts {
-		r = r.Union(p.Rect())
-	}
-	return r
-}
-
 // IsEmpty reports whether r contains no points (Min > Max on some axis).
 func (r Rect) IsEmpty() bool {
 	return r.Min.X > r.Max.X || r.Min.Y > r.Max.Y
@@ -72,7 +62,7 @@ func (r Rect) Center() Point {
 }
 
 // Union returns the smallest rectangle containing both r and s.
-// Union, Intersect and OverlapArea use the builtin min and max, which
+// Union and OverlapArea use the builtin min and max, which
 // compile inline where math.Min and math.Max are calls. Both forms order
 // -0 below +0 and return NaN for a NaN operand; they part only where a NaN
 // meets an infinity (math.Max(NaN, +Inf) is +Inf), and no Valid rectangle
@@ -87,15 +77,6 @@ func (r Rect) Union(s Rect) Rect {
 	return Rect{
 		Min: Point{min(r.Min.X, s.Min.X), min(r.Min.Y, s.Min.Y)},
 		Max: Point{max(r.Max.X, s.Max.X), max(r.Max.Y, s.Max.Y)},
-	}
-}
-
-// Intersect returns the overlap of r and s; the result IsEmpty when the
-// rectangles are disjoint.
-func (r Rect) Intersect(s Rect) Rect {
-	return Rect{
-		Min: Point{max(r.Min.X, s.Min.X), max(r.Min.Y, s.Min.Y)},
-		Max: Point{min(r.Max.X, s.Max.X), min(r.Max.Y, s.Max.Y)},
 	}
 }
 
@@ -129,11 +110,6 @@ func (r Rect) Contains(s Rect) bool {
 		r.Max.X >= s.Max.X && r.Max.Y >= s.Max.Y
 }
 
-// ContainsPoint reports whether p lies inside r (boundary included).
-func (r Rect) ContainsPoint(p Point) bool {
-	return r.Min.X <= p.X && p.X <= r.Max.X && r.Min.Y <= p.Y && p.Y <= r.Max.Y
-}
-
 // Enlargement returns the area increase needed for r to also cover s.
 func (r Rect) Enlargement(s Rect) float64 {
 	return r.Union(s).Area() - r.Area()
@@ -142,34 +118,6 @@ func (r Rect) Enlargement(s Rect) float64 {
 // Equal reports whether r and s are identical rectangles.
 func (r Rect) Equal(s Rect) bool {
 	return r.Min.Equal(s.Min) && r.Max.Equal(s.Max)
-}
-
-// Corners returns the four vertices of r in the order
-// (min,min), (max,min), (max,max), (min,max).
-func (r Rect) Corners() [4]Point {
-	return [4]Point{
-		{r.Min.X, r.Min.Y},
-		{r.Max.X, r.Min.Y},
-		{r.Max.X, r.Max.Y},
-		{r.Min.X, r.Max.Y},
-	}
-}
-
-// Edges returns the four edges of r as endpoint pairs:
-// bottom, right, top, left.
-func (r Rect) Edges() [4][2]Point {
-	c := r.Corners()
-	return [4][2]Point{
-		{c[0], c[1]}, // bottom
-		{c[1], c[2]}, // right
-		{c[2], c[3]}, // top
-		{c[3], c[0]}, // left
-	}
-}
-
-// Translate returns r shifted by (dx, dy).
-func (r Rect) Translate(dx, dy float64) Rect {
-	return Rect{Min: r.Min.Add(dx, dy), Max: r.Max.Add(dx, dy)}
 }
 
 // String implements fmt.Stringer.

@@ -107,7 +107,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 		query := geom.Rect{Min: geom.Point{X: x, Y: y}, Max: geom.Point{X: x + w, Y: y + h}}
 		want := map[int64]bool{}
 		for i, p := range pts {
-			if query.ContainsPoint(p) {
+			if query.Contains(p.Rect()) {
 				want[int64(i)] = true
 			}
 		}
@@ -222,7 +222,7 @@ func TestBoundsCoverAllPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range pts {
-		if !b.ContainsPoint(p) {
+		if !b.Contains(p.Rect()) {
 			t.Fatalf("bounds %v does not contain %v", b, p)
 		}
 	}
