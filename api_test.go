@@ -1,7 +1,6 @@
 package cpq
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -10,7 +9,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -359,6 +357,27 @@ func TestBufferControls(t *testing.T) {
 	}
 }
 
+// TestSetBufferPagesRejectsNegative: a negative buffer size is the same
+// error on a built index as at build time, and the buffer keeps its size.
+func TestSetBufferPagesRejectsNegative(t *testing.T) {
+	p, err := BuildIndex(randomPoints(15, 200, 0), WithBufferPages(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	err = p.SetBufferPages(-1)
+	if err == nil {
+		t.Fatal("SetBufferPages(-1) returned no error")
+	}
+	_, want := BuildIndex(randomPoints(15, 200, 0), WithBufferPages(-1))
+	if want == nil || err.Error() != want.Error() {
+		t.Fatalf("SetBufferPages(-1) = %v, WithBufferPages(-1) = %v", err, want)
+	}
+	if c := p.pool.Capacity(); c != 32 {
+		t.Fatalf("buffer capacity %d after the rejected resize, want 32", c)
+	}
+}
+
 func TestSelfAndSemiFacade(t *testing.T) {
 	pts := randomPoints(11, 400, 0)
 	p, err := BuildIndex(pts)
@@ -407,7 +426,7 @@ func (c *nodeCounter) Event(e TraceEvent) {
 }
 
 // TestSelfJoinHonoursOptions: the self join is the K-CPQ join in self mode,
-// so the tracer, algorithm, parallelism and metrics options reach it.
+// so the tracer, algorithm, parallelism and explain options reach it.
 func TestSelfJoinHonoursOptions(t *testing.T) {
 	pts := randomPoints(13, 600, 0)
 	p, err := BuildIndex(pts)
@@ -441,17 +460,12 @@ func TestSelfJoinHonoursOptions(t *testing.T) {
 		t.Fatalf("STD at W=2 = %v, HEAP %v", std, heap)
 	}
 
-	reg := NewMetrics()
-	em := NewEngineMetrics(reg)
-	var slow bytes.Buffer
-	if _, _, err := SelfKClosestPairs(p, k, WithMetrics(em), WithSlowQueryLog(NewSlowQueryLog(0, &slow)), WithParallelism(1)); err != nil {
+	c := NewExplainCapture(nil)
+	if _, _, err := SelfKClosestPairs(p, k, WithExplain(c), WithParallelism(1)); err != nil {
 		t.Fatal(err)
 	}
-	if n := em.Queries.Value(); n != 1 {
-		t.Fatalf("metrics recorded %d queries, want 1", n)
-	}
-	if !strings.Contains(slow.String(), `"HEAP self k=20"`) {
-		t.Fatalf("report label is not the self join's: %s", slow.String())
+	if label := c.Snapshot().Plan.Label; label != "HEAP self k=20" {
+		t.Fatalf("plan label %q is not the self join's", label)
 	}
 }
 

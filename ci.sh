@@ -15,11 +15,10 @@
 #                      numbers come from `go run -C benchmark .`
 #   ./ci.sh obs        the observability gates: the zero-alloc tests on
 #                      the disabled hook paths, the warm-query allocation
-#                      budget and the leaf-order tests, the obs registry and
-#                      explain capture under the race detector, a
-#                      Prometheus-exposition parse smoke test (the fuzz
-#                      target over its seed corpus), and the EXPLAIN
-#                      golden round-trip with its fuzz corpus
+#                      budget and the leaf-order tests, the span, JSONL
+#                      writer and explain capture under the race
+#                      detector, and the EXPLAIN golden round-trip with
+#                      its fuzz corpus
 #   ./ci.sh paper      regenerate every figure at full scale (about a
 #                      minute and a quarter) and diff the report against
 #                      results_full.txt, wall times masked
@@ -50,11 +49,10 @@ bench() {
 }
 
 # obs gates the observability layer: hooks must stay free when disabled
-# (the AllocsPerRun tests), the registry must be safe under concurrent
-# writers and scrapers (-race), the Prometheus text exposition must
-# parse (the fuzz target replayed over its committed seed corpus), and
-# the EXPLAIN snapshot encoding must stay byte-stable (the golden
-# round-trip and its fuzz corpus).
+# (the AllocsPerRun tests), the span, the JSONL writer and the explain
+# capture must be safe under concurrent workers (-race), and the EXPLAIN
+# snapshot encoding must stay byte-stable (the golden round-trip and its
+# fuzz corpus).
 obs() {
 	go test -race ./internal/obs
 	go test -race ./internal/obs/explain
@@ -70,7 +68,6 @@ obs() {
 	# The leaf order (DESIGN.md §8): every write path stores leaves
 	# x-ordered, and the leaf scan answers exactly from pages that are not.
 	go test -count=1 -run 'TestLeafOrderOnEveryWritePath|TestUnorderedLeafTwins' ./internal/rtree ./internal/core
-	go test -run 'FuzzMetricsExposition' ./internal/obs
 	go test -run 'TestExplainGoldenRoundTrip|FuzzExplainRoundTrip' ./internal/obs/explain
 }
 
@@ -204,7 +201,7 @@ all() {
 	reach
 	# The fuzz seed corpora the tier-1 suite replays must not silently
 	# vanish: an empty corpus dir makes `go test` pass while fuzzing nothing.
-	for corpus in internal/rtree/testdata/fuzz internal/geom/testdata/fuzz internal/obs/testdata/fuzz internal/obs/explain/testdata/fuzz internal/core/testdata/fuzz; do
+	for corpus in internal/rtree/testdata/fuzz internal/geom/testdata/fuzz internal/obs/explain/testdata/fuzz internal/core/testdata/fuzz; do
 		if [ -z "$(ls "$corpus" 2>/dev/null)" ]; then
 			echo "fuzz seed corpus missing or empty: $corpus" >&2
 			exit 1

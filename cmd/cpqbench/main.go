@@ -14,8 +14,6 @@
 //	cpqbench -explain              # capture EXPLAIN per query, print the last query's tree
 //	cpqbench -timeout 2m           # wall-clock budget; exits 3 with partial totals
 //	cpqbench -trace trace.jsonl    # write every query's trace events as JSON lines
-//	cpqbench -metrics-addr :9090   # serve /metrics (Prometheus text) and /debug/vars
-//	cpqbench -pprof                # with -metrics-addr, also mount /debug/pprof/
 //	cpqbench -json                 # one JSON summary object per experiment
 //	cpqbench -list                 # list experiments
 //	cpqbench -out results.txt      # also write output to a file
@@ -28,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"runtime"
 	"strings"
@@ -63,8 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		parallel   = fs.Int("parallel", 1, "HEAP worker count for experiments that don't pick their own; 1 = the paper's sequential algorithm, 0 = the library's default (GOMAXPROCS where the task engine wins)")
 		explainOn  = fs.Bool("explain", false, "attach an EXPLAIN capture to every query and print the last query's plan+execution tree at the end")
 		traceFile  = fs.String("trace", "", "write every query's trace events to this file as JSON lines")
-		metricsAt  = fs.String("metrics-addr", "", "serve engine metrics on this address (/metrics Prometheus text, /debug/vars expvar)")
-		pprofOn    = fs.Bool("pprof", false, "with -metrics-addr, also mount net/http/pprof under /debug/pprof/")
 		jsonOut    = fs.Bool("json", false, "emit one JSON summary per experiment on stdout (tables go only to -out)")
 		list       = fs.Bool("list", false, "list available experiments and exit")
 		out        = fs.String("out", "", "also write the report to this file")
@@ -121,20 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}()
 		lab.Tracer = tracer
-	}
-	if *metricsAt != "" {
-		reg := obs.Default()
-		lab.Metrics = obs.NewEngineMetrics(reg)
-		reg.PublishExpvar("cpq")
-		mux := obs.NewServeMux(reg, *pprofOn)
-		go func() {
-			if err := http.ListenAndServe(*metricsAt, mux); err != nil {
-				fmt.Fprintln(stderr, "cpqbench: metrics server:", err)
-			}
-		}()
-		fmt.Fprintf(stderr, "cpqbench: serving metrics on %s/metrics\n", *metricsAt)
-	} else if *pprofOn {
-		return fail(fmt.Errorf("-pprof requires -metrics-addr"))
 	}
 
 	// In -json mode stdout carries only the JSON records; the human tables

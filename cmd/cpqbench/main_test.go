@@ -23,7 +23,7 @@ func drive(t *testing.T, args ...string) (int, string, string) {
 func TestRetiredKnobsAreGone(t *testing.T) {
 	for _, args := range [][]string{
 		{"-shards", "4"}, {"-shard-transport", "inproc"}, {"-leafscan", "brute"},
-		{"-batch-expand"}, {"-nodecache", "64"},
+		{"-batch-expand"}, {"-nodecache", "64"}, {"-metrics-addr", ":0"}, {"-pprof"},
 		{"-pr4", "x.json"}, {"-pr6", "x.json"}, {"-pr9", "x.json"}, {"-pr10", "x.json"},
 	} {
 		if code, _, stderr := drive(t, append(args, "-list")...); code != 2 ||

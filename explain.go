@@ -32,11 +32,9 @@ func NewExplainCapture(tee Tracer) *ExplainCapture { return explain.New(tee) }
 
 // WithExplain attaches an explain capture to the query: the capture
 // becomes the query's tracer (an existing WithTracer is teed through, in
-// place of the capture's own tee), the plan and the per-phase execution
-// rows are recorded, and a slow-query log attached to the same query
-// embeds the full snapshot in its JSON line. Call capture.Snapshot()
-// after the query for the report. SemiClosestPairs and WithinDistance
-// ignore it.
+// place of the capture's own tee), and the plan and the per-phase
+// execution rows are recorded. Call capture.Snapshot() after the query
+// for the report. SemiClosestPairs and WithinDistance ignore it.
 func WithExplain(c *ExplainCapture) QueryOption {
 	return func(o *core.Options) { observer(o).Explain = c }
 }

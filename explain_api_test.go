@@ -5,9 +5,13 @@ import (
 	"encoding/json"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs/explain"
 )
 
 // TestExplainUnsharded checks the monolithic EXPLAIN path: results are
@@ -74,6 +78,66 @@ func TestExplainUnsharded(t *testing.T) {
 	}
 	if !bytes.Equal(raw, raw2) {
 		t.Fatal("explain JSON is not byte-stable across a round trip")
+	}
+}
+
+// TestExplainTotalsMatchStats holds the EXPLAIN report to the query's own
+// counters, bichromatic and self, sequential and on four workers: its
+// totals equal the returned Stats field for field, and its K-th distance
+// is the last pair's, bit for bit.
+func TestExplainTotalsMatchStats(t *testing.T) {
+	p, err := BuildIndex(randomPoints(73, 2000, 0), WithNodeCache(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	q, err := BuildIndex(randomPoints(74, 2000, 0), WithNodeCache(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+
+	const k = 25
+	for _, row := range []struct {
+		name string
+		run  func(opts ...QueryOption) ([]Pair, Stats, error)
+	}{
+		{"KClosestPairs", func(o ...QueryOption) ([]Pair, Stats, error) { return KClosestPairs(p, q, k, o...) }},
+		{"SelfKClosestPairs", func(o ...QueryOption) ([]Pair, Stats, error) { return SelfKClosestPairs(p, k, o...) }},
+	} {
+		for _, workers := range []int{1, 4} {
+			c := NewExplainCapture(nil)
+			pairs, stats, err := row.run(WithExplain(c), WithParallelism(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := c.Snapshot()
+			if rep.Plan.Workers != workers || len(pairs) != k {
+				t.Fatalf("%s W=%d: plan ran %d workers and returned %d pairs", row.name, workers, rep.Plan.Workers, len(pairs))
+			}
+			if stats.NodeCacheHits == 0 || stats.Accesses() == 0 {
+				t.Fatalf("%s W=%d: %+v leaves the cache or access fields unchecked", row.name, workers, stats)
+			}
+			want := explain.Stats{
+				Accesses:           stats.Accesses(),
+				ReadsP:             stats.IOP.Reads,
+				ReadsQ:             stats.IOQ.Reads,
+				BufferHits:         stats.IOP.Hits + stats.IOQ.Hits,
+				NodePairsProcessed: stats.NodePairsProcessed,
+				SubPairsGenerated:  stats.SubPairsGenerated,
+				SubPairsPruned:     stats.SubPairsPruned,
+				PointPairsCompared: stats.PointPairsCompared,
+				MaxQueueSize:       stats.MaxQueueSize,
+				NodeCacheHits:      stats.NodeCacheHits,
+				NodeCacheMisses:    stats.NodeCacheMisses,
+			}
+			if rep.Exec.Stats != want {
+				t.Errorf("%s W=%d: explain totals\n %+v\nStats say\n %+v", row.name, workers, rep.Exec.Stats, want)
+			}
+			if kth := pairs[len(pairs)-1].Dist; math.Float64bits(rep.Exec.KthDistance) != math.Float64bits(kth) {
+				t.Errorf("%s W=%d: explain K-th distance %v, last pair's %v", row.name, workers, rep.Exec.KthDistance, kth)
+			}
+		}
 	}
 }
 
@@ -174,47 +238,24 @@ func TestExplainCaptureKeepsItsTee(t *testing.T) {
 	}
 }
 
-// TestExplainSlowLogEmbedsSnapshot checks that a slow-query log attached
-// to an explained query embeds the explain snapshot in its JSON line.
-func TestExplainSlowLogEmbedsSnapshot(t *testing.T) {
-	p, err := BuildIndex(randomPoints(67, 300, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	q, err := BuildIndex(randomPoints(68, 300, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
+// startLabels records the label of every query_start event it sees.
+type startLabels struct {
+	mu     sync.Mutex
+	labels []string
+}
 
-	var buf bytes.Buffer
-	slow := NewSlowQueryLog(0, &buf) // threshold 0: every query logs
-	if _, _, _, err := Explain(p, q, 5, WithSlowQueryLog(slow)); err != nil {
-		t.Fatal(err)
-	}
-	var entry struct {
-		Explain json.RawMessage `json:"explain"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &entry); err != nil {
-		t.Fatalf("slow log line: %v\n%s", err, buf.String())
-	}
-	if len(entry.Explain) == 0 {
-		t.Fatalf("slow log line has no embedded explain: %s", buf.String())
-	}
-	var rep ExplainReport
-	if err := json.Unmarshal(entry.Explain, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Exec.Results != 5 {
-		t.Fatalf("embedded snapshot reports %d results, want 5", rep.Exec.Results)
+func (c *startLabels) Event(e TraceEvent) {
+	if e.Kind == EvQueryStart {
+		c.mu.Lock()
+		c.labels = append(c.labels, e.Label)
+		c.mu.Unlock()
 	}
 }
 
 // TestWorkersOnlyForParallelHeap pins where a query may claim workers: the
-// span label, the explain plan and the query report say "par" and a worker
-// count above one only for the HEAP algorithm at Parallelism N > 1. The
-// recursive algorithms run on one goroutine whatever the knob says.
+// span label, the explain plan and the query_start event say "par" and a
+// worker count above one only for the HEAP algorithm at Parallelism N > 1.
+// The recursive algorithms run on one goroutine whatever the knob says.
 func TestWorkersOnlyForParallelHeap(t *testing.T) {
 	p, err := BuildIndex(randomPoints(71, 300, 0))
 	if err != nil {
@@ -237,10 +278,10 @@ func TestWorkersOnlyForParallelHeap(t *testing.T) {
 		{[]QueryOption{WithParallelism(1)}, "HEAP k=2", 1},
 		{[]QueryOption{WithParallelism(4)}, "HEAP k=2 par=4", 4},
 	} {
-		// The engine writes the report, with explain on and off alike.
+		// The engine labels the span, with explain on and off alike.
 		for _, explained := range []bool{true, false} {
-			var buf bytes.Buffer
-			opts := append([]QueryOption{WithSlowQueryLog(NewSlowQueryLog(0, &buf))}, c.opts...)
+			tr := &startLabels{}
+			opts := append([]QueryOption{WithTracer(tr)}, c.opts...)
 			if explained {
 				_, _, rep, err := Explain(p, q, 2, opts...)
 				if err != nil {
@@ -255,13 +296,16 @@ func TestWorkersOnlyForParallelHeap(t *testing.T) {
 			} else if _, _, err := KClosestPairs(p, q, 2, opts...); err != nil {
 				t.Fatal(err)
 			}
-			var report QueryReport
-			if err := json.Unmarshal(buf.Bytes(), &report); err != nil {
-				t.Fatalf("%s: slow-log line %q: %v", c.label, buf.String(), err)
+			if len(tr.labels) != 1 {
+				t.Fatalf("%s: %d query_start events, want 1", c.label, len(tr.labels))
 			}
-			if report.Label != c.label || report.Workers != c.workers {
-				t.Errorf("report (explain=%v) says %q with %d workers, want %q with %d",
-					explained, report.Label, report.Workers, c.label, c.workers)
+			label, workers := tr.labels[0], 1
+			if _, n, ok := strings.Cut(label, " par="); ok {
+				workers, _ = strconv.Atoi(n)
+			}
+			if label != c.label || workers != c.workers {
+				t.Errorf("query_start (explain=%v) says %q with %d workers, want %q with %d",
+					explained, label, workers, c.label, c.workers)
 			}
 		}
 	}

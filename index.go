@@ -291,8 +291,15 @@ func (i *Index) Nearest(p Point, k int) ([]Neighbor, error) {
 }
 
 // SetBufferPages resizes the index's LRU buffer. The paper's joins give
-// each tree half of the total buffer B.
-func (i *Index) SetBufferPages(pages int) { i.pool.Resize(pages) }
+// each tree half of the total buffer B. A negative count is an error and
+// leaves the buffer as it was.
+func (i *Index) SetBufferPages(pages int) error {
+	if pages < 0 {
+		return fmt.Errorf("cpq: negative buffer size %d", pages)
+	}
+	i.pool.Resize(pages)
+	return nil
+}
 
 // DropCaches empties the buffer pool and the decoded-node cache (if one is
 // attached), so following reads hit "disk".

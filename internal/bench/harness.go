@@ -80,9 +80,6 @@ type Lab struct {
 	// Tracer, when set, receives every RunCore query's events and the
 	// cache/evict events of every tree built afterwards (cpqbench -trace).
 	Tracer obs.Tracer
-	// Metrics, when set, receives every RunCore query's cost report
-	// (cpqbench -metrics-addr).
-	Metrics *obs.EngineMetrics
 	// Explain attaches a fresh EXPLAIN capture to every RunCore query; each
 	// snapshot replaces the previous one, so after a sweep LastExplain
 	// returns the final query's plan + execution breakdown.
@@ -241,15 +238,15 @@ func (l *Lab) LastExplain() *explain.Explain { return l.lastExplain }
 
 // RunCore executes one K-CPQ with one of the paper's algorithms under the
 // given buffer size and returns its statistics. The Lab's Parallelism
-// fills the option when the caller left it zero, and its Tracer, Metrics
-// and Explain become the query's observer when the caller set none.
+// fills the option when the caller left it zero, and its Tracer and
+// Explain become the query's observer when the caller set none.
 func (l *Lab) RunCore(ta, tb *rtree.Tree, k int, opts core.Options, bufferPages int) (core.Stats, error) {
 	prepare(ta, tb, bufferPages)
 	if opts.Parallelism == 0 {
 		opts.Parallelism = l.Parallelism
 	}
-	if opts.Observe == nil && (l.Tracer != nil || l.Metrics != nil || l.Explain) {
-		opts.Observe = &core.Observer{Tracer: l.Tracer, Metrics: l.Metrics}
+	if opts.Observe == nil && (l.Tracer != nil || l.Explain) {
+		opts.Observe = &core.Observer{Tracer: l.Tracer}
 		if l.Explain {
 			opts.Observe.Explain = explain.New(nil)
 		}

@@ -83,7 +83,7 @@ func kClosestPairs(ctx context.Context, ta, tb *rtree.Tree, k int, opts Options,
 	}
 	if err != nil {
 		j.traceQueryEnd(0, err)
-		q.finish(nil, Stats{}, err)
+		q.finish(nil, Stats{})
 		return nil, Stats{}, err
 	}
 
@@ -98,7 +98,7 @@ func kClosestPairs(ctx context.Context, ta, tb *rtree.Tree, k int, opts Options,
 	// before results() sorts the heap out of heap order.
 	j.traceQueryEnd(len(j.kheap.pairs), nil)
 	pairs := j.kheap.results(j.metric)
-	q.finish(pairs, stats, nil)
+	q.finish(pairs, stats)
 	return pairs, stats, nil
 }
 

@@ -140,47 +140,6 @@ func checkTrace(t *testing.T, alg Algorithm, k int, events []obs.Event,
 	}
 }
 
-// TestQueryMetricsAndSlowLog checks that a traced-and-metered query lands
-// in the registry with counters matching its Stats snapshot.
-func TestQueryMetricsAndSlowLog(t *testing.T) {
-	ps := uniformPoints(7300, 300, 0)
-	qs := uniformPoints(7400, 300, 0.2)
-	ta := buildTree(t, ps, 256)
-	tb := buildTree(t, qs, 256)
-	reg := obs.NewMetrics()
-	em := obs.NewEngineMetrics(reg)
-	slow := obs.NewSlowQueryLog(0, nil) // threshold 0: every query is slow
-	opts := DefaultOptions(Heap)
-	opts.Observe = &Observer{Metrics: em, SlowLog: slow}
-	pairs, stats, err := KClosestPairs(ta, tb, 5, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if em.Queries.Value() != 1 {
-		t.Fatalf("queries counter = %d, want 1", em.Queries.Value())
-	}
-	if em.AccessesTotal.Value() != stats.Accesses() {
-		t.Errorf("accesses counter = %d, Stats says %d", em.AccessesTotal.Value(), stats.Accesses())
-	}
-	if em.ResultDistance.Count() != 1 {
-		t.Errorf("result distance histogram count = %d, want 1", em.ResultDistance.Count())
-	}
-	if got := em.ResultDistance.Sum(); got != pairs[len(pairs)-1].Dist {
-		t.Errorf("result distance sum = %v, want %v", got, pairs[len(pairs)-1].Dist)
-	}
-	if s := slow.Summary(); s == "" {
-		t.Errorf("slow log summary empty after a recorded query")
-	}
-	// Parallel run records worker utilization.
-	opts.Parallelism = 4
-	if _, _, err := KClosestPairs(ta, tb, 5, opts); err != nil {
-		t.Fatal(err)
-	}
-	if em.WorkerUtilization.Count() != 1 {
-		t.Errorf("worker utilization count = %d, want 1", em.WorkerUtilization.Count())
-	}
-}
-
 // benchQuery runs one HEAP query for the tracing-overhead benchmarks.
 func benchQuery(b *testing.B, tracer obs.Tracer) {
 	ps := uniformPoints(8100, 2000, 0)

@@ -186,10 +186,9 @@ type Options struct {
 	// MBR bounds (MINMINDIST, MINMAXDIST, MAXMAXDIST) are computed under
 	// the same metric, preserving every pruning argument.
 	Metric geom.Metric
-	// Observe, when non-nil, attaches the query's tracer, metrics,
-	// slow-query log and explain capture (see Observer). nil — the default
-	// — observes nothing: every trace hook is one nil check and allocates
-	// nothing.
+	// Observe, when non-nil, attaches the query's tracer and explain
+	// capture (see Observer). nil — the default — observes nothing: every
+	// trace hook is one nil check and allocates nothing.
 	Observe *Observer
 	// Parallelism is the number of worker goroutines for the HEAP
 	// algorithm. 0 and 1 run the paper's sequential algorithm, whose disk

@@ -6,9 +6,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"repro/internal/obs"
 )
 
 // This file is the parallel mode of the HEAP algorithm (Options.Parallelism
@@ -57,12 +54,10 @@ type taskRun struct {
 	failed  atomic.Bool // a task failed: every worker stops
 	wg      sync.WaitGroup
 
-	// mu guards the query's K-heap (j.kheap) and counters (j.stats), busy,
-	// the time workers spent inside tasks (kept only when the query
-	// records metrics), and err, the first error.
-	mu   sync.Mutex
-	busy time.Duration
-	err  error
+	// mu guards the query's K-heap (j.kheap) and counters (j.stats), and
+	// err, the first error.
+	mu  sync.Mutex
+	err error
 }
 
 // runHeapParallel drives the HEAP algorithm from the root pair with the
@@ -89,14 +84,6 @@ func (j *join) runHeapParallel(ctx context.Context, root nodePair, workers int) 
 	r := &j.sc.run
 	r.start(ctx, j, tasks, workers)
 	defer r.end()
-	var em *obs.EngineMetrics // timestamps only for metrics
-	if o := j.opts.Observe; o != nil {
-		em = o.Metrics
-	}
-	var wallStart time.Time
-	if em != nil {
-		wallStart = time.Now()
-	}
 	// The calling goroutine is the last worker: it would only wait.
 	r.wg.Add(workers)
 	for i := 1; i < workers; i++ {
@@ -104,18 +91,13 @@ func (j *join) runHeapParallel(ctx context.Context, root nodePair, workers int) 
 	}
 	r.work(0)
 	r.wg.Wait()
-	if em != nil {
-		if wall := time.Since(wallStart).Seconds(); wall > 0 {
-			em.WorkerUtilization.Observe(r.busy.Seconds() / (wall * float64(workers)))
-		}
-	}
 	return r.err
 }
 
 // start readies the run for one query's workers, creating the worker
 // slots of the query's scratch that no earlier query used.
 func (r *taskRun) start(ctx context.Context, j *join, tasks []nodePair, workers int) {
-	r.j, r.ctx, r.tasks, r.workers, r.busy, r.err = j, ctx, tasks, workers, 0, nil
+	r.j, r.ctx, r.tasks, r.workers, r.err = j, ctx, tasks, workers, nil
 	r.seedT = j.T()
 	r.failed.Store(false)
 	for len(j.sc.workers) < workers {
@@ -194,12 +176,12 @@ func (j *join) worker(sc *queryScratch, t float64) *join {
 // work is the life of the worker that starts at task first: run its share
 // of the tasks in its scratch slot's join, then, once and under the run's
 // mutex, fold its K-heap into the query's (unless a worker failed), its
-// counters by Stats.Merge's rule, and its busy time or its error.
+// counters by Stats.Merge's rule, or its error.
 func (r *taskRun) work(first int) {
 	defer r.wg.Done()
 	sc := r.j.sc.workers[first]
 	w := r.j.worker(sc, r.seedT)
-	busy, err := r.runTasks(w, first)
+	err := r.runTasks(w, first)
 	r.mu.Lock()
 	switch {
 	case err != nil:
@@ -215,31 +197,22 @@ func (r *taskRun) work(first int) {
 	q.subPairsPruned += c.subPairsPruned
 	q.pointPairsCompared += c.pointPairsCompared
 	q.maxQueueSize = max(q.maxQueueSize, c.maxQueueSize)
-	r.busy += busy
 	r.mu.Unlock()
 	sc.worker = join{} // pins no tree on the free list
 }
 
 // runTasks runs the sequential HEAP in w on tasks first, first + W, …
-// until its share is done, and returns the time it spent inside them when
-// the query records metrics. An error stops every worker at its next task.
-func (r *taskRun) runTasks(w *join, first int) (busy time.Duration, err error) {
-	timed := w.opts.Observe != nil && w.opts.Observe.Metrics != nil
+// until its share is done. An error stops every worker at its next task.
+func (r *taskRun) runTasks(w *join, first int) error {
 	for i := first; i < len(r.tasks) && !r.failed.Load(); i += r.workers {
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		if err = r.ctx.Err(); err == nil {
+		err := r.ctx.Err()
+		if err == nil {
 			err = w.runHeap(r.ctx, r.tasks[i])
 		}
 		if err != nil {
 			r.failed.Store(true)
-			return busy, err
-		}
-		if timed {
-			busy += time.Since(t0)
+			return err
 		}
 	}
-	return busy, nil
+	return nil
 }

@@ -43,11 +43,6 @@ func (p Point) Add(dx, dy float64) Point {
 	return Point{p.X + dx, p.Y + dy}
 }
 
-// Scale returns p with both coordinates multiplied by s.
-func (p Point) Scale(s float64) Point {
-	return Point{p.X * s, p.Y * s}
-}
-
 // Equal reports whether p and q have identical coordinates.
 func (p Point) Equal(q Point) bool {
 	return p.X == q.X && p.Y == q.Y

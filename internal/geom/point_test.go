@@ -36,13 +36,10 @@ func TestPointDistSymmetric(t *testing.T) {
 	}
 }
 
-func TestPointAddScale(t *testing.T) {
+func TestPointAdd(t *testing.T) {
 	p := Point{1, 2}
 	if got := p.Add(3, -1); !got.Equal(Point{4, 1}) {
 		t.Errorf("Add = %v", got)
-	}
-	if got := p.Scale(2); !got.Equal(Point{2, 4}) {
-		t.Errorf("Scale = %v", got)
 	}
 }
 

@@ -38,7 +38,7 @@ const Unbounded = -1
 
 // Plan describes what the query decided to do before doing it.
 type Plan struct {
-	// Label is the engine's query label, as on the span and the slow log.
+	// Label is the engine's query label, as on the span.
 	Label string `json:"label"`
 	// Algorithm is the CPQ algorithm's paper abbreviation (HEAP, STD, ...).
 	Algorithm string `json:"algorithm"`

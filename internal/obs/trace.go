@@ -1,8 +1,7 @@
-// Package obs is the engine's observability layer: a stdlib-only metrics
-// registry with Prometheus-text and expvar exposition (metrics.go,
-// expose.go), a query tracer with typed events (this file), and the
-// standard consumers — a JSONL trace writer (jsonl.go) and an aggregating
-// slow-query log (slowlog.go).
+// Package obs is the engine's trace layer: a query tracer with typed
+// events and the span that stamps them (this file), and a JSONL trace
+// writer (jsonl.go). The per-query report is the EXPLAIN capture
+// (internal/obs/explain), itself a Tracer.
 //
 // The package sits below every engine layer (it imports only the standard
 // library), so internal/storage, internal/rtree and internal/core can all

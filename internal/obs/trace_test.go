@@ -3,10 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // captureTracer records events for assertions.
@@ -101,7 +101,7 @@ func TestJSONLWriter(t *testing.T) {
 	s := StartSpan(w, `label with "quotes" and
 newline`)
 	s.Emit(Event{Kind: EvNodeExpanded, Level: 1, Level2: 1, New: 2.5})
-	s.Emit(Event{Kind: EvBoundTightened, Old: mathInf(), New: 2.5, Source: SourceMinMax})
+	s.Emit(Event{Kind: EvBoundTightened, Old: math.Inf(1), New: 2.5, Source: SourceMinMax})
 	s.End(2.5, 1, "")
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
@@ -127,40 +127,5 @@ newline`)
 	}
 	if bt["new"] != 2.5 || bt["source"] != "minmax" {
 		t.Errorf("bound_tightened line = %v", bt)
-	}
-}
-
-func TestSlowQueryLog(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewSlowQueryLog(10*time.Millisecond, &buf)
-	l.Record(QueryReport{Label: "heap k=10", Seconds: 0.001, Accesses: 10})
-	l.Record(QueryReport{Label: "heap k=10", Seconds: 0.050, Accesses: 400})
-	l.Record(QueryReport{Label: "std k=10", Seconds: 0.002, Accesses: 20})
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("slow log wrote %d lines, want 1:\n%s", len(lines), buf.String())
-	}
-	var r QueryReport
-	if err := json.Unmarshal([]byte(lines[0]), &r); err != nil {
-		t.Fatalf("slow line is not valid JSON: %v", err)
-	}
-	if r.Seconds != 0.050 || r.Accesses != 400 {
-		t.Fatalf("slow line = %+v", r)
-	}
-	sum := l.Summary()
-	if !strings.Contains(sum, "1/3 queries") {
-		t.Errorf("summary missing slow/total: %s", sum)
-	}
-	if !strings.Contains(sum, "heap k=10") || !strings.Contains(sum, "std k=10") {
-		t.Errorf("summary missing labels: %s", sum)
-	}
-	// heap (avg ~25.5ms) must sort before std (avg 2ms).
-	if strings.Index(sum, "heap k=10") > strings.Index(sum, "std k=10") {
-		t.Errorf("summary not sorted by average latency: %s", sum)
-	}
-	var nilLog *SlowQueryLog
-	nilLog.Record(QueryReport{})
-	if nilLog.Summary() != "" {
-		t.Errorf("nil log summary should be empty")
 	}
 }
