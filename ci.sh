@@ -5,8 +5,7 @@
 # source rules of DESIGN.md §7 among it), the race detector over the
 # whole module (the parallel K-CPQ engine and the sharded buffer pool
 # make every package fair game for concurrency bugs) and repeatedly over
-# the scheduling-dependent tests, and one run of every binary that has no
-# tests.
+# the scheduling-dependent tests, and one run of each command mode.
 #
 # Usage:
 #   ./ci.sh            run every gate
@@ -98,14 +97,14 @@ mask() {
 }
 
 # reach fails on an island: an internal package that neither the facade,
-# a command, an example nor the benchmark module depends on is exercised
-# by nothing but its own tests. It also keeps internal/shard out of
-# everything but the benchmark module.
+# a command nor the benchmark module depends on is exercised by nothing
+# but its own tests. It also keeps internal/shard out of everything but
+# the benchmark module.
 reach() {
 	# A reached internal package is listed twice below, an island once.
 	islands=$({
 		{
-			go list -deps . ./cmd/... ./examples/...
+			go list -deps . ./cmd/...
 			go list -C benchmark -deps .
 		} | sort -u
 		go list ./internal/...
@@ -117,40 +116,22 @@ reach() {
 	# The shard executor is reached by the benchmark's probes only: a facade
 	# query runs the parallel engine on the indexes' own trees, and the
 	# per-call drain, partition and bulk-load must not come back through it.
-	if go list -deps . ./cmd/... ./examples/... | grep -qx 'repro/internal/shard'; then
-		echo "repro/internal/shard is imported by the facade, a command or an example" >&2
+	if go list -deps . ./cmd/... | grep -qx 'repro/internal/shard'; then
+		echo "repro/internal/shard is imported by the facade or a command" >&2
 		exit 1
 	fi
 }
 
-# smoke runs the binaries that have no tests of their own; each must exit 0.
+# smoke runs each cpqquery mode once on generated inputs; each must exit
+# 0. The commands' own tests check their output and their rejections.
 smoke() {
 	tmp=$(mktemp -d)
 	trap 'rm -rf "$tmp"' EXIT
-	for ex in examples/*/; do
-		go run "./$ex" >/dev/null
-	done
 	go run ./cmd/cpqgen -n 1000 -seed 1 -out "$tmp/p.csv"
 	go run ./cmd/cpqgen -n 1000 -seed 2 -out "$tmp/q.csv"
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5 -parallel 2
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5 -explain
-	# -parallel 1 is the paper's sequential algorithm: its plan label must
-	# not name workers, though the default runs these four-level trees on
-	# the task engine wherever GOMAXPROCS > 1.
-	go run ./cmd/cpqgen -n 5000 -seed 3 -out "$tmp/p5k.csv"
-	go run ./cmd/cpqgen -n 5000 -seed 4 -out "$tmp/q5k.csv"
-	plan=$(go run ./cmd/cpqquery -p "$tmp/p5k.csv" -q "$tmp/q5k.csv" -k 5 -parallel 1 -explain -quiet)
-	case $plan in
-	*par=* | "") seq=no ;;
-	*"QUERY HEAP k=5"*) seq=yes ;;
-	*) seq=no ;;
-	esac
-	if [ "$seq" != yes ]; then
-		echo "cpqquery -parallel 1 did not run sequentially:" >&2
-		echo "$plan" >&2
-		exit 1
-	fi
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self -algorithm STD
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self -watch
@@ -158,36 +139,6 @@ smoke() {
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -semi -quiet
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5 -incremental SML
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5 -incremental BAS
-	# cpqtree reads an index file and no command writes one, so build it
-	# through the facade; a file named on the command line compiles inside
-	# this module wherever it lies.
-	cat >"$tmp/mkidx.go" <<-'EOF'
-		package main
-
-		import (
-			"log"
-			"math/rand"
-			"os"
-
-			cpq "repro"
-		)
-
-		func main() {
-			pts := make([]cpq.Point, 1000)
-			for i := range pts {
-				pts[i] = cpq.Point{X: rand.Float64(), Y: rand.Float64()}
-			}
-			idx, err := cpq.BuildIndex(pts, cpq.WithPath(os.Args[1]))
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := idx.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}
-	EOF
-	go run "$tmp/mkidx.go" "$tmp/p.idx"
-	go run ./cmd/cpqtree -index "$tmp/p.idx"
 }
 
 all() {
@@ -211,8 +162,10 @@ all() {
 	go test ./...
 	# The facade's default parallelism resolves to the sequential path at
 	# GOMAXPROCS 1 and to the task engine above it: run the facade's tests
-	# on both sides.
+	# on both sides, and its Examples, whose output must not depend on it,
+	# at four too.
 	go test -cpu 1,2 .
+	go test -cpu 1,2,4 -run Example .
 	go test -race ./...
 	# One -race pass sees one interleaving: the tests whose outcome depends
 	# on how the parallel engine's workers are scheduled run again, twenty

@@ -17,8 +17,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -30,33 +32,80 @@ import (
 	"repro/internal/dataset"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main behind an exit code: 0 on success, 1 on a failed run or a
+// rejected flag value, 2 on a command line the flag package rejects.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cpqquery", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		pPath       = flag.String("p", "", "CSV file of the first point set (required)")
-		qPath       = flag.String("q", "", "CSV file of the second point set")
-		k           = flag.Int("k", 1, "number of closest pairs")
-		algorithm   = flag.String("algorithm", "HEAP", "NAIVE, EXH, SIM, STD or HEAP")
-		buffer      = flag.Int("buffer", 0, "total LRU buffer pages (split between the trees)")
-		incremental = flag.String("incremental", "", "use the incremental baseline instead: BAS, EVN or SML")
-		self        = flag.Bool("self", false, "self closest pairs within -p")
-		semi        = flag.Bool("semi", false, "semi-CPQ: nearest -q point for every -p point")
-		watch       = flag.Bool("watch", false, "live progress on stderr while the query runs, and a bound-convergence chart at the end")
-		quiet       = flag.Bool("quiet", false, "print only statistics, not pairs")
-		parallel    = flag.Int("parallel", 0, "HEAP worker count; 1 = the paper's sequential algorithm, 0 = the library's default (GOMAXPROCS where the task engine wins)")
-		explain     = flag.Bool("explain", false, "print the query's EXPLAIN/ANALYZE tree (plan + execution)")
-		explainJSON = flag.Bool("explain-json", false, "print the EXPLAIN/ANALYZE snapshot as canonical JSON")
+		pPath       = fs.String("p", "", "CSV file of the first point set (required)")
+		qPath       = fs.String("q", "", "CSV file of the second point set")
+		k           = fs.Int("k", 1, "number of closest pairs (ignored by -semi)")
+		algorithm   = fs.String("algorithm", "HEAP", "NAIVE, EXH, SIM, STD or HEAP")
+		buffer      = fs.Int("buffer", 0, "total LRU buffer pages (split between the trees)")
+		incremental = fs.String("incremental", "", "use the incremental baseline instead: BAS, EVN or SML")
+		self        = fs.Bool("self", false, "self closest pairs within -p")
+		semi        = fs.Bool("semi", false, "semi-CPQ: nearest -q point for every -p point")
+		watch       = fs.Bool("watch", false, "live progress on stderr while the query runs, and a bound-convergence chart at the end")
+		quiet       = fs.Bool("quiet", false, "print only statistics, not pairs")
+		parallel    = fs.Int("parallel", 0, "HEAP worker count; 1 = the paper's sequential algorithm, 0 = the library's default (GOMAXPROCS where the task engine wins)")
+		explain     = fs.Bool("explain", false, "print the query's EXPLAIN/ANALYZE tree (plan + execution)")
+		explainJSON = fs.Bool("explain-json", false, "print the EXPLAIN/ANALYZE snapshot as canonical JSON")
 	)
-	flag.Parse()
-
-	if *pPath == "" {
-		fatal(fmt.Errorf("-p is required"))
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	p := buildIndex(*pPath, *buffer/2)
-	defer p.Close()
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "cpqquery:", err)
+		return 1
+	}
 
+	// Every flag is checked before an index is built: -k 0 would make the
+	// incremental join unbounded, and -buffer is halved per tree.
+	switch {
+	case *pPath == "":
+		return fail(errors.New("-p is required"))
+	case *k < 1 && !*semi:
+		return fail(fmt.Errorf("-k must be at least 1, got %d", *k))
+	case *buffer < 0:
+		return fail(fmt.Errorf("-buffer must be non-negative, got %d", *buffer))
+	case *qPath == "" && !*self && *semi:
+		return fail(errors.New("-semi needs -q"))
+	case *qPath == "" && !*self && *incremental != "":
+		return fail(errors.New("-incremental needs -q"))
+	case *qPath == "" && !*self:
+		return fail(errors.New("-q is required (or use -self)"))
+	case (*explain || *explainJSON) && (*semi || *incremental != ""):
+		return fail(errors.New("-explain supports only the K-CPQ, not -semi or -incremental"))
+	case *watch && *incremental != "":
+		return fail(errors.New("-watch does not support -incremental"))
+	}
+	alg, err := parseAlgorithm(*algorithm)
+	if err != nil {
+		return fail(err)
+	}
+	var traversal cpq.Traversal
+	if *incremental != "" {
+		if traversal, err = parseTraversal(*incremental); err != nil {
+			return fail(err)
+		}
+	}
+
+	p, err := buildIndex(*pPath, *buffer/2)
+	if err != nil {
+		return fail(err)
+	}
+	defer p.Close()
 	var q *cpq.Index
 	if *qPath != "" {
-		q = buildIndex(*qPath, *buffer/2)
+		if q, err = buildIndex(*qPath, *buffer/2); err != nil {
+			return fail(err)
+		}
 		defer q.Close()
 	}
 
@@ -65,24 +114,16 @@ func main() {
 	// query runs.
 	var (
 		wt      *watchTracer
-		qopts   []cpq.QueryOption
 		watchWG sync.WaitGroup
 	)
-	qopts = append(qopts, cpq.WithAlgorithm(parseAlgorithm(*algorithm)))
-	qopts = append(qopts, cpq.WithParallelism(*parallel))
+	qopts := []cpq.QueryOption{cpq.WithAlgorithm(alg), cpq.WithParallelism(*parallel)}
 	var capture *cpq.ExplainCapture
 	if *explain || *explainJSON {
-		if *semi || *incremental != "" {
-			fatal(fmt.Errorf("-explain supports only the K-CPQ, not -semi or -incremental"))
-		}
 		capture = cpq.NewExplainCapture(nil)
 		qopts = append(qopts, cpq.WithExplain(capture))
 	}
 	watchDone := make(chan struct{})
 	if *watch {
-		if *incremental != "" {
-			fatal(fmt.Errorf("-watch does not support -incremental"))
-		}
 		wt = newWatchTracer()
 		qopts = append(qopts, cpq.WithTracer(wt))
 		p.SetTracer(wt)
@@ -92,7 +133,7 @@ func main() {
 		watchWG.Add(1)
 		go func() {
 			defer watchWG.Done()
-			wt.watch(watchDone)
+			wt.watch(watchDone, stderr)
 		}()
 	}
 
@@ -100,76 +141,76 @@ func main() {
 	var (
 		pairs []cpq.Pair
 		stats cpq.Stats
-		err   error
 	)
 	switch {
 	case *self:
 		pairs, stats, err = cpq.SelfKClosestPairs(p, *k, qopts...)
 	case *semi:
-		if q == nil {
-			fatal(fmt.Errorf("-semi needs -q"))
-		}
 		pairs, stats, err = cpq.SemiClosestPairs(p, q, qopts...)
 	case *incremental != "":
-		if q == nil {
-			fatal(fmt.Errorf("-incremental needs -q"))
+		// No watcher runs: -watch is rejected with -incremental.
+		pairs, js, err := incrementalPairs(p, q, traversal, *k)
+		if err != nil {
+			return fail(err)
 		}
-		it, e := cpq.NewIncrementalJoin(p, q,
-			cpq.WithTraversal(parseTraversal(*incremental)), cpq.WithMaxPairs(*k))
-		if e != nil {
-			fatal(e)
-		}
-		for {
-			pair, ok, e := it.Next()
-			if e != nil {
-				fatal(e)
-			}
-			if !ok {
-				break
-			}
-			pairs = append(pairs, pair)
-		}
-		js := it.Stats()
-		fmt.Printf("# incremental %s: %d pairs, %d disk accesses, max queue %d, %s\n",
+		fmt.Fprintf(stdout, "# incremental %s: %d pairs, %d disk accesses, max queue %d, %s\n",
 			*incremental, len(pairs), js.Accesses(), js.MaxQueueSize,
 			time.Since(start).Round(time.Microsecond))
-		printPairs(pairs, *quiet)
-		return
+		printPairs(stdout, pairs, *quiet)
+		return 0
 	default:
-		if q == nil {
-			fatal(fmt.Errorf("-q is required (or use -self)"))
-		}
 		pairs, stats, err = cpq.KClosestPairs(p, q, *k, qopts...)
 	}
 	close(watchDone)
 	watchWG.Wait()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	cache := ""
 	if lookups := stats.NodeCacheHits + stats.NodeCacheMisses; lookups > 0 {
 		cache = fmt.Sprintf(", node cache %d/%d (%.1f%% hit)",
 			stats.NodeCacheHits, lookups, 100*stats.NodeCacheHitRatio())
 	}
-	fmt.Printf("# %s: %d pairs, %d disk accesses (P=%d Q=%d)%s, %s\n",
+	fmt.Fprintf(stdout, "# %s: %d pairs, %d disk accesses (P=%d Q=%d)%s, %s\n",
 		strings.ToUpper(*algorithm), len(pairs), stats.Accesses(),
 		stats.IOP.Reads, stats.IOQ.Reads, cache, time.Since(start).Round(time.Microsecond))
 	if wt != nil {
-		wt.render(os.Stderr)
+		wt.render(stderr)
 	}
 	if capture != nil {
 		report := capture.Snapshot()
 		if *explainJSON {
-			raw, jerr := report.JSONIndent()
-			if jerr != nil {
-				fatal(jerr)
+			raw, err := report.JSONIndent()
+			if err != nil {
+				return fail(err)
 			}
-			fmt.Println(string(raw))
+			fmt.Fprintln(stdout, string(raw))
 		} else {
-			fmt.Print(report.Render())
+			fmt.Fprint(stdout, report.Render())
 		}
 	}
-	printPairs(pairs, *quiet)
+	printPairs(stdout, pairs, *quiet)
+	return 0
+}
+
+// incrementalPairs streams the k closest pairs of p and q through the
+// incremental join.
+func incrementalPairs(p, q *cpq.Index, t cpq.Traversal, k int) ([]cpq.Pair, cpq.JoinStats, error) {
+	it, err := cpq.NewIncrementalJoin(p, q, cpq.WithTraversal(t), cpq.WithMaxPairs(k))
+	if err != nil {
+		return nil, cpq.JoinStats{}, err
+	}
+	var pairs []cpq.Pair
+	for {
+		pair, ok, err := it.Next()
+		if err != nil {
+			return nil, cpq.JoinStats{}, err
+		}
+		if !ok {
+			return pairs, it.Stats(), nil
+		}
+		pairs = append(pairs, pair)
+	}
 }
 
 // watchTracer is the -watch consumer: atomic counters for the live status
@@ -217,13 +258,13 @@ func (w *watchTracer) Event(e cpq.TraceEvent) {
 }
 
 // watch repaints one stderr status line until done closes.
-func (w *watchTracer) watch(done <-chan struct{}) {
+func (w *watchTracer) watch(done <-chan struct{}, out io.Writer) {
 	tick := time.NewTicker(200 * time.Millisecond)
 	defer tick.Stop()
 	for {
 		select {
 		case <-done:
-			fmt.Fprint(os.Stderr, "\r\x1b[2K")
+			fmt.Fprint(out, "\r\x1b[2K")
 			return
 		case <-tick.C:
 			bound := math.Float64frombits(w.boundBits.Load())
@@ -231,7 +272,7 @@ func (w *watchTracer) watch(done <-chan struct{}) {
 			if !math.IsInf(bound, 1) {
 				b = fmt.Sprintf("%.9f", math.Sqrt(bound))
 			}
-			fmt.Fprintf(os.Stderr, "\r\x1b[2Kwatch: %d node pairs expanded, bound %s, %d point pairs sweep-pruned, cache %d/%d",
+			fmt.Fprintf(out, "\r\x1b[2Kwatch: %d node pairs expanded, bound %s, %d point pairs sweep-pruned, cache %d/%d",
 				w.expanded.Load(), b, w.pruned.Load(), w.hits.Load(), w.hits.Load()+w.misses.Load())
 		}
 	}
@@ -240,7 +281,7 @@ func (w *watchTracer) watch(done <-chan struct{}) {
 // render draws the bound-vs-expansions convergence chart: each column is a
 // slice of the node expansions processed so far, each row a distance level
 // between the first finite bound and the final one.
-func (w *watchTracer) render(out *os.File) {
+func (w *watchTracer) render(out io.Writer) {
 	w.mu.Lock()
 	samples := w.samples
 	w.mu.Unlock()
@@ -311,63 +352,54 @@ func (w *watchTracer) render(out *os.File) {
 	fmt.Fprintf(out, "%10s +%s\n", "", strings.Repeat("-", width))
 }
 
-func buildIndex(path string, bufferPages int) *cpq.Index {
+func buildIndex(path string, bufferPages int) (*cpq.Index, error) {
 	pts, err := dataset.LoadPoints(path)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	idx, err := cpq.BuildIndex(pts, cpq.WithBufferPages(bufferPages))
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	idx.DropCaches()
 	idx.ResetIOStats()
-	return idx
+	return idx, nil
 }
 
-func parseAlgorithm(s string) cpq.Algorithm {
+func parseAlgorithm(s string) (cpq.Algorithm, error) {
 	switch strings.ToUpper(s) {
 	case "NAIVE":
-		return cpq.NaiveAlgorithm
+		return cpq.NaiveAlgorithm, nil
 	case "EXH":
-		return cpq.ExhaustiveAlgorithm
+		return cpq.ExhaustiveAlgorithm, nil
 	case "SIM":
-		return cpq.SimpleAlgorithm
+		return cpq.SimpleAlgorithm, nil
 	case "STD":
-		return cpq.SortedDistancesAlgorithm
+		return cpq.SortedDistancesAlgorithm, nil
 	case "HEAP":
-		return cpq.HeapAlgorithm
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", s))
-		panic("unreachable")
+		return cpq.HeapAlgorithm, nil
 	}
+	return 0, fmt.Errorf("unknown -algorithm %q", s)
 }
 
-func parseTraversal(s string) cpq.Traversal {
+func parseTraversal(s string) (cpq.Traversal, error) {
 	switch strings.ToUpper(s) {
 	case "BAS":
-		return cpq.BasicTraversal
+		return cpq.BasicTraversal, nil
 	case "EVN":
-		return cpq.EvenTraversal
+		return cpq.EvenTraversal, nil
 	case "SML":
-		return cpq.SimultaneousTraversal
-	default:
-		fatal(fmt.Errorf("unknown traversal %q", s))
-		panic("unreachable")
+		return cpq.SimultaneousTraversal, nil
 	}
+	return 0, fmt.Errorf("unknown -incremental traversal %q", s)
 }
 
-func printPairs(pairs []cpq.Pair, quiet bool) {
+func printPairs(w io.Writer, pairs []cpq.Pair, quiet bool) {
 	if quiet {
 		return
 	}
 	for i, p := range pairs {
-		fmt.Printf("%6d  (%.6f, %.6f) #%d  --  (%.6f, %.6f) #%d  dist %.9f\n",
+		fmt.Fprintf(w, "%6d  (%.6f, %.6f) #%d  --  (%.6f, %.6f) #%d  dist %.9f\n",
 			i+1, p.P.X, p.P.Y, p.RefP, p.Q.X, p.Q.Y, p.RefQ, p.Dist)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cpqquery:", err)
-	os.Exit(1)
 }

@@ -10,55 +10,72 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/rtree"
 	"repro/internal/storage"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main behind an exit code: 0 on success, 1 on a failed run or a
+// broken invariant, 2 on a command line the flag package rejects.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cpqtree", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		path     = flag.String("index", "", "index file to inspect (required)")
-		pageSize = flag.Int("page-size", 1024, "page size the index was created with")
-		dump     = flag.Bool("dump", false, "dump every node's entries")
+		path     = fs.String("index", "", "index file to inspect (required)")
+		pageSize = fs.Int("page-size", 1024, "page size the index was created with")
+		dump     = fs.Bool("dump", false, "dump every node's entries")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "cpqtree:", err)
+		return 1
+	}
 	if *path == "" {
-		fatal(fmt.Errorf("-index is required"))
+		return fail(errors.New("-index is required"))
 	}
 
 	file, err := storage.OpenDiskFile(*path, *pageSize)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer file.Close()
 	pool := storage.NewBufferPool(file, 256)
 	tree, err := rtree.Open(pool)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	cfg := tree.Config()
-	fmt.Printf("index:        %s\n", *path)
-	fmt.Printf("page size:    %d bytes (%d pages on disk)\n", cfg.PageSize, file.NumPages())
-	fmt.Printf("node fanout:  M=%d m=%d\n", cfg.MaxEntries, cfg.MinEntries)
-	fmt.Printf("points:       %d\n", tree.Len())
-	fmt.Printf("height:       %d\n", tree.Height())
+	fmt.Fprintf(stdout, "index:        %s\n", *path)
+	fmt.Fprintf(stdout, "page size:    %d bytes (%d pages on disk)\n", cfg.PageSize, file.NumPages())
+	fmt.Fprintf(stdout, "node fanout:  M=%d m=%d\n", cfg.MaxEntries, cfg.MinEntries)
+	fmt.Fprintf(stdout, "points:       %d\n", tree.Len())
+	fmt.Fprintf(stdout, "height:       %d\n", tree.Height())
 	if b, err := tree.Bounds(); err == nil {
-		fmt.Printf("bounds:       %v\n", b)
+		fmt.Fprintf(stdout, "bounds:       %v\n", b)
 	}
 	counts, err := tree.NodeCount()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	for lvl, c := range counts {
 		kind := "internal"
 		if lvl == 0 {
 			kind = "leaf"
 		}
-		fmt.Printf("level %d:      %d %s nodes\n", lvl, c, kind)
+		fmt.Fprintf(stdout, "level %d:      %d %s nodes\n", lvl, c, kind)
 	}
 
 	// Leaves are written x-ordered so the closest-pair leaf scan need not
@@ -74,36 +91,32 @@ func main() {
 		return nil
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("leaves x-ordered: %d/%d\n", ordered, leaves)
+	fmt.Fprintf(stdout, "leaves x-ordered: %d/%d\n", ordered, leaves)
 
 	if err := tree.CheckInvariants(); err != nil {
-		fmt.Printf("invariants:   FAILED: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "invariants:   FAILED: %v\n", err)
+		return 1
 	}
-	fmt.Printf("invariants:   ok\n")
+	fmt.Fprintf(stdout, "invariants:   ok\n")
 
 	if *dump {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		err := tree.Walk(func(n *rtree.Node) error {
-			fmt.Printf("page %d (level %d, %d entries):\n", n.ID, n.Level, len(n.Entries))
+			fmt.Fprintf(stdout, "page %d (level %d, %d entries):\n", n.ID, n.Level, len(n.Entries))
 			for i, e := range n.Entries {
 				if n.IsLeaf() {
-					fmt.Printf("  %3d: point %v ref=%d\n", i, e.Rect.Min, e.Ref)
+					fmt.Fprintf(stdout, "  %3d: point %v ref=%d\n", i, e.Rect.Min, e.Ref)
 				} else {
-					fmt.Printf("  %3d: child page %d mbr=%v\n", i, e.Child(), e.Rect)
+					fmt.Fprintf(stdout, "  %3d: child page %d mbr=%v\n", i, e.Child(), e.Rect)
 				}
 			}
 			return nil
 		})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cpqtree:", err)
-	os.Exit(1)
+	return 0
 }

@@ -31,8 +31,6 @@ var registry = []Experiment{
 	{"kprune", "Ablation: K-CPQ pruning bound (MAXMAXDIST rule vs K-heap top)", runKPrune},
 	{"build", "Ablation: insertion-built vs STR bulk-loaded trees", runBuild},
 	{"shape", "Tree shapes of the experimental data sets (heights, node counts)", runShape},
-	{"costmodel", "Analytical cost model vs measured cost (future work (b))", runCostModel},
-	{"policies", "Ablation: LRU vs FIFO vs CLOCK buffer replacement", runPolicies},
 	{"semi", "Semi-CPQ: per-point NN vs batched leaf traversal", runSemi},
 }
 

@@ -9,39 +9,16 @@ import (
 	"repro/internal/obs"
 )
 
-// Policy selects the page replacement policy of a BufferPool. The paper
-// (following Leutenegger & Lopez, ICDE 1998) uses LRU throughout; FIFO and
-// CLOCK are provided for the replacement-policy ablation.
+// Policy names a page replacement policy. The paper (following Leutenegger
+// & Lopez, ICDE 1998) uses LRU throughout, and LRU is the only policy a
+// BufferPool implements.
 type Policy int
 
-const (
-	// LRU evicts the least recently used page (the paper's policy).
-	LRU Policy = iota
-	// FIFO evicts the page resident longest, regardless of use.
-	FIFO
-	// Clock is the classic second-chance approximation of LRU.
-	Clock
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "LRU"
-	case FIFO:
-		return "FIFO"
-	case Clock:
-		return "CLOCK"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
-// Policies lists the available replacement policies.
-func Policies() []Policy { return []Policy{LRU, FIFO, Clock} }
+// LRU evicts the least recently used page (the paper's policy).
+const LRU Policy = 0
 
 // BufferPool is a write-through page cache in front of a PageFile, using
-// LRU replacement by default (FIFO and CLOCK are available for ablation).
+// LRU replacement.
 //
 // The experimental setup of the paper dedicates an LRU buffer of B pages to
 // each query, split as B/2 pages per R-tree; a capacity of zero disables
@@ -69,7 +46,6 @@ func Policies() []Policy { return []Policy{LRU, FIFO, Clock} }
 // shard lock pins the page.
 type BufferPool struct {
 	file   PageFile
-	policy Policy
 	shards []*bufShard
 
 	// capacity is the total across shards. Each shard derives its own
@@ -105,41 +81,32 @@ type bufEntry struct {
 	id         PageID
 	data       []byte
 	prev, next *bufEntry
-	referenced bool // CLOCK second-chance bit
 }
 
 // NewBufferPool wraps file with an LRU cache of the given capacity
 // (in pages). A capacity of 0 turns the pool into a pure pass-through
 // counter.
 func NewBufferPool(file PageFile, capacity int) *BufferPool {
-	return NewBufferPoolWithPolicy(file, capacity, LRU)
-}
-
-// NewBufferPoolWithPolicy wraps file with a page cache using the given
-// replacement policy.
-func NewBufferPoolWithPolicy(file PageFile, capacity int, policy Policy) *BufferPool {
-	return NewShardedBufferPool(file, capacity, 1, policy)
+	return NewShardedBufferPool(file, capacity, 1, LRU)
 }
 
 // NewShardedBufferPool wraps file with a page cache striped over the given
 // number of shards. Pages map to shards by page id; the total capacity is
 // distributed as evenly as possible across shards, each an independent
-// replacement domain. One shard is the exact global policy of the paper's
+// replacement domain. One shard is the exact global LRU of the paper's
 // setup; more shards reduce lock contention for parallel queries at the
 // cost of an approximate global LRU (per-shard miss counts can deviate
-// slightly from the single-shard pool on the same access sequence).
+// slightly from the single-shard pool on the same access sequence). The
+// policy must be LRU.
 func NewShardedBufferPool(file PageFile, capacity, shards int, policy Policy) *BufferPool {
 	if shards < 1 {
 		panic(fmt.Sprintf("storage: buffer pool needs at least one shard, got %d", shards))
 	}
-	switch policy {
-	case LRU, FIFO, Clock:
-	default:
+	if policy != LRU {
 		panic(fmt.Sprintf("storage: unknown replacement policy %d", int(policy)))
 	}
 	b := &BufferPool{
 		file:   file,
-		policy: policy,
 		shards: make([]*bufShard, shards),
 	}
 	for i := range b.shards {
@@ -156,9 +123,6 @@ func (b *BufferPool) shardFor(id PageID) *bufShard {
 	}
 	return b.shards[uint64(id)%uint64(len(b.shards))]
 }
-
-// Policy returns the pool's replacement policy.
-func (b *BufferPool) Policy() Policy { return b.policy }
 
 // Shards returns the number of lock stripes.
 func (b *BufferPool) Shards() int { return len(b.shards) }
@@ -209,7 +173,7 @@ func (s *bufShard) view(id PageID, fn func(data []byte) error) error {
 	defer s.mu.Unlock()
 	if e := s.pages.get(id); e != nil {
 		s.hits.Add(1)
-		s.touch(e)
+		s.moveToFront(e)
 		return fn(e.data)
 	}
 	s.reads.Add(1)
@@ -247,7 +211,7 @@ func (b *BufferPool) Write(id PageID, buf []byte) error {
 	}
 	if e := s.pages.get(id); e != nil {
 		copy(e.data, buf)
-		s.touch(e)
+		s.moveToFront(e)
 		return nil
 	}
 	e := s.takeFree()
@@ -373,7 +337,6 @@ func (s *bufShard) takeFree() *bufEntry {
 func (s *bufShard) putFree(e *bufEntry) {
 	e.prev = nil
 	e.id = InvalidPageID
-	e.referenced = false
 	e.next = s.free
 	s.free = e
 }
@@ -412,32 +375,11 @@ func (s *bufShard) moveToFront(e *bufEntry) {
 	s.insertFront(e)
 }
 
-// touch records a page use according to the replacement policy.
-func (s *bufShard) touch(e *bufEntry) {
-	switch s.pool.policy {
-	case LRU:
-		s.moveToFront(e)
-	case FIFO:
-		// Residency order only; uses are ignored.
-	case Clock:
-		e.referenced = true
-	}
-}
-
 func (s *bufShard) evictOverflow() {
 	for s.pages.n > s.capacity {
 		victim := s.tail
 		if victim == nil {
 			return
-		}
-		if s.pool.policy == Clock {
-			// Second chance: rotate referenced pages to the front with
-			// their bit cleared until an unreferenced victim surfaces.
-			for victim.referenced {
-				victim.referenced = false
-				s.moveToFront(victim)
-				victim = s.tail
-			}
 		}
 		s.unlink(victim)
 		s.pages.remove(victim.id)

@@ -209,87 +209,92 @@ func TestBufferPoolRandomizedAgainstDirectFile(t *testing.T) {
 	// Model check: pool reads must always return exactly what an uncached
 	// reader sees, across interleaved reads, writes, invalidations, resets
 	// and clears and any capacity, and Len and Stats must be what a plain
-	// list model of each shard's replacement policy predicts.
+	// list model of each shard's LRU predicts.
 	const pages, pageSize = 16, 32
 	rng := rand.New(rand.NewSource(99))
-	for _, policy := range Policies() {
-		for _, shards := range []int{1, 8} {
-			for _, capacity := range []int{0, 1, 3, 16, 64} {
-				f := NewMemFile(pageSize)
-				shadow := make([][]byte, pages)
-				for i := 0; i < pages; i++ {
-					if _, err := f.Allocate(); err != nil {
+	for _, shards := range []int{1, 8} {
+		for _, capacity := range []int{0, 1, 3, 16, 64} {
+			f := NewMemFile(pageSize)
+			shadow := make([][]byte, pages)
+			for i := 0; i < pages; i++ {
+				if _, err := f.Allocate(); err != nil {
+					t.Fatal(err)
+				}
+				shadow[i] = make([]byte, pageSize)
+			}
+			p := NewShardedBufferPool(f, capacity, shards, LRU)
+			m := newPoolModel(capacity, shards)
+			for op := 0; op < 3000; op++ {
+				id := PageID(rng.Intn(pages))
+				switch r := rng.Intn(12); {
+				case r < 4: // write
+					buf := make([]byte, pageSize)
+					rng.Read(buf)
+					if err := p.Write(id, buf); err != nil {
 						t.Fatal(err)
 					}
-					shadow[i] = make([]byte, pageSize)
-				}
-				p := NewShardedBufferPool(f, capacity, shards, policy)
-				m := newPoolModel(capacity, shards, policy)
-				for op := 0; op < 3000; op++ {
-					id := PageID(rng.Intn(pages))
-					switch r := rng.Intn(12); {
-					case r < 4: // write
-						buf := make([]byte, pageSize)
-						rng.Read(buf)
-						if err := p.Write(id, buf); err != nil {
-							t.Fatal(err)
-						}
-						copy(shadow[id], buf)
-						m.write(id)
-					case r == 4:
-						p.Invalidate(id)
-						m.invalidate(id)
-					case r == 5 && rng.Intn(10) == 0:
-						p.ResetStats()
-						m.stats = IOStats{}
-					case r == 5 && rng.Intn(10) == 0:
-						p.Clear()
-						for i := range m.shards {
-							m.shards[i].pages = nil
-							clear(m.shards[i].referenced)
-						}
-					default: // read
-						d, err := p.Get(id)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(d, shadow[id]) {
-							t.Fatalf("%v shards=%d capacity=%d op=%d page=%d: pool content diverged",
-								policy, shards, capacity, op, id)
-						}
-						m.read(id)
+					copy(shadow[id], buf)
+					m.write(id)
+				case r == 4:
+					p.Invalidate(id)
+					m.invalidate(id)
+				case r == 5 && rng.Intn(10) == 0:
+					p.ResetStats()
+					m.stats = IOStats{}
+				case r == 5 && rng.Intn(10) == 0:
+					p.Clear()
+					for i := range m.shards {
+						m.shards[i].pages = nil
 					}
-					if p.Len() != m.len() || p.Stats() != m.stats {
-						t.Fatalf("%v shards=%d capacity=%d op=%d: Len %d Stats %v, model %d %v",
-							policy, shards, capacity, op, p.Len(), p.Stats(), m.len(), m.stats)
+				default: // read
+					d, err := p.Get(id)
+					if err != nil {
+						t.Fatal(err)
 					}
+					if !bytes.Equal(d, shadow[id]) {
+						t.Fatalf("shards=%d capacity=%d op=%d page=%d: pool content diverged",
+							shards, capacity, op, id)
+					}
+					m.read(id)
 				}
-				if st := p.Stats(); st.Reads+st.Hits == 0 {
-					t.Fatal("no reads recorded")
+				if p.Len() != m.len() || p.Stats() != m.stats {
+					t.Fatalf("shards=%d capacity=%d op=%d: Len %d Stats %v, model %d %v",
+						shards, capacity, op, p.Len(), p.Stats(), m.len(), m.stats)
 				}
+			}
+			if st := p.Stats(); st.Reads+st.Hits == 0 {
+				t.Fatal("no reads recorded")
 			}
 		}
 	}
 }
 
-// poolModel is the pool's replacement behaviour written as plainly as
-// possible: per shard, a slice of resident pages, most recent first.
+// TestUnknownPolicyPanics: LRU is the only replacement policy.
+func TestUnknownPolicyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	NewShardedBufferPool(NewMemFile(64), 4, 1, Policy(9))
+}
+
+// poolModel is the pool's LRU written as plainly as possible: per shard, a
+// slice of resident pages, most recent first.
 type poolModel struct {
-	policy Policy
 	shards []modelShard
 	stats  IOStats
 }
 
 type modelShard struct {
-	capacity   int
-	pages      []PageID
-	referenced map[PageID]bool
+	capacity int
+	pages    []PageID
 }
 
-func newPoolModel(capacity, shards int, policy Policy) *poolModel {
-	m := &poolModel{policy: policy, shards: make([]modelShard, shards)}
+func newPoolModel(capacity, shards int) *poolModel {
+	m := &poolModel{shards: make([]modelShard, shards)}
 	for i := range m.shards {
-		m.shards[i] = modelShard{capacity: capacity / shards, referenced: map[PageID]bool{}}
+		m.shards[i] = modelShard{capacity: capacity / shards}
 		if i < capacity%shards {
 			m.shards[i].capacity++
 		}
@@ -331,36 +336,21 @@ func (m *poolModel) write(id PageID) {
 func (m *poolModel) invalidate(id PageID) {
 	s := m.shard(id)
 	s.pages = slices.DeleteFunc(s.pages, func(p PageID) bool { return p == id })
-	delete(s.referenced, id)
 }
 
 func (m *poolModel) touch(s *modelShard, id PageID) {
-	switch m.policy {
-	case LRU:
-		s.pages = slices.DeleteFunc(s.pages, func(p PageID) bool { return p == id })
-		s.pages = slices.Insert(s.pages, 0, id)
-	case Clock:
-		s.referenced[id] = true
-	}
+	m.invalidate(id)
+	s.pages = slices.Insert(s.pages, 0, id)
 }
 
-// admit puts a page at the front and evicts from the back past capacity;
-// CLOCK first moves referenced pages from the back to the front, clearing
-// their bit.
+// admit puts a page at the front and evicts from the back past capacity.
 func (m *poolModel) admit(s *modelShard, id PageID) {
 	if s.capacity == 0 {
 		return
 	}
 	s.pages = slices.Insert(s.pages, 0, id)
 	for len(s.pages) > s.capacity {
-		last := s.pages[len(s.pages)-1]
-		if m.policy == Clock && s.referenced[last] {
-			s.referenced[last] = false
-			s.pages = slices.Insert(s.pages[:len(s.pages)-1], 0, last)
-			continue
-		}
 		s.pages = s.pages[:len(s.pages)-1]
-		delete(s.referenced, last)
 		m.stats.Evictions++
 	}
 }
