@@ -5,7 +5,7 @@
 # source rules of DESIGN.md §7 among it), the race detector over the
 # whole module (the parallel K-CPQ engine and the sharded buffer pool
 # make every package fair game for concurrency bugs) and repeatedly over
-# the scheduling-dependent tests, and one run of each command mode.
+# the scheduling-dependent tests, and one run each of cpqgen and cpqquery.
 #
 # Usage:
 #   ./ci.sh            run every gate
@@ -39,7 +39,7 @@ bench() {
 	# The node cache's worth (EXPERIMENTS.md note 26): a cache that holds
 	# the trees, one they outgrow and none.
 	go test -run '^$' -bench 'BenchmarkNodeCache' -benchtime 5x -benchmem .
-	go test -run '^$' -bench 'BenchmarkPairHeap|BenchmarkSweepLeafScan|BenchmarkBoundCandidate|BenchmarkSemiClosestPairsBatched|BenchmarkWithinDistance' -benchtime 100x -benchmem ./internal/core
+	go test -run '^$' -bench 'BenchmarkPairHeap|BenchmarkSweepLeafScan|BenchmarkBoundCandidate|BenchmarkExpand|BenchmarkSemiClosestPairsBatched|BenchmarkWithinDistance' -benchtime 100x -benchmem ./internal/core
 	go test -run '^$' -bench 'BenchmarkInsert|BenchmarkBulkLoadSTR|BenchmarkNodeCacheHit|BenchmarkReadNodeInto' -benchtime 100x -benchmem ./internal/rtree
 	# The read path's layer numbers (EXPERIMENTS.md note 28), at one and two
 	# readers on one stripe.
@@ -122,23 +122,14 @@ reach() {
 	fi
 }
 
-# smoke runs each cpqquery mode once on generated inputs; each must exit
-# 0. The commands' own tests check their output and their rejections.
+# smoke runs cpqgen's and cpqquery's main once each, cpqgen's output into
+# cpqquery, and both must exit 0. Every mode and its output is checked in
+# process by the commands' own tests (cmd/cpqquery's TestEveryModeRuns).
 smoke() {
 	tmp=$(mktemp -d)
 	trap 'rm -rf "$tmp"' EXIT
 	go run ./cmd/cpqgen -n 1000 -seed 1 -out "$tmp/p.csv"
-	go run ./cmd/cpqgen -n 1000 -seed 2 -out "$tmp/q.csv"
-	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5
-	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5 -parallel 2
-	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5 -explain
 	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self
-	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self -algorithm STD
-	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self -watch
-	go run ./cmd/cpqquery -p "$tmp/p.csv" -k 5 -self -explain
-	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -semi -quiet
-	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5 -incremental SML
-	go run ./cmd/cpqquery -p "$tmp/p.csv" -q "$tmp/q.csv" -k 5 -incremental BAS
 }
 
 all() {

@@ -57,24 +57,31 @@ func TestEveryModeRuns(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string // the first line's prefix
+		plan bool   // an EXPLAIN tree follows
 	}{
-		{[]string{"-q", q, "-k", "5"}, "# HEAP: 5 pairs"},
-		{[]string{"-q", q, "-k", "5", "-parallel", "2", "-buffer", "16"}, "# HEAP: 5 pairs"},
-		{[]string{"-q", q, "-k", "5", "-algorithm", "std"}, "# STD: 5 pairs"},
-		{[]string{"-q", q, "-semi", "-k", "0", "-quiet"}, "# HEAP: 300 pairs"},
-		{[]string{"-q", q, "-k", "5", "-incremental", "SML"}, "# incremental SML: 5 pairs"},
-		{[]string{"-q", q, "-k", "5", "-incremental", "BAS"}, "# incremental BAS: 5 pairs"},
-		{[]string{"-k", "5", "-self", "-algorithm", "STD"}, "# STD: 5 pairs"},
-		{[]string{"-k", "5", "-self", "-watch"}, "# HEAP: 5 pairs"},
-		{[]string{"-k", "5", "-self", "-explain-json", "-quiet"}, "# HEAP: 5 pairs"},
+		{[]string{"-q", q, "-k", "5"}, "# HEAP: 5 pairs", false},
+		{[]string{"-q", q, "-k", "5", "-parallel", "2", "-buffer", "16"}, "# HEAP: 5 pairs", false},
+		{[]string{"-q", q, "-k", "5", "-algorithm", "std"}, "# STD: 5 pairs", false},
+		{[]string{"-q", q, "-k", "5", "-explain"}, "# HEAP: 5 pairs", true},
+		{[]string{"-q", q, "-semi", "-k", "0", "-quiet"}, "# HEAP: 300 pairs", false},
+		{[]string{"-q", q, "-k", "5", "-incremental", "SML"}, "# incremental SML: 5 pairs", false},
+		{[]string{"-q", q, "-k", "5", "-incremental", "BAS"}, "# incremental BAS: 5 pairs", false},
+		{[]string{"-k", "5", "-self", "-algorithm", "STD"}, "# STD: 5 pairs", false},
+		{[]string{"-k", "5", "-self", "-watch"}, "# HEAP: 5 pairs", false},
+		{[]string{"-k", "5", "-self", "-explain"}, "# HEAP: 5 pairs", true},
+		{[]string{"-k", "5", "-self", "-explain-json", "-quiet"}, "# HEAP: 5 pairs", false},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(append([]string{"-p", p}, tc.args...), &stdout, &stderr); code != 0 {
 			t.Errorf("%v: exit %d, stderr %q", tc.args, code, stderr.String())
 			continue
 		}
-		if !strings.HasPrefix(stdout.String(), tc.want) {
-			t.Errorf("%v: output starts %q, want %q", tc.args, firstLine(stdout.String()), tc.want)
+		out := stdout.String()
+		if !strings.HasPrefix(out, tc.want) {
+			t.Errorf("%v: output starts %q, want %q", tc.args, firstLine(out), tc.want)
+		}
+		if tc.plan && !strings.Contains(out, "\nQUERY HEAP ") {
+			t.Errorf("%v: no EXPLAIN tree in\n%s", tc.args, out)
 		}
 	}
 }

@@ -202,18 +202,22 @@ func (j *join) modeFor(na, nb *rtree.Node) expandMode {
 // expandInto generates the candidate sub-pairs of a node pair, tightens
 // the sequential auxiliary bound for the algorithms that do so (SIM, STD,
 // HEAP), and appends the sub-pairs surviving the post-tighten pruning
-// bound T to dst. MINMINDIST values are computed for every pruning
-// algorithm; tie keys only for survivors, when a tie strategy is active
-// (kernel.go). It mutates j.bound and works in the join's own scratch,
-// so a parallel worker calls it only on its own join.
+// bound T to dst. The kernel is cut at the pre-tighten T: only children
+// that can reach it are keyed, and tie keys are computed only for
+// survivors, when a tie strategy is active (kernel.go). A bound candidate
+// is applied only when it is below T — the paper's T := min(T, bound) —
+// so j.bound takes no value that does not become T. It mutates j.bound and
+// works in the join's own scratch, so a parallel worker calls it only on
+// its own join.
 func (j *join) expandInto(p nodePair, na, nb *rtree.Node, dst []nodePair) []nodePair {
-	e := j.beginExpand(&j.sc.kern, p, na, nb, j.bound)
-	if j.tightens() && e.bound < j.bound {
-		j.bound = e.bound
-		j.traceBound(j.boundSource())
-	}
 	T := math.Inf(1)
 	if j.prunes() {
+		T = j.T()
+	}
+	e := j.beginExpand(&j.sc.kern, p, na, nb, T)
+	if j.tightens() && e.bound < T {
+		j.bound = e.bound
+		j.traceBound(j.boundSource())
 		T = j.T()
 	}
 	return e.finish(dst, T)

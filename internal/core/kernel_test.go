@@ -202,7 +202,7 @@ type refPair struct {
 func refExpandInto(j *join, p refPair, na, nb *rtree.Node) []refPair {
 	subs, mode := refComputeSubs(j, p, na, nb)
 	if j.tightens() {
-		if b := refBoundCandidate(j, subs, mode, na, nb); b < j.bound {
+		if b := refBoundCandidate(j, subs, mode, na, nb); b < j.T() {
 			j.bound = b
 			j.traceBound(j.boundSource())
 		}
@@ -345,8 +345,152 @@ func refBoundCandidate(j *join, subs []refPair, mode expandMode, na, nb *rtree.N
 	return bound
 }
 
+// expansionOutcome is what a caller sees of one expansion: the sub-pairs
+// it emits, in order, the counters it adds, the bound candidate, and the
+// scratch rows and columns it keyed.
+type expansionOutcome struct {
+	subs              []nodePair
+	generated, pruned int64
+	bound             float64
+	rows, cols        int
+}
+
+// expandOnce runs one expansion of (na, nb) on fresh counters: the kernel
+// cut at cut, finish at T.
+func expandOnce(j *join, p nodePair, na, nb *rtree.Node, cut, T float64) expansionOutcome {
+	j.stats = workCounters{}
+	var sc kernelScratch
+	e := j.beginExpand(&sc, p, na, nb, cut)
+	subs := e.finish(nil, T)
+	return expansionOutcome{subs, j.stats.subPairsGenerated, j.stats.subPairsPruned, e.bound, e.nA, e.nB}
+}
+
+// restrictionNode builds a node at level whose children are rects, child i
+// on page base+i.
+func restrictionNode(level int, base int64, rects ...geom.Rect) *rtree.Node {
+	n := &rtree.Node{Level: level}
+	for i, r := range rects {
+		n.Entries = append(n.Entries, rtree.Entry{Rect: r, Ref: base + int64(i)})
+	}
+	return n
+}
+
+func box(x0, y0, x1, y1 float64) geom.Rect {
+	return geom.Rect{Min: geom.Point{X: x0, Y: y0}, Max: geom.Point{X: x1, Y: y1}}
+}
+
+// TestKernelRestrictionExact holds the restricted kernel to the
+// unrestricted one: an expansion cut at T must emit the same sub-pairs in
+// the same order, count the same generated and pruned sub-pairs and offer
+// the same bound candidate (whenever one is below T, the only case a
+// caller applies) as the same expansion cut at +Inf and filtered at T.
+// The hand-built pairs spread one node's children along x and the other's
+// along y, on both sides of the other node's MBR, so that whole rows and
+// whole columns lie beyond the cut in every direction; the
+// cuts are every row's and column's lower bound, one ulp either side of
+// it, and every sub-pair key, so a cut equal to a row's bound, which must
+// keep the row, is among them. The diagonal and the one-sided modes are
+// never restricted and must come out the same too.
+func TestKernelRestrictionExact(t *testing.T) {
+	l3, err := geom.Lp(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var as, bs, cs []geom.Rect
+	for i := 0; i < 6; i++ {
+		f := float64(i)
+		as = append(as, box(3*f-8, 0.1*f, 3*f-7, 0.1*f+1))
+		bs = append(bs, box(0.5*f-1, 2*f-5, 0.5*f, 2*f-4.5))
+		cs = append(cs, box(0.7*f, 0.4*f, 0.7*f+1.5, 0.4*f+1.2))
+	}
+	na, nb := restrictionNode(1, 100, as...), restrictionNode(1, 200, bs...)
+	diag := restrictionNode(1, 300, cs...)
+	tallA := restrictionNode(2, 400, as...)
+	tallB := restrictionNode(2, 500, bs...)
+	cases := []struct {
+		name     string
+		na, nb   *rtree.Node
+		p        nodePair
+		self     bool
+		mode     expandMode
+		restrict bool
+	}{
+		{"both", na, nb, nodePair{a: 1, b: 2, la: 1, lb: 1}, false, expandBoth, true},
+		{"both-swapped", nb, na, nodePair{a: 2, b: 1, la: 1, lb: 1}, false, expandBoth, true},
+		{"diagonal", diag, diag, nodePair{a: 3, b: 3, la: 1, lb: 1}, true, expandBoth, false},
+		{"a-only", tallA, nb, nodePair{a: 4, b: 2, la: 2, lb: 1}, false, expandAOnly, false},
+		{"b-only", na, tallB, nodePair{a: 1, b: 5, la: 1, lb: 2}, false, expandBOnly, false},
+	}
+	for _, m := range []geom.Metric{geom.L1(), geom.L2(), geom.LInf(), l3} {
+		for _, c := range cases {
+			// Every key a cut can meet: the row and column lower bounds
+			// and the sub-pair keys themselves.
+			var cuts []float64
+			ra, rb := c.na.MBR(), c.nb.MBR()
+			for i := range c.na.Entries {
+				cuts = append(cuts, m.MinMinKey(c.na.Entries[i].Rect, rb))
+				for t := range c.nb.Entries {
+					cuts = append(cuts, m.MinMinKey(c.na.Entries[i].Rect, c.nb.Entries[t].Rect))
+				}
+			}
+			for t := range c.nb.Entries {
+				cuts = append(cuts, m.MinMinKey(ra, c.nb.Entries[t].Rect))
+			}
+			for _, v := range slices.Clone(cuts) {
+				cuts = append(cuts, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
+			}
+			for _, k := range []int{1, 10} { // K = 10 reads the 3rd-smallest MAXMAXDIST (c = 4)
+				name := fmt.Sprintf("%v/%s/k=%d", m, c.name, k)
+				opts := DefaultOptions(Heap)
+				j := &join{k: k, opts: opts, metric: m, mA: 2, mB: 2, self: c.self,
+					useTie: true, rootAreaA: 400, rootAreaB: 400}
+				if got := j.modeFor(c.na, c.nb); got != c.mode {
+					t.Fatalf("%s: mode %v, want %v", name, got, c.mode)
+				}
+				restricted := false
+				for _, cut := range cuts {
+					got := expandOnce(j, c.p, c.na, c.nb, cut, cut)
+					want := expandOnce(j, c.p, c.na, c.nb, math.Inf(1), cut)
+					if !(want.bound < cut) {
+						want.bound = math.Inf(1)
+					}
+					if !slices.Equal(got.subs, want.subs) {
+						t.Fatalf("%s cut %g: sub-pairs\n restricted   %v\n unrestricted %v", name, cut, got.subs, want.subs)
+					}
+					if got.generated != want.generated || got.pruned != want.pruned || got.bound != want.bound {
+						t.Fatalf("%s cut %g: restricted generated %d pruned %d bound %g, unrestricted %d, %d, %g",
+							name, cut, got.generated, got.pruned, got.bound, want.generated, want.pruned, want.bound)
+					}
+					if got.generated != int64(len(got.subs))+got.pruned {
+						t.Fatalf("%s cut %g: %d generated, %d emitted, %d pruned", name, cut, got.generated, len(got.subs), got.pruned)
+					}
+					if got.rows < want.rows || got.cols < want.cols {
+						restricted = true
+					}
+				}
+				if restricted != c.restrict {
+					t.Fatalf("%s: kernel restricted %v, want %v", name, restricted, c.restrict)
+				}
+			}
+		}
+	}
+	// A cut equal to a row's lower bound keys that row; one ulp below, the
+	// row goes.
+	j := &join{k: 1, opts: DefaultOptions(Exhaustive), metric: geom.L2()}
+	cut := geom.L2().MinMinKey(as[4], nb.MBR()) // 2.5²: a[4]'s x gap to the b side
+	p := nodePair{a: 1, b: 2, la: 1, lb: 1}
+	if got := expandOnce(j, p, na, nb, cut, cut); got.rows != 3 {
+		t.Fatalf("cut at row 4's bound %g keyed %d rows, want rows 2-4", cut, got.rows)
+	}
+	below := math.Nextafter(cut, 0)
+	if got := expandOnce(j, p, na, nb, below, below); got.rows != 2 {
+		t.Fatalf("cut %g below row 4's bound keyed %d rows, want rows 2-3", below, got.rows)
+	}
+}
+
 // TestKernelScratchZeroAlloc pins the steady-state allocation discipline
-// of the batched expansion kernel's SoA scratch: warm fills and key-buffer
+// of the batched expansion kernel's SoA scratch: warm fills, the row and
+// column index maps, the restriction that compacts them and key-buffer
 // growth reuse capacity.
 func TestKernelScratchZeroAlloc(t *testing.T) {
 	pts := dataset.Uniform(62, 32)
@@ -355,18 +499,21 @@ func TestKernelScratchZeroAlloc(t *testing.T) {
 		entries[i] = rtree.Entry{Rect: geom.Rect{Min: p, Max: p}, Ref: int64(i)}
 	}
 	sc := new(kernelScratch)
+	e := expansion{j: &join{metric: geom.L2()}, sc: sc}
+	far := box(1, 1, 2, 2)
 	n := len(entries) * len(entries)
-	sc.fillA(entries)
-	sc.fillB(entries)
-	sc.keys = growF64(sc.keys, n)
-	sc.maxmax = growF64(sc.maxmax, n)
-	allocs := testing.AllocsPerRun(100, func() {
+	run := func() {
 		sc.fillA(entries)
 		sc.fillB(entries)
-		sc.keys = growF64(sc.keys, n)
-		sc.maxmax = growF64(sc.maxmax, n)
-	})
-	if allocs != 0 {
+		e.restrict(far, far, 0.5) // keeps the points within 0.7 of (1, 1)
+		sc.keys = grow(sc.keys, n)
+		sc.maxmax = grow(sc.maxmax, n)
+	}
+	run()
+	if e.nA == 0 || e.nA == len(entries) || e.nB == 0 || e.nB == len(entries) {
+		t.Fatalf("restrict kept %d rows and %d columns of %d", e.nA, e.nB, len(entries))
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 		t.Fatalf("warm kernel scratch fill allocates %v per op, want 0", allocs)
 	}
 }
@@ -403,6 +550,66 @@ func BenchmarkBoundCandidate(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				candidate()
 			}
+		})
+	}
+}
+
+// BenchmarkExpand is one level-1 × level-1 expansion, kernel and finish, of
+// two 25-entry nodes whose MBRs overlap in the band 0.9 <= x <= 1.1, under
+// the K = 100 join's tie keys and MAXMAXDIST bound: at T = +Inf, where
+// every row and column is keyed; at the T that keeps a quarter of the rows
+// (the seventh-smallest row bound); and on a self join's diagonal at that
+// T, which is never restricted. It reports the rows, columns and
+// sub-pairs kept per expansion.
+func BenchmarkExpand(b *testing.B) {
+	node := func(seed int64, dx float64) *rtree.Node {
+		n := &rtree.Node{Level: 1}
+		for i, p := range dataset.Uniform(seed, 25) {
+			n.Entries = append(n.Entries, rtree.Entry{Rect: geom.Rect{Min: p.Add(dx, 0), Max: p.Add(dx+0.1, 0.1)}, Ref: int64(i)})
+		}
+		return n
+	}
+	na, nb := node(83, 0), node(84, 0.9)
+	m := geom.L2()
+	var rows []float64
+	for i := range na.Entries {
+		rows = append(rows, m.MinMinKey(na.Entries[i].Rect, nb.MBR()))
+	}
+	slices.Sort(rows)
+	quarter := rows[6]
+	for _, c := range []struct {
+		name string
+		nb   *rtree.Node
+		self bool
+		p    nodePair
+		T    float64
+	}{
+		{"T=inf", nb, false, nodePair{a: 1, b: 2, la: 1, lb: 1}, math.Inf(1)},
+		{"T=quarter", nb, false, nodePair{a: 1, b: 2, la: 1, lb: 1}, quarter},
+		{"diagonal", na, true, nodePair{a: 1, b: 1, la: 1, lb: 1}, quarter},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			j := &join{k: 100, opts: DefaultOptions(Heap), metric: m, mA: 10, mB: 10, self: c.self,
+				useTie: true, rootAreaA: 1, rootAreaB: 1}
+			var sc kernelScratch
+			var dst []nodePair
+			var e expansion
+			expand := func() {
+				e = j.beginExpand(&sc, c.p, na, c.nb, c.T)
+				dst = e.finish(dst[:0], c.T)
+			}
+			expand()
+			if allocs := testing.AllocsPerRun(100, expand); allocs != 0 {
+				b.Fatalf("a warm expansion allocates %v, want 0", allocs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				expand()
+			}
+			b.ReportMetric(float64(e.nA), "rows/op")
+			b.ReportMetric(float64(e.nB), "cols/op")
+			b.ReportMetric(float64(len(dst)), "subpairs/op")
 		})
 	}
 }

@@ -14,8 +14,8 @@ import (
 // with MINMINDIST > eps cannot contribute — and streams results through
 // fn, which may return false to stop early. Since T never changes, node
 // pairs are taken in depth-first stack order, expanded by the kernel in
-// its prune-only (EXH) form whatever Algorithm the options name (they
-// contribute the metric and the height strategy). A leaf pair goes
+// its prune-only (EXH) form, cut at eps, whatever Algorithm the options
+// name (they contribute the metric and the height strategy). A leaf pair goes
 // through the leaf sweep under the bound eps into the join's K-heap,
 // opened with no K limit, which is streamed to fn and emptied.
 //
@@ -77,7 +77,7 @@ func WithinDistanceContext(ctx context.Context, ta, tb *rtree.Tree, eps float64,
 			j.kheap.reset()
 			continue
 		}
-		e := j.beginExpand(&j.sc.kern, p, na, nb, j.bound)
+		e := j.beginExpand(&j.sc.kern, p, na, nb, epsKey)
 		f.subs = e.finish(f.subs, epsKey)
 	}
 	return j.poolStats(startA, startB), nil
