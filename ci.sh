@@ -14,10 +14,9 @@
 #                      numbers come from `go run -C benchmark .`
 #   ./ci.sh obs        the observability gates: the zero-alloc tests on
 #                      the disabled hook paths, the warm-query allocation
-#                      budget and the leaf-order tests, the span, JSONL
-#                      writer and explain capture under the race
-#                      detector, and the EXPLAIN golden round-trip with
-#                      its fuzz corpus
+#                      budget and the leaf-order tests, the explain
+#                      capture under the race detector, and the EXPLAIN
+#                      golden round-trip with its fuzz corpus
 #   ./ci.sh paper      regenerate every figure at full scale (about a
 #                      minute and a quarter) and diff the report against
 #                      results_full.txt, wall times masked
@@ -48,15 +47,12 @@ bench() {
 }
 
 # obs gates the observability layer: hooks must stay free when disabled
-# (the AllocsPerRun tests), the span, the JSONL writer and the explain
-# capture must be safe under concurrent workers (-race), and the EXPLAIN
-# snapshot encoding must stay byte-stable (the golden round-trip and its
-# fuzz corpus).
+# (the AllocsPerRun tests), the explain capture must be safe under
+# concurrent workers (-race), and the EXPLAIN snapshot encoding must stay
+# byte-stable (the golden round-trip and its fuzz corpus).
 obs() {
-	go test -race ./internal/obs
 	go test -race ./internal/obs/explain
 	go test -run 'TestDisabledHooksZeroAlloc' ./internal/core
-	go test -run 'TestCacheTraceDisabledZeroAlloc' ./internal/rtree
 	go test -run 'TestNilCaptureZeroAlloc' ./internal/obs/explain
 	# The warm-query allocation budget (DESIGN.md §10): what a K-CPQ
 	# allocates depends on K alone, and the incremental join allocates

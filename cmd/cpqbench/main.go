@@ -13,7 +13,6 @@
 //	cpqbench -parallel 4           # 4 HEAP workers (0 = the library's default)
 //	cpqbench -explain              # capture EXPLAIN per query, print the last query's tree
 //	cpqbench -timeout 2m           # wall-clock budget; exits 3 with partial totals
-//	cpqbench -trace trace.jsonl    # write every query's trace events as JSON lines
 //	cpqbench -json                 # one JSON summary object per experiment
 //	cpqbench -list                 # list experiments
 //	cpqbench -out results.txt      # also write output to a file
@@ -26,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // summary is the -json record emitted per experiment: wall time plus the
@@ -59,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale      = fs.Float64("scale", 1.0, "cardinality scale factor (1.0 = the paper's sizes)")
 		parallel   = fs.Int("parallel", 1, "HEAP worker count for experiments that don't pick their own; 1 = the paper's sequential algorithm, 0 = the library's default (GOMAXPROCS where the task engine wins)")
 		explainOn  = fs.Bool("explain", false, "attach an EXPLAIN capture to every query and print the last query's plan+execution tree at the end")
-		traceFile  = fs.String("trace", "", "write every query's trace events to this file as JSON lines")
 		jsonOut    = fs.Bool("json", false, "emit one JSON summary per experiment on stdout (tables go only to -out)")
 		list       = fs.Bool("list", false, "list available experiments and exit")
 		out        = fs.String("out", "", "also write the report to this file")
@@ -83,6 +81,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		return fail(fmt.Errorf("-scale must be finite and positive, got %g", *scale))
+	}
 	s := *scale
 	if *quick {
 		s = 0.1
@@ -101,21 +102,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if workers <= 0 {
 		lab.Parallelism = core.AutoParallelism
 		workers = runtime.GOMAXPROCS(0)
-	}
-
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			return fail(err)
-		}
-		defer f.Close()
-		tracer := obs.NewJSONLWriter(f)
-		defer func() {
-			if err := tracer.Err(); err != nil {
-				fmt.Fprintln(stderr, "cpqbench: trace:", err)
-			}
-		}()
-		lab.Tracer = tracer
 	}
 
 	// In -json mode stdout carries only the JSON records; the human tables

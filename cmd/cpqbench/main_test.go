@@ -25,6 +25,7 @@ func TestRetiredKnobsAreGone(t *testing.T) {
 		{"-shards", "4"}, {"-shard-transport", "inproc"}, {"-leafscan", "brute"},
 		{"-batch-expand"}, {"-nodecache", "64"}, {"-metrics-addr", ":0"}, {"-pprof"},
 		{"-pr4", "x.json"}, {"-pr6", "x.json"}, {"-pr9", "x.json"}, {"-pr10", "x.json"},
+		{"-trace", "t.jsonl"},
 	} {
 		if code, _, stderr := drive(t, append(args, "-list")...); code != 2 ||
 			!strings.Contains(stderr, "flag provided but not defined") {
@@ -47,6 +48,19 @@ func TestRetiredKnobsAreGone(t *testing.T) {
 	t.Setenv("CPQ_TIMEOUT", "1ns")
 	if got := tables(); got != want {
 		t.Fatalf("CPQ_* environment variables changed the report:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRejectsBadScale: a -scale that is not a finite positive number
+// exits 1 naming the flag, before any experiment runs. The Lab would
+// otherwise run -scale -1 at full size and -scale NaN at the 200-point
+// floor under a header that prints the flag's value.
+func TestRejectsBadScale(t *testing.T) {
+	for _, v := range []string{"0", "-1", "NaN", "+Inf"} {
+		code, stdout, stderr := drive(t, "-scale", v, "-experiment", "fig4")
+		if code != 1 || !strings.Contains(stderr, "-scale") || stdout != "" {
+			t.Errorf("-scale %s: exit %d, stdout %q, stderr %q; want exit 1 naming -scale", v, code, stdout, stderr)
+		}
 	}
 }
 

@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	placed, err := dataset.PlaceWithOverlap(pts, *overlap)
 	if err != nil {
-		return fail(err)
+		return fail(fmt.Errorf("-overlap: %w", err))
 	}
 	if *out == "" {
 		if err := dataset.WritePoints(stdout, placed); err != nil {

@@ -32,6 +32,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-n", "-1"}, "-n"},
 		{[]string{"-n", "-1", "-kind", "clustered"}, "-n"},
 		{[]string{"-kind", "nope"}, "-kind"},
+		{[]string{"-overlap", "NaN", "-n", "10"}, "-overlap"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(tc.args, &stdout, &stderr)

@@ -9,7 +9,6 @@
 //	cpqquery -p a.csv -q b.csv -k 5 -incremental SML
 //	cpqquery -p a.csv -self -k 5
 //	cpqquery -p a.csv -q b.csv -semi
-//	cpqquery -p a.csv -q b.csv -k 100 -watch
 //	cpqquery -p a.csv -q b.csv -k 10 -parallel 4
 //	cpqquery -p a.csv -q b.csv -k 10 -explain
 //	cpqquery -p a.csv -q b.csv -k 10 -explain-json
@@ -21,11 +20,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	cpq "repro"
@@ -48,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		incremental = fs.String("incremental", "", "use the incremental baseline instead: BAS, EVN or SML")
 		self        = fs.Bool("self", false, "self closest pairs within -p")
 		semi        = fs.Bool("semi", false, "semi-CPQ: nearest -q point for every -p point")
-		watch       = fs.Bool("watch", false, "live progress on stderr while the query runs, and a bound-convergence chart at the end")
 		quiet       = fs.Bool("quiet", false, "print only statistics, not pairs")
 		parallel    = fs.Int("parallel", 0, "HEAP worker count; 1 = the paper's sequential algorithm, 0 = the library's default (GOMAXPROCS where the task engine wins)")
 		explain     = fs.Bool("explain", false, "print the query's EXPLAIN/ANALYZE tree (plan + execution)")
@@ -82,8 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(errors.New("-q is required (or use -self)"))
 	case (*explain || *explainJSON) && (*semi || *incremental != ""):
 		return fail(errors.New("-explain supports only the K-CPQ, not -semi or -incremental"))
-	case *watch && *incremental != "":
-		return fail(errors.New("-watch does not support -incremental"))
 	}
 	alg, err := parseAlgorithm(*algorithm)
 	if err != nil {
@@ -109,32 +102,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer q.Close()
 	}
 
-	// -watch attaches a progress tracer to the query and the indexes, and
-	// a ticker goroutine that repaints one stderr status line while the
-	// query runs.
-	var (
-		wt      *watchTracer
-		watchWG sync.WaitGroup
-	)
 	qopts := []cpq.QueryOption{cpq.WithAlgorithm(alg), cpq.WithParallelism(*parallel)}
 	var capture *cpq.ExplainCapture
 	if *explain || *explainJSON {
 		capture = cpq.NewExplainCapture(nil)
 		qopts = append(qopts, cpq.WithExplain(capture))
-	}
-	watchDone := make(chan struct{})
-	if *watch {
-		wt = newWatchTracer()
-		qopts = append(qopts, cpq.WithTracer(wt))
-		p.SetTracer(wt)
-		if q != nil {
-			q.SetTracer(wt)
-		}
-		watchWG.Add(1)
-		go func() {
-			defer watchWG.Done()
-			wt.watch(watchDone, stderr)
-		}()
 	}
 
 	start := time.Now()
@@ -148,7 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *semi:
 		pairs, stats, err = cpq.SemiClosestPairs(p, q, qopts...)
 	case *incremental != "":
-		// No watcher runs: -watch is rejected with -incremental.
 		pairs, js, err := incrementalPairs(p, q, traversal, *k)
 		if err != nil {
 			return fail(err)
@@ -161,8 +132,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		pairs, stats, err = cpq.KClosestPairs(p, q, *k, qopts...)
 	}
-	close(watchDone)
-	watchWG.Wait()
 	if err != nil {
 		return fail(err)
 	}
@@ -174,9 +143,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "# %s: %d pairs, %d disk accesses (P=%d Q=%d)%s, %s\n",
 		strings.ToUpper(*algorithm), len(pairs), stats.Accesses(),
 		stats.IOP.Reads, stats.IOQ.Reads, cache, time.Since(start).Round(time.Microsecond))
-	if wt != nil {
-		wt.render(stderr)
-	}
 	if capture != nil {
 		report := capture.Snapshot()
 		if *explainJSON {
@@ -211,145 +177,6 @@ func incrementalPairs(p, q *cpq.Index, t cpq.Traversal, k int) ([]cpq.Pair, cpq.
 		}
 		pairs = append(pairs, pair)
 	}
-}
-
-// watchTracer is the -watch consumer: atomic counters for the live status
-// line plus a sampled bound trajectory for the final convergence chart.
-// The bound arrives as a metric key (squared for the default Euclidean
-// metric); it is decoded only here, at the display edge.
-type watchTracer struct {
-	expanded  atomic.Int64
-	pruned    atomic.Int64
-	hits      atomic.Int64
-	misses    atomic.Int64
-	boundBits atomic.Uint64 // Float64bits of the latest bound key
-
-	mu      sync.Mutex
-	samples []boundSample
-}
-
-type boundSample struct {
-	expanded int64
-	key      float64
-}
-
-func newWatchTracer() *watchTracer {
-	w := &watchTracer{}
-	w.boundBits.Store(math.Float64bits(math.Inf(1)))
-	return w
-}
-
-func (w *watchTracer) Event(e cpq.TraceEvent) {
-	switch e.Kind {
-	case cpq.EvNodeExpanded:
-		w.expanded.Add(1)
-	case cpq.EvBoundTightened:
-		w.boundBits.Store(math.Float64bits(e.New))
-		w.mu.Lock()
-		w.samples = append(w.samples, boundSample{w.expanded.Load(), e.New})
-		w.mu.Unlock()
-	case cpq.EvLeafSweepPruned:
-		w.pruned.Add(e.N)
-	case cpq.EvCacheHit:
-		w.hits.Add(1)
-	case cpq.EvCacheMiss:
-		w.misses.Add(1)
-	}
-}
-
-// watch repaints one stderr status line until done closes.
-func (w *watchTracer) watch(done <-chan struct{}, out io.Writer) {
-	tick := time.NewTicker(200 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-done:
-			fmt.Fprint(out, "\r\x1b[2K")
-			return
-		case <-tick.C:
-			bound := math.Float64frombits(w.boundBits.Load())
-			b := "inf"
-			if !math.IsInf(bound, 1) {
-				b = fmt.Sprintf("%.9f", math.Sqrt(bound))
-			}
-			fmt.Fprintf(out, "\r\x1b[2Kwatch: %d node pairs expanded, bound %s, %d point pairs sweep-pruned, cache %d/%d",
-				w.expanded.Load(), b, w.pruned.Load(), w.hits.Load(), w.hits.Load()+w.misses.Load())
-		}
-	}
-}
-
-// render draws the bound-vs-expansions convergence chart: each column is a
-// slice of the node expansions processed so far, each row a distance level
-// between the first finite bound and the final one.
-func (w *watchTracer) render(out io.Writer) {
-	w.mu.Lock()
-	samples := w.samples
-	w.mu.Unlock()
-	if len(samples) == 0 {
-		fmt.Fprintln(out, "watch: no bound tightenings recorded")
-		return
-	}
-	const width, height = 60, 8
-	hi := math.Sqrt(samples[0].key)
-	lo := math.Sqrt(samples[len(samples)-1].key)
-	total := w.expanded.Load()
-	if total == 0 {
-		total = 1
-	}
-	span := hi - lo
-	if span <= 0 {
-		span = 1
-	}
-	// For each column, the tightest bound reached by that share of the
-	// expansions; -1 marks columns before the first tightening.
-	cols := make([]int, width)
-	for i := range cols {
-		cols[i] = -1
-	}
-	for _, s := range samples {
-		c := int(float64(s.expanded) / float64(total) * float64(width))
-		if c >= width {
-			c = width - 1
-		}
-		r := int((math.Sqrt(s.key) - lo) / span * float64(height-1))
-		if cols[c] == -1 || r < cols[c] {
-			cols[c] = r
-		}
-	}
-	// Carry each column's bound forward so the staircase is continuous.
-	last := -1
-	for i := range cols {
-		if cols[i] == -1 {
-			cols[i] = last
-		} else {
-			last = cols[i]
-		}
-	}
-	fmt.Fprintf(out, "watch: bound convergence, %d tightenings over %d node expansions\n", len(samples), w.expanded.Load())
-	for row := height - 1; row >= 0; row-- {
-		label := ""
-		switch row {
-		case height - 1:
-			label = fmt.Sprintf("%.6f", hi)
-		case 0:
-			label = fmt.Sprintf("%.6f", lo)
-		}
-		fmt.Fprintf(out, "%10s |", label)
-		for _, c := range cols {
-			switch {
-			case c == -1:
-				fmt.Fprint(out, " ")
-			case c == row:
-				fmt.Fprint(out, "*")
-			case c < row:
-				fmt.Fprint(out, " ")
-			default:
-				fmt.Fprint(out, ".")
-			}
-		}
-		fmt.Fprintln(out)
-	}
-	fmt.Fprintf(out, "%10s +%s\n", "", strings.Repeat("-", width))
 }
 
 func buildIndex(path string, bufferPages int) (*cpq.Index, error) {

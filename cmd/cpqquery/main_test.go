@@ -51,6 +51,16 @@ func TestRejectsBadFlagValues(t *testing.T) {
 	}
 }
 
+// TestWatchIsGone: -watch, the retired live-progress display, is an
+// unknown flag; -explain prints the bound trajectory instead.
+func TestWatchIsGone(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-p", "p.csv", "-self", "-watch"}, &stdout, &stderr)
+	if code != 2 || !strings.Contains(stderr.String(), "flag provided but not defined: -watch") {
+		t.Fatalf("-watch: exit %d, stderr %q; want a rejected flag (exit 2)", code, stderr.String())
+	}
+}
+
 func TestEveryModeRuns(t *testing.T) {
 	dir := t.TempDir()
 	p, q := writePoints(t, dir, 300, 1), writePoints(t, dir, 300, 2)
@@ -67,7 +77,6 @@ func TestEveryModeRuns(t *testing.T) {
 		{[]string{"-q", q, "-k", "5", "-incremental", "SML"}, "# incremental SML: 5 pairs", false},
 		{[]string{"-q", q, "-k", "5", "-incremental", "BAS"}, "# incremental BAS: 5 pairs", false},
 		{[]string{"-k", "5", "-self", "-algorithm", "STD"}, "# STD: 5 pairs", false},
-		{[]string{"-k", "5", "-self", "-watch"}, "# HEAP: 5 pairs", false},
 		{[]string{"-k", "5", "-self", "-explain"}, "# HEAP: 5 pairs", true},
 		{[]string{"-k", "5", "-self", "-explain-json", "-quiet"}, "# HEAP: 5 pairs", false},
 	} {

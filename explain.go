@@ -9,7 +9,7 @@ import (
 
 // ExplainReport is one query's EXPLAIN/ANALYZE snapshot: the plan
 // (algorithm, K, workers) and the execution (phase wall breakdown,
-// bound-tightening trajectory, span tree, full work counters). Render
+// bound-tightening trajectory, full work counters). Render
 // draws it as a text tree; JSON emits the canonical byte-stable form.
 type ExplainReport = explain.Explain
 
@@ -19,24 +19,22 @@ type ExplainReport = explain.Explain
 // in the engine costs one pointer comparison and allocates nothing.
 type ExplainCapture = explain.Capture
 
-// ExplainSpan is the query's span in the explain snapshot: its id, label,
-// wall time, event count, result count and final bound. A query has
-// exactly one; its parallel workers emit on it.
-type ExplainSpan = explain.SpanNode
+// NewExplainCapture returns an empty explain capture. Its argument is the
+// slot of the retired trace tee, kept so existing callers compile; it
+// must be nil, and anything else panics.
+func NewExplainCapture(tee any) *ExplainCapture {
+	if tee != nil {
+		panic("cpq: NewExplainCapture takes no tee; pass nil")
+	}
+	return new(ExplainCapture)
+}
 
-// NewExplainCapture returns an empty explain capture. tee, when non-nil,
-// receives every trace event the capture sees, so an existing tracer
-// keeps working while explain is on. A query that also has a WithTracer
-// tees to that tracer instead: WithTracer wins.
-func NewExplainCapture(tee Tracer) *ExplainCapture { return explain.New(tee) }
-
-// WithExplain attaches an explain capture to the query: the capture
-// becomes the query's tracer (an existing WithTracer is teed through, in
-// place of the capture's own tee), and the plan and the per-phase
-// execution rows are recorded. Call capture.Snapshot() after the query
-// for the report. SemiClosestPairs and WithinDistance ignore it.
+// WithExplain attaches an explain capture to the query: the plan, each
+// tightening of the pruning bound and the totals are recorded. Call
+// capture.Snapshot() after the query for the report. SemiClosestPairs and
+// WithinDistance ignore it.
 func WithExplain(c *ExplainCapture) QueryOption {
-	return func(o *core.Options) { observer(o).Explain = c }
+	return func(o *core.Options) { o.Explain = c }
 }
 
 // Explain runs KClosestPairs with an explain capture attached and returns
@@ -49,7 +47,7 @@ func Explain(p, q *Index, k int, opts ...QueryOption) ([]Pair, Stats, *ExplainRe
 // ExplainContext is Explain under a context; see ClosestPairContext for
 // the cancellation contract. The returned report covers the whole query:
 // the plan (algorithm, K, workers), one "join" phase, the bound
-// trajectory across every worker, the counters and the query's span.
+// trajectory across every worker and the counters.
 func ExplainContext(ctx context.Context, p, q *Index, k int, opts ...QueryOption) ([]Pair, Stats, *ExplainReport, error) {
 	c := NewExplainCapture(nil)
 	pairs, stats, err := KClosestPairsContext(ctx, p, q, k, append(append([]QueryOption{}, opts...), WithExplain(c))...)

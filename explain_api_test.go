@@ -5,10 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"slices"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs/explain"
@@ -58,8 +55,9 @@ func TestExplainUnsharded(t *testing.T) {
 		t.Fatalf("execution totals: %d results / %d node pairs, stats say %d / %d",
 			rep.Exec.Results, rep.Exec.Stats.NodePairsProcessed, len(got), gotStats.NodePairsProcessed)
 	}
-	if len(rep.Exec.Spans) != 1 {
-		t.Fatalf("got %d root spans, want 1 (the query span)", len(rep.Exec.Spans))
+	if len(rep.Exec.Phases) != 1 || len(rep.Exec.Bounds) == 0 {
+		t.Fatalf("got phases %+v and %d bound steps, want one join phase and a trajectory",
+			rep.Exec.Phases, len(rep.Exec.Bounds))
 	}
 	if !strings.Contains(rep.Render(), "QUERY") {
 		t.Fatalf("render has no header:\n%s", rep.Render())
@@ -175,87 +173,24 @@ func TestExplainSharded(t *testing.T) {
 	}
 }
 
-// TestExplainTeesTracer checks that WithTracer keeps working under
-// explain: the user's tracer still sees the full event stream.
-func TestExplainTeesTracer(t *testing.T) {
-	p, err := BuildIndex(randomPoints(65, 300, 0))
-	if err != nil {
-		t.Fatal(err)
+// TestNewExplainCaptureTakesOnlyNil: the argument kept for source
+// compatibility accepts nil alone.
+func TestNewExplainCaptureTakesOnlyNil(t *testing.T) {
+	if NewExplainCapture(nil) == nil {
+		t.Fatal("NewExplainCapture(nil) returned nil")
 	}
-	defer p.Close()
-	q, err := BuildIndex(randomPoints(66, 300, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-
-	var buf bytes.Buffer
-	jt := NewJSONLTracer(&buf)
-	if _, _, _, err := Explain(p, q, 5, WithTracer(jt)); err != nil {
-		t.Fatal(err)
-	}
-	if err := jt.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"kind":"query_start"`) {
-		t.Fatal("teed tracer saw no events")
-	}
-}
-
-// countingTracer counts the query_start and query_end events it sees.
-type countingTracer struct{ starts, ends atomic.Int64 }
-
-func (c *countingTracer) Event(e TraceEvent) {
-	switch e.Kind {
-	case EvQueryStart:
-		c.starts.Add(1)
-	case EvQueryEnd:
-		c.ends.Add(1)
-	}
-}
-
-// TestExplainCaptureKeepsItsTee checks that the tee given to
-// NewExplainCapture survives WithExplain on a query without WithTracer:
-// it sees the query's start and end events.
-func TestExplainCaptureKeepsItsTee(t *testing.T) {
-	p, err := BuildIndex(randomPoints(69, 300, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	q, err := BuildIndex(randomPoints(70, 300, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-
-	tee := &countingTracer{}
-	if _, _, err := KClosestPairs(p, q, 5, WithExplain(NewExplainCapture(tee))); err != nil {
-		t.Fatal(err)
-	}
-	if s, e := tee.starts.Load(), tee.ends.Load(); s != 1 || e != 1 {
-		t.Fatalf("tee saw %d query_start and %d query_end events, want 1 and 1", s, e)
-	}
-}
-
-// startLabels records the label of every query_start event it sees.
-type startLabels struct {
-	mu     sync.Mutex
-	labels []string
-}
-
-func (c *startLabels) Event(e TraceEvent) {
-	if e.Kind == EvQueryStart {
-		c.mu.Lock()
-		c.labels = append(c.labels, e.Label)
-		c.mu.Unlock()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewExplainCapture with a non-nil argument did not panic")
+		}
+	}()
+	NewExplainCapture(struct{}{})
 }
 
 // TestWorkersOnlyForParallelHeap pins where a query may claim workers: the
-// span label, the explain plan and the query_start event say "par" and a
-// worker count above one only for the HEAP algorithm at Parallelism N > 1.
-// The recursive algorithms run on one goroutine whatever the knob says.
+// explain plan's label and worker count say "par" and a count above one
+// only for the HEAP algorithm at Parallelism N > 1. The recursive
+// algorithms run on one goroutine whatever the knob says.
 func TestWorkersOnlyForParallelHeap(t *testing.T) {
 	p, err := BuildIndex(randomPoints(71, 300, 0))
 	if err != nil {
@@ -278,35 +213,12 @@ func TestWorkersOnlyForParallelHeap(t *testing.T) {
 		{[]QueryOption{WithParallelism(1)}, "HEAP k=2", 1},
 		{[]QueryOption{WithParallelism(4)}, "HEAP k=2 par=4", 4},
 	} {
-		// The engine labels the span, with explain on and off alike.
-		for _, explained := range []bool{true, false} {
-			tr := &startLabels{}
-			opts := append([]QueryOption{WithTracer(tr)}, c.opts...)
-			if explained {
-				_, _, rep, err := Explain(p, q, 2, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rep.Plan.Label != c.label || rep.Plan.Workers != c.workers {
-					t.Errorf("plan says %q with %d workers, want %q with %d", rep.Plan.Label, rep.Plan.Workers, c.label, c.workers)
-				}
-				if len(rep.Exec.Spans) != 1 || rep.Exec.Spans[0].Label != c.label {
-					t.Errorf("span labels %+v, want one %q", rep.Exec.Spans, c.label)
-				}
-			} else if _, _, err := KClosestPairs(p, q, 2, opts...); err != nil {
-				t.Fatal(err)
-			}
-			if len(tr.labels) != 1 {
-				t.Fatalf("%s: %d query_start events, want 1", c.label, len(tr.labels))
-			}
-			label, workers := tr.labels[0], 1
-			if _, n, ok := strings.Cut(label, " par="); ok {
-				workers, _ = strconv.Atoi(n)
-			}
-			if label != c.label || workers != c.workers {
-				t.Errorf("query_start (explain=%v) says %q with %d workers, want %q with %d",
-					explained, label, workers, c.label, c.workers)
-			}
+		_, _, rep, err := Explain(p, q, 2, c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Plan.Label != c.label || rep.Plan.Workers != c.workers {
+			t.Errorf("plan says %q with %d workers, want %q with %d", rep.Plan.Label, rep.Plan.Workers, c.label, c.workers)
 		}
 	}
 }

@@ -14,8 +14,7 @@ import (
 // no particular order; fn may return false to stop. It uses the paper's
 // MINMINDIST pruning with the fixed bound eps, and the closest-pair
 // engine's plane sweep on each pair of leaves. A negative or NaN eps is an
-// error. It is not observed: WithTracer and WithExplain have no effect on
-// it. It is the non-cancellable shim over WithinDistanceContext.
+// error. It is not observed: WithExplain has no effect on it. It is the non-cancellable shim over WithinDistanceContext.
 func WithinDistance(p, q *Index, eps float64, fn func(Pair) bool, opts ...QueryOption) (Stats, error) {
 	return WithinDistanceContext(context.Background(), p, q, eps, fn, opts...)
 }

@@ -13,7 +13,7 @@ import (
 // TestHotPathSourceRules holds four rules over the non-test sources of the
 // hot-path packages (DESIGN.md §7). Each rule guards a property no test
 // outcome shows: a query with a stray root, a deferred release or an
-// untraced event still returns the right pairs, only slower.
+// unguarded capture call still returns the right pairs, only slower.
 func TestHotPathSourceRules(t *testing.T) {
 	fset := token.NewFileSet()
 	var files []*ast.File
@@ -83,10 +83,13 @@ func TestHotPathSourceRules(t *testing.T) {
 		}
 	})
 
-	// Span.Emit and Span.End are no-ops on a nil span, so only this rule
-	// keeps an untraced query from building events: every call sits in a
-	// helper that leads with `if <span> == nil { return }` (core/trace.go).
+	// The explain capture's recording methods are no-ops on a nil capture,
+	// so only this rule keeps a query without one from formatting a plan
+	// and building rows: every call sits in a helper that leads with
+	// `if <capture> == nil { return }` (core/observe.go).
+	records := map[string]bool{"Begin": true, "Bound": true, "Phase": true, "Finish": true}
 	t.Run("emit-guard", func(t *testing.T) {
+		calls := 0
 		for _, f := range files {
 			if !strings.HasPrefix(pathOf(f), "internal/core/") {
 				continue
@@ -97,9 +100,10 @@ func TestHotPathSourceRules(t *testing.T) {
 					return
 				}
 				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || (sel.Sel.Name != "Emit" && sel.Sel.Name != "End") {
+				if !ok || !records[sel.Sel.Name] {
 					return
 				}
+				calls++
 				recv := chain(sel.X)
 				fd := enclosingFunc(stack)
 				if recv == "" || leadingNilGuard(fd) != recv {
@@ -107,6 +111,9 @@ func TestHotPathSourceRules(t *testing.T) {
 						fset.Position(call.Pos()), recv, sel.Sel.Name, fd.Name.Name, recv)
 				}
 			})
+		}
+		if calls == 0 {
+			t.Error("internal/core: no capture call found; move this rule with them")
 		}
 	})
 
@@ -158,7 +165,7 @@ func enclosingFunc(stack []ast.Node) *ast.FuncDecl {
 	return &ast.FuncDecl{Name: ast.NewIdent("package scope")}
 }
 
-// chain renders an identifier or a selector chain on one ("j.span"), and
+// chain renders an identifier or a selector chain on one ("j.ex"), and
 // returns "" for any other expression.
 func chain(e ast.Expr) string {
 	switch e := e.(type) {

@@ -143,7 +143,7 @@ func WithPath(path string) IndexOption {
 // a time. Packed trees are smaller and have less node overlap.
 func WithBulkLoad(fill float64) IndexOption {
 	return func(c *indexConfig) error {
-		if fill <= 0 || fill > 1 {
+		if !(fill > 0 && fill <= 1) { // NaN fails here too
 			return fmt.Errorf("cpq: bulk fill %g out of (0, 1]", fill)
 		}
 		c.bulkFill = fill
@@ -325,15 +325,6 @@ func (i *Index) IOStats() IOStats { return i.pool.Stats() }
 // NodeCacheStats returns the decoded-node cache's hit/miss counters since
 // the last reset (zero when WithNodeCache was not used).
 func (i *Index) NodeCacheStats() NodeCacheStats { return i.tree.NodeCacheStats() }
-
-// SetTracer attaches a tracer to the index's storage layers: the decoded-
-// node cache reports cache_hit/cache_miss events and the buffer pool
-// reports pool_evict events. Set it before issuing queries and do not
-// change it while queries run. A nil tracer (the default) costs nothing.
-func (i *Index) SetTracer(tr Tracer) {
-	i.tree.SetTracer(tr)
-	i.pool.SetTracer(tr)
-}
 
 // CheckInvariants validates the underlying tree structure (testing and
 // tooling aid).

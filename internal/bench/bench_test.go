@@ -6,12 +6,10 @@ import (
 	"errors"
 	"os"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/incremental"
-	"repro/internal/obs"
 )
 
 // smallLab builds a heavily scaled-down lab for unit tests.
@@ -168,19 +166,12 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
-// countingTracer counts the events it receives (parallel workers emit
-// concurrently).
-type countingTracer struct{ n atomic.Int64 }
-
-func (c *countingTracer) Event(obs.Event) { c.n.Add(1) }
-
 // TestLabConfigIsPerLab runs the same workload through two Labs in one
-// process, one parallel and traced, one zero-valued: the second must see
-// none of the first's wiring — no events, the sequential algorithm's exact
-// counters, totals of its own.
+// process, one parallel and explained, one zero-valued: the second must
+// see none of the first's wiring — no explain snapshot, the sequential
+// algorithm's exact counters, totals of its own.
 func TestLabConfigIsPerLab(t *testing.T) {
-	tr := &countingTracer{}
-	wired := &Lab{Scale: 0.02, Parallelism: 2, Tracer: tr, Explain: true}
+	wired := &Lab{Scale: 0.02, Parallelism: 2, Explain: true}
 	plain := &Lab{Scale: 0.02}
 	opts := core.DefaultOptions(core.Heap)
 	run := func(l *Lab) core.Stats {
@@ -196,16 +187,15 @@ func TestLabConfigIsPerLab(t *testing.T) {
 		return stats
 	}
 	wiredStats := run(wired)
-	seen := tr.n.Load()
-	if seen == 0 || wired.LastExplain() == nil {
-		t.Fatalf("wired lab: %d events, explain %v", seen, wired.LastExplain())
-	}
 	rep := wired.LastExplain()
-	if spans := rep.Exec.Spans; len(spans) != 1 || !strings.HasSuffix(spans[0].Label, "par=2") {
-		t.Fatalf("wired lab did not run the 2-worker engine: spans %+v", spans)
+	if rep == nil {
+		t.Fatal("wired lab captured no explain snapshot")
 	}
-	// The snapshot is the whole query's, not just its trace: the plan, the
-	// result count and the counters the query returned.
+	// The snapshot is the whole query's: the plan, the bound trajectory,
+	// the result count and the counters the query returned.
+	if len(rep.Exec.Bounds) == 0 {
+		t.Error("wired lab's explain has no bound trajectory")
+	}
 	if !strings.HasSuffix(rep.Plan.Label, "par=2") {
 		t.Errorf("wired lab's explain plan is %+v, want a label ending in par=2", rep.Plan)
 	}
@@ -218,8 +208,8 @@ func TestLabConfigIsPerLab(t *testing.T) {
 	}
 
 	got := run(plain)
-	if n := tr.n.Load(); n != seen {
-		t.Fatalf("zero-valued lab emitted %d events into the other lab's tracer", n-seen)
+	if wired.LastExplain() != rep {
+		t.Fatal("zero-valued lab's query replaced the other lab's explain snapshot")
 	}
 	if plain.LastExplain() != nil {
 		t.Fatal("zero-valued lab captured an explain snapshot")

@@ -14,7 +14,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/incremental"
-	"repro/internal/obs"
 	"repro/internal/obs/explain"
 	"repro/internal/rtree"
 	"repro/internal/storage"
@@ -77,9 +76,6 @@ type Lab struct {
 	// task engine wins): cpqbench -parallel re-runs every
 	// experiment in parallel mode for disk-access-parity comparisons.
 	Parallelism int
-	// Tracer, when set, receives every RunCore query's events and the
-	// cache/evict events of every tree built afterwards (cpqbench -trace).
-	Tracer obs.Tracer
 	// Explain attaches a fresh EXPLAIN capture to every RunCore query; each
 	// snapshot replaces the previous one, so after a sweep LastExplain
 	// returns the final query's plan + execution breakdown.
@@ -138,10 +134,6 @@ func (l *Lab) Tree(spec DataSpec) (*rtree.Tree, error) {
 		if err := t.InsertPoint(p, int64(i)); err != nil {
 			return nil, fmt.Errorf("bench: building %+v: %w", spec, err)
 		}
-	}
-	if l.Tracer != nil {
-		t.SetTracer(l.Tracer)
-		t.Pool().SetTracer(l.Tracer)
 	}
 	l.trees[spec] = t
 	return t, nil
@@ -238,22 +230,19 @@ func (l *Lab) LastExplain() *explain.Explain { return l.lastExplain }
 
 // RunCore executes one K-CPQ with one of the paper's algorithms under the
 // given buffer size and returns its statistics. The Lab's Parallelism
-// fills the option when the caller left it zero, and its Tracer and
-// Explain become the query's observer when the caller set none.
+// fills the option when the caller left it zero, and Explain attaches a
+// fresh capture when the caller set none.
 func (l *Lab) RunCore(ta, tb *rtree.Tree, k int, opts core.Options, bufferPages int) (core.Stats, error) {
 	prepare(ta, tb, bufferPages)
 	if opts.Parallelism == 0 {
 		opts.Parallelism = l.Parallelism
 	}
-	if opts.Observe == nil && (l.Tracer != nil || l.Explain) {
-		opts.Observe = &core.Observer{Tracer: l.Tracer}
-		if l.Explain {
-			opts.Observe.Explain = explain.New(nil)
-		}
+	if l.Explain && opts.Explain == nil {
+		opts.Explain = new(explain.Capture)
 	}
 	_, stats, err := core.KClosestPairsContext(l.ctx(), ta, tb, k, opts)
 	if l.Explain {
-		l.lastExplain = opts.Observe.Explain.Snapshot()
+		l.lastExplain = opts.Explain.Snapshot()
 	}
 	if err == nil {
 		l.totals.Queries++

@@ -189,11 +189,11 @@ func TestKCPQSteadyStateAllocs(t *testing.T) {
 		}
 		t.Logf("%s k=%d: %d allocations, %d bytes per warm query (budget %d, %d)",
 			c.name, c.k, got.mallocs, got.bytes, budget.mallocs, budget.bytes)
-		if got.mallocs > budget.mallocs {
-			t.Errorf("%s k=%d: %d allocations per warm query, budget %d", c.name, c.k, got.mallocs, budget.mallocs)
-		}
-		if got.bytes > budget.bytes {
-			t.Errorf("%s k=%d: %d bytes per warm query, budget %d", c.name, c.k, got.bytes, budget.bytes)
+		// A failure prints every sample: the largest or the median alone
+		// does not tell a steady excess from one outlying query.
+		if got.mallocs > budget.mallocs || got.bytes > budget.bytes {
+			t.Errorf("%s k=%d: %d allocations and %d bytes per warm query, budget %d and %d; sorted samples: allocations %v, bytes %v",
+				c.name, c.k, got.mallocs, got.bytes, budget.mallocs, budget.bytes, mallocs, bytes)
 		}
 		// testing.AllocsPerRun pins GOMAXPROCS to 1 while it measures (so it
 		// comes last: resizing the runtime's cores empties their goroutine

@@ -56,11 +56,8 @@ func kClosestPairs(ctx context.Context, ta, tb *rtree.Tree, k int, opts Options,
 	workers := opts.Workers(ta, tb, k)
 
 	// Observation starts after the argument and empty-input checks; a
-	// query without an observer takes no timestamp and formats nothing.
-	var q observed
-	if o := opts.Observe; o != nil {
-		q = o.start(j, k, self, workers)
-	}
+	// query without a capture takes no timestamp and formats nothing.
+	j.observe(opts.Explain, k, self, workers)
 
 	startA := ta.Pool().Stats()
 	startB := tb.Pool().Stats()
@@ -82,8 +79,7 @@ func kClosestPairs(ctx context.Context, ta, tb *rtree.Tree, k int, opts Options,
 		}
 	}
 	if err != nil {
-		j.traceQueryEnd(0, err)
-		q.finish(nil, Stats{})
+		j.recordResult(nil, Stats{})
 		return nil, Stats{}, err
 	}
 
@@ -94,11 +90,8 @@ func kClosestPairs(ctx context.Context, ta, tb *rtree.Tree, k int, opts Options,
 		cb := tb.NodeCacheStats().Sub(startCB)
 		stats.Merge(Stats{NodeCacheHits: cb.Hits, NodeCacheMisses: cb.Misses})
 	}
-	// The span closes on the final bound, which reads the heap's top:
-	// before results() sorts the heap out of heap order.
-	j.traceQueryEnd(len(j.kheap.pairs), nil)
 	pairs := j.kheap.results(j.metric)
-	q.finish(pairs, stats)
+	j.recordResult(pairs, stats)
 	return pairs, stats, nil
 }
 

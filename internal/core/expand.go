@@ -4,7 +4,7 @@ import (
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/obs"
+	"repro/internal/obs/explain"
 	"repro/internal/rtree"
 	"repro/internal/storage"
 )
@@ -34,10 +34,10 @@ type join struct {
 	bound float64
 	stats workCounters
 
-	// span is the query's trace span, nil when tracing is disabled. lastT
-	// is the last effective bound T this join traced, so EvBoundTightened
-	// is emitted only on strict decreases (see trace.go).
-	span  *obs.Span
+	// ex is the query's explain capture, nil when explain is off. lastT
+	// is the last effective bound T this join recorded, so a bound step
+	// is recorded only on a strict decrease (see observe.go).
+	ex    *explain.Capture
 	lastT float64
 
 	rootAreaA, rootAreaB float64
@@ -217,7 +217,7 @@ func (j *join) expandInto(p nodePair, na, nb *rtree.Node, dst []nodePair) []node
 	e := j.beginExpand(&j.sc.kern, p, na, nb, T)
 	if j.tightens() && e.bound < T {
 		j.bound = e.bound
-		j.traceBound(j.boundSource())
+		j.recordBound(j.boundSource())
 		T = j.T()
 	}
 	return e.finish(dst, T)
@@ -261,6 +261,5 @@ func (j *join) readPair(p nodePair, f *frame) (na, nb *rtree.Node, err error) {
 		return nil, nil, err
 	}
 	j.stats.nodePairsProcessed++
-	j.traceNodeExpanded(p)
 	return na, nb, nil
 }

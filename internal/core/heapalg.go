@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 
-	"repro/internal/obs"
 	"repro/internal/rtree"
 )
 
@@ -88,7 +87,6 @@ func (j *join) runHeap(ctx context.Context, root nodePair) error {
 	for h.Len() > 0 {
 		if n := h.Len(); n > j.stats.maxQueueSize {
 			j.stats.maxQueueSize = n
-			j.traceHighWater(n)
 		}
 		if h.pairs[0].minminSq > j.T() {
 			// CP5: the heap is ordered, so no queued pair can qualify.
@@ -104,7 +102,7 @@ func (j *join) runHeap(ctx context.Context, root nodePair) error {
 		}
 		if na.IsLeaf() && nb.IsLeaf() {
 			j.scanLeaves(na, nb)
-			j.traceBound(obs.SourceKHeap)
+			j.recordBound(srcKHeap)
 			continue
 		}
 		f.subs = j.expandInto(p, na, nb, f.subs[:0]) // also tightens T
@@ -131,7 +129,7 @@ func (j *join) runHeap(ctx context.Context, root nodePair) error {
 // large. Each child leaf is read once into the worker's leaf frame and
 // serves every pair of the batch that names it. A side whose node in p is
 // already a leaf (a different-height pair's fixed side) is that node, read
-// once by the expansion. A scanned pair counts and traces as a popped one.
+// once by the expansion. A scanned pair counts as a popped one.
 //
 // The batch runs only once the worker's K-heap is full (runHeap). Before
 // that, T is the seed's loose bound, and a batch would scan whole
@@ -176,9 +174,8 @@ func (j *join) scanLeafBatch(ctx context.Context, p nodePair, na, nb *rtree.Node
 			}
 		}
 		j.stats.nodePairsProcessed++
-		j.traceNodeExpanded(sp)
 		j.scanLeaves(la, lb)
-		j.traceBound(obs.SourceKHeap)
+		j.recordBound(srcKHeap)
 	}
 	return nil
 }

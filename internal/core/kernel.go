@@ -35,7 +35,7 @@ import (
 // surviving rows × columns are keyed, bound and emitted, in the nodes' own
 // order, and SubPairsPruned counts every generated sub-pair not emitted.
 // Everything observable — the sub-pairs and their order, the bound
-// candidate, SubPairsGenerated/SubPairsPruned, trace events — is what
+// candidate, SubPairsGenerated/SubPairsPruned, the bound steps — is what
 // the unrestricted textbook expansion gives (TestKernelCounterParity,
 // TestKernelRestrictionExact):
 //
@@ -53,7 +53,7 @@ import (
 //   - expandInto cuts at its T before the expansion and applies a candidate
 //     only below that T, the paper's T := min(T, bound). A candidate the
 //     K-heap's threshold already undercuts never becomes T, so the T
-//     sequence, and every EvBoundTightened event with it, is the one the
+//     sequence, and every recorded bound step with it, is the one the
 //     textbook rule gives (DESIGN.md §10).
 //
 // The scratch is the caller's (a field of its queryScratch) and every slice

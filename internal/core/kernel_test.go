@@ -9,26 +9,9 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
-	"repro/internal/obs"
+	"repro/internal/obs/explain"
 	"repro/internal/rtree"
 )
-
-// boundStep is one tightening of a pruning bound as the trace reports it
-// (EvBoundTightened): the displaced value, the new one, and the rule.
-type boundStep struct {
-	old, to float64
-	src     obs.BoundSource
-}
-
-func boundSteps(events []obs.Event) []boundStep {
-	var steps []boundStep
-	for _, e := range events {
-		if e.Kind == obs.EvBoundTightened {
-			steps = append(steps, boundStep{e.Old, e.New, e.Source})
-		}
-	}
-	return steps
-}
 
 // parityInput is one tree pair of the kernel parity tests, built twice so
 // the kernel join and the reference join count their own page reads.
@@ -72,7 +55,7 @@ var parityKs = []int{1, 100, 10000}
 // the trees in lockstep; every expansion must yield the same sub-pairs and
 // the same auxiliary bound, and the walks must end on the same four
 // counters, the same sequence of values assigned to the auxiliary bound and
-// the same EvBoundTightened events. The reference computes the bound
+// the same EXPLAIN bound trajectory. The reference computes the bound
 // candidate the textbook way — every sub-pair's metric, a full sort — where
 // the kernel evaluates only what lies below the current bound and selects.
 func TestKernelCounterParity(t *testing.T) {
@@ -90,8 +73,9 @@ func TestKernelCounterParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var traceK, traceR captureTracer
-				jk.span, jr.span = obs.StartSpan(&traceK, name), obs.StartSpan(&traceR, name)
+				capK, capR := new(explain.Capture), new(explain.Capture)
+				jk.observe(capK, k, false, 1)
+				jr.observe(capR, k, false, 1)
 				reads := func(j *join) int64 { return j.ta.Pool().Stats().Reads + j.tb.Pool().Stats().Reads }
 				root, err := jk.rootPair()
 				if err != nil {
@@ -125,9 +109,9 @@ func TestKernelCounterParity(t *testing.T) {
 					}
 					if fk.na.IsLeaf() && fk.nb.IsLeaf() {
 						jk.scanLeaves(&fk.na, &fk.nb)
-						jk.traceBound(obs.SourceKHeap)
+						jk.recordBound(srcKHeap)
 						jr.scanLeaves(&fr.na, &fr.nb)
-						jr.traceBound(obs.SourceKHeap)
+						jr.recordBound(srcKHeap)
 						return
 					}
 					beforeK, beforeR := jk.bound, jr.bound
@@ -176,10 +160,10 @@ func TestKernelCounterParity(t *testing.T) {
 				if jk.tightens() && (k <= 100 || in.name == "uniform-1k") && len(appliedK) == 0 {
 					t.Fatalf("%s: the auxiliary bound was never applied", name)
 				}
-				if stepsK, stepsR := boundSteps(traceK.events), boundSteps(traceR.events); !slices.Equal(stepsK, stepsR) {
-					t.Fatalf("%s: EvBoundTightened sequences differ\n kernel    %v\n reference %v", name, stepsK, stepsR)
+				if stepsK, stepsR := boundSteps(capK), boundSteps(capR); !slices.Equal(stepsK, stepsR) {
+					t.Fatalf("%s: bound trajectories differ\n kernel    %v\n reference %v", name, stepsK, stepsR)
 				} else if jk.prunes() && len(stepsK) == 0 {
-					t.Fatalf("%s: no EvBoundTightened event", name)
+					t.Fatalf("%s: no bound step", name)
 				}
 			}
 		}
@@ -204,7 +188,7 @@ func refExpandInto(j *join, p refPair, na, nb *rtree.Node) []refPair {
 	if j.tightens() {
 		if b := refBoundCandidate(j, subs, mode, na, nb); b < j.T() {
 			j.bound = b
-			j.traceBound(j.boundSource())
+			j.recordBound(j.boundSource())
 		}
 	}
 	if !j.prunes() {

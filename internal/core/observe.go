@@ -2,70 +2,85 @@ package core
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/explain"
 )
 
-// Observer is the one handle a K-CPQ (KClosestPairs, ClosestPair and their
-// self forms; not the semi, range or incremental joins) is observed
-// through. Both fields are optional; a nil *Observer leaves the query
-// untimed and unlabelled. The query's span opens on Explain when it is
-// set, which then tees its events into Tracer in place of its own tee.
-type Observer struct {
-	Tracer  obs.Tracer
-	Explain *explain.Capture
-}
+// This file holds every explain capture point of the query engine. A
+// K-CPQ (KClosestPairs, ClosestPair and their self forms; not the semi,
+// range or incremental joins) is observed through Options.Explain. The
+// discipline (held by the root package's TestHotPathSourceRules) is that
+// engine code calls a capture method only in a helper that leads with a
+// nil guard on the capture, so a query without one pays one pointer
+// comparison per capture point and allocates nothing — verified by the
+// zero-alloc test in obs_test.go.
+//
+// All bound values travel as metric keys (squared distances under L2),
+// never through KeyToDist: the helpers run inside the traversal, where
+// the same test bans math.Sqrt. Consumers convert at the edge.
 
-// observed is one query under an Observer: its explain capture and the
-// time it started. The zero value records nothing.
-type observed struct {
-	c       *explain.Capture
-	started time.Time
-}
+// The pruning rules a bound step names (explain.BoundStep.Source).
+const (
+	srcMinMax = "minmax" // Inequality 2: a sub-pair's MINMAXDIST (K = 1)
+	srcMaxMax = "maxmax" // the MAXMAXDIST prefix guaranteeing K pairs
+	srcKHeap  = "kheap"  // the K-th distance found so far
+)
 
-// start labels the query j runs for K = k on the given number of workers,
-// records the explain plan, opens the query's span on j and starts the
-// clock.
-func (o *Observer) start(j *join, k int, self bool, workers int) observed {
-	label := queryLabel(j.opts.Algorithm, k, self, workers)
-	o.Explain.SetPlan(explain.Plan{
-		Label:     label,
+// observe labels the query j runs for K = k on the given number of
+// workers and begins it in c: the plan, and the clock the bound
+// trajectory and the totals are timed from.
+func (j *join) observe(c *explain.Capture, k int, self bool, workers int) {
+	if c == nil {
+		return
+	}
+	c.Begin(explain.Plan{
+		Label:     queryLabel(j.opts.Algorithm, k, self, workers),
 		Algorithm: j.opts.Algorithm.String(),
 		K:         k,
 		Workers:   workers,
 	})
-	tr := o.Tracer
-	if o.Explain != nil {
-		if tr != nil {
-			o.Explain.SetTee(tr)
-		}
-		tr = o.Explain
-	}
-	j.span = obs.StartSpan(tr, label)
-	return observed{c: o.Explain, started: time.Now()}
+	j.ex = c
 }
 
-// finish records the query's pairs and stats in the explain capture, as
-// its "join" phase and its totals. A failed query (nil pairs, zero stats)
-// records zero totals.
-func (q observed) finish(pairs []Pair, stats Stats) {
-	if q.c == nil {
+// boundSource names the rule behind an auxiliary-bound update: MINMAXDIST
+// (Inequality 2) for K = 1, the MAXMAXDIST prefix rule otherwise.
+func (j *join) boundSource() string {
+	if j.k == 1 {
+		return srcMinMax
+	}
+	return srcMaxMax
+}
+
+// recordBound records a bound step when the effective bound
+// T = min(aux bound, K-heap threshold) strictly decreased since the last
+// one this join recorded. j.lastT is unsynchronized: a parallel worker
+// records through a join of its own.
+func (j *join) recordBound(src string) {
+	if j.ex == nil {
 		return
 	}
-	elapsed := time.Since(q.started).Nanoseconds()
+	if t := j.T(); t < j.lastT {
+		j.ex.Bound(j.lastT, t, src)
+		j.lastT = t
+	}
+}
+
+// recordResult records the query's pairs and stats in the capture as its
+// totals. A failed query (nil pairs, zero stats) records zero totals.
+func (j *join) recordResult(pairs []Pair, stats Stats) {
+	if j.ex == nil {
+		return
+	}
 	var kth float64
 	if len(pairs) > 0 {
 		kth = pairs[len(pairs)-1].Dist
 	}
-	q.c.Phase("join", elapsed)
-	q.c.SetResult(elapsed, stats.explainStats(), len(pairs), kth)
+	j.ex.Finish(stats.explainStats(), len(pairs), kth)
 }
 
-// queryLabel renders the query description used as the span label and
-// the explain plan's label; a self join's label reads "HEAP self k=1", so
-// it never reads like a bichromatic query's.
+// queryLabel renders the query description used as the explain plan's
+// label; a self join's label reads "HEAP self k=1", so it never reads
+// like a bichromatic query's.
 func queryLabel(a Algorithm, k int, self bool, workers int) string {
 	alg := a.String()
 	if self {

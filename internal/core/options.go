@@ -12,6 +12,7 @@ import (
 	"runtime"
 
 	"repro/internal/geom"
+	"repro/internal/obs/explain"
 	"repro/internal/rtree"
 	"repro/internal/sortx"
 )
@@ -186,10 +187,10 @@ type Options struct {
 	// MBR bounds (MINMINDIST, MINMAXDIST, MAXMAXDIST) are computed under
 	// the same metric, preserving every pruning argument.
 	Metric geom.Metric
-	// Observe, when non-nil, attaches the query's tracer and explain
-	// capture (see Observer). nil — the default — observes nothing: every
-	// trace hook is one nil check and allocates nothing.
-	Observe *Observer
+	// Explain, when non-nil, records the query's plan, bound trajectory
+	// and totals (observe.go). nil — the default — records nothing: every
+	// capture point is one nil check and allocates nothing.
+	Explain *explain.Capture
 	// Parallelism is the number of worker goroutines for the HEAP
 	// algorithm. 0 and 1 run the paper's sequential algorithm, whose disk
 	// access counts repeat exactly; N > 1 runs N workers, each a

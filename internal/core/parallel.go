@@ -155,7 +155,7 @@ func (j *join) seedTasks(ctx context.Context, root nodePair, target int) ([]node
 }
 
 // worker readies the join one worker runs its tasks in, inside the
-// worker's scratch: the query's trees, self mode, options and span, with
+// worker's scratch: the query's trees, self mode, options and capture, with
 // the worker's scratch, K-heap, counters and cancel gate, and an auxiliary
 // bound that starts at t, the seed's T.
 func (j *join) worker(sc *queryScratch, t float64) *join {
@@ -164,7 +164,7 @@ func (j *join) worker(sc *queryScratch, t float64) *join {
 		ta: j.ta, tb: j.tb, opts: j.opts, k: j.k, self: j.self,
 		sc: sc, kheap: &sc.kheap,
 		bound: t,
-		span:  j.span, lastT: t,
+		ex:    j.ex, lastT: t,
 		rootAreaA: j.rootAreaA, rootAreaB: j.rootAreaB,
 		useTie: j.useTie, mA: j.mA, mB: j.mB,
 		metric:    j.metric,

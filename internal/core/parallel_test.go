@@ -11,7 +11,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
-	"repro/internal/obs"
+	"repro/internal/obs/explain"
 	"repro/internal/rtree"
 	"repro/internal/storage"
 )
@@ -156,11 +156,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 // TestParallelTaskEngine drives the task engine directly, with one worker
 // and with three, over the golden configurations. The result must be the
-// sequential query's, every node pair the counters count must have been
-// traced, and every traced tightening must lower its bound without
-// undercutting the final K-th key. With one worker the whole run — seed
-// and tasks — is a single chain of tightenings, so the traced values
-// must also strictly decrease from one event to the next.
+// sequential query's, and every tightening in the EXPLAIN bound trajectory
+// must lower its bound without undercutting the final K-th key. With one
+// worker the whole run — seed and tasks — is a single chain of
+// tightenings, so the recorded values must also strictly decrease from one
+// step to the next.
 func TestParallelTaskEngine(t *testing.T) {
 	for _, in := range parityInputs(t) {
 		for _, k := range parityKs {
@@ -179,8 +179,8 @@ func TestParallelTaskEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var trace captureTracer
-				j.span = obs.StartSpan(&trace, name)
+				capture := new(explain.Capture)
+				j.observe(capture, k, false, workers)
 				root, err := j.rootPair()
 				if err != nil {
 					t.Fatal(err)
@@ -188,22 +188,12 @@ func TestParallelTaskEngine(t *testing.T) {
 				if err := j.runHeapParallel(context.Background(), root, workers); err != nil {
 					t.Fatal(err)
 				}
-				nodePairs := j.stats.nodePairsProcessed
 				got := j.kheap.results(j.metric)
 				kth := j.kheap.pairs[len(j.kheap.pairs)-1].distSq // sorted by results
 				j.release()
 
 				samePairs(t, name, got, want)
-				var expanded int64
-				for _, e := range trace.events {
-					if e.Kind == obs.EvNodeExpanded {
-						expanded++
-					}
-				}
-				if expanded != nodePairs {
-					t.Fatalf("%s: %d node_expanded events, NodePairsProcessed = %d", name, expanded, nodePairs)
-				}
-				steps := boundSteps(trace.events)
+				steps := boundSteps(capture)
 				if len(steps) == 0 {
 					t.Fatalf("%s: the bound never tightened", name)
 				}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"repro/internal/obs"
 	"repro/internal/sortx"
 )
 
@@ -27,7 +26,7 @@ func (j *join) runRecursive(ctx context.Context, p nodePair, depth int) error {
 	}
 	if na.IsLeaf() && nb.IsLeaf() {
 		j.scanLeaves(na, nb)
-		j.traceBound(obs.SourceKHeap)
+		j.recordBound(srcKHeap)
 		return nil
 	}
 	// The expansion tightens T for SIM and STD and drops pairs that cannot

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/obs/explain"
 	"repro/internal/storage"
 )
 
@@ -267,7 +268,7 @@ func TestFreeListPinsNoQuery(t *testing.T) {
 		pins := func(sc *queryScratch) bool {
 			r, w := &sc.run, &sc.worker
 			return r.j != nil || r.ctx != nil || r.tasks != nil ||
-				w.ta != nil || w.tb != nil || w.sc != nil || w.opts.Observe != nil
+				w.ta != nil || w.tb != nil || w.sc != nil || w.opts.Explain != nil || w.ex != nil
 		}
 		for i, sc := range scratchFree.list {
 			if pins(sc) {
@@ -280,7 +281,7 @@ func TestFreeListPinsNoQuery(t *testing.T) {
 			}
 		}
 	}
-	par.Observe = &Observer{}
+	par.Explain = new(explain.Capture)
 	if _, _, err := KClosestPairs(ta, tb, 10, par); err != nil {
 		t.Fatal(err)
 	}

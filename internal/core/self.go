@@ -17,7 +17,7 @@ import (
 // a diagonal pair (N, N) expands to the child pairs (c_i, c_t) with
 // i <= t and a pair of distinct nodes to all child combinations, so every
 // unordered point pair is considered exactly once. Every algorithm,
-// Parallelism, tracer and metrics option applies as to KClosestPairs.
+// Parallelism, metric and explain option applies as to KClosestPairs.
 //
 // SelfKClosestPairs is the non-cancellable shim over
 // SelfKClosestPairsContext.

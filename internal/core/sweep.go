@@ -84,7 +84,6 @@ func (j *join) scanLeavesSweep(na, nb *rtree.Node, kh *kHeap, extBound float64) 
 		}
 	}
 	j.stats.pointPairsCompared += compared
-	j.traceSweepPruned(int64(len(na.Entries)*len(nb.Entries)) - compared)
 }
 
 // scanLeafSelf is scanLeavesSweep for a self join's diagonal leaf (na ==
@@ -118,7 +117,6 @@ func (j *join) scanLeafSelf(n *rtree.Node, kh *kHeap, extBound float64) {
 		}
 	}
 	j.stats.pointPairsCompared += compared
-	j.traceSweepPruned(int64(len(es)*(len(es)-1)/2) - compared)
 }
 
 // offerLeafPair offers the point pair (ea, eb) at squared distance d to

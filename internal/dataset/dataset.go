@@ -109,7 +109,7 @@ func Real() []geom.Point {
 // sliding along the x axis as in the paper's experiments. The portion is
 // the fraction of each workspace's area shared with the other.
 func PlaceWithOverlap(pts []geom.Point, portion float64) ([]geom.Point, error) {
-	if portion < 0 || portion > 1 {
+	if !(portion >= 0 && portion <= 1) { // NaN fails here too
 		return nil, fmt.Errorf("dataset: overlap portion %g out of [0, 1]", portion)
 	}
 	dx := 1 - portion

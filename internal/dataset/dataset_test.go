@@ -140,6 +140,9 @@ func TestPlaceWithOverlap(t *testing.T) {
 	if _, err := PlaceWithOverlap(pts, 1.1); err == nil {
 		t.Error("portion > 1 must fail")
 	}
+	if _, err := PlaceWithOverlap(pts, math.NaN()); err == nil {
+		t.Error("NaN portion must fail")
+	}
 }
 
 func TestOverlapSchedules(t *testing.T) {

@@ -1,19 +1,14 @@
 // Package explain is the engine's per-query EXPLAIN/ANALYZE subsystem: a
 // Capture that records one query's plan (algorithm, K, workers) and
-// execution (phase wall breakdown, bound-tightening trajectory, the
-// query's span, full work counters), and renders the snapshot as a text
-// tree or canonical JSON.
+// execution (phase wall breakdown, bound-tightening trajectory, full work
+// counters), and renders the snapshot as a text tree or canonical JSON.
 //
-// The package sits beside the rest of internal/obs: it imports only obs
-// and the standard library, so core and shard can feed it without cycles.
-// A Capture doubles as an obs.Tracer, so one value both collects
-// structured rows from the engine and rebuilds the span and the bound
-// trajectory from the trace stream.
+// The package imports only the standard library, so core and shard can
+// feed it without cycles.
 //
-// Everything is nil-safe in the PR 5 disabled-hook discipline: every
-// method on a nil *Capture returns immediately, so explain-off query paths
-// pay one pointer comparison per capture point and allocate nothing
-// (enforced by the zero-alloc tests).
+// Everything is nil-safe: every method on a nil *Capture returns
+// immediately, so explain-off query paths pay one pointer comparison per
+// capture point and allocate nothing (enforced by the zero-alloc tests).
 package explain
 
 import "encoding/json"
@@ -38,7 +33,7 @@ const Unbounded = -1
 
 // Plan describes what the query decided to do before doing it.
 type Plan struct {
-	// Label is the engine's query label, as on the span.
+	// Label is the engine's query label ("HEAP k=10 par=2").
 	Label string `json:"label"`
 	// Algorithm is the CPQ algorithm's paper abbreviation (HEAP, STD, ...).
 	Algorithm string `json:"algorithm"`
@@ -56,19 +51,14 @@ type Exec struct {
 	// for a K-CPQ; partition and build for the shard partitioner).
 	Phases []Phase `json:"phases,omitempty"`
 	// Bounds is the bound-tightening trajectory: every strict decrease of
-	// the pruning bound, timestamped relative to its span's start.
+	// the pruning bound, timestamped relative to the query's start.
 	Bounds []BoundStep `json:"bounds,omitempty"`
-	// Events counts the trace events per kind over the whole query.
-	Events []KindCount `json:"events,omitempty"`
 	// Stats are the aggregated work counters (core.Stats).
 	Stats Stats `json:"stats"`
 	// Results is the number of pairs returned; KthDistance the largest
 	// reported distance (0 when no results).
 	Results     int     `json:"results"`
 	KthDistance float64 `json:"kth_distance"`
-	// Spans lists the spans the capture saw, in first-seen order: one for
-	// a query, whose parallel workers all emit on the query's span.
-	Spans []SpanNode `json:"spans,omitempty"`
 }
 
 // Phase is one named phase's wall time.
@@ -79,26 +69,20 @@ type Phase struct {
 
 // BoundStep is one strict decrease of the pruning bound.
 type BoundStep struct {
-	// Nanos is the time since the emitting span started.
+	// Nanos is the time since the query started.
 	Nanos int64 `json:"ns"`
 	// Old and New are metric keys (squared distances); Old is Unbounded
 	// for the first tightening from +Inf.
 	Old float64 `json:"old"`
 	New float64 `json:"new"`
-	// Source names the pruning rule (obs.BoundSource).
+	// Source names the pruning rule: "minmax" (Inequality 2, K = 1),
+	// "maxmax" (the MAXMAXDIST prefix, K > 1) or "kheap" (the K-th
+	// distance found so far).
 	Source string `json:"source"`
-	// Span is the emitting span's id.
-	Span uint64 `json:"span"`
-}
-
-// KindCount is one event kind's occurrence count.
-type KindCount struct {
-	Kind string `json:"kind"`
-	N    int64  `json:"n"`
 }
 
 // Stats is core.Stats in canonical JSON form (explain stays import-free of
-// core, which sits above obs in the build graph).
+// core, which imports it).
 type Stats struct {
 	Accesses           int64 `json:"accesses"`
 	ReadsP             int64 `json:"reads_p"`
@@ -111,24 +95,6 @@ type Stats struct {
 	MaxQueueSize       int   `json:"max_queue_size"`
 	NodeCacheHits      int64 `json:"node_cache_hits"`
 	NodeCacheMisses    int64 `json:"node_cache_misses"`
-}
-
-// SpanNode is one span of the query's trace.
-type SpanNode struct {
-	// Span is the span's id.
-	Span uint64 `json:"span"`
-	// Label is the span's EvQueryStart label.
-	Label string `json:"label"`
-	// DurationNS is start-to-end wall time (0 if the span never ended).
-	DurationNS int64 `json:"duration_ns"`
-	// Events counts the span's events.
-	Events int64 `json:"events"`
-	// FinalBound is the final pruning bound at EvQueryEnd (Unbounded when
-	// never tightened below +Inf); Results the span's result count; Err
-	// the error text, empty on success.
-	FinalBound float64 `json:"final_bound"`
-	Results    int64   `json:"results"`
-	Err        string  `json:"err,omitempty"`
 }
 
 // JSON renders the snapshot in its canonical byte-stable form: fixed field

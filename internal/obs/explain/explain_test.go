@@ -6,10 +6,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // sampleExplain builds a representative snapshot covering every section of
@@ -28,14 +27,8 @@ func sampleExplain() *Explain {
 				{Name: "join", DurationNS: 12_100_000},
 			},
 			Bounds: []BoundStep{
-				{Nanos: 800_000, Old: Unbounded, New: 0.02, Source: "kheap", Span: 17},
-				{Nanos: 2_100_000, Old: 0.02, New: 0.002, Source: "merge", Span: 17},
-			},
-			Events: []KindCount{
-				{Kind: "query_start", N: 1},
-				{Kind: "query_end", N: 1},
-				{Kind: "node_expanded", N: 104},
-				{Kind: "bound_tightened", N: 2},
+				{Nanos: 800_000, Old: Unbounded, New: 0.02, Source: "kheap"},
+				{Nanos: 2_100_000, Old: 0.02, New: 0.002, Source: "merge"},
 			},
 			Stats: Stats{
 				Accesses: 280, ReadsP: 150, ReadsQ: 130, BufferHits: 900,
@@ -44,10 +37,6 @@ func sampleExplain() *Explain {
 			},
 			Results:     8,
 			KthDistance: 0.00132,
-			Spans: []SpanNode{{
-				Span: 17, Label: "HEAP k=8 par=4", DurationNS: 12_000_000,
-				Events: 108, FinalBound: 0.002, Results: 8,
-			}},
 		},
 	}
 }
@@ -91,46 +80,32 @@ func TestExplainGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCaptureSpan drives a Capture as a Tracer through one query span and
-// checks the captured span and bound trajectory.
-func TestCaptureSpan(t *testing.T) {
-	c := New(nil)
-	s := obs.StartSpan(c, "query")
-	s.Emit(obs.Event{Kind: obs.EvBoundTightened, Old: math.Inf(1), New: 0.5, Source: obs.SourceKHeap})
-	s.End(0.25, 8, "")
-
+// TestCaptureBounds records a query's bound steps and totals, and checks
+// the snapshot: the +Inf start maps to Unbounded, the rest passes
+// through, the steps are stamped in order from Begin, and Finish records
+// the one join phase as the query's wall time.
+func TestCaptureBounds(t *testing.T) {
+	var c Capture
+	c.Begin(Plan{Label: "HEAP k=2"})
+	c.Bound(math.Inf(1), 0.5, "kheap")
+	c.Bound(0.5, 0.25, "maxmax")
+	c.Finish(Stats{NodePairsProcessed: 3}, 2, 0.5)
 	snap := c.Snapshot()
-	if len(snap.Exec.Spans) != 1 {
-		t.Fatalf("got %d spans, want 1: %+v", len(snap.Exec.Spans), snap.Exec.Spans)
+	b := snap.Exec.Bounds
+	want := []BoundStep{
+		{Nanos: b[0].Nanos, Old: Unbounded, New: 0.5, Source: "kheap"},
+		{Nanos: b[1].Nanos, Old: 0.5, New: 0.25, Source: "maxmax"},
 	}
-	q := snap.Exec.Spans[0]
-	if q.Label != "query" || q.Events != 3 || q.FinalBound != 0.25 || q.Results != 8 {
-		t.Fatalf("span = %+v, want \"query\" with 3 events, final bound 0.25, 8 results", q)
+	if !slices.Equal(b, want) || b[0].Nanos < 0 || b[1].Nanos < b[0].Nanos {
+		t.Fatalf("bounds = %+v, want %+v stamped in order", b, want)
 	}
-	if len(snap.Exec.Bounds) != 1 || snap.Exec.Bounds[0].Old != Unbounded || snap.Exec.Bounds[0].New != 0.5 {
-		t.Fatalf("bounds = %+v, want one step inf→0.5", snap.Exec.Bounds)
+	if p := snap.Exec.Phases; len(p) != 1 || p[0] != (Phase{"join", snap.Exec.DurationNS}) || snap.Exec.DurationNS < b[1].Nanos {
+		t.Fatalf("phases %+v, duration %d: want one join phase of the query's wall time", p, snap.Exec.DurationNS)
 	}
-	if b := snap.Exec.Bounds[0]; b.Source != "kheap" || b.Span != q.Span {
-		t.Fatalf("bound step = %+v, want source kheap on span %d", b, q.Span)
-	}
-}
-
-// TestCaptureTee checks a user tracer still sees every event under
-// -explain.
-func TestCaptureTee(t *testing.T) {
-	var got []obs.Event
-	tee := tracerFunc(func(e obs.Event) { got = append(got, e) })
-	c := New(tee)
-	s := obs.StartSpan(c, "q")
-	s.End(0, 0, "")
-	if len(got) != 2 {
-		t.Fatalf("tee saw %d events, want 2", len(got))
+	if snap.Plan.Label != "HEAP k=2" || snap.Exec.Results != 2 || snap.Exec.Stats.NodePairsProcessed != 3 {
+		t.Fatalf("snapshot %+v lost the plan or the totals", snap)
 	}
 }
-
-type tracerFunc func(obs.Event)
-
-func (f tracerFunc) Event(e obs.Event) { f(e) }
 
 // TestNilCaptureZeroAlloc pins the disabled-hook discipline: every method
 // on a nil *Capture is a no-op and allocates nothing.
@@ -143,10 +118,10 @@ func TestNilCaptureZeroAlloc(t *testing.T) {
 		t.Fatal("nil capture returned a snapshot")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		c.Event(obs.Event{Kind: obs.EvNodeExpanded})
-		c.SetPlan(Plan{})
+		c.Begin(Plan{})
+		c.Bound(2, 1, "kheap")
 		c.Phase("join", 1)
-		c.SetResult(1, Stats{}, 1, 0.5)
+		c.Finish(Stats{}, 1, 0.5)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil capture allocated %.1f/op, want 0", allocs)
@@ -165,7 +140,8 @@ func TestRender(t *testing.T) {
 		"bound trajectory: 2 tightenings, ∞ → 0.002",
 		"stats: 280 accesses",
 		"results: 8 pairs",
-		`└─ span 17 "HEAP k=8 par=4" 12ms, 108 events, 8 results, final bound 0.002`,
+		"@2.1ms 0.02 → 0.002 (merge)",
+		"└─ results: 8 pairs, k-th distance 0.00132",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render output missing %q:\n%s", want, out)

@@ -36,17 +36,14 @@ func (e *Explain) Render() string {
 		lines = append(lines, fmt.Sprintf("bound trajectory: %d tightenings, %s → %s",
 			len(e.Exec.Bounds), fmtKey(e.Exec.Bounds[0].Old), fmtKey(e.Exec.Bounds[len(e.Exec.Bounds)-1].New)))
 		for _, s := range trajectoryHighlights(e.Exec.Bounds) {
-			lines = append(lines, fmt.Sprintf("  @%s %s → %s (%s, span %d)",
-				fmtDur(s.Nanos), fmtKey(s.Old), fmtKey(s.New), s.Source, s.Span))
+			lines = append(lines, fmt.Sprintf("  @%s %s → %s (%s)",
+				fmtDur(s.Nanos), fmtKey(s.Old), fmtKey(s.New), s.Source))
 		}
 	}
 	lines = append(lines, fmt.Sprintf("stats: %d accesses, %d node pairs, %d point pairs, cache %d/%d",
 		e.Exec.Stats.Accesses, e.Exec.Stats.NodePairsProcessed, e.Exec.Stats.PointPairsCompared,
 		e.Exec.Stats.NodeCacheHits, e.Exec.Stats.NodeCacheHits+e.Exec.Stats.NodeCacheMisses))
 	lines = append(lines, fmt.Sprintf("results: %d pairs, k-th distance %.6g", e.Exec.Results, e.Exec.KthDistance))
-	for _, s := range e.Exec.Spans {
-		lines = append(lines, spanLine(s))
-	}
 	writeBranch(&b, "   ", lines)
 	return b.String()
 }
@@ -60,15 +57,6 @@ func trajectoryHighlights(steps []BoundStep) []BoundStep {
 	}
 	out := append([]BoundStep(nil), steps[:max/2]...)
 	return append(out, steps[len(steps)-max/2:]...)
-}
-
-func spanLine(s SpanNode) string {
-	status := ""
-	if s.Err != "" {
-		status = " err=" + s.Err
-	}
-	return fmt.Sprintf("span %d %q %s, %d events, %d results, final bound %s%s",
-		s.Span, s.Label, fmtDur(s.DurationNS), s.Events, s.Results, fmtKey(s.FinalBound), status)
 }
 
 // writeBranch writes lines as tree leaves under the current branch.

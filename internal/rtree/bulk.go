@@ -21,7 +21,7 @@ func (t *Tree) BulkLoad(items []Item, fill float64) error {
 	if t.size != 0 || t.root != storage.InvalidPageID {
 		return errors.New("rtree: BulkLoad requires an empty tree")
 	}
-	if fill <= 0 || fill > 1 {
+	if !(fill > 0 && fill <= 1) { // NaN fails here too
 		return fmt.Errorf("rtree: fill factor %g out of (0, 1]", fill)
 	}
 	if len(items) == 0 {

@@ -94,7 +94,7 @@ func TestBulkLoadRejectsNonEmpty(t *testing.T) {
 }
 
 func TestBulkLoadRejectsBadFill(t *testing.T) {
-	for _, fill := range []float64{-0.1, 0, 1.5} {
+	for _, fill := range []float64{-0.1, 0, 1.5, math.NaN()} {
 		tr := newTestTree(t, Config{})
 		if err := tr.BulkLoad(itemsFromPoints(randPoints(24, 10)), fill); err == nil {
 			t.Fatalf("fill %g must be rejected", fill)

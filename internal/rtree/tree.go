@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
-	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -108,11 +107,6 @@ type Tree struct {
 	// cache changes which reads reach the buffer pool, so the paper's
 	// disk-access experiments leave it off.
 	cache *NodeCache
-
-	// tracer, when non-nil, receives cache hit/miss events from ReadNode.
-	// Set it before concurrent use (same set-before-use contract as
-	// SetNodeCache); nil — the default — costs one pointer comparison.
-	tracer obs.Tracer
 }
 
 // ErrNotFound is returned by operations that reference a missing record.
@@ -258,22 +252,6 @@ func (t *Tree) SetNodeCache(c *NodeCache) {
 // NodeCache returns the attached decoded-node cache, nil when none is.
 func (t *Tree) NodeCache() *NodeCache { return t.cache }
 
-// SetTracer attaches (or, with nil, detaches) a tracer receiving cache
-// hit/miss events from ReadNode. The events carry no span id: node reads
-// outlive any single query span, and the tree does not know which query a
-// read belongs to. Like SetNodeCache, set it before concurrent readers
-// start.
-func (t *Tree) SetTracer(tr obs.Tracer) { t.tracer = tr }
-
-// traceCacheEvent emits a decoded-node cache lookup outcome; the nil
-// guard keeps the untraced ReadNode path allocation-free.
-func (t *Tree) traceCacheEvent(kind obs.EventKind, id storage.PageID) {
-	if t.tracer == nil {
-		return
-	}
-	t.tracer.Event(obs.Event{Kind: kind, N: int64(id)})
-}
-
 // NodeCacheStats snapshots the attached cache's hit/miss counters (zero
 // when no cache is attached).
 func (t *Tree) NodeCacheStats() CacheStats {
@@ -296,10 +274,8 @@ func (t *Tree) ReadNode(id storage.PageID) (*Node, error) {
 	c := t.cache
 	if c != nil {
 		if n, ok := c.Get(id); ok {
-			t.traceCacheEvent(obs.EvCacheHit, id)
 			return n, nil
 		}
-		t.traceCacheEvent(obs.EvCacheMiss, id)
 	}
 	n, err := t.readNodeFresh(id)
 	if err != nil {

@@ -47,7 +47,7 @@ func (e *Executor) Run(k int, opts core.Options) (Result, error) {
 // Planning enumerates every (A-shard, B-shard) pair with points on both
 // sides and sorts by tile-level MINMINDIST, so the spatially closest
 // shard products run first. Each join is an ordinary query, observed
-// through opts.Observe like any other, and its result merges into the
+// through opts.Explain like any other, and its result merges into the
 // running top K. Tile-level MINMINDIST is a lower bound on every point
 // pair of the product, so once the merged list holds K pairs, a shard
 // pair whose MINMINDIST exceeds the K-th pair's key cannot contribute and

@@ -5,8 +5,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
 // Policy names a page replacement policy. The paper (following Leutenegger
@@ -52,11 +50,6 @@ type BufferPool struct {
 	// share from it under its own lock (Resize), so no lock is held while
 	// another is taken.
 	capacity atomic.Int64
-
-	// tracer, when non-nil, receives a pool_evict event per page eviction.
-	// Set it before concurrent use; nil (the default) costs one pointer
-	// comparison per eviction and nothing on hits or misses.
-	tracer obs.Tracer
 }
 
 // bufShard is one lock stripe: an independent replacement domain over the
@@ -300,19 +293,6 @@ func (b *BufferPool) Stats() IOStats {
 	return st
 }
 
-// SetTracer attaches (or, with nil, detaches) a tracer receiving eviction
-// events. Set it before concurrent pool use.
-func (b *BufferPool) SetTracer(tr obs.Tracer) { b.tracer = tr }
-
-// traceEvict emits one page eviction. Called under the shard lock; the
-// tracer must not call back into the pool.
-func (b *BufferPool) traceEvict(id PageID) {
-	if b.tracer == nil {
-		return
-	}
-	b.tracer.Event(obs.Event{Kind: obs.EvPoolEvict, N: int64(id)})
-}
-
 // ResetStats zeroes the counters (cache contents are preserved).
 func (b *BufferPool) ResetStats() {
 	for _, s := range b.shards {
@@ -384,7 +364,6 @@ func (s *bufShard) evictOverflow() {
 		s.unlink(victim)
 		s.pages.remove(victim.id)
 		s.evictions.Add(1)
-		s.pool.traceEvict(victim.id)
 		s.putFree(victim)
 	}
 }

@@ -148,7 +148,8 @@ func KClosestPairsContext(ctx context.Context, p, q *Index, k int, opts ...Query
 // SelfClosestPair returns the closest pair of distinct points within one
 // index (the paper's self-CPQ future-work variant). It is the K-CPQ join
 // of the index with itself, so every option of KClosestPairs applies:
-// algorithm, parallelism, metric, tracer and explain. It is the non-cancellable shim over SelfClosestPairContext.
+// algorithm, parallelism, metric and explain. It is the non-cancellable
+// shim over SelfClosestPairContext.
 func SelfClosestPair(p *Index, opts ...QueryOption) (Pair, Stats, error) {
 	return SelfClosestPairContext(context.Background(), p, opts...)
 }
@@ -183,9 +184,8 @@ func SelfKClosestPairsContext(ctx context.Context, p *Index, k int, opts ...Quer
 // closest-pair engine's pair heap, expansion kernel and reused query
 // memory, so a query allocates little beyond its result. Where two
 // points of q are exactly equally near a point of p, which of them RefQ
-// names is not specified. It is not observed: WithTracer and WithExplain
-// have no effect on it. It is the non-cancellable shim over
-// SemiClosestPairsContext.
+// names is not specified. It is not observed: WithExplain has no effect
+// on it. It is the non-cancellable shim over SemiClosestPairsContext.
 func SemiClosestPairs(p, q *Index, opts ...QueryOption) ([]Pair, Stats, error) {
 	return SemiClosestPairsContext(context.Background(), p, q, opts...)
 }
@@ -235,8 +235,8 @@ func WithJoinMetric(m Metric) JoinOption {
 }
 
 // NewIncrementalJoin starts an incremental distance join between the two
-// indexes. It takes no observer option (tracer or explain capture). It is
-// the non-cancellable shim over NewIncrementalJoinContext.
+// indexes. It takes no explain capture. It is the non-cancellable shim
+// over NewIncrementalJoinContext.
 func NewIncrementalJoin(p, q *Index, opts ...JoinOption) (*JoinIterator, error) {
 	return NewIncrementalJoinContext(context.Background(), p, q, opts...)
 }
